@@ -3,7 +3,10 @@
 // order the moment their cells complete, and the rendered bytes are
 // identical for every backend configuration: -procs 4 against worker
 // processes, -workers 8 in-process, or a resume over a half-filled
-// store all print the same tables.
+// store all print the same tables. The sweep is planned: figures share
+// cells (the 12 figures' 104 cells are 40 distinct ones), so the
+// requested figures are folded into their distinct cells and those run
+// once each, as one batch.
 //
 // Usage:
 //
@@ -27,7 +30,11 @@
 // the sweep's live state — cells stored/computed/in-flight, queue
 // depth, per-worker utilization, heap-reservation occupancy — without
 // touching the deterministic stdout stream. Each completed figure also
-// prints an elapsed-time and cells-per-second line to stderr.
+// prints a stderr line — its cell count, how many of those cells this
+// run computed on its account, and the time since the previous figure
+// flushed — and the run closes with a summary: how many figure cells
+// were delivered without being computed (shared with another figure, or
+// read from the store) and how many were computed.
 //
 // With -store, a killed sweep (power cut, OOM kill, ^C) is restarted
 // with the same command line and completes from where it died: cells
@@ -80,7 +87,7 @@ func main() {
 	client := flag.String("client", "",
 		"client name reported to -server for its fairness lanes (default: host:pid)")
 	tapeOn := flag.Bool("tape", true,
-		"cache each (workload, size) row's event tape and replay it for the row's other cells, forwarded to -procs children; output is identical either way")
+		"record a (workload, size) row's event tape and replay it for the row's other cells; in-process a row records only when the sweep holds a second cell to replay it, -procs children (the flag is forwarded) record on first sight; output is identical either way")
 	flag.Parse()
 	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 
@@ -125,9 +132,8 @@ func main() {
 		fatal(err)
 	}
 
-	// The progress counters exist regardless of -debug-addr: they feed
-	// the per-figure stderr line too, and cost nothing on hot paths
-	// (every update is at a cell boundary).
+	// The progress counters exist regardless of -debug-addr: they cost
+	// nothing on hot paths (every update is at a cell boundary).
 	prog := &obs.Progress{}
 
 	var backend results.Backend
@@ -155,14 +161,12 @@ func main() {
 		backend = results.Local{Eng: eng, Obs: prog}
 	}
 
-	var resuming *results.Resuming
 	if *storeDir != "" {
 		store, err := results.Open(*storeDir)
 		if err != nil {
 			fatal(err)
 		}
-		resuming = &results.Resuming{Store: store, Next: backend, Obs: prog}
-		backend = resuming
+		backend = &results.Resuming{Store: store, Next: backend, Obs: prog}
 	}
 	backend = results.Observed{Next: backend, Obs: prog}
 
@@ -185,25 +189,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cgsweep: debug endpoint on http://%s\n", srv.Addr())
 	}
 
-	figStart := time.Now()
-	var cellsDone int64
-	report := func(f experiments.SweepFig) {
-		elapsed := time.Since(figStart)
-		s := prog.Snapshot()
-		cells := s.CellsStored + s.CellsComputed - cellsDone
-		rate := float64(cells) / elapsed.Seconds()
-		fmt.Fprintf(os.Stderr, "cgsweep: fig %s: %d cells in %v (%.1f cells/s)\n",
-			f.ID, cells, elapsed.Round(time.Millisecond), rate)
-		figStart = time.Now()
-		cellsDone += cells
+	// One line per figure as it flushes, and a closing summary of the
+	// whole sweep: how many figure cells were asked for, and how many of
+	// them had to be computed. The rest were delivered without running
+	// anything — a cell several figures share runs once, and a stored
+	// cell not at all.
+	lastFlush := time.Now()
+	var cells, computed int
+	report := func(st experiments.FigStats) {
+		now := time.Now()
+		fmt.Fprintf(os.Stderr, "cgsweep: fig %s: %d cells, %d computed, in %v\n",
+			st.Fig.ID, len(st.Fig.Jobs), st.Computed, now.Sub(lastFlush).Round(time.Millisecond))
+		lastFlush = now
+		cells += len(st.Fig.Jobs)
+		computed += st.Computed
 	}
 	if err := experiments.SweepProgress(backend, figs, os.Stdout, report); err != nil {
 		fatal(err)
 	}
-	if resuming != nil {
-		stored, computed := resuming.Stats()
-		fmt.Fprintf(os.Stderr, "cgsweep: %d cells from store, %d computed\n", stored, computed)
+	how := "shared between figures"
+	if *storeDir != "" {
+		how = "from store"
 	}
+	fmt.Fprintf(os.Stderr, "cgsweep: %d cells %s, %d computed\n", cells-computed, how, computed)
 }
 
 // workerBinary resolves the cgworker executable: an explicit -worker

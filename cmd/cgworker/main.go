@@ -43,7 +43,7 @@ func main() {
 	overlap := flag.Bool("overlap", false,
 		"overlap hook-free collection cycles with the mutator (snapshot-at-the-beginning tracing); output is identical either way")
 	tapeOn := flag.Bool("tape", true,
-		"cache each (workload, size) row's event tape and replay it for the row's other cells; output is identical either way")
+		"record each (workload, size) row's event tape on first sight (jobs arrive one at a time, so there is no sweep to plan against) and replay it for the row's other cells; output is identical either way")
 	flag.Parse()
 	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 

@@ -122,13 +122,16 @@ func ArenaBytes(job Job) (int, error) {
 // it directly. Package-level Exec ignores any engine memory cap, trace
 // configuration and tape cache; use Engine.Exec for throttled,
 // configured admission.
-func Exec(job Job) Result { return exec(job, nil, nil, nil, nil) }
+func Exec(job Job) Result { return exec(job, nil, nil, nil, false, nil) }
 
 // traceConfigurer is what a collector must implement for the engine to
 // hand it the per-engine trace configuration; *msa.System does.
 type traceConfigurer interface {
 	SetTraceConfig(msa.TraceConfig)
 }
+
+// rowOf names the matrix row whose event tape job records or replays.
+func rowOf(job Job) tapeKey { return tapeKey{workload: job.Workload, size: job.Size} }
 
 // exec is the shared job body. With a non-nil rt it starts from that
 // Reset pooled shard (whose arena size must match the job's budget); it
@@ -138,10 +141,11 @@ type traceConfigurer interface {
 //
 // A non-nil tc consults the event-tape cache: a hit replays the row's
 // recorded operation stream through the runtime instead of re-running
-// driver logic (bit-identical results, no driver overhead); a miss may
-// claim the row's recording slot and capture the tape as a side effect
-// of the first repeat. p counts those outcomes on the debug surface.
-func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs.Progress) (res Result) {
+// driver logic (bit-identical results, no driver overhead); a miss,
+// when record permits it, may claim the row's recording slot and
+// capture the tape as a side effect of the first repeat — otherwise it
+// just drives. p counts those outcomes on the debug surface.
+func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, record bool, p *obs.Progress) (res Result) {
 	res.Job = job
 	defer func() {
 		if r := recover(); r != nil {
@@ -170,13 +174,13 @@ func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs
 		reps = 1
 	}
 
-	key := tapeKey{workload: job.Workload, size: job.Size}
+	key := rowOf(job)
 	var rp *tape.Replayer
 	recording := false
 	if tc != nil {
 		if t, ok := tc.lookup(key); ok {
 			rp = tape.NewReplayer(t)
-		} else if tc.beginRecord(key) {
+		} else if record && tc.beginRecord(key) {
 			recording = true
 			// The claim must not leak if this run dies before publish
 			// (workload panic, OOM): the recover above eats the panic,
@@ -382,7 +386,7 @@ func (e *Engine) ReservedBytes() int64 {
 func (e *Engine) Exec(job Job) Result {
 	reserve := e.reserve
 	if reserve == nil {
-		r := exec(job, nil, &e.trace, e.tapes, e.progress)
+		r := exec(job, nil, &e.trace, e.tapes, true, e.progress)
 		e.laneDone(job)
 		return r
 	}
@@ -392,7 +396,7 @@ func (e *Engine) Exec(job Job) Result {
 	}
 	reserve.Acquire(int64(bytes))
 	defer reserve.Release(int64(bytes))
-	r := exec(job, nil, &e.trace, e.tapes, e.progress)
+	r := exec(job, nil, &e.trace, e.tapes, true, e.progress)
 	e.laneDone(job)
 	return r
 }
@@ -420,7 +424,17 @@ func (e *Engine) laneDone(job Job) {
 // afterwards keeps them (the reserve's evict hook reclaims pooled
 // reservations when admission stalls). Dropped shards release theirs
 // immediately.
+//
+// A single job has no batch to plan against, so it records its row's
+// event tape on first sight — right for the callers that arrive here
+// one job at a time (cgserve's scheduler, cgworker), where rows recur.
 func (e *Engine) ExecRelease(job Job, consume func(Result)) {
+	e.execRelease(job, true, consume)
+}
+
+// execRelease is ExecRelease with the tape-recording permission made
+// explicit (see RunEach for the batch rule).
+func (e *Engine) execRelease(job Job, record bool, consume func(Result)) {
 	bytes, err := ArenaBytes(job)
 	if err != nil {
 		consume(Result{Job: job, Err: err})
@@ -431,11 +445,16 @@ func (e *Engine) ExecRelease(job Job, consume func(Result)) {
 	if rt == nil && reserve != nil {
 		reserve.Acquire(int64(bytes))
 	}
-	r := exec(job, rt, &e.trace, e.tapes, e.progress)
+	r := exec(job, rt, &e.trace, e.tapes, record, e.progress)
 	e.laneDone(job)
 	consume(r)
 	if r.Err == nil && r.RT != nil && e.pool.put(bytes, r.RT) {
-		return // the pooled shard keeps its reservation
+		// The pooled shard keeps its reservation, now idle: a waiter
+		// whose evict probe found the pool empty must look again.
+		if reserve != nil {
+			reserve.Parked()
+		}
+		return
 	}
 	if reserve != nil {
 		reserve.Release(int64(bytes))
@@ -508,8 +527,22 @@ func (e *Engine) Run(jobs []Job) []Result {
 // worker count instead of the matrix size — the sequential-loop
 // footprint at -workers 1. Like Do's fn, consume must confine its
 // writes to state owned by index i.
+//
+// The batch is the engine's view of the grid, so tape recording is
+// planned against it: a (workload, size) row records its event tape
+// only when the batch holds a second consumer to replay it (another
+// cell of the row, or further Repeats of one cell); a row with a single
+// consumer just drives, sparing the record premium and the resident
+// tape. A tape cached by an earlier batch is replayed either way.
 func (e *Engine) RunEach(jobs []Job, consume func(i int, r Result)) {
+	var consumers map[tapeKey]int
+	if e.tapes != nil {
+		consumers = make(map[tapeKey]int)
+		for _, job := range jobs {
+			consumers[rowOf(job)] += max(job.Repeats, 1)
+		}
+	}
 	e.Do(len(jobs), func(i int) {
-		e.ExecRelease(jobs[i], func(r Result) { consume(i, r) })
+		e.execRelease(jobs[i], consumers[rowOf(jobs[i])] >= 2, func(r Result) { consume(i, r) })
 	})
 }

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -122,6 +126,30 @@ func TestMemoryCapAdmissionExact(t *testing.T) {
 	}
 	if got := eng.ReservedBytes(); got != pooled {
 		t.Fatalf("quiescent reserve %d != pooled arena bytes %d", got, pooled)
+	}
+}
+
+// TestAdmissionLiveAtEveryCoreCount re-runs the -max-heap-bytes
+// admission tests at GOMAXPROCS 1, 2 and 4 under a deadline. Admission
+// once deadlocked on any multi-core host — a shard parked in the pool
+// keeping its reservation, and a worker already waiting in the reserve
+// was never told to evict it — while passing at one CPU, so liveness is
+// asserted per core count, and a hang fails in a minute with every
+// goroutine's stack instead of taking the package timeout with it.
+func TestAdmissionLiveAtEveryCoreCount(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			defer time.AfterFunc(time.Minute, func() {
+				debug.SetTraceback("all")
+				panic(fmt.Sprintf("admission at GOMAXPROCS=%d still blocked after a minute", procs))
+			}).Stop()
+			t.Run("AdmissionExact", TestMemoryCapAdmissionExact)
+			t.Run("RetainsPooling", TestMemoryCapRetainsPooling)
+			t.Run("ReserveThrottles", TestReserveThrottlesAdmission)
+			t.Run("OversizedAlone", TestReserveAdmitsOversizedJobAlone)
+			t.Run("RunUnderCap", TestEngineRunUnderMemoryCap)
+		})
 	}
 }
 

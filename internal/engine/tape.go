@@ -134,12 +134,16 @@ func (e *Engine) Tapes() int {
 
 // SetTapeCache enables or disables the per-(workload, size) event-tape
 // cache and returns e for chaining. Enabled (the default from New),
-// the first cell of each matrix row records the driver's operation
-// stream as a side effect of running it, and every other cell of the
-// row — different collector, heap budget, gc-every or repeat — replays
-// the tape through the same runtime entry points instead of re-running
-// driver logic. Results are bit-identical either way; the cache only
-// removes redundant driver work. Disabling clears any cached tapes.
+// one cell of a matrix row records the driver's operation stream as a
+// side effect of running it, and every later cell of the row —
+// different collector, heap budget, gc-every or repeat — replays the
+// tape through the same runtime entry points instead of re-running
+// driver logic. Which cell records: the first of the row to arrive
+// through a single-job entry (Exec, ExecRelease); in a RunEach batch,
+// the first of a row the batch holds a second consumer for, and no cell
+// of a row it does not. Results are bit-identical either way; the cache
+// only removes redundant driver work. Disabling clears any cached
+// tapes.
 func (e *Engine) SetTapeCache(on bool) *Engine {
 	if on {
 		if e.tapes == nil {

@@ -66,9 +66,12 @@ func TestTapeCacheSharesAcrossRepeats(t *testing.T) {
 }
 
 // TestTapeCacheBitIdentical pins the substitution property at the
-// engine surface: the same matrix row computed through the cache
-// (second cell replays) and with the cache disabled produces identical
-// collector statistics and heap state.
+// engine surface: the same matrix row produces identical collector
+// statistics and heap state however its cells were driven — one at a
+// time through the cache (the first records, the rest replay), as one
+// planned batch (three consumers: record once, replay twice), as
+// single-consumer batches (nothing recorded, every cell drives), and
+// with the cache disabled.
 func TestTapeCacheBitIdentical(t *testing.T) {
 	jobs := []Job{
 		{Workload: "jess", Size: 1, Collector: "cg", HeapBytes: 1 << 24},
@@ -80,24 +83,113 @@ func TestTapeCacheBitIdentical(t *testing.T) {
 		hs    heap.Stats
 		instr uint64
 	}
+	snapOf := func(r Result) snap {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		return snap{r.Col.(*core.CG).Stats(), r.RT.Heap.Stats(), r.RT.Instr()}
+	}
 	collect := func(eng *Engine) []snap {
 		out := make([]snap, len(jobs))
 		for i, job := range jobs {
-			r := eng.Exec(job)
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			out[i] = snap{r.Col.(*core.CG).Stats(), r.RT.Heap.Stats(), r.RT.Instr()}
+			out[i] = snapOf(eng.Exec(job))
 		}
 		return out
 	}
 	cached := collect(New(1))
 	driven := collect(New(1).SetTapeCache(false))
+
+	batched := make([]snap, len(jobs))
+	p := &obs.Progress{}
+	New(1).SetProgress(p).RunEach(jobs, func(i int, r Result) { batched[i] = snapOf(r) })
+	if s := p.Snapshot(); s.TapesRecorded != 1 || s.TapeReplays != 2 {
+		t.Errorf("one batch of the row: recorded %d / replays %d, want 1 / 2", s.TapesRecorded, s.TapeReplays)
+	}
+
+	alone := make([]snap, len(jobs))
+	p = &obs.Progress{}
+	eng := New(1).SetProgress(p)
+	for i, job := range jobs {
+		eng.RunEach([]Job{job}, func(_ int, r Result) { alone[i] = snapOf(r) })
+	}
+	if s := p.Snapshot(); s.TapesRecorded != 0 || s.TapeReplays != 0 {
+		t.Errorf("single-consumer batches: recorded %d / replays %d, want 0 / 0", s.TapesRecorded, s.TapeReplays)
+	}
+
 	for i := range jobs {
-		if cached[i] != driven[i] {
-			t.Errorf("job %d: tape-backed cell differs from driven cell\ncached: %+v\ndriven: %+v",
-				i, cached[i], driven[i])
+		for how, got := range map[string]snap{"cached": cached[i], "batched": batched[i], "alone": alone[i]} {
+			if got != driven[i] {
+				t.Errorf("job %d: %s cell differs from the driven cell\n%s: %+v\ndriven: %+v",
+					i, how, how, got, driven[i])
+			}
 		}
+	}
+}
+
+// TestRunEachRecordsOnlyForASecondConsumer pins the recording rule: a
+// RunEach batch is the engine's view of the grid, and a row claims the
+// recording slot only when the batch holds someone to replay the tape.
+func TestRunEachRecordsOnlyForASecondConsumer(t *testing.T) {
+	run := func(eng *Engine, jobs ...Job) {
+		t.Helper()
+		eng.RunEach(jobs, func(i int, r Result) {
+			if r.Err != nil {
+				t.Errorf("job %d: %v", i, r.Err)
+			}
+		})
+	}
+	counters := func(p *obs.Progress) [2]int64 {
+		s := p.Snapshot()
+		return [2]int64{s.TapesRecorded, s.TapeReplays}
+	}
+	cell := func(workload, collector string) Job {
+		return Job{Workload: workload, Size: 1, Collector: collector, HeapBytes: 1 << 24}
+	}
+
+	// Three rows, one consumer each: every cell drives, nothing stays
+	// resident.
+	p := &obs.Progress{}
+	eng := New(1).SetProgress(p)
+	run(eng, cell("compress", "cg"), cell("db", "cg"), cell("jess", "cg"))
+	if got := counters(p); got != [2]int64{0, 0} || eng.Tapes() != 0 {
+		t.Errorf("single-consumer rows: recorded/replays %v, %d tapes cached; want [0 0], 0", got, eng.Tapes())
+	}
+
+	// k consumers of one row — distinct collectors — record once and
+	// replay k-1 times; the lone db cell beside them still just drives.
+	p = &obs.Progress{}
+	eng = New(1).SetProgress(p)
+	run(eng, cell("compress", "cg"), cell("db", "cg"), cell("compress", "msa"), cell("compress", "gen"))
+	if got := counters(p); got != [2]int64{1, 2} || eng.Tapes() != 1 {
+		t.Errorf("three collectors over one row: recorded/replays %v, %d tapes cached; want [1 2], 1", got, eng.Tapes())
+	}
+	// A later batch's single consumer replays the tape that is there.
+	run(eng, cell("compress", "cg+recycle"))
+	if got := counters(p); got != [2]int64{1, 3} {
+		t.Errorf("single consumer of a cached row: recorded/replays %v, want [1 3]", got)
+	}
+
+	// Repeats are consumers too: one job, k repeats.
+	p = &obs.Progress{}
+	eng = New(1).SetProgress(p)
+	tapeDriveCount.Store(0)
+	run(eng, Job{Workload: "tape-count", Size: 1, Collector: "cg", HeapBytes: 1 << 21, Repeats: 4})
+	if got := counters(p); got != [2]int64{1, 3} || tapeDriveCount.Load() != 1 {
+		t.Errorf("one job, four repeats: recorded/replays %v, driver ran %d times; want [1 3], 1",
+			got, tapeDriveCount.Load())
+	}
+
+	// A job that arrives alone has no batch to plan against and records
+	// on first sight, as the server and the worker processes rely on.
+	p = &obs.Progress{}
+	eng = New(1).SetProgress(p)
+	eng.ExecRelease(cell("compress", "cg"), func(r Result) {
+		if r.Err != nil {
+			t.Error(r.Err)
+		}
+	})
+	if got := counters(p); got != [2]int64{1, 0} || eng.Tapes() != 1 {
+		t.Errorf("ExecRelease outside a batch: recorded/replays %v, %d tapes cached; want [1 0], 1", got, eng.Tapes())
 	}
 }
 

@@ -98,9 +98,15 @@ func CellFromOutcome(o results.Outcome) (Cell, error) {
 }
 
 // Sweep renders figs through b, streaming each figure's rows to w the
-// moment their cells complete instead of barriering on the full
-// matrix. Output is deterministic for any backend configuration —
-// b emits outcomes in submission order (the Backend contract), row
+// moment their cells have been emitted. The sweep is planned: figures
+// are views of overlapping runs (Figs 4.4, 4.9 and A.4 all describe the
+// size-100 programs under plain cg), so their jobs are first folded
+// into the distinct cells of the whole request and b runs that list as
+// one batch — every cell once, no barrier between figures.
+//
+// Output is deterministic for any backend configuration: the plan
+// orders cells by first occurrence, b emits outcomes in submission
+// order (the Backend contract), figures render in the order given, row
 // values are pure functions of cells, and the sink's columns are sized
 // from the headers alone — so `-procs 4` against worker processes and
 // an in-process `-workers 1` run render byte-identical bytes, and a
@@ -109,50 +115,144 @@ func Sweep(b results.Backend, figs []SweepFig, w io.Writer) error {
 	return SweepProgress(b, figs, w, nil)
 }
 
+// FigStats is what SweepProgress reports as a figure's last row
+// flushes.
+type FigStats struct {
+	Fig SweepFig
+	// Computed counts the cells the backend computed on this figure's
+	// account: those it is the first in the sweep to use and that did
+	// not come out of a store. The rest of its len(Fig.Jobs) cells were
+	// delivered without running anything — shared with an earlier
+	// figure by the plan, or read from disk.
+	Computed int
+}
+
+// plan is a sweep's deduplicated grid.
+type plan struct {
+	// cells are the distinct cells of the figures' jobs, by results.Key,
+	// in first-occurrence order; first[c] is the figure that introduced
+	// cells[c].
+	cells []engine.Job
+	first []int
+	// slots[f][j] is the index in cells of figs[f].Jobs[j].
+	slots [][]int
+}
+
+func planSweep(figs []SweepFig) plan {
+	p := plan{slots: make([][]int, len(figs))}
+	seen := make(map[string]int)
+	for fi, f := range figs {
+		p.slots[fi] = make([]int, len(f.Jobs))
+		for ji, job := range f.Jobs {
+			key, err := results.Key(job)
+			slot, ok := seen[key]
+			if err != nil || !ok {
+				// A job that has no key (unknown workload or collector)
+				// keeps a cell of its own: the backend reports why it
+				// cannot run, as it would have unplanned.
+				slot = len(p.cells)
+				p.cells = append(p.cells, job)
+				p.first = append(p.first, fi)
+				if err == nil {
+					seen[key] = slot
+				}
+			}
+			p.slots[fi][ji] = slot
+		}
+	}
+	return p
+}
+
 // SweepProgress is Sweep with a per-figure completion hook: report, when
 // non-nil, runs after each figure's rows have flushed — cgsweep prints
-// its elapsed-time/cells-per-second stderr line from it. The hook is
-// outside the deterministic output path (it never writes to w), so a
-// reporting sweep renders the same bytes as a silent one.
-func SweepProgress(b results.Backend, figs []SweepFig, w io.Writer, report func(f SweepFig)) error {
-	for fi, f := range figs {
-		if fi > 0 {
+// its per-figure stderr line from it. The hook is outside the
+// deterministic output path (it never writes to w), so a reporting
+// sweep renders the same bytes as a silent one.
+func SweepProgress(b results.Backend, figs []SweepFig, w io.Writer, report func(FigStats)) error {
+	if len(figs) == 0 {
+		return nil
+	}
+	p := planSweep(figs)
+	cells := make([]Cell, len(p.cells))
+	have := make([]bool, len(p.cells))
+	computed := make([]int, len(figs))
+
+	// The render cursor: figure cur is open on sink with rows [0, row)
+	// written. advance writes every row whose cells have all arrived
+	// and, each time a figure completes, flushes it and opens the next,
+	// so w sees figures in order however far ahead the cells are.
+	cur, row := 0, 0
+	sink := results.NewSink(w, figs[0].Title, figs[0].Rows(), figs[0].Headers...)
+	var sweepErr error
+	var rowCells []Cell
+	// arrived gathers the cells of figure cur's next row into rowCells
+	// and reports whether all of them have been emitted.
+	arrived := func() bool {
+		n := figs[cur].CellsPerRow
+		rowCells = rowCells[:0]
+		for _, slot := range p.slots[cur][row*n : (row+1)*n] {
+			if !have[slot] {
+				return false
+			}
+			rowCells = append(rowCells, cells[slot])
+		}
+		return true
+	}
+	advance := func() {
+		for {
+			f := figs[cur]
+			for row < f.Rows() && arrived() {
+				sink.Row(row, f.Row(row, rowCells)...)
+				row++
+			}
+			if row < f.Rows() {
+				return
+			}
+			if err := sink.Flush(); err != nil {
+				sweepErr = fmt.Errorf("sweep %s: %w", f.ID, err)
+				return
+			}
+			if report != nil {
+				report(FigStats{Fig: f, Computed: computed[cur]})
+			}
+			if cur++; cur == len(figs) {
+				return
+			}
 			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
-		}
-		sink := results.NewSink(w, f.Title, f.Rows(), f.Headers...)
-		cells := make([]Cell, len(f.Jobs))
-		got := make([]int, f.Rows())
-		var cellErr error
-		err := b.Run(f.Jobs, func(i int, o results.Outcome) {
-			if cellErr != nil {
+				sweepErr = err
 				return
 			}
-			c, err := CellFromOutcome(o)
-			if err != nil {
-				cellErr = err
-				return
-			}
-			cells[i] = c
-			row := i / f.CellsPerRow
-			got[row]++
-			if got[row] == f.CellsPerRow {
-				sink.Row(row, f.Row(row, cells[row*f.CellsPerRow:(row+1)*f.CellsPerRow])...)
-			}
-		})
-		if err == nil {
-			err = cellErr
+			row = 0
+			sink = results.NewSink(w, figs[cur].Title, figs[cur].Rows(), figs[cur].Headers...)
 		}
-		if err == nil {
-			err = sink.Flush()
+	}
+	advance() // figures without rows need no cell to complete
+
+	err := b.Run(p.cells, func(i int, o results.Outcome) {
+		if sweepErr != nil || cur == len(figs) {
+			return
 		}
+		c, err := CellFromOutcome(o)
 		if err != nil {
-			return fmt.Errorf("sweep %s: %w", f.ID, err)
+			// The figure that introduced the cell is the first to need
+			// it, and everything before that figure has flushed.
+			sweepErr = fmt.Errorf("sweep %s: %w", figs[p.first[i]].ID, err)
+			return
 		}
-		if report != nil {
-			report(f)
+		cells[i], have[i] = c, true
+		if !o.Stored {
+			computed[p.first[i]]++
 		}
+		advance()
+	})
+	if sweepErr != nil {
+		return sweepErr
+	}
+	if err == nil && cur < len(figs) {
+		err = sink.Flush() // reports the missing rows
+	}
+	if err != nil {
+		return fmt.Errorf("sweep %s: %w", figs[min(cur, len(figs)-1)].ID, err)
 	}
 	return nil
 }

@@ -63,17 +63,18 @@ func TestSweepResume(t *testing.T) {
 	}
 	cold := &results.Resuming{Store: st, Next: results.Local{Eng: engine.New(4)}}
 	coldOut := runSweep(t, cold)
-	// 4.1 computes 16 cells (cg+noopt and cg per benchmark); 4.5 reuses
-	// 4.1's eight cg cells straight from the store; 4.11 computes its
-	// eight cg+reset cells. Cross-figure dedup is part of the contract.
-	if s, c := cold.Stats(); s != 8 || c != 24 {
-		t.Fatalf("cold sweep: stored=%d computed=%d, want 8/24", s, c)
+	// The plan hands the store the 24 distinct cells of the 32 — 4.1's
+	// sixteen (cg+noopt and cg per benchmark) and 4.11's eight cg+reset;
+	// 4.5's eight are 4.1's cg half and never reach it — so a cold store
+	// has nothing to serve and every cell it sees is computed.
+	if s, c := cold.Stats(); s != 0 || c != 24 {
+		t.Fatalf("cold sweep: stored=%d computed=%d, want 0/24", s, c)
 	}
 
 	warm := &results.Resuming{Store: st, Next: results.Local{Eng: engine.New(4)}}
 	warmOut := runSweep(t, warm)
-	if _, c := warm.Stats(); c != 0 {
-		t.Fatalf("resumed sweep recomputed %d already-stored cells, want 0", c)
+	if s, c := warm.Stats(); s != 24 || c != 0 {
+		t.Fatalf("resumed sweep: stored=%d computed=%d, want 24/0", s, c)
 	}
 	if coldOut != warmOut {
 		t.Fatal("resumed sweep output diverged from the cold run")

@@ -17,7 +17,8 @@ import (
 // empty (runs alone), so a single oversized cell degrades to sequential
 // execution instead of deadlocking the sweep. An optional evict hook
 // lets the owner surrender idle reservations (pooled shards) before a
-// request waits.
+// request waits; the owner calls Parked whenever a reservation becomes
+// idle, so a request already waiting re-runs the hook.
 type Reserve struct {
 	max   int64
 	evict func() bool // try to release an idle reservation; reports progress
@@ -25,6 +26,7 @@ type Reserve struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	reserved int64
+	parked   uint64 // generation: bumped by every Parked call
 }
 
 // NewReserve returns a reserve admitting up to max bytes.
@@ -54,14 +56,22 @@ func (r *Reserve) SetEvict(evict func() bool) { r.evict = evict }
 
 // Acquire blocks until n bytes fit under the cap and reserves them. The
 // oversized escape: when nothing is reserved, any n is admitted.
+//
+// The evict hook runs without the lock, so a reservation can go idle
+// between the hook finding nothing and this goroutine going to sleep.
+// The parked generation closes that window: it is read before the
+// unlock and re-checked after the relock, and Parked bumps it under the
+// lock before broadcasting, so the park either shows as a changed
+// generation (retry the hook) or finds this goroutine already in Wait.
 func (r *Reserve) Acquire(n int64) {
 	r.mu.Lock()
 	for r.reserved != 0 && r.reserved+n > r.max {
 		if evict := r.evict; evict != nil {
+			gen := r.parked
 			r.mu.Unlock()
 			progressed := evict()
 			r.mu.Lock()
-			if progressed {
+			if progressed || r.parked != gen {
 				continue
 			}
 			if r.reserved == 0 || r.reserved+n <= r.max {
@@ -72,6 +82,16 @@ func (r *Reserve) Acquire(n int64) {
 	}
 	r.reserved += n
 	r.mu.Unlock()
+}
+
+// Parked tells waiters that a held reservation just became idle — the
+// evict hook can now surrender it. Call it after the reservation is
+// visible to the hook (the shard is in the pool).
+func (r *Reserve) Parked() {
+	r.mu.Lock()
+	r.parked++
+	r.mu.Unlock()
+	r.cond.Broadcast()
 }
 
 // TryAcquire reserves n bytes if they fit (or the reserve is empty)

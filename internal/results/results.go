@@ -64,6 +64,10 @@ type Outcome struct {
 	// (host, CPU, load, timestamps) — stamped by the process that ran the
 	// cell, carried verbatim through the store and the dist protocol.
 	Prov *obs.Provenance `json:"prov,omitempty"`
+	// Stored marks an outcome a Resuming backend read from its store
+	// instead of having it computed. It is delivery metadata for sweep
+	// accounting, like Job.Client: never serialised, never cell identity.
+	Stored bool `json:"-"`
 }
 
 // Payload is the typed per-collector extract; Kind names the registry

@@ -310,14 +310,18 @@ func TestResumingComputesOnlyMissingCells(t *testing.T) {
 	if s, c := r2.Stats(); s != len(jobs) || c != 0 {
 		t.Fatalf("resumed run: stored=%d computed=%d, want %d/0", s, c, len(jobs))
 	}
-	stripElapsed := func(os []Outcome) []Outcome {
+	// Only the delivery mark tells the two runs apart.
+	stripElapsed := func(os []Outcome, wantStored bool) []Outcome {
 		out := append([]Outcome(nil), os...)
 		for i := range out {
-			out[i].Elapsed = 0
+			if out[i].Stored != wantStored {
+				t.Errorf("outcome %d: Stored = %v, want %v", i, out[i].Stored, wantStored)
+			}
+			out[i].Elapsed, out[i].Stored = 0, false
 		}
 		return out
 	}
-	if !reflect.DeepEqual(stripElapsed(cold), stripElapsed(warm)) {
+	if !reflect.DeepEqual(stripElapsed(cold, false), stripElapsed(warm, true)) {
 		t.Fatal("resumed outcomes diverged from cold outcomes")
 	}
 

@@ -198,10 +198,10 @@ type Resuming struct {
 }
 
 // Stats reports how many cells Runs on this backend have served from
-// the store and how many they computed, cumulatively — a sweep calls
-// Run once per figure, and cells stored by an earlier figure count as
-// stored when a later figure reuses them (cross-figure dedup is part
-// of what the store buys).
+// the store and how many they had computed, cumulatively. A sweep
+// submits its distinct cells as one batch, so on a cold store every
+// cell counts as computed; cells count as stored only when an earlier
+// run left them on disk.
 func (r *Resuming) Stats() (stored, computed int) { return r.stored, r.computed }
 
 // Run implements Backend.
@@ -216,6 +216,7 @@ func (r *Resuming) Run(jobs []engine.Job, emit func(i int, o Outcome)) error {
 			ok = false
 		}
 		if ok {
+			o.Stored = true
 			outs[i], have[i] = o, true
 			r.stored++
 			r.Obs.AddStored(1)

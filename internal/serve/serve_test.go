@@ -20,14 +20,13 @@ import (
 
 // The acceptance trio: figs 4.1 (16 cells: cg+noopt and cg per
 // benchmark), 4.5 (8 cg cells — the same keys as 4.1's cg half) and
-// 4.11 (8 cg+reset cells). 32 cells per client, 24 unique — the 8-cell
-// gap is what the shared cache and the in-flight dedup are measured by.
+// 4.11 (8 cg+reset cells). 32 figure cells, 24 distinct: the sweep's
+// plan folds the 8-cell gap before anything is submitted, so a session
+// sees 24 cells, and what the shared cache and the in-flight dedup are
+// measured by is the overlap between clients.
 var trioFigs = []string{"4.1", "4.5", "4.11"}
 
-const (
-	trioCells  = 32
-	trioUnique = 24
-)
+const trioUnique = 24
 
 func trioGolden(t *testing.T) string {
 	t.Helper()
@@ -71,12 +70,19 @@ func TestServerSweepGolden(t *testing.T) {
 	if want := trioGolden(t); buf.String() != want {
 		t.Errorf("server sweep diverged from the batch golden:\n--- got\n%s--- want\n%s", buf.String(), want)
 	}
-	// Figures run sequentially within one session, so 4.5's cells are
-	// store hits against 4.1's cg half: the same 8/24 split the batch
-	// resume test pins.
-	want := DoneStats{Cells: trioCells, Computed: trioUnique, Stored: trioCells - trioUnique}
+	// Cells counts what the session was handed — the plan's distinct
+	// cells — and on a cold server all of them are computed.
+	want := DoneStats{Cells: trioUnique, Computed: trioUnique}
 	if stats != want {
 		t.Errorf("stats = %+v, want %+v", stats, want)
+	}
+	// The same sweep again computes nothing: every cell is a store hit.
+	stats, err = cl.Sweep(Spec{Client: "golden", Figs: trioFigs}, &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (DoneStats{Cells: trioUnique, Stored: trioUnique}); stats != want {
+		t.Errorf("warm stats = %+v, want %+v", stats, want)
 	}
 }
 
@@ -111,7 +117,7 @@ func TestConcurrentSweepsDedupInFlight(t *testing.T) {
 		if outs[i].String() != golden {
 			t.Errorf("%s's stream diverged from the batch golden:\n--- got\n%s", name, outs[i].String())
 		}
-		if got := stats[i]; got.Cells != trioCells || got.Computed+got.Stored+got.Deduped != trioCells {
+		if got := stats[i]; got.Cells != trioUnique || got.Computed+got.Stored+got.Deduped != trioUnique {
 			t.Errorf("%s stats do not partition: %+v", name, got)
 		}
 	}
@@ -124,8 +130,8 @@ func TestConcurrentSweepsDedupInFlight(t *testing.T) {
 	if got := stats[0].Computed + stats[1].Computed; got != trioUnique {
 		t.Errorf("session computed counts sum to %d, want %d", got, trioUnique)
 	}
-	if got := s.CellsStored + s.CellsDeduped; got != 2*trioCells-trioUnique {
-		t.Errorf("stored+deduped = %d, want %d", got, 2*trioCells-trioUnique)
+	if got := s.CellsStored + s.CellsDeduped; got != trioUnique {
+		t.Errorf("stored+deduped = %d, want %d (one client's worth of cells rode along)", got, trioUnique)
 	}
 	if len(s.Lanes) != len(clients) {
 		t.Fatalf("lanes = %+v, want one per client", s.Lanes)
@@ -134,7 +140,7 @@ func TestConcurrentSweepsDedupInFlight(t *testing.T) {
 		if lane.Client != clients[i] {
 			t.Errorf("lane %d is %q, want %q (sorted)", i, lane.Client, clients[i])
 		}
-		if lane.Submitted != trioCells || lane.Computed+lane.Stored+lane.Deduped != trioCells {
+		if lane.Submitted != trioUnique || lane.Computed+lane.Stored+lane.Deduped != trioUnique {
 			t.Errorf("lane %s does not partition: %+v", lane.Client, lane)
 		}
 	}

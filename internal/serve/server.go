@@ -36,9 +36,12 @@ type Event struct {
 	Error   string          `json:"error,omitempty"`
 }
 
-// DoneStats is the terminal accounting of one sweep: how many cells the
-// client asked for and how each was satisfied. Cells = Computed +
-// Stored + Deduped on a completed stream.
+// DoneStats is the terminal accounting of one sweep: how many cells it
+// submitted to the scheduler and how each was satisfied. A figure sweep
+// submits the distinct cells of its figures (experiments.Sweep plans
+// them: cells several figures share count once), an explicit Cells
+// spec the cells as listed. Cells = Computed + Stored + Deduped on a
+// completed stream.
 type DoneStats struct {
 	Cells    int64 `json:"cells"`
 	Computed int64 `json:"computed"`

@@ -8,7 +8,7 @@
 // The package is a facade over the implementation:
 //
 //   - internal/core — the contaminated collector (the paper's contribution)
-//   - internal/heap — the managed-heap substrate (handles, first-fit arena)
+//   - internal/heap — the managed-heap substrate (handles, size-class slab arena)
 //   - internal/vm — the runtime (frames, threads, statics, interning)
 //   - internal/msa — the traditional mark–sweep baseline
 //   - internal/gengc — a generational baseline for ablations
