@@ -134,7 +134,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cgbench:", err)
 		os.Exit(2)
 	}
-	eng := engine.New(*workers).SetMaxHeapBytes(heapCap).SetTrace(traceCfg)
+	eng := timingEngine(*workers, heapCap, traceCfg)
 
 	type gen struct {
 		id     string
@@ -196,6 +196,14 @@ type benchConfig struct {
 	baseline  string
 	warnPct   float64
 	trace     msa.TraceConfig
+}
+
+// timingEngine builds the engine behind the figures. The wall-clock
+// ones (4.7, 4.8, 4.10, 4.12, A.5–A.7) print Result.Elapsed as the time
+// a program takes under a collector, so no cell may be served by
+// replaying a tape: the cache is off, and every cell drives.
+func timingEngine(workers int, heapCap int64, trace msa.TraceConfig) *engine.Engine {
+	return engine.New(workers).SetMaxHeapBytes(heapCap).SetTrace(trace).SetTapeCache(false)
 }
 
 // runBenchMode times one run of every (workload, collector, size) cell

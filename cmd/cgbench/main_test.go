@@ -1,0 +1,21 @@
+package main
+
+import (
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/msa"
+)
+
+// TestTimingFiguresTimeTheProgram pins what the wall-clock figures
+// measure: every cell drives its program, so after a timing figure the
+// engine behind it holds no tape it could have replayed instead.
+func TestTimingFiguresTimeTheProgram(t *testing.T) {
+	eng := timingEngine(1, 0, msa.TraceConfig{})
+	if out := experiments.Fig47_48(eng, 1).String(); out == "" {
+		t.Fatal("Fig 4.7 rendered nothing")
+	}
+	if n := eng.Tapes(); n != 0 {
+		t.Errorf("after Fig 4.7 the engine holds %d tapes; a timing figure must drive every cell", n)
+	}
+}

@@ -57,7 +57,7 @@ func main() {
 	overlap := flag.Bool("overlap", false,
 		"overlap hook-free collection cycles with the mutator; output is identical either way")
 	tapeOn := flag.Bool("tape", true,
-		"record each (workload, size) row's event tape on first sight (a server's rows recur across clients and sweeps) and replay it for the row's other cells; output is identical either way")
+		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); output is identical either way")
 	flag.Parse()
 	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 

@@ -87,7 +87,7 @@ func main() {
 	client := flag.String("client", "",
 		"client name reported to -server for its fairness lanes (default: host:pid)")
 	tapeOn := flag.Bool("tape", true,
-		"record a (workload, size) row's event tape and replay it for the row's other cells; in-process a row records only when the sweep holds a second cell to replay it, -procs children (the flag is forwarded) record on first sight; output is identical either way")
+		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); forwarded to -procs children; output is identical either way")
 	flag.Parse()
 	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 

@@ -43,7 +43,7 @@ func main() {
 	overlap := flag.Bool("overlap", false,
 		"overlap hook-free collection cycles with the mutator (snapshot-at-the-beginning tracing); output is identical either way")
 	tapeOn := flag.Bool("tape", true,
-		"record each (workload, size) row's event tape on first sight (jobs arrive one at a time, so there is no sweep to plan against) and replay it for the row's other cells; output is identical either way")
+		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); output is identical either way")
 	flag.Parse()
 	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 
@@ -57,6 +57,7 @@ func main() {
 	var prog *obs.Progress
 	if *debugAddr != "" {
 		prog = &obs.Progress{}
+		eng.SetProgress(prog) // tapes recorded / declined / replayed
 		srv, err := obs.Serve(*debugAddr, func() obs.Snapshot {
 			return obs.Snapshot{
 				Provenance: obs.Capture(obs.Nanotime()),

@@ -83,7 +83,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "t100:", err)
 		os.Exit(2)
 	}
-	eng := engine.New(*workers).SetMaxHeapBytes(heapCap).SetTrace(traceCfg)
+	// The table prints Result.Elapsed as the time a program takes under a
+	// collector, so no cell may be served by replaying a tape: every
+	// cell drives.
+	eng := engine.New(*workers).SetMaxHeapBytes(heapCap).SetTrace(traceCfg).SetTapeCache(false)
 	// Extract per-cell wall time and cycle counts as shards complete;
 	// size-100 tight heaps are modest, but there is no reason to hold
 	// every runtime until render.

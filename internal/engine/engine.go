@@ -122,16 +122,13 @@ func ArenaBytes(job Job) (int, error) {
 // it directly. Package-level Exec ignores any engine memory cap, trace
 // configuration and tape cache; use Engine.Exec for throttled,
 // configured admission.
-func Exec(job Job) Result { return exec(job, nil, nil, nil, false, nil) }
+func Exec(job Job) Result { return exec(job, nil, nil, nil, nil) }
 
 // traceConfigurer is what a collector must implement for the engine to
 // hand it the per-engine trace configuration; *msa.System does.
 type traceConfigurer interface {
 	SetTraceConfig(msa.TraceConfig)
 }
-
-// rowOf names the matrix row whose event tape job records or replays.
-func rowOf(job Job) tapeKey { return tapeKey{workload: job.Workload, size: job.Size} }
 
 // exec is the shared job body. With a non-nil rt it starts from that
 // Reset pooled shard (whose arena size must match the job's budget); it
@@ -141,11 +138,11 @@ func rowOf(job Job) tapeKey { return tapeKey{workload: job.Workload, size: job.S
 //
 // A non-nil tc consults the event-tape cache: a hit replays the row's
 // recorded operation stream through the runtime instead of re-running
-// driver logic (bit-identical results, no driver overhead); a miss,
-// when record permits it, may claim the row's recording slot and
-// capture the tape as a side effect of the first repeat — otherwise it
-// just drives. p counts those outcomes on the debug surface.
-func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, record bool, p *obs.Progress) (res Result) {
+// driver logic (bit-identical results, no driver overhead); a miss
+// claims the row's recording slot, if free, and records as a side effect
+// of the first repeat until the recording reaches maxTapedOps —
+// otherwise it just drives. p counts those outcomes.
+func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs.Progress) (res Result) {
 	res.Job = job
 	defer func() {
 		if r := recover(); r != nil {
@@ -174,18 +171,18 @@ func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, record
 		reps = 1
 	}
 
-	key := rowOf(job)
+	key := tapeKey{workload: job.Workload, size: job.Size}
 	var rp *tape.Replayer
 	recording := false
 	if tc != nil {
 		if t, ok := tc.lookup(key); ok {
 			rp = tape.NewReplayer(t)
-		} else if record && tc.beginRecord(key) {
+		} else if tc.beginRecord(key) {
 			recording = true
-			// The claim must not leak if this run dies before publish
-			// (workload panic, OOM): the recover above eats the panic,
-			// so release here, where publish has already flipped the
-			// flag on the success path.
+			// The claim must not leak if this run dies before its verdict
+			// (workload panic, OOM): the recover above eats the panic, so
+			// release here, where the success path has already flipped
+			// the flag.
 			defer func() {
 				if recording {
 					tc.abortRecord(key)
@@ -226,18 +223,22 @@ func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, record
 					Threads:   spec.Threads(job.Size),
 					HeapBytes: spec.HeapBytes(job.Size),
 				})
+				rec.MaxOps(maxTapedOps)
 			}
 			spec.Run(rt, job.Size)
 			if rec != nil {
-				// The run completed without error, so the tape is a
-				// full recording: publish now and replay the remaining
-				// repeats from it — they share the one tape.
-				t := rec.Finish()
-				tc.publish(key, t)
 				recording = false
-				p.TapeRecorded()
-				if i+1 < reps {
-					rp = tape.NewReplayer(t)
+				if t := rec.Finish(); t != nil {
+					// The run completed without error, so the tape is a
+					// full recording: publish now and replay the
+					// remaining repeats from it — they share the one tape.
+					tc.publish(key, t)
+					p.TapeRecorded()
+					if i+1 < reps {
+						rp = tape.NewReplayer(t)
+					}
+				} else {
+					p.TapeDeclined() // the claim stays: the row never records again
 				}
 			}
 		}
@@ -386,7 +387,7 @@ func (e *Engine) ReservedBytes() int64 {
 func (e *Engine) Exec(job Job) Result {
 	reserve := e.reserve
 	if reserve == nil {
-		r := exec(job, nil, &e.trace, e.tapes, true, e.progress)
+		r := exec(job, nil, &e.trace, e.tapes, e.progress)
 		e.laneDone(job)
 		return r
 	}
@@ -396,7 +397,7 @@ func (e *Engine) Exec(job Job) Result {
 	}
 	reserve.Acquire(int64(bytes))
 	defer reserve.Release(int64(bytes))
-	r := exec(job, nil, &e.trace, e.tapes, true, e.progress)
+	r := exec(job, nil, &e.trace, e.tapes, e.progress)
 	e.laneDone(job)
 	return r
 }
@@ -424,17 +425,7 @@ func (e *Engine) laneDone(job Job) {
 // afterwards keeps them (the reserve's evict hook reclaims pooled
 // reservations when admission stalls). Dropped shards release theirs
 // immediately.
-//
-// A single job has no batch to plan against, so it records its row's
-// event tape on first sight — right for the callers that arrive here
-// one job at a time (cgserve's scheduler, cgworker), where rows recur.
 func (e *Engine) ExecRelease(job Job, consume func(Result)) {
-	e.execRelease(job, true, consume)
-}
-
-// execRelease is ExecRelease with the tape-recording permission made
-// explicit (see RunEach for the batch rule).
-func (e *Engine) execRelease(job Job, record bool, consume func(Result)) {
 	bytes, err := ArenaBytes(job)
 	if err != nil {
 		consume(Result{Job: job, Err: err})
@@ -445,7 +436,7 @@ func (e *Engine) execRelease(job Job, record bool, consume func(Result)) {
 	if rt == nil && reserve != nil {
 		reserve.Acquire(int64(bytes))
 	}
-	r := exec(job, rt, &e.trace, e.tapes, record, e.progress)
+	r := exec(job, rt, &e.trace, e.tapes, e.progress)
 	e.laneDone(job)
 	consume(r)
 	if r.Err == nil && r.RT != nil && e.pool.put(bytes, r.RT) {
@@ -527,22 +518,8 @@ func (e *Engine) Run(jobs []Job) []Result {
 // worker count instead of the matrix size — the sequential-loop
 // footprint at -workers 1. Like Do's fn, consume must confine its
 // writes to state owned by index i.
-//
-// The batch is the engine's view of the grid, so tape recording is
-// planned against it: a (workload, size) row records its event tape
-// only when the batch holds a second consumer to replay it (another
-// cell of the row, or further Repeats of one cell); a row with a single
-// consumer just drives, sparing the record premium and the resident
-// tape. A tape cached by an earlier batch is replayed either way.
 func (e *Engine) RunEach(jobs []Job, consume func(i int, r Result)) {
-	var consumers map[tapeKey]int
-	if e.tapes != nil {
-		consumers = make(map[tapeKey]int)
-		for _, job := range jobs {
-			consumers[rowOf(job)] += max(job.Repeats, 1)
-		}
-	}
 	e.Do(len(jobs), func(i int) {
-		e.execRelease(jobs[i], consumers[rowOf(jobs[i])] >= 2, func(r Result) { consume(i, r) })
+		e.ExecRelease(jobs[i], func(r Result) { consume(i, r) })
 	})
 }

@@ -31,20 +31,31 @@ type tapeKey struct {
 // dependency — and a cap change clears the cache along with the shard
 // pool, since cached charges belong to the old regime.
 type tapeCache struct {
-	mu        sync.Mutex
-	tapes     map[tapeKey]*tape.Tape
-	bytes     map[tapeKey]int64 // reserve charge per tape (uncapped: 0)
-	recording map[tapeKey]bool
-	reserve   *heap.Reserve
+	mu    sync.Mutex
+	tapes map[tapeKey]*tape.Tape
+	bytes map[tapeKey]int64 // reserve charge per tape (uncapped: 0)
+	// claimed rows have their recording slot taken: by a cell recording
+	// right now, or for good by a recording that reached maxTapedOps —
+	// the row is declined, and every cell of it drives.
+	claimed map[tapeKey]bool
+	reserve *heap.Reserve
 }
 
 func newTapeCache() *tapeCache {
 	return &tapeCache{
-		tapes:     make(map[tapeKey]*tape.Tape),
-		bytes:     make(map[tapeKey]int64),
-		recording: make(map[tapeKey]bool),
+		tapes:   make(map[tapeKey]*tape.Tape),
+		bytes:   make(map[tapeKey]int64),
+		claimed: make(map[tapeKey]bool),
 	}
 }
+
+// maxTapedOps is the one admission rule: a recording that reaches this
+// many ops abandons itself and its row is declined. Below it a tape is
+// KB-sized and cost under 0.1 ms to make, so it is kept whatever the
+// row; every measured row above it issues an op each 27–45 ns — the
+// runtime's own cost, with no driver work between ops for a replay to
+// save — and its tape would be MBs (the table is in DESIGN.md §12).
+const maxTapedOps = 4096
 
 // lookup returns the cached tape for k, if one has been published.
 func (tc *tapeCache) lookup(k tapeKey) (*tape.Tape, bool) {
@@ -55,17 +66,15 @@ func (tc *tapeCache) lookup(k tapeKey) (*tape.Tape, bool) {
 }
 
 // beginRecord claims the recording slot for k. It fails (false) when a
-// tape is already published or another cell is mid-recording.
+// tape is already published, another cell is mid-recording, or the row
+// was declined.
 func (tc *tapeCache) beginRecord(k tapeKey) bool {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if tc.recording[k] {
+	if _, ok := tc.tapes[k]; ok || tc.claimed[k] {
 		return false
 	}
-	if _, ok := tc.tapes[k]; ok {
-		return false
-	}
-	tc.recording[k] = true
+	tc.claimed[k] = true
 	return true
 }
 
@@ -74,7 +83,7 @@ func (tc *tapeCache) beginRecord(k tapeKey) bool {
 func (tc *tapeCache) abortRecord(k tapeKey) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	delete(tc.recording, k)
+	delete(tc.claimed, k)
 }
 
 // publish installs the recorded tape and releases the claim. Under a
@@ -83,7 +92,7 @@ func (tc *tapeCache) abortRecord(k tapeKey) {
 func (tc *tapeCache) publish(k tapeKey, t *tape.Tape) bool {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	delete(tc.recording, k)
+	delete(tc.claimed, k)
 	if _, ok := tc.tapes[k]; ok {
 		return false
 	}
@@ -138,12 +147,11 @@ func (e *Engine) Tapes() int {
 // side effect of running it, and every later cell of the row —
 // different collector, heap budget, gc-every or repeat — replays the
 // tape through the same runtime entry points instead of re-running
-// driver logic. Which cell records: the first of the row to arrive
-// through a single-job entry (Exec, ExecRelease); in a RunEach batch,
-// the first of a row the batch holds a second consumer for, and no cell
-// of a row it does not. Results are bit-identical either way; the cache
-// only removes redundant driver work. Disabling clears any cached
-// tapes.
+// driver logic. Which cell records: the first of the row to arrive,
+// through any entry, and only a row shorter than maxTapedOps — a longer
+// one abandons its recording on reaching that many ops, for good, and
+// all its cells drive. Results are bit-identical either way; the cache only removes
+// redundant driver work. Disabling clears any cached tapes.
 func (e *Engine) SetTapeCache(on bool) *Engine {
 	if on {
 		if e.tapes == nil {

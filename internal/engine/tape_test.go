@@ -67,17 +67,13 @@ func TestTapeCacheSharesAcrossRepeats(t *testing.T) {
 
 // TestTapeCacheBitIdentical pins the substitution property at the
 // engine surface: the same matrix row produces identical collector
-// statistics and heap state however its cells were driven — one at a
-// time through the cache (the first records, the rest replay), as one
-// planned batch (three consumers: record once, replay twice), as
-// single-consumer batches (nothing recorded, every cell drives), and
-// with the cache disabled.
+// statistics and heap state however its cells were run — one at a time
+// through the cache, as one batch, as one-cell batches, and with the
+// cache disabled. It does so on both sides of the admission rule: javac
+// at size 1 (2.4k ops) records with its first cell and replays for the
+// other two, whichever way they arrive; jess at size 1 (8k ops) has its
+// first cell's recording abandoned mid-run and every cell drives.
 func TestTapeCacheBitIdentical(t *testing.T) {
-	jobs := []Job{
-		{Workload: "jess", Size: 1, Collector: "cg", HeapBytes: 1 << 24},
-		{Workload: "jess", Size: 1, Collector: "cg+recycle", HeapBytes: 1 << 24},
-		{Workload: "jess", Size: 1, Collector: "cg", HeapBytes: 1 << 24, GCEvery: 900},
-	}
 	type snap struct {
 		stats core.Stats
 		hs    heap.Stats
@@ -89,47 +85,140 @@ func TestTapeCacheBitIdentical(t *testing.T) {
 		}
 		return snap{r.Col.(*core.CG).Stats(), r.RT.Heap.Stats(), r.RT.Instr()}
 	}
-	collect := func(eng *Engine) []snap {
-		out := make([]snap, len(jobs))
-		for i, job := range jobs {
-			out[i] = snapOf(eng.Exec(job))
+	type verdicts struct{ recorded, declined, replays int64 }
+	for row, want := range map[string]verdicts{
+		"javac": {recorded: 1, replays: 2},
+		"jess":  {declined: 1},
+	} {
+		jobs := []Job{
+			{Workload: row, Size: 1, Collector: "cg", HeapBytes: 1 << 24},
+			{Workload: row, Size: 1, Collector: "cg+recycle", HeapBytes: 1 << 24},
+			{Workload: row, Size: 1, Collector: "cg", HeapBytes: 1 << 24, GCEvery: 900},
 		}
-		return out
-	}
-	cached := collect(New(1))
-	driven := collect(New(1).SetTapeCache(false))
-
-	batched := make([]snap, len(jobs))
-	p := &obs.Progress{}
-	New(1).SetProgress(p).RunEach(jobs, func(i int, r Result) { batched[i] = snapOf(r) })
-	if s := p.Snapshot(); s.TapesRecorded != 1 || s.TapeReplays != 2 {
-		t.Errorf("one batch of the row: recorded %d / replays %d, want 1 / 2", s.TapesRecorded, s.TapeReplays)
-	}
-
-	alone := make([]snap, len(jobs))
-	p = &obs.Progress{}
-	eng := New(1).SetProgress(p)
-	for i, job := range jobs {
-		eng.RunEach([]Job{job}, func(_ int, r Result) { alone[i] = snapOf(r) })
-	}
-	if s := p.Snapshot(); s.TapesRecorded != 0 || s.TapeReplays != 0 {
-		t.Errorf("single-consumer batches: recorded %d / replays %d, want 0 / 0", s.TapesRecorded, s.TapeReplays)
-	}
-
-	for i := range jobs {
-		for how, got := range map[string]snap{"cached": cached[i], "batched": batched[i], "alone": alone[i]} {
-			if got != driven[i] {
-				t.Errorf("job %d: %s cell differs from the driven cell\n%s: %+v\ndriven: %+v",
-					i, how, how, got, driven[i])
+		// Each way hands every Result to take while its shard is valid.
+		ways := map[string]func(eng *Engine, take func(i int, r Result)){
+			"cached": func(eng *Engine, take func(int, Result)) {
+				for i, job := range jobs {
+					take(i, eng.Exec(job))
+				}
+			},
+			"batched": func(eng *Engine, take func(int, Result)) { eng.RunEach(jobs, take) },
+			"alone": func(eng *Engine, take func(int, Result)) {
+				for i, job := range jobs {
+					eng.RunEach([]Job{job}, func(_ int, r Result) { take(i, r) })
+				}
+			},
+		}
+		driven := make([]snap, len(jobs))
+		ways["cached"](New(1).SetTapeCache(false), func(i int, r Result) { driven[i] = snapOf(r) })
+		for how, run := range ways {
+			p := &obs.Progress{}
+			run(New(1).SetProgress(p), func(i int, r Result) {
+				if got := snapOf(r); got != driven[i] {
+					t.Errorf("%s job %d: %s cell differs from the driven cell\n%s: %+v\ndriven: %+v",
+						row, i, how, how, got, driven[i])
+				}
+			})
+			s := p.Snapshot()
+			if got := (verdicts{s.TapesRecorded, s.TapesDeclined, s.TapeReplays}); got != want {
+				t.Errorf("%s, %s: recorded/declined/replays %+v, want %+v", row, how, got, want)
 			}
 		}
 	}
 }
 
-// TestRunEachRecordsOnlyForASecondConsumer pins the recording rule: a
-// RunEach batch is the engine's view of the grid, and a row claims the
-// recording slot only when the batch holds someone to replay the tape.
-func TestRunEachRecordsOnlyForASecondConsumer(t *testing.T) {
+// TestTapeAdmissionByOpCount pins the admission rule: a recording that
+// reaches maxTapedOps abandons itself and its row is declined for good;
+// a shorter one completes and is replayed. The tape-count row issues
+// ~120 ops per unit of size: size 1 is a fraction of the limit, size
+// 100 nearly three times it.
+func TestTapeAdmissionByOpCount(t *testing.T) {
+	cell := func(size int, collector string) Job {
+		return Job{Workload: "tape-count", Size: size, Collector: collector, HeapBytes: 1 << 22}
+	}
+	type want struct{ recorded, declined, replays, drives int64 }
+	check := func(t *testing.T, eng *Engine, p *obs.Progress, w want) {
+		t.Helper()
+		s := p.Snapshot()
+		got := want{s.TapesRecorded, s.TapesDeclined, s.TapeReplays, tapeDriveCount.Load()}
+		if got != w {
+			t.Errorf("recorded/declined/replays/drives %+v, want %+v", got, w)
+		}
+		if int64(eng.Tapes()) != w.recorded {
+			t.Errorf("%d tapes cached, want %d", eng.Tapes(), w.recorded)
+		}
+	}
+	engine := func(workers int) (*Engine, *obs.Progress) {
+		tapeDriveCount.Store(0)
+		p := &obs.Progress{}
+		return New(workers).SetProgress(p), p
+	}
+	run := func(t *testing.T, eng *Engine, jobs ...Job) {
+		t.Helper()
+		for _, job := range jobs {
+			if r := eng.Exec(job); r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+
+	t.Run("a short row records and its next cell replays", func(t *testing.T) {
+		eng, p := engine(1)
+		run(t, eng, cell(1, "cg"))
+		check(t, eng, p, want{recorded: 1, drives: 1})
+		run(t, eng, cell(1, "msa"))
+		check(t, eng, p, want{recorded: 1, replays: 1, drives: 1})
+	})
+
+	t.Run("a long row abandons its recording, for good", func(t *testing.T) {
+		eng, p := engine(1)
+		job := cell(100, "cg")
+		job.Repeats = 3
+		run(t, eng, job)
+		check(t, eng, p, want{declined: 1, drives: 3}) // repeats 2 and 3 drive
+		if eng.tapes.beginRecord(tapeKey{"tape-count", 100}) {
+			t.Error("a declined row gave its recording slot away again")
+		}
+		run(t, eng, cell(100, "msa"), cell(100, "gen"))
+		check(t, eng, p, want{declined: 1, drives: 5})
+	})
+
+	t.Run("concurrent cells of a row get one verdict", func(t *testing.T) {
+		batch := func(eng *Engine, size int) {
+			jobs := make([]Job, 8)
+			for i := range jobs {
+				jobs[i] = cell(size, "cg")
+				jobs[i].GCEvery = uint64(1000 + i)
+			}
+			eng.RunEach(jobs, func(i int, r Result) {
+				if r.Err != nil {
+					t.Errorf("job %d: %v", i, r.Err)
+				}
+			})
+		}
+		eng, p := engine(4)
+		batch(eng, 100)
+		check(t, eng, p, want{declined: 1, drives: 8})
+
+		// A short row: one cell records, and each of the others drove
+		// beside the recording in flight or replayed what it published.
+		eng, p = engine(4)
+		batch(eng, 1)
+		replays := p.Snapshot().TapeReplays
+		check(t, eng, p, want{recorded: 1, replays: replays, drives: 8 - replays})
+	})
+}
+
+// TestOneAdmissionRuleForEveryEntry pins that RunEach, ExecRelease and
+// Exec all admit tapes by the one op-count rule — no entry counts
+// consumers and none records every row it sees first. At size 1
+// compress (1.4k ops) and tape-count are shorter than the limit, db
+// (4.3k ops) and jess (8k ops) are not.
+func TestOneAdmissionRuleForEveryEntry(t *testing.T) {
+	fresh := func() (*Engine, *obs.Progress) {
+		p := &obs.Progress{}
+		return New(1).SetProgress(p), p
+	}
 	run := func(eng *Engine, jobs ...Job) {
 		t.Helper()
 		eng.RunEach(jobs, func(i int, r Result) {
@@ -138,58 +227,53 @@ func TestRunEachRecordsOnlyForASecondConsumer(t *testing.T) {
 			}
 		})
 	}
-	counters := func(p *obs.Progress) [2]int64 {
+	counters := func(p *obs.Progress) [3]int64 {
 		s := p.Snapshot()
-		return [2]int64{s.TapesRecorded, s.TapeReplays}
+		return [3]int64{s.TapesRecorded, s.TapesDeclined, s.TapeReplays}
 	}
 	cell := func(workload, collector string) Job {
 		return Job{Workload: workload, Size: 1, Collector: collector, HeapBytes: 1 << 24}
 	}
 
-	// Three rows, one consumer each: every cell drives, nothing stays
-	// resident.
-	p := &obs.Progress{}
-	eng := New(1).SetProgress(p)
+	// Three rows, one cell each: the short one records although nothing
+	// in the batch will replay it, the long ones decline.
+	eng, p := fresh()
 	run(eng, cell("compress", "cg"), cell("db", "cg"), cell("jess", "cg"))
-	if got := counters(p); got != [2]int64{0, 0} || eng.Tapes() != 0 {
-		t.Errorf("single-consumer rows: recorded/replays %v, %d tapes cached; want [0 0], 0", got, eng.Tapes())
+	if got := counters(p); got != [3]int64{1, 2, 0} || eng.Tapes() != 1 {
+		t.Errorf("one cell per row: recorded/declined/replays %v, %d tapes cached; want [1 2 0], 1", got, eng.Tapes())
+	}
+	// Further cells of the recorded row replay, in this batch and the
+	// next; further cells of a declined row drive and are not judged
+	// again.
+	run(eng, cell("compress", "msa"), cell("db", "msa"), cell("compress", "gen"))
+	run(eng, cell("compress", "cg+recycle"), cell("jess", "msa"))
+	if got := counters(p); got != [3]int64{1, 2, 3} || eng.Tapes() != 1 {
+		t.Errorf("later cells of judged rows: recorded/declined/replays %v, %d tapes cached; want [1 2 3], 1", got, eng.Tapes())
 	}
 
-	// k consumers of one row — distinct collectors — record once and
-	// replay k-1 times; the lone db cell beside them still just drives.
-	p = &obs.Progress{}
-	eng = New(1).SetProgress(p)
-	run(eng, cell("compress", "cg"), cell("db", "cg"), cell("compress", "msa"), cell("compress", "gen"))
-	if got := counters(p); got != [2]int64{1, 2} || eng.Tapes() != 1 {
-		t.Errorf("three collectors over one row: recorded/replays %v, %d tapes cached; want [1 2], 1", got, eng.Tapes())
-	}
-	// A later batch's single consumer replays the tape that is there.
-	run(eng, cell("compress", "cg+recycle"))
-	if got := counters(p); got != [2]int64{1, 3} {
-		t.Errorf("single consumer of a cached row: recorded/replays %v, want [1 3]", got)
-	}
-
-	// Repeats are consumers too: one job, k repeats.
-	p = &obs.Progress{}
-	eng = New(1).SetProgress(p)
+	// Repeats share the tape their first repeat recorded.
+	eng, p = fresh()
 	tapeDriveCount.Store(0)
 	run(eng, Job{Workload: "tape-count", Size: 1, Collector: "cg", HeapBytes: 1 << 21, Repeats: 4})
-	if got := counters(p); got != [2]int64{1, 3} || tapeDriveCount.Load() != 1 {
-		t.Errorf("one job, four repeats: recorded/replays %v, driver ran %d times; want [1 3], 1",
+	if got := counters(p); got != [3]int64{1, 0, 3} || tapeDriveCount.Load() != 1 {
+		t.Errorf("one job, four repeats: recorded/declined/replays %v, driver ran %d times; want [1 0 3], 1",
 			got, tapeDriveCount.Load())
 	}
 
-	// A job that arrives alone has no batch to plan against and records
-	// on first sight, as the server and the worker processes rely on.
-	p = &obs.Progress{}
-	eng = New(1).SetProgress(p)
-	eng.ExecRelease(cell("compress", "cg"), func(r Result) {
-		if r.Err != nil {
-			t.Error(r.Err)
-		}
-	})
-	if got := counters(p); got != [2]int64{1, 0} || eng.Tapes() != 1 {
-		t.Errorf("ExecRelease outside a batch: recorded/replays %v, %d tapes cached; want [1 0], 1", got, eng.Tapes())
+	// The single-job entries reach the same verdicts as the batch did.
+	eng, p = fresh()
+	for _, job := range []Job{cell("compress", "cg"), cell("db", "cg")} {
+		eng.ExecRelease(job, func(r Result) {
+			if r.Err != nil {
+				t.Error(r.Err)
+			}
+		})
+	}
+	if r := eng.Exec(cell("jess", "cg")); r.Err != nil {
+		t.Error(r.Err)
+	}
+	if got := counters(p); got != [3]int64{1, 2, 0} || eng.Tapes() != 1 {
+		t.Errorf("ExecRelease and Exec: recorded/declined/replays %v, %d tapes cached; want [1 2 0], 1", got, eng.Tapes())
 	}
 }
 

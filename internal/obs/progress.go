@@ -15,7 +15,7 @@ import (
 // without guarding.
 type Progress struct {
 	total, stored, computed, deduped, inFlight, queued atomic.Int64
-	tapesRecorded, tapeReplays                         atomic.Int64
+	tapesRecorded, tapesDeclined, tapeReplays          atomic.Int64
 
 	mu      sync.Mutex
 	workers []workerState
@@ -166,6 +166,16 @@ func (p *Progress) TapeRecorded() {
 	p.tapesRecorded.Add(1)
 }
 
+// TapeDeclined counts one (workload, size) row whose recording was
+// abandoned as too long to pay: the row is never recorded again and all
+// its cells drive, which is why it shows no replays.
+func (p *Progress) TapeDeclined() {
+	if p == nil {
+		return
+	}
+	p.tapesDeclined.Add(1)
+}
+
 // TapeReplayed counts one repeat served by replaying a cached event
 // tape instead of re-running driver logic.
 func (p *Progress) TapeReplayed() {
@@ -250,6 +260,7 @@ type ProgressSnapshot struct {
 	CellsInFlight int64            `json:"cells_in_flight"`
 	QueueDepth    int64            `json:"queue_depth"`
 	TapesRecorded int64            `json:"tapes_recorded,omitempty"`
+	TapesDeclined int64            `json:"tapes_declined,omitempty"`
 	TapeReplays   int64            `json:"tape_replays,omitempty"`
 	Workers       []WorkerSnapshot `json:"workers,omitempty"`
 	Lanes         []LaneSnapshot   `json:"lanes,omitempty"`
@@ -288,6 +299,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		CellsInFlight: p.inFlight.Load(),
 		QueueDepth:    p.queued.Load(),
 		TapesRecorded: p.tapesRecorded.Load(),
+		TapesDeclined: p.tapesDeclined.Load(),
 		TapeReplays:   p.tapeReplays.Load(),
 	}
 	p.mu.Lock()

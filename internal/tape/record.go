@@ -16,9 +16,19 @@ import (
 // passes a freed handle back into the runtime): operand encoding maps
 // live handles to allocation-sequence indices, and a freed handle's
 // mapping is only overwritten when the handle is reused.
+//
+// Recording only observes, so a recorder may stop early: one given an
+// op limit (MaxOps) abandons itself on reaching it. The run carries on
+// undisturbed and Finish reports nil.
 type Recorder struct {
 	rt   *vm.Runtime
 	meta Meta
+
+	// limit is the op count at which emit abandons the recording; 0 —
+	// no limit, or abandoned already — never matches, since emit
+	// compares after appending.
+	limit     int
+	abandoned bool
 
 	ops  []byte
 	args []byte
@@ -63,12 +73,32 @@ func NewRecorder(rt *vm.Runtime, meta Meta) *Recorder {
 	return r
 }
 
+// MaxOps bounds the recording: on emitting its n-th op the recorder
+// abandons itself, so only a run shorter than n ops yields a tape. Call
+// it right after NewRecorder. Without a limit a recorder records in
+// full.
+func (r *Recorder) MaxOps(n int) { r.limit = n }
+
+// abandon detaches the recorder mid-run and drops the streams. It runs
+// inside a hook (emit called it), and that hook goes on to encode its
+// operands, so the handle and string tables stay intact: what is left
+// of the hook scribbles a few bytes into a recorder nobody will read.
+// Every later hook site sees a nil recorder.
+func (r *Recorder) abandon() {
+	r.rt.SetRecorder(nil)
+	r.ops, r.args, r.limit, r.abandoned = nil, nil, 0, true
+}
+
 // Finish detaches the recorder and returns the sealed tape: the
 // recorded streams plus a snapshot of the runtime's class table (in
 // ClassID order, so a replay's DefineClass calls reproduce the ids).
 // Meta.Threads defaults to the observed thread count when the caller
-// left it zero.
+// left it zero. It returns nil when the recording reached its op limit
+// and abandoned itself.
 func (r *Recorder) Finish() *Tape {
+	if r.abandoned {
+		return nil
+	}
 	r.rt.SetRecorder(nil)
 	h := r.rt.Heap
 	classes := make([]heap.Class, h.NumClasses())
@@ -89,7 +119,12 @@ func (r *Recorder) Finish() *Tape {
 	}
 }
 
-func (r *Recorder) emit(op byte) { r.ops = append(r.ops, op) }
+func (r *Recorder) emit(op byte) {
+	r.ops = append(r.ops, op)
+	if len(r.ops) == r.limit {
+		r.abandon()
+	}
+}
 func (r *Recorder) arg(v uint64) { r.args = binary.AppendUvarint(r.args, v) }
 func (r *Recorder) argI(v int)   { r.arg(uint64(v)) }
 

@@ -108,11 +108,23 @@ type Tape struct {
 	valsErr  error
 }
 
+// numOperands counts the varints in args: each ends on its one byte
+// with the top bit clear.
+func (t *Tape) numOperands() int {
+	n := 0
+	for _, b := range t.args {
+		if b < 0x80 {
+			n++
+		}
+	}
+	return n
+}
+
 // operands returns the decoded operand array, materializing it on
 // first use.
 func (t *Tape) operands() ([]uint64, error) {
 	t.valsOnce.Do(func() {
-		vals := make([]uint64, 0, len(t.args))
+		vals := make([]uint64, 0, t.numOperands())
 		for p := 0; p < len(t.args); {
 			v, n := binary.Uvarint(t.args[p:])
 			if n <= 0 {
@@ -134,12 +146,11 @@ func (t *Tape) Ops() int { return len(t.ops) }
 // handle table's size).
 func (t *Tape) Allocs() int { return t.allocs }
 
-// MemBytes estimates the tape's resident footprint for cache
-// admission: the two streams, the tables, and the decoded operand
-// array replays materialize (bounded by 8 bytes per operand byte).
-// Deliberately an over-count — admission charges are conservative.
+// MemBytes is the tape's resident footprint for cache admission: the
+// two streams and the decoded operand array replays materialize,
+// exactly (8 bytes per operand), plus a small allowance for the tables.
 func (t *Tape) MemBytes() int {
-	n := len(t.ops) + 9*len(t.args) + 128
+	n := len(t.ops) + len(t.args) + 8*t.numOperands() + 128
 	for _, s := range t.strings {
 		n += len(s) + 16
 	}
