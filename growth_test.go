@@ -1,0 +1,71 @@
+package repro
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/collectors"
+	"repro/internal/heap"
+	"repro/internal/vm"
+	"repro/internal/workload"
+)
+
+// TestColdCellGrowthBudget pins what one cold cell pays the Go runtime
+// to grow its handle-indexed tables. A fresh javac size-100 cell at its
+// tight heap grows every table from nothing to ~230k handles; with one
+// doubling rule (heap.Grow, DESIGN.md §5 "table growth") the bytes it
+// allocates on the way stay within 3x the bytes it ends up holding, and
+// the Go collector runs at most 7 times (it reads 2.0-2.5x and 4-6).
+// Tables that each grow through a bare append read 4.7-4.9x and 8-16
+// cycles, so a reintroduced per-table append fails here before it shows
+// in a sweep's wall time.
+func TestColdCellGrowthBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful unraced")
+	}
+	spec, err := workload.ByName("javac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 100
+	for _, name := range collectors.AllSpecs() {
+		t.Run(name, func(t *testing.T) {
+			ev, err := collectors.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after, held runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rt := vm.New(heap.New(spec.HeapBytes(size)), ev)
+			if oom := runCell(rt, spec, size); oom != nil {
+				t.Skipf("does not complete at the tight heap: %v", oom)
+			}
+			runtime.ReadMemStats(&after)
+			runtime.GC()
+			runtime.ReadMemStats(&held)
+			runtime.KeepAlive(rt)
+
+			allocated := after.TotalAlloc - before.TotalAlloc
+			final := held.HeapAlloc - before.HeapAlloc
+			cycles := after.NumGC - before.NumGC
+			t.Logf("%d handles: allocated %.1f MB for %.1f MB of final tables (%.2fx), %d GC cycles",
+				rt.Heap.NumHandles(), float64(allocated)/1e6, float64(final)/1e6, float64(allocated)/float64(final), cycles)
+			if allocated > 3*final {
+				t.Errorf("cold cell allocated %d bytes for %d bytes of final tables, budget is 3x", allocated, final)
+			}
+			if cycles > 7 {
+				t.Errorf("cold cell ran %d Go GC cycles, budget is 7", cycles)
+			}
+		})
+	}
+}
+
+// runCell drives one cell to quiescence, returning the panic value of
+// a run the arena could not hold.
+func runCell(rt *vm.Runtime, spec workload.Spec, size int) (oom any) {
+	defer func() { oom = recover() }()
+	spec.Run(rt, size)
+	rt.Quiesce()
+	return nil
+}

@@ -202,8 +202,8 @@ type CG struct {
 // paid per matrix cell. The engine runs each cell on a fresh collector
 // (shards must not share mutable state), but the *capacity* behind the
 // tables is content-free once truncated — grown regions are re-zeroed
-// by the append-of-make growth paths, and MakeSet re-derives union-find
-// entries from indices — so recycling it through a pool is observably
+// by heap.Grow, and Reserve re-derives union-find entries from
+// indices — so recycling it through a pool is observably
 // identical to fresh construction (TestPooledFigureIdentity pins this
 // at the figure level). The pool fills only via Events.Detach, i.e. on
 // the engine's Reset path; a dropped runtime donates nothing.
@@ -412,25 +412,29 @@ func (c *CG) Stats() Stats { return c.stats }
 // MSAStats exposes the embedded traditional collector's counters.
 func (c *CG) MSAStats() msa.Stats { return c.msa.Stats() }
 
-// ensure grows the side tables to cover handle id. Handle slots are
-// recycled, so in steady state the tables are already big enough and
-// this is one compare; growth is the cold path.
+// ensure grows the side tables to cover handle id: one compare, since
+// meta, sets and the forest are always the same length; growth is the
+// cold path.
 func (c *CG) ensure(id heap.HandleID) {
-	n := int(id)
-	if c.packed != nil {
-		c.packed.MakeSet(n)
-	} else {
-		c.dsu.MakeSet(n)
-	}
-	if n >= len(c.meta) {
-		c.grow(n)
+	if int(id) >= len(c.meta) {
+		c.grow()
 	}
 }
 
+// grow takes meta, sets and the forest to the handle table's capacity
+// in one step: they grow when that table does, by the heap's rule, and
+// id is covered because the heap has already handed it out.
+//
 //go:noinline
-func (c *CG) grow(n int) {
-	c.meta = append(c.meta, make([]objMeta, n+1-len(c.meta))...)
-	c.sets = append(c.sets, make([]setMeta, n+1-len(c.sets))...)
+func (c *CG) grow() {
+	n := c.heap.HandleCap()
+	c.meta = heap.Grow(c.meta, n, n)
+	c.sets = heap.Grow(c.sets, n, n)
+	if c.packed != nil {
+		c.packed.Reserve(n)
+	} else {
+		c.dsu.Reserve(n)
+	}
 }
 
 // find returns the representative handle of id's equilive set.
@@ -511,9 +515,17 @@ func older(a, b *vm.Frame) *vm.Frame {
 }
 
 // checkNotTainted enforces the §3.1.4 assurance in Checked mode: a dead
-// object flowing through a runtime event is a collector bug.
+// object flowing through a runtime event is a collector bug. Only the
+// mode test inlines into the event slots (the formatted panic cannot),
+// so an unchecked run pays one predictable branch per event, not a call.
 func (c *CG) checkNotTainted(id heap.HandleID, op string) {
-	if c.cfg.Checked && int(id) < len(c.meta) && c.meta[int(id)].flags&fTainted != 0 {
+	if c.cfg.Checked {
+		c.checkTaint(id, op)
+	}
+}
+
+func (c *CG) checkTaint(id heap.HandleID, op string) {
+	if int(id) < len(c.meta) && c.meta[int(id)].flags&fTainted != 0 {
 		panic(fmt.Sprintf("core: tainted object %d touched by %s", id, op))
 	}
 }
@@ -522,7 +534,7 @@ func (c *CG) checkNotTainted(id heap.HandleID, op string) {
 // equilive set dependent on the allocating frame.
 func (c *CG) OnAlloc(id heap.HandleID, f *vm.Frame) {
 	c.ensure(id)
-	c.resetElem(id)
+	c.resetElem(id) // no bounds test of its own: ensure grew the forest
 	owner := int32(0)
 	if f.Thread != nil {
 		owner = int32(f.Thread.ID)
@@ -886,8 +898,8 @@ func (c *CG) beginCycle() {
 	// visits every frame exactly once, so no per-cycle scratch set is
 	// needed (the map this replaced allocated on every forced GC of the
 	// resetting experiment).
-	if len(c.oldFrames) < len(c.meta) {
-		c.oldFrames = append(c.oldFrames, make([]*vm.Frame, len(c.meta)-len(c.oldFrames))...)
+	if n := len(c.meta); len(c.oldFrames) < n {
+		c.oldFrames = heap.Grow(c.oldFrames, n, n)
 	}
 	c.rt.EachFrame(func(f *vm.Frame) {
 		for root := f.GCHead; root != heap.Nil; root = c.sets[int(root)].next {

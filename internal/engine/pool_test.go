@@ -156,7 +156,9 @@ func TestAdmissionLiveAtEveryCoreCount(t *testing.T) {
 // TestEnginePooledDeterminism is the Reset-reuse determinism gate: a
 // cell computed on a recycled shard must produce byte-for-byte the
 // statistics a fresh shard produces. The first RunEach pass fills the
-// pool, the second runs entirely on recycled runtimes.
+// pool, the second runs entirely on recycled runtimes, and the third
+// runs larger cells on them: every handle-indexed table grows past the
+// capacity, and the stale contents, the pool kept from the small cells.
 func TestEnginePooledDeterminism(t *testing.T) {
 	jobs := []Job{
 		{Workload: "jess", Size: 1, Collector: "cg", HeapBytes: 1 << 24},
@@ -164,7 +166,12 @@ func TestEnginePooledDeterminism(t *testing.T) {
 		{Workload: "jack", Size: 1, Collector: "cg+reset", HeapBytes: 1 << 22, GCEvery: 1200},
 		{Workload: "mtrt", Size: 1, Collector: "cg", HeapBytes: 1 << 24},
 	}
-	collect := func(eng *Engine) []core.Stats {
+	larger := make([]Job, len(jobs))
+	for i, j := range jobs {
+		j.Size = 10 // same arenas, so the same pooled shards
+		larger[i] = j
+	}
+	collect := func(eng *Engine, jobs []Job) []core.Stats {
 		out := make([]core.Stats, len(jobs))
 		errs := make([]error, len(jobs))
 		eng.RunEach(jobs, func(i int, r Result) {
@@ -182,15 +189,23 @@ func TestEnginePooledDeterminism(t *testing.T) {
 		return out
 	}
 	eng := New(2)
-	fresh := collect(eng)    // pool empty: fresh shards
-	recycled := collect(eng) // pool warm: recycled shards
-	again := collect(New(2)) // control: a fresh engine
+	fresh := collect(eng, jobs)           // pool empty: fresh shards
+	recycled := collect(eng, jobs)        // pool warm: recycled shards
+	again := collect(New(2), jobs)        // control: a fresh engine
+	grown := collect(eng, larger)         // recycled shards, tables outgrown
+	grownFresh := collect(New(2), larger) // control: fresh shards
 	for i := range jobs {
 		if fresh[i] != recycled[i] {
 			t.Errorf("job %d: pooled stats %+v != fresh stats %+v", i, recycled[i], fresh[i])
 		}
 		if fresh[i] != again[i] {
 			t.Errorf("job %d: fresh-engine stats differ between engines", i)
+		}
+		if grown[i] != grownFresh[i] {
+			t.Errorf("job %d at size 10: stats on an outgrown pooled shard %+v != fresh stats %+v", i, grown[i], grownFresh[i])
+		}
+		if grown[i].Created <= 2*fresh[i].Created {
+			t.Errorf("job %d: size 10 created %d objects, size 1 %d: not enough to outgrow the pooled tables", i, grown[i].Created, fresh[i].Created)
 		}
 	}
 }

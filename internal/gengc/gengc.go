@@ -132,8 +132,8 @@ func (g *System) Events() vm.Events {
 
 // Attach binds the system to rt (the descriptor's Attach hook),
 // drawing side tables from the pool. Truncated tables are observably
-// fresh: ensure regrows old/survivals with explicit zero values and
-// the remembered map was cleared at detach.
+// fresh: OnAlloc regrows old/survivals zeroed (heap.Grow) and the
+// remembered map was cleared at detach.
 func (g *System) Attach(rt *vm.Runtime) {
 	g.rt = rt
 	t := genTablePool.Get().(*genTables)
@@ -171,16 +171,14 @@ func (g *System) detach() {
 // Stats returns a copy of the counters.
 func (g *System) Stats() Stats { return g.stats }
 
-func (g *System) ensure(id heap.HandleID) {
-	for len(g.old) <= int(id) {
-		g.old = append(g.old, false)
-		g.survivals = append(g.survivals, 0)
-	}
-}
-
-// OnAlloc is the Alloc slot: objects are born young.
+// OnAlloc is the Alloc slot: objects are born young. The generation
+// and survival tables follow the handle table's capacity in one step.
 func (g *System) OnAlloc(id heap.HandleID, _ *vm.Frame) {
-	g.ensure(id)
+	if int(id) >= len(g.old) {
+		n := g.rt.Heap.HandleCap()
+		g.old = heap.Grow(g.old, n, n)
+		g.survivals = heap.Grow(g.survivals, n, n)
+	}
 	g.old[int(id)] = false
 	g.survivals[int(id)] = 0
 	delete(g.remembered, id) // handle reuse
@@ -214,7 +212,7 @@ func (g *System) Collect() int {
 }
 
 func (g *System) resetMarks() {
-	g.mark.Reset(g.rt.Heap.HandleCap())
+	g.rt.Heap.ResetMarks(&g.mark)
 }
 
 // minor collects the young generation only.

@@ -18,16 +18,7 @@ func BitsetWords(n int) int { return (n + 63) >> 6 }
 // capacity. The whole new length is cleared unconditionally, so a
 // pooled bitset shrunk and re-grown across uses can never leak stale
 // bits into a later cycle.
-func (b *Bitset) Reset(n int) {
-	w := BitsetWords(n)
-	if cap(*b) < w {
-		*b = make(Bitset, w)
-		return
-	}
-	s := (*b)[:w]
-	clear(s)
-	*b = s
-}
+func (b *Bitset) Reset(n int) { *b = Grow((*b)[:0], BitsetWords(n), 0) }
 
 // Has reports whether bit i is set.
 func (b Bitset) Has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }

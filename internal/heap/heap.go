@@ -38,6 +38,10 @@ const refBytes = 4
 // align rounds sizes to 8-byte boundaries, as the JDK allocator does.
 func align(n int) int { return (n + 7) &^ 7 }
 
+// minInstanceBytes is the arena footprint of the smallest object there
+// is, a bare header: what one more handle costs the arena at least.
+const minInstanceBytes = (headerBytes + 7) &^ 7
+
 // InstanceSize reports the arena footprint of an instance of c with
 // extra additional reference slots (array elements).
 func InstanceSize(c Class, extra int) int {
@@ -76,7 +80,12 @@ type Heap struct {
 	classes []Class
 	byName  map[string]ClassID
 	handles []handle
-	freeIDs []HandleID
+	// handleCap is the capacity the growth rule has granted the handle
+	// table, at most cap(handles). It starts over at Reset, so a pooled
+	// heap and the tables that follow it grow, and are cleared, in step
+	// with the cell they serve, not with the largest cell they ever held.
+	handleCap int
+	freeIDs   []HandleID
 	// slab is the single backing store for every handle's reference
 	// slots: handle i owns slab[refOff : refOff+refLen]. Extents are
 	// recycled with their handle slot (see handle.refCap); an extent is
@@ -98,10 +107,11 @@ type Heap struct {
 // New returns a heap whose object space spans arenaBytes.
 func New(arenaBytes int) *Heap {
 	h := &Heap{
-		arena:    NewArena(arenaBytes),
-		byName:   make(map[string]ClassID),
-		handles:  make([]handle, 1), // slot 0 = Nil, never used
-		liveBits: make(Bitset, 1),
+		arena:     NewArena(arenaBytes),
+		byName:    make(map[string]ClassID),
+		handles:   make([]handle, 1), // slot 0 = Nil, never used
+		handleCap: 1,
+		liveBits:  make(Bitset, 1),
 	}
 	return h
 }
@@ -192,13 +202,15 @@ func (h *Heap) Alloc(c ClassID, extra int) (HandleID, error) {
 		id = h.freeIDs[n-1]
 		h.freeIDs = h.freeIDs[:n-1]
 	} else {
-		h.handles = append(h.handles, handle{})
-		id = HandleID(len(h.handles) - 1)
-		if int(id)>>6 >= len(h.liveBits) {
-			// Appended values are explicit zeros, so capacity retained
-			// across Reset can never surface stale bits.
-			h.liveBits = append(h.liveBits, 0)
+		n := len(h.handles)
+		if n == h.handleCap {
+			h.handleCap = h.grownHandleCap()
 		}
+		// Grow zeroes the slots it uncovers, so capacity retained across
+		// Reset can never surface a stale record or stale live bits.
+		h.handles = Grow(h.handles, n+1, h.handleCap)
+		h.liveBits = Grow(h.liveBits, BitsetWords(n+1), BitsetWords(h.handleCap))
+		id = HandleID(n)
 	}
 	h.seq++
 	hd := &h.handles[int(id)]
@@ -227,12 +239,11 @@ func (h *Heap) bindRefs(hd *handle, nrefs int) {
 	if off+nrefs > maxSlab {
 		panic("heap: ref slab exceeds 2^31 slots")
 	}
-	if n := off + nrefs; n <= cap(h.slab) {
-		h.slab = h.slab[:n]
-		clearRefs(h.slab[off:]) // reused capacity may hold stale refs
-	} else {
-		h.slab = append(h.slab, make([]HandleID, nrefs)...)
-	}
+	// Reused capacity may hold stale refs; Grow clears what it uncovers.
+	// A full slab doubles like the handle table, without the arena clamp:
+	// a slot that widens orphans its old extent, so arena bytes do not
+	// bound slab slots.
+	h.slab = Grow(h.slab, off+nrefs, min(2*cap(h.slab), maxSlab))
 	hd.refOff = int32(off)
 	hd.refLen = int32(nrefs)
 	hd.refCap = int32(nrefs)
@@ -302,9 +313,57 @@ func (h *Heap) Live(id HandleID) bool {
 // admission gate.
 func (h *Heap) NumLive() int { return h.liveBits.Count() }
 
-// HandleCap reports the current handle-table capacity (including dead
-// slots); CG sizes its side metadata from this.
-func (h *Heap) HandleCap() int { return len(h.handles) }
+// NumHandles reports the handle-table length, dead slots and the Nil
+// slot included: every id ever handed out is below it. Collection
+// cycles size their mark bitsets by it.
+func (h *Heap) NumHandles() int { return len(h.handles) }
+
+// HandleCap reports how many handles the table holds before it next
+// grows. Tables indexed by HandleID size themselves to it in one step
+// (Grow(t, HandleCap(), HandleCap())) when they meet an id past their
+// length, so they grow when the handle table does and never between.
+func (h *Heap) HandleCap() int { return h.handleCap }
+
+// grownHandleCap is the growth rule of every handle-indexed table,
+// applied when the handle table is full: double, unless the arena
+// cannot fill a doubled table, and then reserve what it can fill. A
+// handle is appended only when every slot is live (free ids are reused
+// first), so the n objects behind the slots hold the arena bytes in use
+// and, until one of them is freed, each further handle needs
+// minInstanceBytes of what is free: n+1+room slots is all the table can
+// use before the next free, and at most 1+Size/minInstanceBytes, which
+// bounds it for good. Frees can make room for more handles than that
+// (small objects replacing large ones), so a clamped step is still a
+// quarter of the table: growth stays geometric whatever the arena says.
+func (h *Heap) grownHandleCap() int {
+	n := len(h.handles)
+	room := h.arena.FreeBytes() / minInstanceBytes
+	c := min(2*n, max(n+n/4, n+1+room))
+	return min(c, 1+h.arena.Size()/minInstanceBytes)
+}
+
+// Grow returns s at length n >= len(s) with its contents preserved and
+// the grown region zeroed. Capacity s already has is reused, and
+// cleared first: what a Reset or Truncate left beyond len never
+// surfaces. A reallocation reserves capacity c in one step. The handle
+// table and the ref slab choose c; side tables pass n = c = HandleCap().
+func Grow[T any](s []T, n, c int) []T {
+	if n <= cap(s) {
+		clear(s[len(s):n])
+		return s[:n]
+	}
+	g := make([]T, n, max(n, c))
+	copy(g, s)
+	return g
+}
+
+// ResetMarks is Bitset.Reset for a cycle's mark scratch: b covers every
+// handle id, all clear, and a b that has to be reallocated reserves the
+// table's capacity, so it grows when the table does and not once per
+// cycle that met new handles.
+func (h *Heap) ResetMarks(b *Bitset) {
+	*b = Grow((*b)[:0], BitsetWords(len(h.handles)), BitsetWords(h.handleCap))
+}
 
 // SizeOf reports the arena footprint of a live object.
 func (h *Heap) SizeOf(id HandleID) int { return h.h(id).size }
@@ -391,12 +450,13 @@ func (h *Heap) Reset() {
 	h.arena.Reset()
 	h.classes = h.classes[:0]
 	clear(h.byName)
-	// Shrink to the Nil slot. Stale records beyond len are overwritten
-	// by the zero-handle append in Alloc before they are ever reachable.
+	// Shrink to the Nil slot. Stale records beyond len are zeroed by
+	// Alloc's Grow before they are ever reachable.
 	h.handles = h.handles[:1]
+	h.handleCap = 1
 	h.freeIDs = h.freeIDs[:0]
 	// Clear the live bitmap through its full capacity before shrinking:
-	// regrowth appends explicit zero words, but a plain truncation here
+	// regrowth zeroes the words it uncovers, but a plain truncation here
 	// would leave stale bits inside the retained capacity.
 	full := h.liveBits[:cap(h.liveBits)]
 	clear(full)

@@ -355,11 +355,11 @@ func TestLiveBitmapMirrorsHandles(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		lw := h.LiveWords()
-		if want := BitsetWords(h.HandleCap()); len(lw) != want {
-			t.Fatalf("%s: LiveWords len %d, want %d for cap %d", when, len(lw), want, h.HandleCap())
+		if want := BitsetWords(h.NumHandles()); len(lw) != want {
+			t.Fatalf("%s: LiveWords len %d, want %d for cap %d", when, len(lw), want, h.NumHandles())
 		}
 		n := 0
-		for i := 0; i < h.HandleCap(); i++ {
+		for i := 0; i < h.NumHandles(); i++ {
 			id := HandleID(i)
 			if lw.Has(i) != h.Live(id) {
 				t.Fatalf("%s: bit %d = %v, Live = %v", when, i, lw.Has(i), h.Live(id))

@@ -148,10 +148,10 @@ func TestSlabMatchesPerSliceModel(t *testing.T) {
 // same handle IDs, same addresses, same zeroed slots — even though the
 // slab and tables still hold a previous run's bytes.
 func TestHeapResetObservablyFresh(t *testing.T) {
-	run := func(h *Heap) (ids []HandleID, addrs []int, vals []HandleID) {
+	run := func(h *Heap, n int) (ids []HandleID, addrs []int, vals []HandleID) {
 		cls := h.DefineClass(Class{Name: "Node", Refs: 2, Data: 8})
 		arr := h.DefineClass(Class{Name: "Arr", IsArray: true})
-		for i := 0; i < 100; i++ {
+		for i := 0; i < n; i++ {
 			id, err := h.Alloc(cls, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -164,43 +164,57 @@ func TestHeapResetObservablyFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, a)
-		for i := 0; i < 50; i += 2 {
+		for i := 0; i < n/2; i += 2 {
 			h.SetRef(ids[i], 1, ids[i+1])
-			h.Free(ids[i+50])
+			h.Free(ids[i+n/2])
 		}
-		for i := 0; i < 50; i++ {
+		for i := 0; i < n/2; i++ {
 			vals = append(vals, h.GetRef(ids[i], 0), h.GetRef(ids[i], 1))
 		}
 		return ids, addrs, vals
 	}
 
-	fresh := New(1 << 20)
-	wantIDs, wantAddrs, wantVals := run(fresh)
-
 	pooled := New(1 << 20)
-	run(pooled) // dirty it
-	pooled.Reset()
-	if pooled.NumLive() != 0 || pooled.Arena().InUse() != 0 || pooled.HandleCap() != 1 {
-		t.Fatalf("Reset left residue: live=%d inUse=%d cap=%d",
-			pooled.NumLive(), pooled.Arena().InUse(), pooled.HandleCap())
-	}
-	gotIDs, gotAddrs, gotVals := run(pooled)
-	for i := range wantIDs {
-		if gotIDs[i] != wantIDs[i] {
-			t.Fatalf("handle %d: id %d after Reset, %d fresh", i, gotIDs[i], wantIDs[i])
+	run(pooled, 100) // dirty it
+	// The first cell fits the capacity the dirty run left behind; the
+	// second grows the handle table, live bitmap and slab past it, so
+	// both the retained capacity and the reallocated tables are checked
+	// for stale contents.
+	for _, n := range []int{100, 1000} {
+		fresh := New(1 << 20)
+		wantIDs, wantAddrs, wantVals := run(fresh, n)
+
+		pooledCap := cap(pooled.handles)
+		pooled.Reset()
+		if pooled.NumLive() != 0 || pooled.Arena().InUse() != 0 || pooled.NumHandles() != 1 || pooled.HandleCap() != 1 {
+			t.Fatalf("Reset left residue: live=%d inUse=%d handles=%d cap=%d",
+				pooled.NumLive(), pooled.Arena().InUse(), pooled.NumHandles(), pooled.HandleCap())
 		}
-	}
-	for i := range wantAddrs {
-		if gotAddrs[i] != wantAddrs[i] {
-			t.Fatalf("handle %d: addr %d after Reset, %d fresh", i, gotAddrs[i], wantAddrs[i])
+		gotIDs, gotAddrs, gotVals := run(pooled, n)
+		if grew := cap(pooled.handles) > pooledCap; grew != (n > 100) {
+			t.Fatalf("n=%d: handle table capacity %d -> %d, want growth past the pooled capacity only for the large cell", n, pooledCap, cap(pooled.handles))
 		}
-	}
-	for i := range wantVals {
-		if gotVals[i] != wantVals[i] {
-			t.Fatalf("val %d: %d after Reset, %d fresh", i, gotVals[i], wantVals[i])
+		for i := range wantIDs {
+			if gotIDs[i] != wantIDs[i] {
+				t.Fatalf("n=%d handle %d: id %d after Reset, %d fresh", n, i, gotIDs[i], wantIDs[i])
+			}
 		}
-	}
-	if got := pooled.Stats(); got != fresh.Stats() {
-		t.Fatalf("stats after Reset = %+v, fresh = %+v", got, fresh.Stats())
+		for i := range wantAddrs {
+			if gotAddrs[i] != wantAddrs[i] {
+				t.Fatalf("n=%d handle %d: addr %d after Reset, %d fresh", n, i, gotAddrs[i], wantAddrs[i])
+			}
+		}
+		for i := range wantVals {
+			if gotVals[i] != wantVals[i] {
+				t.Fatalf("n=%d val %d: %d after Reset, %d fresh", n, i, gotVals[i], wantVals[i])
+			}
+		}
+		if got := pooled.Stats(); got != fresh.Stats() {
+			t.Fatalf("n=%d: stats after Reset = %+v, fresh = %+v", n, got, fresh.Stats())
+		}
+		if pooled.HandleCap() != fresh.HandleCap() || pooled.NumHandles() != fresh.NumHandles() {
+			t.Fatalf("n=%d: pooled table %d/%d, fresh %d/%d: a pooled heap must grow in a fresh one's steps",
+				n, pooled.NumHandles(), pooled.HandleCap(), fresh.NumHandles(), fresh.HandleCap())
+		}
 	}
 }

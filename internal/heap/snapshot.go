@@ -32,13 +32,13 @@ import "sync/atomic"
 // while the runtime's SATB barrier is armed.
 type Snapshot struct {
 	// Live is the pooled copy of the live bitmap at epoch start,
-	// covering exactly Cap handles. Its capacity is reused across
+	// covering exactly NumHandles handles. Its capacity is reused across
 	// epochs.
 	Live Bitset
 
 	handles []handle
 	slab    []HandleID
-	cap     int
+	n       int
 }
 
 // Snapshot fills s with the heap's current live bitmap, handle-table
@@ -46,17 +46,17 @@ type Snapshot struct {
 // bitmap) part of an overlapped cycle's opening pause: one word copy
 // per 64 handles, no per-object work.
 func (h *Heap) Snapshot(s *Snapshot) {
-	s.cap = len(h.handles)
-	w := BitsetWords(s.cap)
-	s.Live.Reset(s.cap)
+	s.n = len(h.handles)
+	w := BitsetWords(s.n)
+	s.Live.Reset(s.n)
 	copy(s.Live, h.liveBits[:w])
 	s.handles = h.handles
 	s.slab = h.slab
 }
 
-// HandleCap reports the handle-table capacity at snapshot time; IDs at
+// NumHandles reports the handle-table length at snapshot time; IDs at
 // or beyond it were born during the epoch.
-func (s *Snapshot) HandleCap() int { return s.cap }
+func (s *Snapshot) NumHandles() int { return s.n }
 
 // Release drops the captured views (keeping Live's capacity for the
 // next epoch) so a pooled snapshot pins neither the handle table nor
@@ -64,7 +64,7 @@ func (s *Snapshot) HandleCap() int { return s.cap }
 func (s *Snapshot) Release() {
 	s.handles = nil
 	s.slab = nil
-	s.cap = 0
+	s.n = 0
 }
 
 // Freeze replaces the snapshot's slab view with a private copy taken

@@ -103,7 +103,7 @@ func New(rt *vm.Runtime) *Collector { return &Collector{rt: rt} }
 // engine is observably fresh: Collect re-sizes and re-clears the mark
 // bits every cycle anyway. Pooled collectors (core's detachable
 // tables, the System pool below) reuse engines through this instead of
-// allocating HandleCap-sized scratch per matrix cell. The root
+// allocating handle-table-sized scratch per matrix cell. The root
 // partition scratch is pointer-bearing and is cleared through its
 // capacity, so a pooled engine never pins a dead shard's frames.
 func (m *Collector) Reattach(rt *vm.Runtime) {
@@ -161,7 +161,7 @@ func (m *Collector) Collect(cy Cycle) int {
 	if cy.Begin != nil {
 		cy.Begin()
 	}
-	m.mark.Reset(h.HandleCap())
+	h.ResetMarks(&m.mark)
 
 	markedBefore := m.stats.Marked
 	traceWorkers := 1
@@ -346,7 +346,7 @@ func (s *System) Events() vm.Events {
 
 // Attach binds the system to rt (the descriptor's Attach hook), drawing
 // a pooled engine so a sweep of matrix cells stops re-allocating
-// HandleCap-sized mark scratch per cell.
+// handle-table-sized mark scratch per cell.
 func (s *System) Attach(rt *vm.Runtime) {
 	m := systemPool.Get().(*Collector)
 	m.Reattach(rt)

@@ -120,7 +120,7 @@ func (m *Collector) collectOverlap(owners []int32, freeze bool) (func() int, boo
 	if freeze || owners != nil {
 		m.frozen = m.snap.Freeze(m.frozen)
 	}
-	snapCap := m.snap.HandleCap()
+	snapCap := m.snap.NumHandles()
 
 	// Copy the root values. RootGroup.Roots aliases live frames and
 	// static slots the mutator will mutate (SetLocal, Forget, appends),
@@ -235,7 +235,7 @@ func (m *Collector) closeOverlap(ws []*traceScratch, owners []int32, snapCap int
 // cap (anything else was born after the open and is live this cycle
 // by construction).
 func (s *traceScratch) traceSnapshot(snap *heap.Snapshot, parts []vm.RootGroup, start, stride int, needOwners bool) {
-	snapCap := snap.HandleCap()
+	snapCap := snap.NumHandles()
 	s.mark.Reset(snapCap)
 	if needOwners {
 		s.owner = resetOwners(s.owner, snapCap)

@@ -31,7 +31,7 @@ type worldResult struct {
 	stats      Stats
 	heapStats  heap.Stats
 	numLive    int
-	handleCap  int
+	numHandles int
 	liveSig    []heap.HandleID // id, refLen, slots... per live object
 	arena      any
 	overlapped uint64
@@ -94,7 +94,7 @@ func driveWorld(t *testing.T, seed int64, cfg TraceConfig) worldResult {
 		stats:      sys.Engine().Stats(),
 		heapStats:  h.Stats(),
 		numLive:    h.NumLive(),
-		handleCap:  h.HandleCap(),
+		numHandles: h.NumHandles(),
 		arena:      h.Arena().Info(),
 		overlapped: rt.Timeline().Stats().Overlapped,
 	}
@@ -111,10 +111,10 @@ func equalWorlds(t *testing.T, name string, a, b worldResult) {
 	t.Helper()
 	a.overlapped, b.overlapped = 0, 0
 	if a.gcCycles != b.gcCycles || a.instr != b.instr || a.stats != b.stats ||
-		a.heapStats != b.heapStats || a.numLive != b.numLive || a.handleCap != b.handleCap {
+		a.heapStats != b.heapStats || a.numLive != b.numLive || a.numHandles != b.numHandles {
 		t.Fatalf("%s: scalar state diverged:\n  a={gc:%d instr:%d stats:%+v heap:%+v live:%d cap:%d}\n  b={gc:%d instr:%d stats:%+v heap:%+v live:%d cap:%d}",
-			name, a.gcCycles, a.instr, a.stats, a.heapStats, a.numLive, a.handleCap,
-			b.gcCycles, b.instr, b.stats, b.heapStats, b.numLive, b.handleCap)
+			name, a.gcCycles, a.instr, a.stats, a.heapStats, a.numLive, a.numHandles,
+			b.gcCycles, b.instr, b.stats, b.heapStats, b.numLive, b.numHandles)
 	}
 	if !reflect.DeepEqual(a.liveSig, b.liveSig) {
 		t.Fatalf("%s: live-object graph diverged (%d vs %d sig words)", name, len(a.liveSig), len(b.liveSig))
@@ -177,7 +177,7 @@ func TestOverlapFrozenAttribution(t *testing.T) {
 			h := rt.Heap
 			m := sys.Engine()
 			m.SetTraceConfig(TraceConfig{Overlap: true, MinLive: 1, Workers: 3})
-			cap := h.HandleCap()
+			cap := h.NumHandles()
 
 			// Sequential reference on the same state: mark set +
 			// attribution, taken before anything mutates.

@@ -192,10 +192,10 @@ func (m *Collector) scratchFor(workers int) []*traceScratch {
 
 // trace marks everything reachable from the roots of groups start,
 // start+stride, start+2*stride, ... into the worker-private bitset.
-func (s *traceScratch) trace(h *heap.Heap, parts []vm.RootGroup, start, stride, handleCap int, needOwners bool) {
-	s.mark.Reset(handleCap)
+func (s *traceScratch) trace(h *heap.Heap, parts []vm.RootGroup, start, stride, numHandles int, needOwners bool) {
+	s.mark.Reset(numHandles)
 	if needOwners {
-		s.owner = resetOwners(s.owner, handleCap)
+		s.owner = resetOwners(s.owner, numHandles)
 	}
 	mark := s.mark
 	work := s.work[:0]
@@ -242,7 +242,7 @@ func resetOwners(o []int32, n int) []int32 {
 
 // markParallel runs one deterministic parallel mark into m.mark (which
 // Collect has already Reset). When owners is non-nil it must have at
-// least HandleCap entries pre-filled with -1; each marked object's
+// least NumHandles entries pre-filled with -1; each marked object's
 // entry receives its first-reaching root-group index — the sequential
 // oldest-first attribution (the property tests consume this; hook-free
 // production cycles pass nil and skip the owner bookkeeping entirely).
@@ -258,7 +258,7 @@ func (m *Collector) markParallel(workers int, owners []int32) []vm.RootGroup {
 	if workers < 1 {
 		workers = 1
 	}
-	handleCap := h.HandleCap()
+	numHandles := h.NumHandles()
 	needOwners := owners != nil
 
 	ws := m.scratchFor(workers)
@@ -270,7 +270,7 @@ func (m *Collector) markParallel(workers int, owners []int32) []vm.RootGroup {
 		wg.Add(1)
 		go func(s *traceScratch, start int) {
 			defer wg.Done()
-			s.trace(h, parts, start, workers, handleCap, needOwners)
+			s.trace(h, parts, start, workers, numHandles, needOwners)
 		}(s, i)
 	}
 	wg.Wait()

@@ -88,8 +88,8 @@ func TestParallelTraceMatchesSequentialFrames(t *testing.T) {
 			workers := 2 + int(trial%4)
 
 			// Parallel mark first (no sweep): owner table pre-filled -1.
-			m.mark.Reset(h.HandleCap())
-			owners := make([]int32, h.HandleCap())
+			m.mark.Reset(h.NumHandles())
+			owners := make([]int32, h.NumHandles())
 			for i := range owners {
 				owners[i] = -1
 			}

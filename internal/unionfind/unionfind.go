@@ -30,10 +30,10 @@ type Forest interface {
 	// (or two elements already in one set) is a no-op returning the
 	// existing representative.
 	Union(x, y int) int
-	// Reset makes x a singleton set again regardless of prior state.
-	// Callers must guarantee no other element names x as an ancestor;
-	// the CG resetting pass (§3.6) re-resets every live object, which
-	// re-establishes that invariant globally.
+	// Reset makes x, which must exist, a singleton set again regardless
+	// of prior state. Callers must guarantee no other element names x
+	// as an ancestor; the CG resetting pass (§3.6) re-resets every live
+	// object, which re-establishes that invariant globally.
 	Reset(x int)
 	// Len reports the number of elements in the forest.
 	Len() int
@@ -55,20 +55,32 @@ func NewDSU(n int) *DSU {
 	return d
 }
 
-// MakeSet implements Forest. Existing elements are one compare (the
-// per-allocation hot case: handle IDs recycle, so the forest is
-// usually already grown); extension is the cold path.
+// MakeSet implements Forest. Existing elements are one compare;
+// extension is the cold path, and exact: a caller that adds elements
+// one at a time calls Reserve ahead of them.
 func (d *DSU) MakeSet(x int) {
 	if x >= len(d.parent) {
-		d.grow(x)
+		d.Reserve(x + 1)
 	}
 }
 
-//go:noinline
-func (d *DSU) grow(x int) {
-	for len(d.parent) <= x {
-		d.parent = append(d.parent, int32(len(d.parent)))
-		d.rank = append(d.rank, 0)
+// Reserve grows the forest to n elements in one step, the new ones
+// singletons; a forest that already has n is left alone. CG calls it
+// with the heap's handle-table capacity, so the forest grows when that
+// table does. Capacity kept by Truncate is reused, and every new
+// element is rewritten from its index: stale contents never surface.
+func (d *DSU) Reserve(n int) {
+	old := len(d.parent)
+	if n <= old {
+		return
+	}
+	if n > cap(d.parent) {
+		d.parent = append(make([]int32, 0, n), d.parent...)
+		d.rank = append(make([]int8, 0, n), d.rank...)
+	}
+	d.parent, d.rank = d.parent[:n], d.rank[:n]
+	for i := old; i < n; i++ {
+		d.parent[i], d.rank[i] = int32(i), 0
 	}
 }
 
@@ -109,7 +121,6 @@ func (d *DSU) Union(x, y int) int {
 
 // Reset implements Forest.
 func (d *DSU) Reset(x int) {
-	d.MakeSet(x)
 	d.parent[x] = int32(x)
 	d.rank[x] = 0
 }
@@ -189,14 +200,22 @@ func (p *Packed) setParent(x, parent int) {
 // MakeSet implements Forest; see DSU.MakeSet.
 func (p *Packed) MakeSet(x int) {
 	if x >= len(p.word) {
-		p.grow(x)
+		p.Reserve(x + 1)
 	}
 }
 
-//go:noinline
-func (p *Packed) grow(x int) {
-	for len(p.word) <= x {
-		p.word = append(p.word, pack(len(p.word), 0))
+// Reserve grows the forest to n elements in one step; see DSU.Reserve.
+func (p *Packed) Reserve(n int) {
+	old := len(p.word)
+	if n <= old {
+		return
+	}
+	if n > cap(p.word) {
+		p.word = append(make([]uint32, 0, n), p.word...)
+	}
+	p.word = p.word[:n]
+	for i := old; i < n; i++ {
+		p.word[i] = pack(i, 0)
 	}
 }
 
@@ -237,7 +256,6 @@ func (p *Packed) Union(x, y int) int {
 
 // Reset implements Forest.
 func (p *Packed) Reset(x int) {
-	p.MakeSet(x)
 	p.word[x] = pack(x, 0)
 }
 

@@ -82,6 +82,47 @@ func TestMakeSetGrowsIdempotently(t *testing.T) {
 	}
 }
 
+// TestReserveGrowsInOneStep: Reserve takes a forest to n elements at
+// once, keeps the sets it holds, and makes every new element a rank-0
+// singleton, over capacity a Truncate left dirty as well as over a
+// fresh allocation.
+func TestReserveGrowsInOneStep(t *testing.T) {
+	type forest interface {
+		Forest
+		Reserve(n int)
+		Truncate()
+		RankOf(x int) int
+	}
+	for name, f := range map[string]forest{"dsu": NewDSU(0), "packed": NewPacked(0)} {
+		for pass, n := range []int{64, 32, 200} { // fresh, within dirty capacity, past it
+			f.Reserve(4)
+			f.Union(0, 1)
+			f.Union(2, 3)
+			f.Union(1, 3)
+			root := f.Find(0)
+			f.Reserve(n)
+			f.Reserve(n / 2) // smaller: no shrink
+			if f.Len() != n {
+				t.Fatalf("%s pass %d: Len = %d after Reserve(%d)", name, pass, f.Len(), n)
+			}
+			for x := 0; x < 4; x++ {
+				if f.Find(x) != root {
+					t.Fatalf("%s pass %d: element %d left its set across Reserve", name, pass, x)
+				}
+			}
+			for x := 4; x < n; x++ {
+				if f.Find(x) != x || f.RankOf(x) != 0 {
+					t.Fatalf("%s pass %d: new element %d has root %d, rank %d", name, pass, x, f.Find(x), f.RankOf(x))
+				}
+			}
+			for x := 4; x+1 < n; x += 2 {
+				f.Union(x, x+1) // dirty what Truncate keeps
+			}
+			f.Truncate()
+		}
+	}
+}
+
 func TestReset(t *testing.T) {
 	for name, f := range forests(4) {
 		f.Union(0, 1)

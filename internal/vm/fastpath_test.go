@@ -162,7 +162,7 @@ func TestAllAccessDefeatsElision(t *testing.T) {
 // runtime level: after Reset the same Runtime replays a program with
 // identical frame IDs, handle IDs, instruction counts and statistics.
 func TestRuntimeResetObservablyFresh(t *testing.T) {
-	program := func(rt *Runtime, node heap.ClassID) (ids []heap.HandleID, frames []uint64) {
+	program := func(rt *Runtime, node heap.ClassID, n int) (ids []heap.HandleID, frames []uint64) {
 		th := rt.NewThread(1)
 		th.CallVoid(2, func(f *Frame) {
 			frames = append(frames, f.ID)
@@ -180,35 +180,53 @@ func TestRuntimeResetObservablyFresh(t *testing.T) {
 			ids = append(ids, i)
 			th.CallVoid(1, func(g *Frame) {
 				frames = append(frames, g.ID)
-				ids = append(ids, g.MustNew(node))
+				for k := 0; k < n; k++ {
+					o := g.MustNew(node)
+					g.PutField(o, 1, a)
+					g.SetLocal(0, o) // keep it rooted: the next one needs a fresh handle
+					ids = append(ids, o)
+				}
 			})
 		})
 		return ids, frames
 	}
 
-	fresh, node, _ := newTestRT(None(), 1<<20)
-	wantIDs, wantFrames := program(fresh, node)
-	wantInstr := fresh.Instr()
-
 	reused, node2, _ := newTestRT(None(), 1<<20)
-	program(reused, node2)
-	reused.Reset(None())
-	if reused.Instr() != 0 || len(reused.Threads()) != 0 || reused.GCCycles() != 0 {
-		t.Fatal("Reset left runtime state behind")
-	}
-	node3 := reused.Heap.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
-	gotIDs, gotFrames := program(reused, node3)
-	if reused.Instr() != wantInstr {
-		t.Fatalf("Instr after Reset = %d, fresh = %d", reused.Instr(), wantInstr)
-	}
-	for i := range wantIDs {
-		if gotIDs[i] != wantIDs[i] {
-			t.Fatalf("handle %d: %d after Reset, %d fresh", i, gotIDs[i], wantIDs[i])
+	program(reused, node2, 1)
+	// The first cell fits the tables the dirty run left behind; the
+	// second grows them past the pooled capacity, so retained capacity
+	// and reallocated tables are both checked against a fresh runtime.
+	for _, n := range []int{1, 300} {
+		fresh, node, _ := newTestRT(None(), 1<<20)
+		wantIDs, wantFrames := program(fresh, node, n)
+		wantInstr := fresh.Instr()
+
+		reused.Reset(None())
+		if reused.Instr() != 0 || len(reused.Threads()) != 0 || reused.GCCycles() != 0 {
+			t.Fatal("Reset left runtime state behind")
 		}
-	}
-	for i := range wantFrames {
-		if gotFrames[i] != wantFrames[i] {
-			t.Fatalf("frame %d: ID %d after Reset, %d fresh", i, gotFrames[i], wantFrames[i])
+		node3 := reused.Heap.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
+		gotIDs, gotFrames := program(reused, node3, n)
+		if reused.Instr() != wantInstr {
+			t.Fatalf("n=%d: Instr after Reset = %d, fresh = %d", n, reused.Instr(), wantInstr)
+		}
+		for i := range wantIDs {
+			if gotIDs[i] != wantIDs[i] {
+				t.Fatalf("n=%d handle %d: %d after Reset, %d fresh", n, i, gotIDs[i], wantIDs[i])
+			}
+			for slot := 0; slot < 2; slot++ {
+				if got, want := reused.Heap.GetRef(gotIDs[i], slot), fresh.Heap.GetRef(wantIDs[i], slot); got != want {
+					t.Fatalf("n=%d handle %d slot %d: %d after Reset, %d fresh", n, i, slot, got, want)
+				}
+			}
+		}
+		for i := range wantFrames {
+			if gotFrames[i] != wantFrames[i] {
+				t.Fatalf("n=%d frame %d: ID %d after Reset, %d fresh", n, i, gotFrames[i], wantFrames[i])
+			}
+		}
+		if reused.Heap.HandleCap() != fresh.Heap.HandleCap() {
+			t.Fatalf("n=%d: HandleCap %d after Reset, %d fresh", n, reused.Heap.HandleCap(), fresh.Heap.HandleCap())
 		}
 	}
 }
