@@ -63,13 +63,17 @@ func BenchmarkFig46AgeAtDeath(b *testing.B) {
 
 func BenchmarkFig47TimingSize1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig47_48(benchEng, 1)
+		if _, err := experiments.Fig47_48(benchEng, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig48TimingSize10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig47_48(benchEng, 10)
+		if _, err := experiments.Fig47_48(benchEng, 10); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -81,7 +85,9 @@ func BenchmarkFig49LargeRuns(b *testing.B) {
 
 func BenchmarkFig410SpeedupSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig410(benchEng, []int{1, 10})
+		if _, err := experiments.Fig410(benchEng, []int{1, 10}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -93,7 +99,9 @@ func BenchmarkFig411Resetting(b *testing.B) {
 
 func BenchmarkFig412RecycleTiming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig412(benchEng)
+		if _, err := experiments.Fig412(benchEng); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -123,7 +131,9 @@ func BenchmarkFigA3BreakdownMedium(b *testing.B) {
 
 func BenchmarkFigA5RawTimingsSmall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.FigA5_7(benchEng, 1)
+		if _, err := experiments.FigA5_7(benchEng, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -61,6 +61,7 @@ import (
 	"repro/internal/heap"
 	"repro/internal/msa"
 	"repro/internal/obs"
+	"repro/internal/table"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -136,6 +137,15 @@ func main() {
 	}
 	eng := timingEngine(*workers, heapCap, traceCfg)
 
+	// timed renders a wall-clock figure: one failed cell fails the
+	// figure with its one "sweep <id>: ..." line.
+	timed := func(t *table.Table, err error) string {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cgbench:", err)
+			os.Exit(1)
+		}
+		return t.String()
+	}
 	type gen struct {
 		id     string
 		timing bool
@@ -151,20 +161,20 @@ func main() {
 		{"4.4", false, true, func() string { return experiments.Fig42_44(eng, 100).String() }},
 		{"4.5", false, false, func() string { return experiments.Fig45(eng).String() }},
 		{"4.6", false, false, func() string { return experiments.Fig46(eng).String() }},
-		{"4.7", true, false, func() string { return experiments.Fig47_48(eng, 1).String() }},
-		{"4.8", true, false, func() string { return experiments.Fig47_48(eng, 10).String() }},
+		{"4.7", true, false, func() string { return timed(experiments.Fig47_48(eng, 1)) }},
+		{"4.8", true, false, func() string { return timed(experiments.Fig47_48(eng, 10)) }},
 		{"4.9", false, true, func() string { return experiments.Fig49(eng).String() }},
-		{"4.10", true, true, func() string { return experiments.Fig410(eng, []int{1, 10, 100}).String() }},
+		{"4.10", true, true, func() string { return timed(experiments.Fig410(eng, []int{1, 10, 100})) }},
 		{"4.11", false, false, func() string { return experiments.Fig411(eng).String() }},
-		{"4.12", true, false, func() string { return experiments.Fig412(eng).String() }},
+		{"4.12", true, false, func() string { return timed(experiments.Fig412(eng)) }},
 		{"4.13", false, false, func() string { return experiments.Fig413(eng).String() }},
 		{"A.1", false, false, func() string { return experiments.FigA1(eng).String() }},
 		{"A.2", false, false, func() string { return experiments.FigA2_4(eng, 1).String() }},
 		{"A.3", false, false, func() string { return experiments.FigA2_4(eng, 10).String() }},
 		{"A.4", false, true, func() string { return experiments.FigA2_4(eng, 100).String() }},
-		{"A.5", true, false, func() string { return experiments.FigA5_7(eng, 1).String() }},
-		{"A.6", true, false, func() string { return experiments.FigA5_7(eng, 10).String() }},
-		{"A.7", true, true, func() string { return experiments.FigA5_7(eng, 100).String() }},
+		{"A.5", true, false, func() string { return timed(experiments.FigA5_7(eng, 1)) }},
+		{"A.6", true, false, func() string { return timed(experiments.FigA5_7(eng, 10)) }},
+		{"A.7", true, true, func() string { return timed(experiments.FigA5_7(eng, 100)) }},
 	}
 
 	matched := false

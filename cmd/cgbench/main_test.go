@@ -12,8 +12,8 @@ import (
 // engine behind it holds no tape it could have replayed instead.
 func TestTimingFiguresTimeTheProgram(t *testing.T) {
 	eng := timingEngine(1, 0, msa.TraceConfig{})
-	if out := experiments.Fig47_48(eng, 1).String(); out == "" {
-		t.Fatal("Fig 4.7 rendered nothing")
+	if tb, err := experiments.Fig47_48(eng, 1); err != nil || tb.String() == "" {
+		t.Fatalf("Fig 4.7 rendered nothing (err %v)", err)
 	}
 	if n := eng.Tapes(); n != 0 {
 		t.Errorf("after Fig 4.7 the engine holds %d tapes; a timing figure must drive every cell", n)

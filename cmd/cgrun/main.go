@@ -96,6 +96,9 @@ func main() {
 	if hb == 0 {
 		hb = src.heap
 	}
+	if hb <= 0 || hb > heap.MaxArenaBytes {
+		fatal(fmt.Errorf("arena size %d outside (0, %d]", hb, heap.MaxArenaBytes))
+	}
 
 	specs := strings.Split(*collector, ",")
 	factories := make([]collectors.Factory, len(specs))

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/collectors"
@@ -19,6 +20,14 @@ import (
 // Tables that each grow through a bare append read 4.7-4.9x and 8-16
 // cycles, so a reintroduced per-table append fails here before it shows
 // in a sweep's wall time.
+//
+// What the tables end up holding has a budget too, in bytes per handle
+// (DESIGN.md §5 "bytes per simulated object"): 60 under a hook-free
+// collector (the 28-byte handle, its ref slots, the bitmaps; it reads
+// 50-56), 110 under CG (plus the 16-byte object record, the 24-byte set
+// record and the forest; it reads 99), 125 where recycling also keeps a
+// list of dead handles (it reads 112). A field added back to a record
+// costs 4-8 of these.
 func TestColdCellGrowthBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful unraced")
@@ -49,13 +58,24 @@ func TestColdCellGrowthBudget(t *testing.T) {
 			allocated := after.TotalAlloc - before.TotalAlloc
 			final := held.HeapAlloc - before.HeapAlloc
 			cycles := after.NumGC - before.NumGC
-			t.Logf("%d handles: allocated %.1f MB for %.1f MB of final tables (%.2fx), %d GC cycles",
-				rt.Heap.NumHandles(), float64(allocated)/1e6, float64(final)/1e6, float64(allocated)/float64(final), cycles)
+			t.Logf("%d handles: allocated %.1f MB for %.1f MB of final tables (%.2fx, %d B/handle), %d GC cycles",
+				rt.Heap.NumHandles(), float64(allocated)/1e6, float64(final)/1e6, float64(allocated)/float64(final),
+				final/uint64(rt.Heap.NumHandles()), cycles)
 			if allocated > 3*final {
 				t.Errorf("cold cell allocated %d bytes for %d bytes of final tables, budget is 3x", allocated, final)
 			}
 			if cycles > 7 {
 				t.Errorf("cold cell ran %d Go GC cycles, budget is 7", cycles)
+			}
+			perHandle := uint64(60)
+			switch {
+			case strings.Contains(name, "recycle") || strings.Contains(name, "typed"):
+				perHandle = 125
+			case strings.HasPrefix(name, "cg"):
+				perHandle = 110
+			}
+			if got := final / uint64(rt.Heap.NumHandles()); got > perHandle {
+				t.Errorf("final tables hold %d bytes per handle, budget is %d", got, perHandle)
 			}
 		})
 	}

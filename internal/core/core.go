@@ -108,13 +108,11 @@ func (s *Stats) Merge(o Stats) {
 
 // objMeta is CG's per-handle metadata — the fields §3.1.1 adds to the JDK
 // handle (parent/rank live in the union-find forest; these are the rest).
-// The struct is deliberately pointer-free: OnAlloc rewrites a whole
-// entry per allocation, and a pointer field would drag a Go write
-// barrier into that hot path (the reset pass's per-object frame stamp
-// lives in the separate oldFrames scratch table, allocated only when a
-// traditional collection actually runs).
+// Like setMeta and oldFrames it holds no Go pointer — frames are named by
+// their registry slot (vm.Frame.Index) — so the Go collector never scans
+// a handle-indexed table, OnAlloc's two whole-entry stores carry no write
+// barrier, and a pooled table pins nothing of the shard that filled it.
 type objMeta struct {
-	birthFrame uint64        // frame ID of the allocating method
 	birthDepth int32         // stack depth at allocation ("birth depth")
 	owner      int32         // allocating thread ID; -1 once shared
 	flags      uint8         // taint / shared bits
@@ -133,7 +131,7 @@ const (
 type setMeta struct {
 	head, tail heap.HandleID // object membership list (O(1) concat)
 	size       int32
-	frame      *vm.Frame     // dependent frame; the static frame pins forever
+	frame      int32         // dependent frame's registry slot; 0, the static frame, pins forever
 	prev, next heap.HandleID // neighbours on the frame's set list (roots)
 }
 
@@ -157,11 +155,10 @@ type CG struct {
 	meta []objMeta
 	sets []setMeta
 	// oldFrames is reset-pass scratch, indexed like meta: each live
-	// object's dependent frame stamped at BeginCycle, consumed by
-	// Reached/EndCycle. Kept out of objMeta so demographics runs (no
-	// forced collections) never allocate it and the per-alloc meta
-	// write stays barrier-free.
-	oldFrames []*vm.Frame
+	// object's dependent frame stamped at BeginCycle as registry slot + 1
+	// (0 = no stamp), consumed by Reached/EndCycle. Kept out of objMeta
+	// so demographics runs (no forced collections) never allocate it.
+	oldFrames []int32
 
 	// Recycled storage (§3.7), indexed by the arena's size-class ladder:
 	// extents are align8, so heap.SizeClass maps a freed object's extent
@@ -210,7 +207,7 @@ type CG struct {
 type tables struct {
 	meta      []objMeta
 	sets      []setMeta
-	oldFrames []*vm.Frame
+	oldFrames []int32
 	dsu       *unionfind.DSU
 	packed    *unionfind.Packed
 	msa       *msa.Collector
@@ -348,24 +345,18 @@ func (c *CG) Attach(rt *vm.Runtime) {
 }
 
 // detach implements the event table's Detach capability: the runtime is
-// replacing this collector, so its side tables go back to the pool. The
-// pointer-bearing tables are cleared through their full capacity first —
-// a pooled table must not pin a dead shard's frames against the Go GC.
-// The collector must not be queried (Stats, Snapshot, events) after
-// detach; its table fields are nilled so a violation fails loudly.
+// replacing this collector, so its side tables go back to the pool,
+// truncated: none holds a pointer, and heap.Grow zeroes what a later
+// cell uncovers. The collector must not be queried (Stats, Snapshot,
+// events) after detach; its table fields are nilled so a violation
+// fails loudly.
 func (c *CG) detach() {
 	t := c.tab
 	if t == nil {
 		return
 	}
 	c.tab = nil
-	t.meta = c.meta[:0]
-	sets := c.sets[:cap(c.sets)]
-	clear(sets)
-	t.sets = sets[:0]
-	of := c.oldFrames[:cap(c.oldFrames)]
-	clear(of)
-	t.oldFrames = of[:0]
+	t.meta, t.sets, t.oldFrames = c.meta[:0], c.sets[:0], c.oldFrames[:0]
 	// Recycle index: nil out the populated class entries (one cell's
 	// population means nothing to the next) and move each scratch slice
 	// to the shared spare pool, so a peak-size cell's scratch is
@@ -472,11 +463,15 @@ func (c *CG) resetElem(id heap.HandleID) {
 	}
 }
 
-// linkSet pushes set root onto its dependent frame's list (the frame's
-// GCHead word, §3.1.2).
-func (c *CG) linkSet(root heap.HandleID) {
+// frameOf returns the dependent frame of set root.
+func (c *CG) frameOf(root heap.HandleID) *vm.Frame {
+	return c.rt.FrameAt(c.sets[int(root)].frame)
+}
+
+// linkSet pushes set root onto the list of f, its dependent frame (the
+// frame's GCHead word, §3.1.2).
+func (c *CG) linkSet(root heap.HandleID, f *vm.Frame) {
 	s := &c.sets[int(root)]
-	f := s.frame
 	s.prev, s.next = heap.Nil, f.GCHead
 	if f.GCHead != heap.Nil {
 		c.sets[int(f.GCHead)].prev = root
@@ -490,7 +485,7 @@ func (c *CG) unlinkSet(root heap.HandleID) {
 	if s.prev != heap.Nil {
 		c.sets[int(s.prev)].next = s.next
 	} else {
-		s.frame.GCHead = s.next
+		c.rt.FrameAt(s.frame).GCHead = s.next
 	}
 	if s.next != heap.Nil {
 		c.sets[int(s.next)].prev = s.prev
@@ -501,8 +496,8 @@ func (c *CG) unlinkSet(root heap.HandleID) {
 // retarget moves set root to depend on frame nf, relinking frame lists.
 func (c *CG) retarget(root heap.HandleID, nf *vm.Frame) {
 	c.unlinkSet(root)
-	c.sets[int(root)].frame = nf
-	c.linkSet(root)
+	c.sets[int(root)].frame = nf.Index
+	c.linkSet(root, nf)
 }
 
 // older returns the older (smaller-ID, longer-lived) of two frames.
@@ -539,19 +534,15 @@ func (c *CG) OnAlloc(id heap.HandleID, f *vm.Frame) {
 	if f.Thread != nil {
 		owner = int32(f.Thread.ID)
 	}
-	c.meta[int(id)] = objMeta{
-		birthFrame: f.ID,
-		birthDepth: int32(f.Depth),
-		owner:      owner,
-	}
-	c.sets[int(id)] = setMeta{head: id, tail: id, size: 1, frame: f}
-	c.linkSet(id)
+	c.meta[int(id)] = objMeta{birthDepth: int32(f.Depth), owner: owner}
+	c.sets[int(id)] = setMeta{head: id, tail: id, size: 1, frame: f.Index}
+	c.linkSet(id, f)
 	c.stats.Created++
 }
 
 // isStatic reports whether set root is pinned to the static frame.
 func (c *CG) isStatic(root heap.HandleID) bool {
-	return c.sets[int(root)].frame.ID == 0
+	return c.sets[int(root)].frame == 0
 }
 
 // OnRef is the Ref slot: src now references dst, so the two
@@ -589,13 +580,14 @@ func (c *CG) contaminate(x, y heap.HandleID) {
 	root := c.union(rx, ry)
 	// Concatenate membership lists (O(1) via tail pointers).
 	c.meta[int(sx.tail)].next = sy.head
+	f := older(c.rt.FrameAt(sx.frame), c.rt.FrameAt(sy.frame))
 	c.sets[int(root)] = setMeta{
 		head:  sx.head,
 		tail:  sy.tail,
 		size:  sx.size + sy.size,
-		frame: older(sx.frame, sy.frame),
+		frame: f.Index,
 	}
-	c.linkSet(root)
+	c.linkSet(root, f)
 	c.stats.Unions++
 }
 
@@ -618,7 +610,7 @@ func (c *CG) OnStaticRef(dst heap.HandleID) {
 func (c *CG) OnReturn(val heap.HandleID, caller *vm.Frame) {
 	c.checkNotTainted(val, "areturn")
 	r := c.find(val)
-	if c.sets[int(r)].frame.ID > caller.ID {
+	if c.frameOf(r).ID > caller.ID {
 		c.retarget(r, caller)
 	}
 }
@@ -905,7 +897,7 @@ func (c *CG) beginCycle() {
 		for root := f.GCHead; root != heap.Nil; root = c.sets[int(root)].next {
 			s := &c.sets[int(root)]
 			for o := s.head; o != heap.Nil; o = c.meta[int(o)].next {
-				c.oldFrames[int(o)] = s.frame
+				c.oldFrames[int(o)] = s.frame + 1
 			}
 		}
 		f.GCHead = heap.Nil
@@ -922,11 +914,11 @@ func (c *CG) reached(id heap.HandleID, f *vm.Frame) {
 	switch {
 	case m.flags&fShared != 0:
 		nf = c.rt.StaticFrame() // sharing demotion is sticky (§3.3)
-	case !c.cfg.ResetOnGC && int(id) < len(c.oldFrames) && c.oldFrames[int(id)] != nil:
-		nf = c.oldFrames[int(id)] // preserve plain-CG conservativeness
+	case !c.cfg.ResetOnGC && int(id) < len(c.oldFrames) && c.oldFrames[int(id)] != 0:
+		nf = c.rt.FrameAt(c.oldFrames[int(id)] - 1) // preserve plain-CG conservativeness
 	}
-	c.sets[int(id)] = setMeta{head: id, tail: id, size: 1, frame: nf}
-	c.linkSet(id)
+	c.sets[int(id)] = setMeta{head: id, tail: id, size: 1, frame: nf.Index}
+	c.linkSet(id, nf)
 }
 
 // edge is the Edge slot: connected live objects re-contaminate, so
@@ -949,18 +941,18 @@ func (c *CG) endCycle(int) {
 		if int(id) >= len(c.oldFrames) {
 			return
 		}
-		old := c.oldFrames[int(id)]
-		if old == nil {
+		stamp := c.oldFrames[int(id)]
+		if stamp == 0 {
 			return
 		}
-		nf := c.sets[int(c.find(id))].frame
-		if nf.ID > old.ID {
+		old := c.rt.FrameAt(stamp - 1)
+		if c.frameOf(c.find(id)).ID > old.ID {
 			c.stats.LessLive++
 			if old.ID == 0 {
 				c.stats.FromStatic++
 			}
 		}
-		c.oldFrames[int(id)] = nil
+		c.oldFrames[int(id)] = 0
 	})
 }
 
@@ -1018,7 +1010,7 @@ func (c *CG) RecycledObjects() int {
 // DependentFrame reports the current dependent frame of a live object —
 // the observable the worked example (Fig 2.1/2.2) and the tests inspect.
 func (c *CG) DependentFrame(id heap.HandleID) *vm.Frame {
-	return c.sets[int(c.find(id))].frame
+	return c.frameOf(c.find(id))
 }
 
 // SetSize reports the size of id's equilive set.

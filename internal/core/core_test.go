@@ -286,13 +286,16 @@ func TestMonotoneAgeing(t *testing.T) {
 	rt, cg, node := newRT(t, checkedCfg(), 1<<20)
 	th := rt.NewThread(4)
 	// Handle IDs are reused after frees, so identify objects by
-	// (handle, birth sequence number): a changed birth means a new
-	// object occupies the slot and the history resets.
+	// (handle, incarnation): the test stamps each allocation, and a
+	// changed stamp means a new object occupies the slot and the
+	// history resets.
 	type ident struct {
 		dep   uint64
 		birth uint64
 	}
 	lastDep := make(map[heap.HandleID]ident)
+	incarnation := make(map[heap.HandleID]uint64)
+	var allocs uint64
 	var objs []heap.HandleID
 	checkAll := func() {
 		seen := make(map[heap.HandleID]bool)
@@ -305,7 +308,7 @@ func TestMonotoneAgeing(t *testing.T) {
 			seen[o] = true
 			out = append(out, o)
 			id := cg.DependentFrame(o).ID
-			birth := rt.Heap.Birth(o)
+			birth := incarnation[o]
 			if prev, ok := lastDep[o]; ok && prev.birth == birth && id > prev.dep {
 				t.Fatalf("object %d aged from frame %d to younger frame %d", o, prev.dep, id)
 			}
@@ -321,6 +324,8 @@ func TestMonotoneAgeing(t *testing.T) {
 			switch rng.Intn(6) {
 			case 0, 1:
 				o := f.MustNew(node)
+				allocs++
+				incarnation[o] = allocs
 				objs = append(objs, o)
 				f.SetLocal(rng.Intn(4), o)
 			case 2:

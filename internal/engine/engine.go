@@ -101,6 +101,8 @@ type Result struct {
 // throttle charges jobs by this value before they run.
 func ArenaBytes(job Job) (int, error) {
 	switch {
+	case job.HeapBytes > heap.MaxArenaBytes:
+		return 0, fmt.Errorf("engine: heap budget %d exceeds the largest arena, %d bytes", job.HeapBytes, heap.MaxArenaBytes)
 	case job.HeapBytes > 0:
 		return job.HeapBytes, nil
 	case job.HeapBytes == 0:

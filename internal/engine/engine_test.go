@@ -2,10 +2,13 @@ package engine
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/heap"
 	"repro/internal/workload"
 )
 
@@ -142,5 +145,26 @@ func TestRunEachConsumesEveryCellInIndexSlot(t *testing.T) {
 	}
 	if got[2].Err == nil {
 		t.Fatal("bad cell must carry its error")
+	}
+}
+
+// TestArenaBudgetAboveMaxIsAnError: a heap budget no int32 extent can
+// address is refused as the job's error — before any arena is built, so
+// neither a panic nor a silently truncated sweep address can follow.
+func TestArenaBudgetAboveMaxIsAnError(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("no int exceeds heap.MaxArenaBytes on a 32-bit host")
+	}
+	over := heap.MaxArenaBytes
+	over++
+	job := Job{Workload: "compress", Size: 1, Collector: "msa", HeapBytes: over}
+	if _, err := ArenaBytes(job); err == nil || !strings.Contains(err.Error(), "largest arena") {
+		t.Fatalf("ArenaBytes(%d) = %v, want the largest-arena error", over, err)
+	}
+	if r := Exec(job); r.Err == nil || strings.Contains(r.Err.Error(), "panicked") {
+		t.Fatalf("Exec above the limit: %v, want a plain error", r.Err)
+	}
+	if _, err := ArenaBytes(Job{Workload: "compress", Size: 1, Collector: "msa", HeapBytes: heap.MaxArenaBytes}); err != nil {
+		t.Fatalf("the limit itself must be admitted: %v", err)
 	}
 }

@@ -150,8 +150,8 @@ type Arena struct {
 
 // NewArena returns a slab arena spanning [0, size) bytes, entirely free.
 func NewArena(size int) *Arena {
-	if size <= 0 {
-		panic(fmt.Sprintf("heap: non-positive arena size %d", size))
+	if size <= 0 || size > MaxArenaBytes {
+		panic(fmt.Sprintf("heap: arena size %d outside (0, MaxArenaBytes]", size))
 	}
 	shift := uint(maxPageShift)
 	for shift > minPageShift && size>>shift < minPages {

@@ -32,6 +32,12 @@ const headerBytes = 8
 // sums) fit the int32 fields of the handle record.
 const maxSlab = 1<<31 - 1
 
+// MaxArenaBytes is the largest arena a heap can span: the handle record
+// and the sweep's free batches hold an object's address and size as
+// int32, so an extent must end at or below it. NewArena panics above it;
+// the engine and the CLIs refuse such a budget as an error first.
+const MaxArenaBytes = 1<<31 - 1
+
 // refBytes models one reference slot (handle index) in the object body.
 const refBytes = 4
 
@@ -54,16 +60,17 @@ func InstanceSize(c Class, extra int) int {
 // shared slab, not in a per-handle slice: the handle records only its
 // extent (offset, live length, capacity). refOff/refCap survive Free so
 // that a handle slot recycled through the free-ID path reuses its slab
-// extent — steady-state allocation touches no Go allocator.
+// extent — steady-state allocation touches no Go allocator. The record
+// is 28 pointer-free bytes (the thesis's handle is a pointer pair plus
+// CG's fields, §3.1.1): addr and size are int32 behind MaxArenaBytes.
 type handle struct {
 	class  ClassID
-	addr   int
-	size   int
+	addr   int32
+	size   int32
 	refOff int32 // base of this handle's extent in the ref slab
 	refLen int32 // live reference slots (current instance)
 	refCap int32 // extent capacity; kept across Free for reuse
 	live   bool
-	birth  uint64 // allocation sequence number
 }
 
 // Stats aggregates heap-level counters.
@@ -95,7 +102,6 @@ type Heap struct {
 	slab  []HandleID
 	arena *Arena
 	stats Stats
-	seq   uint64
 	// liveBits mirrors handle.live word-packed, maintained by
 	// Alloc/Free: bit i is set iff handles[i].live. The sweep phase
 	// consumes it directly — garbage in a 64-handle window is
@@ -212,13 +218,11 @@ func (h *Heap) Alloc(c ClassID, extra int) (HandleID, error) {
 		h.liveBits = Grow(h.liveBits, BitsetWords(n+1), BitsetWords(h.handleCap))
 		id = HandleID(n)
 	}
-	h.seq++
 	hd := &h.handles[int(id)]
 	hd.class = c
-	hd.addr = addr
-	hd.size = size
+	hd.addr = int32(addr)
+	hd.size = int32(size)
 	hd.live = true
-	hd.birth = h.seq
 	h.liveBits.Set(int(id))
 	h.bindRefs(hd, cls.Refs+extra)
 	h.stats.Allocs++
@@ -268,7 +272,7 @@ func (h *Heap) refs(hd *handle) []HandleID {
 // indicates a collector bug.
 func (h *Heap) Free(id HandleID) {
 	hd := h.h(id)
-	h.arena.Free(hd.addr, hd.size)
+	h.arena.Free(int(hd.addr), int(hd.size))
 	hd.live = false
 	hd.refLen = 0
 	h.liveBits.Clear(int(id))
@@ -290,12 +294,10 @@ func (h *Heap) Reinit(id HandleID, c ClassID, extra int) error {
 		return fmt.Errorf("heap: class %q is not an array class", cls.Name)
 	}
 	need := InstanceSize(cls, extra)
-	if need > hd.size {
+	if need > int(hd.size) {
 		return fmt.Errorf("heap: recycled extent of %d bytes too small for %d", hd.size, need)
 	}
-	h.seq++
 	hd.class = c
-	hd.birth = h.seq
 	h.bindRefs(hd, cls.Refs+extra)
 	h.stats.Allocs++
 	h.stats.BytesAlloc += uint64(need)
@@ -366,14 +368,11 @@ func (h *Heap) ResetMarks(b *Bitset) {
 }
 
 // SizeOf reports the arena footprint of a live object.
-func (h *Heap) SizeOf(id HandleID) int { return h.h(id).size }
+func (h *Heap) SizeOf(id HandleID) int { return int(h.h(id).size) }
 
 // AddrOf reports a live object's arena address (tests, fragmentation
 // studies).
-func (h *Heap) AddrOf(id HandleID) int { return h.h(id).addr }
-
-// Birth reports the allocation sequence number of a live object.
-func (h *Heap) Birth(id HandleID) uint64 { return h.h(id).birth }
+func (h *Heap) AddrOf(id HandleID) int { return int(h.h(id).addr) }
 
 // NumRefSlots reports how many reference slots a live object carries.
 func (h *Heap) NumRefSlots(id HandleID) int { return int(h.h(id).refLen) }
@@ -463,5 +462,4 @@ func (h *Heap) Reset() {
 	h.liveBits = full[:1]
 	h.slab = h.slab[:0]
 	h.stats = Stats{}
-	h.seq = 0
 }

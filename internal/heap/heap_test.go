@@ -313,12 +313,20 @@ func TestDanglingAccessPanics(t *testing.T) {
 	h.GetRef(a, 0)
 }
 
+// TestBirthOrder: the handle carries no allocation sequence number (a
+// caller that needs one stamps its own allocations); what the heap does
+// promise is that fresh slots are handed out in allocation order and a
+// freed slot is the next one reused.
 func TestBirthOrder(t *testing.T) {
 	h, node, _ := testHeap(t)
 	a, _ := h.Alloc(node, 0)
 	b, _ := h.Alloc(node, 0)
-	if !(h.Birth(a) < h.Birth(b)) {
-		t.Fatal("birth sequence not monotone")
+	if !(a < b) {
+		t.Fatalf("fresh handles not in allocation order: %d then %d", a, b)
+	}
+	h.Free(a)
+	if c, _ := h.Alloc(node, 0); c != a {
+		t.Fatalf("freed slot %d not reused first: got %d", a, c)
 	}
 }
 

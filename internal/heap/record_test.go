@@ -1,0 +1,58 @@
+package heap
+
+import (
+	"reflect"
+	"strconv"
+	"testing"
+	"unsafe"
+)
+
+// TestHandleRecordIsSmallAndPointerFree pins the handle record: at most
+// 32 bytes, and no field the Go collector would have to scan — the
+// handle table is the largest table a cell owns.
+func TestHandleRecordIsSmallAndPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(handle{}); n > 32 {
+		t.Errorf("handle is %d bytes, budget is 32", n)
+	}
+	if hasPointers(reflect.TypeOf(handle{})) {
+		t.Error("handle holds a pointer")
+	}
+	if hasPointers(reflect.TypeOf(freeEnt{})) {
+		t.Error("freeEnt holds a pointer")
+	}
+}
+
+// hasPointers reports whether a value of type t contains anything the
+// Go collector scans.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return true
+	}
+	return false
+}
+
+// TestArenaAboveMaxPanics: past MaxArenaBytes an extent end no longer
+// fits the handle's int32 addr/size, so such an arena is never built.
+func TestArenaAboveMaxPanics(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("no int exceeds MaxArenaBytes on a 32-bit host")
+	}
+	over := MaxArenaBytes
+	over++
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewArena above MaxArenaBytes must panic")
+		}
+	}()
+	NewArena(over)
+}

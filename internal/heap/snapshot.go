@@ -92,10 +92,10 @@ func (s *Snapshot) RefSlots(id HandleID) []HandleID {
 // SizeOf reports the captured arena footprint of a snapshot-live
 // object (the parallel sweep reads extents from the snapshot view so
 // its batch phase touches no mutator-written record).
-func (s *Snapshot) SizeOf(id HandleID) int { return s.handles[int(id)].size }
+func (s *Snapshot) SizeOf(id HandleID) int { return int(s.handles[int(id)].size) }
 
 // AddrOf reports the captured arena address of a snapshot-live object.
-func (s *Snapshot) AddrOf(id HandleID) int { return s.handles[int(id)].addr }
+func (s *Snapshot) AddrOf(id HandleID) int { return int(s.handles[int(id)].addr) }
 
 // RefAtomic reads element i of a RefSlots window with an atomic load —
 // the tracer-side half of the SetRefEpoch synchronisation.

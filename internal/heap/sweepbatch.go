@@ -78,7 +78,7 @@ func (h *Heap) CollectGarbageRange(live, mark Bitset, loWord, hiWord int, b *Fre
 			hd := &h.handles[int(id)]
 			hd.live = false
 			hd.refLen = 0
-			b.entries = append(b.entries, freeEnt{id: id, addr: int32(hd.addr), size: int32(hd.size)})
+			b.entries = append(b.entries, freeEnt{id: id, addr: hd.addr, size: hd.size})
 			b.freedBytes += uint64(hd.size)
 		}
 	}

@@ -45,6 +45,10 @@ type Frame struct {
 	// with a reference to a list of its dependent equilive blocks",
 	// §3.1.2). The runtime only resets it when the frame is created.
 	GCHead heap.HandleID
+	// Index is this record's slot in the runtime's frame registry:
+	// rt.FrameAt(f.Index) == f until Reset, across pool reuse, so a
+	// collector names a frame in 4 pointer-free bytes. Static frame = 0.
+	Index int32
 
 	locals []heap.HandleID
 	// operands are JNI-style local references: every handle the runtime
@@ -101,9 +105,12 @@ type Runtime struct {
 	// hash table are essentially static").
 	internedRoots []heap.HandleID
 	staticFrame   *Frame
-	frameSeq      uint64
-	instr         uint64
-	gcCycles      int
+	// frames is the frame registry: every Frame record created since New
+	// or Reset, at its Index (it grows only with the deepest stack).
+	frames   []*Frame
+	frameSeq uint64
+	instr    uint64
+	gcCycles int
 
 	// timeline records each collection cycle's phase breakdown (pause /
 	// mark / sweep nanoseconds, worker count, object counts). Embedded —
@@ -196,6 +203,7 @@ func New(h *heap.Heap, c Collector) *Runtime {
 		interned:    make(map[string]heap.HandleID),
 	}
 	rt.staticFrame = &Frame{ID: 0, Depth: 0, rt: rt}
+	rt.frames = []*Frame{rt.staticFrame}
 	rt.Attach(c.Events())
 	return rt
 }
@@ -268,6 +276,8 @@ func (rt *Runtime) Reset(c Collector) {
 	clear(rt.interned)
 	rt.internedRoots = rt.internedRoots[:0]
 	*rt.staticFrame = Frame{ID: 0, Depth: 0, rt: rt}
+	clear(rt.frames[1:]) // the dropped threads' pools held these records
+	rt.frames = rt.frames[:1]
 	rt.frameSeq = 0
 	rt.instr = 0
 	rt.gcCycles = 0
@@ -282,6 +292,9 @@ func (rt *Runtime) Reset(c Collector) {
 
 // StaticFrame returns the immortal pseudo-frame 0.
 func (rt *Runtime) StaticFrame() *Frame { return rt.staticFrame }
+
+// FrameAt returns the frame record registered at slot i (Frame.Index).
+func (rt *Runtime) FrameAt(i int32) *Frame { return rt.frames[i] }
 
 // Instr reports the number of runtime operations executed so far.
 func (rt *Runtime) Instr() uint64 { return rt.instr }
@@ -553,9 +566,11 @@ func (t *Thread) push(nlocals int) *Frame {
 	} else {
 		f = &Frame{
 			Thread: t,
+			Index:  int32(len(t.rt.frames)),
 			locals: make([]heap.HandleID, nlocals),
 			rt:     t.rt,
 		}
+		t.rt.frames = append(t.rt.frames, f)
 	}
 	f.ID = t.rt.frameSeq
 	f.Depth = len(t.stack) + 1
@@ -761,7 +776,7 @@ func (f *Frame) alloc(c heap.ClassID, extra int) (heap.HandleID, error) {
 		rt.forceCollect()
 		id, err = rt.Heap.Alloc(c, extra)
 		if err != nil {
-			return heap.Nil, fmt.Errorf("vm: heap exhausted after full collection: %w", err)
+			return heap.Nil, rt.exhausted(c, extra, err)
 		}
 	}
 	if rt.onAlloc != nil {
@@ -772,6 +787,16 @@ func (f *Frame) alloc(c heap.ClassID, extra int) (heap.HandleID, error) {
 	}
 	f.addOperand(id)
 	return id, nil
+}
+
+// exhausted describes an allocation refused after a full collection:
+// what was asked for and how full the arena was, so a fragmentation
+// failure (refused at 43 % occupancy) reads unlike a heap too small.
+func (rt *Runtime) exhausted(c heap.ClassID, extra int, err error) error {
+	in := rt.Heap.Arena().Info()
+	return fmt.Errorf("vm: heap exhausted after full collection: refused %d B at %d %% occupancy (alloc %d / heap %d / capacity %d): %w",
+		heap.InstanceSize(rt.Heap.ClassDef(c), extra), 100*in.AllocBytes/in.Capacity,
+		in.AllocBytes, in.HeapBytes, in.Capacity, err)
 }
 
 // MustNew is New for workloads whose heap budget is known sufficient.

@@ -1,6 +1,9 @@
 package vm
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/heap"
@@ -243,9 +246,78 @@ func TestAllocTriggersCollectOnExhaustion(t *testing.T) {
 	if !rt.Heap.Live(c) {
 		t.Fatal("retried allocation not live")
 	}
-	// Now exhaust with no victims: hard OOM error.
-	if _, err := f.New(node); err == nil {
+	// Now exhaust with no victims: hard OOM error, which says what was
+	// refused and how full the arena was (Arena.Info at the failure).
+	_, err = f.New(node)
+	if err == nil {
 		t.Fatal("expected hard OOM")
+	}
+	if !errors.Is(err, heap.ErrOutOfMemory) {
+		t.Errorf("hard OOM %q does not wrap heap.ErrOutOfMemory", err)
+	}
+	in := h.Arena().Info()
+	want := fmt.Sprintf("vm: heap exhausted after full collection: refused %d B at %d %% occupancy (alloc %d / heap %d / capacity %d): ",
+		rt.Heap.SizeOf(c), 100*in.AllocBytes/in.Capacity, in.AllocBytes, in.HeapBytes, in.Capacity)
+	if !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("hard OOM reads %q, want prefix %q", err, want)
+	}
+}
+
+// TestFrameRegistry: every frame record has a slot FrameAt resolves back
+// to it, a pooled record keeps its slot across activations (so a slot
+// names one record for the life of a cell), and Reset leaves the static
+// frame alone in slot 0.
+func TestFrameRegistry(t *testing.T) {
+	rt, _, _ := newTestRT(None(), 1<<16)
+	if s := rt.StaticFrame(); s.Index != 0 || rt.FrameAt(0) != s {
+		t.Fatalf("static frame is slot %d, FrameAt(0) = %p, want slot 0 = %p", s.Index, rt.FrameAt(0), s)
+	}
+	checkLive := func() {
+		t.Helper()
+		seen := map[int32]bool{}
+		rt.EachFrame(func(f *Frame) {
+			if rt.FrameAt(f.Index) != f {
+				t.Errorf("FrameAt(%d) is not frame %d's record", f.Index, f.ID)
+			}
+			if seen[f.Index] {
+				t.Errorf("slot %d names two live frames", f.Index)
+			}
+			seen[f.Index] = true
+		})
+	}
+	a, b := rt.NewThread(0), rt.NewThread(0)
+	var first [3]*Frame
+	var nest func(th *Thread, d int, visit func(d int, f *Frame))
+	nest = func(th *Thread, d int, visit func(d int, f *Frame)) {
+		if d == len(first) {
+			checkLive()
+			return
+		}
+		th.CallVoid(1, func(f *Frame) {
+			visit(d, f)
+			nest(th, d+1, visit)
+		})
+	}
+	nest(a, 0, func(d int, f *Frame) { first[d] = f })
+	b.CallVoid(0, func(*Frame) { checkLive() })
+	// The same depths again: thread a's pool hands back the same records
+	// under new frame IDs, each still in the slot it was registered at.
+	nest(a, 0, func(d int, f *Frame) {
+		if f != first[d] || f.ID == 0 || rt.FrameAt(f.Index) != f {
+			t.Errorf("depth %d: reused record %p (slot %d), first activation used %p (slot %d)",
+				d, f, f.Index, first[d], first[d].Index)
+		}
+	})
+	if n := len(rt.frames); n != 1+2+len(first)+1 {
+		t.Errorf("registry holds %d records, want static + 2 roots + %d + 1 callees", n, len(first))
+	}
+
+	rt.Reset(None())
+	if len(rt.frames) != 1 || rt.FrameAt(0) != rt.StaticFrame() || rt.StaticFrame().Index != 0 {
+		t.Fatalf("after Reset the registry holds %d records, want the static frame alone in slot 0", len(rt.frames))
+	}
+	if f := rt.NewThread(0).Top(); f.Index != 1 || rt.FrameAt(1) != f {
+		t.Errorf("first frame after Reset is slot %d, want 1", f.Index)
 	}
 }
 
