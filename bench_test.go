@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"fmt"
+	"io"
 	"strconv"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/results"
 	"repro/internal/workload"
 )
 
@@ -158,6 +161,64 @@ func BenchmarkWorkload(b *testing.B) {
 			}
 		}
 	}
+}
+
+// ledgerPrograms × ledgerCollectors is bench/'s collector matrix
+// (matrixPrograms × matrixCollectors in bench/setup.go; jess is left
+// out as the ledger leaves it out, ROADMAP item 0).
+var (
+	ledgerPrograms   = []string{"compress", "raytrace", "db", "javac", "mpegaudio", "mtrt", "jack"}
+	ledgerCollectors = []string{"cg", "cg+recycle", "msa", "gen"}
+)
+
+// BenchmarkLedgerCells is the traffic the shipped binaries serve, and
+// what cmd/*/default.pgo is a CPU profile of (pgo.sh records it; DESIGN.md
+// §5 "Profile-guided builds"). One iteration is the 28 matrix cells,
+// each cold at its tight heap as a `cgrun -workload P -size 100
+// -collector C` process runs it, then one full default demographic
+// sweep through a one-worker engine and results.Local, as `cgsweep
+// -workers 1` runs it: plan, shard pool, tapes, extract, render. A cell
+// that fails is reported and the rest still run, so a profile is never
+// recorded from a run that stopped half way without saying so.
+func BenchmarkLedgerCells(b *testing.B) {
+	figs, err := experiments.DemographicFigs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		for _, p := range ledgerPrograms {
+			for _, c := range ledgerCollectors {
+				if err := ledgerCell(p, c); err != nil {
+					b.Errorf("%s/100 under %s: %v", p, c, err)
+				}
+			}
+		}
+		if err := experiments.Sweep(results.Local{Eng: engine.New(1)}, figs, io.Discard); err != nil {
+			b.Error(err)
+		}
+	}
+}
+
+// ledgerCell runs one matrix cell the way cmd/cgrun's runOne does; a
+// panic inside the run (heap exhaustion is one) comes back as an error.
+func ledgerCell(program, collector string) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panicked: %v", r)
+		}
+	}()
+	spec, err := workload.ByName(program)
+	if err != nil {
+		return err
+	}
+	mk, err := collectors.Parse(collector)
+	if err != nil {
+		return err
+	}
+	rt := NewRuntime(NewHeap(spec.HeapBytes(100)), mk())
+	spec.Run(rt, 100)
+	rt.Quiesce()
+	return nil
 }
 
 // BenchmarkWorkloadPooled is the pooled-path counterpart of

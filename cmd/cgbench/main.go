@@ -43,6 +43,12 @@
 // DESIGN.md §8). BENCH_seed_arena.json is the committed capture:
 //
 //	cgbench -bench /tmp/a.json -bench-arena -baseline BENCH_seed_arena.json
+//
+// cgbench takes no CPU profile: testing.Benchmark needs testing.Init,
+// which registers -test.cpuprofile and its siblings, but no testing.M
+// runs to honour them. To profile the cells the binaries serve — and to
+// regenerate the cmd/*/default.pgo the builds are guided by — run
+// pgo.sh at the repository root (DESIGN.md §5 "Profile-guided builds").
 package main
 
 import (
@@ -65,6 +71,22 @@ import (
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
+
+// printOwnFlags is fs's usage message without the -test.* flags
+// testing.Init registered: nothing reads them here, and 33 of them bury
+// cgbench's own 20.
+func printOwnFlags(fs *flag.FlagSet) {
+	own := flag.NewFlagSet(fs.Name(), flag.ContinueOnError)
+	own.SetOutput(fs.Output())
+	fs.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			own.Var(f.Value, f.Name, f.Usage)
+			own.Lookup(f.Name).DefValue = f.DefValue
+		}
+	})
+	fmt.Fprintf(own.Output(), "Usage of %s:\n", own.Name())
+	own.PrintDefaults()
+}
 
 func main() {
 	fig := flag.String("fig", "", "regenerate a single figure (e.g. 4.1, 4.5, A.2)")
@@ -91,12 +113,13 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline report to compare the -bench run against")
 	warnPct := flag.Float64("warn-pct", 15, "ns/op regression percentage that triggers a warning under -baseline")
 	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 = min(GOMAXPROCS, 8), 1 = sequential); output is identical for every value")
+		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
 	traceMinLive := flag.Int("trace-min-live", 0,
 		"live-object threshold below which a cycle is traced sequentially (0 = default)")
 	overlap := flag.Bool("overlap", false,
 		"overlap hook-free collection cycles with the mutator (snapshot-at-the-beginning tracing); output is identical either way")
 	testing.Init()
+	flag.Usage = func() { printOwnFlags(flag.CommandLine) }
 	flag.Parse()
 	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 

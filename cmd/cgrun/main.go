@@ -73,7 +73,7 @@ func main() {
 	record := flag.String("record", "", "record the run's event tape to this file (exactly one collector)")
 	replay := flag.String("replay", "", "replay a recorded event tape instead of driving a program")
 	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 = min(GOMAXPROCS, 8), 1 = sequential); output is identical for every value")
+		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
 	traceMinLive := flag.Int("trace-min-live", 0,
 		"live-object threshold below which a cycle is traced sequentially (0 = default)")
 	overlap := flag.Bool("overlap", false,
@@ -119,9 +119,7 @@ func main() {
 	reports := make([]report, len(specs))
 	eng := engine.New(*workers)
 	// Shards are built directly (not via engine.Exec), so the trace
-	// configuration — including the engine's occupancy-saturation
-	// decision — is applied here for collectors that take one.
-	traceCfg.OccupancySaturated = eng.Trace().OccupancySaturated
+	// configuration is applied here for collectors that take one.
 	eng.Do(len(specs), func(i int) {
 		ev := factories[i]()
 		ev.GCEvery = *gcEvery

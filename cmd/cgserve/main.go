@@ -51,7 +51,7 @@ func main() {
 		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent cell executions (0 = engine worker count)")
 	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 = automatic, 1 = sequential); output is identical for every value")
+		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
 	traceMinLive := flag.Int("trace-min-live", 0,
 		"live-object threshold below which a cycle is traced sequentially (0 = default)")
 	overlap := flag.Bool("overlap", false,

@@ -73,7 +73,7 @@ func main() {
 	storeDir := flag.String("store", "", "results store directory; completed cells are persisted and resumed")
 	workerCmd := flag.String("worker", "", "cgworker binary for -procs (default: beside cgsweep, then $PATH)")
 	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles, forwarded to -procs children (0 = min(GOMAXPROCS, 8), 1 = sequential; pass 1 when the sweep already saturates the cores); output is identical for every value")
+		"parallel-trace worker count for hook-free collection cycles, forwarded to -procs children (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
 	traceMinLive := flag.Int("trace-min-live", 0,
 		"live-object threshold below which a cycle is traced sequentially (0 = default)")
 	maxHeap := flag.String("max-heap-bytes", "0",

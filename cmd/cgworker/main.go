@@ -35,7 +35,7 @@ func main() {
 	maxHeap := flag.String("max-heap-bytes", "0",
 		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
 	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 = min(GOMAXPROCS, 8), 1 = sequential); output is identical for every value")
+		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
 	traceMinLive := flag.Int("trace-min-live", 0,
 		"live-object threshold below which a cycle is traced sequentially (0 = default)")
 	debugAddr := flag.String("debug-addr", "",

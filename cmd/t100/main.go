@@ -37,7 +37,7 @@ func main() {
 	repeats := flag.Int("repeats", 1, "averaging repeats per cell")
 	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
 	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 = min(GOMAXPROCS, 8), 1 = sequential); output is identical for every value")
+		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
 	traceMinLive := flag.Int("trace-min-live", 0,
 		"live-object threshold below which a cycle is traced sequentially (0 = default)")
 	maxHeap := flag.String("max-heap-bytes", "0",

@@ -22,7 +22,6 @@ package engine
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -267,34 +266,13 @@ type Engine struct {
 	progress *obs.Progress // nil unless a debug surface is watching
 }
 
-// occupancyOnce gates the one-time saturation notice New prints when
-// sweep workers already cover every CPU.
-var occupancyOnce sync.Once
-
 // New returns an engine with the given worker count; workers <= 0
-// selects GOMAXPROCS (saturate the hardware). When the chosen worker
-// count saturates GOMAXPROCS, the engine's trace configuration marks
-// occupancy as saturated so msa-style collectors stop defaulting to
-// parallel tracing inside each shard — every CPU is already running a
-// sweep worker, so intra-shard trace goroutines would only contend —
-// and New logs the downgrade once. An explicit -trace-workers setting
-// (SetTrace with Workers > 0) still wins. The saturation decision is
-// per-engine state, not the deprecated process global: two engines
-// with different worker counts in one process get independent
-// defaults.
+// selects GOMAXPROCS (saturate the hardware).
 func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{workers: workers, pool: newShardPool(workers), tapes: newTapeCache()}
-	if workers >= runtime.GOMAXPROCS(0) {
-		e.trace.OccupancySaturated = true
-		occupancyOnce.Do(func() {
-			fmt.Fprintf(os.Stderr, "engine: %d sweep workers saturate GOMAXPROCS=%d; msa trace-workers default to 1 per shard\n",
-				workers, runtime.GOMAXPROCS(0))
-		})
-	}
-	return e
+	return &Engine{workers: workers, pool: newShardPool(workers), tapes: newTapeCache()}
 }
 
 // Workers reports the pool size.
@@ -302,16 +280,11 @@ func (e *Engine) Workers() int { return e.workers }
 
 // SetTrace sets the trace configuration handed to every collector this
 // engine constructs (workers, min-live gate, overlapped collection)
-// and returns e for chaining. The engine's own occupancy-saturation
-// decision from New is preserved unless cfg asserts its own.
+// and returns e for chaining.
 func (e *Engine) SetTrace(cfg msa.TraceConfig) *Engine {
-	cfg.OccupancySaturated = cfg.OccupancySaturated || e.trace.OccupancySaturated
 	e.trace = cfg
 	return e
 }
-
-// Trace reports the engine's current trace configuration.
-func (e *Engine) Trace() msa.TraceConfig { return e.trace }
 
 // SetProgress attaches live per-worker utilization reporting (nil
 // detaches it) and returns e for chaining. Updates happen only at job

@@ -75,13 +75,11 @@ type Collector struct {
 	parts   []vm.RootGroup
 	workers []*traceScratch
 	// traceWorkers/traceMinLive override the package-level parallel
-	// tracing defaults when non-zero; overlapOn/occSaturated are the
-	// per-engine overlap admission and core-occupancy bits
-	// (SetTraceConfig).
+	// tracing defaults when non-zero; overlapOn is the per-engine
+	// overlap admission bit (SetTraceConfig).
 	traceWorkers int
 	traceMinLive int
 	overlapOn    bool
-	occSaturated bool
 
 	// Overlapped-cycle scratch (overlap.go): the pooled heap snapshot,
 	// the flat root-value copy with its group spans, the in-flight
@@ -113,7 +111,7 @@ func (m *Collector) Reattach(rt *vm.Runtime) {
 	// engine must behave like a fresh one, not like whichever previous
 	// user tuned it last.
 	m.traceWorkers, m.traceMinLive = 0, 0
-	m.overlapOn, m.occSaturated = false, false
+	m.overlapOn = false
 	parts := m.parts[:cap(m.parts)]
 	clear(parts)
 	m.parts = parts[:0]

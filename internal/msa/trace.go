@@ -2,7 +2,6 @@ package msa
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"repro/internal/heap"
@@ -65,27 +64,19 @@ import (
 // they spread out). One popcount pass over the live bitmap decides.
 const DefaultTraceMinLive = 1 << 15
 
-// maxTraceWorkers caps the worker pool: tracing is memory-bound, and
-// every worker re-traces the subgraph shared with other workers'
-// partitions, so wide pools pay duplicated work for diminishing wins.
-// The GOMAXPROCS-derived default assumes the cycle has the machine to
-// itself (cgrun, a single timing cell); an engine sweep already
-// saturating its cores with shards should pass -trace-workers 1 —
-// the duplicated tracing then has no idle cores to hide on, which is
-// what TraceConfig.OccupancySaturated automates.
-const maxTraceWorkers = 8
-
 // TraceConfig is the tracing configuration, scoped to one Collector
 // (and so to one engine's shards). There is deliberately no
-// process-global equivalent — the former SetDefaultTrace /
-// SetTraceOccupancySaturated shims let two engines in one process race
-// on trace settings, and every path (CLI flags included) now threads a
-// TraceConfig instead. Zero fields keep the built-in default for that
-// knob, so the zero TraceConfig is "inherit everything".
+// process-global equivalent — the former package-level setters let two
+// engines in one process race on trace settings, and every path (CLI
+// flags included) now threads a TraceConfig instead. Zero fields keep
+// the built-in default for that knob, so the zero TraceConfig is
+// "inherit everything".
 type TraceConfig struct {
-	// Workers is the trace pool size: 1 disables parallel tracing, 0
-	// selects the automatic default (min(GOMAXPROCS, 8), or 1 under
-	// occupancy saturation).
+	// Workers is the trace pool size. 0 and 1 trace sequentially: every
+	// worker re-traces the subgraph it shares with the other workers'
+	// root groups, and on the one host this was measured on (2 CPUs,
+	// DESIGN.md §7) two workers lost to one by a quarter or more. N > 1
+	// opts in and is honoured as given.
 	Workers int
 	// MinLive is the live-object admission gate for parallel tracing
 	// and overlapped cycles; 0 inherits DefaultTraceMinLive.
@@ -93,11 +84,6 @@ type TraceConfig struct {
 	// Overlap admits overlapped (snapshot-epoch) collection for
 	// hook-free cycles that also clear the MinLive gate.
 	Overlap bool
-	// OccupancySaturated tells automatic worker resolution that sweep
-	// workers already occupy every core (the engine sets it when its
-	// worker count reaches GOMAXPROCS); an explicit Workers choice
-	// still wins.
-	OccupancySaturated bool
 }
 
 // SetTraceConfig applies a per-engine tracing configuration,
@@ -107,7 +93,6 @@ func (m *Collector) SetTraceConfig(c TraceConfig) {
 	m.traceWorkers = c.Workers
 	m.traceMinLive = c.MinLive
 	m.overlapOn = c.Overlap
-	m.occSaturated = c.OccupancySaturated
 }
 
 // SetTrace overrides the automatic defaults for this collector only (0
@@ -121,20 +106,7 @@ func (m *Collector) SetTrace(workers, minLive int) {
 // resolveWorkers resolves the configured trace pool size (>= 1)
 // without consulting the admission gate.
 func (m *Collector) resolveWorkers() int {
-	w := m.traceWorkers
-	if w == 0 {
-		if m.occSaturated {
-			return 1
-		}
-		w = runtime.GOMAXPROCS(0)
-		if w > maxTraceWorkers {
-			w = maxTraceWorkers
-		}
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
+	return max(m.traceWorkers, 1)
 }
 
 // resolveMinLive resolves the live-object admission gate.
