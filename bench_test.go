@@ -217,7 +217,6 @@ func ledgerCell(program, collector string) (err error) {
 	}
 	rt := NewRuntime(NewHeap(spec.HeapBytes(100)), mk())
 	spec.Run(rt, 100)
-	rt.Quiesce()
 	return nil
 }
 

@@ -65,8 +65,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/heap"
-	"repro/internal/msa"
-	"repro/internal/obs"
 	"repro/internal/table"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -74,7 +72,7 @@ import (
 
 // printOwnFlags is fs's usage message without the -test.* flags
 // testing.Init registered: nothing reads them here, and 33 of them bury
-// cgbench's own 20.
+// cgbench's own 16.
 func printOwnFlags(fs *flag.FlagSet) {
 	own := flag.NewFlagSet(fs.Name(), flag.ContinueOnError)
 	own.SetOutput(fs.Output())
@@ -108,20 +106,11 @@ func main() {
 		"with -bench, time the arena alloc/free/churn micro-benchmark family (slab arena vs the first-fit reference model) instead of the Workload family")
 	benchTape := flag.Bool("bench-tape", false,
 		"with -bench, time the event-tape family instead: each cell driven normally, driven while recording, and replayed from its tape (drive/record/replay variants; DESIGN.md §12)")
-	benchOverlap := flag.Bool("bench-overlap", false,
-		"with -bench, time the pause-focused family instead: the cycle-heavy -bench-gc-every cells through the pooled engine, reporting p95/max stop-the-world pause from the cycle timelines alongside ns/op (pair with -overlap to measure the overlapped schedule)")
 	baseline := flag.String("baseline", "", "baseline report to compare the -bench run against")
 	warnPct := flag.Float64("warn-pct", 15, "ns/op regression percentage that triggers a warning under -baseline")
-	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
-	traceMinLive := flag.Int("trace-min-live", 0,
-		"live-object threshold below which a cycle is traced sequentially (0 = default)")
-	overlap := flag.Bool("overlap", false,
-		"overlap hook-free collection cycles with the mutator (snapshot-at-the-beginning tracing); output is identical either way")
 	testing.Init()
 	flag.Usage = func() { printOwnFlags(flag.CommandLine) }
 	flag.Parse()
-	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 
 	if *benchOut != "" {
 		cfg := benchConfig{
@@ -134,14 +123,10 @@ func main() {
 			pooled:    *pooled,
 			baseline:  *baseline,
 			warnPct:   *warnPct,
-			trace:     traceCfg,
 		}
 		run := runBenchMode
 		if *benchArena {
 			run = runArenaBenchMode
-		}
-		if *benchOverlap {
-			run = runOverlapBenchMode
 		}
 		if *benchTape {
 			run = runTapeBenchMode
@@ -158,7 +143,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cgbench:", err)
 		os.Exit(2)
 	}
-	eng := timingEngine(*workers, heapCap, traceCfg)
+	eng := timingEngine(*workers, heapCap)
 
 	// timed renders a wall-clock figure: one failed cell fails the
 	// figure with its one "sweep <id>: ..." line.
@@ -228,15 +213,14 @@ type benchConfig struct {
 	pooled    bool
 	baseline  string
 	warnPct   float64
-	trace     msa.TraceConfig
 }
 
 // timingEngine builds the engine behind the figures. The wall-clock
 // ones (4.7, 4.8, 4.10, 4.12, A.5–A.7) print Result.Elapsed as the time
 // a program takes under a collector, so no cell may be served by
 // replaying a tape: the cache is off, and every cell drives.
-func timingEngine(workers int, heapCap int64, trace msa.TraceConfig) *engine.Engine {
-	return engine.New(workers).SetMaxHeapBytes(heapCap).SetTrace(trace).SetTapeCache(false)
+func timingEngine(workers int, heapCap int64) *engine.Engine {
+	return engine.New(workers).SetMaxHeapBytes(heapCap).SetTapeCache(false)
 }
 
 // runBenchMode times one run of every (workload, collector, size) cell
@@ -322,7 +306,7 @@ func runBenchMode(cfg benchConfig) error {
 	}
 	// One single-worker engine for the whole pooled family: its shard
 	// pool is what turns per-iteration construction into Reset.
-	eng := engine.New(1).SetTrace(cfg.trace)
+	eng := engine.New(1)
 	report := benchfmt.NewReport(cfg.benchTime)
 	for _, spec := range wls {
 		for _, col := range strings.Split(cfg.colsCSV, ",") {
@@ -364,12 +348,8 @@ func runBenchMode(cfg benchConfig) error {
 							for i := 0; i < b.N; i++ {
 								ev := mk()
 								ev.GCEvery = gc
-								if c, ok := ev.Collector.(interface{ SetTraceConfig(msa.TraceConfig) }); ok {
-									c.SetTraceConfig(cfg.trace)
-								}
 								rt := vm.New(heap.New(spec.HeapBytes(size)), ev)
 								spec.Run(rt, size)
-								rt.Quiesce()
 							}
 						})
 					}
@@ -396,140 +376,4 @@ func runBenchMode(cfg benchConfig) error {
 	}
 	fmt.Fprintf(os.Stderr, "cgbench: wrote %d benchmarks to %s\n", len(report.Benchmarks), cfg.out)
 	return warnAgainstBaseline(cfg, report)
-}
-
-// runOverlapBenchMode times the cycle-heavy /gcN cells (the
-// -bench-gc-every grid) through the pooled engine and reports the
-// stop-the-world pause distribution of the cycle timelines alongside
-// ns/op: p95 and max pause per cell, merged over every timed
-// iteration. Recorded with overlap off this is the stop-the-world
-// baseline committed as BENCH_seed_overlap.json; with -overlap the
-// same cells run the snapshot-at-the-beginning schedule, so the
-// baseline comparison's pause lines are the measured overlap win (or
-// loss). Pause durations are wall-clock and vary run to run; like
-// every other cgbench gate, the baseline step warns and never fails.
-func runOverlapBenchMode(cfg benchConfig) error {
-	if err := setBenchTime(cfg.benchTime); err != nil {
-		return err
-	}
-	gc := cfg.gcEvery
-	if gc == 0 {
-		// The family exists to measure collection cycles; without an
-		// explicit -bench-gc-every, force one every 2000 ops so cells
-		// spend their time in the cycle path rather than the mutator.
-		gc = 2000
-	}
-	var sizes []int
-	for _, s := range strings.Split(cfg.sizesCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -bench-sizes entry %q", s)
-		}
-		sizes = append(sizes, n)
-	}
-	wls := workload.All()
-	if cfg.wlsCSV != "" {
-		var picked []workload.Spec
-		for _, name := range strings.Split(cfg.wlsCSV, ",") {
-			spec, err := workload.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			picked = append(picked, spec)
-		}
-		wls = picked
-	}
-	// One single-worker engine: the pooled Reset steady state, with the
-	// run's trace configuration (including -overlap) applied per job.
-	eng := engine.New(1).SetTrace(cfg.trace)
-	report := benchfmt.NewReport(cfg.benchTime)
-	for _, spec := range wls {
-		for _, col := range strings.Split(cfg.colsCSV, ",") {
-			col = strings.TrimSpace(col)
-			if _, err := collectors.Parse(col); err != nil {
-				return err
-			}
-			for _, size := range sizes {
-				job := engine.Job{
-					Workload:  spec.Name,
-					Size:      size,
-					Collector: col,
-					HeapBytes: engine.TightHeap,
-					GCEvery:   gc,
-				}
-				var cycles obs.CycleStats
-				var runErr error
-				collect := func(r engine.Result) {
-					if r.Err != nil {
-						runErr = r.Err
-						return
-					}
-					cs := r.RT.Timeline().Stats()
-					cycles.Merge(&cs)
-				}
-				// Warm the shard pool; the warmup's cycles are not
-				// part of the measured distribution.
-				eng.ExecRelease(job, func(r engine.Result) {
-					if r.Err != nil {
-						runErr = r.Err
-					}
-				})
-				if runErr != nil {
-					return runErr
-				}
-				r := testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						eng.ExecRelease(job, collect)
-					}
-				})
-				if runErr != nil {
-					return runErr
-				}
-				name := fmt.Sprintf("Pause/%s/%s/size%d/gc%d", spec.Name, col, size, gc)
-				p95 := cycles.Pause.Quantile(0.95)
-				entry := benchfmt.Entry{
-					Name:        name,
-					Iters:       r.N,
-					NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-					BytesPerOp:  r.AllocedBytesPerOp(),
-					AllocsPerOp: r.AllocsPerOp(),
-					P95PauseNS:  int64(p95),
-					MaxPauseNS:  cycles.MaxPauseNS,
-				}
-				report.Add(entry)
-				fmt.Fprintf(os.Stderr, "%-52s %12.0f ns/op  p95 pause %v  max %v  (%d cycles, overlap %v)\n",
-					name, entry.NsPerOp, p95, time.Duration(cycles.MaxPauseNS),
-					cycles.Cycles, time.Duration(cycles.OverlapNS))
-			}
-		}
-	}
-	if err := report.WriteFile(cfg.out); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "cgbench: wrote %d benchmarks to %s\n", len(report.Benchmarks), cfg.out)
-	return warnAgainstPauseBaseline(cfg, report)
-}
-
-// warnAgainstPauseBaseline is the pause family's baseline step: ns/op
-// regressions warn exactly like warnAgainstBaseline, and every
-// p95-pause delta is printed (improvements included) so the overlap
-// schedule's pause effect is visible in the CI log.
-func warnAgainstPauseBaseline(cfg benchConfig, report *benchfmt.Report) error {
-	if cfg.baseline == "" {
-		return nil
-	}
-	base, err := benchfmt.ReadFile(cfg.baseline)
-	if err != nil {
-		return err
-	}
-	for _, d := range benchfmt.Regressions(benchfmt.Compare(base, report), cfg.warnPct) {
-		fmt.Fprintf(os.Stderr, "WARN: %s regressed %.1f%% (%.0f -> %.0f ns/op)\n",
-			d.Name, d.Pct, d.Base, d.Cur)
-	}
-	for _, d := range benchfmt.ComparePauses(base, report) {
-		fmt.Fprintf(os.Stderr, "pause: %-52s p95 %v -> %v (%+.1f%%)\n",
-			d.Name, time.Duration(int64(d.Base)), time.Duration(int64(d.Cur)), d.Pct)
-	}
-	return nil
 }

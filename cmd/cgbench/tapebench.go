@@ -10,7 +10,6 @@ import (
 	"repro/internal/benchfmt"
 	"repro/internal/collectors"
 	"repro/internal/heap"
-	"repro/internal/msa"
 	"repro/internal/tape"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -84,13 +83,7 @@ func runTapeBenchMode(cfg benchConfig) error {
 			spec, size := spec, size
 			hb := spec.HeapBytes(size)
 			rt := vm.New(heap.New(hb), mk())
-			reset := func() {
-				ev := mk()
-				if c, ok := ev.Collector.(interface{ SetTraceConfig(msa.TraceConfig) }); ok {
-					c.SetTraceConfig(cfg.trace)
-				}
-				rt.Reset(ev)
-			}
+			reset := func() { rt.Reset(mk()) }
 
 			// Record the cell's tape once, outside any timing window;
 			// the replay variant re-drives it every iteration.
@@ -99,7 +92,6 @@ func runTapeBenchMode(cfg benchConfig) error {
 				Threads: spec.Threads(size), HeapBytes: hb}
 			rec := tape.NewRecorder(rt, meta)
 			spec.Run(rt, size)
-			rt.Quiesce()
 			t := rec.Finish()
 			rp := tape.NewReplayer(t)
 
@@ -109,7 +101,6 @@ func runTapeBenchMode(cfg benchConfig) error {
 				for i := 0; i < b.N; i++ {
 					reset()
 					spec.Run(rt, size)
-					rt.Quiesce()
 				}
 			}))
 			add(prefix+"/record", testing.Benchmark(func(b *testing.B) {
@@ -118,7 +109,6 @@ func runTapeBenchMode(cfg benchConfig) error {
 					reset()
 					r := tape.NewRecorder(rt, meta)
 					spec.Run(rt, size)
-					rt.Quiesce()
 					r.Finish()
 				}
 			}))
@@ -129,7 +119,6 @@ func runTapeBenchMode(cfg benchConfig) error {
 					if err := rp.Run(rt); err != nil {
 						b.Fatal(err)
 					}
-					rt.Quiesce()
 				}
 			}))
 		}

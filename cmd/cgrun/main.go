@@ -36,7 +36,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/heap"
 	"repro/internal/jasm"
-	"repro/internal/msa"
 	"repro/internal/tape"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -72,14 +71,7 @@ func main() {
 	wlSize := flag.Int("size", 1, "workload problem size (with -workload)")
 	record := flag.String("record", "", "record the run's event tape to this file (exactly one collector)")
 	replay := flag.String("replay", "", "replay a recorded event tape instead of driving a program")
-	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
-	traceMinLive := flag.Int("trace-min-live", 0,
-		"live-object threshold below which a cycle is traced sequentially (0 = default)")
-	overlap := flag.Bool("overlap", false,
-		"overlap hook-free collection cycles with the mutator (snapshot-at-the-beginning tracing); output is identical either way")
 	flag.Parse()
-	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 	if *list {
 		printCollectors()
 		return
@@ -118,14 +110,9 @@ func main() {
 	// state).
 	reports := make([]report, len(specs))
 	eng := engine.New(*workers)
-	// Shards are built directly (not via engine.Exec), so the trace
-	// configuration is applied here for collectors that take one.
 	eng.Do(len(specs), func(i int) {
 		ev := factories[i]()
 		ev.GCEvery = *gcEvery
-		if c, ok := ev.Collector.(interface{ SetTraceConfig(msa.TraceConfig) }); ok {
-			c.SetTraceConfig(traceCfg)
-		}
 		reports[i] = runOne(src, ev, hb, *record)
 	})
 	for i, r := range reports {
@@ -230,7 +217,6 @@ func runOne(src *source, ev vm.Events, heapBytes int, recordPath string) (rep re
 	if err := src.drive(rt); err != nil {
 		return report{err: err}
 	}
-	rt.Quiesce()
 	if rec != nil {
 		// Only a completed run writes a tape: an errored or panicked
 		// drive falls out above and leaves no truncated file behind.

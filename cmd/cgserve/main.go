@@ -37,7 +37,6 @@ import (
 	"syscall"
 
 	"repro/internal/engine"
-	"repro/internal/msa"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/serve"
@@ -50,23 +49,16 @@ func main() {
 	maxHeap := flag.String("max-heap-bytes", "0",
 		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent cell executions (0 = engine worker count)")
-	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
-	traceMinLive := flag.Int("trace-min-live", 0,
-		"live-object threshold below which a cycle is traced sequentially (0 = default)")
-	overlap := flag.Bool("overlap", false,
-		"overlap hook-free collection cycles with the mutator; output is identical either way")
 	tapeOn := flag.Bool("tape", true,
 		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); output is identical either way")
 	flag.Parse()
-	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 
 	heapCap, err := engine.ParseByteSize(*maxHeap)
 	if err != nil {
 		fatal(err)
 	}
 	prog := &obs.Progress{}
-	eng := engine.New(*workers).SetMaxHeapBytes(heapCap).SetProgress(prog).SetTrace(traceCfg).SetTapeCache(*tapeOn)
+	eng := engine.New(*workers).SetMaxHeapBytes(heapCap).SetProgress(prog).SetTapeCache(*tapeOn)
 
 	dir, tempStore := *storeDir, false
 	if dir == "" {

@@ -34,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/msa"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/table"
@@ -49,10 +48,6 @@ func main() {
 	noopt := flag.Bool("noopt", false, "disable the §3.4 static optimization (alias for -collector cg+noopt)")
 	bench := flag.String("bench", "", "run a single benchmark (default: all)")
 	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
-	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
-	traceMinLive := flag.Int("trace-min-live", 0,
-		"live-object threshold below which a cycle is traced sequentially (0 = default)")
 	maxHeap := flag.String("max-heap-bytes", "0",
 		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
 	arenaStats := flag.Bool("arena-stats", false,
@@ -61,10 +56,7 @@ func main() {
 		"append a per-benchmark pause-time distribution table (pair with -gc-every so cycles actually run)")
 	gcEvery := flag.Uint64("gc-every", 0,
 		"force a full traditional collection every N runtime operations (0 = off; the §4.7 resetting instrumentation)")
-	overlap := flag.Bool("overlap", false,
-		"overlap hook-free collection cycles with the mutator (snapshot-at-the-beginning tracing); output is identical either way")
 	flag.Parse()
-	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 
 	heapCap, err := engine.ParseByteSize(*maxHeap)
 	if err != nil {
@@ -108,7 +100,7 @@ func main() {
 	// RunDemographics releases each shard's runtime as soon as its
 	// counters are extracted; a size-100 sweep would otherwise keep
 	// every shard's live set in memory until render.
-	cells, err := experiments.RunDemographics(engine.New(*workers).SetMaxHeapBytes(heapCap).SetTrace(traceCfg), jobs)
+	cells, err := experiments.RunDemographics(engine.New(*workers).SetMaxHeapBytes(heapCap), jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cgstats:", err)
 		os.Exit(1)
@@ -160,35 +152,23 @@ func main() {
 		// merged total row demonstrates the order-independent histogram
 		// merge the stored outcomes rely on.
 		pt := table.New("Collection pause times",
-			"benchmark", "cycles", "p50", "p95", "max", "mark", "sweep", "overlap", "pause buckets")
+			"benchmark", "cycles", "p50", "p95", "max", "mark", "sweep", "pause buckets")
 		var total obs.CycleStats
 		for i, s := range specs {
 			cs := cells[i].Obs
 			total.Merge(&cs)
 			pt.Rowf(s.Name, cs.Cycles, cs.Pause.Quantile(0.50), cs.Pause.Quantile(0.95),
 				cs.Pause.Max(), time.Duration(cs.MarkNS), time.Duration(cs.SweepNS),
-				overlapShare(&cs), bucketSummary(&cs.Pause))
+				bucketSummary(&cs.Pause))
 		}
 		if len(specs) > 1 {
 			pt.Rowf("total", total.Cycles, total.Pause.Quantile(0.50), total.Pause.Quantile(0.95),
 				total.Pause.Max(), time.Duration(total.MarkNS), time.Duration(total.SweepNS),
-				overlapShare(&total), bucketSummary(&total.Pause))
+				bucketSummary(&total.Pause))
 		}
 		fmt.Println()
 		fmt.Print(pt)
 	}
-}
-
-// overlapShare renders the fraction of total collection nanoseconds
-// that ran concurrently with the mutator (the -overlap schedule's
-// detached trace time). A stop-the-world run shows "-": every cycle
-// nanosecond was a pause.
-func overlapShare(cs *obs.CycleStats) string {
-	tot := cs.OverlapNS + cs.PauseNS
-	if cs.OverlapNS == 0 || tot == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(cs.OverlapNS)/float64(tot))
 }
 
 // bucketSummary renders a histogram's non-empty buckets as

@@ -60,11 +60,28 @@ import (
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/msa"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/serve"
 )
+
+// localOnly names the flags that configure a local run; -server runs
+// the sweep on another machine's engine and store and rejects each.
+var localOnly = map[string]bool{
+	"procs": true, "workers": true, "store": true, "worker": true,
+	"max-heap-bytes": true, "debug-addr": true, "tape": true,
+}
+
+// rejectLocalFlags fails on the first flag the command line set that
+// -server cannot honour.
+func rejectLocalFlags(fs *flag.FlagSet) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && localOnly[f.Name] {
+			err = fmt.Errorf("-server runs the sweep remotely; -%s configures a local run and cannot be combined with -server", f.Name)
+		}
+	})
+	return err
+}
 
 func main() {
 	figsFlag := flag.String("figs", "", "comma-separated figure ids (default: all demographic figures)")
@@ -72,16 +89,10 @@ func main() {
 	workers := flag.Int("workers", 0, "engine workers per process (0 = GOMAXPROCS; with -procs, per child)")
 	storeDir := flag.String("store", "", "results store directory; completed cells are persisted and resumed")
 	workerCmd := flag.String("worker", "", "cgworker binary for -procs (default: beside cgsweep, then $PATH)")
-	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles, forwarded to -procs children (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
-	traceMinLive := flag.Int("trace-min-live", 0,
-		"live-object threshold below which a cycle is traced sequentially (0 = default)")
 	maxHeap := flag.String("max-heap-bytes", "0",
 		"exact arena-byte cap for concurrently resident shards, per process, pooled included (e.g. 2GiB; 0 = unlimited)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve pprof and a JSON progress snapshot on this address (e.g. localhost:6060; empty = off)")
-	overlap := flag.Bool("overlap", false,
-		"overlap hook-free collection cycles with the mutator (snapshot-at-the-beginning tracing), forwarded to -procs children; output is identical either way")
 	server := flag.String("server", "",
 		"run the sweep on a cgserve at this URL (e.g. http://localhost:8080) instead of locally; output is byte-identical")
 	client := flag.String("client", "",
@@ -89,7 +100,6 @@ func main() {
 	tapeOn := flag.Bool("tape", true,
 		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); forwarded to -procs children; output is identical either way")
 	flag.Parse()
-	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 
 	var ids []string
 	if *figsFlag != "" {
@@ -104,10 +114,10 @@ func main() {
 	}
 
 	if *server != "" {
-		// Server mode: the sweep runs remotely; execution flags that
-		// configure a local run are contradictions, not no-ops.
-		if *procs > 0 || *storeDir != "" || *workers != 0 {
-			fatal(fmt.Errorf("-server runs the sweep remotely; -procs, -workers and -store configure a local run and cannot be combined with it"))
+		// Server mode: the sweep runs remotely; a flag that configures a
+		// local run is a contradiction, not a no-op.
+		if err := rejectLocalFlags(flag.CommandLine); err != nil {
+			fatal(err)
 		}
 		name := *client
 		if name == "" {
@@ -115,9 +125,6 @@ func main() {
 			name = fmt.Sprintf("%s:%d", host, os.Getpid())
 		}
 		spec := serve.Spec{Client: name, Figs: ids}
-		if traceCfg != (msa.TraceConfig{}) {
-			spec.Trace = &traceCfg
-		}
 		start := time.Now()
 		stats, err := (&serve.Client{Base: *server}).Sweep(spec, os.Stdout)
 		if err != nil {
@@ -150,14 +157,10 @@ func main() {
 			perChild = (engine.New(0).Workers() + *procs - 1) / *procs
 		}
 		argv := []string{bin, "-workers", strconv.Itoa(perChild), "-max-heap-bytes", strconv.FormatInt(heapCap, 10),
-			"-trace-workers", strconv.Itoa(*traceWorkers), "-trace-min-live", strconv.Itoa(*traceMinLive),
 			"-tape=" + strconv.FormatBool(*tapeOn)}
-		if *overlap {
-			argv = append(argv, "-overlap")
-		}
 		backend = &dist.Coordinator{Spawn: dist.Command(argv, os.Stderr), Procs: *procs, Obs: prog}
 	} else {
-		eng = engine.New(*workers).SetMaxHeapBytes(heapCap).SetProgress(prog).SetTrace(traceCfg).SetTapeCache(*tapeOn)
+		eng = engine.New(*workers).SetMaxHeapBytes(heapCap).SetProgress(prog).SetTapeCache(*tapeOn)
 		backend = results.Local{Eng: eng, Obs: prog}
 	}
 

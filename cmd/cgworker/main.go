@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/engine"
-	"repro/internal/msa"
 	"repro/internal/obs"
 )
 
@@ -34,25 +33,18 @@ func main() {
 	workers := flag.Int("workers", 1, "engine worker count for this process (0 = GOMAXPROCS)")
 	maxHeap := flag.String("max-heap-bytes", "0",
 		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
-	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
-	traceMinLive := flag.Int("trace-min-live", 0,
-		"live-object threshold below which a cycle is traced sequentially (0 = default)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve pprof and a JSON progress snapshot on this address (e.g. localhost:6061; empty = off)")
-	overlap := flag.Bool("overlap", false,
-		"overlap hook-free collection cycles with the mutator (snapshot-at-the-beginning tracing); output is identical either way")
 	tapeOn := flag.Bool("tape", true,
 		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); output is identical either way")
 	flag.Parse()
-	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 
 	cap, err := engine.ParseByteSize(*maxHeap)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cgworker:", err)
 		os.Exit(2)
 	}
-	eng := engine.New(*workers).SetMaxHeapBytes(cap).SetTrace(traceCfg).SetTapeCache(*tapeOn)
+	eng := engine.New(*workers).SetMaxHeapBytes(cap).SetTapeCache(*tapeOn)
 
 	var prog *obs.Progress
 	if *debugAddr != "" {

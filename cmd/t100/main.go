@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/collectors"
 	"repro/internal/engine"
-	"repro/internal/msa"
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/workload"
@@ -36,16 +35,9 @@ func main() {
 	benchList := flag.String("bench", "", "comma-separated benchmarks (default: all)")
 	repeats := flag.Int("repeats", 1, "averaging repeats per cell")
 	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
-	traceWorkers := flag.Int("trace-workers", 0,
-		"parallel-trace worker count for hook-free collection cycles (0 or 1 = sequential, N > 1 opts in); output is identical for every value")
-	traceMinLive := flag.Int("trace-min-live", 0,
-		"live-object threshold below which a cycle is traced sequentially (0 = default)")
 	maxHeap := flag.String("max-heap-bytes", "0",
 		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
-	overlap := flag.Bool("overlap", false,
-		"overlap hook-free collection cycles with the mutator (snapshot-at-the-beginning tracing); output is identical either way")
 	flag.Parse()
-	traceCfg := msa.TraceConfig{Workers: *traceWorkers, MinLive: *traceMinLive, Overlap: *overlap}
 
 	if *specList == "" {
 		fatal(fmt.Errorf("need at least one collector"))
@@ -86,7 +78,7 @@ func main() {
 	// The table prints Result.Elapsed as the time a program takes under a
 	// collector, so no cell may be served by replaying a tape: every
 	// cell drives.
-	eng := engine.New(*workers).SetMaxHeapBytes(heapCap).SetTrace(traceCfg).SetTapeCache(false)
+	eng := engine.New(*workers).SetMaxHeapBytes(heapCap).SetTapeCache(false)
 	// Extract per-cell wall time and cycle counts as shards complete;
 	// size-100 tight heaps are modest, but there is no reason to hold
 	// every runtime until render.

@@ -81,11 +81,10 @@ func TestColdCellGrowthBudget(t *testing.T) {
 	}
 }
 
-// runCell drives one cell to quiescence, returning the panic value of
+// runCell drives one cell to completion, returning the panic value of
 // a run the arena could not hold.
 func runCell(rt *vm.Runtime, spec workload.Spec, size int) (oom any) {
 	defer func() { oom = recover() }()
 	spec.Run(rt, size)
-	rt.Quiesce()
 	return nil
 }

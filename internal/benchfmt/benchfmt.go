@@ -29,12 +29,6 @@ type Entry struct {
 	// BytesPerOp and AllocsPerOp are the allocation counters.
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
-	// P95PauseNS and MaxPauseNS carry the stop-the-world pause
-	// distribution of cycle-heavy cells (cgbench's -bench-overlap
-	// family, from the cycle-timeline histograms); zero for families
-	// that do not measure pauses.
-	P95PauseNS int64 `json:"p95_pause_ns,omitempty"`
-	MaxPauseNS int64 `json:"max_pause_ns,omitempty"`
 }
 
 // Report is a benchmark run with enough provenance to judge whether
@@ -125,32 +119,6 @@ func Compare(base, cur *Report) []Delta {
 			Base: b.NsPerOp,
 			Cur:  e.NsPerOp,
 			Pct:  (e.NsPerOp - b.NsPerOp) / b.NsPerOp * 100,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pct > out[j].Pct })
-	return out
-}
-
-// ComparePauses matches benchmarks by name and reports p95-pause
-// deltas for every pair where both sides measured pauses. Positive Pct
-// means the current run pauses longer than the baseline; a large
-// negative Pct on a stop-the-world baseline is the overlap win.
-func ComparePauses(base, cur *Report) []Delta {
-	byName := make(map[string]Entry, len(base.Benchmarks))
-	for _, e := range base.Benchmarks {
-		byName[e.Name] = e
-	}
-	var out []Delta
-	for _, e := range cur.Benchmarks {
-		b, ok := byName[e.Name]
-		if !ok || b.P95PauseNS <= 0 || e.P95PauseNS <= 0 {
-			continue
-		}
-		out = append(out, Delta{
-			Name: e.Name,
-			Base: float64(b.P95PauseNS),
-			Cur:  float64(e.P95PauseNS),
-			Pct:  float64(e.P95PauseNS-b.P95PauseNS) / float64(b.P95PauseNS) * 100,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pct > out[j].Pct })

@@ -87,8 +87,8 @@ func collect(t *testing.T, b results.Backend, jobs []engine.Job) []results.Outco
 // stripElapsed zeroes the wall-clock and provenance fields — the only
 // nondeterminism an Outcome carries. The cycle extract's object counts
 // (Cycles/Marked/Freed) are deterministic and stay in the comparison;
-// its nanosecond fields, pause histogram and trace fan-out are
-// measurements and do not.
+// its nanosecond fields and pause histogram are measurements and do
+// not.
 func stripElapsed(outs []results.Outcome) []results.Outcome {
 	out := append([]results.Outcome(nil), outs...)
 	for i := range out {
@@ -97,7 +97,6 @@ func stripElapsed(outs []results.Outcome) []results.Outcome {
 		if o := out[i].Obs; o != nil {
 			s := *o
 			s.PauseNS, s.MarkNS, s.SweepNS, s.MaxPauseNS = 0, 0, 0, 0
-			s.MaxWorkers = 0
 			s.Pause = obs.Histogram{}
 			out[i].Obs = &s
 		}

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/collectors"
 	"repro/internal/heap"
-	"repro/internal/msa"
 	"repro/internal/obs"
 	"repro/internal/tape"
 	"repro/internal/vm"
@@ -120,22 +119,14 @@ func ArenaBytes(job Job) (int, error) {
 // Exec runs one job synchronously in the caller's goroutine. It is the
 // unit of work Engine.Run distributes; callers with their own
 // per-benchmark control flow (probe runs, budget retry loops) may call
-// it directly. Package-level Exec ignores any engine memory cap, trace
-// configuration and tape cache; use Engine.Exec for throttled,
-// configured admission.
-func Exec(job Job) Result { return exec(job, nil, nil, nil, nil) }
-
-// traceConfigurer is what a collector must implement for the engine to
-// hand it the per-engine trace configuration; *msa.System does.
-type traceConfigurer interface {
-	SetTraceConfig(msa.TraceConfig)
-}
+// it directly. Package-level Exec ignores any engine memory cap and tape
+// cache; use Engine.Exec for throttled, configured admission.
+func Exec(job Job) Result { return exec(job, nil, nil, nil) }
 
 // exec is the shared job body. With a non-nil rt it starts from that
 // Reset pooled shard (whose arena size must match the job's budget); it
 // never returns shards to the pool itself — the caller does, once the
-// Result can no longer escape (see ExecRelease). A non-nil trace is
-// applied to collectors that accept one before the shard attaches.
+// Result can no longer escape (see ExecRelease).
 //
 // A non-nil tc consults the event-tape cache: a hit replays the row's
 // recorded operation stream through the runtime instead of re-running
@@ -143,7 +134,7 @@ type traceConfigurer interface {
 // claims the row's recording slot, if free, and records as a side effect
 // of the first repeat until the recording reaches maxTapedOps —
 // otherwise it just drives. p counts those outcomes.
-func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs.Progress) (res Result) {
+func exec(job Job, rt *vm.Runtime, tc *tapeCache, p *obs.Progress) (res Result) {
 	res.Job = job
 	defer func() {
 		if r := recover(); r != nil {
@@ -199,11 +190,6 @@ func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs
 		// old post-construction SetGCEvery call.
 		ev := factory()
 		ev.GCEvery = job.GCEvery
-		if trace != nil {
-			if c, ok := ev.Collector.(traceConfigurer); ok {
-				c.SetTraceConfig(*trace)
-			}
-		}
 		if rt == nil {
 			rt = vm.New(heap.New(bytes), ev)
 		} else {
@@ -243,9 +229,6 @@ func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs
 				}
 			}
 		}
-		// An overlapped cycle may still be tracing when the workload
-		// returns; finish it so extraction reads quiescent state.
-		rt.Quiesce()
 		res.RT, res.Col = rt, ev.Collector
 	}
 	res.Elapsed = time.Since(start) / time.Duration(reps)
@@ -259,8 +242,7 @@ func exec(job Job, rt *vm.Runtime, trace *msa.TraceConfig, tc *tapeCache, p *obs
 // concurrent use.
 type Engine struct {
 	workers  int
-	trace    msa.TraceConfig // per-engine collector trace settings
-	reserve  *heap.Reserve   // nil when uncapped
+	reserve  *heap.Reserve // nil when uncapped
 	pool     *shardPool
 	tapes    *tapeCache    // nil when the tape cache is disabled
 	progress *obs.Progress // nil unless a debug surface is watching
@@ -277,14 +259,6 @@ func New(workers int) *Engine {
 
 // Workers reports the pool size.
 func (e *Engine) Workers() int { return e.workers }
-
-// SetTrace sets the trace configuration handed to every collector this
-// engine constructs (workers, min-live gate, overlapped collection)
-// and returns e for chaining.
-func (e *Engine) SetTrace(cfg msa.TraceConfig) *Engine {
-	e.trace = cfg
-	return e
-}
 
 // SetProgress attaches live per-worker utilization reporting (nil
 // detaches it) and returns e for chaining. Updates happen only at job
@@ -362,7 +336,7 @@ func (e *Engine) ReservedBytes() int64 {
 func (e *Engine) Exec(job Job) Result {
 	reserve := e.reserve
 	if reserve == nil {
-		r := exec(job, nil, &e.trace, e.tapes, e.progress)
+		r := exec(job, nil, e.tapes, e.progress)
 		e.laneDone(job)
 		return r
 	}
@@ -372,7 +346,7 @@ func (e *Engine) Exec(job Job) Result {
 	}
 	reserve.Acquire(int64(bytes))
 	defer reserve.Release(int64(bytes))
-	r := exec(job, nil, &e.trace, e.tapes, e.progress)
+	r := exec(job, nil, e.tapes, e.progress)
 	e.laneDone(job)
 	return r
 }
@@ -411,7 +385,7 @@ func (e *Engine) ExecRelease(job Job, consume func(Result)) {
 	if rt == nil && reserve != nil {
 		reserve.Acquire(int64(bytes))
 	}
-	r := exec(job, rt, &e.trace, e.tapes, e.progress)
+	r := exec(job, rt, e.tapes, e.progress)
 	e.laneDone(job)
 	consume(r)
 	if r.Err == nil && r.RT != nil && e.pool.put(bytes, r.RT) {

@@ -236,7 +236,7 @@ func (g *System) minor() int {
 	}
 	// Mark/sweep boundary for the cycle timeline (last pass wins, so an
 	// escalated minor+major cycle reports the major's boundary).
-	g.rt.Timeline().CycleMarkDone(1, 0)
+	g.rt.Timeline().CycleMarkDone(0)
 	// Sweep unmarked young; age and possibly promote survivors.
 	freed := 0
 	h.ForEachLive(func(id heap.HandleID) {
@@ -310,7 +310,7 @@ func (g *System) major() int {
 			}
 		}
 	})
-	g.rt.Timeline().CycleMarkDone(1, 0)
+	g.rt.Timeline().CycleMarkDone(0)
 	// Word-at-a-time sweep: garbage in a 64-handle window is one
 	// live&^mark (the same find-next-zero walk the msa sweep performs).
 	freed := 0

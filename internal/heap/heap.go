@@ -310,9 +310,7 @@ func (h *Heap) Live(id HandleID) bool {
 	return id != Nil && int(id) < len(h.handles) && h.handles[int(id)].live
 }
 
-// NumLive counts live objects. One popcount per 64 handles — cheap
-// enough that the collection cycle consults it as its parallel-tracing
-// admission gate.
+// NumLive counts live objects: one popcount per 64 handles.
 func (h *Heap) NumLive() int { return h.liveBits.Count() }
 
 // NumHandles reports the handle-table length, dead slots and the Nil

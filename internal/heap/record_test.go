@@ -17,9 +17,6 @@ func TestHandleRecordIsSmallAndPointerFree(t *testing.T) {
 	if hasPointers(reflect.TypeOf(handle{})) {
 		t.Error("handle holds a pointer")
 	}
-	if hasPointers(reflect.TypeOf(freeEnt{})) {
-		t.Error("freeEnt holds a pointer")
-	}
 }
 
 // hasPointers reports whether a value of type t contains anything the

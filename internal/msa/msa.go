@@ -8,9 +8,8 @@
 // Observers subscribe through the Cycle descriptor, the collection-side
 // analog of vm.Events: function-valued slots, nil meaning
 // "unsubscribed". A cycle with no per-object/per-edge slots runs a
-// tight, hook-free mark loop (and, for large heaps, a deterministic
-// parallel trace — see trace.go); a fully subscribed cycle pays one
-// direct indirect call per event, never interface dispatch.
+// tight, hook-free mark loop; a fully subscribed cycle pays one direct
+// indirect call per event, never interface dispatch.
 //
 // Frames are visited oldest-first (static pseudo-frame, then each
 // thread's stack bottom-up), so the first frame to reach an object is
@@ -29,7 +28,7 @@ import (
 // Cycle describes what an observer wants from one collection cycle —
 // the descriptor that replaced the five-method Hooks interface. Every
 // slot is optional; the zero value observes nothing and selects the
-// flat (and, when profitable, parallel) mark path.
+// flat mark path.
 type Cycle struct {
 	// Begin fires before marking starts.
 	Begin func()
@@ -69,71 +68,20 @@ type Collector struct {
 	stats Stats
 	mark  heap.Bitset     // scratch mark bits, indexed by HandleID
 	work  []heap.HandleID // scratch DFS stack
-	// parts/workers are parallel-trace scratch (trace.go): the root
-	// partition list and the per-cycle worker scratch table, recycled
-	// with the engine through Reattach and the collector pools.
-	parts   []vm.RootGroup
-	workers []*traceScratch
-	// traceWorkers/traceMinLive override the package-level parallel
-	// tracing defaults when non-zero; overlapOn is the per-engine
-	// overlap admission bit (SetTraceConfig).
-	traceWorkers int
-	traceMinLive int
-	overlapOn    bool
-
-	// Overlapped-cycle scratch (overlap.go): the pooled heap snapshot,
-	// the flat root-value copy with its group spans, the in-flight
-	// worker join, and the per-worker sweep batches. All retained
-	// across cycles of one run.
-	snap    heap.Snapshot
-	rootBuf []heap.HandleID
-	oparts  []vm.RootGroup
-	frozen  []heap.HandleID
-	batches []heap.FreeBatch
-	wg      sync.WaitGroup
 }
 
 // New returns a mark–sweep engine bound to rt.
 func New(rt *vm.Runtime) *Collector { return &Collector{rt: rt} }
 
 // Reattach rebinds the engine to a new runtime and zeroes its
-// counters, keeping the mark/work/trace scratch capacity. A reattached
-// engine is observably fresh: Collect re-sizes and re-clears the mark
-// bits every cycle anyway. Pooled collectors (core's detachable
-// tables, the System pool below) reuse engines through this instead of
-// allocating handle-table-sized scratch per matrix cell. The root
-// partition scratch is pointer-bearing and is cleared through its
-// capacity, so a pooled engine never pins a dead shard's frames.
+// counters, keeping the mark/work scratch capacity. A reattached engine
+// is observably fresh: Collect re-sizes and re-clears the mark bits
+// every cycle anyway. Pooled collectors (core's detachable tables, the
+// System pool below) reuse engines through this instead of allocating
+// handle-table-sized scratch per matrix cell.
 func (m *Collector) Reattach(rt *vm.Runtime) {
 	m.rt = rt
 	m.stats = Stats{}
-	// Per-engine configuration does not survive reattachment: a pooled
-	// engine must behave like a fresh one, not like whichever previous
-	// user tuned it last.
-	m.traceWorkers, m.traceMinLive = 0, 0
-	m.overlapOn = false
-	parts := m.parts[:cap(m.parts)]
-	clear(parts)
-	m.parts = parts[:0]
-	// Overlap scratch: the snapshot must not pin the old heap, and the
-	// group-span copy is pointer-bearing (frames) like parts. The flat
-	// root and sweep-batch buffers are pointer-free; batches are
-	// dropped anyway so an idle pooled engine does not retain
-	// sweep-sized arrays.
-	m.snap.Release()
-	oparts := m.oparts[:cap(m.oparts)]
-	clear(oparts)
-	m.oparts = oparts[:0]
-	m.batches = nil
-	// Trace-worker scratch is kept across cycles of one run (forced-GC
-	// cells cycle thousands of times) but returns to the shared pool
-	// between runs: W private bitsets per idle engine would dwarf the
-	// mark scratch the pool exists to recycle.
-	for i, s := range m.workers {
-		scratchPool.Put(s)
-		m.workers[i] = nil
-	}
-	m.workers = m.workers[:0]
 }
 
 // Stats returns a copy of the counters.
@@ -143,12 +91,10 @@ func (m *Collector) Stats() Stats { return m.stats }
 // subscribed slots throughout, and returns the number of objects freed.
 //
 // The mark phase picks the cheapest loop the subscription allows: with
-// no Reached/Edge slot it runs hook-free — zero calls per edge — and
-// escalates to the deterministic parallel tracer when the live
-// population clears the admission gate; with either slot bound it runs
-// the sequential devirtualized loop (the rebuild observers depend on
-// the exact oldest-first DFS event order, which parallel tracing does
-// not replay — see trace.go for why the mark *set* still matches).
+// no Reached/Edge slot it runs hook-free — zero calls per edge; with
+// either slot bound it runs the devirtualized loop that fires them in
+// the exact oldest-first DFS event order the rebuild observers depend
+// on.
 //
 // The sweep phase is word-at-a-time: garbage in a 64-handle window is
 // one live&^mark, and each garbage object is found with a
@@ -162,18 +108,12 @@ func (m *Collector) Collect(cy Cycle) int {
 	h.ResetMarks(&m.mark)
 
 	markedBefore := m.stats.Marked
-	traceWorkers := 1
 	if cy.Reached == nil && cy.Edge == nil {
-		if w := m.parallelWorkers(h); w > 1 {
-			traceWorkers = w
-			m.markParallel(w, nil)
-		} else {
-			m.markFlat()
-		}
+		m.markFlat()
 	} else {
 		m.markHooked(cy)
 	}
-	m.rt.Timeline().CycleMarkDone(traceWorkers, m.stats.Marked-markedBefore)
+	m.rt.Timeline().CycleMarkDone(m.stats.Marked - markedBefore)
 
 	// Sweep: handle-table order, releasing unmarked extents. The
 	// garbage word is a snapshot, so each object re-checks the current
@@ -208,7 +148,7 @@ func (m *Collector) Collect(cy Cycle) int {
 	return freed
 }
 
-// markFlat is the hook-free sequential mark: the tight inner loop a
+// markFlat is the hook-free mark: the tight inner loop a
 // cycle with no per-object/per-edge observers runs. Roots are visited
 // in the canonical oldest-first order; each reachable object is pushed
 // once and its slab extent scanned once.
@@ -250,7 +190,7 @@ func (m *Collector) markFlat() {
 	m.stats.EdgeVisits += edges
 }
 
-// markHooked is the observed sequential mark: identical traversal to
+// markHooked is the observed mark: identical traversal to
 // markFlat, firing the subscribed Reached/Edge slots. Event order is
 // the contract the §3.6 rebuild depends on: Reached fires before any
 // Edge touching the object, so a rebuilding observer (internal/core)
@@ -302,9 +242,9 @@ func (m *Collector) markHooked(cy Cycle) {
 	m.stats.EdgeVisits += edges
 }
 
-// systemPool recycles System engines (mark bitset, DFS stack, trace
-// scratch) across pooled-shard cells through the event table's Detach
-// path, mirroring core's table pool.
+// systemPool recycles System engines (mark bitset, DFS stack) across
+// pooled-shard cells through the event table's Detach path, mirroring
+// core's table pool.
 var systemPool = sync.Pool{New: func() any { return &Collector{} }}
 
 // System is the baseline "JDK 1.1.8" configuration: no incremental
@@ -314,14 +254,9 @@ var systemPool = sync.Pool{New: func() any { return &Collector{} }}
 // Collect capability — under the event-table ABI every putfield,
 // access and frame pop under msa costs the runtime nothing. Its
 // collection cycle subscribes no Cycle slot either, so it always runs
-// the flat (or parallel) mark.
+// the flat mark.
 type System struct {
 	m *Collector
-	// cfg is the per-engine tracing configuration, applied to the
-	// pooled engine at every Attach (and immediately when already
-	// attached) so configuration set before vm.New survives the
-	// pool draw.
-	cfg TraceConfig
 }
 
 // NewSystem returns an unattached baseline system; pass it to vm.New.
@@ -337,7 +272,6 @@ func (s *System) Events() vm.Events {
 		Attach:    s.Attach,
 		Detach:    s.detach,
 		Collect:   s.Collect,
-		Overlap:   s.Overlap,
 		Collector: s,
 	}
 }
@@ -348,25 +282,8 @@ func (s *System) Events() vm.Events {
 func (s *System) Attach(rt *vm.Runtime) {
 	m := systemPool.Get().(*Collector)
 	m.Reattach(rt)
-	m.SetTraceConfig(s.cfg)
 	s.m = m
 }
-
-// SetTraceConfig records the per-engine tracing configuration,
-// applying it to the attached engine immediately and to every engine
-// this system attaches later (vm.TraceConfigurable — engines call
-// this per job instead of racing on the package globals).
-func (s *System) SetTraceConfig(c TraceConfig) {
-	s.cfg = c
-	if s.m != nil {
-		s.m.SetTraceConfig(c)
-	}
-}
-
-// Overlap is the overlapped-collection capability (vm.Events.Overlap):
-// hook-free msa cycles may trace against a snapshot epoch while the
-// mutator keeps stepping.
-func (s *System) Overlap() (func() int, bool) { return s.m.CollectOverlap() }
 
 // detach implements the event table's Detach capability: the engine
 // (and its scratch) goes back to the pool. The system must not be

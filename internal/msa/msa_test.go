@@ -2,6 +2,7 @@ package msa
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/heap"
@@ -14,6 +15,72 @@ func newRT(arena int) (*vm.Runtime, *System, heap.ClassID) {
 	sys := NewSystem()
 	rt := vm.New(h, sys)
 	return rt, sys, node
+}
+
+// buildWorld constructs a randomized multi-thread object world: 1-3
+// threads, each with a stack of 1-4 live frames holding locals and
+// operand roots, a static slot, and a random edge set — then calls
+// check while every frame is still live. Identical seeds build
+// identical worlds (the RNG is the only entropy), which is what lets
+// the equivalence test run a hook-free and a hooked cycle over twin
+// runtimes.
+func buildWorld(seed int64, arena int, check func(rt *vm.Runtime, sys *System, objs []heap.HandleID)) {
+	rng := rand.New(rand.NewSource(seed))
+	h := heap.New(arena)
+	node := h.DefineClass(heap.Class{Name: "Node", Refs: 3, Data: 8})
+	sys := NewSystem()
+	rt := vm.New(h, sys)
+
+	nThreads := 1 + rng.Intn(3)
+	var objs []heap.HandleID
+	slot := rt.StaticSlot("pin")
+
+	// Frames must be live while check runs, so the world is built by
+	// nesting: each thread deepens its stack recursively, then hands
+	// off to the next thread; the innermost nesting level wires the
+	// random edges and runs check.
+	var finish func()
+	var buildThread func(ti int)
+	buildThread = func(ti int) {
+		if ti == nThreads {
+			finish()
+			return
+		}
+		th := rt.NewThread(2)
+		var deepen func(d int)
+		deepen = func(d int) {
+			f := th.Top()
+			for i := 0; i < 2+rng.Intn(6); i++ {
+				o := f.MustNew(node)
+				objs = append(objs, o)
+				if rng.Intn(2) == 0 {
+					f.SetLocal(rng.Intn(2), o)
+				}
+				// Objects not stored to a local stay operand-rooted in
+				// this frame; some are forgotten to create garbage.
+				if rng.Intn(4) == 0 {
+					f.Forget(o)
+				}
+			}
+			if d > 0 {
+				th.CallVoid(2, func(*vm.Frame) { deepen(d - 1) })
+				return
+			}
+			buildThread(ti + 1)
+		}
+		deepen(rng.Intn(4))
+	}
+	finish = func() {
+		f := rt.Threads()[0].Top()
+		for i := 0; i < 2*len(objs); i++ {
+			src := objs[rng.Intn(len(objs))]
+			dst := objs[rng.Intn(len(objs))]
+			f.PutField(src, rng.Intn(3), dst)
+		}
+		f.PutStatic(slot, objs[rng.Intn(len(objs))])
+		check(rt, sys, objs)
+	}
+	buildThread(0)
 }
 
 func TestCollectFreesUnreachable(t *testing.T) {
@@ -220,6 +287,115 @@ func TestRandomGraphExactness(t *testing.T) {
 			if reach[id] != rt.Heap.Live(id) {
 				t.Fatalf("trial %d: object %d live=%v oracle=%v", trial, id, rt.Heap.Live(id), reach[id])
 			}
+		}
+	}
+}
+
+// TestFlatAndHookedMarksAgree pins the two mark loops against each
+// other and against an independent oracle. Over twin worlds of one seed,
+// a hook-free cycle (markFlat) and a fully observed one (markHooked)
+// must count the same Marked, EdgeVisits and Freed and leave the same
+// live set and the same arena; both must match a BFS that shares no code
+// with either loop; and every Reached frame must be the oldest frame
+// whose roots reach the object — the dependent frame the §3.6 rebuild
+// takes from it.
+func TestFlatAndHookedMarksAgree(t *testing.T) {
+	type outcome struct {
+		freed int
+		stats Stats
+		live  []heap.HandleID
+		arena heap.Info
+	}
+	finish := func(rt *vm.Runtime, sys *System, objs []heap.HandleID, freed int) outcome {
+		out := outcome{freed: freed, stats: sys.Engine().Stats(), arena: rt.Heap.Arena().Info()}
+		for _, id := range objs {
+			if rt.Heap.Live(id) {
+				out.live = append(out.live, id)
+			}
+		}
+		return out
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		var flat, hooked outcome
+		buildWorld(4000+seed, 1<<20, func(rt *vm.Runtime, sys *System, objs []heap.HandleID) {
+			flat = finish(rt, sys, objs, sys.Engine().Collect(Cycle{}))
+		})
+		buildWorld(4000+seed, 1<<20, func(rt *vm.Runtime, sys *System, objs []heap.HandleID) {
+			// The oracle, before the cycle: each root presentation's full
+			// closure, in EachRootFrame order. An object belongs to the
+			// first presentation whose closure holds it.
+			owner := make(map[heap.HandleID]uint64)
+			rt.EachRootFrame(func(f *vm.Frame, roots []heap.HandleID) {
+				seen := make(map[heap.HandleID]bool)
+				var queue []heap.HandleID
+				push := func(id heap.HandleID) {
+					if id != heap.Nil && !seen[id] {
+						seen[id] = true
+						queue = append(queue, id)
+					}
+				}
+				for _, r := range roots {
+					push(r)
+				}
+				for len(queue) > 0 {
+					id := queue[0]
+					queue = queue[1:]
+					if _, ok := owner[id]; !ok {
+						owner[id] = f.ID
+					}
+					rt.Heap.Refs(id, push)
+				}
+			})
+			var wantEdges uint64
+			for id := range owner {
+				rt.Heap.Refs(id, func(heap.HandleID) { wantEdges++ })
+			}
+
+			reached := make(map[heap.HandleID]uint64)
+			cy := recordReached(reached)
+			var edges uint64
+			cy.Edge = func(src, dst heap.HandleID) {
+				if _, ok := reached[src]; !ok {
+					t.Fatalf("seed %d: Edge %d->%d before Reached(%d)", seed, src, dst, src)
+				}
+				if _, ok := reached[dst]; !ok {
+					t.Fatalf("seed %d: Edge %d->%d before Reached(%d)", seed, src, dst, dst)
+				}
+				edges++
+			}
+			willFree := 0
+			cy.WillFree = func(id heap.HandleID) {
+				if _, ok := owner[id]; ok {
+					t.Fatalf("seed %d: WillFree(%d) on a reachable object", seed, id)
+				}
+				willFree++
+			}
+			hooked = finish(rt, sys, objs, sys.Engine().Collect(cy))
+
+			if len(reached) != len(owner) {
+				t.Fatalf("seed %d: Reached fired for %d objects, oracle reaches %d", seed, len(reached), len(owner))
+			}
+			for id, want := range owner {
+				if got, ok := reached[id]; !ok || got != want {
+					t.Fatalf("seed %d: object %d reached from frame %d (fired=%v), oldest referencing frame is %d",
+						seed, id, got, ok, want)
+				}
+			}
+			if hooked.stats.Marked != uint64(len(owner)) || hooked.stats.EdgeVisits != wantEdges || edges != wantEdges {
+				t.Fatalf("seed %d: hooked marked/edges/Edge calls = %d/%d/%d, oracle %d/%d",
+					seed, hooked.stats.Marked, hooked.stats.EdgeVisits, edges, len(owner), wantEdges)
+			}
+			if want := len(objs) - len(owner); hooked.freed != want || willFree != want {
+				t.Fatalf("seed %d: freed %d with %d WillFree calls, oracle says %d unreachable",
+					seed, hooked.freed, willFree, want)
+			}
+		})
+		if flat.freed != hooked.freed || flat.stats != hooked.stats || flat.arena != hooked.arena {
+			t.Fatalf("seed %d: flat freed %d %+v %+v, hooked freed %d %+v %+v",
+				seed, flat.freed, flat.stats, flat.arena, hooked.freed, hooked.stats, hooked.arena)
+		}
+		if !slices.Equal(flat.live, hooked.live) {
+			t.Fatalf("seed %d: survivors diverge: flat %v, hooked %v", seed, flat.live, hooked.live)
 		}
 	}
 }

@@ -11,9 +11,9 @@
 //     by construction — any -workers/-procs split of the same cells
 //     merges to identical buckets.
 //   - Timeline (timeline.go): the per-shard cycle-phase recorder. Each
-//     collection cycle contributes pause/mark/sweep nanoseconds, the
-//     trace worker count and the marked/freed object counts to a
-//     bounded ring plus cumulative CycleStats. Nanotime deltas are
+//     collection cycle contributes pause/mark/sweep nanoseconds and
+//     the marked/freed object counts to a bounded ring plus cumulative
+//     CycleStats. Nanotime deltas are
 //     taken only around cycle phases — never per runtime event — and
 //     every buffer is fixed-size, so recording is branch-cheap and
 //     allocation-free on the instrumented paths.

@@ -107,16 +107,16 @@ func TestTimelinePhases(t *testing.T) {
 	defer SetClockFactory(nil)
 
 	var tl Timeline
-	tl.CycleStart()          // t=10
-	tl.CycleMarkDone(4, 100) // t=20: mark = 10
-	tl.CycleEnd(25)          // t=30: pause = 20, sweep = 10
-	tl.CycleStart()          // t=40
-	tl.CycleEnd(0)           // t=50: pause = 10, no mark-done: mark 0, sweep 10
-	tl.CycleMarkDone(8, 1)   // outside a cycle: ignored
-	tl.CycleEnd(99)          // ignored
+	tl.CycleStart()       // t=10
+	tl.CycleMarkDone(100) // t=20: mark = 10
+	tl.CycleEnd(25)       // t=30: pause = 20, sweep = 10
+	tl.CycleStart()       // t=40
+	tl.CycleEnd(0)        // t=50: pause = 10, no mark-done: mark 0, sweep 10
+	tl.CycleMarkDone(1)   // outside a cycle: ignored
+	tl.CycleEnd(99)       // ignored
 	recs := tl.Recent(nil)
 	want := []CycleRecord{
-		{Pause: 20, Mark: 10, Sweep: 10, Workers: 4, Marked: 100, Freed: 25},
+		{Pause: 20, Mark: 10, Sweep: 10, Workers: 1, Marked: 100, Freed: 25},
 		{Pause: 10, Mark: 0, Sweep: 10, Workers: 1, Marked: 0, Freed: 0},
 	}
 	if len(recs) != 2 || recs[0] != want[0] || recs[1] != want[1] {
@@ -125,7 +125,7 @@ func TestTimelinePhases(t *testing.T) {
 	s := tl.Stats()
 	if s.Cycles != 2 || s.Marked != 100 || s.Freed != 25 ||
 		s.PauseNS != 30 || s.MarkNS != 10 || s.SweepNS != 20 ||
-		s.MaxPauseNS != 20 || s.MaxWorkers != 4 {
+		s.MaxPauseNS != 20 || s.MaxWorkers != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 	if s.Pause.Count != 2 {
@@ -173,7 +173,7 @@ func TestCycleStatsMergeOrderIndependent(t *testing.T) {
 		var tl Timeline
 		for c := 0; c < 1+rng.Intn(20); c++ {
 			tl.CycleStart()
-			tl.CycleMarkDone(1+rng.Intn(8), uint64(rng.Intn(1000)))
+			tl.CycleMarkDone(uint64(rng.Intn(1000)))
 			tl.CycleEnd(uint64(rng.Intn(500)))
 		}
 		cells[i] = tl.Stats()

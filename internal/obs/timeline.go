@@ -9,8 +9,13 @@ const TimelineCap = 256
 
 // CycleRecord is one collection cycle's phase breakdown: nanosecond
 // durations for the whole stop-the-world pause and its mark and sweep
-// phases, the trace worker count the mark phase used, and the object
-// counts it produced.
+// phases, and the object counts it produced.
+//
+// Workers is always 1: every cycle marks on the calling goroutine. It
+// and CycleStats.MaxWorkers stay only because bench/probes.go (frozen
+// outside benchmark PRs) reads MaxWorkers for its msa.max_workers metric
+// and stored outcomes carry "max_workers":1; the next benchmark PR
+// removes the metric and both fields (ROADMAP).
 type CycleRecord struct {
 	Pause   int64  `json:"pause_ns"`
 	Mark    int64  `json:"mark_ns"`
@@ -18,12 +23,6 @@ type CycleRecord struct {
 	Workers int32  `json:"workers"`
 	Marked  uint64 `json:"marked"`
 	Freed   uint64 `json:"freed"`
-	// Overlap is the cycle's detached nanoseconds: time the collector
-	// spent running concurrently with the mutator (an overlapped cycle's
-	// CycleDetach..CycleResume window). Pause and Mark count only the
-	// stop-the-world share, so Pause = Mark + Sweep still holds and the
-	// pause histogram records what the mutator actually felt.
-	Overlap int64 `json:"overlap_ns,omitempty"`
 }
 
 // CycleStats is the cumulative, serialisable extract of a shard's
@@ -44,16 +43,8 @@ type CycleStats struct {
 	SweepNS int64 `json:"sweep_ns"`
 	// MaxPauseNS is the longest single pause observed.
 	MaxPauseNS int64 `json:"max_pause_ns"`
-	// MaxWorkers is the widest trace-worker fan-out any cycle used.
+	// MaxWorkers is 1 once any cycle ran (see CycleRecord.Workers).
 	MaxWorkers int32 `json:"max_workers,omitempty"`
-	// OverlapNS is the cumulative detached nanoseconds: collection time
-	// spent concurrent with the mutator rather than pausing it. The
-	// fraction OverlapNS/(OverlapNS+PauseNS) is the share of total cycle
-	// time the mutator kept running through.
-	OverlapNS int64 `json:"overlap_ns,omitempty"`
-	// Overlapped counts cycles that detached at all (ran any portion
-	// concurrently with the mutator).
-	Overlapped uint64 `json:"overlapped,omitempty"`
 	// Pause is the pause-duration histogram (log-scale ns buckets).
 	Pause Histogram `json:"pause_hist"`
 }
@@ -72,8 +63,6 @@ func (s *CycleStats) Merge(o *CycleStats) {
 	if o.MaxWorkers > s.MaxWorkers {
 		s.MaxWorkers = o.MaxWorkers
 	}
-	s.OverlapNS += o.OverlapNS
-	s.Overlapped += o.Overlapped
 	s.Pause.Merge(&o.Pause)
 }
 
@@ -81,7 +70,7 @@ func (s *CycleStats) Merge(o *CycleStats) {
 // CycleRecords plus cumulative CycleStats. The zero value is ready to
 // record (the clock is drawn lazily on the first cycle). It is
 // single-writer — the shard that owns it records; readers take
-// snapshots through Stats/Recent after the shard quiesces — and every
+// snapshots through Stats/Recent after the shard's run ends — and every
 // buffer is fixed-size, so the recording path performs no allocation
 // and no locking.
 //
@@ -95,13 +84,10 @@ type Timeline struct {
 	now func() int64
 
 	// Current-cycle scratch.
-	open       bool
-	start      int64
-	markEnd    int64
-	curWorkers int32
-	curMarked  uint64
-	curOverlap int64
-	detachAt   int64 // nonzero while the cycle is detached
+	open      bool
+	start     int64
+	markEnd   int64
+	curMarked uint64
 
 	ring  [TimelineCap]CycleRecord
 	n     uint64 // total cycles ever recorded (ring writes = n % cap)
@@ -116,45 +102,17 @@ func (t *Timeline) CycleStart() {
 	t.open = true
 	t.start = t.now()
 	t.markEnd = t.start
-	t.curWorkers = 1
 	t.curMarked = 0
-	t.curOverlap = 0
-	t.detachAt = 0
-}
-
-// CycleDetach marks the mutator resuming while the cycle continues
-// concurrently (an overlapped collection's snapshot pause just ended).
-// Time until CycleResume counts as overlap, not pause. Ignored outside
-// an open cycle or when already detached.
-func (t *Timeline) CycleDetach() {
-	if !t.open || t.detachAt != 0 {
-		return
-	}
-	t.detachAt = t.now()
-}
-
-// CycleResume marks the mutator stopping again so the cycle can close
-// (drain and sweep). Ignored unless the cycle is detached.
-func (t *Timeline) CycleResume() {
-	if !t.open || t.detachAt == 0 {
-		return
-	}
-	t.curOverlap += t.now() - t.detachAt
-	t.detachAt = 0
 }
 
 // CycleMarkDone records the end of a mark pass: the mark/sweep phase
-// boundary moves to now, workers widens the cycle's trace fan-out
-// high-water mark, and marked objects accumulate. Ignored outside an
-// open cycle.
-func (t *Timeline) CycleMarkDone(workers int, marked uint64) {
+// boundary moves to now and marked objects accumulate. Ignored outside
+// an open cycle.
+func (t *Timeline) CycleMarkDone(marked uint64) {
 	if !t.open {
 		return
 	}
 	t.markEnd = t.now()
-	if int32(workers) > t.curWorkers {
-		t.curWorkers = int32(workers)
-	}
 	t.curMarked += marked
 }
 
@@ -165,23 +123,15 @@ func (t *Timeline) CycleEnd(freed uint64) {
 	if !t.open {
 		return
 	}
-	if t.detachAt != 0 {
-		// Closing while still detached: end the overlap window here.
-		t.CycleResume()
-	}
 	t.open = false
 	end := t.now()
-	// All detached time falls inside the mark phase (the sweep never
-	// overlaps), so both Pause and Mark shed it: they report the
-	// stop-the-world share only.
 	rec := CycleRecord{
-		Pause:   end - t.start - t.curOverlap,
-		Mark:    t.markEnd - t.start - t.curOverlap,
+		Pause:   end - t.start,
+		Mark:    t.markEnd - t.start,
 		Sweep:   end - t.markEnd,
-		Workers: t.curWorkers,
+		Workers: 1,
 		Marked:  t.curMarked,
 		Freed:   freed,
-		Overlap: t.curOverlap,
 	}
 	t.ring[t.n%TimelineCap] = rec
 	t.n++
@@ -195,13 +145,7 @@ func (t *Timeline) CycleEnd(freed uint64) {
 	if rec.Pause > s.MaxPauseNS {
 		s.MaxPauseNS = rec.Pause
 	}
-	if rec.Workers > s.MaxWorkers {
-		s.MaxWorkers = rec.Workers
-	}
-	if rec.Overlap > 0 {
-		s.OverlapNS += rec.Overlap
-		s.Overlapped++
-	}
+	s.MaxWorkers = rec.Workers
 	s.Pause.Record(rec.Pause)
 }
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/msa"
 	"repro/internal/results"
 )
 
@@ -49,13 +48,6 @@ type Spec struct {
 	// Cells lists explicit raw cells; each streams back as one NDJSON
 	// outcome event (the results.Encode line) in submission order.
 	Cells []CellSpec `json:"cells,omitempty"`
-	// Trace carries the client's trace configuration (-trace-workers,
-	// -overlap, ...) as an advisory hint. The server's shared engine
-	// keeps its own configuration — trace settings are scheduling
-	// knobs whose output is byte-identical by construction (the PR 8
-	// property tests pin this), so honoring the server's choice cannot
-	// change any byte a client receives.
-	Trace *msa.TraceConfig `json:"trace,omitempty"`
 }
 
 // CellSpec is one explicit cell of a Cells sweep, mirroring engine.Job

@@ -32,7 +32,6 @@ func recordTape(t *testing.T, name string, size int, colSpec string, hb int) *ta
 		Threads: spec.Threads(size), HeapBytes: spec.HeapBytes(size),
 	})
 	spec.Run(rt, size)
-	rt.Quiesce()
 	return rec.Finish()
 }
 
@@ -157,7 +156,6 @@ func runCell(t *testing.T, name string, size int, colSpec string, gcEvery uint64
 			spec.Run(rt, size)
 		}
 	}()
-	rt.Quiesce()
 	snap.instr = rt.Instr()
 	snap.gcCycles = rt.GCCycles()
 	snap.stats = rt.Heap.Stats()
@@ -214,7 +212,6 @@ func TestReplayerReuse(t *testing.T) {
 		if err := rp.Run(rt); err != nil {
 			t.Fatal(err)
 		}
-		rt.Quiesce()
 		got := runSnap{instr: rt.Instr(), stats: rt.Heap.Stats(), numLive: rt.Heap.NumLive()}
 		if i == 0 {
 			want = got
@@ -242,7 +239,6 @@ func TestRegisterTape(t *testing.T) {
 	mk, _ := collectors.Parse("cg")
 	rt := vm.New(heap.New(spec.HeapBytes(1)), mk())
 	spec.Run(rt, 1)
-	rt.Quiesce()
 	driven := runCell(t, "compress", 1, "cg", 0, spec.HeapBytes(1), nil)
 	if rt.Instr() != driven.instr || rt.Heap.Stats() != driven.stats {
 		t.Fatalf("registered replay differs from driven run: instr %d vs %d",
@@ -261,7 +257,6 @@ func BenchmarkReplay(b *testing.B) {
 		rt := vm.New(heap.New(hb), mk())
 		rec := tape.NewRecorder(rt, tape.Meta{Workload: wl, Size: 10})
 		spec.Run(rt, 10)
-		rt.Quiesce()
 		tp := rec.Finish()
 		rp := tape.NewReplayer(tp)
 		b.Run(wl, func(b *testing.B) {

@@ -69,21 +69,6 @@ type Events struct {
 	// reports how many objects were freed. Without it ForceCollect and
 	// the exhaustion cascade collect nothing.
 	Collect func() int
-	// Overlap, if non-nil, declares the overlapped-collection
-	// capability: at a countdown-driven collection point the runtime
-	// offers the collector the chance to open a snapshot-at-the-
-	// beginning epoch and trace concurrently while the mutator keeps
-	// stepping. ok=false declines (admission: cycle too small, hooks
-	// subscribed, overlap disabled) and the runtime falls back to the
-	// synchronous Collect. ok=true means tracing has started; the
-	// runtime arms its SATB write barrier and calls close — with the
-	// world stopped — when the epoch must end (next allocation, next
-	// collection point, Reset/Attach, or Quiesce). close completes the
-	// cycle (drain, merge, sweep) and reports objects freed. Exhaustion-
-	// cascade collections and explicit ForceCollect never overlap: they
-	// must free storage before returning. Only hook-free collectors may
-	// declare this — edge replay (§3.4) is order-sensitive.
-	Overlap func() (close func() int, ok bool)
 
 	// AllAccess subscribes Access to every object touch, defeating the
 	// single-thread elision. Collectors whose Access slot has effects

@@ -90,7 +90,6 @@ type Runtime struct {
 	onAccess      func(id heap.HandleID, t *Thread)
 	allocFallback func(c heap.ClassID, extra int) (heap.HandleID, bool)
 	collect       func() int
-	overlapStart  func() (func() int, bool)
 	detach        func()
 	name          string
 	source        any
@@ -113,9 +112,9 @@ type Runtime struct {
 	gcCycles int
 
 	// timeline records each collection cycle's phase breakdown (pause /
-	// mark / sweep nanoseconds, worker count, object counts). Embedded —
-	// not pointered — so the zero Runtime records without allocating;
-	// collectors refine the mark boundary via Timeline().CycleMarkDone.
+	// mark / sweep nanoseconds, object counts). Embedded — not pointered
+	// — so the zero Runtime records without allocating; collectors
+	// refine the mark boundary via Timeline().CycleMarkDone.
 	timeline obs.Timeline
 
 	// rec, when non-nil, receives the driver-facing operation stream
@@ -154,31 +153,6 @@ type Runtime struct {
 	// descriptor mid-run re-derives accessOn without forgetting that
 	// the elision proof is already gone.
 	accessBroken bool
-
-	// Snapshot-epoch state (overlapped collection, DESIGN.md §10).
-	// epochActive is the one branch the ref hot path pays: true only
-	// while a collector's overlapped cycle is tracing concurrently, in
-	// which case ref stores go through the SATB barrier. epochClose is
-	// the collector's close function for the open epoch. The epoch
-	// closes — before any of the mutator's allocator interactions
-	// become visible — at the next allocation, the next collection
-	// point, Reset/Attach, ForceCollect and Quiesce, which is what
-	// keeps every heap observable byte-identical to the stop-the-world
-	// run (the freed set at the close point equals the set a
-	// synchronous cycle at the open point would have freed, and no
-	// allocation ever sees a heap mid-epoch).
-	epochActive bool
-	epochClose  func() int
-	// satb is the snapshot-at-the-beginning buffer: the overwritten
-	// (old) values of every ref store during the epoch, drained by the
-	// collector's close. Capacity is retained across cycles, so a
-	// steady-state epoch appends without allocating.
-	satb []heap.HandleID
-	// satbNilDelta tracks the net Nil -> non-Nil slot transitions the
-	// epoch's stores performed on the (always snapshot-reachable)
-	// objects they hit, letting the close recompute the open-time
-	// out-degree of the marked set exactly (msa overlap driver).
-	satbNilDelta int64
 }
 
 // Thread is a green thread: a stack of frames driven directly by Go code
@@ -224,9 +198,6 @@ func New(h *heap.Heap, c Collector) *Runtime {
 // stateful collectors mid-run is therefore unsupported — quiesce via
 // Reset instead.
 func (rt *Runtime) Attach(ev Events) {
-	// An open snapshot epoch belongs to the outgoing collector; finish
-	// it before rebinding anything.
-	rt.Quiesce()
 	// The outgoing collector is unbound first, so a pooled
 	// implementation can reclaim its side tables before the incoming
 	// one (possibly of the same family) asks for a fresh set.
@@ -244,7 +215,6 @@ func (rt *Runtime) Attach(ev Events) {
 	rt.onAccess = ev.Access
 	rt.allocFallback = ev.AllocFallback
 	rt.collect = ev.Collect
-	rt.overlapStart = ev.Overlap
 	rt.accessArmed = ev.Access != nil
 	rt.accessOn = rt.accessArmed && (ev.AllAccess || rt.accessBroken)
 	rt.popAlways = ev.AllPops && ev.FramePop != nil
@@ -268,7 +238,6 @@ func (rt *Runtime) Collector() any { return rt.source }
 // A reset runtime is observably identical to vm.New(heap, c) over a
 // fresh heap of the same arena size (see TestEnginePooledDeterminism).
 func (rt *Runtime) Reset(c Collector) {
-	rt.Quiesce()
 	rt.Heap.Reset()
 	rt.threads = rt.threads[:0]
 	rt.statics = rt.statics[:0]
@@ -283,8 +252,6 @@ func (rt *Runtime) Reset(c Collector) {
 	rt.gcCycles = 0
 	rt.gcEvery, rt.countdown = 0, 0
 	rt.accessBroken = false
-	rt.satb = rt.satb[:0]
-	rt.satbNilDelta = 0
 	rt.rec = nil
 	rt.timeline.Reset()
 	rt.Attach(c.Events())
@@ -329,85 +296,23 @@ func (rt *Runtime) step() {
 		rt.countdown--
 		if rt.countdown == 0 {
 			rt.countdown = rt.gcEvery
-			rt.collectDue()
+			rt.forceCollect()
 		}
 	}
 }
 
-// collectDue is the countdown-driven collection entry — the one place
-// a cycle may overlap the mutator. If the bound collector declares the
-// Overlap capability and admits this cycle, the snapshot epoch opens
-// here and the runtime returns to the mutator with the trace still
-// running; otherwise the cycle runs synchronously, exactly as
-// ForceCollect. Either way a previous epoch still open at this point
-// closes first: collection points are epoch boundaries.
-func (rt *Runtime) collectDue() {
-	if rt.epochActive {
-		rt.closeEpoch()
-	}
-	rt.gcCycles++
-	if rt.collect == nil {
-		return
-	}
-	rt.timeline.CycleStart()
-	if rt.overlapStart != nil {
-		if closer, ok := rt.overlapStart(); ok {
-			rt.epochClose = closer
-			rt.epochActive = true
-			rt.timeline.CycleDetach()
-			return
-		}
-	}
-	freed := rt.collect()
-	rt.timeline.CycleEnd(uint64(freed))
-}
-
-// closeEpoch stops the world for the open epoch's close: the
-// collector finishes its concurrent trace, drains the SATB buffer and
-// sweeps. All heap mutation since the epoch opened was non-allocating
-// (stores and reads only), so the freed set — and every byte of heap
-// state after the close — is identical to what a synchronous cycle at
-// the open point would have left.
-func (rt *Runtime) closeEpoch() {
-	closer := rt.epochClose
-	rt.epochClose = nil
-	rt.epochActive = false
-	rt.timeline.CycleResume()
-	freed := closer()
-	rt.satb = rt.satb[:0]
-	rt.satbNilDelta = 0
-	rt.timeline.CycleEnd(uint64(freed))
-}
-
-// Quiesce completes any in-flight overlapped collection, leaving the
-// runtime with no concurrent activity. Harnesses call it after driving
-// a workload and before reading stats; it is a no-op when no epoch is
-// open (every run under a non-overlapping collector).
-func (rt *Runtime) Quiesce() {
-	if rt.epochActive {
-		rt.closeEpoch()
-	}
-}
-
-// SATBPending returns the open epoch's snapshot-at-the-beginning
-// buffer: the overwritten value of every ref store since the epoch
-// opened. Valid only inside an Overlap close function (the world is
-// stopped); the runtime truncates the buffer after the close returns.
-func (rt *Runtime) SATBPending() []heap.HandleID { return rt.satb }
-
-// SATBNilDelta reports the net Nil -> non-Nil ref-slot transitions the
-// open epoch's stores performed. Every such store hits a snapshot-
-// reachable object, so a close-time out-degree recount of the marked
-// set minus this delta reproduces the open-time count exactly.
-func (rt *Runtime) SATBNilDelta() int64 { return rt.satbNilDelta }
+// Quiesce does nothing: a collection cycle never outlives the call that
+// started it. It survives only because bench/ (frozen outside benchmark
+// PRs) still calls it from walk.go and probes.go; the next benchmark PR
+// deletes those calls and this method (ROADMAP).
+func (rt *Runtime) Quiesce() {}
 
 // ForceCollect runs a full traditional collection immediately; a
 // collector with no Collect capability collects nothing. The cycle is
-// always synchronous — callers want the storage freed on return — and
-// closes any open epoch first. The two clock readings bracketing the
-// cycle (plus any mark-boundary reading the collector adds) are the
-// only timing the runtime ever takes — never per event — so
-// instrumentation stays off the steady-state paths.
+// synchronous: the storage is freed on return. The two clock readings
+// bracketing the cycle (plus any mark-boundary reading the collector
+// adds) are the only timing the runtime ever takes — never per event —
+// so instrumentation stays off the steady-state paths.
 func (rt *Runtime) ForceCollect() int {
 	if rt.rec != nil {
 		// Only direct driver calls are recorded: the allocation
@@ -421,9 +326,6 @@ func (rt *Runtime) ForceCollect() int {
 // forceCollect is ForceCollect minus the tape-recording hook — the
 // entry used by runtime-internal collection triggers.
 func (rt *Runtime) forceCollect() int {
-	if rt.epochActive {
-		rt.closeEpoch()
-	}
 	rt.gcCycles++
 	if rt.collect == nil {
 		return 0
@@ -475,59 +377,6 @@ func (rt *Runtime) EachRootFrame(fn func(f *Frame, roots []heap.HandleID)) {
 			fn(f, f.operands)
 		}
 	}
-}
-
-// RootGroup is one (frame, roots) presentation of the canonical root
-// enumeration — the slice form of EachRootFrame for tracers that
-// partition root-driven work across workers. The Roots slice aliases
-// live runtime state (locals, operands, statics): it is valid only
-// while the world is stopped for the collection cycle and may contain
-// Nil entries.
-type RootGroup struct {
-	Frame *Frame
-	Roots []heap.HandleID
-}
-
-// rootGroupChunk bounds one root group's slot count. The static and
-// interned groups dominate real root sets (every static, every
-// interned string, in two groups); splitting any oversized group into
-// ordered slot-range chunks lets the parallel tracer spread exactly
-// the work that used to serialize on one worker. Chunks of one group
-// keep consecutive group indices in slot order, so concatenating them
-// is the original group's traversal and the min-group-index merge
-// argument carries over unchanged: the minimum chunk index reaching an
-// object maps to the same frame the unsplit group did.
-const rootGroupChunk = 1024
-
-// appendRootChunks appends roots as one group per rootGroupChunk slots
-// (at least one group, possibly empty — group count, not content, is
-// what varies).
-func appendRootChunks(dst []RootGroup, f *Frame, roots []heap.HandleID) []RootGroup {
-	for len(roots) > rootGroupChunk {
-		dst = append(dst, RootGroup{f, roots[:rootGroupChunk]})
-		roots = roots[rootGroupChunk:]
-	}
-	return append(dst, RootGroup{f, roots})
-}
-
-// AppendRootGroups appends every root group to dst, in exactly
-// EachRootFrame's order (static pseudo-frame first — statics, then
-// interned roots — then each thread's frames oldest-first, locals
-// before operands, each split into ordered rootGroupChunk-slot
-// chunks), and returns the extended slice. Group index order is
-// therefore the sequential mark's traversal order: the parallel
-// tracer's minimum-group-index merge reproduces the sequential
-// first-reaching-frame assignment because of it.
-func (rt *Runtime) AppendRootGroups(dst []RootGroup) []RootGroup {
-	dst = appendRootChunks(dst, rt.staticFrame, rt.statics)
-	dst = appendRootChunks(dst, rt.staticFrame, rt.internedRoots)
-	for _, t := range rt.threads {
-		for _, f := range t.stack {
-			dst = appendRootChunks(dst, f, f.locals)
-			dst = appendRootChunks(dst, f, f.operands)
-		}
-	}
-	return dst
 }
 
 // EachFrame visits every live frame exactly once: the static
@@ -745,13 +594,6 @@ func (f *Frame) NewArray(c heap.ClassID, n int) (heap.HandleID, error) {
 func (f *Frame) alloc(c heap.ClassID, extra int) (heap.HandleID, error) {
 	rt := f.rt
 	rt.step()
-	if rt.epochActive {
-		// Allocation ends the epoch: the sweep must complete before the
-		// allocator reuses handle IDs and arena blocks, or the run's
-		// allocation decisions would diverge from the stop-the-world
-		// schedule (DESIGN.md §10).
-		rt.closeEpoch()
-	}
 	if f.Thread == nil {
 		// A static-pseudo-frame allocation is owned by no thread, so
 		// the first thread to touch it must be observed as sharing:
@@ -834,27 +676,6 @@ func (f *Frame) PutField(obj heap.HandleID, slot int, val heap.HandleID) {
 	}
 	if val != heap.Nil && rt.onRef != nil {
 		rt.onRef(obj, val)
-	}
-	if rt.epochActive {
-		// SATB write barrier: a concurrent trace is running. Store
-		// atomically and record the overwritten value — the only edge
-		// the tracer could otherwise lose is one the mutator destroys,
-		// and recording its target preserves every snapshot-time path
-		// (drained at close, internal/msa/overlap.go). Only reached
-		// while a hook-free collector's epoch is open; the steady-state
-		// cost when no trace is active is this one untaken branch.
-		old := rt.Heap.SetRefEpoch(obj, slot, val)
-		if old != val {
-			if old != heap.Nil {
-				rt.satb = append(rt.satb, old)
-				if val == heap.Nil {
-					rt.satbNilDelta--
-				}
-			} else {
-				rt.satbNilDelta++
-			}
-		}
-		return
 	}
 	rt.Heap.SetRef(obj, slot, val)
 }

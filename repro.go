@@ -8,6 +8,7 @@
 // The package is a facade over the implementation:
 //
 //   - internal/core — the contaminated collector (the paper's contribution)
+//   - internal/unionfind — the disjoint-set forests under its equilive sets
 //   - internal/heap — the managed-heap substrate (handles, size-class slab arena)
 //   - internal/vm — the runtime (frames, threads, statics, interning)
 //   - internal/msa — the traditional mark–sweep baseline
@@ -16,6 +17,11 @@
 //   - internal/collectors — the collector registry (name → factory)
 //   - internal/engine — the sharded execution engine (worker pool)
 //   - internal/experiments — regenerators for every table/figure
+//   - internal/results — serialisable cell outcomes and the content-addressed store
+//   - internal/dist — the multi-process sweep (coordinator and cgworker protocol)
+//   - internal/serve — the sweep server behind cgserve and cgsweep -server
+//   - internal/tape — record a program's event stream once, replay it under any collector
+//   - internal/obs — cycle timelines, provenance and the live debug surface
 //   - internal/jasm — a textual assembly for the runtime
 //
 // Quick start:

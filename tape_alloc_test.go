@@ -42,7 +42,6 @@ func churnTape(t *testing.T, iters int) *tape.Tape {
 	for i := 0; i < iters; i++ {
 		th.CallVoid(1, body)
 	}
-	rt.Quiesce()
 	return rec.Finish()
 }
 
