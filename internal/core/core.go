@@ -108,31 +108,39 @@ func (s *Stats) Merge(o Stats) {
 
 // objMeta is CG's per-handle metadata — the fields §3.1.1 adds to the JDK
 // handle (parent/rank live in the union-find forest; these are the rest).
-// Like setMeta and oldFrames it holds no Go pointer — frames are named by
-// their registry slot (vm.Frame.Index) — so the Go collector never scans
-// a handle-indexed table, OnAlloc's two whole-entry stores carry no write
-// barrier, and a pooled table pins nothing of the shard that filled it.
+// CG.meta holds one per handle slot and follows the handle table, as the
+// forest does. Like setMeta and oldFrames it holds no Go pointer — frames
+// are named by their registry slot (vm.Frame.Index), sets by their slot
+// in CG.sets — so the Go collector never scans a CG table, OnAlloc's two
+// whole-entry stores carry no write barrier, and a pooled table pins
+// nothing of the shard that filled it.
 type objMeta struct {
 	birthDepth int32         // stack depth at allocation ("birth depth")
-	owner      int32         // allocating thread ID; -1 once shared
-	flags      uint8         // taint / shared bits
+	owner      int32         // allocating thread ID, or ownerShared / ownerTainted
 	next       heap.HandleID // next object in the equilive set's list
+	set        int32         // the set's slot in CG.sets; read only at the union-find representative
 }
 
+// The two states that end an object's ownership are negative owner
+// values: neither is ever left for a thread ID again, and a dead object
+// no longer needs to be known as shared.
 const (
-	fTainted uint8 = 1 << iota // known dead (§3.1.4 tainted list)
-	fShared                    // demoted for thread sharing (§3.3), sticky
+	ownerShared  int32 = -1 // demoted for thread sharing (§3.3), sticky
+	ownerTainted int32 = -2 // known dead (§3.1.4 tainted list)
 )
 
-// setMeta describes one equilive set; it is valid only at the set's
-// union-find representative. Sets are chained into a doubly linked list
-// per dependent frame (§3.1.2: "each frame is equipped with a reference
-// to a list of its dependent equilive blocks").
+// setMeta describes one equilive set. CG.sets holds one per *live set*,
+// not per handle: the set's union-find representative names its slot
+// (objMeta.set), and the table is as long as the most sets ever alive at
+// once. Sets are chained by slot into a doubly linked list per dependent
+// frame (§3.1.2: "each frame is equipped with a reference to a list of
+// its dependent equilive blocks"). A free slot has size 0 and threads the
+// free list through next.
 type setMeta struct {
 	head, tail heap.HandleID // object membership list (O(1) concat)
 	size       int32
-	frame      int32         // dependent frame's registry slot; 0, the static frame, pins forever
-	prev, next heap.HandleID // neighbours on the frame's set list (roots)
+	frame      int32 // dependent frame's registry slot; 0, the static frame, pins forever
+	prev, next int32 // neighbouring slots on the frame's set list; 0 ends it
 }
 
 // CG is the contaminated collector. It implements vm.Collector (its
@@ -153,7 +161,12 @@ type CG struct {
 	packed *unionfind.Packed
 
 	meta []objMeta
-	sets []setMeta
+	// sets is the slot table of live equilive sets. Slot 0 is never used,
+	// so a frame's GCHead of 0 means "no dependent sets"; freeSets heads
+	// the LIFO of free slots, so a churning frame keeps reusing the same
+	// few records.
+	sets     []setMeta
+	freeSets int32
 	// oldFrames is reset-pass scratch, indexed like meta: each live
 	// object's dependent frame stamped at BeginCycle as registry slot + 1
 	// (0 = no stamp), consumed by Reached/EndCycle. Kept out of objMeta
@@ -196,14 +209,16 @@ type CG struct {
 
 // tables is the recyclable allocation footprint of one CG instance:
 // every side table whose construction and growth would otherwise be
-// paid per matrix cell. The engine runs each cell on a fresh collector
-// (shards must not share mutable state), but the *capacity* behind the
-// tables is content-free once truncated — grown regions are re-zeroed
-// by heap.Grow, and Reserve re-derives union-find entries from
-// indices — so recycling it through a pool is observably
-// identical to fresh construction (TestPooledFigureIdentity pins this
-// at the figure level). The pool fills only via Events.Detach, i.e. on
-// the engine's Reset path; a dropped runtime donates nothing.
+// paid per matrix cell — meta, oldFrames and the forest, which follow
+// the handle table, and sets, which follows the live-set count. The
+// engine runs each cell on a fresh collector (shards must not share
+// mutable state), but the *capacity* behind the tables is content-free
+// once truncated — grown regions are re-zeroed by heap.Grow, newSet
+// zeroes each slot it appends, and Reserve re-derives union-find entries
+// from indices — so recycling it through a pool is observably identical
+// to fresh construction (TestPooledFigureIdentity pins this at the
+// figure level). The pool fills only via Events.Detach, i.e. on the
+// engine's Reset path; a dropped runtime donates nothing.
 type tables struct {
 	meta      []objMeta
 	sets      []setMeta
@@ -302,7 +317,8 @@ func (c *CG) Attach(rt *vm.Runtime) {
 	}
 	c.msa = t.msa
 	c.meta = t.meta[:0]
-	c.sets = t.sets[:0]
+	c.sets = append(t.sets[:0], setMeta{}) // slot 0, never used
+	c.freeSets = 0
 	c.oldFrames = t.oldFrames[:0]
 	if c.cfg.Packed {
 		if t.packed == nil {
@@ -403,24 +419,23 @@ func (c *CG) Stats() Stats { return c.stats }
 // MSAStats exposes the embedded traditional collector's counters.
 func (c *CG) MSAStats() msa.Stats { return c.msa.Stats() }
 
-// ensure grows the side tables to cover handle id: one compare, since
-// meta, sets and the forest are always the same length; growth is the
-// cold path.
+// ensure grows the handle-indexed tables to cover handle id: one
+// compare, since meta and the forest are always the same length; growth
+// is the cold path. sets is not one of them: newSet grows it.
 func (c *CG) ensure(id heap.HandleID) {
 	if int(id) >= len(c.meta) {
 		c.grow()
 	}
 }
 
-// grow takes meta, sets and the forest to the handle table's capacity
-// in one step: they grow when that table does, by the heap's rule, and
-// id is covered because the heap has already handed it out.
+// grow takes meta and the forest to the handle table's capacity in one
+// step: they grow when that table does, by the heap's rule, and id is
+// covered because the heap has already handed it out.
 //
 //go:noinline
 func (c *CG) grow() {
 	n := c.heap.HandleCap()
 	c.meta = heap.Grow(c.meta, n, n)
-	c.sets = heap.Grow(c.sets, n, n)
 	if c.packed != nil {
 		c.packed.Reserve(n)
 	} else {
@@ -463,41 +478,71 @@ func (c *CG) resetElem(id heap.HandleID) {
 	}
 }
 
-// frameOf returns the dependent frame of set root.
-func (c *CG) frameOf(root heap.HandleID) *vm.Frame {
-	return c.rt.FrameAt(c.sets[int(root)].frame)
-}
+// setOf returns the slot of the set id belongs to: its representative
+// names it.
+func (c *CG) setOf(id heap.HandleID) int32 { return c.meta[int(c.find(id))].set }
 
-// linkSet pushes set root onto the list of f, its dependent frame (the
-// frame's GCHead word, §3.1.2).
-func (c *CG) linkSet(root heap.HandleID, f *vm.Frame) {
-	s := &c.sets[int(root)]
-	s.prev, s.next = heap.Nil, f.GCHead
-	if f.GCHead != heap.Nil {
-		c.sets[int(f.GCHead)].prev = root
+// newSet takes a slot for a set about to be born: the most recently
+// freed one, else one more at the table's end — only when more sets are
+// alive than ever before, and by append's own growth rule. The caller
+// fills the record.
+func (c *CG) newSet() int32 {
+	if slot := c.freeSets; slot != 0 {
+		c.freeSets = c.sets[int(slot)].next
+		return slot
 	}
-	f.GCHead = root
+	c.sets = append(c.sets, setMeta{})
+	return int32(len(c.sets) - 1)
 }
 
-// unlinkSet removes set root from its dependent frame's list.
-func (c *CG) unlinkSet(root heap.HandleID) {
-	s := &c.sets[int(root)]
-	if s.prev != heap.Nil {
+// freeSet returns the slot of a set that no longer exists (merged away
+// or collected) to the free list. The set must be off its frame's list.
+func (c *CG) freeSet(slot int32) {
+	s := &c.sets[int(slot)]
+	s.size, s.next = 0, c.freeSets
+	c.freeSets = slot
+}
+
+// singleton makes id a set of its own, dependent on f, and returns the
+// set's slot for id's objMeta.
+func (c *CG) singleton(id heap.HandleID, f *vm.Frame) int32 {
+	slot := c.newSet()
+	c.sets[int(slot)] = setMeta{head: id, tail: id, size: 1, frame: f.Index}
+	c.linkSet(slot, f)
+	return slot
+}
+
+// linkSet pushes the set in slot onto the list of f, its dependent frame
+// (the frame's GCHead word, §3.1.2).
+func (c *CG) linkSet(slot int32, f *vm.Frame) {
+	s := &c.sets[int(slot)]
+	s.prev, s.next = 0, f.GCHead
+	if f.GCHead != 0 {
+		c.sets[int(f.GCHead)].prev = slot
+	}
+	f.GCHead = slot
+}
+
+// unlinkSet removes the set in slot from its dependent frame's list.
+func (c *CG) unlinkSet(slot int32) {
+	s := &c.sets[int(slot)]
+	if s.prev != 0 {
 		c.sets[int(s.prev)].next = s.next
 	} else {
 		c.rt.FrameAt(s.frame).GCHead = s.next
 	}
-	if s.next != heap.Nil {
+	if s.next != 0 {
 		c.sets[int(s.next)].prev = s.prev
 	}
-	s.prev, s.next = heap.Nil, heap.Nil
+	s.prev, s.next = 0, 0
 }
 
-// retarget moves set root to depend on frame nf, relinking frame lists.
-func (c *CG) retarget(root heap.HandleID, nf *vm.Frame) {
-	c.unlinkSet(root)
-	c.sets[int(root)].frame = nf.Index
-	c.linkSet(root, nf)
+// retarget moves the set in slot to depend on frame nf, relinking frame
+// lists.
+func (c *CG) retarget(slot int32, nf *vm.Frame) {
+	c.unlinkSet(slot)
+	c.sets[int(slot)].frame = nf.Index
+	c.linkSet(slot, nf)
 }
 
 // older returns the older (smaller-ID, longer-lived) of two frames.
@@ -520,7 +565,7 @@ func (c *CG) checkNotTainted(id heap.HandleID, op string) {
 }
 
 func (c *CG) checkTaint(id heap.HandleID, op string) {
-	if int(id) < len(c.meta) && c.meta[int(id)].flags&fTainted != 0 {
+	if c.IsTainted(id) {
 		panic(fmt.Sprintf("core: tainted object %d touched by %s", id, op))
 	}
 }
@@ -534,15 +579,8 @@ func (c *CG) OnAlloc(id heap.HandleID, f *vm.Frame) {
 	if f.Thread != nil {
 		owner = int32(f.Thread.ID)
 	}
-	c.meta[int(id)] = objMeta{birthDepth: int32(f.Depth), owner: owner}
-	c.sets[int(id)] = setMeta{head: id, tail: id, size: 1, frame: f.Index}
-	c.linkSet(id, f)
+	c.meta[int(id)] = objMeta{birthDepth: int32(f.Depth), owner: owner, set: c.singleton(id, f)}
 	c.stats.Created++
-}
-
-// isStatic reports whether set root is pinned to the static frame.
-func (c *CG) isStatic(root heap.HandleID) bool {
-	return c.sets[int(root)].frame == 0
 }
 
 // OnRef is the Ref slot: src now references dst, so the two
@@ -570,24 +608,25 @@ func (c *CG) contaminate(x, y heap.HandleID) {
 	if rx == ry {
 		return
 	}
-	if c.cfg.StaticOpt && c.isStatic(ry) && !c.isStatic(rx) {
+	ix, iy := c.meta[int(rx)].set, c.meta[int(ry)].set
+	sx, sy := &c.sets[int(ix)], &c.sets[int(iy)]
+	if c.cfg.StaticOpt && sy.frame == 0 && sx.frame != 0 {
 		c.stats.OptSkips++
 		return
 	}
-	sx, sy := c.sets[int(rx)], c.sets[int(ry)]
-	c.unlinkSet(rx)
-	c.unlinkSet(ry)
+	c.unlinkSet(ix)
+	c.unlinkSet(iy)
 	root := c.union(rx, ry)
-	// Concatenate membership lists (O(1) via tail pointers).
+	// Concatenate membership lists (O(1) via tail pointers). The merged
+	// set keeps x's record; y's goes back to the free list.
 	c.meta[int(sx.tail)].next = sy.head
 	f := older(c.rt.FrameAt(sx.frame), c.rt.FrameAt(sy.frame))
-	c.sets[int(root)] = setMeta{
-		head:  sx.head,
-		tail:  sy.tail,
-		size:  sx.size + sy.size,
-		frame: f.Index,
-	}
-	c.linkSet(root, f)
+	sx.tail = sy.tail
+	sx.size += sy.size
+	sx.frame = f.Index
+	c.freeSet(iy)
+	c.meta[int(root)].set = ix
+	c.linkSet(ix, f)
 	c.stats.Unions++
 }
 
@@ -596,11 +635,11 @@ func (c *CG) contaminate(x, y heap.HandleID) {
 // of frame-0 dependent blocks").
 func (c *CG) OnStaticRef(dst heap.HandleID) {
 	c.checkNotTainted(dst, "putstatic")
-	r := c.find(dst)
-	if c.isStatic(r) {
+	slot := c.setOf(dst)
+	if c.sets[int(slot)].frame == 0 {
 		return
 	}
-	c.retarget(r, c.rt.StaticFrame())
+	c.retarget(slot, c.rt.StaticFrame())
 }
 
 // OnReturn is the Return slot: an object returned to its caller must
@@ -609,9 +648,9 @@ func (c *CG) OnStaticRef(dst heap.HandleID) {
 // already dependent on an older frame").
 func (c *CG) OnReturn(val heap.HandleID, caller *vm.Frame) {
 	c.checkNotTainted(val, "areturn")
-	r := c.find(val)
-	if c.frameOf(r).ID > caller.ID {
-		c.retarget(r, caller)
+	slot := c.setOf(val)
+	if c.rt.FrameAt(c.sets[int(slot)].frame).ID > caller.ID {
+		c.retarget(slot, caller)
 	}
 }
 
@@ -624,29 +663,27 @@ func (c *CG) OnAccess(id heap.HandleID, t *vm.Thread) {
 		return
 	}
 	m := &c.meta[int(id)]
-	if m.flags&fShared != 0 || m.owner == int32(t.ID) {
+	if m.owner < 0 || m.owner == int32(t.ID) {
 		return
 	}
-	r := c.find(id)
-	if c.isStatic(r) {
+	slot := c.setOf(id)
+	s := &c.sets[int(slot)]
+	if s.frame == 0 {
 		// The block is already immortal; just record this object as
 		// shared. (Avoids re-walking large static sets on every
 		// cross-thread touch.)
-		m.flags |= fShared
-		m.owner = -1
+		m.owner = ownerShared
 		c.stats.Shared++
 		return
 	}
 	// Demote the entire block to the static set (§3.3).
-	for o := c.sets[int(r)].head; o != heap.Nil; o = c.meta[int(o)].next {
-		om := &c.meta[int(o)]
-		if om.flags&fShared == 0 {
-			om.flags |= fShared
-			om.owner = -1
+	for o := s.head; o != heap.Nil; o = c.meta[int(o)].next {
+		if om := &c.meta[int(o)]; om.owner != ownerShared {
+			om.owner = ownerShared
 			c.stats.Shared++
 		}
 	}
-	c.retarget(r, c.rt.StaticFrame())
+	c.retarget(slot, c.rt.StaticFrame())
 }
 
 // OnFramePop is the FramePop slot: every equilive set dependent on the
@@ -654,21 +691,21 @@ func (c *CG) OnAccess(id heap.HandleID, t *vm.Thread) {
 // recycle list in O(1); otherwise each object is freed to the heap.
 func (c *CG) OnFramePop(f *vm.Frame) int {
 	n := 0
-	for root := f.GCHead; root != heap.Nil; {
-		s := &c.sets[int(root)]
+	for slot := f.GCHead; slot != 0; {
+		s := &c.sets[int(slot)]
 		next := s.next
 		n += int(s.size)
-		c.collectSet(root, f)
-		root = next
+		c.collectSet(slot, f)
+		slot = next
 	}
-	f.GCHead = heap.Nil
+	f.GCHead = 0
 	return n
 }
 
-// collectSet records statistics for a dead set and releases (or recycles)
-// its objects.
-func (c *CG) collectSet(root heap.HandleID, f *vm.Frame) {
-	s := &c.sets[int(root)]
+// collectSet records statistics for a dead set, releases (or recycles)
+// its objects and frees its slot.
+func (c *CG) collectSet(slot int32, f *vm.Frame) {
+	s := &c.sets[int(slot)]
 	c.stats.BlockSize[sizeBucket(int(s.size))]++
 	singleton := s.size == 1
 	typed := c.cfg.TypedRecycle && singleton
@@ -691,7 +728,7 @@ func (c *CG) collectSet(root heap.HandleID, f *vm.Frame) {
 		if singleton {
 			c.stats.Singleton++
 		}
-		m.flags |= fTainted
+		m.owner = ownerTainted
 		if c.cfg.FreeHook != nil {
 			c.cfg.FreeHook(o)
 		}
@@ -706,7 +743,7 @@ func (c *CG) collectSet(root heap.HandleID, f *vm.Frame) {
 		}
 		o = next
 	}
-	s.prev, s.next = heap.Nil, heap.Nil
+	c.freeSet(slot)
 }
 
 // sizeClassBucket is one spill size class of recycled storage: every
@@ -894,14 +931,21 @@ func (c *CG) beginCycle() {
 		c.oldFrames = heap.Grow(c.oldFrames, n, n)
 	}
 	c.rt.EachFrame(func(f *vm.Frame) {
-		for root := f.GCHead; root != heap.Nil; root = c.sets[int(root)].next {
-			s := &c.sets[int(root)]
+		for slot := f.GCHead; slot != 0; slot = c.sets[int(slot)].next {
+			s := &c.sets[int(slot)]
 			for o := s.head; o != heap.Nil; o = c.meta[int(o)].next {
 				c.oldFrames[int(o)] = s.frame + 1
 			}
 		}
-		f.GCHead = heap.Nil
+		f.GCHead = 0
 	})
+	// Every set was on some frame's list, so every slot is now free. The
+	// rebuild takes them again from the table's start, and because the
+	// mark fires Reached(dst) immediately before Edge(src, dst), a rebuilt
+	// object joins its referrer's set at once: the slots in use during a
+	// cycle never exceed the sets it rebuilds by more than one.
+	c.sets = c.sets[:1]
+	c.freeSets = 0
 }
 
 // reached is the Reached slot: a live object becomes a fresh singleton
@@ -912,13 +956,12 @@ func (c *CG) reached(id heap.HandleID, f *vm.Frame) {
 	m.next = heap.Nil
 	nf := f
 	switch {
-	case m.flags&fShared != 0:
+	case m.owner == ownerShared:
 		nf = c.rt.StaticFrame() // sharing demotion is sticky (§3.3)
 	case !c.cfg.ResetOnGC && int(id) < len(c.oldFrames) && c.oldFrames[int(id)] != 0:
 		nf = c.rt.FrameAt(c.oldFrames[int(id)] - 1) // preserve plain-CG conservativeness
 	}
-	c.sets[int(id)] = setMeta{head: id, tail: id, size: 1, frame: nf.Index}
-	c.linkSet(id, nf)
+	m.set = c.singleton(id, nf)
 }
 
 // edge is the Edge slot: connected live objects re-contaminate, so
@@ -930,7 +973,7 @@ func (c *CG) edge(src, dst heap.HandleID) {
 // willFree is the WillFree slot: the object dropped out of CG's
 // structures and is collected by the sweep (Fig 4.11 "collected by MSA").
 func (c *CG) willFree(id heap.HandleID) {
-	c.meta[int(id)].flags |= fTainted
+	c.meta[int(id)].owner = ownerTainted
 	c.stats.MSAFreed++
 }
 
@@ -946,7 +989,7 @@ func (c *CG) endCycle(int) {
 			return
 		}
 		old := c.rt.FrameAt(stamp - 1)
-		if c.frameOf(c.find(id)).ID > old.ID {
+		if c.DependentFrame(id).ID > old.ID {
 			c.stats.LessLive++
 			if old.ID == 0 {
 				c.stats.FromStatic++
@@ -1010,12 +1053,12 @@ func (c *CG) RecycledObjects() int {
 // DependentFrame reports the current dependent frame of a live object —
 // the observable the worked example (Fig 2.1/2.2) and the tests inspect.
 func (c *CG) DependentFrame(id heap.HandleID) *vm.Frame {
-	return c.frameOf(c.find(id))
+	return c.rt.FrameAt(c.sets[int(c.setOf(id))].frame)
 }
 
 // SetSize reports the size of id's equilive set.
 func (c *CG) SetSize(id heap.HandleID) int {
-	return int(c.sets[int(c.find(id))].size)
+	return int(c.sets[int(c.setOf(id))].size)
 }
 
 // SameSet reports whether two objects are equilive.
@@ -1023,7 +1066,7 @@ func (c *CG) SameSet(a, b heap.HandleID) bool { return c.find(a) == c.find(b) }
 
 // IsTainted reports whether CG has declared id dead.
 func (c *CG) IsTainted(id heap.HandleID) bool {
-	return int(id) < len(c.meta) && c.meta[int(id)].flags&fTainted != 0
+	return int(id) < len(c.meta) && c.meta[int(id)].owner == ownerTainted
 }
 
 // Breakdown is the Fig A.2–A.4 object classification at end of run:
@@ -1059,11 +1102,10 @@ func (c *CG) Snapshot() Breakdown {
 		Thread:  c.stats.Shared,
 	}
 	c.heap.ForEachLive(func(id heap.HandleID) {
-		m := &c.meta[int(id)]
-		if m.flags&fTainted != 0 || m.flags&fShared != 0 {
+		if c.meta[int(id)].owner < 0 {
 			return // recycled-awaiting-reuse or already counted as thread
 		}
-		if c.isStatic(c.find(id)) {
+		if c.sets[int(c.setOf(id))].frame == 0 {
 			b.Static++
 		} else {
 			b.Live++

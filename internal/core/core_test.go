@@ -13,7 +13,7 @@ func newRT(t testing.TB, cfg Config, arena int) (*vm.Runtime, *CG, heap.ClassID)
 	h := heap.New(arena)
 	node := h.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
 	cg := New(cfg)
-	rt := vm.New(h, cg)
+	rt := vm.New(h, checked(t, cg))
 	return rt, cg, node
 }
 
@@ -372,7 +372,7 @@ func TestSafetyOracle(t *testing.T) {
 		h := heap.New(1 << 20)
 		node := h.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
 		cg := New(cfg)
-		rt = vm.New(h, cg)
+		rt = vm.New(h, checked(t, cg))
 		th := rt.NewThread(4)
 
 		var live []heap.HandleID
@@ -524,7 +524,7 @@ func TestRecycleBestFitSkipsSmall(t *testing.T) {
 	small := h.DefineClass(heap.Class{Name: "S", Data: 0}) // 8 bytes
 	big := h.DefineClass(heap.Class{Name: "B", Data: 56})  // 64 bytes
 	cg := New(Config{StaticOpt: true, Recycle: true, Checked: true})
-	rt := vm.New(h, cg)
+	rt := vm.New(h, checked(t, cg))
 	th := rt.NewThread(0)
 	var smallObj, bigObj heap.HandleID
 	th.CallVoid(2, func(f *vm.Frame) {
@@ -768,7 +768,7 @@ func TestDetachReturnsRecycleScratch(t *testing.T) {
 	small := h.DefineClass(heap.Class{Name: "S", Refs: 1, Data: 0})
 	big := h.DefineClass(heap.Class{Name: "B", Refs: 2, Data: 64})
 	cg := New(Config{StaticOpt: true, Recycle: true})
-	rt := vm.New(h, cg)
+	rt := vm.New(h, checked(t, cg))
 	th := rt.NewThread(0)
 	// Two ladder classes' worth of dead objects.
 	th.CallVoid(2, func(f *vm.Frame) {

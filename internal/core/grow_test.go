@@ -16,12 +16,14 @@ func forestLen(c *CG) int {
 
 // TestSideTablesFollowHandleTable scripts allocations and contaminations
 // against a model and stops at every growth step of the heap's handle
-// table: meta, sets and the forest must stand at exactly the heap's
-// HandleCap (one growth rule, applied in one place), every set formed
-// so far must have survived the copy, and every entry a step uncovered
-// must read as zero, a singleton in the forest. The second pass runs
-// on tables the pool kept from the first (detached dirty, cut to length
-// zero), grown past that capacity.
+// table: meta and the forest must stand at exactly the heap's HandleCap
+// (one growth rule, applied in one place) and sets at the set count —
+// one slot per set of the model, plus the one an object is born in and
+// its putfield frees — every set formed so far must have survived
+// the copy, and every entry a step uncovered must read as zero, a
+// singleton in the forest. The second pass runs on tables the pool kept
+// from the first (detached dirty, cut to length zero), grown past that
+// capacity.
 func TestSideTablesFollowHandleTable(t *testing.T) {
 	for _, cfg := range []Config{{StaticOpt: true}, {StaticOpt: true, Packed: true}} {
 		rt, cg, node := newRT(t, cfg, 1<<22)
@@ -43,9 +45,17 @@ func TestSideTablesFollowHandleTable(t *testing.T) {
 					f.PutField(id, 0, ids[i-1])
 				}
 				ids = append(ids, id)
-				if n := h.HandleCap(); len(cg.meta) != n || len(cg.sets) != n || forestLen(cg) != n {
-					t.Fatalf("packed=%v pass %d, %d objects: HandleCap %d but meta %d, sets %d, forest %d",
-						cfg.Packed, pass, i+1, n, len(cg.meta), len(cg.sets), forestLen(cg))
+				if n := h.HandleCap(); len(cg.meta) != n || forestLen(cg) != n {
+					t.Fatalf("packed=%v pass %d, %d objects: HandleCap %d but meta %d, forest %d",
+						cfg.Packed, pass, i+1, n, len(cg.meta), forestLen(cg))
+				}
+				sets, spare := i/4+1, 0
+				if i%4 != 0 {
+					spare = 1 // the slot id was born in, free since the putfield
+				}
+				if live, free, total := slotCounts(cg); live != sets || free != spare || total != sets+spare {
+					t.Fatalf("packed=%v pass %d, %d objects in %d sets: %d live + %d free of %d slots",
+						cfg.Packed, pass, i+1, sets, live, free, total)
 				}
 				if h.HandleCap() == before {
 					continue
@@ -59,9 +69,9 @@ func TestSideTablesFollowHandleTable(t *testing.T) {
 					}
 				}
 				for k := h.NumHandles(); k < h.HandleCap(); k++ {
-					if cg.meta[k] != (objMeta{}) || cg.sets[k] != (setMeta{}) || cg.find(heap.HandleID(k)) != heap.HandleID(k) {
-						t.Fatalf("packed=%v pass %d, growth to %d: uncovered entry %d reads meta %+v, set %+v, root %d",
-							cfg.Packed, pass, h.HandleCap(), k, cg.meta[k], cg.sets[k], cg.find(heap.HandleID(k)))
+					if cg.meta[k] != (objMeta{}) || cg.find(heap.HandleID(k)) != heap.HandleID(k) {
+						t.Fatalf("packed=%v pass %d, growth to %d: uncovered entry %d reads meta %+v, root %d",
+							cfg.Packed, pass, h.HandleCap(), k, cg.meta[k], cg.find(heap.HandleID(k)))
 					}
 				}
 			}

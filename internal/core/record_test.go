@@ -4,13 +4,17 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"repro/internal/heap"
+	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
-// TestRecordsAreSmallAndPointerFree pins CG's handle-indexed records to
-// what the thesis's handle carries (§3.1.1, §3.5): the per-object record
-// 16 bytes, the per-set record 24, the reset-pass stamp 4 — and none of
-// them holds a Go pointer, which is what lets detach pool the tables by
-// truncation and keeps them out of every Go GC cycle's scan.
+// TestRecordsAreSmallAndPointerFree pins CG's records to what the
+// thesis's handle carries (§3.1.1, §3.5): per handle, the object record
+// 16 bytes and the reset-pass stamp 4; per live set, the set record 24 —
+// and none of them holds a Go pointer, which is what lets detach pool the
+// tables by truncation and keeps them out of every Go GC cycle's scan.
 func TestRecordsAreSmallAndPointerFree(t *testing.T) {
 	var c CG
 	for _, r := range []struct {
@@ -29,6 +33,25 @@ func TestRecordsAreSmallAndPointerFree(t *testing.T) {
 		if hasPointers(r.typ) {
 			t.Errorf("%s holds a pointer", r.name)
 		}
+	}
+}
+
+// TestSetTableIsSizedBySets: javac at size 100, the cell that sets every
+// ledger workload's peak memory, has 227 686 handles and never more than
+// a few hundred sets alive at once, so the set table ends under 1 % of
+// the handle count — 24 bytes a set, not 24 bytes a handle.
+func TestSetTableIsSizedBySets(t *testing.T) {
+	spec, err := workload.ByName("javac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg := New(DefaultConfig())
+	rt := vm.New(heap.New(spec.HeapBytes(100)), cg)
+	spec.Run(rt, 100)
+	records, handles := cap(cg.sets), rt.Heap.NumHandles()
+	t.Logf("%d set slots in use, %d records held, %d handles", len(cg.sets)-1, records, handles)
+	if 100*records >= handles {
+		t.Errorf("the set table holds %d records for %d handles, budget is 1 %%", records, handles)
 	}
 }
 

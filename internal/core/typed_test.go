@@ -15,7 +15,7 @@ func TestTypedRecycleExactClass(t *testing.T) {
 	a := h.DefineClass(heap.Class{Name: "A", Data: 8})
 	b := h.DefineClass(heap.Class{Name: "B", Data: 8})
 	cg := New(Config{StaticOpt: true, TypedRecycle: true, Checked: true})
-	rt := vm.New(h, cg)
+	rt := vm.New(h, checked(t, cg))
 	th := rt.NewThread(0)
 
 	var oldA, oldB heap.HandleID
@@ -52,7 +52,7 @@ func TestTypedRecycleMultiObjectSetsUseGeneralList(t *testing.T) {
 	h := heap.New(1 << 10)
 	a := h.DefineClass(heap.Class{Name: "A", Refs: 1, Data: 8})
 	cg := New(Config{StaticOpt: true, TypedRecycle: true, Checked: true})
-	rt := vm.New(h, cg)
+	rt := vm.New(h, checked(t, cg))
 	th := rt.NewThread(0)
 	th.CallVoid(2, func(f *vm.Frame) {
 		x := f.MustNew(a)
@@ -75,7 +75,7 @@ func TestTypedRecycleFlushBalances(t *testing.T) {
 	h := heap.New(1 << 12)
 	a := h.DefineClass(heap.Class{Name: "A", Data: 8})
 	cg := New(Config{StaticOpt: true, TypedRecycle: true})
-	rt := vm.New(h, cg)
+	rt := vm.New(h, checked(t, cg))
 	th := rt.NewThread(0)
 	th.CallVoid(1, func(f *vm.Frame) {
 		for i := 0; i < 10; i++ {
@@ -100,7 +100,7 @@ func TestTypedRecycleEndToEnd(t *testing.T) {
 	h := heap.New(1 << 10) // ~64 objects of 16 bytes
 	a := h.DefineClass(heap.Class{Name: "A", Data: 8})
 	cg := New(Config{StaticOpt: true, TypedRecycle: true, Checked: true})
-	rt := vm.New(h, cg)
+	rt := vm.New(h, checked(t, cg))
 	th := rt.NewThread(0)
 	for round := 0; round < 50; round++ {
 		th.CallVoid(1, func(f *vm.Frame) {

@@ -344,6 +344,17 @@ func (a *Arena) initSlab(p, c int32, usable int) {
 	a.freeListBytes += blocks * classBytes
 }
 
+// blockIndex divides a page offset by a ladder block size: which block
+// of the slab holds off, and whether off is that block's first byte.
+// Both are at most a page (1 << maxPageShift), so one 32-bit unsigned
+// divide and a multiply back are exact, where off/rounded and
+// off%rounded on ints are a 64-bit signed divide — several times the
+// latency, on every free under every collector.
+func blockIndex(off, rounded int) (b int, aligned bool) {
+	q := uint32(off) / uint32(rounded)
+	return int(q), q*uint32(rounded) == uint32(off)
+}
+
 func (a *Arena) freeSmall(addr, size, rounded int) {
 	p := int32(addr >> a.pageShift)
 	if int(p) >= len(a.slabs) {
@@ -354,9 +365,8 @@ func (a *Arena) freeSmall(addr, size, rounded int) {
 	if s.class != c {
 		panic(fmt.Sprintf("heap: bad free at %d: size %d does not match page class", addr, size))
 	}
-	off := addr - int(p)<<a.pageShift
-	b := off / rounded
-	if off%rounded != 0 || int32(b) >= s.blocks {
+	b, aligned := blockIndex(addr-int(p)<<a.pageShift, rounded)
+	if !aligned || int32(b) >= s.blocks {
 		panic(fmt.Sprintf("heap: bad free at %d: misaligned block", addr))
 	}
 	w, bit := b>>6, uint(b&63)

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -211,6 +212,52 @@ func TestArenaLargeDoubleFreePanics(t *testing.T) {
 		}
 	}()
 	a.Free(p, big)
+}
+
+// TestBlockIndexMatchesDivision compares freeSmall's 32-bit divide with
+// int / and % over everything it can be handed: every ladder class
+// against every 8-aligned offset in the widest page.
+func TestBlockIndexMatchesDivision(t *testing.T) {
+	for c := 0; c < NumSizeClasses; c++ {
+		rounded := SizeClassBytes(c)
+		for off := 0; off < MaxSmallSize; off += 8 {
+			b, aligned := blockIndex(off, rounded)
+			if b != off/rounded || aligned != (off%rounded == 0) {
+				t.Fatalf("blockIndex(%d, %d) = %d, %v; want %d, %v", off, rounded, b, aligned, off/rounded, off%rounded == 0)
+			}
+		}
+	}
+}
+
+// TestArenaBadSmallFreePanics: a free the slab cannot have handed out
+// is refused by name — wrong size class for the page, an address inside
+// a block, a block already free.
+func TestArenaBadSmallFreePanics(t *testing.T) {
+	a := NewArena(1 << 16)
+	p, _ := a.Alloc(64)
+	q, _ := a.Alloc(64)
+	a.Free(q, 64)
+	for _, tc := range []struct {
+		addr, size int
+		want       string
+	}{
+		{p, 48, "does not match page class"},
+		{p + 8, 64, "misaligned block"},
+		{q, 64, "double free"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("Free(%d, %d) panicked with %q, want %q", tc.addr, tc.size, msg, tc.want)
+				}
+			}()
+			a.Free(tc.addr, tc.size)
+		}()
+	}
+	a.Free(p, 64)
+	if err := a.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // arenaScript replays a deterministic mixed small/large workload and

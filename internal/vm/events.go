@@ -50,7 +50,7 @@ type Events struct {
 	Return func(val heap.HandleID, caller *Frame)
 	// FramePop observes frame f popping; an incremental collector may
 	// reclaim storage here and reports how many objects it freed. The
-	// runtime elides the dispatch for frames whose GCHead is Nil — no
+	// runtime elides the dispatch for frames whose GCHead is zero — no
 	// collector-owned state depends on them — unless AllPops is set.
 	FramePop func(f *Frame) int
 	// Access observes thread t touching object id (thread-share
@@ -76,7 +76,7 @@ type Events struct {
 	// declare it; it replaces Runtime.ForceAccessEvents.
 	AllAccess bool
 	// AllPops subscribes FramePop to every pop, including frames whose
-	// GCHead is Nil. Collectors that track pops without arming the
+	// GCHead is zero. Collectors that track pops without arming the
 	// frame's GCHead word (instrumentation, tests) declare it; it
 	// replaces Runtime.ForceFramePopEvents.
 	AllPops bool

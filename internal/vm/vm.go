@@ -40,11 +40,13 @@ type Frame struct {
 	Depth int
 	// Thread owns this frame; nil for the static pseudo-frame.
 	Thread *Thread
-	// GCHead is a collector-owned word: CG stores the head of the
-	// frame's dependent equilive-set list here ("each frame is equipped
-	// with a reference to a list of its dependent equilive blocks",
-	// §3.1.2). The runtime only resets it when the frame is created.
-	GCHead heap.HandleID
+	// GCHead is a collector-owned word, and to the runtime only zero or
+	// not: CG stores the head of the frame's dependent equilive-set list
+	// here, as a slot in its own set table, never a handle ("each frame
+	// is equipped with a reference to a list of its dependent equilive
+	// blocks", §3.1.2). The runtime zeroes it when the frame is pushed
+	// and fires FramePop only for a frame that left it non-zero.
+	GCHead int32
 	// Index is this record's slot in the runtime's frame registry:
 	// rt.FrameAt(f.Index) == f until Reset, across pool reuse, so a
 	// collector names a frame in 4 pointer-free bytes. Static frame = 0.
@@ -130,7 +132,7 @@ type Runtime struct {
 	countdown uint64
 
 	// popAlways, when set, dispatches FramePop even for frames whose
-	// GCHead is Nil (the descriptor's AllPops capability; true only
+	// GCHead is zero (the descriptor's AllPops capability; true only
 	// when a FramePop slot is bound).
 	popAlways bool
 
@@ -423,7 +425,7 @@ func (t *Thread) push(nlocals int) *Frame {
 	}
 	f.ID = t.rt.frameSeq
 	f.Depth = len(t.stack) + 1
-	f.GCHead = heap.Nil
+	f.GCHead = 0
 	t.stack = append(t.stack, f)
 	return f
 }
@@ -435,7 +437,7 @@ func (t *Thread) push(nlocals int) *Frame {
 func (t *Thread) pop() {
 	f := t.stack[len(t.stack)-1]
 	t.stack = t.stack[:len(t.stack)-1]
-	if f.GCHead != heap.Nil || t.rt.popAlways {
+	if f.GCHead != 0 || t.rt.popAlways {
 		if fp := t.rt.onFramePop; fp != nil {
 			fp(f)
 		}

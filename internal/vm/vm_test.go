@@ -20,7 +20,7 @@ type eventLog struct {
 
 // Events implements Collector: the log subscribes every reference and
 // lifecycle slot. It arms no GCHead, so it declares AllPops to opt out
-// of the Nil-GCHead pop elision.
+// of the zero-GCHead pop elision.
 func (e *eventLog) Events() Events {
 	return Events{
 		Name:   "log",
