@@ -91,8 +91,6 @@ func main() {
 	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
 	skipTiming := flag.Bool("skip-timing", false, "skip the wall-clock experiments (4.7, 4.8, 4.10, 4.12, A.5-A.7)")
 	skipLarge := flag.Bool("skip-large", false, "skip the size-100 sweeps (4.4, 4.9, 4.10 large column, A.4, A.7)")
-	maxHeap := flag.String("max-heap-bytes", "0",
-		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
 	benchOut := flag.String("bench", "", "run the Workload micro-benchmarks and write a JSON report to this path (skips figure rendering)")
 	benchTime := flag.Duration("bench-time", 300*time.Millisecond, "per-benchmark measurement budget for -bench")
 	benchSizes := flag.String("bench-sizes", "1,10", "comma-separated workload sizes for -bench")
@@ -138,12 +136,7 @@ func main() {
 		return
 	}
 
-	heapCap, err := engine.ParseByteSize(*maxHeap)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cgbench:", err)
-		os.Exit(2)
-	}
-	eng := timingEngine(*workers, heapCap)
+	eng := timingEngine(*workers)
 
 	// timed renders a wall-clock figure: one failed cell fails the
 	// figure with its one "sweep <id>: ..." line.
@@ -219,8 +212,8 @@ type benchConfig struct {
 // ones (4.7, 4.8, 4.10, 4.12, A.5–A.7) print Result.Elapsed as the time
 // a program takes under a collector, so no cell may be served by
 // replaying a tape: the cache is off, and every cell drives.
-func timingEngine(workers int, heapCap int64) *engine.Engine {
-	return engine.New(workers).SetMaxHeapBytes(heapCap).SetTapeCache(false)
+func timingEngine(workers int) *engine.Engine {
+	return engine.New(workers).SetTapeCache(false)
 }
 
 // runBenchMode times one run of every (workload, collector, size) cell

@@ -13,7 +13,7 @@ import (
 // measure: every cell drives its program, so after a timing figure the
 // engine behind it holds no tape it could have replayed instead.
 func TestTimingFiguresTimeTheProgram(t *testing.T) {
-	eng := timingEngine(1, 0)
+	eng := timingEngine(1)
 	if tb, err := experiments.Fig47_48(eng, 1); err != nil || tb.String() == "" {
 		t.Fatalf("Fig 4.7 rendered nothing (err %v)", err)
 	}

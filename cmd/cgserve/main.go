@@ -10,9 +10,9 @@
 //   - cells requested concurrently by several clients compute exactly
 //     once (in-flight dedup), with every requesting stream receiving
 //     the outcome;
-//   - admission is bounded by -max-heap-bytes byte reservations plus a
-//     -max-inflight execution cap, and a per-client round-robin
-//     scheduler keeps one huge sweep from starving small ones.
+//   - admission is bounded by the -max-inflight execution cap, and a
+//     per-client round-robin scheduler keeps one huge sweep from
+//     starving small ones.
 //
 // Usage:
 //
@@ -46,22 +46,17 @@ func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address for the sweep API, /progress, /healthz and pprof")
 	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
 	storeDir := flag.String("store", "", "shared cell store directory (empty = a temporary directory, discarded on exit)")
-	maxHeap := flag.String("max-heap-bytes", "0",
-		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent cell executions (0 = engine worker count)")
 	tapeOn := flag.Bool("tape", true,
 		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); output is identical either way")
 	flag.Parse()
 
-	heapCap, err := engine.ParseByteSize(*maxHeap)
-	if err != nil {
-		fatal(err)
-	}
 	prog := &obs.Progress{}
-	eng := engine.New(*workers).SetMaxHeapBytes(heapCap).SetProgress(prog).SetTapeCache(*tapeOn)
+	eng := engine.New(*workers).SetProgress(prog).SetTapeCache(*tapeOn)
 
 	dir, tempStore := *storeDir, false
 	if dir == "" {
+		var err error
 		if dir, err = os.MkdirTemp("", "cgserve-cells-*"); err != nil {
 			fatal(err)
 		}
@@ -78,10 +73,6 @@ func main() {
 		return obs.Snapshot{
 			Provenance: obs.Capture(obs.Nanotime()),
 			Progress:   &ps,
-			Gauges: map[string]int64{
-				"heap_reserved_bytes": eng.ReservedBytes(),
-				"heap_max_bytes":      eng.MaxHeapBytes(),
-			},
 		}
 	})
 	if err != nil {

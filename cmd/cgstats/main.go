@@ -48,8 +48,6 @@ func main() {
 	noopt := flag.Bool("noopt", false, "disable the §3.4 static optimization (alias for -collector cg+noopt)")
 	bench := flag.String("bench", "", "run a single benchmark (default: all)")
 	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
-	maxHeap := flag.String("max-heap-bytes", "0",
-		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
 	arenaStats := flag.Bool("arena-stats", false,
 		"append a per-benchmark arena occupancy table (capacity / heap / alloc / overhead from the slab arena's O(1) counters)")
 	pauses := flag.Bool("pauses", false,
@@ -57,12 +55,6 @@ func main() {
 	gcEvery := flag.Uint64("gc-every", 0,
 		"force a full traditional collection every N runtime operations (0 = off; the §4.7 resetting instrumentation)")
 	flag.Parse()
-
-	heapCap, err := engine.ParseByteSize(*maxHeap)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cgstats:", err)
-		os.Exit(2)
-	}
 
 	spec := *collector
 	if *noopt {
@@ -100,7 +92,7 @@ func main() {
 	// RunDemographics releases each shard's runtime as soon as its
 	// counters are extracted; a size-100 sweep would otherwise keep
 	// every shard's live set in memory until render.
-	cells, err := experiments.RunDemographics(engine.New(*workers).SetMaxHeapBytes(heapCap), jobs)
+	cells, err := experiments.RunDemographics(engine.New(*workers), jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cgstats:", err)
 		os.Exit(1)

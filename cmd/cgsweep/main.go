@@ -14,7 +14,6 @@
 //	cgsweep -figs 4.1,4.5,4.11            # a subset
 //	cgsweep -procs 4                      # fan cells out to 4 cgworker processes
 //	cgsweep -store cells/                 # persist cells; a rerun skips completed ones
-//	cgsweep -max-heap-bytes 2GiB          # bound aggregate arena bytes per process
 //	cgsweep -debug-addr localhost:6060    # live pprof + JSON progress while it runs
 //	cgsweep -server http://host:8080      # run the sweep on a cgserve instead
 //
@@ -23,18 +22,19 @@
 // arrive. The output is byte-identical to a local run of the same
 // figures — the server renders with the same code path — but cells are
 // served from the server's shared cache, deduplicated against other
-// clients' concurrent sweeps, and admitted under the server's heap
-// budget. -client names this client in the server's fairness lanes.
+// clients' concurrent sweeps, and admitted under the server's
+// -max-inflight. -client names this client in the server's fairness
+// lanes.
 //
 // -debug-addr serves net/http/pprof and a JSON snapshot (/progress) of
 // the sweep's live state — cells stored/computed/in-flight, queue
-// depth, per-worker utilization, heap-reservation occupancy — without
-// touching the deterministic stdout stream. Each completed figure also
-// prints a stderr line — its cell count, how many of those cells this
-// run computed on its account, and the time since the previous figure
-// flushed — and the run closes with a summary: how many figure cells
-// were delivered without being computed (shared with another figure, or
-// read from the store) and how many were computed.
+// depth, per-worker utilization — without touching the deterministic
+// stdout stream. Each completed figure also prints a stderr line — its
+// cell count, how many of those cells this run computed on its account,
+// and the time since the previous figure flushed — and the run closes
+// with a summary: how many figure cells were delivered without being
+// computed (shared with another figure, or read from the store) and how
+// many were computed.
 //
 // With -store, a killed sweep (power cut, OOM kill, ^C) is restarted
 // with the same command line and completes from where it died: cells
@@ -69,7 +69,7 @@ import (
 // the sweep on another machine's engine and store and rejects each.
 var localOnly = map[string]bool{
 	"procs": true, "workers": true, "store": true, "worker": true,
-	"max-heap-bytes": true, "debug-addr": true, "tape": true,
+	"debug-addr": true, "tape": true,
 }
 
 // rejectLocalFlags fails on the first flag the command line set that
@@ -89,8 +89,6 @@ func main() {
 	workers := flag.Int("workers", 0, "engine workers per process (0 = GOMAXPROCS; with -procs, per child)")
 	storeDir := flag.String("store", "", "results store directory; completed cells are persisted and resumed")
 	workerCmd := flag.String("worker", "", "cgworker binary for -procs (default: beside cgsweep, then $PATH)")
-	maxHeap := flag.String("max-heap-bytes", "0",
-		"exact arena-byte cap for concurrently resident shards, per process, pooled included (e.g. 2GiB; 0 = unlimited)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve pprof and a JSON progress snapshot on this address (e.g. localhost:6060; empty = off)")
 	server := flag.String("server", "",
@@ -134,17 +132,12 @@ func main() {
 			stats.Cells, *server, time.Since(start).Round(time.Millisecond), stats.Computed, stats.Stored, stats.Deduped)
 		return
 	}
-	heapCap, err := engine.ParseByteSize(*maxHeap)
-	if err != nil {
-		fatal(err)
-	}
 
 	// The progress counters exist regardless of -debug-addr: they cost
 	// nothing on hot paths (every update is at a cell boundary).
 	prog := &obs.Progress{}
 
 	var backend results.Backend
-	var eng *engine.Engine
 	if *procs > 0 {
 		bin, err := workerBinary(*workerCmd)
 		if err != nil {
@@ -156,12 +149,10 @@ func main() {
 			// it procs-fold.
 			perChild = (engine.New(0).Workers() + *procs - 1) / *procs
 		}
-		argv := []string{bin, "-workers", strconv.Itoa(perChild), "-max-heap-bytes", strconv.FormatInt(heapCap, 10),
-			"-tape=" + strconv.FormatBool(*tapeOn)}
+		argv := []string{bin, "-workers", strconv.Itoa(perChild), "-tape=" + strconv.FormatBool(*tapeOn)}
 		backend = &dist.Coordinator{Spawn: dist.Command(argv, os.Stderr), Procs: *procs, Obs: prog}
 	} else {
-		eng = engine.New(*workers).SetMaxHeapBytes(heapCap).SetProgress(prog).SetTapeCache(*tapeOn)
-		backend = results.Local{Eng: eng, Obs: prog}
+		backend = results.Local{Eng: engine.New(*workers).SetProgress(prog).SetTapeCache(*tapeOn), Obs: prog}
 	}
 
 	if *storeDir != "" {
@@ -176,14 +167,7 @@ func main() {
 	if *debugAddr != "" {
 		srv, err := obs.Serve(*debugAddr, func() obs.Snapshot {
 			ps := prog.Snapshot()
-			snap := obs.Snapshot{Provenance: obs.Capture(obs.Nanotime()), Progress: &ps}
-			if eng != nil {
-				snap.Gauges = map[string]int64{
-					"heap_reserved_bytes": eng.ReservedBytes(),
-					"heap_max_bytes":      eng.MaxHeapBytes(),
-				}
-			}
-			return snap
+			return obs.Snapshot{Provenance: obs.Capture(obs.Nanotime()), Progress: &ps}
 		})
 		if err != nil {
 			fatal(err)

@@ -9,8 +9,7 @@ import (
 
 // TestServerRejectsLocalFlags: with -server, a flag that configures a
 // local run is an error naming that flag, whatever value it was given —
-// -tape=false, -max-heap-bytes and -debug-addr used to be accepted and
-// dropped.
+// -tape=false and -debug-addr used to be accepted and dropped.
 func TestServerRejectsLocalFlags(t *testing.T) {
 	parse := func(args ...string) error {
 		fs := flag.NewFlagSet("cgsweep", flag.ContinueOnError)
@@ -35,7 +34,7 @@ func TestServerRejectsLocalFlags(t *testing.T) {
 	}
 	for _, local := range [][]string{
 		{"-procs", "0"}, {"-workers", "2"}, {"-store", "d"}, {"-worker", "w"},
-		{"-max-heap-bytes", "1GiB"}, {"-debug-addr", ":6060"}, {"-tape=false"},
+		{"-debug-addr", ":6060"}, {"-tape=false"},
 	} {
 		name := strings.SplitN(local[0], "=", 2)[0]
 		err := parse(append([]string{"-server", "http://h"}, local...)...)

@@ -8,12 +8,11 @@
 //
 // Usage:
 //
-//	cgworker [-workers N] [-max-heap-bytes SIZE] [-debug-addr ADDR]
+//	cgworker [-workers N] [-debug-addr ADDR]
 //
 // -workers sets the in-process pool (and the advertised capacity the
-// coordinator's flow-control window uses); -max-heap-bytes caps the
-// aggregate arena bytes of concurrently admitted cells, so a host
-// running several workers can bound each one's footprint. -debug-addr
+// coordinator's flow-control window uses); it is also what bounds the
+// process's memory, one cell's handle tables per worker. -debug-addr
 // serves net/http/pprof and a JSON progress snapshot (/progress) for
 // the lifetime of the process — the way to watch or profile a worker
 // mid-sweep without touching its stdout protocol stream.
@@ -31,20 +30,13 @@ import (
 
 func main() {
 	workers := flag.Int("workers", 1, "engine worker count for this process (0 = GOMAXPROCS)")
-	maxHeap := flag.String("max-heap-bytes", "0",
-		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve pprof and a JSON progress snapshot on this address (e.g. localhost:6061; empty = off)")
 	tapeOn := flag.Bool("tape", true,
 		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); output is identical either way")
 	flag.Parse()
 
-	cap, err := engine.ParseByteSize(*maxHeap)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cgworker:", err)
-		os.Exit(2)
-	}
-	eng := engine.New(*workers).SetMaxHeapBytes(cap).SetTapeCache(*tapeOn)
+	eng := engine.New(*workers).SetTapeCache(*tapeOn)
 
 	var prog *obs.Progress
 	if *debugAddr != "" {
@@ -54,10 +46,6 @@ func main() {
 			return obs.Snapshot{
 				Provenance: obs.Capture(obs.Nanotime()),
 				Progress:   progSnapshot(prog),
-				Gauges: map[string]int64{
-					"heap_reserved_bytes": eng.ReservedBytes(),
-					"heap_max_bytes":      eng.MaxHeapBytes(),
-				},
 			}
 		})
 		if err != nil {

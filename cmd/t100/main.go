@@ -35,8 +35,6 @@ func main() {
 	benchList := flag.String("bench", "", "comma-separated benchmarks (default: all)")
 	repeats := flag.Int("repeats", 1, "averaging repeats per cell")
 	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
-	maxHeap := flag.String("max-heap-bytes", "0",
-		"exact arena-byte cap for concurrently resident shards, pooled included (e.g. 2GiB; 0 = unlimited)")
 	flag.Parse()
 
 	if *specList == "" {
@@ -70,15 +68,10 @@ func main() {
 				Collector: c, HeapBytes: engine.TightHeap, Repeats: *repeats})
 		}
 	}
-	heapCap, err := engine.ParseByteSize(*maxHeap)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "t100:", err)
-		os.Exit(2)
-	}
 	// The table prints Result.Elapsed as the time a program takes under a
 	// collector, so no cell may be served by replaying a tape: every
 	// cell drives.
-	eng := engine.New(*workers).SetMaxHeapBytes(heapCap).SetTapeCache(false)
+	eng := engine.New(*workers).SetTapeCache(false)
 	// Extract per-cell wall time and cycle counts as shards complete;
 	// size-100 tight heaps are modest, but there is no reason to hold
 	// every runtime until render.

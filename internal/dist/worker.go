@@ -14,12 +14,10 @@ import (
 
 // Serve runs the worker side of the protocol until r reaches EOF (the
 // coordinator closing our stdin is the shutdown signal), then drains
-// in-flight jobs and returns. Jobs execute on eng's pool via its
-// admission-controlled Exec, so a worker honours -max-heap-bytes even
-// though its jobs arrive one at a time; outcomes are extracted on the
-// worker goroutine so a finished shard is dropped before the next job
-// starts. Serve is what cmd/cgworker wraps; tests drive it directly
-// over in-memory pipes.
+// in-flight jobs and returns. Jobs execute on eng's pool via
+// ExecRelease; outcomes are extracted on the worker goroutine so a
+// finished shard is recycled before the next job starts. Serve is what
+// cmd/cgworker wraps; tests drive it directly over in-memory pipes.
 //
 // prog, when non-nil, mirrors the worker's live state (per-lane
 // utilization, queue depth, cells computed) for a -debug-addr surface;

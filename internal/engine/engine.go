@@ -95,8 +95,8 @@ type Result struct {
 
 // ArenaBytes resolves the arena budget a job's shard will allocate: an
 // explicit positive HeapBytes, the plenty-of-storage demographics
-// default, or the workload's own tight budget. The memory-cap admission
-// throttle charges jobs by this value before they run.
+// default, or the workload's own tight budget. It is also the key the
+// shard pool matches recycled runtimes by.
 func ArenaBytes(job Job) (int, error) {
 	switch {
 	case job.HeapBytes > heap.MaxArenaBytes:
@@ -116,11 +116,11 @@ func ArenaBytes(job Job) (int, error) {
 	}
 }
 
-// Exec runs one job synchronously in the caller's goroutine. It is the
-// unit of work Engine.Run distributes; callers with their own
-// per-benchmark control flow (probe runs, budget retry loops) may call
-// it directly. Package-level Exec ignores any engine memory cap and tape
-// cache; use Engine.Exec for throttled, configured admission.
+// Exec runs one job synchronously in the caller's goroutine on a fresh
+// shard, with no engine: no shard pool, no tape cache. The Result's RT
+// is the caller's to keep. Callers with their own per-benchmark control
+// flow (probe runs, budget retry loops) use it; a matrix goes through
+// Engine.RunEach.
 func Exec(job Job) Result { return exec(job, nil, nil, nil) }
 
 // exec is the shared job body. With a non-nil rt it starts from that
@@ -235,14 +235,13 @@ func exec(job Job, rt *vm.Runtime, tc *tapeCache, p *obs.Progress) (res Result) 
 	return res
 }
 
-// Engine is a fixed-size worker pool with an optional aggregate memory
-// cap and a shard pool that recycles runtimes between cells of equal
-// arena size. The zero value is not usable; construct with New. An
-// Engine holds no per-run state beyond the shard pool and is safe for
-// concurrent use.
+// Engine is a fixed-size worker pool with a shard pool that recycles
+// runtimes between cells of equal arena size and a cache of event
+// tapes. The zero value is not usable; construct with New. An Engine
+// holds no per-run state beyond those two and is safe for concurrent
+// use.
 type Engine struct {
 	workers  int
-	reserve  *heap.Reserve // nil when uncapped
 	pool     *shardPool
 	tapes    *tapeCache    // nil when the tape cache is disabled
 	progress *obs.Progress // nil unless a debug surface is watching
@@ -269,88 +268,6 @@ func (e *Engine) SetProgress(p *obs.Progress) *Engine {
 	return e
 }
 
-// SetMaxHeapBytes caps the aggregate arena bytes of concurrently
-// resident shards (n <= 0 removes the cap) and returns e for chaining.
-// The cap is an exact admission check against a process-wide byte
-// reserve: every shard's full arena is acquired from the reserve before
-// its job runs, and a shard — running or pooled — keeps its reservation
-// until it is dropped. Resident arena bytes therefore never exceed the
-// cap, pooled idle shards included; under pressure the reserve evicts
-// pooled shards (largest arena first) before blocking admission. A
-// single job larger than the cap is admitted alone rather than
-// deadlocking: the cap throttles aggregate pressure, it is not a
-// per-job limit. Set before submitting work (changing the cap drains
-// the shard pool, since pooled shards carry the old regime's
-// reservations); the cap does not apply to the generic Do, which has no
-// job to charge.
-func (e *Engine) SetMaxHeapBytes(n int64) *Engine {
-	e.pool.drain()
-	if n <= 0 {
-		e.reserve = nil
-		if e.tapes != nil {
-			e.tapes.setReserve(nil)
-		}
-		return e
-	}
-	r := heap.NewReserve(n)
-	pool := e.pool
-	r.SetEvict(func() bool {
-		if bytes, ok := pool.evictOne(); ok {
-			r.Release(int64(bytes))
-			return true
-		}
-		return false
-	})
-	e.reserve = r
-	if e.tapes != nil {
-		// Cached tapes carry charges against the old regime's reserve;
-		// rebinding clears them.
-		e.tapes.setReserve(r)
-	}
-	return e
-}
-
-// MaxHeapBytes reports the aggregate cap (0 = uncapped).
-func (e *Engine) MaxHeapBytes() int64 {
-	if e.reserve == nil {
-		return 0
-	}
-	return e.reserve.Max()
-}
-
-// ReservedBytes reports the arena bytes currently drawn from the cap's
-// reserve by running and pooled shards (0 when uncapped).
-func (e *Engine) ReservedBytes() int64 {
-	if e.reserve == nil {
-		return 0
-	}
-	return e.reserve.Reserved()
-}
-
-// Exec runs one job in the caller's goroutine, first acquiring the
-// job's arena bytes from the engine's reserve (blocking, after evicting
-// pooled shards, while admission would push aggregate arena bytes over
-// the cap). This is the admission-controlled entry the distribution
-// worker uses for jobs that arrive one at a time rather than as a
-// batch.
-func (e *Engine) Exec(job Job) Result {
-	reserve := e.reserve
-	if reserve == nil {
-		r := exec(job, nil, e.tapes, e.progress)
-		e.laneDone(job)
-		return r
-	}
-	bytes, err := ArenaBytes(job)
-	if err != nil {
-		return Result{Job: job, Err: err}
-	}
-	reserve.Acquire(int64(bytes))
-	defer reserve.Release(int64(bytes))
-	r := exec(job, nil, e.tapes, e.progress)
-	e.laneDone(job)
-	return r
-}
-
 // laneDone credits a completed execution to the job's client lane (a
 // no-op for untagged jobs and unobserved engines) — the engine-side
 // half of the sweep server's fairness accounting: lanes count what the
@@ -361,43 +278,27 @@ func (e *Engine) laneDone(job Job) {
 	}
 }
 
-// ExecRelease runs one job with admission control, hands the result to
-// consume, and then recycles the job's runtime shard into the engine's
-// pool — so a sweep of equal-arena cells stops paying per-cell heap and
-// runtime construction. The Result, its RT and its Col are only valid
-// until consume returns: extract what the merge needs, drop the rest.
-// A shard that panicked mid-run is discarded, never recycled.
+// ExecRelease runs one job, hands the result to consume, and then
+// recycles the job's runtime shard into the engine's pool — so a sweep
+// of equal-arena cells stops paying per-cell heap and runtime
+// construction. The Result, its RT and its Col are only valid until
+// consume returns: extract what the merge needs, drop the rest. A shard
+// that panicked mid-run is discarded, never recycled.
 //
-// Under a memory cap, reservations travel with shards: a fresh shard
-// acquires its arena bytes before construction, a pooled shard arrives
-// already holding them, and whichever shard is retained in the pool
-// afterwards keeps them (the reserve's evict hook reclaims pooled
-// reservations when admission stalls). Dropped shards release theirs
-// immediately.
+// Nothing is admitted or refused here: the engine's memory scales with
+// the cells in flight (the caller's worker count) times a cell's handle
+// tables, not with arena capacity, which is virtual (DESIGN.md §13).
 func (e *Engine) ExecRelease(job Job, consume func(Result)) {
 	bytes, err := ArenaBytes(job)
 	if err != nil {
 		consume(Result{Job: job, Err: err})
 		return
 	}
-	reserve := e.reserve
-	rt := e.pool.get(bytes)
-	if rt == nil && reserve != nil {
-		reserve.Acquire(int64(bytes))
-	}
-	r := exec(job, rt, e.tapes, e.progress)
+	r := exec(job, e.pool.get(bytes), e.tapes, e.progress)
 	e.laneDone(job)
 	consume(r)
-	if r.Err == nil && r.RT != nil && e.pool.put(bytes, r.RT) {
-		// The pooled shard keeps its reservation, now idle: a waiter
-		// whose evict probe found the pool empty must look again.
-		if reserve != nil {
-			reserve.Parked()
-		}
-		return
-	}
-	if reserve != nil {
-		reserve.Release(int64(bytes))
+	if r.Err == nil && r.RT != nil {
+		e.pool.put(bytes, r.RT)
 	}
 }
 
@@ -443,20 +344,6 @@ func (e *Engine) Do(n int, fn func(i int)) {
 	}
 	close(idx)
 	wg.Wait()
-}
-
-// Run executes jobs concurrently and returns their results in
-// submission order: results[i] is the outcome of jobs[i] regardless of
-// completion order. Every Result retains its shard's full runtime until
-// the caller drops it, so the peak footprint is all cells at once; for
-// matrices of big-heap shards prefer RunEach and extract only what the
-// merge needs.
-func (e *Engine) Run(jobs []Job) []Result {
-	results := make([]Result, len(jobs))
-	e.Do(len(jobs), func(i int) {
-		results[i] = e.Exec(jobs[i])
-	})
-	return results
 }
 
 // RunEach executes jobs concurrently, invoking consume(i, result) on

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -9,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/heap"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -29,19 +29,19 @@ func TestRunResultsInSubmissionOrder(t *testing.T) {
 		{Workload: "db", Size: 1, Collector: "cg"},
 		{Workload: "jess", Size: 1, Collector: "msa"},
 	}
-	res := New(3).Run(jobs)
-	for i, r := range res {
+	New(3).RunEach(jobs, func(i int, r Result) {
 		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
+			t.Errorf("job %d: %v", i, r.Err)
+			return
 		}
 		if r.Job.Workload != jobs[i].Workload || r.Job.Collector != jobs[i].Collector {
-			t.Fatalf("result %d is for %s/%s, want %s/%s",
+			t.Errorf("result %d is for %s/%s, want %s/%s",
 				i, r.Job.Workload, r.Job.Collector, jobs[i].Workload, jobs[i].Collector)
 		}
 		if r.RT == nil || r.Col == nil {
-			t.Fatalf("result %d missing shard state", i)
+			t.Errorf("result %d missing shard state", i)
 		}
-	}
+	})
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
@@ -51,17 +51,79 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{Workload: "raytrace", Size: 1, Collector: "cg"},
 		{Workload: "db", Size: 1, Collector: "cg+noopt"},
 	}
-	seq := New(1).Run(jobs)
-	par := New(4).Run(jobs)
+	type cell struct {
+		stats core.Stats
+		instr uint64
+	}
+	run := func(workers int) []cell {
+		out := make([]cell, len(jobs))
+		New(workers).RunEach(jobs, func(i int, r Result) {
+			if r.Err != nil {
+				t.Errorf("job %d at %d workers: %v", i, workers, r.Err)
+				return
+			}
+			out[i] = cell{r.Col.(*core.CG).Stats(), r.RT.Instr()}
+		})
+		return out
+	}
+	seq, par := run(1), run(4)
 	for i := range jobs {
-		ss := seq[i].Col.(*core.CG).Stats()
-		ps := par[i].Col.(*core.CG).Stats()
-		if !reflect.DeepEqual(ss, ps) {
-			t.Fatalf("job %d stats diverge between 1 and 4 workers:\n%+v\n%+v", i, ss, ps)
+		if seq[i] != par[i] {
+			t.Fatalf("job %d diverges between 1 and 4 workers:\n%+v\n%+v", i, seq[i], par[i])
 		}
-		if seq[i].RT.Instr() != par[i].RT.Instr() {
-			t.Fatalf("job %d instruction counts diverge", i)
+	}
+}
+
+// panicWorkload is a workload that allocates an object and then, at
+// size 1, panics mid-run; at size 2 it completes.
+const panicWorkload = "panicky"
+
+func init() {
+	workload.Register(workload.Spec{
+		Name:      panicWorkload,
+		Desc:      "panics mid-run (test fixture)",
+		Threads:   func(int) int { return 1 },
+		HeapBytes: func(int) int { return 1 << 20 },
+		Run: func(rt *vm.Runtime, size int) {
+			cls := rt.Heap.DefineClass(heap.Class{Name: "panicky.Obj", Data: 8})
+			th := rt.NewThread(1)
+			th.CallVoid(1, func(f *vm.Frame) {
+				f.MustNew(cls)
+				if size == 1 {
+					panic("synthetic mid-run failure")
+				}
+			})
+		},
+	})
+}
+
+// TestRunEachSurvivesPanickingWorkload is the engine half of the failure
+// contract: a job whose workload panics mid-run yields its slot as an
+// error, every other slot still arrives, and the shard that panicked is
+// dropped, not pooled for the next cell of its arena size.
+func TestRunEachSurvivesPanickingWorkload(t *testing.T) {
+	jobs := []Job{
+		{Workload: "compress", Size: 1, Collector: "cg"},
+		{Workload: panicWorkload, Size: 1, Collector: "cg", HeapBytes: 1 << 20},
+		{Workload: "db", Size: 1, Collector: "cg"},
+		{Workload: panicWorkload, Size: 2, Collector: "cg", HeapBytes: 1 << 21},
+	}
+	eng := New(4)
+	got := make([]Result, len(jobs))
+	eng.RunEach(jobs, func(i int, r Result) { got[i] = r })
+	if got[1].Err == nil || !strings.Contains(got[1].Err.Error(), "panicked") {
+		t.Fatalf("panicking cell yielded %v, want a panic error", got[1].Err)
+	}
+	for _, i := range []int{0, 2, 3} {
+		if got[i].Err != nil {
+			t.Fatalf("healthy cell %d errored: %v", i, got[i].Err)
 		}
+	}
+	if n := len(eng.pool.bySize[1<<20]); n != 0 {
+		t.Fatalf("the shard that panicked was pooled (%d shards of its arena size)", n)
+	}
+	if pooled := eng.pool.bySize[1<<21]; len(pooled) != 1 || pooled[0] != got[3].RT {
+		t.Fatalf("the healthy cell's shard was not pooled (%d shards of its arena size)", len(pooled))
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // per-cell heap/runtime construction (arena spans, handle table, ref
 // slab, intern maps) with a handful of slice truncations. Only the
 // extract-and-drop execution paths (ExecRelease, RunEach) recycle
-// through the pool; paths whose Results escape to the caller (Exec,
-// Run, Stream) never do, so a retained Result.RT stays quiescent.
+// through the pool; package-level Exec, whose Result escapes to the
+// caller, never does, so a retained Result.RT stays quiescent.
 type shardPool struct {
 	mu     sync.Mutex
 	bySize map[int][]*vm.Runtime
@@ -42,53 +42,15 @@ func (p *shardPool) get(arenaBytes int) *vm.Runtime {
 	return rt
 }
 
-// put returns a quiescent shard to the pool and reports whether it was
-// retained; over the retention cap it is dropped instead (the cap
-// bounds idle handle-table memory at the worker count — the same
-// high-water the pool's cells reached anyway). Under a memory cap the
-// caller keys reservation ownership off the return: a retained shard
-// keeps its reserve bytes, a dropped one's are released.
-func (p *shardPool) put(arenaBytes int, rt *vm.Runtime) bool {
+// put returns a quiescent shard to the pool; over the retention cap it
+// is dropped instead (the cap bounds idle handle-table memory at the
+// worker count — the same high-water the pool's cells reached anyway).
+func (p *shardPool) put(arenaBytes int, rt *vm.Runtime) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.count >= p.max {
-		return false
+		return
 	}
 	p.bySize[arenaBytes] = append(p.bySize[arenaBytes], rt)
 	p.count++
-	return true
-}
-
-// evictOne drops one pooled shard — deterministically the largest arena
-// size with a pooled shard, the choice that frees the most reserve per
-// eviction — and reports its arena size. ok is false when the pool is
-// empty. The evicted shard's reservation is NOT released here; the
-// caller (the reserve's evict hook) owns that.
-func (p *shardPool) evictOne() (arenaBytes int, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	best := -1
-	for size, stack := range p.bySize {
-		if len(stack) > 0 && size > best {
-			best = size
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	stack := p.bySize[best]
-	stack[len(stack)-1] = nil
-	p.bySize[best] = stack[:len(stack)-1]
-	p.count--
-	return best, true
-}
-
-// drain drops every pooled shard. SetMaxHeapBytes calls it when the cap
-// changes: pooled shards carry the reservation regime they were pooled
-// under, and draining is how the regimes stay unmixed.
-func (p *shardPool) drain() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	clear(p.bySize)
-	p.count = 0
 }

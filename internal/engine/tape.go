@@ -3,7 +3,6 @@ package engine
 import (
 	"sync"
 
-	"repro/internal/heap"
 	"repro/internal/tape"
 )
 
@@ -23,28 +22,21 @@ type tapeKey struct {
 // (recording as a side effect); concurrent cells of the same row miss
 // and drive normally too — nobody ever blocks on a recording in
 // flight. Only complete, error-free runs publish; a panic mid-record
-// releases the claim so the next cell can try again.
-//
-// Tape bytes are charged against the engine's heap reserve (when one
-// is set) via non-blocking admission: a tape that does not fit is
-// simply dropped — the cache is an accelerator, never a correctness
-// dependency — and a cap change clears the cache along with the shard
-// pool, since cached charges belong to the old regime.
+// releases the claim so the next cell can try again. Kept tapes are
+// never evicted: maxTapedOps bounds each at KBs and the matrix has 24
+// rows.
 type tapeCache struct {
 	mu    sync.Mutex
 	tapes map[tapeKey]*tape.Tape
-	bytes map[tapeKey]int64 // reserve charge per tape (uncapped: 0)
 	// claimed rows have their recording slot taken: by a cell recording
 	// right now, or for good by a recording that reached maxTapedOps —
 	// the row is declined, and every cell of it drives.
 	claimed map[tapeKey]bool
-	reserve *heap.Reserve
 }
 
 func newTapeCache() *tapeCache {
 	return &tapeCache{
 		tapes:   make(map[tapeKey]*tape.Tape),
-		bytes:   make(map[tapeKey]int64),
 		claimed: make(map[tapeKey]bool),
 	}
 }
@@ -86,49 +78,12 @@ func (tc *tapeCache) abortRecord(k tapeKey) {
 	delete(tc.claimed, k)
 }
 
-// publish installs the recorded tape and releases the claim. Under a
-// reserve, the tape's footprint must be admitted without blocking or
-// the tape is dropped. Reports whether the tape was kept.
-func (tc *tapeCache) publish(k tapeKey, t *tape.Tape) bool {
+// publish installs the recorded tape and releases the claim.
+func (tc *tapeCache) publish(k tapeKey, t *tape.Tape) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	delete(tc.claimed, k)
-	if _, ok := tc.tapes[k]; ok {
-		return false
-	}
-	if tc.reserve != nil {
-		n := int64(t.MemBytes())
-		if !tc.reserve.TryAcquire(n) {
-			return false
-		}
-		tc.bytes[k] = n
-	}
 	tc.tapes[k] = t
-	return true
-}
-
-// clear drops every cached tape, returning reserve charges.
-func (tc *tapeCache) clear() {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	for k, n := range tc.bytes {
-		if tc.reserve != nil && n > 0 {
-			tc.reserve.Release(n)
-		}
-		delete(tc.bytes, k)
-	}
-	for k := range tc.tapes {
-		delete(tc.tapes, k)
-	}
-}
-
-// setReserve rebinds the cache to a (possibly nil) reserve, clearing
-// it first: cached charges were acquired against the old regime.
-func (tc *tapeCache) setReserve(r *heap.Reserve) {
-	tc.clear()
-	tc.mu.Lock()
-	tc.reserve = r
-	tc.mu.Unlock()
 }
 
 // Tapes reports how many event tapes the engine currently caches.
@@ -156,14 +111,10 @@ func (e *Engine) SetTapeCache(on bool) *Engine {
 	if on {
 		if e.tapes == nil {
 			e.tapes = newTapeCache()
-			e.tapes.setReserve(e.reserve)
 		}
 		return e
 	}
-	if e.tapes != nil {
-		e.tapes.clear()
-		e.tapes = nil
-	}
+	e.tapes = nil
 	return e
 }
 

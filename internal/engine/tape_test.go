@@ -39,6 +39,17 @@ func init() {
 	})
 }
 
+// execOne runs one job through ExecRelease and fails the test on its
+// error.
+func execOne(t *testing.T, eng *Engine, job Job) {
+	t.Helper()
+	eng.ExecRelease(job, func(r Result) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	})
+}
+
 // TestTapeCacheSharesAcrossRepeats pins the Repeats contract: one job
 // with N repeats drives the workload once (recording) and replays the
 // other N-1 from the shared tape; with the cache off every repeat
@@ -47,19 +58,13 @@ func TestTapeCacheSharesAcrossRepeats(t *testing.T) {
 	job := Job{Workload: "tape-count", Size: 1, Collector: "cg", HeapBytes: 1 << 21, Repeats: 5}
 
 	tapeDriveCount.Store(0)
-	r := New(1).Exec(job)
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
+	execOne(t, New(1), job)
 	if got := tapeDriveCount.Load(); got != 1 {
 		t.Errorf("tape cache on: driver ran %d times across 5 repeats, want 1", got)
 	}
 
 	tapeDriveCount.Store(0)
-	r = New(1).SetTapeCache(false).Exec(job)
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
+	execOne(t, New(1).SetTapeCache(false), job)
 	if got := tapeDriveCount.Load(); got != 5 {
 		t.Errorf("tape cache off: driver ran %d times across 5 repeats, want 5", got)
 	}
@@ -99,7 +104,7 @@ func TestTapeCacheBitIdentical(t *testing.T) {
 		ways := map[string]func(eng *Engine, take func(i int, r Result)){
 			"cached": func(eng *Engine, take func(int, Result)) {
 				for i, job := range jobs {
-					take(i, eng.Exec(job))
+					eng.ExecRelease(job, func(r Result) { take(i, r) })
 				}
 			},
 			"batched": func(eng *Engine, take func(int, Result)) { eng.RunEach(jobs, take) },
@@ -156,9 +161,7 @@ func TestTapeAdmissionByOpCount(t *testing.T) {
 	run := func(t *testing.T, eng *Engine, jobs ...Job) {
 		t.Helper()
 		for _, job := range jobs {
-			if r := eng.Exec(job); r.Err != nil {
-				t.Fatal(r.Err)
-			}
+			execOne(t, eng, job)
 		}
 	}
 
@@ -209,8 +212,8 @@ func TestTapeAdmissionByOpCount(t *testing.T) {
 	})
 }
 
-// TestOneAdmissionRuleForEveryEntry pins that RunEach, ExecRelease and
-// Exec all admit tapes by the one op-count rule — no entry counts
+// TestOneAdmissionRuleForEveryEntry pins that RunEach and ExecRelease
+// both admit tapes by the one op-count rule — no entry counts
 // consumers and none records every row it sees first. At size 1
 // compress (1.4k ops) and tape-count are shorter than the limit, db
 // (4.3k ops) and jess (8k ops) are not.
@@ -260,20 +263,13 @@ func TestOneAdmissionRuleForEveryEntry(t *testing.T) {
 			got, tapeDriveCount.Load())
 	}
 
-	// The single-job entries reach the same verdicts as the batch did.
+	// The single-job entry reaches the same verdicts as the batch did.
 	eng, p = fresh()
-	for _, job := range []Job{cell("compress", "cg"), cell("db", "cg")} {
-		eng.ExecRelease(job, func(r Result) {
-			if r.Err != nil {
-				t.Error(r.Err)
-			}
-		})
-	}
-	if r := eng.Exec(cell("jess", "cg")); r.Err != nil {
-		t.Error(r.Err)
+	for _, job := range []Job{cell("compress", "cg"), cell("db", "cg"), cell("jess", "cg")} {
+		execOne(t, eng, job)
 	}
 	if got := counters(p); got != [3]int64{1, 2, 0} || eng.Tapes() != 1 {
-		t.Errorf("ExecRelease and Exec: recorded/declined/replays %v, %d tapes cached; want [1 2 0], 1", got, eng.Tapes())
+		t.Errorf("ExecRelease: recorded/declined/replays %v, %d tapes cached; want [1 2 0], 1", got, eng.Tapes())
 	}
 }
 
@@ -283,10 +279,7 @@ func TestTapeCacheProgressCounters(t *testing.T) {
 	p := &obs.Progress{}
 	eng := New(1).SetProgress(p)
 	for _, col := range []string{"cg", "msa", "gen"} {
-		r := eng.Exec(Job{Workload: "compress", Size: 1, Collector: col, HeapBytes: 1 << 24})
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
+		execOne(t, eng, Job{Workload: "compress", Size: 1, Collector: col, HeapBytes: 1 << 24})
 	}
 	s := p.Snapshot()
 	if s.TapesRecorded != 1 || s.TapeReplays != 2 {
@@ -297,37 +290,15 @@ func TestTapeCacheProgressCounters(t *testing.T) {
 	}
 }
 
-// TestTapeCacheClears pins cache invalidation: a cap change rebinds
-// the reserve (cached charges belonged to the old regime), and
-// disabling the cache drops it entirely.
+// TestTapeCacheClears pins that disabling the cache drops its tapes.
 func TestTapeCacheClears(t *testing.T) {
-	eng := New(1).SetMaxHeapBytes(1 << 26)
-	if r := eng.Exec(Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 22}); r.Err != nil {
-		t.Fatal(r.Err)
-	}
+	eng := New(1)
+	execOne(t, eng, Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 22})
 	if eng.Tapes() != 1 {
 		t.Fatalf("expected 1 cached tape, have %d", eng.Tapes())
-	}
-	eng.SetMaxHeapBytes(1 << 27)
-	if eng.Tapes() != 0 {
-		t.Errorf("cap change left %d cached tapes", eng.Tapes())
-	}
-	if got := eng.ReservedBytes(); got != 0 {
-		t.Errorf("cap change left %d reserved bytes", got)
-	}
-
-	if r := eng.Exec(Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 22}); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	before := eng.ReservedBytes()
-	if eng.Tapes() != 1 || before == 0 {
-		t.Fatalf("expected 1 cached tape holding reserve, have %d tapes, %d bytes", eng.Tapes(), before)
 	}
 	eng.SetTapeCache(false)
 	if eng.Tapes() != 0 || eng.TapeCache() {
 		t.Error("SetTapeCache(false) left the cache populated")
-	}
-	if got := eng.ReservedBytes(); got != 0 {
-		t.Errorf("disabling the cache left %d reserved bytes", got)
 	}
 }

@@ -11,15 +11,10 @@ import (
 )
 
 // Snapshot is what the debug endpoint's /progress handler serves: the
-// process's provenance, the sweep's live progress counters, and any
-// extra gauges the host process wants visible (heap-reservation
-// occupancy, say). Gauges is a map so CLIs can add signals without an
-// obs change; encoding/json sorts its keys, so the rendered snapshot
-// is stable.
+// process's provenance and the sweep's live progress counters.
 type Snapshot struct {
 	Provenance Provenance        `json:"provenance"`
 	Progress   *ProgressSnapshot `json:"progress,omitempty"`
-	Gauges     map[string]int64  `json:"gauges,omitempty"`
 }
 
 // Health is what /healthz serves: liveness (answering at all) plus the

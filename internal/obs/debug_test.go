@@ -22,7 +22,6 @@ func TestDebugServerServesSnapshotAndPprof(t *testing.T) {
 		return Snapshot{
 			Provenance: Capture(Nanotime()),
 			Progress:   &ps,
-			Gauges:     map[string]int64{"heap_reserved_bytes": 42},
 		}
 	})
 	if err != nil {
@@ -56,9 +55,6 @@ func TestDebugServerServesSnapshotAndPprof(t *testing.T) {
 	}
 	if len(snap.Progress.Workers) != 1 || snap.Progress.Workers[0].Label != "w0" {
 		t.Fatalf("snapshot workers = %+v", snap.Progress.Workers)
-	}
-	if snap.Gauges["heap_reserved_bytes"] != 42 {
-		t.Fatalf("snapshot gauges = %+v", snap.Gauges)
 	}
 	if snap.Provenance.GoVersion == "" {
 		t.Fatal("snapshot provenance missing")

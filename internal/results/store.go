@@ -133,10 +133,8 @@ func (s *Store) Get(job engine.Job) (Outcome, bool, error) {
 }
 
 // Put stores a completed cell atomically. Failed outcomes are not
-// stored — cells are deterministic, but an admission-time condition
-// (say, a since-raised memory cap) should be retried by the next sweep,
-// and a panic bug fixed in a later build must not leave a poisoned
-// cache behind.
+// stored — cells are deterministic, but a panic bug fixed in a later
+// build must not leave a poisoned cache behind.
 func (s *Store) Put(o Outcome) error {
 	if o.Err != "" {
 		return nil

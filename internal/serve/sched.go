@@ -27,10 +27,9 @@ var ErrDraining = errors.New("serve: draining, not accepting new sweeps")
 //   - fairness: each session owns a FIFO queue and executors take the
 //     next cell round-robin across sessions, so a 10k-cell sweep and a
 //     3-cell sweep make progress side by side;
-//   - bounded admission: at most maxInFlight executors run cells, and
-//     each execution passes through the engine's heap.Reserve byte
-//     reservation, so aggregate arena bytes stay under the cap no
-//     matter how many clients are connected.
+//   - bounded admission: at most maxInFlight executors run cells, so
+//     the process holds that many cells' handle tables no matter how
+//     many clients are connected.
 type Scheduler struct {
 	eng    *engine.Engine
 	store  *results.Store
@@ -289,9 +288,9 @@ func (s *Scheduler) next() *task {
 
 // compute satisfies one leader task: from the shared store when the
 // cell is already on disk, else by executing it on the shared engine
-// (which throttles through its heap.Reserve) and persisting the result
-// before resolving — the Put-before-Resolve order is what guarantees a
-// late joiner's fresh call store-hits instead of recomputing.
+// and persisting the result before resolving — the Put-before-Resolve
+// order is what guarantees a late joiner's fresh call store-hits
+// instead of recomputing.
 func (s *Scheduler) compute(t *task) {
 	fc, sess := t.fc, t.sess
 	if o, ok, err := s.store.Get(fc.Job); err == nil && ok {

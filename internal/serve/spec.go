@@ -12,8 +12,7 @@
 //     *currently* being computed, so two concurrent clients asking for
 //     overlapping grids execute each overlapping cell exactly once
 //     while both streams receive it;
-//   - admission is the engine's existing heap.Reserve byte reservation
-//     plus a max-in-flight executor cap;
+//   - admission is a max-in-flight executor cap;
 //   - a per-session round-robin scheduler provides fairness: one huge
 //     sweep cannot starve small ones, because executors take the next
 //     cell from each client's queue in turn.
