@@ -283,27 +283,6 @@ func BenchmarkStaticOptAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedHandleAblation compares the §3.5 packed union-find
-// representation against the wide one under a real workload.
-func BenchmarkPackedHandleAblation(b *testing.B) {
-	spec, err := workload.ByName("jack")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, packed := range []bool{false, true} {
-		name := "wide"
-		if packed {
-			name = "packed"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rt := NewRuntime(NewHeap(spec.HeapBytes(1)), core.New(core.Config{StaticOpt: true, Packed: packed}))
-				spec.Run(rt, 1)
-			}
-		})
-	}
-}
-
 // BenchmarkTypedRecycleAblation compares §3.7 first-fit recycling with
 // the Chapter 6 by-type extension on the token-storm workload, where
 // same-class churn dominates.

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/obs/obshttp"
 	"repro/internal/results"
 	"repro/internal/serve"
 )
@@ -68,9 +69,9 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{Engine: eng, Store: store, Progress: prog, MaxInFlight: *maxInFlight})
-	obsSrv, err := obs.Serve(*addr, func() obs.Snapshot {
+	obsSrv, err := obshttp.Serve(*addr, func() obshttp.Snapshot {
 		ps := prog.Snapshot()
-		return obs.Snapshot{
+		return obshttp.Snapshot{
 			Provenance: obs.Capture(obs.Nanotime()),
 			Progress:   &ps,
 		}

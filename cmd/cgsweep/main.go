@@ -61,6 +61,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/obs/obshttp"
 	"repro/internal/results"
 	"repro/internal/serve"
 )
@@ -165,9 +166,9 @@ func main() {
 	backend = results.Observed{Next: backend, Obs: prog}
 
 	if *debugAddr != "" {
-		srv, err := obs.Serve(*debugAddr, func() obs.Snapshot {
+		srv, err := obshttp.Serve(*debugAddr, func() obshttp.Snapshot {
 			ps := prog.Snapshot()
-			return obs.Snapshot{Provenance: obs.Capture(obs.Nanotime()), Progress: &ps}
+			return obshttp.Snapshot{Provenance: obs.Capture(obs.Nanotime()), Progress: &ps}
 		})
 		if err != nil {
 			fatal(err)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/obs/obshttp"
 )
 
 func main() {
@@ -42,8 +43,8 @@ func main() {
 	if *debugAddr != "" {
 		prog = &obs.Progress{}
 		eng.SetProgress(prog) // tapes recorded / declined / replayed
-		srv, err := obs.Serve(*debugAddr, func() obs.Snapshot {
-			return obs.Snapshot{
+		srv, err := obshttp.Serve(*debugAddr, func() obshttp.Snapshot {
+			return obshttp.Snapshot{
 				Provenance: obs.Capture(obs.Nanotime()),
 				Progress:   progSnapshot(prog),
 			}

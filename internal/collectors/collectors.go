@@ -14,7 +14,7 @@
 //	cg+recycle       §3.7 recycling
 //	cg+typed         Chapter 6 typed recycling (implies recycle)
 //	cg+reset         §3.6 resetting during traditional collections
-//	cg+packed        §3.5 packed union-find representation
+//	cg+packed        a spelling of cg: §3.5's packed word is the one layout (kept for stored keys)
 //	cg+checked       §3.1.4 tainted-list assurance checks
 //	cg+recycle+reset modifiers compose freely
 //
@@ -189,7 +189,7 @@ func buildCG(mods []string) (Factory, error) {
 		case "reset":
 			cfg.ResetOnGC = true
 		case "packed":
-			cfg.Packed = true
+			cfg.Packed = true // identity only: selects nothing (core.Config.Packed)
 		case "checked":
 			cfg.Checked = true
 		default:
@@ -222,7 +222,7 @@ func buildGen(mods []string) (Factory, error) {
 }
 
 func init() {
-	Register("cg", "the contaminated collector (§2-§3)", buildCG,
+	Register("cg", "the contaminated collector (§2-§3); +packed (§3.5) is the one layout, so cg+packed runs as cg", buildCG,
 		"noopt", "recycle", "typed", "reset", "packed", "checked")
 	Register("msa", "the traditional mark-sweep system (§4.5 base)",
 		noMods("msa", func() vm.Events { return msa.NewSystem().Events() }))

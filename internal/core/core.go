@@ -9,8 +9,8 @@
 // depends on the older of the two frames. Returning an object promotes
 // its set to the caller's frame; static references pin a set to the
 // immortal frame 0. When a frame pops, every set on its dependent list is
-// dead and is freed — or, under §3.7 recycling, spliced onto a recycle
-// list that feeds later allocations.
+// dead and each of its objects is freed — or, under §3.7 recycling, kept
+// on a recycle list that feeds later allocations.
 //
 // CG is conservative: the symmetric treatment of contamination and the
 // never-younger rule can over-estimate lifetimes, so it runs in concert
@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/heap"
 	"repro/internal/msa"
-	"repro/internal/unionfind"
 	"repro/internal/vm"
 )
 
@@ -50,8 +49,8 @@ type Config struct {
 	// live object's dependent frame from actual reachability, undoing
 	// accumulated conservativeness.
 	ResetOnGC bool
-	// Packed selects the §3.5 packed union-find representation (rank in
-	// the low bits of the parent word) instead of the wide one.
+	// Packed selects nothing: §3.5's packed word is the one layout CG has
+	// (objMeta.link). "cg+packed" stays a spec for the stored keys.
 	Packed bool
 	// Checked makes CG verify, on every event, that the touched objects
 	// are not on the tainted (known-dead) list (§3.1.4). A violation is
@@ -107,19 +106,34 @@ func (s *Stats) Merge(o Stats) {
 }
 
 // objMeta is CG's per-handle metadata — the fields §3.1.1 adds to the JDK
-// handle (parent/rank live in the union-find forest; these are the rest).
-// CG.meta holds one per handle slot and follows the handle table, as the
-// forest does. Like setMeta and oldFrames it holds no Go pointer — frames
-// are named by their registry slot (vm.Frame.Index), sets by their slot
-// in CG.sets — so the Go collector never scans a CG table, OnAlloc's two
-// whole-entry stores carry no write barrier, and a pooled table pins
-// nothing of the shard that filled it.
+// handle, the union-find forest among them. CG.meta holds one per handle
+// slot and follows the handle table. Like setMeta and oldFrames it holds
+// no Go pointer — frames are named by their registry slot
+// (vm.Frame.Index), sets by their slot in CG.sets — so the Go collector
+// never scans a CG table, OnAlloc's whole-entry store carries no write
+// barrier, and a pooled table pins nothing of the shard that filled it.
 type objMeta struct {
 	birthDepth int32         // stack depth at allocation ("birth depth")
 	owner      int32         // allocating thread ID, or ownerShared / ownerTainted
 	next       heap.HandleID // next object in the equilive set's list
-	set        int32         // the set's slot in CG.sets; read only at the union-find representative
+	// link is the thesis's "ancestor" word with §3.5's integer packed in.
+	// > 0: the union-find parent handle. < 0: a representative, -link being
+	// slot<<rankBits | rank — the set's slot in CG.sets and the tree's rank,
+	// which only a representative has. 0: a slot never allocated in.
+	link int32
 }
+
+// Four rank bits, as §3.5 reserves (ranks stay below ten on SPECjvm98):
+// a rank that reaches 15 stops growing, and unions stay correct, merely
+// less balanced. maxSets keeps slot<<rankBits a positive int32.
+const (
+	rankBits = 4
+	rankMask = 1<<rankBits - 1
+	maxSets  = 1 << (31 - rankBits)
+)
+
+// rootLink is the link word of the representative of the set in slot.
+func rootLink(slot, rank int32) int32 { return -(slot<<rankBits | rank) }
 
 // The two states that end an object's ownership are negative owner
 // values: neither is ever left for a thread ID again, and a dead object
@@ -131,7 +145,7 @@ const (
 
 // setMeta describes one equilive set. CG.sets holds one per *live set*,
 // not per handle: the set's union-find representative names its slot
-// (objMeta.set), and the table is as long as the most sets ever alive at
+// (objMeta.link), and the table is as long as the most sets ever alive at
 // once. Sets are chained by slot into a doubly linked list per dependent
 // frame (§3.1.2: "each frame is equipped with a reference to a list of
 // its dependent equilive blocks"). A free slot has size 0 and threads the
@@ -152,15 +166,8 @@ type CG struct {
 	rt   *vm.Runtime
 	heap *heap.Heap
 	msa  *msa.Collector
-	// Exactly one of dsu/packed is non-nil, selected at construction
-	// (§3.5). Holding the concrete types instead of a unionfind.Forest
-	// keeps the per-event Find/Union direct calls — the interface
-	// dispatch this replaced cost an indirect call per runtime event,
-	// against the thesis's few-machine-ops budget (§3.5).
-	dsu    *unionfind.DSU
-	packed *unionfind.Packed
 
-	meta []objMeta
+	meta []objMeta // per handle slot; the union-find forest is its link words
 	// sets is the slot table of live equilive sets. Slot 0 is never used,
 	// so a frame's GCHead of 0 means "no dependent sets"; freeSets heads
 	// the LIFO of free slots, so a churning frame keeps reusing the same
@@ -193,9 +200,9 @@ type CG struct {
 	recycleNonEmpty heap.Bitset
 	recycleSpill    []sizeClassBucket
 	spare           [][]heap.HandleID
-	// byType holds recycled singleton objects keyed by class (Chapter 6
-	// typed recycling): a LIFO per class, each entry still heap-live.
-	byType map[heap.ClassID][]heap.HandleID
+	// byType holds recycled singleton objects (Chapter 6 typed recycling):
+	// a LIFO per ClassID, each entry still heap-live, flushed in id order.
+	byType [][]heap.HandleID
 	// tab is the pooled carrier the side tables above were drawn from
 	// at Attach; detach hands them back (see tablePool).
 	tab *tables
@@ -209,13 +216,12 @@ type CG struct {
 
 // tables is the recyclable allocation footprint of one CG instance:
 // every side table whose construction and growth would otherwise be
-// paid per matrix cell — meta, oldFrames and the forest, which follow
-// the handle table, and sets, which follows the live-set count. The
-// engine runs each cell on a fresh collector (shards must not share
-// mutable state), but the *capacity* behind the tables is content-free
-// once truncated — grown regions are re-zeroed by heap.Grow, newSet
-// zeroes each slot it appends, and Reserve re-derives union-find entries
-// from indices — so recycling it through a pool is observably identical
+// paid per matrix cell — meta and oldFrames, which follow the handle
+// table, and sets, which follows the live-set count. The engine runs
+// each cell on a fresh collector (shards must not share mutable state),
+// but the *capacity* behind the tables is content-free once truncated —
+// grown regions are re-zeroed by heap.Grow and newSet zeroes each slot
+// it appends — so recycling it through a pool is observably identical
 // to fresh construction (TestPooledFigureIdentity pins this at the
 // figure level). The pool fills only via Events.Detach, i.e. on the
 // engine's Reset path; a dropped runtime donates nothing.
@@ -223,8 +229,6 @@ type tables struct {
 	meta      []objMeta
 	sets      []setMeta
 	oldFrames []int32
-	dsu       *unionfind.DSU
-	packed    *unionfind.Packed
 	msa       *msa.Collector
 	// recycleClasses is the ladder-indexed class array (entries nilled
 	// at detach, the array itself reused) and recycleSpill the sorted
@@ -238,8 +242,7 @@ type tables struct {
 	// drained classes is pooled here *shared across classes* (capped at
 	// maxSpare) instead of staying pinned per class at each class's own
 	// high-water mark.
-	spare  [][]heap.HandleID
-	byType map[heap.ClassID][]heap.HandleID
+	spare [][]heap.HandleID
 }
 
 // maxSpare bounds the recycle-scratch slices a pooled table retains: a
@@ -320,19 +323,6 @@ func (c *CG) Attach(rt *vm.Runtime) {
 	c.sets = append(t.sets[:0], setMeta{}) // slot 0, never used
 	c.freeSets = 0
 	c.oldFrames = t.oldFrames[:0]
-	if c.cfg.Packed {
-		if t.packed == nil {
-			t.packed = unionfind.NewPacked(0)
-		}
-		t.packed.Truncate()
-		c.packed = t.packed
-	} else {
-		if t.dsu == nil {
-			t.dsu = unionfind.NewDSU(0)
-		}
-		t.dsu.Truncate()
-		c.dsu = t.dsu
-	}
 	if c.cfg.Recycle {
 		if t.recycleClasses == nil {
 			t.recycleClasses = make([][]heap.HandleID, heap.NumSizeClasses)
@@ -342,12 +332,6 @@ func (c *CG) Attach(rt *vm.Runtime) {
 		c.recycleNonEmpty = t.recycleNonEmpty
 		c.recycleSpill = t.recycleSpill
 		c.spare = t.spare
-	}
-	if c.cfg.TypedRecycle {
-		if t.byType == nil {
-			t.byType = make(map[heap.ClassID][]heap.HandleID)
-		}
-		c.byType = t.byType
 	}
 	c.cycle = msa.Cycle{
 		Begin:    c.beginCycle,
@@ -399,16 +383,12 @@ func (c *CG) detach() {
 		t.recycleSpill = c.recycleSpill[:0]
 		t.spare = spare
 	}
-	if c.byType != nil {
-		clear(c.byType)
-	}
 	// Unbind the pooled mark-sweep engine from the runtime too: a
 	// pooled table must not pin a dead shard's heap and arena either.
 	t.msa.Reattach(nil)
 	c.meta, c.sets, c.oldFrames = nil, nil, nil
 	c.recycleClasses, c.recycleNonEmpty, c.recycleSpill = nil, nil, nil
 	c.spare, c.byType = nil, nil
-	c.dsu, c.packed = nil, nil
 	c.msa = nil
 	tablePool.Put(t)
 }
@@ -419,68 +399,59 @@ func (c *CG) Stats() Stats { return c.stats }
 // MSAStats exposes the embedded traditional collector's counters.
 func (c *CG) MSAStats() msa.Stats { return c.msa.Stats() }
 
-// ensure grows the handle-indexed tables to cover handle id: one
-// compare, since meta and the forest are always the same length; growth
-// is the cold path. sets is not one of them: newSet grows it.
+// ensure grows meta, the one table CG indexes by handle on every event,
+// to cover handle id: one compare; growth is the cold path. sets is not
+// handle-indexed: newSet grows it.
 func (c *CG) ensure(id heap.HandleID) {
 	if int(id) >= len(c.meta) {
 		c.grow()
 	}
 }
 
-// grow takes meta and the forest to the handle table's capacity in one
-// step: they grow when that table does, by the heap's rule, and id is
-// covered because the heap has already handed it out.
+// grow takes meta to the handle table's capacity in one step: it grows
+// when that table does, by the heap's rule, and id is covered because
+// the heap has already handed it out.
 //
 //go:noinline
 func (c *CG) grow() {
 	n := c.heap.HandleCap()
 	c.meta = heap.Grow(c.meta, n, n)
-	if c.packed != nil {
-		c.packed.Reserve(n)
-	} else {
-		c.dsu.Reserve(n)
-	}
 }
 
-// find returns the representative handle of id's equilive set.
+// find returns the representative handle of id's equilive set, with the
+// two-pass path compression of §3.1.1 ("Every object that find is called
+// on has its parent updated to be the root").
 func (c *CG) find(id heap.HandleID) heap.HandleID {
-	if c.packed != nil {
-		return heap.HandleID(c.packed.Find(int(id)))
+	root := id
+	for p := c.meta[int(root)].link; p > 0; p = c.meta[int(root)].link {
+		root = heap.HandleID(p)
 	}
-	return heap.HandleID(c.dsu.Find(int(id)))
+	for {
+		m := &c.meta[int(id)]
+		p := heap.HandleID(m.link)
+		if p <= 0 || p == root {
+			return root
+		}
+		m.link, id = int32(root), p
+	}
 }
 
 // quickSame is the one-pass putfield fast path: conclusively true when
-// a single parent load per endpoint proves x and y equilive, false
-// (meaning "unknown") otherwise.
+// a single link load per endpoint proves x and y equilive (the same
+// object, the same parent, or one the other's parent), false (meaning
+// "unknown") otherwise. Two distinct representatives never have equal
+// links: no two sets share a slot.
 func (c *CG) quickSame(x, y heap.HandleID) bool {
-	if c.packed != nil {
-		return c.packed.QuickSame(int(x), int(y))
+	if x == y {
+		return true
 	}
-	return c.dsu.QuickSame(int(x), int(y))
-}
-
-// union merges the sets holding rx and ry and returns the merged root.
-func (c *CG) union(rx, ry heap.HandleID) heap.HandleID {
-	if c.packed != nil {
-		return heap.HandleID(c.packed.Union(int(rx), int(ry)))
-	}
-	return heap.HandleID(c.dsu.Union(int(rx), int(ry)))
-}
-
-// resetElem makes id a singleton in the forest (rebuild paths).
-func (c *CG) resetElem(id heap.HandleID) {
-	if c.packed != nil {
-		c.packed.Reset(int(id))
-	} else {
-		c.dsu.Reset(int(id))
-	}
+	lx, ly := c.meta[int(x)].link, c.meta[int(y)].link
+	return lx == ly || heap.HandleID(lx) == y || heap.HandleID(ly) == x
 }
 
 // setOf returns the slot of the set id belongs to: its representative
 // names it.
-func (c *CG) setOf(id heap.HandleID) int32 { return c.meta[int(c.find(id))].set }
+func (c *CG) setOf(id heap.HandleID) int32 { return -c.meta[int(c.find(id))].link >> rankBits }
 
 // newSet takes a slot for a set about to be born: the most recently
 // freed one, else one more at the table's end — only when more sets are
@@ -490,6 +461,9 @@ func (c *CG) newSet() int32 {
 	if slot := c.freeSets; slot != 0 {
 		c.freeSets = c.sets[int(slot)].next
 		return slot
+	}
+	if len(c.sets) == maxSets {
+		panic("core: more equilive sets than a link word can name")
 	}
 	c.sets = append(c.sets, setMeta{})
 	return int32(len(c.sets) - 1)
@@ -504,12 +478,12 @@ func (c *CG) freeSet(slot int32) {
 }
 
 // singleton makes id a set of its own, dependent on f, and returns the
-// set's slot for id's objMeta.
+// link word that makes id its representative, at rank 0.
 func (c *CG) singleton(id heap.HandleID, f *vm.Frame) int32 {
 	slot := c.newSet()
 	c.sets[int(slot)] = setMeta{head: id, tail: id, size: 1, frame: f.Index}
 	c.linkSet(slot, f)
-	return slot
+	return rootLink(slot, 0)
 }
 
 // linkSet pushes the set in slot onto the list of f, its dependent frame
@@ -574,12 +548,11 @@ func (c *CG) checkTaint(id heap.HandleID, op string) {
 // equilive set dependent on the allocating frame.
 func (c *CG) OnAlloc(id heap.HandleID, f *vm.Frame) {
 	c.ensure(id)
-	c.resetElem(id) // no bounds test of its own: ensure grew the forest
 	owner := int32(0)
 	if f.Thread != nil {
 		owner = int32(f.Thread.ID)
 	}
-	c.meta[int(id)] = objMeta{birthDepth: int32(f.Depth), owner: owner, set: c.singleton(id, f)}
+	c.meta[int(id)] = objMeta{birthDepth: int32(f.Depth), owner: owner, link: c.singleton(id, f)}
 	c.stats.Created++
 }
 
@@ -608,7 +581,9 @@ func (c *CG) contaminate(x, y heap.HandleID) {
 	if rx == ry {
 		return
 	}
-	ix, iy := c.meta[int(rx)].set, c.meta[int(ry)].set
+	mx, my := &c.meta[int(rx)], &c.meta[int(ry)]
+	wx, wy := -mx.link, -my.link
+	ix, iy := wx>>rankBits, wy>>rankBits
 	sx, sy := &c.sets[int(ix)], &c.sets[int(iy)]
 	if c.cfg.StaticOpt && sy.frame == 0 && sx.frame != 0 {
 		c.stats.OptSkips++
@@ -616,16 +591,24 @@ func (c *CG) contaminate(x, y heap.HandleID) {
 	}
 	c.unlinkSet(ix)
 	c.unlinkSet(iy)
-	root := c.union(rx, ry)
-	// Concatenate membership lists (O(1) via tail pointers). The merged
-	// set keeps x's record; y's goes back to the free list.
+	// Union by rank: the lower rank hangs under the higher; equal ranks
+	// hang ry under rx and bump rx's. The merged set keeps x's record,
+	// whichever root names it; y's goes back to the free list.
+	if kx, ky := wx&rankMask, wy&rankMask; kx < ky {
+		mx.link, my.link = int32(ry), rootLink(ix, ky)
+	} else {
+		if kx == ky && kx < rankMask {
+			kx++
+		}
+		my.link, mx.link = int32(rx), rootLink(ix, kx)
+	}
+	// Concatenate membership lists (O(1) via tail pointers).
 	c.meta[int(sx.tail)].next = sy.head
 	f := older(c.rt.FrameAt(sx.frame), c.rt.FrameAt(sy.frame))
 	sx.tail = sy.tail
 	sx.size += sy.size
 	sx.frame = f.Index
 	c.freeSet(iy)
-	c.meta[int(root)].set = ix
 	c.linkSet(ix, f)
 	c.stats.Unions++
 }
@@ -687,8 +670,9 @@ func (c *CG) OnAccess(id heap.HandleID, t *vm.Thread) {
 }
 
 // OnFramePop is the FramePop slot: every equilive set dependent on the
-// popping frame is dead. Under recycling the sets are spliced onto the
-// recycle list in O(1); otherwise each object is freed to the heap.
+// popping frame is dead. collectSet walks every object of every such set
+// — the death histograms need each one — and frees it to the heap or,
+// under recycling, pushes it onto its recycle class.
 func (c *CG) OnFramePop(f *vm.Frame) int {
 	n := 0
 	for slot := f.GCHead; slot != 0; {
@@ -713,7 +697,10 @@ func (c *CG) collectSet(slot int32, f *vm.Frame) {
 		// Chapter 6 typed recycling: singleton sets go to a per-class
 		// LIFO; "when a frame is popped, there would be a collection of
 		// free objects of a given type".
-		cls := c.heap.ClassOf(s.head)
+		cls := int(c.heap.ClassOf(s.head))
+		if cls >= len(c.byType) {
+			c.byType = heap.Grow(c.byType, c.heap.NumClasses(), c.heap.NumClasses())
+		}
 		c.byType[cls] = append(c.byType[cls], s.head)
 	}
 	for o := s.head; o != heap.Nil; {
@@ -850,7 +837,8 @@ func (c *CG) AllocFallback(cls heap.ClassID, extra int) (heap.HandleID, bool) {
 		// O(1) exact-class reuse: same class means same size, so no
 		// fit check is needed ("objects of a given type always take the
 		// same size (except for arrays)", Chapter 6).
-		if bucket := c.byType[cls]; len(bucket) > 0 {
+		if int(cls) < len(c.byType) && len(c.byType[cls]) > 0 {
+			bucket := c.byType[cls]
 			o := bucket[len(bucket)-1]
 			c.byType[cls] = bucket[:len(bucket)-1]
 			if err := c.heap.Reinit(o, cls, 0); err != nil {
@@ -951,7 +939,6 @@ func (c *CG) beginCycle() {
 // reached is the Reached slot: a live object becomes a fresh singleton
 // set on its (possibly improved) dependent frame.
 func (c *CG) reached(id heap.HandleID, f *vm.Frame) {
-	c.resetElem(id)
 	m := &c.meta[int(id)]
 	m.next = heap.Nil
 	nf := f
@@ -961,7 +948,7 @@ func (c *CG) reached(id heap.HandleID, f *vm.Frame) {
 	case !c.cfg.ResetOnGC && int(id) < len(c.oldFrames) && c.oldFrames[int(id)] != 0:
 		nf = c.rt.FrameAt(c.oldFrames[int(id)] - 1) // preserve plain-CG conservativeness
 	}
-	m.set = c.singleton(id, nf)
+	m.link = c.singleton(id, nf)
 }
 
 // edge is the Edge slot: connected live objects re-contaminate, so
@@ -1023,6 +1010,7 @@ func (c *CG) FlushRecycle() {
 		}
 		b.objs = b.objs[:0]
 	}
+	// Ascending class ids: a fixed release order, so a fixed arena state.
 	for cls, bucket := range c.byType {
 		for _, o := range bucket {
 			c.heap.Free(o)

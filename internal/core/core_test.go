@@ -678,8 +678,9 @@ func TestSnapshotBuckets(t *testing.T) {
 	}
 }
 
-// TestPackedVariantAgrees: the §3.5 packed representation yields the same
-// collection behaviour as the wide one on a deterministic workload.
+// TestPackedVariantAgrees: Config.Packed is a spelling — the §3.5 packed
+// word is the only layout — so both settings behave as one on a
+// deterministic workload.
 func TestPackedVariantAgrees(t *testing.T) {
 	run := func(packed bool) Stats {
 		rt, cg, node := newRT(t, Config{StaticOpt: true, Packed: packed, Checked: true}, 1<<20)

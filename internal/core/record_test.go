@@ -12,7 +12,9 @@ import (
 
 // TestRecordsAreSmallAndPointerFree pins CG's records to what the
 // thesis's handle carries (§3.1.1, §3.5): per handle, the object record
-// 16 bytes and the reset-pass stamp 4; per live set, the set record 24 —
+// 16 bytes — the union-find link is one of its four words, and there is
+// no forest beside it (TestNoForestBesideTheRecord) — and the reset-pass
+// stamp 4; per live set, the set record 24 —
 // and none of them holds a Go pointer, which is what lets detach pool the
 // tables by truncation and keeps them out of every Go GC cycle's scan.
 func TestRecordsAreSmallAndPointerFree(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 )
 
 // checkSets walks everything that names a set slot — the frames' lists,
-// the free list, the representatives' objMeta.set — and fails t unless
+// the free list, the representatives' objMeta.link — and fails t unless
 // they describe the same partition:
 //
 //   - a slot on a frame list is in range, live (size > 0), on that list
@@ -83,7 +83,10 @@ func checkSets(t testing.TB, c *CG) {
 			return // dead, waiting on a recycle list
 		}
 		r := c.find(id)
-		slot := c.meta[r].set
+		if c.meta[r].link >= 0 {
+			t.Fatalf("live object %d resolves to %d, whose link %d is not a representative's", id, r, c.meta[r].link)
+		}
+		slot := -c.meta[r].link >> rankBits
 		if slot <= 0 || int(slot) >= len(c.sets) || where[slot] != onFrame {
 			t.Fatalf("live object %d (representative %d) names slot %d, which is on no frame's list", id, r, slot)
 		}

@@ -61,16 +61,15 @@ func InstanceSize(c Class, extra int) int {
 // extent (offset, live length, capacity). refOff/refCap survive Free so
 // that a handle slot recycled through the free-ID path reuses its slab
 // extent — steady-state allocation touches no Go allocator. The record
-// is 28 pointer-free bytes (the thesis's handle is a pointer pair plus
+// is 24 pointer-free bytes (the thesis's handle is a pointer pair plus
 // CG's fields, §3.1.1): addr and size are int32 behind MaxArenaBytes.
 type handle struct {
 	class  ClassID
-	addr   int32
-	size   int32
+	addr   int32 // arena address; in a free slot, the next free slot's id (Heap.freeHead)
+	size   int32 // arena footprint, at least the header; 0 iff the slot is free (or Nil's)
 	refOff int32 // base of this handle's extent in the ref slab
 	refLen int32 // live reference slots (current instance)
 	refCap int32 // extent capacity; kept across Free for reuse
-	live   bool
 }
 
 // Stats aggregates heap-level counters.
@@ -92,7 +91,7 @@ type Heap struct {
 	// heap and the tables that follow it grow, and are cleared, in step
 	// with the cell they serve, not with the largest cell they ever held.
 	handleCap int
-	freeIDs   []HandleID
+	freeHead  HandleID // LIFO of free slots, linked through their addr words
 	// slab is the single backing store for every handle's reference
 	// slots: handle i owns slab[refOff : refOff+refLen]. Extents are
 	// recycled with their handle slot (see handle.refCap); an extent is
@@ -102,8 +101,8 @@ type Heap struct {
 	slab  []HandleID
 	arena *Arena
 	stats Stats
-	// liveBits mirrors handle.live word-packed, maintained by
-	// Alloc/Free: bit i is set iff handles[i].live. The sweep phase
+	// liveBits is the live set word-packed, maintained by Alloc/Free:
+	// bit i is set iff handles[i].size != 0. The sweep phase
 	// consumes it directly — garbage in a 64-handle window is
 	// live &^ mark, one AND-NOT per word — and ForEachLive/NumLive walk
 	// words instead of handle records.
@@ -166,10 +165,10 @@ func (h *Heap) Stats() Stats { return h.stats }
 // h returns the handle record for id, panicking on null or stale IDs:
 // handle discipline violations are runtime bugs, not user errors. The
 // failure paths live in a noinline helper so h itself inlines into the
-// per-event accessors.
+// per-event accessors. The Nil slot's size stays 0 like a freed slot's.
 func (h *Heap) h(id HandleID) *handle {
 	hd := &h.handles[int(id)]
-	if id == Nil || !hd.live {
+	if hd.size == 0 {
 		h.badHandle(id)
 	}
 	return hd
@@ -203,10 +202,9 @@ func (h *Heap) Alloc(c ClassID, extra int) (HandleID, error) {
 		h.stats.FailedAlloc++
 		return Nil, err
 	}
-	var id HandleID
-	if n := len(h.freeIDs); n > 0 {
-		id = h.freeIDs[n-1]
-		h.freeIDs = h.freeIDs[:n-1]
+	id := h.freeHead
+	if id != Nil {
+		h.freeHead = HandleID(h.handles[int(id)].addr)
 	} else {
 		n := len(h.handles)
 		if n == h.handleCap {
@@ -222,7 +220,6 @@ func (h *Heap) Alloc(c ClassID, extra int) (HandleID, error) {
 	hd.class = c
 	hd.addr = int32(addr)
 	hd.size = int32(size)
-	hd.live = true
 	h.liveBits.Set(int(id))
 	h.bindRefs(hd, cls.Refs+extra)
 	h.stats.Allocs++
@@ -273,10 +270,10 @@ func (h *Heap) refs(hd *handle) []HandleID {
 func (h *Heap) Free(id HandleID) {
 	hd := h.h(id)
 	h.arena.Free(int(hd.addr), int(hd.size))
-	hd.live = false
+	hd.addr, hd.size = int32(h.freeHead), 0
 	hd.refLen = 0
+	h.freeHead = id
 	h.liveBits.Clear(int(id))
-	h.freeIDs = append(h.freeIDs, id)
 	h.stats.Frees++
 }
 
@@ -307,7 +304,7 @@ func (h *Heap) Reinit(id HandleID, c ClassID, extra int) error {
 // Live reports whether id names a currently allocated object. Nil is not
 // live.
 func (h *Heap) Live(id HandleID) bool {
-	return id != Nil && int(id) < len(h.handles) && h.handles[int(id)].live
+	return int(id) < len(h.handles) && h.handles[int(id)].size != 0
 }
 
 // NumLive counts live objects: one popcount per 64 handles.
@@ -451,7 +448,7 @@ func (h *Heap) Reset() {
 	// Alloc's Grow before they are ever reachable.
 	h.handles = h.handles[:1]
 	h.handleCap = 1
-	h.freeIDs = h.freeIDs[:0]
+	h.freeHead = Nil
 	// Clear the live bitmap through its full capacity before shrinking:
 	// regrowth zeroes the words it uncovers, but a plain truncation here
 	// would leave stale bits inside the retained capacity.

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -311,6 +312,87 @@ func TestDanglingAccessPanics(t *testing.T) {
 		}
 	}()
 	h.GetRef(a, 0)
+}
+
+// panicText runs fn and returns what it panicked with ("" if it
+// returned).
+func panicText(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// TestFreeSlotListIsLIFOThroughTheSlots pins the free-handle list that
+// lives in the dead slots' addr words: ids come back newest-freed first,
+// interleaved frees and allocations keep that order, a slot on the list
+// is as dead as before (every accessor and a second Free panic with the
+// dangling message, Nil with the null one), and Reset empties the list.
+func TestFreeSlotListIsLIFOThroughTheSlots(t *testing.T) {
+	h, node, _ := testHeap(t)
+	alloc := func() HandleID {
+		t.Helper()
+		id, err := h.Alloc(node, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	a, b, c, d := alloc(), alloc(), alloc(), alloc()
+	h.Free(a)
+	h.Free(b)
+	h.Free(c)
+	for _, id := range []HandleID{a, b, c} {
+		if h.Live(id) {
+			t.Fatalf("freed handle %d reads live", id)
+		}
+		want := fmt.Sprintf("heap: dangling handle %d", id)
+		for what, fn := range map[string]func(){
+			"SizeOf": func() { h.SizeOf(id) },
+			"AddrOf": func() { h.AddrOf(id) },
+			"GetRef": func() { h.GetRef(id, 0) },
+			"Free":   func() { h.Free(id) },
+		} {
+			if got := panicText(fn); got != want {
+				t.Fatalf("%s of freed handle %d panicked with %q, want %q", what, id, got, want)
+			}
+		}
+	}
+	if h.Live(Nil) {
+		t.Fatal("Nil reads live")
+	}
+	if got := panicText(func() { h.SizeOf(Nil) }); got != "heap: null handle dereference" {
+		t.Fatalf("SizeOf(Nil) panicked with %q", got)
+	}
+	if got := panicText(func() { h.Free(Nil) }); got != "heap: null handle dereference" {
+		t.Fatalf("Free(Nil) panicked with %q", got)
+	}
+	if got := []HandleID{alloc(), alloc()}; got[0] != c || got[1] != b {
+		t.Fatalf("after freeing %d %d %d, allocations returned %v, want %d then %d", a, b, c, got, c, b)
+	}
+	h.Free(d) // pushed above a, which is still listed
+	if got := []HandleID{alloc(), alloc()}; got[0] != d || got[1] != a {
+		t.Fatalf("allocations returned %v, want %d then %d", got, d, a)
+	}
+	if e := alloc(); e != d+1 {
+		t.Fatalf("with the list empty the next id is %d, want the fresh slot %d", e, d+1)
+	}
+	if h.NumLive() != 5 || h.Stats().Frees != 4 {
+		t.Fatalf("%d live after %d frees, want 5 and 4", h.NumLive(), h.Stats().Frees)
+	}
+
+	h.Free(b)
+	h.Free(c)
+	h.Reset()
+	node = h.DefineClass(Class{Name: "Node", Refs: 2, Data: 8})
+	for want := HandleID(1); want <= 3; want++ {
+		if id := alloc(); id != want {
+			t.Fatalf("after Reset the heap handed out %d, want the fresh slot %d", id, want)
+		}
+	}
 }
 
 // TestBirthOrder: the handle carries no allocation sequence number (a

@@ -8,11 +8,12 @@ import (
 )
 
 // TestHandleRecordIsSmallAndPointerFree pins the handle record: at most
-// 32 bytes, and no field the Go collector would have to scan — the
-// handle table is the largest table a cell owns.
+// 24 bytes — no live flag beside size, no free-id list beside addr — and
+// no field the Go collector would have to scan: the handle table is the
+// largest table a cell owns.
 func TestHandleRecordIsSmallAndPointerFree(t *testing.T) {
-	if n := unsafe.Sizeof(handle{}); n > 32 {
-		t.Errorf("handle is %d bytes, budget is 32", n)
+	if n := unsafe.Sizeof(handle{}); n > 24 {
+		t.Errorf("handle is %d bytes, budget is 24", n)
 	}
 	if hasPointers(reflect.TypeOf(handle{})) {
 		t.Error("handle holds a pointer")

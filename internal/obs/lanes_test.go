@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strings"
 	"testing"
 )
 
@@ -50,64 +46,5 @@ func TestProgressLanes(t *testing.T) {
 	}
 	if other == nil || other.Submitted == 0 {
 		t.Fatalf("overflow clients did not aggregate into %q: %+v", OtherLane, s.Lanes)
-	}
-}
-
-// TestDebugServerHealthz pins the /healthz contract: a static 200 ok
-// with no callback installed, and the callback's drain state rendered
-// as a 503 — which is how load balancers and the smoke scripts observe
-// a draining server.
-func TestDebugServerHealthz(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", func() Snapshot { return Snapshot{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func() (int, Health) {
-		t.Helper()
-		resp, err := http.Get("http://" + srv.Addr() + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var h Health
-		if err := json.Unmarshal(body, &h); err != nil {
-			t.Fatalf("healthz is not JSON: %v: %s", err, body)
-		}
-		return resp.StatusCode, h
-	}
-
-	if code, h := get(); code != http.StatusOK || h.Status != "ok" || h.Draining {
-		t.Fatalf("default healthz = %d %+v, want 200 ok", code, h)
-	}
-
-	srv.SetHealth(func() Health { return Health{Draining: true, InFlight: 3} })
-	code, h := get()
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("draining healthz status = %d, want 503", code)
-	}
-	if h.Status != "draining" || !h.Draining || h.InFlight != 3 {
-		t.Fatalf("draining healthz body = %+v", h)
-	}
-
-	srv.SetHealth(nil)
-	if code, h := get(); code != http.StatusOK || h.Status != "ok" {
-		t.Fatalf("healthz after reset = %d %+v, want 200 ok", code, h)
-	}
-
-	// The endpoint listing advertises healthz.
-	resp, err := http.Get("http://" + srv.Addr() + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "/healthz") {
-		t.Fatalf("root listing does not mention /healthz: %s", body)
 	}
 }

@@ -21,10 +21,12 @@
 //     GOMAXPROCS, go version and load averages, stamped into stored
 //     outcomes so a wall-clock measurement is meaningful after the
 //     fact (which machine, how loaded).
-//   - Progress + Server (progress.go, debug.go): live counters for a
-//     running sweep (cells stored/computed/in-flight, per-worker
-//     utilization, queue depth) served as a JSON snapshot next to
-//     net/http/pprof on -debug-addr.
+//   - Progress (progress.go): live counters for a running sweep (cells
+//     stored/computed/in-flight, per-worker utilization, queue depth).
+//     The child package obshttp serves them as a JSON snapshot next to
+//     net/http/pprof on -debug-addr; this package imports no network
+//     code (TestNoNetworkImports), because internal/vm imports it and
+//     one-cell binaries should not link an HTTP stack.
 //
 // Determinism contract: everything wall-clock-dependent that obs
 // produces (histogram buckets, phase nanoseconds, provenance) lives

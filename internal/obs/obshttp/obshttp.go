@@ -1,4 +1,9 @@
-package obs
+// Package obshttp is the HTTP half of the observability layer: the
+// debug/serving surface behind -debug-addr and cgserve. It lives apart
+// from internal/obs because internal/vm imports obs for cycle timelines,
+// and a binary that runs one cell (cgrun, cgstats, cgbench, t100) should
+// not link net/http, TLS and x509 to do it.
+package obshttp
 
 import (
 	"encoding/json"
@@ -8,13 +13,15 @@ import (
 	"net/http/pprof"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Snapshot is what the debug endpoint's /progress handler serves: the
 // process's provenance and the sweep's live progress counters.
 type Snapshot struct {
-	Provenance Provenance        `json:"provenance"`
-	Progress   *ProgressSnapshot `json:"progress,omitempty"`
+	Provenance obs.Provenance        `json:"provenance"`
+	Progress   *obs.ProgressSnapshot `json:"progress,omitempty"`
 }
 
 // Health is what /healthz serves: liveness (answering at all) plus the
@@ -52,7 +59,7 @@ type Server struct {
 func Serve(addr string, snap func() Snapshot) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: debug listen %s: %w", addr, err)
+		return nil, fmt.Errorf("obshttp: debug listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
 	s := &Server{ln: ln, mux: mux, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/workload"
 )
 
 func exec(t *testing.T, job engine.Job) Outcome {
@@ -333,5 +334,34 @@ func TestResumingComputesOnlyMissingCells(t *testing.T) {
 	r3, _ := run()
 	if s, c := r3.Stats(); s != len(jobs)-1 || c != 1 {
 		t.Fatalf("partial resume: stored=%d computed=%d, want %d/1", s, c, len(jobs)-1)
+	}
+}
+
+// TestPackedIsASpellingOfCG: "cg+packed" stays a collector spec — stored
+// keys and the benchmark's cell matrix spell it — but §3.5's packed word
+// is the one layout CG has, so the two specs must extract the same
+// outcome from every workload, with and without collection cycles.
+func TestPackedIsASpellingOfCG(t *testing.T) {
+	for _, s := range workload.All() {
+		for _, job := range []engine.Job{
+			{Workload: s.Name, Size: 10},
+			{Workload: s.Name, Size: 10, HeapBytes: engine.TightHeap, GCEvery: 700},
+		} {
+			job.Collector = "cg"
+			plain := exec(t, job)
+			job.Collector = "cg+packed"
+			packed := exec(t, job)
+			if plain.Payload.CG == nil || plain.Payload.CG.Stats.Created == 0 {
+				t.Fatalf("%s: cg extracted no payload: %+v", s.Name, plain.Payload)
+			}
+			if job.GCEvery != 0 && plain.GCCycles == 0 {
+				t.Fatalf("%s: the cycling cell ran no cycle", s.Name)
+			}
+			if !reflect.DeepEqual(plain.Payload, packed.Payload) || plain.GCCycles != packed.GCCycles ||
+				plain.Instr != packed.Instr || !reflect.DeepEqual(plain.Arena, packed.Arena) {
+				t.Fatalf("%s (heap %d, gc every %d): cg and cg+packed diverge:\n%+v %+v\n%+v %+v",
+					s.Name, job.HeapBytes, job.GCEvery, plain.Payload.CG, plain.Arena, packed.Payload.CG, packed.Arena)
+			}
+		}
 	}
 }

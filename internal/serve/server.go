@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/obs/obshttp"
 	"repro/internal/results"
 )
 
@@ -61,7 +62,7 @@ type Config struct {
 
 // Server is the sweep server's HTTP surface: POST /sweep (streamed
 // sweeps) and GET /cell/{key} (the shared cache, content-addressed).
-// Mount it on an obs.Server's mux so /progress, /healthz and pprof
+// Mount it on an obshttp.Server's mux so /progress, /healthz and pprof
 // share the listener, and wire Drain/Wait/Health into the host's
 // signal handling for graceful shutdown.
 type Server struct {
@@ -86,7 +87,7 @@ func (s *Server) Register(mux *http.ServeMux) {
 }
 
 // Handler returns a standalone handler with just the sweep endpoints
-// (tests; production hosts Register on the obs mux instead).
+// (tests; production hosts Register on the obshttp mux instead).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.Register(mux)
@@ -100,10 +101,10 @@ func (s *Server) Drain() { s.sched.Drain() }
 // scheduler has stopped. Call after Drain.
 func (s *Server) Wait() { s.sched.Wait() }
 
-// Health implements the obs.Server health callback: draining state plus
+// Health implements the obshttp.Server health callback: draining state plus
 // the number of cells still queued or executing.
-func (s *Server) Health() obs.Health {
-	h := obs.Health{Status: "ok", InFlight: s.sched.InFlight()}
+func (s *Server) Health() obshttp.Health {
+	h := obshttp.Health{Status: "ok", InFlight: s.sched.InFlight()}
 	if s.sched.Draining() {
 		h.Status, h.Draining = "draining", true
 	}

@@ -14,6 +14,12 @@
 //
 // Both satisfy the Forest interface and are observationally equivalent
 // (property-tested); the packed form halves the per-element metadata.
+//
+// The collector no longer runs this package: internal/core keeps its
+// forest in its own per-object record (objMeta.link — the Packed word
+// with the set's slot where a root's parent would be). The package stays
+// as the reference the collector's differential test drives side by
+// side with it, and as the subject of the benchmark's unionfind probes.
 package unionfind
 
 // Forest is the operations CG needs from a disjoint-set structure.

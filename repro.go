@@ -8,7 +8,7 @@
 // The package is a facade over the implementation:
 //
 //   - internal/core — the contaminated collector (the paper's contribution)
-//   - internal/unionfind — the disjoint-set forests under its equilive sets
+//   - internal/unionfind — reference disjoint-set forests: core's test oracle (its own forest is in its per-object record)
 //   - internal/heap — the managed-heap substrate (handles, size-class slab arena)
 //   - internal/vm — the runtime (frames, threads, statics, interning)
 //   - internal/msa — the traditional mark–sweep baseline
@@ -21,7 +21,7 @@
 //   - internal/dist — the multi-process sweep (coordinator and cgworker protocol)
 //   - internal/serve — the sweep server behind cgserve and cgsweep -server
 //   - internal/tape — record a program's event stream once, replay it under any collector
-//   - internal/obs — cycle timelines, provenance and the live debug surface
+//   - internal/obs — cycle timelines, provenance and progress counters (obs/obshttp serves them)
 //   - internal/jasm — a textual assembly for the runtime
 //
 // Quick start:
