@@ -27,6 +27,11 @@ var benchEng = engine.New(0)
 // The Fig* benchmarks time the full regeneration of each figure; the
 // Workload/... benchmarks time one run of each SPEC analog under each
 // collector, which is the raw comparison behind Figures 4.7-4.10.
+//
+// These are for a quick A/B while working on a layer (run a family on
+// both trees, twice each); a claim is made on bench/'s end-to-end ledger
+// (DESIGN.md "Why there is one ledger"). No baseline of them is
+// committed.
 
 func BenchmarkFig41CollectableNoOptVsOpt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -110,7 +115,9 @@ func BenchmarkFig412RecycleTiming(b *testing.B) {
 
 func BenchmarkFig413RecycleCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig413(benchEng)
+		if _, err := experiments.Fig413(benchEng); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -225,9 +232,9 @@ func ledgerCell(program, collector string) (err error) {
 // persistent single-worker engine's ExecRelease, so after the warmup
 // run every iteration starts from Runtime.Reset on a pooled shard —
 // the steady state a store-backed sweep pays per cell, as opposed to
-// the cold heap/collector construction the Workload family times.
-// `cgbench -bench -pooled` emits the same cells as Workload-pooled/...
-// JSON; BENCH_seed_pooled.json is the committed baseline.
+// the cold heap/collector construction the Workload family times. The
+// ledger's probes of the same path are vm.shard_new_us,
+// vm.shard_reset_us and engine.cell_overhead_us.
 func BenchmarkWorkloadPooled(b *testing.B) {
 	eng := engine.New(1)
 	for _, spec := range workload.All() {

@@ -1,8 +1,11 @@
 package main
 
 import (
-	"bytes"
-	"flag"
+	"go/parser"
+	"go/token"
+	"os"
+	"path"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,20 +25,35 @@ func TestTimingFiguresTimeTheProgram(t *testing.T) {
 	}
 }
 
-// TestUsageListsOwnFlagsOnly runs the usage printer over this test
-// binary's command line, which holds every -test.* flag testing.Init
-// registers, plus one flag of our own.
-func TestUsageListsOwnFlagsOnly(t *testing.T) {
-	fs := flag.NewFlagSet("cgbench", flag.ContinueOnError)
-	flag.VisitAll(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
-	if fs.Lookup("test.cpuprofile") == nil {
-		t.Fatal("the test binary registers no -test.cpuprofile; the filter is not exercised")
+// TestNoBenchmarkHarness: cgbench renders figures; layers are measured
+// by bench/ and `go test -bench` (DESIGN.md "Why there is one ledger").
+// An import of testing, or of a bench* report package, would bring
+// testing.Benchmark, its 33 -test.* flags and a second ledger back into
+// the binary.
+func TestNoBenchmarkHarness(t *testing.T) {
+	files, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
 	}
-	fs.Int("workers", 3, "engine worker count")
-	var out bytes.Buffer
-	fs.SetOutput(&out)
-	printOwnFlags(fs)
-	if got := out.String(); strings.Contains(got, "-test.") || !strings.Contains(got, "-workers int") || !strings.Contains(got, "(default 3)") {
-		t.Errorf("usage lists -test.* flags or drops cgbench's own:\n%s", got)
+	parsed := 0
+	for _, f := range files {
+		name := f.Name()
+		if f.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed++
+		for _, imp := range file.Imports {
+			imported, _ := strconv.Unquote(imp.Path.Value)
+			if imported == "testing" || strings.HasPrefix(path.Base(imported), "bench") {
+				t.Errorf("%s imports %q; cgbench has no micro-benchmark mode", name, imported)
+			}
+		}
+	}
+	if parsed == 0 {
+		t.Fatal("found no source files to check")
 	}
 }

@@ -48,12 +48,10 @@ func main() {
 	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
 	storeDir := flag.String("store", "", "shared cell store directory (empty = a temporary directory, discarded on exit)")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent cell executions (0 = engine worker count)")
-	tapeOn := flag.Bool("tape", true,
-		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); output is identical either way")
 	flag.Parse()
 
 	prog := &obs.Progress{}
-	eng := engine.New(*workers).SetProgress(prog).SetTapeCache(*tapeOn)
+	eng := engine.New(*workers).SetProgress(prog)
 
 	dir, tempStore := *storeDir, false
 	if dir == "" {

@@ -70,7 +70,7 @@ import (
 // the sweep on another machine's engine and store and rejects each.
 var localOnly = map[string]bool{
 	"procs": true, "workers": true, "store": true, "worker": true,
-	"debug-addr": true, "tape": true,
+	"debug-addr": true,
 }
 
 // rejectLocalFlags fails on the first flag the command line set that
@@ -96,8 +96,6 @@ func main() {
 		"run the sweep on a cgserve at this URL (e.g. http://localhost:8080) instead of locally; output is byte-identical")
 	client := flag.String("client", "",
 		"client name reported to -server for its fairness lanes (default: host:pid)")
-	tapeOn := flag.Bool("tape", true,
-		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); forwarded to -procs children; output is identical either way")
 	flag.Parse()
 
 	var ids []string
@@ -150,10 +148,10 @@ func main() {
 			// it procs-fold.
 			perChild = (engine.New(0).Workers() + *procs - 1) / *procs
 		}
-		argv := []string{bin, "-workers", strconv.Itoa(perChild), "-tape=" + strconv.FormatBool(*tapeOn)}
+		argv := []string{bin, "-workers", strconv.Itoa(perChild)}
 		backend = &dist.Coordinator{Spawn: dist.Command(argv, os.Stderr), Procs: *procs, Obs: prog}
 	} else {
-		backend = results.Local{Eng: engine.New(*workers).SetProgress(prog).SetTapeCache(*tapeOn), Obs: prog}
+		backend = results.Local{Eng: engine.New(*workers).SetProgress(prog), Obs: prog}
 	}
 
 	if *storeDir != "" {

@@ -9,17 +9,13 @@ import (
 
 // TestServerRejectsLocalFlags: with -server, a flag that configures a
 // local run is an error naming that flag, whatever value it was given —
-// -tape=false and -debug-addr used to be accepted and dropped.
+// -debug-addr used to be accepted and dropped.
 func TestServerRejectsLocalFlags(t *testing.T) {
 	parse := func(args ...string) error {
 		fs := flag.NewFlagSet("cgsweep", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		for name := range localOnly {
-			if name == "tape" {
-				fs.Bool(name, true, "")
-			} else {
-				fs.String(name, "", "")
-			}
+			fs.String(name, "", "")
 		}
 		for _, name := range []string{"figs", "server", "client"} {
 			fs.String(name, "", "")
@@ -34,9 +30,9 @@ func TestServerRejectsLocalFlags(t *testing.T) {
 	}
 	for _, local := range [][]string{
 		{"-procs", "0"}, {"-workers", "2"}, {"-store", "d"}, {"-worker", "w"},
-		{"-debug-addr", ":6060"}, {"-tape=false"},
+		{"-debug-addr", ":6060"},
 	} {
-		name := strings.SplitN(local[0], "=", 2)[0]
+		name := local[0]
 		err := parse(append([]string{"-server", "http://h"}, local...)...)
 		if err == nil || !strings.Contains(err.Error(), name+" configures a local run and cannot be combined with -server") {
 			t.Errorf("%v with -server: err = %v, want one naming %s", local, err, name)

@@ -33,11 +33,9 @@ func main() {
 	workers := flag.Int("workers", 1, "engine worker count for this process (0 = GOMAXPROCS)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve pprof and a JSON progress snapshot on this address (e.g. localhost:6061; empty = off)")
-	tapeOn := flag.Bool("tape", true,
-		"record a (workload, size) row's event tape while its first cell runs and replay it for the row's other cells; a recording that reaches 4096 ops abandons itself and the row's cells all drive (rows that long are event-bound: a replay would save nothing and the tape would be MBs); output is identical either way")
 	flag.Parse()
 
-	eng := engine.New(*workers).SetTapeCache(*tapeOn)
+	eng := engine.New(*workers)
 
 	var prog *obs.Progress
 	if *debugAddr != "" {

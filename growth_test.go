@@ -30,6 +30,14 @@ import (
 // also keeps a list of dead handles (it reads 68-69). A field added back
 // to a record costs 4-8 of these, a forest or a free-id list beside the
 // records 4-5, a set record per handle 24.
+//
+// What the cell allocates on the way has a ceiling as well, 1.15x what
+// the four ledger collectors allocate (cg 28.0 MB, cg+recycle 47.3, msa
+// 28.5, gen 32.7 — a cold cell builds everything from nothing, so its
+// bytes are the same on every host): the ratio budget lets allocation
+// and final tables grow together, the ceiling does not. One table back
+// on a bare append (core's meta) reads 37.6 MB under cg at 2.81x, which
+// only the ceiling fails.
 func TestColdCellGrowthBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful unraced")
@@ -69,15 +77,20 @@ func TestColdCellGrowthBudget(t *testing.T) {
 			if cycles > 7 {
 				t.Errorf("cold cell ran %d Go GC cycles, budget is 7", cycles)
 			}
-			perHandle := uint64(52)
+			perHandle, ceiling := uint64(52), uint64(32_800_000)
 			switch {
 			case strings.Contains(name, "recycle") || strings.Contains(name, "typed"):
-				perHandle = 76
+				perHandle, ceiling = 76, 54_300_000
 			case strings.HasPrefix(name, "cg"):
-				perHandle = 66
+				perHandle, ceiling = 66, 32_200_000
+			case strings.HasPrefix(name, "gen"):
+				ceiling = 37_600_000
 			}
 			if got := final / uint64(rt.Heap.NumHandles()); got > perHandle {
 				t.Errorf("final tables hold %d bytes per handle, budget is %d", got, perHandle)
+			}
+			if allocated > ceiling {
+				t.Errorf("cold cell allocated %d bytes, ceiling is %d", allocated, ceiling)
 			}
 		})
 	}

@@ -141,8 +141,10 @@ func Fig411(eng *engine.Engine) *table.Table {
 // allocation pressure, so each benchmark shard calibrates its own arena
 // from a probe run and retries with more slack if the budget undershoots
 // the collector's peak holdings — per-benchmark control flow the
-// engine's generic Do distributes across the pool.
-func Fig413(eng *engine.Engine) *table.Table {
+// engine's generic Do distributes across the pool. A benchmark whose
+// probe or last retry fails fails the figure with the first such error,
+// in benchmark order, worded as the timing figures word theirs.
+func Fig413(eng *engine.Engine) (*table.Table, error) {
 	t := table.New("Fig 4.13: number of objects recycled, small runs",
 		"benchmark", "objects recycled", "percent of total")
 	specs := workload.All()
@@ -154,8 +156,6 @@ func Fig413(eng *engine.Engine) *table.Table {
 		// filled).
 		probe := engine.Exec(engine.Job{Workload: specs[i].Name, Size: 1, Collector: "cg"})
 		if probe.Err != nil {
-			// Fail on the caller's goroutine, not the worker's: a panic
-			// here would kill the process instead of unwinding.
 			errs[i] = probe.Err
 			return
 		}
@@ -183,10 +183,10 @@ func Fig413(eng *engine.Engine) *table.Table {
 	})
 	for i, s := range specs {
 		if errs[i] != nil {
-			panic(errs[i])
+			return nil, fmt.Errorf("sweep 4.13: %w", errs[i])
 		}
 		st := results[i]
 		t.Rowf(s.Name, st.Reused, stats.Pct(st.Reused, st.Created))
 	}
-	return t
+	return t, nil
 }

@@ -127,7 +127,11 @@ func TestFig411ResettingRuns(t *testing.T) {
 }
 
 func TestFig413RecyclingCountsSomething(t *testing.T) {
-	tb := Fig413(testEng).String()
+	fig, err := Fig413(testEng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := fig.String()
 	rs := rows(tb)
 	if len(rs) != 8 {
 		t.Fatalf("Fig 4.13 must have 8 rows:\n%s", tb)

@@ -3,8 +3,8 @@
 // JDK 1.1.8 managed objects through handles, §3.1), and a virtual-address
 // arena governed by a size-class slab allocator with O(1) alloc, free and
 // occupancy accounting (DESIGN.md §8). The JDK's first-fit policy that
-// §3.7 describes survives as SpanArena, the reference model the slab
-// arena is property-tested against.
+// §3.7 describes survives as SpanArena in spanarena_test.go, the
+// reference model the slab arena is property-tested against.
 //
 // The arena is *virtual*: no payload bytes are stored, only extents, which
 // is sufficient because CG's behaviour depends on addresses, sizes,

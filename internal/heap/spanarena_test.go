@@ -19,8 +19,7 @@ type span struct {
 // It is retained as the *reference model* for the slab arena's property
 // tests: its success/failure behaviour under coalescing is the ground
 // truth the slab arena is checked against in the regimes where the two
-// provably agree (see arena_prop_test.go), and its O(n) bookkeeping is
-// the cost the slab arena's O(1) paths are benchmarked against.
+// provably agree (see arena_prop_test.go).
 type SpanArena struct {
 	size    int
 	free    []span // sorted by addr, never adjacent (always coalesced)
