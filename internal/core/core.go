@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/heap"
@@ -230,6 +231,11 @@ type tables struct {
 	sets      []setMeta
 	oldFrames []int32
 	msa       *msa.Collector
+	// metaMapped is the slot count of the mapping meta lies in, 0 while
+	// meta is a Go slice; unmapMeta releases that mapping when the tables
+	// are dropped (see mapMeta).
+	metaMapped int
+	unmapMeta  runtime.Cleanup
 	// recycleClasses is the ladder-indexed class array (entries nilled
 	// at detach, the array itself reused) and recycleSpill the sorted
 	// overflow list for extents wider than the ladder.
@@ -319,6 +325,9 @@ func (c *CG) Attach(rt *vm.Runtime) {
 		t.msa.Reattach(rt)
 	}
 	c.msa = t.msa
+	if bound := c.heap.HandleBound(); t.metaMapped < bound {
+		t.mapMeta(bound)
+	}
 	c.meta = t.meta[:0]
 	c.sets = append(t.sets[:0], setMeta{}) // slot 0, never used
 	c.freeSets = 0
@@ -341,6 +350,24 @@ func (c *CG) Attach(rt *vm.Runtime) {
 	}
 	if c.cfg.ResetOnGC {
 		c.cycle.End = c.endCycle
+	}
+}
+
+// mapMeta draws meta from heap.Mapped at the attached heap's handle
+// bound, which no HandleCap exceeds: grow then never moves it. A pooled
+// mapping too small for this heap is released first, and at once — it
+// is address space a long-lived pool would otherwise keep. Where there
+// is no mapping to be had meta stays the Go slice it was, and heap.Grow
+// doubles it.
+func (t *tables) mapMeta(bound int) {
+	if t.metaMapped != 0 {
+		t.unmapMeta.Stop()
+		heap.Unmap(t.meta)
+		t.meta, t.metaMapped = nil, 0
+	}
+	if m := heap.Mapped[objMeta](bound); m != nil {
+		t.meta, t.metaMapped = m, bound
+		t.unmapMeta = runtime.AddCleanup(t, heap.Unmap[objMeta], m)
 	}
 }
 

@@ -38,6 +38,33 @@ func TestRecordsAreSmallAndPointerFree(t *testing.T) {
 	}
 }
 
+// TestMappedRecordsHoldNoPointers is the heap package's test of the same
+// name for the one table core draws from heap.Mapped, by its element
+// type as declared; and that table, where this build maps it, is
+// reserved at the attached heap's handle bound, or at a larger one the
+// pool kept, and never moves as it grows.
+func TestMappedRecordsHoldNoPointers(t *testing.T) {
+	if elem := reflect.TypeOf(tables{}.meta).Elem(); hasPointers(elem) {
+		t.Errorf("tables.meta is mapped and its element %v holds a pointer", elem)
+	}
+	rt, cg, node := newRT(t, DefaultConfig(), 1<<22)
+	if cg.tab.metaMapped == 0 {
+		t.Log("no mapping on this build: meta grows by heap.Grow's copy")
+		return
+	}
+	if got, bound := cap(cg.meta), rt.Heap.HandleBound(); got < bound || cg.tab.metaMapped != got {
+		t.Fatalf("meta is mapped at %d slots (recorded as %d), the heap's handle bound is %d", got, cg.tab.metaMapped, bound)
+	}
+	base := unsafe.SliceData(cg.meta)
+	f := rt.NewThread(1).Top()
+	for i := 0; i < 3000; i++ {
+		f.MustNew(node)
+	}
+	if len(cg.meta) < 3000 || unsafe.SliceData(cg.meta) != base {
+		t.Fatalf("meta moved on its way to %d records", len(cg.meta))
+	}
+}
+
 // TestSetTableIsSizedBySets: javac at size 100, the cell that sets every
 // ledger workload's peak memory, has 227 686 handles and never more than
 // a few hundred sets alive at once, so the set table ends under 1 % of

@@ -43,7 +43,7 @@ func TestArenaCapacityIsNotMemory(t *testing.T) {
 		inFlight.Done()
 		inFlight.Wait()
 	})
-	resident := len(eng.pool.bySize[DemographicsArena]) * DemographicsArena
+	resident := len(eng.pool.pooled(DemographicsArena)) * DemographicsArena
 	if resident < 1<<30 {
 		t.Fatalf("the pool holds %d MiB of arena capacity, want at least 1 GiB", resident>>20)
 	}

@@ -119,10 +119,10 @@ func TestRunEachSurvivesPanickingWorkload(t *testing.T) {
 			t.Fatalf("healthy cell %d errored: %v", i, got[i].Err)
 		}
 	}
-	if n := len(eng.pool.bySize[1<<20]); n != 0 {
+	if n := len(eng.pool.pooled(1 << 20)); n != 0 {
 		t.Fatalf("the shard that panicked was pooled (%d shards of its arena size)", n)
 	}
-	if pooled := eng.pool.bySize[1<<21]; len(pooled) != 1 || pooled[0] != got[3].RT {
+	if pooled := eng.pool.pooled(1 << 21); len(pooled) != 1 || pooled[0] != got[3].RT {
 		t.Fatalf("the healthy cell's shard was not pooled (%d shards of its arena size)", len(pooled))
 	}
 }

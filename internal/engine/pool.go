@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/vm"
@@ -16,41 +17,47 @@ import (
 // caller, never does, so a retained Result.RT stays quiescent.
 type shardPool struct {
 	mu     sync.Mutex
-	bySize map[int][]*vm.Runtime
-	count  int // pooled shards across all sizes
-	max    int // retention cap; excess shards are dropped to the GC
+	shards []pooledShard // oldest first
+	max    int           // retention cap, at least 1
+}
+
+type pooledShard struct {
+	arenaBytes int
+	rt         *vm.Runtime
 }
 
 func newShardPool(max int) *shardPool {
-	return &shardPool{bySize: make(map[int][]*vm.Runtime), max: max}
+	return &shardPool{max: max}
 }
 
-// get pops a pooled shard with exactly the requested arena size, or
-// returns nil when the caller should build a fresh one.
+// get takes the newest pooled shard with exactly the requested arena
+// size, or returns nil when the caller should build a fresh one. The
+// pool holds at most a shard per worker, so the scan is short.
 func (p *shardPool) get(arenaBytes int) *vm.Runtime {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	stack := p.bySize[arenaBytes]
-	n := len(stack)
-	if n == 0 {
-		return nil
+	for i := len(p.shards) - 1; i >= 0; i-- {
+		if s := p.shards[i]; s.arenaBytes == arenaBytes {
+			p.shards = slices.Delete(p.shards, i, i+1)
+			return s.rt
+		}
 	}
-	rt := stack[n-1]
-	stack[n-1] = nil
-	p.bySize[arenaBytes] = stack[:n-1]
-	p.count--
-	return rt
+	return nil
 }
 
-// put returns a quiescent shard to the pool; over the retention cap it
-// is dropped instead (the cap bounds idle handle-table memory at the
-// worker count — the same high-water the pool's cells reached anyway).
+// put returns a quiescent shard to the pool; at the retention cap the
+// oldest pooled shard is dropped to the GC to make room (the cap bounds
+// idle handle-table memory at the worker count — the same high-water the
+// pool's cells reached anyway). The newest shard is the one kept: the
+// next cell is likelier to want the arena size of the cell that just
+// ran than that of the first sizes the engine ever saw, and a pool that
+// refused newcomers had every later size build and discard a shard per
+// cell.
 func (p *shardPool) put(arenaBytes int, rt *vm.Runtime) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.count >= p.max {
-		return
+	if len(p.shards) >= p.max {
+		p.shards = slices.Delete(p.shards, 0, 1)
 	}
-	p.bySize[arenaBytes] = append(p.bySize[arenaBytes], rt)
-	p.count++
+	p.shards = append(p.shards, pooledShard{arenaBytes, rt})
 }

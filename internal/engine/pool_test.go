@@ -4,7 +4,54 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/vm"
 )
+
+// pooled lists the pooled shards of one arena size, oldest first.
+func (p *shardPool) pooled(arenaBytes int) []*vm.Runtime {
+	var rts []*vm.Runtime
+	for _, s := range p.shards {
+		if s.arenaBytes == arenaBytes {
+			rts = append(rts, s.rt)
+		}
+	}
+	return rts
+}
+
+// TestPoolKeepsTheNewestShard: three arena sizes through a two-slot
+// pool. The full pool makes room by dropping its oldest shard, so the
+// size that ran last is the one whose next cell reuses a shard; a pool
+// that refused the newcomer kept the first two sizes for good and built
+// a shard for every later cell of any other size.
+func TestPoolKeepsTheNewestShard(t *testing.T) {
+	eng := New(2)
+	sizes := []int{1 << 22, 1 << 23, 1 << 24}
+	ran := make(map[int]*vm.Runtime)
+	for _, size := range sizes {
+		job := Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: size}
+		eng.ExecRelease(job, func(r Result) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			ran[size] = r.RT
+		})
+	}
+	if got := len(eng.pool.shards); got != 2 {
+		t.Fatalf("pool holds %d shards, want its cap of 2", got)
+	}
+	if got := eng.pool.get(sizes[0]); got != nil {
+		t.Fatal("the oldest shard survived a full pool taking a newer one")
+	}
+	if got := eng.pool.pooled(sizes[1]); len(got) != 1 || got[0] != ran[sizes[1]] {
+		t.Fatal("the second-oldest shard was dropped while the pool had an older one")
+	}
+	last := Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: sizes[2]}
+	eng.ExecRelease(last, func(r Result) {
+		if r.RT != ran[sizes[2]] {
+			t.Fatal("the last size to run did not reuse its pooled shard")
+		}
+	})
+}
 
 // TestExecReleaseRecyclesShards checks that back-to-back equal-arena
 // cells actually reuse one runtime (the pool is doing something) and
@@ -19,10 +66,10 @@ func TestExecReleaseRecyclesShards(t *testing.T) {
 		}
 		first = r.Col.(*core.CG)
 	})
-	if got := eng.pool.count; got != 1 {
+	if got := len(eng.pool.shards); got != 1 {
 		t.Fatalf("pool holds %d shards after one release, want 1", got)
 	}
-	var rt1 = eng.pool.bySize[1<<24][0]
+	var rt1 = eng.pool.pooled(1 << 24)[0]
 	eng.ExecRelease(job, func(r Result) {
 		if r.RT != rt1 {
 			t.Fatal("equal-arena cell did not reuse the pooled shard")

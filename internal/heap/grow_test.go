@@ -62,6 +62,9 @@ func TestHandleTableGrowthScript(t *testing.T) {
 	}
 	var model []obj
 	steps := 0
+	// Where this build maps the tables they are reserved at the bound
+	// and a growth step moves nothing.
+	mapped, base := cap(h.handles) == h.HandleBound(), &h.handles[0]
 	for i := 0; i < 3000; i++ {
 		n, before := h.NumHandles(), h.HandleCap()
 		cls, extra := node, 0
@@ -88,6 +91,9 @@ func TestHandleTableGrowthScript(t *testing.T) {
 			t.Fatalf("growth at %d handles: HandleCap %d, want %d (the arena has room: plain doubling)", n, h.HandleCap(), 2*n)
 		}
 		checkGrown(t, h, n)
+		if mapped && &h.handles[0] != base {
+			t.Fatalf("growth at %d handles: the mapped handle table moved", n)
+		}
 		for _, m := range model {
 			if !h.Live(m.id) || h.AddrOf(m.id) != m.addr || h.NumRefSlots(m.id) != len(m.refs) {
 				t.Fatalf("growth at %d handles: object %d did not survive the copy", n, m.id)

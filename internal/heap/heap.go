@@ -3,6 +3,7 @@ package heap
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 )
 
 // HandleID names an object through its handle-table slot. ID 0 is the
@@ -85,6 +86,10 @@ type Stats struct {
 type Heap struct {
 	classes []Class
 	byName  map[string]ClassID
+	// handles and liveBits are drawn from Mapped at HandleBound slots
+	// where this build can map: reserved once, committed by the kernel as
+	// they are first written, never moved. Elsewhere they start empty and
+	// Grow doubles them. Either way handleCap is what they may use.
 	handles []handle
 	// handleCap is the capacity the growth rule has granted the handle
 	// table, at most cap(handles). It starts over at Reset, so a pooled
@@ -114,10 +119,18 @@ func New(arenaBytes int) *Heap {
 	h := &Heap{
 		arena:     NewArena(arenaBytes),
 		byName:    make(map[string]ClassID),
-		handles:   make([]handle, 1), // slot 0 = Nil, never used
 		handleCap: 1,
-		liveBits:  make(Bitset, 1),
 	}
+	handles := Mapped[handle](h.HandleBound())
+	if handles != nil {
+		runtime.AddCleanup(h, Unmap[handle], handles)
+	}
+	live := Mapped[uint64](BitsetWords(h.HandleBound()))
+	if live != nil {
+		runtime.AddCleanup(h, Unmap[uint64], live)
+	}
+	h.handles = Grow(handles, 1, 1) // slot 0 = Nil, never used
+	h.liveBits = Grow(live, 1, 1)
 	return h
 }
 
@@ -308,7 +321,11 @@ func (h *Heap) Live(id HandleID) bool {
 }
 
 // NumLive counts live objects: one popcount per 64 handles.
-func (h *Heap) NumLive() int { return h.liveBits.Count() }
+func (h *Heap) NumLive() int {
+	n := h.liveBits.Count()
+	runtime.KeepAlive(h) // the bitmap's mapping lives as long as h does
+	return n
+}
 
 // NumHandles reports the handle-table length, dead slots and the Nil
 // slot included: every id ever handed out is below it. Collection
@@ -321,6 +338,12 @@ func (h *Heap) NumHandles() int { return len(h.handles) }
 // length, so they grow when the handle table does and never between.
 func (h *Heap) HandleCap() int { return h.handleCap }
 
+// HandleBound is the most slots the handle table can ever use: the Nil
+// slot and one per minInstanceBytes of arena. HandleCap never exceeds
+// it (grownHandleCap's last clamp), so a table reserved at HandleBound
+// slots never has to move.
+func (h *Heap) HandleBound() int { return 1 + h.arena.Size()/minInstanceBytes }
+
 // grownHandleCap is the growth rule of every handle-indexed table,
 // applied when the handle table is full: double, unless the arena
 // cannot fill a doubled table, and then reserve what it can fill. A
@@ -328,15 +351,15 @@ func (h *Heap) HandleCap() int { return h.handleCap }
 // first), so the n objects behind the slots hold the arena bytes in use
 // and, until one of them is freed, each further handle needs
 // minInstanceBytes of what is free: n+1+room slots is all the table can
-// use before the next free, and at most 1+Size/minInstanceBytes, which
-// bounds it for good. Frees can make room for more handles than that
+// use before the next free, and at most HandleBound, which bounds it for
+// good. Frees can make room for more handles than that
 // (small objects replacing large ones), so a clamped step is still a
 // quarter of the table: growth stays geometric whatever the arena says.
 func (h *Heap) grownHandleCap() int {
 	n := len(h.handles)
 	room := h.arena.FreeBytes() / minInstanceBytes
 	c := min(2*n, max(n+n/4, n+1+room))
-	return min(c, 1+h.arena.Size()/minInstanceBytes)
+	return min(c, h.HandleBound())
 }
 
 // Grow returns s at length n >= len(s) with its contents preserved and
@@ -427,6 +450,7 @@ func (h *Heap) ForEachLive(fn func(HandleID)) {
 			}
 		}
 	}
+	runtime.KeepAlive(h) // lb's mapping lives as long as h does
 }
 
 // LiveWords exposes the live bitmap as a read-only word view covering
@@ -449,12 +473,11 @@ func (h *Heap) Reset() {
 	h.handles = h.handles[:1]
 	h.handleCap = 1
 	h.freeHead = Nil
-	// Clear the live bitmap through its full capacity before shrinking:
-	// regrowth zeroes the words it uncovers, but a plain truncation here
-	// would leave stale bits inside the retained capacity.
-	full := h.liveBits[:cap(h.liveBits)]
-	clear(full)
-	h.liveBits = full[:1]
+	// Clear the live bitmap through its length: nothing beyond it was
+	// ever set, and clearing through the capacity would write, and so
+	// commit, a bound-sized mapping at every Reset.
+	clear(h.liveBits)
+	h.liveBits = h.liveBits[:1]
 	h.slab = h.slab[:0]
 	h.stats = Stats{}
 }

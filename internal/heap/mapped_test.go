@@ -1,0 +1,142 @@
+//go:build unix && !aix && !race
+
+package heap_test
+
+import (
+	"encoding/json"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/heap"
+	"repro/internal/results"
+	"repro/internal/vm"
+)
+
+// endState is everything deterministic a finished cell can be asked:
+// what the sweep stores of it and where its heap ended up.
+func endState(t *testing.T, r engine.Result) string {
+	t.Helper()
+	if r.Err != nil {
+		t.Fatalf("%+v: %v", r.Job, r.Err)
+	}
+	o := results.Extract(r)
+	payload, err := json.Marshal(o.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.RT.Heap
+	return fmt.Sprintf("%s cycles=%d arena=%+v handles=%d/%d live=%d stats=%+v",
+		payload, o.GCCycles, *o.Arena, h.NumHandles(), h.HandleCap(), h.NumLive(), h.Stats())
+}
+
+// TestMappedAndGrownTablesAgree runs the ledger's 28 matrix cells (at
+// size 10) and one pooled small-then-large sequence twice: on tables
+// reserved by heap.Mapped, and with Mapped returning nil, as it does
+// under -race and off unix, so that heap.Grow doubles them. Where a
+// table lives is not observable: payloads, cycle counts, arena
+// occupancy, handle ids and the capacity granted are the same.
+func TestMappedAndGrownTablesAgree(t *testing.T) {
+	run := func() (states []string) {
+		for _, w := range []string{"compress", "raytrace", "db", "javac", "mpegaudio", "mtrt", "jack"} {
+			for _, c := range []string{"cg", "cg+recycle", "msa", "gen"} {
+				job := engine.Job{Workload: w, Size: 10, Collector: c, HeapBytes: engine.TightHeap}
+				states = append(states, endState(t, engine.Exec(job)))
+			}
+		}
+		// The large cell runs on the shard, and the CG tables, the small
+		// one left in the pools: regrowth over a dirty table.
+		eng := engine.New(1)
+		for _, size := range []int{1, 10} {
+			job := engine.Job{Workload: "jess", Size: size, Collector: "cg+recycle", HeapBytes: 1 << 24, GCEvery: 5000}
+			eng.ExecRelease(job, func(r engine.Result) { states = append(states, endState(t, r)) })
+		}
+		return states
+	}
+	probe := heap.Mapped[uint64](1)
+	if probe == nil {
+		t.Skip("this host refuses the mapping: both runs would take the grown path")
+	}
+	heap.Unmap(probe)
+	mapped := run()
+	heap.SetMapOff(true)
+	defer heap.SetMapOff(false)
+	if heap.Mapped[uint64](1) != nil {
+		t.Fatal("Mapped maps with mapping switched off")
+	}
+	grown := run()
+	for i := range mapped {
+		if mapped[i] != grown[i] {
+			t.Errorf("cell %d differs:\nmapped %s\ngrown  %s", i, mapped[i], grown[i])
+		}
+	}
+}
+
+// collected runs the two collections that find a dropped owner and
+// queue its cleanup, then waits (cleanups run on a goroutine of their
+// own) until the gauge is down to want, or, for want < 0, until it has
+// stopped falling. It returns the last reading.
+func collected(want int64) int64 {
+	runtime.GC()
+	runtime.GC()
+	n := heap.MappingCount()
+	for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		m := heap.MappingCount()
+		if want < 0 && m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestDroppedOwnersAreUnmapped: nobody calls Unmap on a heap's tables or
+// on a collector's; dropping the owner is the release. A heap holds two
+// mappings, an attached CG's tables a third, and all three are gone two
+// collections after the runtime is.
+func TestDroppedOwnersAreUnmapped(t *testing.T) {
+	base := collected(-1) // earlier tests' garbage, and core's pool, emptied
+	func() {
+		rt := vm.New(heap.New(64<<20), core.New(core.DefaultConfig()))
+		if got := heap.MappingCount(); got != base+3 {
+			t.Fatalf("a heap and an attached CG hold %d mappings, want 3", got-base)
+		}
+		runtime.KeepAlive(rt)
+	}()
+	if got := collected(base); got > base {
+		t.Fatalf("%d mappings outlive their owners", got-base)
+	}
+}
+
+// TestRemapReleasesAtOnce: CG's pooled tables follow the heaps they are
+// attached to. A larger heap than the pooled mapping covers gets a new
+// one, and the old one is unmapped then, not at some later collection;
+// a smaller heap keeps the mapping it finds.
+func TestRemapReleasesAtOnce(t *testing.T) {
+	// core's pool is a sync.Pool: without collections it hands back what
+	// detach put in.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	small, large := heap.New(1<<20), heap.New(1<<24)
+	rt := vm.New(small, core.New(core.DefaultConfig()))
+	held := heap.MappingCount()
+	rt.Reset(vm.None()) // detach: the tables, mapping and all, go to core's pool
+	for _, h := range []*heap.Heap{large, small, large} {
+		rt = vm.New(h, core.New(core.DefaultConfig()))
+		if got := heap.MappingCount(); got != held {
+			t.Fatalf("attached to a %d-byte heap: %d mappings, want the %d held before", h.Arena().Size(), got, held)
+		}
+		node := h.DefineClass(heap.Class{Name: "Node", Refs: 1})
+		f := rt.NewThread(1).Top()
+		for i := 0; i < 1000; i++ {
+			f.MustNew(node)
+		}
+		rt.Reset(vm.None())
+	}
+	runtime.KeepAlive(small)
+	runtime.KeepAlive(large)
+}

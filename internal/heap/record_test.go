@@ -20,6 +20,19 @@ func TestHandleRecordIsSmallAndPointerFree(t *testing.T) {
 	}
 }
 
+// TestMappedRecordsHoldNoPointers: the Go collector does not scan a
+// mapping, so a table drawn from Mapped must hold nothing it would have
+// to find there. The heap's two are checked by their element types as
+// declared; core checks its own.
+func TestMappedRecordsHoldNoPointers(t *testing.T) {
+	var h Heap
+	for name, table := range map[string]any{"handles": h.handles, "liveBits": h.liveBits} {
+		if elem := reflect.TypeOf(table).Elem(); hasPointers(elem) {
+			t.Errorf("Heap.%s is mapped and its element %v holds a pointer", name, elem)
+		}
+	}
+}
+
 // hasPointers reports whether a value of type t contains anything the
 // Go collector scans.
 func hasPointers(t reflect.Type) bool {

@@ -176,23 +176,23 @@ func TestHeapResetObservablyFresh(t *testing.T) {
 
 	pooled := New(1 << 20)
 	run(pooled, 100) // dirty it
-	// The first cell fits the capacity the dirty run left behind; the
+	// The first cell fits the capacity the dirty run was granted; the
 	// second grows the handle table, live bitmap and slab past it, so
-	// both the retained capacity and the reallocated tables are checked
-	// for stale contents.
+	// both the retained capacity and what lies beyond it — reallocated,
+	// or further into the mapping — are checked for stale contents.
 	for _, n := range []int{100, 1000} {
 		fresh := New(1 << 20)
 		wantIDs, wantAddrs, wantVals := run(fresh, n)
 
-		pooledCap := cap(pooled.handles)
+		granted := pooled.HandleCap()
 		pooled.Reset()
 		if pooled.NumLive() != 0 || pooled.Arena().InUse() != 0 || pooled.NumHandles() != 1 || pooled.HandleCap() != 1 {
 			t.Fatalf("Reset left residue: live=%d inUse=%d handles=%d cap=%d",
 				pooled.NumLive(), pooled.Arena().InUse(), pooled.NumHandles(), pooled.HandleCap())
 		}
 		gotIDs, gotAddrs, gotVals := run(pooled, n)
-		if grew := cap(pooled.handles) > pooledCap; grew != (n > 100) {
-			t.Fatalf("n=%d: handle table capacity %d -> %d, want growth past the pooled capacity only for the large cell", n, pooledCap, cap(pooled.handles))
+		if grew := pooled.HandleCap() > granted; grew != (n > 100) {
+			t.Fatalf("n=%d: granted handle capacity %d -> %d, want growth past the pooled cell's only for the large cell", n, granted, pooled.HandleCap())
 		}
 		for i := range wantIDs {
 			if gotIDs[i] != wantIDs[i] {
