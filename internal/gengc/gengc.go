@@ -12,6 +12,11 @@
 // after PromoteAfter minor cycles. When a minor collection reclaims
 // little, a major (full mark–sweep) collection runs and the remembered
 // set is rebuilt by scanning the old generation.
+//
+// The remembered set is a bit beside the generation bit in each
+// handle's flags byte plus a list of the ids that set it, in insertion
+// order: membership is one load, insertion one store and one append, and
+// every walk is deterministic (DESIGN.md §7).
 package gengc
 
 import (
@@ -33,6 +38,12 @@ const PromoteAfter = 2
 const (
 	minorYieldNum = 1
 	minorYieldDen = 10
+)
+
+// The bits of System.flags.
+const (
+	flagOld        uint8 = 1 << iota // the object is in the old generation
+	flagRemembered                   // the object is on the remembered list
 )
 
 // Stats aggregates generational activity.
@@ -63,31 +74,32 @@ func (s *Stats) Merge(o Stats) {
 type System struct {
 	rt *vm.Runtime
 
-	promoteAfter uint8  // minor-cycle survivals before tenuring
-	old          []bool // generation bit per handle
+	promoteAfter uint8   // minor-cycle survivals before tenuring
+	flags        []uint8 // flagOld | flagRemembered per handle
 	survivals    []uint8
-	mark         heap.Bitset                // word-packed mark scratch
-	remembered   map[heap.HandleID]struct{} // old objects that may reference young
-	work         []heap.HandleID
-	tab          *genTables // pooled carrier the tables came from
-	stats        Stats
+	mark         heap.Bitset // word-packed mark scratch
+	// remembered lists the ids that set flagRemembered: old objects
+	// that may reference young ones. An id whose bit handle reuse
+	// cleared stays listed until the next cycle compacts the list.
+	remembered []heap.HandleID
+	work       []heap.HandleID
+	tab        *genTables // pooled carrier the tables came from
+	stats      Stats
 }
 
 // genTables is the recyclable allocation footprint of one generational
-// system — generation bits, survival counters, mark scratch, the
-// remembered set and the DFS stack — pooled across matrix cells
-// through the event table's Detach path, mirroring core's table pool.
+// system — flag bytes, survival counters, mark scratch, the remembered
+// list and the DFS stack — pooled across matrix cells through the
+// event table's Detach path, mirroring core's table pool.
 type genTables struct {
-	old        []bool
+	flags      []uint8
 	survivals  []uint8
 	mark       heap.Bitset
-	remembered map[heap.HandleID]struct{}
+	remembered []heap.HandleID
 	work       []heap.HandleID
 }
 
-var genTablePool = sync.Pool{New: func() any {
-	return &genTables{remembered: make(map[heap.HandleID]struct{})}
-}}
+var genTablePool = sync.Pool{New: func() any { return new(genTables) }}
 
 // New returns an unattached generational system with the default
 // tenuring threshold; pass it to vm.New.
@@ -132,16 +144,16 @@ func (g *System) Events() vm.Events {
 
 // Attach binds the system to rt (the descriptor's Attach hook),
 // drawing side tables from the pool. Truncated tables are observably
-// fresh: OnAlloc regrows old/survivals zeroed (heap.Grow) and the
-// remembered map was cleared at detach.
+// fresh: OnAlloc regrows flags/survivals zeroed (heap.Grow) and the
+// remembered list was truncated at detach.
 func (g *System) Attach(rt *vm.Runtime) {
 	g.rt = rt
 	t := genTablePool.Get().(*genTables)
 	g.tab = t
-	g.old = t.old[:0]
+	g.flags = t.flags[:0]
 	g.survivals = t.survivals[:0]
 	g.mark = t.mark
-	g.remembered = t.remembered
+	g.remembered = t.remembered[:0]
 	g.work = t.work
 }
 
@@ -156,14 +168,13 @@ func (g *System) detach() {
 		return
 	}
 	g.tab = nil
-	t.old = g.old[:0]
+	t.flags = g.flags[:0]
 	t.survivals = g.survivals[:0]
 	t.mark = g.mark
 	t.work = g.work[:0]
-	clear(g.remembered)
-	t.remembered = g.remembered
+	t.remembered = g.remembered[:0]
 	g.rt = nil
-	g.old, g.survivals, g.mark = nil, nil, nil
+	g.flags, g.survivals, g.mark = nil, nil, nil
 	g.remembered, g.work = nil, nil
 	genTablePool.Put(t)
 }
@@ -171,28 +182,62 @@ func (g *System) detach() {
 // Stats returns a copy of the counters.
 func (g *System) Stats() Stats { return g.stats }
 
-// OnAlloc is the Alloc slot: objects are born young. The generation
-// and survival tables follow the handle table's capacity in one step.
+// OnAlloc is the Alloc slot: objects are born young. The flag and
+// survival tables follow the handle table's capacity in one step. The
+// flags store also takes a reused handle off the remembered set; its
+// stale list entry drops out at the next compaction.
 func (g *System) OnAlloc(id heap.HandleID, _ *vm.Frame) {
-	if int(id) >= len(g.old) {
+	if int(id) >= len(g.flags) {
 		n := g.rt.Heap.HandleCap()
-		g.old = heap.Grow(g.old, n, n)
+		g.flags = heap.Grow(g.flags, n, n)
 		g.survivals = heap.Grow(g.survivals, n, n)
 	}
-	g.old[int(id)] = false
+	g.flags[int(id)] = 0
 	g.survivals[int(id)] = 0
-	delete(g.remembered, id) // handle reuse
 }
 
 // OnRef is the Ref slot: the write barrier. An old object
 // acquiring a reference to a young one joins the remembered set.
 func (g *System) OnRef(src, dst heap.HandleID) {
-	if g.old[int(src)] && !g.old[int(dst)] {
-		if _, ok := g.remembered[src]; !ok {
-			g.remembered[src] = struct{}{}
-			g.stats.Remembered++
+	if g.flags[int(src)]&(flagOld|flagRemembered) == flagOld && g.flags[int(dst)]&flagOld == 0 {
+		g.remember(src)
+	}
+}
+
+// remember adds id, old and not yet remembered, to the remembered set.
+func (g *System) remember(id heap.HandleID) {
+	g.flags[int(id)] |= flagRemembered
+	g.remembered = append(g.remembered, id)
+	g.stats.Remembered++
+}
+
+// compactRemembered drops the list entries whose bit handle reuse
+// cleared, and the later entry of an id remembered again after reuse:
+// the first pass lowers the bit of each id it keeps, so a duplicate
+// finds it down; the second raises it again.
+func (g *System) compactRemembered() {
+	kept := g.remembered[:0]
+	for _, id := range g.remembered {
+		if g.flags[int(id)]&flagRemembered != 0 {
+			g.flags[int(id)] &^= flagRemembered
+			kept = append(kept, id)
 		}
 	}
+	for _, id := range kept {
+		g.flags[int(id)] |= flagRemembered
+	}
+	g.remembered = kept
+}
+
+// pointsYoung reports whether id holds a reference into the young
+// generation.
+func (g *System) pointsYoung(id heap.HandleID) bool {
+	for _, dst := range g.rt.Heap.RefSlots(id) {
+		if dst != heap.Nil && g.flags[int(dst)]&flagOld == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Collect is the collection capability: minor first, escalating to major when
@@ -200,7 +245,7 @@ func (g *System) OnRef(src, dst heap.HandleID) {
 func (g *System) Collect() int {
 	young := 0
 	g.rt.Heap.ForEachLive(func(id heap.HandleID) {
-		if !g.old[int(id)] {
+		if g.flags[int(id)]&flagOld == 0 {
 			young++
 		}
 	})
@@ -228,9 +273,11 @@ func (g *System) minor() int {
 			}
 		}
 	})
-	// Remembered set: old objects whose fields may reach young objects.
-	for src := range g.remembered {
-		if h.Live(src) && g.old[int(src)] {
+	// Remembered set: old objects whose fields may reach young objects
+	// (a set bit implies flagOld; only OnAlloc lowers that).
+	g.compactRemembered()
+	for _, src := range g.remembered {
+		if h.Live(src) {
 			h.Refs(src, g.markYoung)
 		}
 	}
@@ -241,7 +288,7 @@ func (g *System) minor() int {
 	freed := 0
 	h.ForEachLive(func(id heap.HandleID) {
 		i := int(id)
-		if g.old[i] {
+		if g.flags[i]&flagOld != 0 {
 			return
 		}
 		if !g.mark.Has(i) {
@@ -260,7 +307,7 @@ func (g *System) minor() int {
 // markYoung marks young objects reachable from id without crossing into
 // the old generation (old→young edges are covered by the remembered set).
 func (g *System) markYoung(id heap.HandleID) {
-	if g.old[int(id)] || g.mark.Has(int(id)) {
+	if g.flags[int(id)]&flagOld != 0 || g.mark.Has(int(id)) {
 		return
 	}
 	h := g.rt.Heap
@@ -270,7 +317,7 @@ func (g *System) markYoung(id heap.HandleID) {
 		src := g.work[len(g.work)-1]
 		g.work = g.work[:len(g.work)-1]
 		for _, dst := range h.RefSlots(src) {
-			if dst != heap.Nil && !g.old[int(dst)] && !g.mark.Has(int(dst)) {
+			if dst != heap.Nil && g.flags[int(dst)]&flagOld == 0 && !g.mark.Has(int(dst)) {
 				g.mark.Set(int(dst))
 				g.work = append(g.work, dst)
 			}
@@ -281,19 +328,10 @@ func (g *System) markYoung(id heap.HandleID) {
 // promote tenures id, adding it to the remembered set if it still holds
 // references into the young generation.
 func (g *System) promote(id heap.HandleID) {
-	g.old[int(id)] = true
+	g.flags[int(id)] |= flagOld
 	g.stats.Promoted++
-	pointsYoung := false
-	g.rt.Heap.Refs(id, func(dst heap.HandleID) {
-		if !g.old[int(dst)] {
-			pointsYoung = true
-		}
-	})
-	if pointsYoung {
-		if _, ok := g.remembered[id]; !ok {
-			g.remembered[id] = struct{}{}
-			g.stats.Remembered++
-		}
+	if g.flags[int(id)]&flagRemembered == 0 && g.pointsYoung(id) {
+		g.remember(id)
 	}
 }
 
@@ -318,8 +356,8 @@ func (g *System) major() int {
 	for k, lw := range live {
 		garbage := lw &^ g.mark[k]
 		base := k << 6
-		// No per-object remembered-set delete here: the rebuild below
-		// clears the whole map before repopulating it.
+		// No per-object remembered-set work here: the rebuild below
+		// clears the whole set before repopulating it.
 		for garbage != 0 {
 			id := heap.HandleID(base + bits.TrailingZeros64(garbage))
 			garbage &= garbage - 1
@@ -328,22 +366,16 @@ func (g *System) major() int {
 		}
 	}
 	g.stats.FreedOld += uint64(freed)
-	// Rebuild the remembered set exactly.
-	for k := range g.remembered {
-		delete(g.remembered, k)
+	// Rebuild the remembered set exactly, in handle order. Stats.Remembered
+	// counts the barrier's and promote's insertions, not the rebuild's.
+	for _, id := range g.remembered {
+		g.flags[int(id)] &^= flagRemembered
 	}
+	g.remembered = g.remembered[:0]
 	h.ForEachLive(func(id heap.HandleID) {
-		if !g.old[int(id)] {
-			return
-		}
-		pointsYoung := false
-		h.Refs(id, func(dst heap.HandleID) {
-			if !g.old[int(dst)] {
-				pointsYoung = true
-			}
-		})
-		if pointsYoung {
-			g.remembered[id] = struct{}{}
+		if g.flags[int(id)]&flagOld != 0 && g.pointsYoung(id) {
+			g.flags[int(id)] |= flagRemembered
+			g.remembered = append(g.remembered, id)
 		}
 	})
 	return freed

@@ -48,7 +48,7 @@ func TestSurvivorsPromote(t *testing.T) {
 	for i := 0; i < PromoteAfter; i++ {
 		g.Collect()
 	}
-	if !g.old[int(keep)] {
+	if g.flags[int(keep)]&flagOld == 0 {
 		t.Fatalf("object not promoted after %d survivals", PromoteAfter)
 	}
 	if g.Stats().Promoted == 0 {
@@ -69,7 +69,7 @@ func TestRememberedSetKeepsYoungAlive(t *testing.T) {
 	for i := 0; i < PromoteAfter; i++ {
 		g.Collect()
 	}
-	if !g.old[int(oldObj)] {
+	if g.flags[int(oldObj)]&flagOld == 0 {
 		t.Fatal("setup: object not tenured")
 	}
 	var young heap.HandleID
@@ -153,11 +153,13 @@ func TestGenerationalExactnessOracle(t *testing.T) {
 	}
 	// Force a major pass, then compare against the oracle.
 	g.major()
-	reach := make(map[heap.HandleID]bool)
+	reach := make([]bool, rt.Heap.NumHandles())
+	reached := 0
 	var queue []heap.HandleID
 	push := func(id heap.HandleID) {
 		if id != heap.Nil && !reach[id] {
 			reach[id] = true
+			reached++
 			queue = append(queue, id)
 		}
 	}
@@ -171,8 +173,8 @@ func TestGenerationalExactnessOracle(t *testing.T) {
 		queue = queue[1:]
 		rt.Heap.Refs(id, push)
 	}
-	if rt.Heap.NumLive() != len(reach) {
-		t.Fatalf("live %d != reachable %d after major", rt.Heap.NumLive(), len(reach))
+	if rt.Heap.NumLive() != reached {
+		t.Fatalf("live %d != reachable %d after major", rt.Heap.NumLive(), reached)
 	}
 }
 
@@ -192,8 +194,85 @@ func TestHandleReuseResetsGeneration(t *testing.T) {
 	if n != o {
 		t.Skipf("heap did not reuse the handle (got %d, want %d)", n, o)
 	}
-	if g.old[int(n)] {
-		t.Fatal("recycled handle inherited old-generation bit")
+	if g.flags[int(n)] != 0 {
+		t.Fatal("recycled handle inherited its old-generation or remembered bit")
+	}
+}
+
+// TestRememberedAcrossHandleReuse: a remembered old object dies in a
+// major cycle and its handle comes back as a young object that is
+// promoted and remembered again — the list holds the id once and the
+// barrier counted both insertions. A handle freed outside a cycle
+// leaves a stale entry behind; the next minor's compaction keeps one
+// entry when the reused handle is remembered again, and none when it is
+// not.
+func TestRememberedAcrossHandleReuse(t *testing.T) {
+	rt, g, node := newRT(1 << 16)
+	th := rt.NewThread(2)
+	f := th.Top()
+	tenure := func(id heap.HandleID) {
+		for g.flags[int(id)]&flagOld == 0 {
+			g.minor()
+		}
+	}
+	entries := func(id heap.HandleID) int {
+		n := 0
+		for _, r := range g.remembered {
+			if r == id {
+				n++
+			}
+		}
+		return n
+	}
+	// rememberVia tenures id, then stores a fresh young object into it.
+	rememberVia := func(id heap.HandleID) {
+		f.SetLocal(0, id)
+		tenure(id)
+		f.PutField(id, 0, f.MustNew(node))
+	}
+
+	o := f.MustNew(node)
+	rememberVia(o)
+	if entries(o) != 1 || g.Stats().Remembered != 1 {
+		t.Fatalf("setup: %d entries for %d, Remembered %d", entries(o), o, g.Stats().Remembered)
+	}
+	f.SetLocal(0, heap.Nil)
+	f.Forget(o)
+	g.major()
+	if rt.Heap.Live(o) || entries(o) != 0 {
+		t.Fatalf("major: live %v, %d entries for %d", rt.Heap.Live(o), entries(o), o)
+	}
+	if n := f.MustNew(node); n != o {
+		t.Fatalf("the free slot list did not hand back %d (got %d)", o, n)
+	}
+	rememberVia(o)
+	g.minor()
+	if entries(o) != 1 || g.Stats().Remembered != 2 {
+		t.Fatalf("reused handle: %d entries for %d, Remembered %d, want 1 and 2",
+			entries(o), o, g.Stats().Remembered)
+	}
+
+	// Out of band: the entry for o goes stale when its handle is reused,
+	// and promote remembers the new object before any cycle compacts.
+	rt.Heap.Free(o)
+	if n := f.MustNew(node); n != o {
+		t.Fatalf("the free slot list did not hand back %d (got %d)", o, n)
+	}
+	f.PutField(o, 0, f.MustNew(node))
+	g.promote(o)
+	if entries(o) != 2 {
+		t.Fatalf("before compaction: %d entries for %d, want the stale one and the new one", entries(o), o)
+	}
+	g.minor()
+	if entries(o) != 1 || g.flags[int(o)]&flagRemembered == 0 || g.Stats().Remembered != 3 {
+		t.Fatalf("after compaction: %d entries for %d (flags %b), Remembered %d, want 1 and 3",
+			entries(o), o, g.flags[int(o)], g.Stats().Remembered)
+	}
+	rt.Heap.Free(o)
+	f.MustNew(node)
+	g.minor()
+	if entries(o) != 0 {
+		t.Fatalf("a reused handle that is not remembered kept %d entries", entries(o))
 	}
 }
 

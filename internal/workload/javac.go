@@ -124,7 +124,7 @@ func runJavac(rt *vm.Runtime, size int) {
 // parseUnit builds one compilation unit's AST: a binary tree of nodes
 // with an attached symbol chain, allocated in the parser's frame and
 // returned to the driver (areturn promotion).
-func parseUnit(f *vm.Frame, astNode, symbol heap.ClassID, astPerUnit int, rng interface{ Intn(int) int }) heap.HandleID {
+func parseUnit(f *vm.Frame, astNode, symbol heap.ClassID, astPerUnit int, rng *generator) heap.HandleID {
 	nodes := astPerUnit + rng.Intn(astPerUnit/4+1)
 	root := f.MustNew(astNode)
 	f.SetLocal(0, root)

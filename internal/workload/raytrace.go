@@ -36,16 +36,20 @@ func MTRT() Spec {
 	return Spec{
 		Name:      "mtrt",
 		Desc:      "Ray Tracer, threaded",
-		Threads:   func(size int) int { return map[bool]int{true: 2, false: 1}[size >= 10] },
+		Threads:   mtrtThreads,
 		HeapBytes: raytraceHeap,
 		Run: func(rt *vm.Runtime, size int) {
-			threads := 1
-			if size >= 10 {
-				threads = 2
-			}
-			runRaytrace(rt, size, threads)
+			runRaytrace(rt, size, mtrtThreads(size))
 		},
 	}
+}
+
+// mtrtThreads is mtrt's renderer count: one below size 10, two from it.
+func mtrtThreads(size int) int {
+	if size >= 10 {
+		return 2
+	}
+	return 1
 }
 
 func raytraceHeap(size int) int {

@@ -19,7 +19,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/vm"
 )
@@ -113,11 +112,6 @@ func Seed(name string, size int) int64 {
 		seed = seed*131 + int64(c)
 	}
 	return seed
-}
-
-// newRNG returns the deterministic per-workload generator.
-func newRNG(name string, size int) *rand.Rand {
-	return rand.New(rand.NewSource(Seed(name, size)))
 }
 
 // single returns a Threads function for single-threaded analogs.
