@@ -374,7 +374,10 @@ func (t *tables) mapMeta(bound int) {
 // detach implements the event table's Detach capability: the runtime is
 // replacing this collector, so its side tables go back to the pool,
 // truncated: none holds a pointer, and heap.Grow zeroes what a later
-// cell uncovers. The collector must not be queried (Stats, Snapshot,
+// cell uncovers — but for meta, which grow only re-slices, so detach
+// clears the records the cell wrote: those of the ids the heap handed
+// out (the runtime detaches before it resets the heap), pages that are
+// resident already. The collector must not be queried (Stats, Snapshot,
 // events) after detach; its table fields are nilled so a violation
 // fails loudly.
 func (c *CG) detach() {
@@ -383,6 +386,7 @@ func (c *CG) detach() {
 		return
 	}
 	c.tab = nil
+	clear(c.meta[:min(len(c.meta), c.heap.NumHandles())])
 	t.meta, t.sets, t.oldFrames = c.meta[:0], c.sets[:0], c.oldFrames[:0]
 	// Recycle index: nil out the populated class entries (one cell's
 	// population means nothing to the next) and move each scratch slice
@@ -437,11 +441,19 @@ func (c *CG) ensure(id heap.HandleID) {
 
 // grow takes meta to the handle table's capacity in one step: it grows
 // when that table does, by the heap's rule, and id is covered because
-// the heap has already handed it out.
+// the heap has already handed it out. Within meta's capacity — the
+// mapping, where there is one — it only re-slices: everything there past
+// the ids a cell handed out is zero already (fresh from mmap or make,
+// or cleared by detach), and clearing it again would commit pages of
+// records no handle uses.
 //
 //go:noinline
 func (c *CG) grow() {
 	n := c.heap.HandleCap()
+	if n <= cap(c.meta) {
+		c.meta = c.meta[:n]
+		return
+	}
 	c.meta = heap.Grow(c.meta, n, n)
 }
 
@@ -882,7 +894,7 @@ func (c *CG) AllocFallback(cls heap.ClassID, extra int) (heap.HandleID, bool) {
 	// count. Extents wider than the ladder live in the sorted spill
 	// list; every spill size exceeds every ladder size, so scanning the
 	// ladder first preserves the seed's ascending-size best-fit order.
-	need := heap.InstanceSize(c.heap.ClassDef(cls), extra)
+	need := c.heap.InstanceBytes(cls, extra)
 	if need <= heap.MaxSmallSize {
 		if cl := c.recycleNonEmpty.NextSet(heap.SizeClass(need)); cl >= 0 {
 			objs := c.recycleClasses[cl]

@@ -73,6 +73,12 @@ type handle struct {
 	refCap int32 // extent capacity; kept across Free for reuse
 }
 
+// layout is a class's instance footprint with no extra slots.
+type layout struct {
+	size int // InstanceSize(class, 0)
+	refs int // the class's reference slots
+}
+
 // Stats aggregates heap-level counters.
 type Stats struct {
 	Allocs      uint64 // successful allocations
@@ -85,6 +91,11 @@ type Stats struct {
 // the arena. Create one with New.
 type Heap struct {
 	classes []Class
+	// layouts holds, at each ClassID, what an instance with no extra
+	// slots takes: worked out once at DefineClass, so an allocation reads
+	// two words instead of copying the Class and redoing InstanceSize.
+	// Only array allocations consult classes.
+	layouts []layout
 	byName  map[string]ClassID
 	// handles and liveBits are drawn from Mapped at HandleBound slots
 	// where this build can map: reserved once, committed by the kernel as
@@ -146,8 +157,40 @@ func (h *Heap) DefineClass(c Class) ClassID {
 	}
 	id := ClassID(len(h.classes))
 	h.classes = append(h.classes, c)
+	h.layouts = append(h.layouts, layout{size: InstanceSize(c, 0), refs: c.Refs})
 	h.byName[c.Name] = id
 	return id
+}
+
+// InstanceBytes reports the arena footprint of an instance of class c
+// with extra additional reference slots: InstanceSize(ClassDef(c),
+// extra), read from the class's layout when extra is 0.
+func (h *Heap) InstanceBytes(c ClassID, extra int) int {
+	if extra == 0 {
+		return h.layouts[int(c)].size
+	}
+	return InstanceSize(h.classes[int(c)], extra)
+}
+
+// footprint reports the arena size and reference slots of an instance
+// of c with extra slots, refusing extra slots on a class that is not an
+// array. The common case, extra == 0, is the layout's two words.
+func (h *Heap) footprint(c ClassID, extra int) (size, nrefs int, err error) {
+	l := h.layouts[int(c)]
+	if extra == 0 {
+		return l.size, l.refs, nil
+	}
+	return h.arrayFootprint(c, extra)
+}
+
+// arrayFootprint is footprint's cold half, kept out of it so that what
+// the profile inlines into Alloc is the two-word read alone.
+func (h *Heap) arrayFootprint(c ClassID, extra int) (size, nrefs int, err error) {
+	cls := &h.classes[int(c)]
+	if !cls.IsArray {
+		return 0, 0, fmt.Errorf("heap: class %q is not an array class", cls.Name)
+	}
+	return InstanceSize(*cls, extra), cls.Refs + extra, nil
 }
 
 // ClassByName looks a class up; ok is false if undefined.
@@ -205,11 +248,10 @@ func (h *Heap) badSlot(hd *handle, i int) {
 // its handle. On arena exhaustion it returns ErrOutOfMemory without side
 // effects, so the runtime can collect and retry.
 func (h *Heap) Alloc(c ClassID, extra int) (HandleID, error) {
-	cls := h.classes[int(c)]
-	if extra != 0 && !cls.IsArray {
-		return Nil, fmt.Errorf("heap: class %q is not an array class", cls.Name)
+	size, nrefs, err := h.footprint(c, extra)
+	if err != nil {
+		return Nil, err
 	}
-	size := InstanceSize(cls, extra)
 	addr, err := h.arena.Alloc(size)
 	if err != nil {
 		h.stats.FailedAlloc++
@@ -234,7 +276,7 @@ func (h *Heap) Alloc(c ClassID, extra int) (HandleID, error) {
 	hd.addr = int32(addr)
 	hd.size = int32(size)
 	h.liveBits.Set(int(id))
-	h.bindRefs(hd, cls.Refs+extra)
+	h.bindRefs(hd, nrefs)
 	h.stats.Allocs++
 	h.stats.BytesAlloc += uint64(size)
 	return id, nil
@@ -299,16 +341,15 @@ func (h *Heap) Free(id HandleID) {
 // instance requires.
 func (h *Heap) Reinit(id HandleID, c ClassID, extra int) error {
 	hd := h.h(id)
-	cls := h.classes[int(c)]
-	if extra != 0 && !cls.IsArray {
-		return fmt.Errorf("heap: class %q is not an array class", cls.Name)
+	need, nrefs, err := h.footprint(c, extra)
+	if err != nil {
+		return err
 	}
-	need := InstanceSize(cls, extra)
 	if need > int(hd.size) {
 		return fmt.Errorf("heap: recycled extent of %d bytes too small for %d", hd.size, need)
 	}
 	hd.class = c
-	h.bindRefs(hd, cls.Refs+extra)
+	h.bindRefs(hd, nrefs)
 	h.stats.Allocs++
 	h.stats.BytesAlloc += uint64(need)
 	return nil
@@ -467,6 +508,7 @@ func (h *Heap) LiveWords() Bitset { return h.liveBits }
 func (h *Heap) Reset() {
 	h.arena.Reset()
 	h.classes = h.classes[:0]
+	h.layouts = h.layouts[:0]
 	clear(h.byName)
 	// Shrink to the Nil slot. Stale records beyond len are zeroed by
 	// Alloc's Grow before they are ever reachable.

@@ -48,8 +48,9 @@ type Frame struct {
 	// and fires FramePop only for a frame that left it non-zero.
 	GCHead int32
 	// Index is this record's slot in the runtime's frame registry:
-	// rt.FrameAt(f.Index) == f until Reset, across pool reuse, so a
-	// collector names a frame in 4 pointer-free bytes. Static frame = 0.
+	// rt.FrameAt(f.Index) == f until Reset, across reuse by later calls
+	// at the record's depth, so a collector names a frame in 4
+	// pointer-free bytes. Static frame = 0.
 	Index int32
 
 	locals []heap.HandleID
@@ -161,13 +162,15 @@ type Runtime struct {
 // (workloads interleave threads explicitly; preemption is irrelevant to
 // the collector, only *which* thread touches an object matters).
 type Thread struct {
-	ID    int
-	rt    *Runtime
+	ID int
+	rt *Runtime
+	// stack is the thread's live frames, oldest first, and it is also
+	// its frame pool: pop only shortens it, so past its length stand the
+	// records the deepest calls so far left behind, and a call at depth d
+	// reuses the one the last call at depth d used. A record is created
+	// only when the thread goes deeper than it ever has, so the analogs'
+	// steady stream of calls allocates nothing.
 	stack []*Frame
-	// pool recycles popped frames: method-call rates are high enough
-	// (the ray tracer pushes ~30 frames per pixel) that per-call frame
-	// allocation would dominate the timing experiments.
-	pool []*Frame
 }
 
 // New creates a runtime over h governed by c's event table. The static
@@ -240,6 +243,12 @@ func (rt *Runtime) Collector() any { return rt.source }
 // A reset runtime is observably identical to vm.New(heap, c) over a
 // fresh heap of the same arena size (see TestEnginePooledDeterminism).
 func (rt *Runtime) Reset(c Collector) {
+	// The outgoing collector detaches while the heap still holds the
+	// cell it served, so it can tell which of its records that cell wrote.
+	if rt.detach != nil {
+		rt.detach()
+		rt.detach = nil
+	}
 	rt.Heap.Reset()
 	rt.threads = rt.threads[:0]
 	rt.statics = rt.statics[:0]
@@ -247,7 +256,7 @@ func (rt *Runtime) Reset(c Collector) {
 	clear(rt.interned)
 	rt.internedRoots = rt.internedRoots[:0]
 	*rt.staticFrame = Frame{ID: 0, Depth: 0, rt: rt}
-	clear(rt.frames[1:]) // the dropped threads' pools held these records
+	clear(rt.frames[1:]) // the dropped threads' stacks held these records
 	rt.frames = rt.frames[:1]
 	rt.frameSeq = 0
 	rt.instr = 0
@@ -395,54 +404,69 @@ func (rt *Runtime) EachFrame(fn func(f *Frame)) {
 	}
 }
 
-// push creates (or recycles) a frame on t's stack.
+// push activates a frame on t's stack: the record the last activation
+// at this depth left past the stack's length, or, one level deeper than
+// the thread has been before, a new record in the next registry slot.
 func (t *Thread) push(nlocals int) *Frame {
-	t.rt.frameSeq++
+	n := len(t.stack)
 	var f *Frame
-	if n := len(t.pool); n > 0 {
-		f = t.pool[n-1]
-		t.pool = t.pool[:n-1]
-		if cap(f.locals) >= nlocals {
-			f.locals = f.locals[:nlocals]
-			for i := range f.locals {
-				f.locals[i] = heap.Nil
-			}
-		} else {
-			f.locals = make([]heap.HandleID, nlocals)
-		}
-		f.operands = f.operands[:0]
-		f.opRing = [opRingSize]heap.HandleID{}
-		f.opPos = 0
-		f.opNils = 0
-	} else {
-		f = &Frame{
-			Thread: t,
-			Index:  int32(len(t.rt.frames)),
-			locals: make([]heap.HandleID, nlocals),
-			rt:     t.rt,
-		}
-		t.rt.frames = append(t.rt.frames, f)
+	if n < cap(t.stack) {
+		f = t.stack[:n+1][n]
 	}
+	// The re-slices assign a slice to itself, which the compiler turns
+	// into a length store with no write barrier.
+	if f != nil {
+		t.stack = t.stack[:n+1]
+	} else {
+		f = t.newFrame()
+	}
+	if cap(f.locals) >= nlocals {
+		f.locals = f.locals[:nlocals]
+		// An indexed loop: the range form compiles to a memclr call,
+		// which costs more than the one or two slots a frame has.
+		l := f.locals
+		for i := 0; i < len(l); i++ {
+			l[i] = heap.Nil
+		}
+	} else {
+		f.locals = make([]heap.HandleID, nlocals)
+	}
+	f.operands = f.operands[:0]
+	f.opRing = [opRingSize]heap.HandleID{}
+	f.opPos = 0
+	f.opNils = 0
+	t.rt.frameSeq++
 	f.ID = t.rt.frameSeq
-	f.Depth = len(t.stack) + 1
+	f.Depth = n + 1
 	f.GCHead = 0
+	return f
+}
+
+// newFrame registers a record for a depth t has never reached and pushes
+// it: the cold half of push, kept out of line so the hot half stays small.
+//
+//go:noinline
+func (t *Thread) newFrame() *Frame {
+	f := &Frame{Thread: t, Index: int32(len(t.rt.frames)), rt: t.rt}
+	t.rt.frames = append(t.rt.frames, f)
 	t.stack = append(t.stack, f)
 	return f
 }
 
 // pop removes t's youngest frame, firing FramePop when any
-// collector-owned state is armed on it, and recycles it. Collectors
-// must not retain the *Frame past FramePop (CG's invariant: no
-// equilive set may depend on a popped frame).
+// collector-owned state is armed on it. The record stays past the
+// stack's length for the next call at its depth. Collectors must not
+// retain the *Frame past FramePop (CG's invariant: no equilive set may
+// depend on a popped frame).
 func (t *Thread) pop() {
-	f := t.stack[len(t.stack)-1]
-	t.stack = t.stack[:len(t.stack)-1]
+	n := len(t.stack) - 1
+	f := t.stack[n]
+	t.stack = t.stack[:n]
 	if f.GCHead != 0 || t.rt.popAlways {
 		if fp := t.rt.onFramePop; fp != nil {
 			fp(f)
 		}
 	}
-	t.pool = append(t.pool, f)
 }
 
 // Top returns the active frame.
@@ -539,12 +563,19 @@ func (f *Frame) Forget(id heap.HandleID) {
 	}
 }
 
-// CallVoid is Call for methods that return no reference.
+// CallVoid is Call for methods that return no reference: push, body,
+// pop, with the recorder told what Call would tell it for a Nil result
+// and no second closure around body.
 func (t *Thread) CallVoid(nlocals int, body func(f *Frame)) {
-	t.Call(nlocals, func(f *Frame) heap.HandleID {
-		body(f)
-		return heap.Nil
-	})
+	f := t.push(nlocals)
+	if rec := t.rt.rec; rec != nil {
+		rec.CallBegin(t, f, nlocals)
+	}
+	body(f)
+	t.pop()
+	if rec := t.rt.rec; rec != nil {
+		rec.CallEnd(t, heap.Nil)
+	}
 }
 
 // Local reads local slot i.
@@ -639,7 +670,7 @@ func (f *Frame) alloc(c heap.ClassID, extra int) (heap.HandleID, error) {
 func (rt *Runtime) exhausted(c heap.ClassID, extra int, err error) error {
 	in := rt.Heap.Arena().Info()
 	return fmt.Errorf("vm: heap exhausted after full collection: refused %d B at %d %% occupancy (alloc %d / heap %d / capacity %d): %w",
-		heap.InstanceSize(rt.Heap.ClassDef(c), extra), 100*in.AllocBytes/in.Capacity,
+		rt.Heap.InstanceBytes(c, extra), 100*in.AllocBytes/in.Capacity,
 		in.AllocBytes, in.HeapBytes, in.Capacity, err)
 }
 

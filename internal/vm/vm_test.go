@@ -300,7 +300,7 @@ func TestFrameRegistry(t *testing.T) {
 	}
 	nest(a, 0, func(d int, f *Frame) { first[d] = f })
 	b.CallVoid(0, func(*Frame) { checkLive() })
-	// The same depths again: thread a's pool hands back the same records
+	// The same depths again: thread a's stack hands back the same records
 	// under new frame IDs, each still in the slot it was registered at.
 	nest(a, 0, func(d int, f *Frame) {
 		if f != first[d] || f.ID == 0 || rt.FrameAt(f.Index) != f {
@@ -318,6 +318,80 @@ func TestFrameRegistry(t *testing.T) {
 	}
 	if f := rt.NewThread(0).Top(); f.Index != 1 || rt.FrameAt(1) != f {
 		t.Errorf("first frame after Reset is slot %d, want 1", f.Index)
+	}
+}
+
+// TestFrameRecordsReusedByDepth: a thread's stack is its frame pool. Once
+// a thread has been to a depth, calls back to it — Call and CallVoid,
+// mixed, at varying local counts — create no registry entry, and each
+// depth is served by the one record, in the one slot, it had the first
+// time, under a fresh frame ID with its locals cleared. Going one level
+// deeper registers exactly one record. Reset drops the records with the
+// threads.
+func TestFrameRecordsReusedByDepth(t *testing.T) {
+	rt, node, _ := newTestRT(None(), 1<<16)
+	th := rt.NewThread(1)
+	const depth = 5
+	var at [depth + 2]*Frame // at[d] = the record serving depth d
+	at[1] = th.Top()
+	lastID := at[1].ID
+	var nest func(d, max, nlocals int)
+	nest = func(d, max, nlocals int) {
+		body := func(f *Frame) {
+			if f.Depth != d || f.ID <= lastID {
+				t.Fatalf("depth %d: frame at depth %d with ID %d after ID %d", d, f.Depth, f.ID, lastID)
+			}
+			lastID = f.ID
+			for i := 0; i < f.NumLocals(); i++ {
+				if f.Local(i) != heap.Nil {
+					t.Fatalf("depth %d: local %d of a reused record reads %d", d, i, f.Local(i))
+				}
+				f.SetLocal(i, f.MustNew(node))
+			}
+			if at[d] == nil {
+				at[d] = f
+			} else if f != at[d] || rt.FrameAt(f.Index) != f {
+				t.Fatalf("depth %d: record %p in slot %d, the depth's record is %p in slot %d", d, f, f.Index, at[d], at[d].Index)
+			}
+			if d < max {
+				nest(d+1, max, nlocals)
+			}
+		}
+		if d%2 == 0 {
+			th.CallVoid(nlocals, body)
+		} else {
+			th.Call(nlocals, func(f *Frame) heap.HandleID { body(f); return heap.Nil })
+		}
+	}
+	nest(2, depth, 2) // the warm-up
+	registered := len(rt.frames)
+	if registered != 1+depth {
+		t.Fatalf("warm-up to depth %d registered %d records, want static + %d", depth, registered, depth)
+	}
+	for round, nlocals := range []int{0, 1, 2, 3, 1} {
+		nest(2, depth-round%3, nlocals)
+		if len(rt.frames) != registered {
+			t.Fatalf("round %d: calls no deeper than the warm-up registered %d records, want %d", round, len(rt.frames), registered)
+		}
+	}
+	nest(2, depth+1, 1)
+	if len(rt.frames) != registered+1 || rt.FrameAt(int32(registered)) != at[depth+1] {
+		t.Fatalf("one level deeper: %d records, want %d, the new one in slot %d", len(rt.frames), registered+1, registered)
+	}
+
+	rt.Reset(None())
+	if len(rt.frames) != 1 {
+		t.Fatalf("after Reset the registry holds %d records, want the static frame alone", len(rt.frames))
+	}
+	rt.NewThread(0).CallVoid(0, func(g *Frame) {
+		for _, old := range at {
+			if g == old {
+				t.Fatalf("after Reset depth 2 reuses record %p from before", g)
+			}
+		}
+	})
+	if len(rt.frames) != 3 {
+		t.Fatalf("after Reset a root and one call registered %d records, want static + 2", len(rt.frames))
 	}
 }
 

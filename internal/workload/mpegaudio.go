@@ -95,14 +95,19 @@ func runMpegaudio(rt *vm.Runtime, size int) {
 			f.SetLocal(0, f.MustNew(frameBuf)) // overlap buffer
 
 			// Polyphase synthesis: the genuine DSP inner loop
-			// (fixed-point multiply-accumulate across subbands).
+			// (fixed-point multiply-accumulate across subbands). The
+			// loop runs on locals: acc and samplesPerFrame are captured
+			// by reference, and accumulating into acc itself would put a
+			// store and a reload on every sample's dependency chain.
 			state := int32(rng.Intn(1 << 10))
-			for s := 0; s < samplesPerFrame; s++ {
+			sum, n := acc, samplesPerFrame
+			for s := 0; s < n; s++ {
 				sb := s & (subbands - 1)
 				state = state*25173 + 13849
-				acc += int64(state>>4) * int64(coeffs[sb])
+				sum += int64(state>>4) * int64(coeffs[sb])
 				coeffs[sb] = (coeffs[sb]*31 + state>>8) & 0x3fff
 			}
+			acc = sum
 		})
 	}
 	_ = acc

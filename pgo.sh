@@ -7,14 +7,37 @@
 # after a PR that rewrites a hot path or claims a wall_s gain (DESIGN.md
 # §5 "Profile-guided builds"). The test binary and the raw profile stay
 # in a temporary directory outside the tree.
+#
+# Then it checks what the new profile makes the compiler do, and exits 1
+# if it inlines vm.(*Thread).Call into raytrace's recursive shade: one
+# sample in three did, and that build ran every raytrace and mtrt cell
+# 20-35 % slower (DESIGN.md §5 "The forest lives in the record"). The
+# sample is a coin; run pgo.sh again. `bash pgo.sh --check` runs only the
+# check, against the committed profile.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cd "$root"
+
+check() {
+  go build -o "$tmp/cgrun" -gcflags='repro/internal/...=-m -d=pgodebug=1' ./cmd/cgrun 2>"$tmp/inline.txt"
+  if grep 'hot-budget check allows inlining' "$tmp/inline.txt" |
+    grep 'Thread).Call .* in function repro/internal/workload.shade$' >&2; then
+    echo "pgo.sh: cmd/cgrun/default.pgo inlines Thread.Call into raytrace's shade (above); rerun pgo.sh" >&2
+    exit 1
+  fi
+  echo "pgo.sh: the profile does not inline Thread.Call into shade"
+}
+
+if [ "${1:-}" = "--check" ]; then
+  check
+  exit 0
+fi
 go test -run '^$' -bench '^BenchmarkLedgerCells$' -benchtime 5x \
   -o "$tmp/repro.test" -cpuprofile "$tmp/cpu.pprof" .
 for main in cmd/*/main.go; do
   cp "$tmp/cpu.pprof" "$(dirname "$main")/default.pgo"
 done
 sha256sum cmd/*/default.pgo
+check
