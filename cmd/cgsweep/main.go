@@ -43,8 +43,9 @@
 //
 // With -procs N the coordinator spawns N cgworker children — found via
 // -worker, next to the cgsweep binary, or on $PATH — each hosting its
-// own engine pool of -workers shards. Cells in flight on a worker that
-// dies are retried on the survivors.
+// own engine pool of -workers shards. They start when the first cell
+// misses the store, so a rerun over a full store forks nothing. Cells
+// in flight on a worker that dies are retried on the survivors.
 package main
 
 import (
@@ -53,6 +54,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -132,48 +134,69 @@ func main() {
 		return
 	}
 
+	if err := sweep(figs, *procs, *workers, *storeDir, *workerCmd, *debugAddr); err != nil {
+		fatal(err)
+	}
+}
+
+// sweep runs figs locally as one session of the cell pipeline: over an
+// in-process engine, or over procs cgworker children when procs > 0,
+// with a store when storeDir is set. It kills and reaps the children
+// before returning.
+func sweep(figs []experiments.SweepFig, procs, workers int, storeDir, workerCmd, debugAddr string) error {
 	// The progress counters exist regardless of -debug-addr: they cost
 	// nothing on hot paths (every update is at a cell boundary).
 	prog := &obs.Progress{}
 
-	var backend results.Backend
-	if *procs > 0 {
-		bin, err := workerBinary(*workerCmd)
+	var exec results.Exec
+	var executors int
+	if procs > 0 {
+		bin, err := workerBinary(workerCmd)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		perChild := *workers
+		perChild := workers
 		if perChild <= 0 {
 			// Split the host across children rather than oversubscribing
 			// it procs-fold.
-			perChild = (engine.New(0).Workers() + *procs - 1) / *procs
+			perChild = (runtime.GOMAXPROCS(0) + procs - 1) / procs
 		}
 		argv := []string{bin, "-workers", strconv.Itoa(perChild)}
-		backend = &dist.Coordinator{Spawn: dist.Command(argv, os.Stderr), Procs: *procs, Obs: prog}
+		coord := &dist.Coordinator{Spawn: dist.Command(argv, os.Stderr), Procs: procs, Obs: prog}
+		defer coord.Close()
+		exec, executors = coord, procs*perChild
 	} else {
-		backend = results.Local{Eng: engine.New(*workers).SetProgress(prog), Obs: prog}
+		eng := engine.New(workers).SetProgress(prog)
+		exec, executors = results.Local{Eng: eng, Obs: prog}, eng.Workers()
 	}
 
-	if *storeDir != "" {
-		store, err := results.Open(*storeDir)
-		if err != nil {
-			fatal(err)
+	var store *results.Store
+	if storeDir != "" {
+		var err error
+		if store, err = results.Open(storeDir); err != nil {
+			return err
 		}
-		backend = &results.Resuming{Store: store, Next: backend, Obs: prog}
 	}
-	backend = results.Observed{Next: backend, Obs: prog}
 
-	if *debugAddr != "" {
-		srv, err := obshttp.Serve(*debugAddr, func() obshttp.Snapshot {
+	if debugAddr != "" {
+		srv, err := obshttp.Serve(debugAddr, func() obshttp.Snapshot {
 			ps := prog.Snapshot()
 			return obshttp.Snapshot{Provenance: obs.Capture(obs.Nanotime()), Progress: &ps}
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "cgsweep: debug endpoint on http://%s\n", srv.Addr())
 	}
+
+	sched := results.NewScheduler(exec, store, prog, executors)
+	sess, err := sched.OpenSession("")
+	if err != nil {
+		return err
+	}
+	defer sched.Wait()
+	defer sess.Close()
 
 	// One line per figure as it flushes, and a closing summary of the
 	// whole sweep: how many figure cells were asked for, and how many of
@@ -190,14 +213,15 @@ func main() {
 		cells += len(st.Fig.Jobs)
 		computed += st.Computed
 	}
-	if err := experiments.SweepProgress(backend, figs, os.Stdout, report); err != nil {
-		fatal(err)
+	if err := experiments.SweepProgress(sess, figs, os.Stdout, report); err != nil {
+		return err
 	}
 	how := "shared between figures"
-	if *storeDir != "" {
+	if store != nil {
 		how = "from store"
 	}
 	fmt.Fprintf(os.Stderr, "cgsweep: %d cells %s, %d computed\n", cells-computed, how, computed)
+	return nil
 }
 
 // workerBinary resolves the cgworker executable: an explicit -worker

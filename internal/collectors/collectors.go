@@ -23,9 +23,7 @@
 //	gen              promote after 2 minor cycles (gengc.PromoteAfter)
 //	gen+promote=N    promote after N minor cycles (1-255)
 //
-// "cg-noopt" and "cg-recycle" are accepted as aliases for the spellings
-// the original cgrun flag used. Adding a collector variant is one
-// Register call (a parameterised family adds one RegisterNormalizer
+// Adding a collector variant is one Register call (a parameterised family adds one RegisterNormalizer
 // call to keep store identities canonical); nothing else in the tree
 // changes. Factories return
 // vm.Events descriptors (the event-table collector ABI), not interface
@@ -69,7 +67,6 @@ type entry struct {
 var (
 	mu       sync.RWMutex
 	registry = make(map[string]entry)
-	aliases  = make(map[string]string)
 	// normalizers rewrite a base's raw modifier list before
 	// canonicalisation (see RegisterNormalizer), so spellings that
 	// denote the base's default configuration collapse to the bare
@@ -98,13 +95,6 @@ func Register(name, doc string, b Builder, mods ...string) {
 		panic(fmt.Sprintf("collectors: duplicate registration of %q", name))
 	}
 	registry[name] = entry{build: b, doc: doc, mods: canonMods(mods)}
-}
-
-// Alias maps an alternate spelling to a canonical spec.
-func Alias(name, spec string) {
-	mu.Lock()
-	defer mu.Unlock()
-	aliases[name] = spec
 }
 
 // RegisterNormalizer attaches a modifier normaliser to a registered
@@ -268,6 +258,4 @@ func init() {
 	})
 	Register("none", "no collection: plenty-of-storage configuration (§4.5)",
 		noMods("none", vm.None))
-	Alias("cg-noopt", "cg+noopt")
-	Alias("cg-recycle", "cg+recycle")
 }

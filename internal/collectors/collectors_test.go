@@ -52,17 +52,17 @@ func TestCGModifiersCompose(t *testing.T) {
 	}
 }
 
-func TestLegacyAliases(t *testing.T) {
-	for alias, wantName := range map[string]string{
-		"cg-noopt":   "cg-noopt",   // core's Name() spelling for StaticOpt off
-		"cg-recycle": "cg+recycle", // core's Name() spelling for Recycle on
-	} {
-		col, err := New(alias)
+// TestEventNamesParse: the name a collector gives its event table —
+// what cgrun prints — is itself a spec, for every spec the registry
+// enumerates.
+func TestEventNamesParse(t *testing.T) {
+	for _, spec := range AllSpecs() {
+		ev, err := New(spec)
 		if err != nil {
-			t.Fatalf("New(%q): %v", alias, err)
+			t.Fatalf("New(%q): %v", spec, err)
 		}
-		if col.Name != wantName {
-			t.Fatalf("New(%q).Name = %q, want %q", alias, col.Name, wantName)
+		if _, err := Parse(ev.Name); err != nil {
+			t.Errorf("New(%q).Name = %q does not parse: %v", spec, ev.Name, err)
 		}
 	}
 }
@@ -103,19 +103,5 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	}
 	if Doc("cg") == "" {
 		t.Fatal("cg must have a doc line")
-	}
-}
-
-func TestAliasComposesWithModifiers(t *testing.T) {
-	col, err := New("cg-recycle+reset")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := col.Name
-	if !strings.Contains(n, "recycle") || !strings.Contains(n, "reset") {
-		t.Fatalf("cg-recycle+reset built %q", n)
-	}
-	if _, err := New("cg-noopt+checked"); err != nil {
-		t.Fatalf("alias + modifier must parse: %v", err)
 	}
 }

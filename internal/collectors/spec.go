@@ -1,8 +1,8 @@
 // Spec is the parsed, canonical form of the registry's spec grammar.
 // The results codec and the on-disk cell store key cells by collector
-// spec, so two spellings of the same configuration ("cg-recycle",
-// "cg+recycle") must collapse to one identity: Spec canonicalises by
-// resolving aliases and sorting/deduplicating the modifier set, and
+// spec, so two spellings of the same configuration ("cg+reset+recycle",
+// "cg+recycle+reset") must collapse to one identity: Spec canonicalises
+// by sorting/deduplicating the modifier set, and
 // Spec.String() is guaranteed to re-parse to an equal Spec
 // (TestSpecRoundTrip exercises every registered base and modifier).
 //
@@ -25,18 +25,12 @@ type Spec struct {
 	Mods []string
 }
 
-// ParseSpec resolves a textual spec to its canonical Spec: aliases
-// rewrite the base position, modifiers are sorted and deduplicated, and
-// the registered builder validates the result so a bad spec fails here,
-// not on the first shard.
+// ParseSpec resolves a textual spec to its canonical Spec: modifiers
+// are sorted and deduplicated, and the registered builder validates the
+// result so a bad spec fails here, not on the first shard.
 func ParseSpec(spec string) (Spec, error) {
 	mu.RLock()
 	parts := strings.Split(spec, "+")
-	// Aliases resolve at the base position, so an alias composes with
-	// further modifiers: "cg-recycle+reset" ≡ "cg+recycle+reset".
-	if canon, ok := aliases[parts[0]]; ok {
-		parts = append(strings.Split(canon, "+"), parts[1:]...)
-	}
 	e, ok := registry[parts[0]]
 	norm := normalizers[parts[0]]
 	mu.RUnlock()

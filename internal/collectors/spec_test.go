@@ -8,7 +8,7 @@ import (
 
 // TestSpecRoundTrip is the property the results codec depends on: for
 // every registered base and every combination of its declared
-// modifiers — in any order, with duplicates, spelled via aliases —
+// modifiers — in any order, with duplicates —
 // ParseSpec(s.String()) yields an equal Spec.
 func TestSpecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -49,13 +49,10 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpecAliasesCanonicalise checks the alias spellings collapse to the
-// identity the store keys on.
+// TestSpecAliasesCanonicalise checks that respellings of one
+// configuration collapse to the identity the store keys on.
 func TestSpecAliasesCanonicalise(t *testing.T) {
 	for raw, want := range map[string]string{
-		"cg-noopt":           "cg+noopt",
-		"cg-recycle":         "cg+recycle",
-		"cg-recycle+reset":   "cg+recycle+reset",
 		"cg+reset+recycle":   "cg+recycle+reset",
 		"cg+recycle+recycle": "cg+recycle",
 		"msa":                "msa",

@@ -280,7 +280,7 @@ func (c *CG) Name() string {
 		n += "+reset"
 	}
 	if !c.cfg.StaticOpt {
-		n += "-noopt"
+		n += "+noopt"
 	}
 	return n
 }

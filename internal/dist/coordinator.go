@@ -2,9 +2,13 @@ package dist
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/engine"
@@ -13,11 +17,14 @@ import (
 )
 
 // maxAttempts bounds how many distinct workers may try one cell before
-// the coordinator gives up and fills the slot with an error outcome.
-// Job-level failures (a panicking workload) are *results* and are never
-// retried — cells are deterministic; only transport failures (a worker
-// process dying mid-cell) requeue work.
+// the coordinator gives up and returns an error outcome. Job-level
+// failures (a panicking workload) are *results* and are never retried —
+// cells are deterministic; only transport failures (a worker process
+// dying mid-cell) send a cell to another worker.
 const maxAttempts = 3
+
+// errClosed is the transport error Close charges to its own workers.
+var errClosed = errors.New("dist: coordinator closed")
 
 // Conn is one worker transport: the worker's stdin, its stdout, and a
 // close hook that reaps whatever was spawned.
@@ -32,272 +39,272 @@ type Conn struct {
 // Spawner starts worker id and returns its connection.
 type Spawner func(id int) (*Conn, error)
 
-// Coordinator fans cells out to Procs workers and implements
-// results.Backend: outcomes are merged through index-ordered emission,
-// so the multi-process path is indistinguishable from the in-process
-// one to everything downstream. Cells in flight on a worker that dies
-// are retried on the surviving workers.
+// Coordinator is the multi-process transport under the cell pipeline's
+// exec step (results.Exec): each Exec ships one cell to a live worker
+// with a free slot in the window its hello advertised, and returns the
+// outcome the worker sends back. The Procs workers spawn concurrently
+// on the first Exec and never before, so a run whose every cell is a
+// store hit forks nothing. A cell whose worker's transport dies is
+// retried on another worker; once no worker is left, Exec fails fast.
+// Close kills and reaps the workers.
 type Coordinator struct {
 	Spawn Spawner
 	Procs int
-	// Obs, when non-nil, mirrors the batch's live state — queue depth,
-	// in-flight count, per-worker utilization labelled by each hello's
-	// provenance — for a -debug-addr surface. Updates happen at cell
-	// boundaries only.
+	// Obs, when non-nil, shows each worker's in-flight count and
+	// completions, labelled by its hello's provenance.
 	Obs *obs.Progress
+
+	mu       sync.Mutex
+	cond     *sync.Cond // broadcast when a slot frees, a worker dies or spawning ends
+	spawning bool
+	spawned  bool
+	workers  []*worker
+	nextID   int   // request ids, unique across workers so a retry never aliases
+	lastErr  error // the latest transport error
+	unserved int   // cells failed because no worker was left
 }
 
-// sched is the shared scheduling state: a queue of ready cell indices,
-// per-cell attempt counts, and the index-ordered results.Reorder that
-// emits completed outcomes (shared with the in-process backend, so the
-// duplicate-drop and prefix-flush rules cannot drift between paths).
-type sched struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	jobs    []engine.Job
-	queue   []int
-	attempt []int
-	done    int
-	ord     *results.Reorder
-	workers int           // live workers
-	obs     *obs.Progress // nil when no debug surface is attached
+// worker is one live connection and its window.
+type worker struct {
+	id       int
+	conn     *Conn
+	capacity int
+	dead     bool               // guarded by Coordinator.mu
+	calls    map[int]chan reply // in flight by request id; guarded by Coordinator.mu
+	done     chan struct{}      // closed when the reader exits
+
+	wmu sync.Mutex // serialises request lines
+	bw  *bufio.Writer
+	enc *json.Encoder
 }
 
-// syncObs mirrors the queue/in-flight gauges. Callers hold s.mu.
-func (s *sched) syncObs() {
-	s.obs.SetQueued(len(s.queue))
-	s.obs.SetInFlight(len(s.jobs) - s.done - len(s.queue))
+// reply is what an Exec waiting on a request receives: the outcome, or
+// the transport error that retired its worker.
+type reply struct {
+	o   results.Outcome
+	err error
 }
 
-// tryNext pops a ready cell without blocking.
-func (s *sched) tryNext() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	i := s.queue[0]
-	s.queue = s.queue[1:]
-	s.syncObs()
-	return i, true
-}
-
-// waitNext blocks until a cell is ready (a dead worker's cells can
-// requeue at any time) or every cell has completed.
-func (s *sched) waitNext() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.queue) == 0 && s.done < len(s.jobs) {
-		s.cond.Wait()
-	}
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	i := s.queue[0]
-	s.queue = s.queue[1:]
-	s.syncObs()
-	return i, true
-}
-
-// complete records cell i's outcome and wakes idle workers when the
-// matrix finishes (so they stop waiting for work that will never come).
-func (s *sched) complete(i int, o results.Outcome) {
-	s.ord.Add(i, o)
-	s.obs.AddComputed(1)
-	s.mu.Lock()
-	s.done++
-	s.syncObs()
-	fin := s.done == len(s.jobs)
-	s.mu.Unlock()
-	if fin {
-		s.cond.Broadcast()
-	}
-}
-
-// requeue returns a dead worker's in-flight cells to the queue, or —
-// past the attempt cap — fills their slots with an error outcome so the
-// matrix still completes deterministically. cause is the transport
-// error being charged to the cells.
-func (s *sched) requeue(cells []int, cause error) {
-	if len(cells) == 0 {
-		return
-	}
-	var exhausted []int
-	s.mu.Lock()
-	for _, i := range cells {
-		s.attempt[i]++
-		if s.attempt[i] >= maxAttempts {
-			exhausted = append(exhausted, i)
-		} else {
-			s.queue = append(s.queue, i)
-		}
-	}
-	s.syncObs()
-	s.mu.Unlock()
-	s.cond.Broadcast()
-	for _, i := range exhausted {
-		s.complete(i, results.Outcome{
-			Job: s.jobs[i],
-			Err: fmt.Sprintf("dist: cell failed on %d workers: last transport error: %v", maxAttempts, cause),
-		})
-	}
-}
-
-// Run implements results.Backend.
+// Run implements results.Backend: a one-session run of the cell
+// pipeline over this transport, with up to GOMAXPROCS executors per
+// worker. It kills and reaps the workers before returning, and fails if
+// cells went undelivered because every worker was lost.
 func (c *Coordinator) Run(jobs []engine.Job, emit func(i int, o results.Outcome)) error {
-	procs := c.Procs
-	if procs < 1 {
-		procs = 1
+	defer c.Close()
+	if err := results.RunOnce(c, c.Obs, max(c.Procs, 1)*runtime.GOMAXPROCS(0), jobs, emit); err != nil {
+		return err
 	}
-	s := &sched{
-		jobs:    jobs,
-		attempt: make([]int, len(jobs)),
-		ord:     results.NewReorder(len(jobs), emit),
-		workers: procs,
-		obs:     c.Obs,
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.unserved > 0 {
+		return fmt.Errorf("dist: %d of %d cells never completed: no worker left: %v", c.unserved, len(jobs), c.lastErr)
 	}
-	s.cond = sync.NewCond(&s.mu)
-	s.queue = make([]int, len(jobs))
-	for i := range jobs {
-		s.queue[i] = i
-	}
-	c.Obs.EnsureWorkers(procs)
-	s.mu.Lock()
-	s.syncObs()
-	s.mu.Unlock()
+	return nil
+}
 
+// Exec implements results.Exec.
+func (c *Coordinator) Exec(_ int, job engine.Job) results.Outcome {
+	var cause error
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		w, id, ch, err := c.acquire()
+		if err != nil {
+			return results.Outcome{Job: job, Err: err.Error()}
+		}
+		if err := w.send(request{Type: "job", ID: id, Job: job}); err != nil {
+			c.fail(w, fmt.Errorf("dist: worker %d send: %w", w.id, err))
+		}
+		r := <-ch
+		if r.err == nil {
+			return r.o
+		}
+		cause = r.err
+	}
+	return results.Outcome{
+		Job: job,
+		Err: fmt.Sprintf("dist: cell failed on %d workers: last transport error: %v", maxAttempts, cause),
+	}
+}
+
+// acquire charges a new request to a live worker with a free slot,
+// spawning the workers on the first call and waiting while every live
+// window is full. It fails once no worker is left.
+func (c *Coordinator) acquire() (*worker, int, chan reply, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cond == nil {
+		c.cond = sync.NewCond(&c.mu)
+	}
+	if !c.spawned && !c.spawning {
+		c.spawning = true
+		c.mu.Unlock()
+		ws, err := c.spawnAll()
+		c.mu.Lock()
+		c.spawning, c.spawned, c.workers = false, true, ws
+		if err != nil {
+			c.lastErr = err
+		}
+		c.cond.Broadcast()
+	}
+	for {
+		if !c.spawning {
+			live := false
+			for _, w := range c.workers {
+				if w.dead {
+					continue
+				}
+				live = true
+				if len(w.calls) < w.capacity {
+					id := c.nextID
+					c.nextID++
+					ch := make(chan reply, 1)
+					w.calls[id] = ch
+					c.Obs.SetWorkerBusy(w.id, len(w.calls))
+					return w, id, ch, nil
+				}
+			}
+			if !live {
+				c.unserved++
+				return nil, 0, nil, fmt.Errorf("dist: no worker left: %v", c.lastErr)
+			}
+		}
+		c.cond.Wait()
+	}
+}
+
+// spawnAll starts the Procs workers concurrently and returns those that
+// said hello, with the first failure of the rest.
+func (c *Coordinator) spawnAll() ([]*worker, error) {
+	procs := max(c.Procs, 1)
+	c.Obs.EnsureWorkers(procs)
+	ws := make([]*worker, procs)
 	errs := make([]error, procs)
 	var wg sync.WaitGroup
-	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		go func(w int) {
+	wg.Add(procs)
+	for id := range ws {
+		go func() {
 			defer wg.Done()
-			defer func() {
-				s.mu.Lock()
-				s.workers--
-				last := s.workers == 0
-				s.mu.Unlock()
-				if last {
-					// No one is left to serve requeued cells; unblock any
-					// sibling still parked in waitNext.
-					s.cond.Broadcast()
-				}
-			}()
-			errs[w] = c.runWorker(s, w)
-		}(w)
+			ws[id], errs[id] = c.dial(id)
+		}()
 	}
 	wg.Wait()
-
-	emitted := s.ord.Emitted()
-	if emitted == len(jobs) {
-		// Every cell completed (possibly as a capped-retry error
-		// outcome); individual worker transports may still have failed,
-		// but the batch is whole.
-		return nil
-	}
-	err := fmt.Errorf("dist: %d of %d cells never completed", len(jobs)-emitted, len(jobs))
-	for w, werr := range errs {
-		if werr != nil {
-			err = fmt.Errorf("%w; worker %d: %v", err, w, werr)
-		}
-	}
-	return err
+	return slices.DeleteFunc(ws, func(w *worker) bool { return w == nil }), cmp.Or(errs...)
 }
 
-// runWorker owns one worker connection for the whole batch: it keeps up
-// to the worker's advertised capacity in flight, reads results, and on
-// any transport failure requeues its in-flight cells and returns.
-func (c *Coordinator) runWorker(s *sched, id int) (err error) {
+// dial spawns worker id, reads its hello and starts its reader.
+func (c *Coordinator) dial(id int) (*worker, error) {
 	conn, err := c.Spawn(id)
 	if err != nil {
-		// A worker that never started holds no cells; siblings cover the
-		// queue. If *every* spawn fails, Run reports the shortfall.
-		return fmt.Errorf("dist: spawn worker %d: %w", id, err)
+		return nil, fmt.Errorf("dist: spawn worker %d: %w", id, err)
 	}
-	inflight := make(map[int]bool)
-	defer func() {
-		conn.W.Close()
-		if conn.Close != nil {
-			if cerr := conn.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		s.requeue(keys(inflight), err)
-	}()
-
-	bw := bufio.NewWriter(conn.W)
-	enc := json.NewEncoder(bw)
 	dec := json.NewDecoder(bufio.NewReader(conn.R))
-
 	var hello response
 	if err := dec.Decode(&hello); err != nil {
-		return fmt.Errorf("dist: worker %d hello: %w", id, err)
+		shut(conn)
+		return nil, fmt.Errorf("dist: worker %d hello: %w", id, err)
 	}
 	if hello.Type != "hello" || hello.Proto != protoVersion {
-		return fmt.Errorf("dist: worker %d spoke %q proto %d, want hello proto %d",
+		shut(conn)
+		return nil, fmt.Errorf("dist: worker %d spoke %q proto %d, want hello proto %d",
 			id, hello.Type, hello.Proto, protoVersion)
 	}
-	capacity := hello.Capacity
-	if capacity < 1 {
-		capacity = 1
-	}
 	if p := hello.Prov; p != nil {
-		s.obs.SetWorkerLabel(id, fmt.Sprintf("%s/%d", p.Host, p.PID))
+		c.Obs.SetWorkerLabel(id, fmt.Sprintf("%s/%d", p.Host, p.PID))
 	}
-
-	// send charges i to this worker *before* writing, so any failure
-	// path — here or a later read error — funnels through the one
-	// deferred requeue.
-	send := func(i int) error {
-		inflight[i] = true
-		s.obs.SetWorkerBusy(id, len(inflight))
-		if err := enc.Encode(request{Type: "job", ID: i, Job: s.jobs[i]}); err != nil {
-			return err
-		}
-		return bw.Flush()
+	bw := bufio.NewWriter(conn.W)
+	w := &worker{
+		id: id, conn: conn, capacity: max(hello.Capacity, 1),
+		calls: make(map[int]chan reply), done: make(chan struct{}),
+		bw: bw, enc: json.NewEncoder(bw),
 	}
+	go c.read(w, dec)
+	return w, nil
+}
 
+// send writes one request line.
+func (w *worker) send(req request) error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	if err := w.enc.Encode(req); err != nil {
+		return err
+	}
+	return w.bw.Flush()
+}
+
+// read hands worker w's results to the Execs waiting on them until its
+// stream ends; a read or protocol failure retires the worker.
+func (c *Coordinator) read(w *worker, dec *json.Decoder) {
+	defer close(w.done)
 	for {
-		// Fill the window without blocking; the queue may be drained by
-		// siblings while cells are still in flight elsewhere.
-		for len(inflight) < capacity {
-			i, ok := s.tryNext()
-			if !ok {
-				break
-			}
-			if err := send(i); err != nil {
-				return fmt.Errorf("dist: worker %d send: %w", id, err)
-			}
-		}
-		if len(inflight) == 0 {
-			// Nothing in flight here: block for requeued work or batch end.
-			i, ok := s.waitNext()
-			if !ok {
-				return nil
-			}
-			if err := send(i); err != nil {
-				return fmt.Errorf("dist: worker %d send: %w", id, err)
-			}
-			continue
-		}
 		var resp response
 		if err := dec.Decode(&resp); err != nil {
-			return fmt.Errorf("dist: worker %d read: %w", id, err)
+			c.fail(w, fmt.Errorf("dist: worker %d read: %w", w.id, err))
+			return
 		}
-		if resp.Type != "result" || resp.Outcome == nil || !inflight[resp.ID] {
-			return fmt.Errorf("dist: worker %d sent unexpected %q for cell %d", id, resp.Type, resp.ID)
+		c.mu.Lock()
+		ch, ok := w.calls[resp.ID]
+		ok = ok && resp.Type == "result" && resp.Outcome != nil
+		if ok {
+			delete(w.calls, resp.ID)
+			c.Obs.SetWorkerBusy(w.id, len(w.calls))
+			c.Obs.AddWorkerDone(w.id)
+			c.cond.Broadcast()
 		}
-		delete(inflight, resp.ID)
-		s.obs.SetWorkerBusy(id, len(inflight))
-		s.obs.AddWorkerDone(id)
-		s.complete(resp.ID, *resp.Outcome)
+		c.mu.Unlock()
+		if !ok {
+			c.fail(w, fmt.Errorf("dist: worker %d sent unexpected %q for cell %d", w.id, resp.Type, resp.ID))
+			return
+		}
+		ch <- reply{o: *resp.Outcome}
 	}
 }
 
-func keys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// fail retires worker w after a transport error: it is killed and
+// reaped, and every cell in flight on it is handed err, which the
+// waiting Exec retries on another worker. Later calls are no-ops.
+func (c *Coordinator) fail(w *worker, err error) {
+	c.mu.Lock()
+	if w.dead {
+		c.mu.Unlock()
+		return
 	}
-	return out
+	w.dead = true
+	calls := w.calls
+	w.calls = nil
+	c.lastErr = err
+	c.Obs.SetWorkerBusy(w.id, 0)
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	shut(w.conn)
+	for _, ch := range calls {
+		ch <- reply{err: err}
+	}
+}
+
+// Close kills and reaps every worker and returns once their readers
+// have exited; call it when no Exec is running. The next Exec spawns
+// afresh.
+func (c *Coordinator) Close() {
+	c.mu.Lock()
+	ws := c.workers
+	c.workers, c.spawned = nil, false
+	c.mu.Unlock()
+	for _, w := range ws {
+		c.fail(w, errClosed)
+	}
+	for _, w := range ws {
+		<-w.done
+	}
+	c.mu.Lock()
+	c.lastErr, c.unserved = nil, 0
+	c.mu.Unlock()
+}
+
+// shut closes a worker's stdin and releases it. The coordinator has
+// stopped using the worker, so nothing is left to report from either
+// call.
+func shut(conn *Conn) {
+	conn.W.Close()
+	if conn.Close != nil {
+		conn.Close()
+	}
 }

@@ -195,9 +195,9 @@ func TestCoordinatorRetriesCellsOfDeadWorker(t *testing.T) {
 }
 
 // poisonSpawner's workers speak the protocol correctly but drop dead
-// the moment they are handed cell `poison` — on every worker, so the
+// the moment they are handed the job `poison` — on every worker, so the
 // cell exhausts its attempts.
-func poisonSpawner(poison int) Spawner {
+func poisonSpawner(poison engine.Job) Spawner {
 	return func(id int) (*Conn, error) {
 		jobR, jobW := io.Pipe()
 		resR, resW := io.Pipe()
@@ -211,7 +211,7 @@ func poisonSpawner(poison int) Spawner {
 					resW.Close()
 					return
 				}
-				if req.ID == poison {
+				if req.Job == poison {
 					resW.CloseWithError(fmt.Errorf("synthetic poison death"))
 					jobR.Close()
 					return
@@ -228,7 +228,7 @@ func TestCoordinatorCapsRetriesWithErrorOutcome(t *testing.T) {
 	jobs := smallJobs()
 	const poison = 2
 	var got []results.Outcome
-	c := &Coordinator{Spawn: poisonSpawner(poison), Procs: 4}
+	c := &Coordinator{Spawn: poisonSpawner(jobs[poison]), Procs: 4}
 	err := c.Run(jobs, func(i int, o results.Outcome) { got = append(got, o) })
 	if err != nil {
 		t.Fatalf("run must complete with an error outcome, got: %v", err)
@@ -257,6 +257,42 @@ func TestCoordinatorReportsTotalWorkerLoss(t *testing.T) {
 	err := c.Run(jobs, func(int, results.Outcome) {})
 	if err == nil || !strings.Contains(err.Error(), "never completed") {
 		t.Fatalf("total worker loss must fail the batch, got: %v", err)
+	}
+}
+
+// TestFullStoreSpawnsNoWorker pins the transport's laziness: workers
+// spawn on the first Exec, all of them, and a resume over a store that
+// holds every cell never calls Exec — so it forks nothing.
+func TestFullStoreSpawnsNoWorker(t *testing.T) {
+	st, err := results.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := smallJobs()
+	run := func() (results.SessionStats, int32) {
+		var spawns atomic.Int32
+		inner := InProcess(1)
+		c := &Coordinator{Procs: 2, Spawn: func(id int) (*Conn, error) {
+			spawns.Add(1)
+			return inner(id)
+		}}
+		defer c.Close()
+		s := results.NewScheduler(c, st, nil, 2)
+		sess, err := s.OpenSession("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		collect(t, sess, jobs)
+		sess.Close()
+		s.Wait()
+		return sess.Stats(), spawns.Load()
+	}
+	n := int64(len(jobs))
+	if cold, spawns := run(); cold.Computed != n || spawns != 2 {
+		t.Fatalf("cold run: %d of %d cells computed on %d spawned workers, want all on 2", cold.Computed, n, spawns)
+	}
+	if warm, spawns := run(); warm.Stored != n || spawns != 0 {
+		t.Fatalf("resume over a full store: %d of %d cells stored, %d workers spawned, want all and 0", warm.Stored, n, spawns)
 	}
 }
 

@@ -1,8 +1,10 @@
-// Package dist distributes the experiment matrix across worker
-// processes. The transport is deliberately boring: newline-delimited
-// JSON over a worker's stdin/stdout, so a worker is anything that can
-// be spawned with two pipes — a local cgworker child today, an
-// ssh-wrapped one on another machine tomorrow.
+// Package dist is the multi-process transport under the cell
+// pipeline's exec step: Coordinator implements results.Exec by shipping
+// each cell to a worker process, and queues nothing itself — the
+// results.Scheduler above it does. The wire is deliberately boring:
+// newline-delimited JSON over a worker's stdin/stdout, so a worker is
+// anything that can be spawned with two pipes — a local cgworker child
+// today, an ssh-wrapped one on another machine tomorrow.
 //
 // Protocol (one JSON object per line):
 //
@@ -20,9 +22,10 @@
 // sliding window), which doubles as flow control: a worker always has
 // pool capacity for what it has been sent, so neither side can wedge on
 // a full pipe. Determinism does not depend on scheduling: results carry
-// their cell index and the coordinator merges them through the same
-// index-ordered reorder as the in-process path, so a -procs 4 sweep
-// renders byte-identical tables to a -workers 1 run.
+// their request id back to the Exec call waiting on it, and the
+// scheduler's session delivers outcomes in index order exactly as it
+// does in-process, so a -procs 4 sweep renders byte-identical tables to
+// a -workers 1 run.
 package dist
 
 import (

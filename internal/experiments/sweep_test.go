@@ -61,31 +61,42 @@ func TestSweepResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := &results.Resuming{Store: st, Next: results.Local{Eng: engine.New(4)}}
-	coldOut := runSweep(t, cold)
+	// sweepStored runs the trio as one session of a pipeline over exec
+	// and the store, and returns the bytes and the session's accounting.
+	sweepStored := func(exec results.Exec) (string, results.SessionStats) {
+		s := results.NewScheduler(exec, st, nil, 4)
+		sess, err := s.OpenSession("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Wait()
+		defer sess.Close()
+		return runSweep(t, sess), sess.Stats()
+	}
+	coldOut, cold := sweepStored(results.Local{Eng: engine.New(4)})
 	// The plan hands the store the 24 distinct cells of the 32 — 4.1's
 	// sixteen (cg+noopt and cg per benchmark) and 4.11's eight cg+reset;
 	// 4.5's eight are 4.1's cg half and never reach it — so a cold store
 	// has nothing to serve and every cell it sees is computed.
-	if s, c := cold.Stats(); s != 0 || c != 24 {
-		t.Fatalf("cold sweep: stored=%d computed=%d, want 0/24", s, c)
+	if cold.Stored != 0 || cold.Computed != 24 {
+		t.Fatalf("cold sweep: stored=%d computed=%d, want 0/24", cold.Stored, cold.Computed)
 	}
 
-	warm := &results.Resuming{Store: st, Next: results.Local{Eng: engine.New(4)}}
-	warmOut := runSweep(t, warm)
-	if s, c := warm.Stats(); s != 24 || c != 0 {
-		t.Fatalf("resumed sweep: stored=%d computed=%d, want 24/0", s, c)
+	warmOut, warm := sweepStored(results.Local{Eng: engine.New(4)})
+	if warm.Stored != 24 || warm.Computed != 0 {
+		t.Fatalf("resumed sweep: stored=%d computed=%d, want 24/0", warm.Stored, warm.Computed)
 	}
 	if coldOut != warmOut {
 		t.Fatal("resumed sweep output diverged from the cold run")
 	}
 
-	// The store also carries across backends: a distributed resume over
-	// the same store computes nothing either.
-	procs := &results.Resuming{Store: st, Next: &dist.Coordinator{Spawn: dist.InProcess(2), Procs: 2}}
-	procsOut := runSweep(t, procs)
-	if _, c := procs.Stats(); c != 0 {
-		t.Fatalf("distributed resume recomputed %d cells, want 0", c)
+	// The store also carries across transports: a distributed resume
+	// over the same store computes nothing either.
+	coord := &dist.Coordinator{Spawn: dist.InProcess(2), Procs: 2}
+	defer coord.Close()
+	procsOut, procs := sweepStored(coord)
+	if procs.Computed != 0 {
+		t.Fatalf("distributed resume recomputed %d cells, want 0", procs.Computed)
 	}
 	if procsOut != coldOut {
 		t.Fatal("distributed resume output diverged")

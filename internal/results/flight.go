@@ -10,8 +10,8 @@ import (
 // key, with every concurrent requester attached as a waiter. It is the
 // second dedup tier of a shared-cache backend — the Store dedups
 // against completed cells on disk, Flight dedups against cells that are
-// *currently being computed* — and the primitive the sweep server's
-// scheduler is built on: two clients asking for overlapping grids join
+// *currently being computed* — and the primitive the Scheduler's dedup
+// is built on: two sessions asking for overlapping grids join
 // the same calls, so each overlapping cell executes exactly once while
 // both streams receive it.
 //

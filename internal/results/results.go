@@ -14,12 +14,13 @@
 //   - Sink renders table rows in index order as cells complete, so a
 //     long sweep streams its figures instead of barriering on the last
 //     cell.
-//   - Backend abstracts who computes the cells: Local runs them on an
-//     in-process engine pool; internal/dist's Coordinator fans them out
-//     to worker processes; Resuming wraps either with a Store. All
-//     three emit outcomes in strict index order, which is the whole
-//     determinism argument — rendering consumes an index-ordered
-//     stream and never sees completion order.
+//   - Scheduler is the one cell pipeline every sweep runs on: key,
+//     store, in-flight dedup, fair admission, exec, put, and delivery
+//     in index order. Its compute step is the Exec seam, implemented by
+//     Local (an in-process engine) and internal/dist's Coordinator
+//     (worker processes); the store is optional. A session's index-
+//     ordered emission is the whole determinism argument — rendering
+//     consumes an index-ordered stream and never sees completion order.
 package results
 
 import (
@@ -64,8 +65,8 @@ type Outcome struct {
 	// (host, CPU, load, timestamps) — stamped by the process that ran the
 	// cell, carried verbatim through the store and the dist protocol.
 	Prov *obs.Provenance `json:"prov,omitempty"`
-	// Stored marks an outcome a Resuming backend read from its store
-	// instead of having it computed. It is delivery metadata for sweep
+	// Stored marks an outcome the Scheduler read from its store instead
+	// of having it computed. It is delivery metadata for sweep
 	// accounting, like Job.Client: never serialised, never cell identity.
 	Stored bool `json:"-"`
 }
@@ -192,56 +193,45 @@ func (o Outcome) Failed() error {
 //     concurrently), and in strictly increasing i — submission order,
 //     regardless of which worker, process or store hit produced o.
 //   - job-level failures travel inside Outcome.Err; Run's own error
-//     means the batch could not complete (a broken store, every worker
-//     dead) and some cells may not have been emitted.
+//     means the batch could not complete (every worker process dead)
+//     and some cells may not have been emitted.
 //
 // Index-ordered emission is what makes downstream rendering
 // deterministic: a -procs 4 sweep and a -workers 1 sweep present the
-// identical event sequence.
+// identical event sequence. A Session is the Backend every product
+// path uses; Local and dist.Coordinator are Backends as one-session
+// runs of a store-less Scheduler over themselves.
 type Backend interface {
 	Run(jobs []engine.Job, emit func(i int, o Outcome)) error
 }
 
-// Local is the in-process Backend: cells run on an engine worker pool
-// and are extracted on the worker goroutine, so a completed shard is
-// dropped immediately (RunEach footprint, not Stream's). Obs, when
-// non-nil, counts each computed cell for a live debug surface.
+// Local is the in-process Exec: cells run on the engine's pooled shards
+// and are extracted on the executor's goroutine, so a completed shard
+// is recycled before the executor takes its next cell. Obs, when
+// non-nil, shows each executor's utilization as a worker lane.
 type Local struct {
 	Eng *engine.Engine
 	Obs *obs.Progress
 }
 
-// Run implements Backend.
+// Exec implements Exec.
+func (l Local) Exec(slot int, job engine.Job) (o Outcome) {
+	l.Obs.EnsureWorkers(slot + 1)
+	l.Obs.SetWorkerBusy(slot, 1)
+	l.Eng.ExecRelease(job, func(r engine.Result) { o = Extract(r) })
+	l.Obs.SetWorkerBusy(slot, 0)
+	l.Obs.AddWorkerDone(slot)
+	return o
+}
+
+// Run implements Backend with one executor per engine worker.
 func (l Local) Run(jobs []engine.Job, emit func(i int, o Outcome)) error {
-	ord := NewReorder(len(jobs), emit)
-	l.Eng.RunEach(jobs, func(i int, r engine.Result) {
-		ord.Add(i, Extract(r))
-		l.Obs.AddComputed(1)
-	})
-	return ord.Finish()
-}
-
-// Observed wraps a Backend to count each batch's jobs toward a live
-// progress total. It is applied outermost — around Resuming, which
-// itself counts store hits, around Local/Coordinator, which count
-// computed cells — so the three counters partition cleanly: total =
-// stored + computed once a batch completes.
-type Observed struct {
-	Next Backend
-	Obs  *obs.Progress
-}
-
-// Run implements Backend.
-func (b Observed) Run(jobs []engine.Job, emit func(i int, o Outcome)) error {
-	b.Obs.AddTotal(len(jobs))
-	return b.Next.Run(jobs, emit)
+	return RunOnce(l, l.Obs, l.Eng.Workers(), jobs, emit)
 }
 
 // Reorder turns concurrent (index, Outcome) completions into the
 // sequential, index-ordered emit calls the Backend contract promises.
-// Emission happens under the lock, so emit never runs concurrently. It
-// is the one implementation of the prefix-flush merge every backend —
-// Local here, the dist coordinator across processes — goes through.
+// Emission happens under the lock, so emit never runs concurrently.
 type Reorder struct {
 	mu      sync.Mutex
 	emit    func(int, Outcome)
@@ -256,8 +246,7 @@ func NewReorder(n int, emit func(int, Outcome)) *Reorder {
 }
 
 // Add records outcome i and flushes the completed prefix. Duplicate
-// completions (a retried cell that raced its first worker's death) are
-// dropped: first result wins.
+// completions are dropped: first result wins.
 func (r *Reorder) Add(i int, o Outcome) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -276,13 +265,6 @@ func (r *Reorder) Add(i int, o Outcome) {
 		r.next++
 		r.emit(i, o)
 	}
-}
-
-// Emitted reports how many slots have been emitted so far.
-func (r *Reorder) Emitted() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
 }
 
 // Finish verifies every slot was emitted.

@@ -53,7 +53,7 @@ func TestCodecRoundTripsTypedPayloads(t *testing.T) {
 }
 
 func TestCodecCanonicalisesSpecs(t *testing.T) {
-	job := engine.Job{Workload: "compress", Size: 1, Collector: "cg-recycle", HeapBytes: engine.TightHeap}
+	job := engine.Job{Workload: "compress", Size: 1, Collector: "cg+reset+recycle+reset", HeapBytes: engine.TightHeap}
 	o := exec(t, job)
 	line, err := Encode(o)
 	if err != nil {
@@ -63,8 +63,8 @@ func TestCodecCanonicalisesSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Job.Collector != "cg+recycle" {
-		t.Fatalf("decoded spec %q, want canonical %q", back.Job.Collector, "cg+recycle")
+	if back.Job.Collector != "cg+recycle+reset" {
+		t.Fatalf("decoded spec %q, want canonical %q", back.Job.Collector, "cg+recycle+reset")
 	}
 }
 
@@ -87,7 +87,7 @@ func TestKeyIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Alias spellings and default repeats collapse to the same cell.
+	// Respellings and default repeats collapse to the same cell.
 	alias := base
 	alias.Collector = "cg"
 	alias.Repeats = 1
@@ -95,11 +95,11 @@ func TestKeyIdentity(t *testing.T) {
 		t.Fatalf("Repeats 0 and 1 keyed differently:\n%s\n%s", k1, k2)
 	}
 	spelled := base
-	spelled.Collector = "cg+recycle"
+	spelled.Collector = "cg+recycle+reset"
 	k3, _ := Key(spelled)
-	spelled.Collector = "cg-recycle"
+	spelled.Collector = "cg+reset+recycle"
 	if k4, _ := Key(spelled); k4 != k3 {
-		t.Fatalf("alias keyed differently:\n%s\n%s", k3, k4)
+		t.Fatalf("respelling keyed differently:\n%s\n%s", k3, k4)
 	}
 	// Every identity-bearing field separates cells.
 	for _, vary := range []func(*engine.Job){
@@ -288,10 +288,16 @@ func TestResumingComputesOnlyMissingCells(t *testing.T) {
 		{Workload: "db", Size: 1, Collector: "cg", HeapBytes: engine.TightHeap},
 		{Workload: "jess", Size: 1, Collector: "cg", HeapBytes: engine.TightHeap},
 	}
-	run := func() (*Resuming, []Outcome) {
-		r := &Resuming{Store: st, Next: Local{Eng: engine.New(2)}}
+	run := func() (SessionStats, []Outcome) {
+		s := NewScheduler(Local{Eng: engine.New(2)}, st, nil, 2)
+		sess, err := s.OpenSession("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Wait()
+		defer sess.Close()
 		var got []Outcome
-		if err := r.Run(jobs, func(i int, o Outcome) {
+		if err := sess.Run(jobs, func(i int, o Outcome) {
 			if i != len(got) {
 				t.Fatalf("emit index %d out of order", i)
 			}
@@ -299,17 +305,18 @@ func TestResumingComputesOnlyMissingCells(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return r, got
+		return sess.Stats(), got
 	}
+	n := int64(len(jobs))
 
 	r1, cold := run()
-	if s, c := r1.Stats(); s != 0 || c != len(jobs) {
-		t.Fatalf("cold run: stored=%d computed=%d", s, c)
+	if r1.Stored != 0 || r1.Computed != n {
+		t.Fatalf("cold run: stored=%d computed=%d", r1.Stored, r1.Computed)
 	}
 	// The resumed run must recompute zero already-stored cells.
 	r2, warm := run()
-	if s, c := r2.Stats(); s != len(jobs) || c != 0 {
-		t.Fatalf("resumed run: stored=%d computed=%d, want %d/0", s, c, len(jobs))
+	if r2.Stored != n || r2.Computed != 0 {
+		t.Fatalf("resumed run: stored=%d computed=%d, want %d/0", r2.Stored, r2.Computed, n)
 	}
 	// Only the delivery mark tells the two runs apart.
 	stripElapsed := func(os []Outcome, wantStored bool) []Outcome {
@@ -332,8 +339,8 @@ func TestResumingComputesOnlyMissingCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	r3, _ := run()
-	if s, c := r3.Stats(); s != len(jobs)-1 || c != 1 {
-		t.Fatalf("partial resume: stored=%d computed=%d, want %d/1", s, c, len(jobs)-1)
+	if r3.Stored != n-1 || r3.Computed != 1 {
+		t.Fatalf("partial resume: stored=%d computed=%d, want %d/1", r3.Stored, r3.Computed, n-1)
 	}
 }
 

@@ -1,4 +1,4 @@
-package serve
+package results
 
 import (
 	"errors"
@@ -9,32 +9,44 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/results"
 )
 
 // ErrDraining is returned by OpenSession once Drain has been called:
-// the server finishes what it accepted but admits nothing new.
-var ErrDraining = errors.New("serve: draining, not accepting new sweeps")
+// the scheduler finishes what it accepted but admits nothing new.
+var ErrDraining = errors.New("results: draining, not accepting new sweeps")
 
-// Scheduler runs cells for many concurrent client sessions over one
-// shared engine and one shared store, with three properties the batch
-// backends don't need:
+// Exec is the cell pipeline's compute step: run one cell and return its
+// outcome, a job-level failure travelling in Outcome.Err. slot is the
+// calling executor's index, in [0, executors), for per-lane accounting.
+// Local runs the cell on an engine's shards; dist.Coordinator ships it
+// to a worker process.
+type Exec interface {
+	Exec(slot int, job engine.Job) Outcome
+}
+
+// Scheduler is the cell pipeline every sweep runs on — batch cgsweep
+// in-process or over worker processes, with or without a store, and
+// every client of the sweep server:
+//
+//	key → store → in-flight → admit → exec → put → deliver in index order
+//
+// with three properties:
 //
 //   - exactly-once execution: a cell wanted by several sessions at once
-//     is computed once (results.Flight dedups in-flight work; the store
-//     dedups completed work — the leader Puts before it Resolves, so
-//     any later request for the key is a disk hit);
+//     is computed once (Flight dedups in-flight work; the store dedups
+//     completed work — the leader Puts before it Resolves, so any later
+//     request for the key is a disk hit);
 //   - fairness: each session owns a FIFO queue and executors take the
 //     next cell round-robin across sessions, so a 10k-cell sweep and a
 //     3-cell sweep make progress side by side;
-//   - bounded admission: at most maxInFlight executors run cells, so
-//     the process holds that many cells' handle tables no matter how
-//     many clients are connected.
+//   - bounded admission: a fixed set of executors runs cells, so the
+//     process holds that many cells' handle tables no matter how many
+//     sessions are open.
 type Scheduler struct {
-	eng    *engine.Engine
-	store  *results.Store
+	exec   Exec
+	store  *Store // nil: no store
 	prog   *obs.Progress
-	flight results.Flight
+	flight Flight
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -53,39 +65,46 @@ type Scheduler struct {
 // session whose queue carried it (fairness and accounting credit the
 // leader; other sessions attached to the call ride along for free).
 type task struct {
-	fc   *results.FlightCall
+	fc   *FlightCall
 	sess *Session
 }
 
-// NewScheduler returns a running scheduler over eng and store with
-// maxInFlight executors (<= 0 selects the engine's worker count).
-// store is mandatory: it is the shared cache that makes the server a
-// cache rather than a proxy. prog may be nil.
-func NewScheduler(eng *engine.Engine, store *results.Store, prog *obs.Progress, maxInFlight int) *Scheduler {
-	s := newScheduler(eng, store, prog)
-	if maxInFlight <= 0 {
-		maxInFlight = eng.Workers()
-	}
-	for i := 0; i < maxInFlight; i++ {
+// NewScheduler returns a running scheduler that computes cells with
+// exec on executors goroutines (at least one). store may be nil: every
+// cell that is not in flight is then computed. prog may be nil.
+func NewScheduler(exec Exec, store *Store, prog *obs.Progress, executors int) *Scheduler {
+	s := newScheduler(exec, store, prog)
+	for i := 0; i < max(executors, 1); i++ {
 		s.execs.Add(1)
-		go s.executor()
+		go s.executor(i)
 	}
 	return s
 }
 
 // newScheduler builds the scheduler state without starting executors
 // (the fairness unit tests drive popLocked directly).
-func newScheduler(eng *engine.Engine, store *results.Store, prog *obs.Progress) *Scheduler {
-	s := &Scheduler{eng: eng, store: store, prog: prog}
+func newScheduler(exec Exec, store *Store, prog *obs.Progress) *Scheduler {
+	s := &Scheduler{exec: exec, store: store, prog: prog}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
+// RunOnce runs jobs as the one session of a fresh store-less scheduler
+// with the given executor count, then stops it: Backend.Run for an Exec.
+func RunOnce(exec Exec, prog *obs.Progress, executors int, jobs []engine.Job, emit func(int, Outcome)) error {
+	s := NewScheduler(exec, nil, prog, executors)
+	sess, _ := s.OpenSession("") // a fresh scheduler is not draining
+	err := sess.Run(jobs, emit)
+	sess.Close()
+	s.Wait()
+	return err
+}
+
 // OpenSession admits one client sweep. Every Run on the session shares
-// the server's cache and dedup but emits in its own strict index order;
-// Close releases the session (idempotent). Fails once draining — but a
-// session opened before Drain keeps submitting until it completes, so
-// accepted streams are never truncated.
+// the scheduler's store and dedup but emits in its own strict index
+// order; Close releases the session (idempotent). Fails once draining —
+// but a session opened before Drain keeps submitting until it completes,
+// so accepted streams are never truncated.
 func (s *Scheduler) OpenSession(client string) (*Session, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,9 +137,9 @@ func (s *Scheduler) InFlight() int64 {
 }
 
 // Wait blocks until every open session has closed, then stops the
-// executors. Call after Drain; the pair is the graceful-shutdown
-// sequence (a session's Run returns only after all its cells were
-// delivered, so closed sessions imply an empty ring).
+// executors. A server calls it after Drain; the pair is the
+// graceful-shutdown sequence (a session's Run returns only after all its
+// cells were delivered, so closed sessions imply an empty ring).
 func (s *Scheduler) Wait() {
 	s.sessions.Wait()
 	s.mu.Lock()
@@ -130,9 +149,19 @@ func (s *Scheduler) Wait() {
 	s.execs.Wait()
 }
 
+// SessionStats is the delivery accounting of one session: how many
+// cells it submitted and how each was satisfied. Cells = Computed +
+// Stored + Deduped once every Run has returned.
+type SessionStats struct {
+	Cells    int64 `json:"cells"`
+	Computed int64 `json:"computed"`
+	Stored   int64 `json:"stored"`
+	Deduped  int64 `json:"deduped"`
+}
+
 // Session is one client sweep's handle on the scheduler: a fair queue
-// identity, an accounting scope, and a results.Backend whose emissions
-// are index-ordered per the backend contract.
+// identity, an accounting scope, and a Backend whose emissions are
+// index-ordered per the backend contract.
 type Session struct {
 	s      *Scheduler
 	client string
@@ -141,17 +170,12 @@ type Session struct {
 	pending []*task
 	inRing  bool // guarded by s.mu
 
-	// Delivery accounting for the stream's terminal done event:
-	// submitted = computed + stored + deduped once every batch returns.
 	submitted, computed, stored, deduped atomic.Int64
 }
 
-// Client reports the session's client name ("" = anonymous).
-func (sess *Session) Client() string { return sess.client }
-
 // Stats snapshots the session's delivery accounting.
-func (sess *Session) Stats() DoneStats {
-	return DoneStats{
+func (sess *Session) Stats() SessionStats {
+	return SessionStats{
 		Cells:    sess.submitted.Load(),
 		Computed: sess.computed.Load(),
 		Stored:   sess.stored.Load(),
@@ -170,28 +194,29 @@ func (sess *Session) Close() {
 	}
 }
 
-// Run implements results.Backend: emit(i, o) fires exactly once per
-// job, sequentially, in strictly increasing i — regardless of which
-// executor, store hit or other client's in-flight cell produced o. It
+// Run implements Backend: emit(i, o) fires exactly once per job,
+// sequentially, in strictly increasing i — regardless of which
+// executor, store hit or other session's in-flight cell produced o. It
 // blocks until the batch is fully delivered.
-func (sess *Session) Run(jobs []engine.Job, emit func(i int, o results.Outcome)) error {
+func (sess *Session) Run(jobs []engine.Job, emit func(i int, o Outcome)) error {
 	s := sess.s
 	sess.submitted.Add(int64(len(jobs)))
+	s.prog.AddTotal(len(jobs))
 	s.prog.LaneSubmitted(sess.client, len(jobs))
-	ord := results.NewReorder(len(jobs), emit)
+	ord := NewReorder(len(jobs), emit)
 	var wg sync.WaitGroup
 	wg.Add(len(jobs))
 	for i, job := range jobs {
 		job.Client = sess.client
-		key, err := results.Key(job)
+		key, err := Key(job)
 		if err != nil {
-			// A malformed cell is a job-level failure, like the batch
-			// backends' error outcomes — it must not wedge the batch.
-			ord.Add(i, results.Outcome{Job: job, Err: err.Error()})
+			// A malformed cell is a job-level failure: it must not wedge
+			// the batch.
+			ord.Add(i, Outcome{Job: job, Err: err.Error()})
 			wg.Done()
 			continue
 		}
-		s.submit(sess, key, job, func(o results.Outcome) {
+		s.submit(sess, key, job, func(o Outcome) {
 			ord.Add(i, o)
 			wg.Done()
 		})
@@ -202,7 +227,7 @@ func (sess *Session) Run(jobs []engine.Job, emit func(i int, o results.Outcome))
 
 // submit routes one cell: attach to an existing in-flight call (dedup)
 // or become its leader and queue it on this session's fair queue.
-func (s *Scheduler) submit(sess *Session, key string, job engine.Job, deliver func(results.Outcome)) {
+func (s *Scheduler) submit(sess *Session, key string, job engine.Job, deliver func(Outcome)) {
 	fc, leader := s.flight.Join(key, job, deliver)
 	if !leader {
 		sess.deduped.Add(1)
@@ -256,16 +281,17 @@ func (s *Scheduler) syncGauges() {
 
 // executor is one admission slot: it loops taking the fairest next
 // cell and computing it. The store check happens here, on the
-// executor, so cells completed by another client between submit and
-// execution are disk hits, never recomputes.
-func (s *Scheduler) executor() {
+// executor, so cells completed by another session between submit and
+// execution are disk hits, never recomputes — and a run whose every
+// cell is on disk never calls exec at all.
+func (s *Scheduler) executor(slot int) {
 	defer s.execs.Done()
 	for {
 		t := s.next()
 		if t == nil {
 			return
 		}
-		s.compute(t)
+		s.compute(slot, t)
 	}
 }
 
@@ -286,35 +312,39 @@ func (s *Scheduler) next() *task {
 	}
 }
 
-// compute satisfies one leader task: from the shared store when the
-// cell is already on disk, else by executing it on the shared engine
-// and persisting the result before resolving — the Put-before-Resolve
-// order is what guarantees a late joiner's fresh call store-hits
-// instead of recomputing.
-func (s *Scheduler) compute(t *task) {
+// compute satisfies one leader task: from the store when the cell is
+// already on disk (marked Stored), else by exec, persisting the result
+// before resolving — the Put-before-Resolve order is what guarantees a
+// late joiner's fresh call store-hits instead of recomputing.
+func (s *Scheduler) compute(slot int, t *task) {
 	fc, sess := t.fc, t.sess
-	if o, ok, err := s.store.Get(fc.Job); err == nil && ok {
-		sess.stored.Add(1)
-		s.prog.AddStored(1)
-		s.prog.LaneStored(sess.client)
-		s.finish(fc, o)
-		return
+	if s.store != nil {
+		// An unreadable file (a torn write from a killed sweep) is a miss.
+		if o, _, ok, err := s.store.load(fc.Key); err == nil && ok {
+			o.Stored = true
+			sess.stored.Add(1)
+			s.prog.AddStored(1)
+			s.prog.LaneStored(sess.client)
+			s.finish(fc, o)
+			return
+		}
 	}
-	var out results.Outcome
-	s.eng.ExecRelease(fc.Job, func(r engine.Result) { out = results.Extract(r) })
+	out := s.exec.Exec(slot, fc.Job)
 	sess.computed.Add(1)
 	s.prog.AddComputed(1)
-	if err := s.store.Put(out); err != nil {
-		// A failed Put degrades the cache, not the stream: the waiters
-		// still get the outcome, the cell just recomputes next time.
-		fmt.Fprintf(os.Stderr, "serve: store put %s: %v\n", fc.Key, err)
+	if s.store != nil {
+		if err := s.store.Put(out); err != nil {
+			// A failed Put degrades the cache, not the stream: the waiters
+			// still get the outcome, the cell just recomputes next time.
+			fmt.Fprintf(os.Stderr, "results: store put %s: %v\n", fc.Key, err)
+		}
 	}
 	s.finish(fc, out)
 }
 
 // finish resolves the call (delivering to every waiter) and returns
 // the execution slot.
-func (s *Scheduler) finish(fc *results.FlightCall, o results.Outcome) {
+func (s *Scheduler) finish(fc *FlightCall, o Outcome) {
 	fc.Resolve(o)
 	s.mu.Lock()
 	s.running--

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/collectors"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -26,10 +25,10 @@ const keyVersion = "v3"
 
 // Key is the canonical identity of a cell: every field that determines
 // its deterministic outcome. The collector spec is canonicalised
-// through the registry grammar (so "cg-recycle" and "cg+recycle" are
-// one cell) and the workload's RNG seed is included explicitly (so a
-// change to the seeding scheme invalidates the store rather than
-// silently mixing event streams). HeapBytes stays in its symbolic form
+// through the registry grammar (so "cg+reset+recycle" and
+// "cg+recycle+reset" are one cell) and the workload's RNG seed is
+// included explicitly (so a change to the seeding scheme invalidates
+// the store rather than silently mixing event streams). HeapBytes stays in its symbolic form
 // — 0 for the demographics default, TightHeap for the workload budget —
 // which is itself deterministic per job.
 func Key(job engine.Job) (string, error) {
@@ -81,55 +80,47 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, KeyHash(key)+".json")
 }
 
-// GetKey returns the stored cell for an exact key string, as the raw
-// Encode bytes — the shape an HTTP cell endpoint serves verbatim. The
-// stored cell is decoded and its key recomputed before returning, so a
-// torn or stale file reads as a miss plus the underlying error, exactly
-// like Get.
-func (s *Store) GetKey(key string) ([]byte, bool, error) {
+// load reads, decodes and re-keys the stored cell for key, returning it
+// both decoded and as its raw Encode bytes. A file that fails to decode
+// or whose recomputed key mismatches (schema drift, a truncated write
+// from a kill -9 that beat the rename) reads as a miss plus the
+// underlying error; a sweep treats it as not-yet-computed.
+func (s *Store) load(key string) (Outcome, []byte, bool, error) {
 	data, err := os.ReadFile(s.path(key))
 	if os.IsNotExist(err) {
-		return nil, false, nil
+		return Outcome{}, nil, false, nil
 	}
 	if err != nil {
-		return nil, false, err
+		return Outcome{}, nil, false, err
 	}
 	o, err := Decode(data)
 	if err != nil {
-		return nil, false, err
+		return Outcome{}, nil, false, err
 	}
 	back, err := Key(o.Job)
 	if err != nil || back != key {
-		return nil, false, fmt.Errorf("results: store file for %q holds cell %q", key, back)
+		return Outcome{}, nil, false, fmt.Errorf("results: store file for %q holds cell %q", key, back)
 	}
-	return data, true, nil
+	return o, data, true, nil
 }
 
-// Get returns the stored outcome of job, if present. A stored file that
-// fails to decode or whose recomputed key mismatches (schema drift, a
-// truncated write from a kill -9 that beat the rename) reads as a miss
-// plus the underlying error; resume treats it as not-yet-computed.
+// GetKey returns the stored cell for an exact key string, as the raw
+// Encode bytes — the shape an HTTP cell endpoint serves verbatim — with
+// Get's miss rules.
+func (s *Store) GetKey(key string) ([]byte, bool, error) {
+	_, data, ok, err := s.load(key)
+	return data, ok, err
+}
+
+// Get returns the stored outcome of job, if present. A torn or stale
+// file reads as a miss plus the underlying error.
 func (s *Store) Get(job engine.Job) (Outcome, bool, error) {
 	key, err := Key(job)
 	if err != nil {
 		return Outcome{}, false, err
 	}
-	data, err := os.ReadFile(s.path(key))
-	if os.IsNotExist(err) {
-		return Outcome{}, false, nil
-	}
-	if err != nil {
-		return Outcome{}, false, err
-	}
-	o, err := Decode(data)
-	if err != nil {
-		return Outcome{}, false, err
-	}
-	back, err := Key(o.Job)
-	if err != nil || back != key {
-		return Outcome{}, false, fmt.Errorf("results: store file for %q holds cell %q", key, back)
-	}
-	return o, true, nil
+	o, _, ok, err := s.load(key)
+	return o, ok, err
 }
 
 // Put stores a completed cell atomically. Failed outcomes are not
@@ -178,89 +169,4 @@ func (s *Store) Len() (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// Resuming wraps a Backend with a Store: cells already on disk are
-// emitted without recomputation, the rest run on the inner backend and
-// are stored as they complete. Emission stays in strict index order
-// across both sources, so a resumed sweep renders byte-identically to a
-// cold one.
-type Resuming struct {
-	Store *Store
-	Next  Backend
-	// Obs, when non-nil, counts store hits for a live debug surface
-	// (computed cells are counted by the inner backend).
-	Obs *obs.Progress
-
-	stored, computed int
-}
-
-// Stats reports how many cells Runs on this backend have served from
-// the store and how many they had computed, cumulatively. A sweep
-// submits its distinct cells as one batch, so on a cold store every
-// cell counts as computed; cells count as stored only when an earlier
-// run left them on disk.
-func (r *Resuming) Stats() (stored, computed int) { return r.stored, r.computed }
-
-// Run implements Backend.
-func (r *Resuming) Run(jobs []engine.Job, emit func(i int, o Outcome)) error {
-	outs := make([]Outcome, len(jobs))
-	have := make([]bool, len(jobs))
-	var missing []int
-	for i, job := range jobs {
-		o, ok, err := r.Store.Get(job)
-		if err != nil {
-			// Unreadable cells (torn write from a killed sweep) recompute.
-			ok = false
-		}
-		if ok {
-			o.Stored = true
-			outs[i], have[i] = o, true
-			r.stored++
-			r.Obs.AddStored(1)
-		} else {
-			missing = append(missing, i)
-		}
-	}
-
-	// Emit the in-order prefix that is already satisfied, then interleave
-	// inner completions: the inner backend emits its sub-batch in its own
-	// index order, which maps monotonically onto ours, so the merged
-	// emission is in global index order.
-	next := 0
-	flush := func() {
-		for next < len(jobs) && have[next] {
-			emit(next, outs[next])
-			next++
-		}
-	}
-	flush()
-	if len(missing) == 0 {
-		return nil
-	}
-
-	sub := make([]engine.Job, len(missing))
-	for mi, gi := range missing {
-		sub[mi] = jobs[gi]
-	}
-	var putErr error
-	err := r.Next.Run(sub, func(mi int, o Outcome) {
-		gi := missing[mi]
-		if err := r.Store.Put(o); err != nil && putErr == nil {
-			putErr = err
-		}
-		outs[gi], have[gi] = o, true
-		r.computed++
-		flush()
-	})
-	if err != nil {
-		return err
-	}
-	if putErr != nil {
-		return putErr
-	}
-	if next != len(jobs) {
-		return fmt.Errorf("results: resume emitted %d of %d cells", next, len(jobs))
-	}
-	return nil
 }

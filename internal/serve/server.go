@@ -43,12 +43,7 @@ type Event struct {
 // them: cells several figures share count once), an explicit Cells
 // spec the cells as listed. Cells = Computed + Stored + Deduped on a
 // completed stream.
-type DoneStats struct {
-	Cells    int64 `json:"cells"`
-	Computed int64 `json:"computed"`
-	Stored   int64 `json:"stored"`
-	Deduped  int64 `json:"deduped"`
-}
+type DoneStats = results.SessionStats
 
 // Config assembles a Server. Engine and Store are required and shared
 // by every client; Progress feeds the /progress debug surface and the
@@ -60,15 +55,25 @@ type Config struct {
 	MaxInFlight int // concurrent cell executions (<= 0: engine worker count)
 }
 
+// NewScheduler returns the cell pipeline over eng and store with
+// maxInFlight executors (<= 0 selects the engine's worker count). The
+// store is what makes the server a cache rather than a proxy. prog may
+// be nil.
+func NewScheduler(eng *engine.Engine, store *results.Store, prog *obs.Progress, maxInFlight int) *results.Scheduler {
+	if maxInFlight <= 0 {
+		maxInFlight = eng.Workers()
+	}
+	return results.NewScheduler(results.Local{Eng: eng}, store, prog, maxInFlight)
+}
+
 // Server is the sweep server's HTTP surface: POST /sweep (streamed
 // sweeps) and GET /cell/{key} (the shared cache, content-addressed).
 // Mount it on an obshttp.Server's mux so /progress, /healthz and pprof
 // share the listener, and wire Drain/Wait/Health into the host's
 // signal handling for graceful shutdown.
 type Server struct {
-	sched *Scheduler
+	sched *results.Scheduler
 	store *results.Store
-	prog  *obs.Progress
 }
 
 // New returns a serving Server over cfg.
@@ -76,7 +81,6 @@ func New(cfg Config) *Server {
 	return &Server{
 		sched: NewScheduler(cfg.Engine, cfg.Store, cfg.Progress, cfg.MaxInFlight),
 		store: cfg.Store,
-		prog:  cfg.Progress,
 	}
 }
 
@@ -146,14 +150,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	ew := newEventWriter(w)
-	backend := results.Observed{Next: sess, Obs: s.prog}
 
 	var runErr error
 	if len(figs) > 0 {
-		runErr = experiments.Sweep(backend, figs, dataWriter{ew})
+		runErr = experiments.Sweep(sess, figs, dataWriter{ew})
 	}
 	if runErr == nil && len(jobs) > 0 {
-		runErr = backend.Run(jobs, func(i int, o results.Outcome) {
+		runErr = sess.Run(jobs, func(i int, o results.Outcome) {
 			line, err := results.Encode(o)
 			if err != nil {
 				ew.fail(err)

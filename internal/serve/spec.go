@@ -2,20 +2,19 @@
 // counterpart of the batch cgsweep pipeline. Clients POST a sweep Spec
 // and rows stream back as NDJSON events the moment cells complete —
 // in the same index order, and byte for byte the same rendered bytes,
-// as a local batch run of the same figures. One shared engine and one
-// shared content-addressed store sit behind every client:
+// as a local batch run of the same figures. Every client is a session
+// of one results.Scheduler — the cell pipeline batch cgsweep runs on —
+// over one shared engine and one shared content-addressed store:
 //
 //   - the store is the shared cache (a cell any client ever computed is
 //     a disk hit for every later client, and its key doubles as an
 //     HTTP ETag on GET /cell/{key});
-//   - an in-flight table (results.Flight) dedups cells that are
-//     *currently* being computed, so two concurrent clients asking for
-//     overlapping grids execute each overlapping cell exactly once
-//     while both streams receive it;
-//   - admission is a max-in-flight executor cap;
-//   - a per-session round-robin scheduler provides fairness: one huge
-//     sweep cannot starve small ones, because executors take the next
-//     cell from each client's queue in turn.
+//   - the scheduler's in-flight dedup makes two concurrent clients
+//     asking for overlapping grids execute each overlapping cell
+//     exactly once while both streams receive it;
+//   - admission is the -max-inflight executor count, and executors take
+//     the next cell from each client's queue in turn, so one huge sweep
+//     cannot starve small ones.
 //
 // Determinism survives the sharing: a cell's outcome is a pure function
 // of its key, emission per client is index-ordered (the results.Backend

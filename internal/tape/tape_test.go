@@ -223,29 +223,6 @@ func TestReplayerReuse(t *testing.T) {
 	}
 }
 
-// TestRegisterTape runs a replayed spec through the workload registry
-// surface the engine uses.
-func TestRegisterTape(t *testing.T) {
-	tp := recordTape(t, "compress", 1, "none", 1<<24)
-	name := "compress-taped"
-	if _, err := workload.ByName(name); err == nil {
-		t.Skip("replayed spec already registered by another test")
-	}
-	workload.RegisterTape(name, tp)
-	spec, err := workload.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk, _ := collectors.Parse("cg")
-	rt := vm.New(heap.New(spec.HeapBytes(1)), mk())
-	spec.Run(rt, 1)
-	driven := runCell(t, "compress", 1, "cg", 0, spec.HeapBytes(1), nil)
-	if rt.Instr() != driven.instr || rt.Heap.Stats() != driven.stats {
-		t.Fatalf("registered replay differs from driven run: instr %d vs %d",
-			rt.Instr(), driven.instr)
-	}
-}
-
 func BenchmarkReplay(b *testing.B) {
 	for _, wl := range []string{"compress", "jack", "db"} {
 		spec, err := workload.ByName(wl)
