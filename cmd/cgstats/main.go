@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	cgstats [-size N] [-collector spec] [-noopt] [-bench name] [-workers N] [-arena-stats]
+//	cgstats [-size N] [-collector spec] [-bench name] [-workers N] [-arena-stats]
 //	cgstats -pauses -gc-every 100000      # pause-time distributions under forced MSA cycles
 //
 // -pauses appends a per-benchmark pause-time table — cycle counts,
@@ -24,6 +24,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -35,6 +36,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/results"
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/workload"
@@ -45,7 +47,6 @@ func main() {
 	collector := flag.String("collector", "cg",
 		fmt.Sprintf("collector spec; must resolve to the contaminated collector (bases: %s)",
 			strings.Join(collectors.Names(), ", ")))
-	noopt := flag.Bool("noopt", false, "disable the §3.4 static optimization (alias for -collector cg+noopt)")
 	bench := flag.String("bench", "", "run a single benchmark (default: all)")
 	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
 	arenaStats := flag.Bool("arena-stats", false,
@@ -57,9 +58,6 @@ func main() {
 	flag.Parse()
 
 	spec := *collector
-	if *noopt {
-		spec += "+noopt"
-	}
 	probe, err := collectors.New(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cgstats:", err)
@@ -89,11 +87,18 @@ func main() {
 	for i, s := range specs {
 		jobs[i] = engine.Job{Workload: s.Name, Size: *size, Collector: spec, GCEvery: *gcEvery}
 	}
-	// RunDemographics releases each shard's runtime as soon as its
-	// counters are extracted; a size-100 sweep would otherwise keep
-	// every shard's live set in memory until render.
-	cells, err := experiments.RunDemographics(engine.New(*workers), jobs)
-	if err != nil {
+	// The cell pipeline extracts each shard's counters as its cell
+	// completes and recycles the runtime; a size-100 sweep would
+	// otherwise keep every shard's live set in memory until render.
+	cells := make([]experiments.Cell, len(jobs))
+	var failed error
+	err = results.Local{Eng: engine.New(*workers)}.Run(jobs, func(i int, o results.Outcome) {
+		var err error
+		if cells[i], err = experiments.CellFromOutcome(o); failed == nil {
+			failed = err
+		}
+	})
+	if err := cmp.Or(err, failed); err != nil {
 		fmt.Fprintln(os.Stderr, "cgstats:", err)
 		os.Exit(1)
 	}

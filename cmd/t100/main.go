@@ -98,7 +98,7 @@ func main() {
 	}
 	t := table.New(fmt.Sprintf("Head-to-head, size %d (%d repeat(s) per cell, %d worker(s))",
 		*size, *repeats, eng.Workers()), headers...)
-	perCol := make([]stats.Summary, len(cols))
+	sums := make([]float64, len(cols)) // per collector, for the mean row
 	for i, s := range specs {
 		row := []any{s.Name}
 		var first, last float64
@@ -107,7 +107,7 @@ func main() {
 			if c.err != nil {
 				fatal(fmt.Errorf("%s under %s: %w", s.Name, cols[j], c.err))
 			}
-			perCol[j] = perCol[j].Merge(stats.Summarize([]float64{c.secs}))
+			sums[j] += c.secs
 			row = append(row, fmt.Sprintf("%.3f", c.secs), c.gc)
 			if j == 0 {
 				first = c.secs
@@ -121,11 +121,11 @@ func main() {
 	}
 	if len(specs) > 1 {
 		row := []any{"mean"}
-		for j := range cols {
-			row = append(row, fmt.Sprintf("%.3f", perCol[j].Mean), "")
+		for _, sum := range sums {
+			row = append(row, fmt.Sprintf("%.3f", sum/float64(len(specs))), "")
 		}
 		if len(cols) > 1 {
-			row = append(row, fmt.Sprintf("%.2f", stats.Speedup(perCol[len(cols)-1].Mean, perCol[0].Mean)))
+			row = append(row, fmt.Sprintf("%.2f", stats.Speedup(sums[len(cols)-1], sums[0])))
 		}
 		t.Rowf(row...)
 	}

@@ -1,24 +1,29 @@
 // Package experiments regenerates every table and figure of the thesis's
-// evaluation (Chapter 4 and Appendix A). Each Fig* function describes
-// the relevant (workload × size × collector) cells as engine jobs,
-// submits them to the caller's sharded execution engine, and renders
-// the same rows the paper reports from the merged results.
+// evaluation (Chapter 4 and Appendix A). Figures is the one list of them,
+// in the thesis's order; Render renders any list of them on the caller's
+// sharded execution engine, running each distinct demographic cell and
+// each distinct timing matrix once however many figures read it. Sweep
+// streams the demographic figures over any results.Backend.
 //
 // Determinism: every demographics cell runs on an isolated vm.Runtime
-// shard with a deterministic workload RNG, and results land in
-// submission-order slots, so the rendered tables are byte-identical
+// shard with a deterministic workload RNG, and the pipeline delivers
+// cells in submission order, so the rendered tables are byte-identical
 // for any worker count (see TestEngineDeterminism). Only the wall-clock
 // figures (4.7, 4.8, 4.10, 4.12, A.5–A.7) vary run to run, as they did
 // on the thesis's hardware.
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/heap"
 	"repro/internal/obs"
+	"repro/internal/results"
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/workload"
@@ -36,90 +41,177 @@ type Cell struct {
 	Obs  obs.CycleStats
 }
 
-// RunDemographics executes demographics jobs on the engine and returns
-// one Cell per job in submission order. Shards are released as their
-// cells complete (a size-100 shard holds millions of live objects;
-// retaining the whole matrix until render would multiply peak memory by
-// the job count). Every job must resolve to a contaminated-collector
-// variant. cmd/cgstats shares this path with the Fig* regenerators.
-func RunDemographics(eng *engine.Engine, jobs []engine.Job) ([]Cell, error) {
-	cells := make([]Cell, len(jobs))
-	errs := make([]error, len(jobs))
-	eng.RunEach(jobs, func(i int, r engine.Result) {
-		if r.Err != nil {
-			errs[i] = r.Err
-			return
+// Figure is one id of the thesis's evaluation. It is one of three kinds:
+// a demographic figure (its cells and rows are a SweepFig), a wall-clock
+// figure (it reads timing matrices), or a worked example or Fig 4.13
+// (a body with its own control flow).
+type Figure struct {
+	ID string
+
+	demo     *SweepFig
+	reads    []matrix
+	tabulate func(got []series) *table.Table // renders a wall-clock figure from its reads, in order
+	body     func(eng *engine.Engine) (string, error)
+}
+
+// Timing reports whether the figure prints wall-clock time: its bytes
+// vary run to run (cgbench -skip-timing leaves it out).
+func (f Figure) Timing() bool { return len(f.reads) > 0 }
+
+// Large reports whether the figure has size-100 cells (cgbench
+// -skip-large leaves it out).
+func (f Figure) Large() bool {
+	if f.demo != nil {
+		return slices.ContainsFunc(f.demo.Jobs, func(j engine.Job) bool { return j.Size == 100 })
+	}
+	return slices.ContainsFunc(f.reads, func(m matrix) bool { return m.size == 100 })
+}
+
+// figures is the one list of every id cgbench prints, in thesis order.
+func figures() []Figure {
+	specs := workload.All()
+	demo := func(f SweepFig) Figure { return Figure{ID: f.ID, demo: &f} }
+	example := func(text func() string) func(*engine.Engine) (string, error) {
+		return func(*engine.Engine) (string, error) { return text(), nil }
+	}
+	return []Figure{
+		{ID: "2.1", body: example(Example21)},
+		{ID: "3.1", body: example(Example31)},
+		demo(fig41Data(specs)),
+		demo(fig42_44Data(specs, 1)),
+		demo(fig42_44Data(specs, 10)),
+		demo(fig42_44Data(specs, 100)),
+		demo(fig45Data(specs)),
+		demo(fig46Data(specs)),
+		fig47_48(specs, 1),
+		fig47_48(specs, 10),
+		demo(fig49Data(specs)),
+		fig410(specs),
+		demo(fig411Data(specs)),
+		fig412(specs),
+		{ID: "4.13", body: func(eng *engine.Engine) (string, error) { return fig413(eng, specs) }},
+		demo(figA1Data(specs)),
+		demo(figA2_4Data(specs, 1)),
+		demo(figA2_4Data(specs, 10)),
+		demo(figA2_4Data(specs, 100)),
+		figA5_7(specs, 1),
+		figA5_7(specs, 10),
+		figA5_7(specs, 100),
+	}
+}
+
+// Figures returns every figure for no arguments, else the named subset
+// in the order named.
+func Figures(ids ...string) ([]Figure, error) {
+	return pick(figures(), ids, func(f Figure) string { return f.ID }, "figure")
+}
+
+// pick returns all for no ids, else the entries of all named by ids, in
+// the order named.
+func pick[T any](all []T, ids []string, id func(T) string, what string) ([]T, error) {
+	if len(ids) == 0 {
+		return all, nil
+	}
+	out := make([]T, 0, len(ids))
+	for _, want := range ids {
+		i := slices.IndexFunc(all, func(f T) bool { return id(f) == want })
+		if i < 0 {
+			have := make([]string, len(all))
+			for j, f := range all {
+				have[j] = id(f)
+			}
+			return nil, fmt.Errorf("experiments: no %s %q (have %s)", what, want, strings.Join(have, ", "))
 		}
-		cg, ok := r.Col.(*core.CG)
-		if !ok {
-			errs[i] = fmt.Errorf("experiments: %q is not the contaminated collector", jobs[i].Collector)
-			return
+		out = append(out, all[i])
+	}
+	return out, nil
+}
+
+// Render renders figs on eng and returns, per figure, its text — a
+// measured-width table, or an example's narrative — or the error that
+// failed it, "sweep <id>: ...". A failed cell or matrix fails only the
+// figures that read it. The demographic figures' distinct cells run
+// first, as one planned batch through results.Local; then each distinct
+// timing matrix, in a batch of its own, so no timing cell shares the
+// host with a demographic one or with another matrix's; then each
+// figure renders, in order.
+func Render(eng *engine.Engine, figs []Figure) ([]string, []error) {
+	return render(results.Local{Eng: eng}, eng, figs)
+}
+
+// render is Render with the demographic cells run on b.
+func render(b results.Backend, eng *engine.Engine, figs []Figure) ([]string, []error) {
+	var demo []SweepFig
+	var ms []matrix
+	for _, f := range figs {
+		if f.demo != nil {
+			demo = append(demo, *f.demo)
 		}
-		cells[i] = Cell{B: cg.Snapshot(), St: cg.Stats(), GC: r.RT.GCCycles(),
-			Info: r.RT.Heap.Arena().Info(), Obs: r.RT.Timeline().Stats()}
+		for _, m := range f.reads {
+			if !slices.Contains(ms, m) {
+				ms = append(ms, m)
+			}
+		}
+	}
+
+	p := planSweep(demo)
+	cells := make([]Cell, len(p.cells))
+	cellErrs := make([]error, len(p.cells))
+	runErr := b.Run(p.cells, func(i int, o results.Outcome) {
+		cells[i], cellErrs[i] = CellFromOutcome(o)
 	})
-	// Fail on the caller's goroutine, not a worker's.
-	for _, err := range errs {
+	got := make([]series, len(ms))
+	for k, m := range ms {
+		got[k] = timeMatrix(eng, workload.All(), m)
+	}
+
+	texts := make([]string, len(figs))
+	errs := make([]error, len(figs))
+	d := 0
+	for i, f := range figs {
+		var err error
+		switch {
+		case f.demo != nil:
+			if err = runErr; err == nil {
+				texts[i], err = demoTable(*f.demo, p.slots[d], cells, cellErrs)
+			}
+			d++
+		case f.Timing():
+			reads := make([]series, len(f.reads))
+			for j, m := range f.reads {
+				reads[j] = got[slices.Index(ms, m)]
+				err = cmp.Or(err, reads[j].err)
+			}
+			if err == nil {
+				texts[i] = f.tabulate(reads).String()
+			}
+		default:
+			texts[i], err = f.body(eng)
+		}
 		if err != nil {
-			return nil, err
+			errs[i] = fmt.Errorf("sweep %s: %w", f.ID, err)
 		}
 	}
-	return cells, nil
+	return texts, errs
 }
 
-// Fig41 reproduces Figure 4.1: per benchmark, objects created and the
-// percentage collectable without and with the §3.4 optimization (size 1).
-func Fig41(eng *engine.Engine) *table.Table {
-	return renderFig(eng, fig41Data(workload.All()))
-}
-
-// Fig42_44 reproduces Figures 4.2 (size 1), 4.3 (size 10) and 4.4
-// (size 100): the static and thread-shared percentages per benchmark.
-func Fig42_44(eng *engine.Engine, size int) *table.Table {
-	return renderFig(eng, fig42_44Data(workload.All(), size))
-}
-
-func figFromSize(size int) int {
-	switch size {
-	case 1:
-		return 2
-	case 10:
-		return 3
-	default:
-		return 4
+// demoTable renders a demographic figure as a measured-width table from
+// the planned cells its jobs map to (slots), failing with the first
+// failed cell it reads.
+func demoTable(f SweepFig, slots []int, cells []Cell, errs []error) (string, error) {
+	t := table.New(f.Title, f.Headers...)
+	row := make([]Cell, 0, f.CellsPerRow)
+	for r := 0; r < f.Rows(); r++ {
+		row = row[:0]
+		for _, slot := range slots[r*f.CellsPerRow : (r+1)*f.CellsPerRow] {
+			if errs[slot] != nil {
+				return "", errs[slot]
+			}
+			row = append(row, cells[slot])
+		}
+		t.Rowf(f.Row(r, row)...)
 	}
-}
-
-// Fig45 reproduces Figure 4.5: the distribution of equilive block sizes
-// at collection time, plus the percentage of objects that were collected
-// exactly (singleton blocks).
-func Fig45(eng *engine.Engine) *table.Table {
-	return renderFig(eng, fig45Data(workload.All()))
-}
-
-// Fig46 reproduces Figure 4.6: the age at death (frame distance from
-// birth to collection) of CG-collected objects.
-func Fig46(eng *engine.Engine) *table.Table {
-	return renderFig(eng, fig46Data(workload.All()))
-}
-
-// Fig49 reproduces Figure 4.9: the large (size 100) runs — objects
-// created, percentage collectable with the optimization, and percentage
-// exactly collectable.
-func Fig49(eng *engine.Engine) *table.Table {
-	return renderFig(eng, fig49Data(workload.All()))
-}
-
-// FigA1 reproduces Figure A.1: of the objects treated as static, the
-// percentage demoted because of sharing among threads.
-func FigA1(eng *engine.Engine) *table.Table {
-	return renderFig(eng, figA1Data(workload.All()))
-}
-
-// FigA2_4 reproduces Figures A.2 (small), A.3 (medium) and A.4 (large):
-// the absolute object breakdown into popped / static / thread.
-func FigA2_4(eng *engine.Engine, size int) *table.Table {
-	return renderFig(eng, figA2_4Data(workload.All(), size))
+	return t.String(), nil
 }
 
 // resetGCEvery is the forced-collection period for the §4.7 resetting
@@ -129,26 +221,18 @@ func FigA2_4(eng *engine.Engine, size int) *table.Table {
 // cycles per run.
 const resetGCEvery = 1200
 
-// Fig411 reproduces Figure 4.11: resetting CG structures during forced
-// traditional collections — objects collected by MSA, objects found less
-// live than CG believed, and the number of GC cycles.
-func Fig411(eng *engine.Engine) *table.Table {
-	return renderFig(eng, fig411Data(workload.All()))
-}
-
-// Fig413 reproduces Figure 4.13: the number of objects recycled (§3.7)
+// fig413 reproduces Figure 4.13: the number of objects recycled (§3.7)
 // versus the total allocated, small runs. Recycling only engages under
 // allocation pressure, so each benchmark shard calibrates its own arena
 // from a probe run and retries with more slack if the budget undershoots
 // the collector's peak holdings — per-benchmark control flow the
 // engine's generic Do distributes across the pool. A benchmark whose
 // probe or last retry fails fails the figure with the first such error,
-// in benchmark order, worded as the timing figures word theirs.
-func Fig413(eng *engine.Engine) (*table.Table, error) {
+// in benchmark order.
+func fig413(eng *engine.Engine, specs []workload.Spec) (string, error) {
 	t := table.New("Fig 4.13: number of objects recycled, small runs",
 		"benchmark", "objects recycled", "percent of total")
-	specs := workload.All()
-	results := make([]core.Stats, len(specs))
+	recycled := make([]core.Stats, len(specs))
 	errs := make([]error, len(specs))
 	eng.Do(len(specs), func(i int) {
 		// Calibrate the arena from a probe run: final live bytes plus
@@ -173,7 +257,7 @@ func Fig413(eng *engine.Engine) (*table.Table, error) {
 			r := engine.Exec(engine.Job{Workload: specs[i].Name, Size: 1,
 				Collector: "cg+recycle", HeapBytes: budget})
 			if r.Err == nil {
-				results[i] = r.Col.(*core.CG).Stats()
+				recycled[i] = r.Col.(*core.CG).Stats()
 				return
 			}
 			lastErr = r.Err
@@ -183,10 +267,10 @@ func Fig413(eng *engine.Engine) (*table.Table, error) {
 	})
 	for i, s := range specs {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("sweep 4.13: %w", errs[i])
+			return "", errs[i]
 		}
-		st := results[i]
+		st := recycled[i]
 		t.Rowf(s.Name, st.Reused, stats.Pct(st.Reused, st.Created))
 	}
-	return t, nil
+	return t.String(), nil
 }

@@ -1,18 +1,101 @@
 package experiments
 
 import (
+	"errors"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/workload"
+	"repro/internal/obs"
+	"repro/internal/results"
 )
 
-// testEng saturates the host: every figure regenerates through the
-// sharded engine exactly as cgbench does by default.
-var testEng = engine.New(0)
+// testEng is the engine cgbench renders on: every worker the host has,
+// the tape cache off.
+var testEng = engine.New(0).SetTapeCache(false)
 
-// parse pulls the data rows out of a rendered table (skips title,
+// rendering is one Render call's figures and results.
+type rendering struct {
+	figs  []Figure
+	texts []string
+	errs  []error
+}
+
+// everyFigure renders every figure once per test binary, at its real
+// sizes, as cgbench with no flags does — but for the size-100 and the
+// wall-clock ones under -short.
+var everyFigure = sync.OnceValue(func() rendering {
+	figs, _ := Figures()
+	figs = slices.DeleteFunc(figs, func(f Figure) bool {
+		return testing.Short() && (f.Large() || f.Timing())
+	})
+	texts, errs := Render(testEng, figs)
+	return rendering{figs, texts, errs}
+})
+
+// rendered is figure id's text from everyFigure.
+func rendered(t *testing.T, id string) string {
+	t.Helper()
+	r := everyFigure()
+	i := slices.IndexFunc(r.figs, func(f Figure) bool { return f.ID == id })
+	if i < 0 {
+		t.Fatalf("Fig %s was not rendered", id)
+	}
+	if r.errs[i] != nil {
+		t.Fatal(r.errs[i])
+	}
+	return r.texts[i]
+}
+
+// skipTiming skips a test of the wall-clock figures under -short.
+func skipTiming(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("wall-clock figures in -short mode")
+	}
+}
+
+// countingLocal is results.Local counting the batches and cells it is
+// handed and the cells it computes.
+type countingLocal struct {
+	results.Local
+	batches, submitted int
+	computed           atomic.Int64
+}
+
+func (c *countingLocal) Exec(slot int, job engine.Job) results.Outcome {
+	c.computed.Add(1)
+	return c.Local.Exec(slot, job)
+}
+
+func (c *countingLocal) Run(jobs []engine.Job, emit func(int, results.Outcome)) error {
+	c.batches++
+	c.submitted += len(jobs)
+	return results.RunOnce(c, nil, c.Eng.Workers(), jobs, emit)
+}
+
+// renderAll renders the named figures on eng, failing t on any error.
+func renderAll(t *testing.T, eng *engine.Engine, ids ...string) []string {
+	t.Helper()
+	figs, err := Figures(ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts, errs := Render(eng, figs)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("Fig %s: %v", figs[i].ID, err)
+		}
+	}
+	return texts
+}
+
+// rows pulls the data rows out of a rendered table (skips title,
 // header, rule and notes).
 func rows(s string) [][]string {
 	var out [][]string
@@ -25,8 +108,141 @@ func rows(s string) [][]string {
 	return out
 }
 
+// jessExhausted reports whether err is how Fig id fails today: jess at
+// size 100 exhausts its tight heap under msa (ROADMAP open item 0: the
+// slab arena refuses an allocation at ~42 % occupancy), and the error
+// says what was refused and how full the arena was, with no stack trace.
+func jessExhausted(id string, err error) bool {
+	msg := err.Error()
+	for _, want := range []string{"sweep " + id + ": ", "jess/100 under msa",
+		"vm: heap exhausted after full collection: refused ", "% occupancy (alloc "} {
+		if !strings.Contains(msg, want) {
+			return false
+		}
+	}
+	return !strings.Contains(msg, "goroutine ")
+}
+
+// TestEveryFigureRenders renders every id cgbench prints, in thesis
+// order, at its real sizes (everyFigure says which it leaves out under
+// -short). Each must render, except that 4.10 and A.7 — the
+// two that read jess at size 100 under msa — may fail with that cell's
+// heap exhaustion and nothing else: a failed matrix fails only the
+// figures that read it.
+func TestEveryFigureRenders(t *testing.T) {
+	want := []string{"2.1", "3.1", "4.1", "4.2", "4.3", "4.4", "4.5", "4.6", "4.7", "4.8", "4.9",
+		"4.10", "4.11", "4.12", "4.13", "A.1", "A.2", "A.3", "A.4", "A.5", "A.6", "A.7"}
+	all, err := Figures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, f := range all {
+		ids = append(ids, f.ID)
+	}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("figure list %v, want %v", ids, want)
+	}
+	r := everyFigure()
+	if !testing.Short() && len(r.figs) != len(all) {
+		t.Fatalf("rendered %d figures, want all %d", len(r.figs), len(all))
+	}
+	for i, f := range r.figs {
+		switch err := r.errs[i]; {
+		case err == nil:
+			if !strings.HasPrefix(r.texts[i], "Fig "+f.ID) {
+				t.Errorf("Fig %s rendered\n%s", f.ID, r.texts[i])
+			}
+		case (f.ID == "4.10" || f.ID == "A.7") && jessExhausted(f.ID, err):
+			t.Logf("%v (ROADMAP item 0)", err)
+		default:
+			t.Errorf("Fig %s: %v", f.ID, err)
+		}
+	}
+}
+
+// TestDemographicFiguresComputeEachCellOnce: the 12 demographic figures'
+// 104 cells are 40 distinct ones, and rendering them computes those 40
+// once each, in one pass of the cell pipeline.
+func TestDemographicFiguresComputeEachCellOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the demographic figures have size-100 cells")
+	}
+	demo, err := DemographicFigs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, f := range demo {
+		ids = append(ids, f.ID)
+	}
+	figs, err := Figures(ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &countingLocal{Local: results.Local{Eng: engine.New(2).SetTapeCache(false)}}
+	_, errs := render(b, b.Eng, figs)
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if n := b.computed.Load(); len(ids) != 12 || b.batches != 1 || b.submitted != 40 || n != 40 {
+		t.Errorf("%d demographic figures: %d batches, %d cells submitted, %d computed; want 12 figures, 1 batch, 40 and 40",
+			len(ids), b.batches, b.submitted, n)
+	}
+}
+
+// TestTimingMatricesRunOnce: 4.7, 4.8, 4.12, A.5 and A.6 read three
+// distinct matrices — cg/msa at sizes 1 and 10, cg/cg+recycle at size
+// 1 — so rendering them runs 3 × 8 benchmarks × 5 repeats × 2 systems =
+// 240 timing jobs, not a matrix per figure (400).
+func TestTimingMatricesRunOnce(t *testing.T) {
+	skipTiming(t)
+	prog := &obs.Progress{}
+	renderAll(t, engine.New(2).SetTapeCache(false).SetProgress(prog), "4.7", "4.8", "4.12", "A.5", "A.6")
+	jobs := int64(0)
+	for _, w := range prog.Snapshot().Workers {
+		jobs += w.Done
+	}
+	if jobs != 240 {
+		t.Errorf("rendering 4.7, 4.8, 4.12, A.5 and A.6 ran %d timing jobs, want 240", jobs)
+	}
+}
+
+// TestMeansAreOfTheRawRuns: Figs 4.7 and 4.8 print the means of the very
+// runs A.5 and A.6 list, so each CG and base cell equals the mean of its
+// benchmark's raw rows to within the two roundings to 0.0001 s.
+func TestMeansAreOfTheRawRuns(t *testing.T) {
+	skipTiming(t)
+	for _, c := range []struct{ means, raw string }{{"4.7", "A.5"}, {"4.8", "A.6"}} {
+		sums := map[string][2]float64{}
+		for _, r := range rows(rendered(t, c.raw)) {
+			s := sums[r[0]]
+			s[0] += seconds(t, r[1]) / Repeats
+			s[1] += seconds(t, r[2]) / Repeats
+			sums[r[0]] = s
+		}
+		for _, r := range rows(rendered(t, c.means)) {
+			for col, name := range []string{"CG", "base"} {
+				if got, want := seconds(t, r[1+col]), sums[r[0]][col]; math.Abs(got-want) > 0.0001+1e-9 {
+					t.Errorf("Fig %s %s/%s = %.4f s, but the mean of its Fig %s runs is %.5f s",
+						c.means, r[0], name, got, c.raw, want)
+				}
+			}
+		}
+	}
+}
+
+func seconds(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestFig41Shape(t *testing.T) {
-	tb := Fig41(testEng).String()
+	tb := rendered(t, "4.1")
 	rs := rows(tb)
 	if len(rs) != 8 {
 		t.Fatalf("Fig 4.1 must have 8 rows, got %d:\n%s", len(rs), tb)
@@ -62,7 +278,7 @@ func sscanPct(s string, v *int) (int, error) {
 }
 
 func TestFig42HasJavacThreadShare(t *testing.T) {
-	tb := Fig42_44(testEng, 1).String()
+	tb := rendered(t, "4.2")
 	for _, r := range rows(tb) {
 		if r[0] == "javac" {
 			var share int
@@ -77,14 +293,14 @@ func TestFig42HasJavacThreadShare(t *testing.T) {
 }
 
 func TestFig45RowsSumToCollectable(t *testing.T) {
-	tb := Fig45(testEng).String()
+	tb := rendered(t, "4.5")
 	if len(rows(tb)) != 8 {
 		t.Fatalf("Fig 4.5 must have 8 rows:\n%s", tb)
 	}
 }
 
 func TestFig46RaytraceDeepDeaths(t *testing.T) {
-	tb := Fig46(testEng).String()
+	tb := rendered(t, "4.6")
 	for _, r := range rows(tb) {
 		if r[0] == "raytrace" {
 			var over5 int
@@ -102,14 +318,14 @@ func TestFig49LargeRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large runs in -short mode")
 	}
-	tb := Fig49(testEng).String()
+	tb := rendered(t, "4.9")
 	if len(rows(tb)) != 8 {
 		t.Fatalf("Fig 4.9 must have 8 rows:\n%s", tb)
 	}
 }
 
 func TestFig411ResettingRuns(t *testing.T) {
-	tb := Fig411(testEng).String()
+	tb := rendered(t, "4.11")
 	rs := rows(tb)
 	if len(rs) != 8 {
 		t.Fatalf("Fig 4.11 must have 8 rows:\n%s", tb)
@@ -127,11 +343,7 @@ func TestFig411ResettingRuns(t *testing.T) {
 }
 
 func TestFig413RecyclingCountsSomething(t *testing.T) {
-	fig, err := Fig413(testEng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := fig.String()
+	tb := rendered(t, "4.13")
 	rs := rows(tb)
 	if len(rs) != 8 {
 		t.Fatalf("Fig 4.13 must have 8 rows:\n%s", tb)
@@ -148,14 +360,14 @@ func TestFig413RecyclingCountsSomething(t *testing.T) {
 }
 
 func TestFigA1(t *testing.T) {
-	tb := FigA1(testEng).String()
+	tb := rendered(t, "A.1")
 	if len(rows(tb)) != 8 {
 		t.Fatalf("Fig A.1 must have 8 rows:\n%s", tb)
 	}
 }
 
 func TestFigA2Breakdown(t *testing.T) {
-	tb := FigA2_4(testEng, 1).String()
+	tb := rendered(t, "A.2")
 	if len(rows(tb)) != 8 {
 		t.Fatalf("Fig A.2 must have 8 rows:\n%s", tb)
 	}
@@ -190,75 +402,44 @@ func TestExample31Narrative(t *testing.T) {
 }
 
 func TestTimingSmokeTest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing in -short mode")
-	}
-	f47, err := Fig47_48(testEng, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb := f47.String(); len(rows(tb)) != 8 {
+	skipTiming(t)
+	if tb := rendered(t, "4.7"); len(rows(tb)) != 8 {
 		t.Fatalf("Fig 4.7 must have 8 rows:\n%s", tb)
 	}
-	f412, err := Fig412(testEng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb := f412.String(); len(rows(tb)) != 8 {
+	if tb := rendered(t, "4.12"); len(rows(tb)) != 8 {
 		t.Fatalf("Fig 4.12 must have 8 rows:\n%s", tb)
 	}
 }
 
 // TestTimingCellErrorFailsFigure: a cell the tight heap cannot hold fails
-// its figure with one "sweep <id>: ..." error, not a panic. jess at size
-// 100 is that cell today (ROADMAP open item 0: the slab arena refuses an
-// allocation at ~42 % occupancy); the error must say what was refused and
-// how full the arena was.
+// the figures that read its matrix with one "sweep <id>: ..." error each,
+// not a panic. jess at size 100 is that cell today (ROADMAP open item 0:
+// the slab arena refuses an allocation at ~42 % occupancy); the error
+// must say what was refused and how full the arena was.
 func TestTimingCellErrorFailsFigure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("size-100 cells in -short mode")
-	}
-	jess, err := workload.ByName("jess")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("timings panicked instead of returning the cell's error: %v", r)
-		}
-	}()
-	_, _, err = timings(testEng, "A.7", []workload.Spec{jess}, 100, "cg", "msa")
+	skipTiming(t)
+	r := everyFigure()
+	i := slices.IndexFunc(r.figs, func(f Figure) bool { return f.ID == "A.7" })
+	err := r.errs[i]
 	if err == nil {
 		t.Skip("jess/100 completes under msa at its tight heap: item 0 is fixed, nothing fails here any more")
 	}
-	for _, want := range []string{"sweep A.7: ", "jess/100 under msa", "vm: heap exhausted after full collection: refused ", "% occupancy (alloc "} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q lacks %q", err, want)
-		}
-	}
-	if strings.Contains(err.Error(), "goroutine ") {
-		t.Errorf("error carries a stack trace: %q", err)
+	if !jessExhausted("A.7", err) {
+		t.Errorf("Fig A.7 failed with %q, want jess/100's heap exhaustion, with no stack trace", err)
 	}
 }
 
 // TestEngineDeterminism is the merge soundness check: a multi-worker
 // regeneration of the demographics figures must render byte-identical
-// tables to a -workers 1 run — results land in submission-order slots,
-// so completion order must not be observable.
+// tables to a -workers 1 run — the pipeline delivers cells in
+// submission order, so completion order must not be observable.
 func TestEngineDeterminism(t *testing.T) {
-	seq := engine.New(1)
-	par := engine.New(8)
-	for _, c := range []struct {
-		fig string
-		gen func(*engine.Engine) string
-	}{
-		{"4.1", func(e *engine.Engine) string { return Fig41(e).String() }},
-		{"4.5", func(e *engine.Engine) string { return Fig45(e).String() }},
-		{"4.11", func(e *engine.Engine) string { return Fig411(e).String() }},
-	} {
-		a, b := c.gen(seq), c.gen(par)
-		if a != b {
-			t.Fatalf("Fig %s diverges between 1 and 8 workers:\n--- workers=1\n%s\n--- workers=8\n%s", c.fig, a, b)
+	ids := []string{"4.1", "4.5", "4.11"}
+	seq := renderAll(t, engine.New(1), ids...)
+	par := renderAll(t, engine.New(8), ids...)
+	for i, id := range ids {
+		if seq[i] != par[i] {
+			t.Fatalf("Fig %s diverges between 1 and 8 workers:\n--- workers=1\n%s\n--- workers=8\n%s", id, seq[i], par[i])
 		}
 	}
 }
@@ -269,8 +450,8 @@ func TestEngineDeterminism(t *testing.T) {
 // figure-level form of the pooled-shard determinism contract.
 func TestPooledFigureIdentity(t *testing.T) {
 	eng := engine.New(4)
-	first := Fig41(eng).String() + Fig45(eng).String()
-	second := Fig41(eng).String() + Fig45(eng).String()
+	first := strings.Join(renderAll(t, eng, "4.1", "4.5"), "")
+	second := strings.Join(renderAll(t, eng, "4.1", "4.5"), "")
 	if first != second {
 		t.Fatalf("pooled re-render differs:\n%s\nvs\n%s", second, first)
 	}

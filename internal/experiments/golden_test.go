@@ -35,17 +35,14 @@ func golden(t *testing.T, name string) string {
 // to the seed capture. The trailing newline matches cgbench's
 // per-figure println.
 func TestFigGoldenBytes(t *testing.T) {
-	eng := engine.New(4)
-	for _, c := range []struct {
-		fig, file string
-		render    func(*engine.Engine) string
-	}{
-		{"4.1", "fig41.golden", func(e *engine.Engine) string { return Fig41(e).String() }},
-		{"4.5", "fig45.golden", func(e *engine.Engine) string { return Fig45(e).String() }},
-		{"4.11", "fig411.golden", func(e *engine.Engine) string { return Fig411(e).String() }},
+	texts := renderAll(t, engine.New(4), "4.1", "4.5", "4.11")
+	for i, c := range []struct{ fig, file string }{
+		{"4.1", "fig41.golden"},
+		{"4.5", "fig45.golden"},
+		{"4.11", "fig411.golden"},
 	} {
 		want := golden(t, c.file)
-		if got := c.render(eng) + "\n"; got != want {
+		if got := texts[i] + "\n"; got != want {
 			t.Errorf("Fig %s diverged from the seed capture:\n--- got\n%s--- want\n%s", c.fig, got, want)
 		}
 	}

@@ -7,20 +7,19 @@ import (
 	"repro/internal/engine"
 	"repro/internal/results"
 	"repro/internal/stats"
-	"repro/internal/table"
 	"repro/internal/workload"
 )
 
 // SweepFig describes one cell-based (demographics) figure as data: the
 // jobs of its matrix slice, grouped CellsPerRow cells per table row,
 // and the pure function mapping a row's cells to its rendered values.
-// One description drives both execution paths — the batch Fig*
-// functions (cgbench: measure-then-render tables) and Sweep (cgsweep:
-// streamed rows over any results.Backend) — so the figure's semantics
-// cannot drift between the in-process and distributed pipelines.
-// Wall-clock figures are not SweepFigs: their cells are re-run
-// repeatedly with per-benchmark control flow, which is exactly what a
-// serialisable cell is not.
+// One description drives both renderings — Render (cgbench: measure-
+// then-render tables) and Sweep (cgsweep: streamed rows over any
+// results.Backend) — and both plan the same batch of distinct cells, so
+// the figure's semantics cannot drift between them. Wall-clock figures
+// are not SweepFigs: a timing cell is re-run Repeats times beside its
+// rival and reports wall time, which is exactly what a stored cell is
+// not.
 type SweepFig struct {
 	ID          string
 	Title       string
@@ -37,52 +36,17 @@ func (f SweepFig) Rows() int { return len(f.Jobs) / f.CellsPerRow }
 // arguments, else the named subset — in the thesis's presentation
 // order.
 func DemographicFigs(ids ...string) ([]SweepFig, error) {
-	specs := workload.All()
-	all := []SweepFig{
-		fig41Data(specs),
-		fig42_44Data(specs, 1),
-		fig42_44Data(specs, 10),
-		fig42_44Data(specs, 100),
-		fig45Data(specs),
-		fig46Data(specs),
-		fig49Data(specs),
-		fig411Data(specs),
-		figA1Data(specs),
-		figA2_4Data(specs, 1),
-		figA2_4Data(specs, 10),
-		figA2_4Data(specs, 100),
-	}
-	if len(ids) == 0 {
-		return all, nil
-	}
-	byID := make(map[string]SweepFig, len(all))
-	for _, f := range all {
-		byID[f.ID] = f
-	}
-	out := make([]SweepFig, 0, len(ids))
-	for _, id := range ids {
-		f, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("experiments: no sweepable figure %q (have %s)", id, figIDs(all))
+	var all []SweepFig
+	for _, f := range figures() {
+		if f.demo != nil {
+			all = append(all, *f.demo)
 		}
-		out = append(out, f)
 	}
-	return out, nil
-}
-
-func figIDs(figs []SweepFig) string {
-	s := ""
-	for i, f := range figs {
-		if i > 0 {
-			s += ", "
-		}
-		s += f.ID
-	}
-	return s
+	return pick(all, ids, func(f SweepFig) string { return f.ID }, "sweepable figure")
 }
 
 // CellFromOutcome converts a serialised cell back to the demographics
-// extract the figure renderers consume.
+// extract the figure renderers and cgstats consume.
 func CellFromOutcome(o results.Outcome) (Cell, error) {
 	if err := o.Failed(); err != nil {
 		return Cell{}, err
@@ -91,6 +55,9 @@ func CellFromOutcome(o results.Outcome) (Cell, error) {
 		return Cell{}, fmt.Errorf("experiments: %q is not the contaminated collector", o.Job.Collector)
 	}
 	c := Cell{B: o.Payload.CG.Breakdown, St: o.Payload.CG.Stats, GC: o.GCCycles}
+	if o.Arena != nil {
+		c.Info = *o.Arena
+	}
 	if o.Obs != nil {
 		c.Obs = *o.Obs
 	}
@@ -257,22 +224,6 @@ func SweepProgress(b results.Backend, figs []SweepFig, w io.Writer, report func(
 	return nil
 }
 
-// renderFig is the batch path behind the Fig* functions: run the
-// figure's cells on eng, then render the classic measured-width table.
-// The figure matrix has no legitimate failure mode, so an error is a
-// harness bug and panics (as the Fig* API always has).
-func renderFig(eng *engine.Engine, f SweepFig) *table.Table {
-	cells, err := RunDemographics(eng, f.Jobs)
-	if err != nil {
-		panic(err)
-	}
-	t := table.New(f.Title, f.Headers...)
-	for row := 0; row < f.Rows(); row++ {
-		t.Rowf(f.Row(row, cells[row*f.CellsPerRow:(row+1)*f.CellsPerRow])...)
-	}
-	return t
-}
-
 // perBenchmark builds the one-plenty-of-storage-cell-per-benchmark job
 // list shared by most demographics figures.
 func perBenchmark(specs []workload.Spec, size int, collector string, gcEvery uint64) []engine.Job {
@@ -304,6 +255,18 @@ func fig41Data(specs []workload.Spec) SweepFig {
 			return []any{s.Name, s.Desc, bw.Created,
 				stats.Pct(bn.Popped, bn.Created), stats.Pct(bw.Popped, bw.Created)}
 		},
+	}
+}
+
+// figFromSize numbers a size's figure in the 4.2–4.4 and A.2–A.4 runs.
+func figFromSize(size int) int {
+	switch size {
+	case 1:
+		return 2
+	case 10:
+		return 3
+	default:
+		return 4
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the small numeric helpers the experiment
-// harness shares: summary statistics over repeated timing runs and the
-// histogram bucket labelling used by Figures 4.5 and 4.6.
+// harness shares: summary statistics over repeated timing runs, speedups
+// and percentages.
 package stats
 
 import (
@@ -48,37 +48,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Merge combines two summaries as if Summarize had seen both sample
-// sets at once (pooled mean and variance, Chan et al.'s parallel
-// update), so per-shard summaries aggregate without revisiting the raw
-// measurements. Merging is exact for N, Mean, Min and Max and
-// numerically stable for Std.
-func (s Summary) Merge(o Summary) Summary {
-	if s.N == 0 {
-		return o
-	}
-	if o.N == 0 {
-		return s
-	}
-	n1, n2 := float64(s.N), float64(o.N)
-	out := Summary{N: s.N + o.N, Min: s.Min, Max: s.Max}
-	if o.Min < out.Min {
-		out.Min = o.Min
-	}
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	delta := o.Mean - s.Mean
-	out.Mean = (n1*s.Mean + n2*o.Mean) / (n1 + n2)
-	// Reassemble the centered sums of squares; single-sample summaries
-	// carry Std 0, which is exactly their contribution.
-	m2 := s.Std*s.Std*(n1-1) + o.Std*o.Std*(n2-1) + delta*delta*n1*n2/(n1+n2)
-	if out.N > 1 {
-		out.Std = math.Sqrt(m2 / float64(out.N-1))
-	}
-	return out
-}
-
 // SummarizeDurations is Summarize over time.Durations, in seconds.
 func SummarizeDurations(ds []time.Duration) Summary {
 	xs := make([]float64, len(ds))
@@ -113,10 +82,3 @@ func PctF(part, whole uint64) float64 {
 	}
 	return 100 * float64(part) / float64(whole)
 }
-
-// BlockSizeLabels are the Fig 4.5 histogram buckets.
-var BlockSizeLabels = [7]string{"1", "2", "3", "4", "5", "6-10", ">10"}
-
-// AgeLabels are the Fig 4.6 histogram buckets (frame distance from birth
-// to death).
-var AgeLabels = [7]string{"0", "1", "2", "3", "4", "5", ">5"}

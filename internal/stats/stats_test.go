@@ -77,36 +77,3 @@ func TestPct(t *testing.T) {
 		t.Fatalf("PctF = %v", got)
 	}
 }
-
-func TestSummaryMergeMatchesPooledSummarize(t *testing.T) {
-	a := []float64{1.5, 2.25, 9, 4}
-	b := []float64{0.5, 7, 3}
-	all := append(append([]float64{}, a...), b...)
-	want := Summarize(all)
-	got := Summarize(a).Merge(Summarize(b))
-	if got.N != want.N || got.Min != want.Min || got.Max != want.Max {
-		t.Fatalf("Merge = %+v, want %+v", got, want)
-	}
-	if math.Abs(got.Mean-want.Mean) > 1e-12 || math.Abs(got.Std-want.Std) > 1e-12 {
-		t.Fatalf("Merge mean/std = %v/%v, want %v/%v", got.Mean, got.Std, want.Mean, want.Std)
-	}
-	// Commutative, and the zero Summary is the identity.
-	rev := Summarize(b).Merge(Summarize(a))
-	if math.Abs(rev.Std-got.Std) > 1e-12 || rev.N != got.N {
-		t.Fatal("Merge must be commutative")
-	}
-	if got := want.Merge(Summary{}); got != want {
-		t.Fatal("zero Summary must be the Merge identity")
-	}
-	if got := (Summary{}).Merge(want); got != want {
-		t.Fatal("zero Summary must be the Merge identity on the left")
-	}
-}
-
-func TestSummaryMergeSingletons(t *testing.T) {
-	want := Summarize([]float64{2, 8})
-	got := Summarize([]float64{2}).Merge(Summarize([]float64{8}))
-	if math.Abs(got.Std-want.Std) > 1e-12 || got.Mean != want.Mean {
-		t.Fatalf("singleton Merge = %+v, want %+v", got, want)
-	}
-}

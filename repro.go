@@ -16,7 +16,7 @@
 //   - internal/workload — SPECjvm98 benchmark analogs (a registry)
 //   - internal/collectors — the collector registry (name → factory)
 //   - internal/engine — the sharded execution engine (worker pool)
-//   - internal/experiments — regenerators for every table/figure
+//   - internal/experiments — the one list of the thesis's figures, and their renderer
 //   - internal/results — serialisable cell outcomes and the content-addressed store
 //   - internal/dist — the multi-process sweep (coordinator and cgworker protocol)
 //   - internal/serve — the sweep server behind cgserve and cgsweep -server
