@@ -21,8 +21,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/heap"
@@ -178,32 +180,28 @@ type CG struct {
 	// oldFrames is reset-pass scratch, indexed like meta: each live
 	// object's dependent frame stamped at BeginCycle as registry slot + 1
 	// (0 = no stamp), consumed by Reached/EndCycle. Kept out of objMeta
-	// so demographics runs (no forced collections) never allocate it.
+	// so demographics runs (no forced collections) never write it.
 	oldFrames []int32
 
 	// Recycled storage (§3.7), indexed by the arena's size-class ladder:
 	// extents are align8, so heap.SizeClass maps a freed object's extent
-	// size to its rung exactly, and recycleClasses[class] is a LIFO of
-	// dead objects of that extent size — a freed object's class is known
-	// at pop time, so the insert is a direct index, no search at all.
+	// size to its rung exactly, and recycleClasses[class] lists the dead
+	// objects of that extent size — a freed object's class is known at
+	// pop time, so the insert is a direct index, no search at all.
 	// recycleNonEmpty mirrors which classes hold objects; AllocFallback's
 	// best fit is one NextSet scan over that bitset (O(ladder words),
 	// independent of object count — the seed's sorted-bucket binary
 	// search, and before it the first-fit walk that made cg+recycle
 	// *slower* than cg on allocation storms, both collapse into the
 	// ladder the arena already defines). Extents wider than the ladder
-	// (huge arrays) spill into the sorted bucket list, searched only
-	// after the ladder misses. Drained classes keep their capacity in
-	// place, so steady-state churn costs 0 Go allocations per op; spare
-	// feeds first-touch class creation with recycled scratch slices (see
-	// tables.spare).
-	recycleClasses  [][]heap.HandleID
+	// (huge arrays) spill into the sorted list recycleSpill, searched
+	// only after the ladder misses.
+	recycleClasses  []recycleList
 	recycleNonEmpty heap.Bitset
-	recycleSpill    []sizeClassBucket
-	spare           [][]heap.HandleID
+	recycleSpill    []spillList
 	// byType holds recycled singleton objects (Chapter 6 typed recycling):
-	// a LIFO per ClassID, each entry still heap-live, flushed in id order.
-	byType [][]heap.HandleID
+	// a list per ClassID, flushed in id order.
+	byType []recycleList
 	// tab is the pooled carrier the side tables above were drawn from
 	// at Attach; detach hands them back (see tablePool).
 	tab *tables
@@ -215,47 +213,64 @@ type CG struct {
 	stats Stats
 }
 
+// recycleList is a LIFO of dead objects kept heap-live for reuse
+// (§3.7: "we only update a pointer"), threaded through their own
+// records: once collectSet has read an object's next and link words
+// nothing else reads them, so next runs from each object to the one
+// pushed after it and link back to the one before. head is the oldest,
+// which FlushRecycle frees first; tail the newest, which AllocFallback
+// takes. A list costs two words however many objects it holds.
+type recycleList struct{ head, tail heap.HandleID }
+
+// spillList is the recycle list of one extent size wider than the arena
+// ladder (heap.MaxSmallSize).
+type spillList struct {
+	size int
+	recycleList
+}
+
 // tables is the recyclable allocation footprint of one CG instance:
 // every side table whose construction and growth would otherwise be
 // paid per matrix cell — meta and oldFrames, which follow the handle
 // table, and sets, which follows the live-set count. The engine runs
 // each cell on a fresh collector (shards must not share mutable state),
 // but the *capacity* behind the tables is content-free once truncated —
-// grown regions are re-zeroed by heap.Grow and newSet zeroes each slot
-// it appends — so recycling it through a pool is observably identical
-// to fresh construction (TestPooledFigureIdentity pins this at the
-// figure level). The pool fills only via Events.Detach, i.e. on the
-// engine's Reset path; a dropped runtime donates nothing.
+// grown regions are re-zeroed by heap.Grow, detach clears the records a
+// cell wrote and newSet zeroes each slot it appends — so recycling it
+// through a pool is observably identical to fresh construction
+// (TestPooledFigureIdentity pins this at the figure level). The pool
+// fills only via Events.Detach, i.e. on the engine's Reset path; a
+// dropped runtime donates nothing.
 type tables struct {
 	meta      []objMeta
 	sets      []setMeta
 	oldFrames []int32
 	msa       *msa.Collector
-	// metaMapped is the slot count of the mapping meta lies in, 0 while
-	// meta is a Go slice; unmapMeta releases that mapping when the tables
-	// are dropped (see mapMeta).
-	metaMapped int
-	unmapMeta  runtime.Cleanup
-	// recycleClasses is the ladder-indexed class array (entries nilled
-	// at detach, the array itself reused) and recycleSpill the sorted
-	// overflow list for extents wider than the ladder.
-	recycleClasses  [][]heap.HandleID
+	// maps is the mapping meta, oldFrames and sets were drawn from, at
+	// its full capacity (empty while they are Go slices); unmap releases
+	// it when the tables are dropped (see mapTables).
+	maps  mappedTables
+	unmap runtime.Cleanup
+	// recycleClasses is the ladder-indexed list array (cleared at detach,
+	// the array itself reused) and recycleSpill the sorted overflow list
+	// for extents wider than the ladder.
+	recycleClasses  []recycleList
 	recycleNonEmpty heap.Bitset
-	recycleSpill    []sizeClassBucket
-	// spare holds the recycle classes' scratch slices between cells.
-	// The class entries themselves are nilled at detach — one workload's
-	// population means nothing to the next — and the capacity behind the
-	// drained classes is pooled here *shared across classes* (capped at
-	// maxSpare) instead of staying pinned per class at each class's own
-	// high-water mark.
-	spare [][]heap.HandleID
+	recycleSpill    []spillList
 }
 
-// maxSpare bounds the recycle-scratch slices a pooled table retains: a
-// long sweep's worst cell stops dictating every later cell's idle
-// footprint, while typical cells (a handful of size classes) still
-// recycle every slice they need.
-const maxSpare = 32
+// mappedTables holds what mapTables drew from heap.Mapped.
+type mappedTables struct {
+	meta      []objMeta
+	oldFrames []int32
+	sets      []setMeta
+}
+
+func (m mappedTables) release() {
+	heap.Unmap(m.meta)
+	heap.Unmap(m.oldFrames)
+	heap.Unmap(m.sets)
+}
 
 var tablePool = sync.Pool{New: func() any { return new(tables) }}
 
@@ -325,8 +340,8 @@ func (c *CG) Attach(rt *vm.Runtime) {
 		t.msa.Reattach(rt)
 	}
 	c.msa = t.msa
-	if bound := c.heap.HandleBound(); t.metaMapped < bound {
-		t.mapMeta(bound)
+	if bound := c.heap.HandleBound(); cap(t.maps.meta) < bound {
+		t.mapTables(bound)
 	}
 	c.meta = t.meta[:0]
 	c.sets = append(t.sets[:0], setMeta{}) // slot 0, never used
@@ -334,13 +349,12 @@ func (c *CG) Attach(rt *vm.Runtime) {
 	c.oldFrames = t.oldFrames[:0]
 	if c.cfg.Recycle {
 		if t.recycleClasses == nil {
-			t.recycleClasses = make([][]heap.HandleID, heap.NumSizeClasses)
+			t.recycleClasses = make([]recycleList, heap.NumSizeClasses)
 		}
 		t.recycleNonEmpty.Reset(heap.NumSizeClasses)
 		c.recycleClasses = t.recycleClasses
 		c.recycleNonEmpty = t.recycleNonEmpty
 		c.recycleSpill = t.recycleSpill
-		c.spare = t.spare
 	}
 	c.cycle = msa.Cycle{
 		Begin:    c.beginCycle,
@@ -353,22 +367,24 @@ func (c *CG) Attach(rt *vm.Runtime) {
 	}
 }
 
-// mapMeta draws meta from heap.Mapped at the attached heap's handle
-// bound, which no HandleCap exceeds: grow then never moves it. A pooled
-// mapping too small for this heap is released first, and at once — it
-// is address space a long-lived pool would otherwise keep. Where there
-// is no mapping to be had meta stays the Go slice it was, and heap.Grow
-// doubles it.
-func (t *tables) mapMeta(bound int) {
-	if t.metaMapped != 0 {
-		t.unmapMeta.Stop()
-		heap.Unmap(t.meta)
-		t.meta, t.metaMapped = nil, 0
+// mapTables draws meta, oldFrames and sets from heap.Mapped at the
+// attached heap's handle bound, which no HandleCap exceeds: they then
+// never move. sets gets one slot more: every set holds a live object, a
+// rebuild holds at most one slot beyond the sets it makes, and slot 0 is
+// never used. A pooled mapping too small for this heap is released at
+// once — it is address space a long-lived pool would otherwise keep.
+// Where there is no mapping to be had the tables stay what they were,
+// and heap.Grow and append double them.
+func (t *tables) mapTables(bound int) {
+	m := mappedTables{heap.Mapped[objMeta](bound), heap.Mapped[int32](bound), heap.Mapped[setMeta](bound + 1)}
+	if m.meta == nil || m.oldFrames == nil || m.sets == nil {
+		m.release()
+		return
 	}
-	if m := heap.Mapped[objMeta](bound); m != nil {
-		t.meta, t.metaMapped = m, bound
-		t.unmapMeta = runtime.AddCleanup(t, heap.Unmap[objMeta], m)
-	}
+	t.unmap.Stop()
+	t.maps.release()
+	t.maps, t.meta, t.oldFrames, t.sets = m, m.meta, m.oldFrames, m.sets
+	t.unmap = runtime.AddCleanup(t, mappedTables.release, m)
 }
 
 // detach implements the event table's Detach capability: the runtime is
@@ -377,9 +393,10 @@ func (t *tables) mapMeta(bound int) {
 // cell uncovers — but for meta, which grow only re-slices, so detach
 // clears the records the cell wrote: those of the ids the heap handed
 // out (the runtime detaches before it resets the heap), pages that are
-// resident already. The collector must not be queried (Stats, Snapshot,
-// events) after detach; its table fields are nilled so a violation
-// fails loudly.
+// resident already. That clear takes the recycle lists' threads with
+// it, and clearing the ladder array their heads. The collector must not
+// be queried (Stats, Snapshot, events) after detach; its table fields
+// are nilled so a violation fails loudly.
 func (c *CG) detach() {
 	t := c.tab
 	if t == nil {
@@ -388,38 +405,16 @@ func (c *CG) detach() {
 	c.tab = nil
 	clear(c.meta[:min(len(c.meta), c.heap.NumHandles())])
 	t.meta, t.sets, t.oldFrames = c.meta[:0], c.sets[:0], c.oldFrames[:0]
-	// Recycle index: nil out the populated class entries (one cell's
-	// population means nothing to the next) and move each scratch slice
-	// to the shared spare pool, so a peak-size cell's scratch is
-	// redistributed rather than pinned per class forever. The spill list
-	// is truncated the same way the seed's bucket list was.
 	if c.recycleClasses != nil {
-		spare := c.spare
-		for cl, objs := range c.recycleClasses {
-			if objs == nil {
-				continue
-			}
-			if cap(objs) > 0 && len(spare) < maxSpare {
-				spare = append(spare, objs[:0])
-			}
-			c.recycleClasses[cl] = nil
-		}
-		for i := range c.recycleSpill {
-			if objs := c.recycleSpill[i].objs; cap(objs) > 0 && len(spare) < maxSpare {
-				spare = append(spare, objs[:0])
-			}
-			c.recycleSpill[i] = sizeClassBucket{}
-		}
+		clear(c.recycleClasses)
 		t.recycleClasses = c.recycleClasses
 		t.recycleSpill = c.recycleSpill[:0]
-		t.spare = spare
 	}
 	// Unbind the pooled mark-sweep engine from the runtime too: a
 	// pooled table must not pin a dead shard's heap and arena either.
 	t.msa.Reattach(nil)
 	c.meta, c.sets, c.oldFrames = nil, nil, nil
-	c.recycleClasses, c.recycleNonEmpty, c.recycleSpill = nil, nil, nil
-	c.spare, c.byType = nil, nil
+	c.recycleClasses, c.recycleNonEmpty, c.recycleSpill, c.byType = nil, nil, nil, nil
 	c.msa = nil
 	tablePool.Put(t)
 }
@@ -494,8 +489,9 @@ func (c *CG) setOf(id heap.HandleID) int32 { return -c.meta[int(c.find(id))].lin
 
 // newSet takes a slot for a set about to be born: the most recently
 // freed one, else one more at the table's end — only when more sets are
-// alive than ever before, and by append's own growth rule. The caller
-// fills the record.
+// alive than ever before, within the mapping where there is one and by
+// append's own growth rule where there is not. The caller fills the
+// record.
 func (c *CG) newSet() int32 {
 	if slot := c.freeSets; slot != 0 {
 		c.freeSets = c.sets[int(slot)].next
@@ -711,7 +707,7 @@ func (c *CG) OnAccess(id heap.HandleID, t *vm.Thread) {
 // OnFramePop is the FramePop slot: every equilive set dependent on the
 // popping frame is dead. collectSet walks every object of every such set
 // — the death histograms need each one — and frees it to the heap or,
-// under recycling, pushes it onto its recycle class.
+// under recycling, pushes it onto its recycle list.
 func (c *CG) OnFramePop(f *vm.Frame) int {
 	n := 0
 	for slot := f.GCHead; slot != 0; {
@@ -732,16 +728,6 @@ func (c *CG) collectSet(slot int32, f *vm.Frame) {
 	c.stats.BlockSize[sizeBucket(int(s.size))]++
 	singleton := s.size == 1
 	typed := c.cfg.TypedRecycle && singleton
-	if typed {
-		// Chapter 6 typed recycling: singleton sets go to a per-class
-		// LIFO; "when a frame is popped, there would be a collection of
-		// free objects of a given type".
-		cls := int(c.heap.ClassOf(s.head))
-		if cls >= len(c.byType) {
-			c.byType = heap.Grow(c.byType, c.heap.NumClasses(), c.heap.NumClasses())
-		}
-		c.byType[cls] = append(c.byType[cls], s.head)
-	}
 	for o := s.head; o != heap.Nil; {
 		m := &c.meta[int(o)]
 		next := m.next
@@ -758,13 +744,14 @@ func (c *CG) collectSet(slot int32, f *vm.Frame) {
 		if c.cfg.FreeHook != nil {
 			c.cfg.FreeHook(o)
 		}
+		// The walk already visits every member for the histograms, and
+		// has read its next word, so recycling costs a push on top.
 		switch {
 		case !c.cfg.Recycle:
 			c.heap.Free(o)
-		case !typed:
-			// The dead object joins its ladder class; the walk
-			// already visits every member for the histograms, so the
-			// per-object insert costs one indexed push on top.
+		case typed:
+			c.push(c.typeList(o), o)
+		default:
 			c.recycleAdd(o)
 		}
 		o = next
@@ -772,78 +759,85 @@ func (c *CG) collectSet(slot int32, f *vm.Frame) {
 	c.freeSet(slot)
 }
 
-// sizeClassBucket is one spill size class of recycled storage: every
-// object on objs is dead-but-heap-live with a slab extent of exactly
-// size bytes, and size exceeds the arena ladder (heap.MaxSmallSize).
-type sizeClassBucket struct {
-	size int
-	objs []heap.HandleID
+// push appends o, dead, to l as its newest object.
+func (c *CG) push(l *recycleList, o heap.HandleID) {
+	m := &c.meta[int(o)]
+	m.next, m.link = heap.Nil, int32(l.tail)
+	if l.tail == heap.Nil {
+		l.head = o
+	} else {
+		c.meta[int(l.tail)].next = o
+	}
+	l.tail = o
 }
 
-// bucketLowerBound returns the index of the first spill bucket whose
-// size is at least size (len(bs) if none) — the search behind both the
-// spill insert and the fallback's over-ladder best fit.
-func bucketLowerBound(bs []sizeClassBucket, size int) int {
-	lo, hi := 0, len(bs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if bs[mid].size < size {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// pop takes l's newest object off it; l must not be empty.
+func (c *CG) pop(l *recycleList) heap.HandleID {
+	o := l.tail
+	l.tail = heap.HandleID(c.meta[int(o)].link)
+	if l.tail == heap.Nil {
+		l.head = heap.Nil
+	} else {
+		c.meta[int(l.tail)].next = heap.Nil
 	}
-	return lo
+	return o
 }
 
-// takeSpare pops a pooled scratch slice for a first-touch class (nil if
-// the pool is dry; the append then allocates once, the cold path).
-func (c *CG) takeSpare() []heap.HandleID {
-	n := len(c.spare)
-	if n == 0 {
-		return nil
+// flush frees l's objects to the heap, oldest first, and empties it.
+func (c *CG) flush(l *recycleList) {
+	for o := l.head; o != heap.Nil; o = c.meta[int(o)].next {
+		c.heap.Free(o)
 	}
-	s := c.spare[n-1]
-	c.spare[n-1] = nil
-	c.spare = c.spare[:n-1]
-	return s
+	*l = recycleList{}
 }
 
-// spillBucket returns the index of size's bucket in the sorted spill
-// list, creating it if absent.
-func (c *CG) spillBucket(size int) int {
-	bs := c.recycleSpill
-	lo := bucketLowerBound(bs, size)
-	if lo < len(bs) && bs[lo].size == size {
-		return lo
+// length counts l's objects.
+func (c *CG) length(l recycleList) int {
+	n := 0
+	for o := l.head; o != heap.Nil; o = c.meta[int(o)].next {
+		n++
 	}
-	objs := c.takeSpare()
-	c.recycleSpill = append(c.recycleSpill, sizeClassBucket{})
-	copy(c.recycleSpill[lo+1:], c.recycleSpill[lo:])
-	c.recycleSpill[lo] = sizeClassBucket{size: size, objs: objs}
-	return lo
+	return n
+}
+
+// typeList returns the typed recycle list of o's class (Chapter 6: "when
+// a frame is popped, there would be a collection of free objects of a
+// given type").
+func (c *CG) typeList(o heap.HandleID) *recycleList {
+	cls := int(c.heap.ClassOf(o))
+	if cls >= len(c.byType) {
+		c.byType = heap.Grow(c.byType, c.heap.NumClasses(), c.heap.NumClasses())
+	}
+	return &c.byType[cls]
+}
+
+// bySize orders the spill lists for slices.BinarySearchFunc — the
+// search behind both the spill insert and the fallback's over-ladder
+// best fit.
+func bySize(l spillList, size int) int { return cmp.Compare(l.size, size) }
+
+// spillFor returns size's list in the sorted spill list, creating it
+// if absent.
+func (c *CG) spillFor(size int) *recycleList {
+	i, found := slices.BinarySearchFunc(c.recycleSpill, size, bySize)
+	if !found {
+		c.recycleSpill = slices.Insert(c.recycleSpill, i, spillList{size: size})
+	}
+	return &c.recycleSpill[i].recycleList
 }
 
 // recycleAdd pushes a dead-but-heap-live object onto its ladder class —
 // the extent size is align8, so the class is a direct index, no search —
-// or, for extents wider than the ladder, onto its spill bucket.
+// or, for extents wider than the ladder, onto its spill list.
 func (c *CG) recycleAdd(o heap.HandleID) {
 	size := c.heap.SizeOf(o)
-	if size <= heap.MaxSmallSize {
-		cl := heap.SizeClass(size)
-		objs := c.recycleClasses[cl]
-		if len(objs) == 0 {
-			if objs == nil {
-				objs = c.takeSpare()
-			}
-			c.recycleNonEmpty.Set(cl)
-		}
-		c.recycleClasses[cl] = append(objs, o)
+	if size > heap.MaxSmallSize {
+		c.push(c.spillFor(size), o)
 		return
 	}
-	i := c.spillBucket(size)
-	b := &c.recycleSpill[i]
-	b.objs = append(b.objs, o)
+	cl := heap.SizeClass(size)
+	c.recycleNonEmpty.Set(cl)
+	c.push(&c.recycleClasses[cl], o)
 }
 
 // sizeBucket maps a block size to Fig 4.5's histogram buckets.
@@ -872,20 +866,11 @@ func (c *CG) AllocFallback(cls heap.ClassID, extra int) (heap.HandleID, bool) {
 	if !c.cfg.Recycle {
 		return heap.Nil, false
 	}
-	if c.cfg.TypedRecycle && extra == 0 {
-		// O(1) exact-class reuse: same class means same size, so no
-		// fit check is needed ("objects of a given type always take the
-		// same size (except for arrays)", Chapter 6).
-		if int(cls) < len(c.byType) && len(c.byType[cls]) > 0 {
-			bucket := c.byType[cls]
-			o := bucket[len(bucket)-1]
-			c.byType[cls] = bucket[:len(bucket)-1]
-			if err := c.heap.Reinit(o, cls, 0); err != nil {
-				panic(err) // same class, same size: a failure is a bug
-			}
-			c.stats.Reused++
-			return o, true
-		}
+	// O(1) exact-class reuse: same class means same size, so no fit
+	// check is needed ("objects of a given type always take the same size
+	// (except for arrays)", Chapter 6).
+	if c.cfg.TypedRecycle && extra == 0 && int(cls) < len(c.byType) && c.byType[cls].tail != heap.Nil {
+		return c.reuse(c.pop(&c.byType[cls]), cls, 0), true
 	}
 	// Best fit over the ladder index: the smallest recycled extent that
 	// can hold the request is the first set bit of recycleNonEmpty at or
@@ -897,34 +882,32 @@ func (c *CG) AllocFallback(cls heap.ClassID, extra int) (heap.HandleID, bool) {
 	need := c.heap.InstanceBytes(cls, extra)
 	if need <= heap.MaxSmallSize {
 		if cl := c.recycleNonEmpty.NextSet(heap.SizeClass(need)); cl >= 0 {
-			objs := c.recycleClasses[cl]
-			n := len(objs)
-			o := objs[n-1]
-			c.recycleClasses[cl] = objs[:n-1]
-			if n == 1 {
+			l := &c.recycleClasses[cl]
+			o := c.pop(l)
+			if l.tail == heap.Nil {
 				c.recycleNonEmpty.Clear(cl)
 			}
-			if err := c.heap.Reinit(o, cls, extra); err != nil {
-				panic(err) // ladder class >= need; a failure is a bug
-			}
-			c.stats.Reused++
-			return o, true
+			return c.reuse(o, cls, extra), true
 		}
 	}
-	bs := c.recycleSpill
-	for i := bucketLowerBound(bs, need); i < len(bs); i++ {
-		b := &bs[i]
-		if n := len(b.objs); n > 0 {
-			o := b.objs[n-1]
-			b.objs = b.objs[:n-1]
-			if err := c.heap.Reinit(o, cls, extra); err != nil {
-				panic(err) // size was checked; a failure is a bug
-			}
-			c.stats.Reused++
-			return o, true
+	i, _ := slices.BinarySearchFunc(c.recycleSpill, need, bySize)
+	for ; i < len(c.recycleSpill); i++ {
+		if l := &c.recycleSpill[i].recycleList; l.tail != heap.Nil {
+			return c.reuse(c.pop(l), cls, extra), true
 		}
 	}
 	return heap.Nil, false
+}
+
+// reuse hands recycled o out again as an instance of cls with extra
+// slots. Every list AllocFallback takes from holds extents at least as
+// large as the request, so a failure is a bug.
+func (c *CG) reuse(o heap.HandleID, cls heap.ClassID, extra int) heap.HandleID {
+	if err := c.heap.Reinit(o, cls, extra); err != nil {
+		panic(err)
+	}
+	c.stats.Reused++
+	return o
 }
 
 // Collect is the collection capability: run the traditional collector
@@ -1033,46 +1016,29 @@ func (c *CG) FlushRecycle() {
 	// ascending-extent-size free order the seed's sorted bucket list
 	// produced, so the arena sees an identical release sequence.
 	for cl := c.recycleNonEmpty.NextSet(0); cl >= 0; cl = c.recycleNonEmpty.NextSet(cl + 1) {
-		objs := c.recycleClasses[cl]
-		for _, o := range objs {
-			c.heap.Free(o)
-		}
-		// Keep the drained class (and its capacity) in place: the next
-		// churn cycle refills it without touching the Go heap.
-		c.recycleClasses[cl] = objs[:0]
+		c.flush(&c.recycleClasses[cl])
 		c.recycleNonEmpty.Clear(cl)
 	}
 	for i := range c.recycleSpill {
-		b := &c.recycleSpill[i]
-		for _, o := range b.objs {
-			c.heap.Free(o)
-		}
-		b.objs = b.objs[:0]
+		c.flush(&c.recycleSpill[i].recycleList)
 	}
 	// Ascending class ids: a fixed release order, so a fixed arena state.
-	for cls, bucket := range c.byType {
-		for _, o := range bucket {
-			c.heap.Free(o)
-		}
-		// Keep the drained bucket (and its capacity), as with the ladder
-		// classes above: the next churn cycle refills it without touching
-		// the Go heap.
-		c.byType[cls] = bucket[:0]
+	for i := range c.byType {
+		c.flush(&c.byType[i])
 	}
 }
 
 // RecycledObjects counts objects currently waiting as recycled storage
-// (ladder classes, spill buckets, plus the typed per-class buckets).
+// (ladder classes, spill lists, plus the typed per-class lists).
 func (c *CG) RecycledObjects() int {
 	n := 0
-	for cl := c.recycleNonEmpty.NextSet(0); cl >= 0; cl = c.recycleNonEmpty.NextSet(cl + 1) {
-		n += len(c.recycleClasses[cl])
+	for _, ls := range [][]recycleList{c.recycleClasses, c.byType} {
+		for _, l := range ls {
+			n += c.length(l)
+		}
 	}
 	for _, b := range c.recycleSpill {
-		n += len(b.objs)
-	}
-	for _, bucket := range c.byType {
-		n += len(bucket)
+		n += c.length(b.recycleList)
 	}
 	return n
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/heap"
@@ -758,72 +761,155 @@ func TestBreakdownMerge(t *testing.T) {
 	}
 }
 
-// TestDetachReturnsRecycleScratch pins the recycle-index detach
-// contract: when a pooled shard replaces its collector, the populated
-// ladder-class entries are nilled (one cell's population means nothing
-// to the next) and each drained class's scratch slice moves to the
-// shared spare pool instead of staying pinned to its class; subsequent
-// first-touch class creation draws from that pool.
-func TestDetachReturnsRecycleScratch(t *testing.T) {
-	h := heap.New(1 << 16)
-	small := h.DefineClass(heap.Class{Name: "S", Refs: 1, Data: 0})
-	big := h.DefineClass(heap.Class{Name: "B", Refs: 2, Data: 64})
-	cg := New(Config{StaticOpt: true, Recycle: true})
-	rt := vm.New(h, checked(t, cg))
-	th := rt.NewThread(0)
-	// Two ladder classes' worth of dead objects.
-	th.CallVoid(2, func(f *vm.Frame) {
-		for i := 0; i < 16; i++ {
-			f.SetLocal(0, f.MustNew(small))
-			f.SetLocal(1, f.MustNew(big))
+// recycleKey orders the recycle lists as FlushRecycle drains them:
+// ladder classes, then spill sizes, then typed lists by class id.
+type recycleKey struct{ tier, n int }
+
+// recycleCell runs one scripted cell under cfg on rt and returns CG's
+// recycle lists as a model computes them from the order CG declared
+// objects dead: per list, oldest first. Each of six rounds allocates two
+// singletons (classes S and B), an S–B pair and a pair of arrays wide
+// enough to spill past the ladder, at two sizes.
+func recycleCell(t *testing.T, rt *vm.Runtime, cfg Config) (*CG, map[recycleKey][]heap.HandleID) {
+	var dead []heap.HandleID
+	cfg.FreeHook = func(o heap.HandleID) { dead = append(dead, o) }
+	cg := New(cfg)
+	rt.Reset(checked(t, cg))
+	h := rt.Heap
+	s := h.DefineClass(heap.Class{Name: "S", Refs: 1})
+	b := h.DefineClass(heap.Class{Name: "B", Refs: 2, Data: 64})
+	arr := h.DefineClass(heap.Class{Name: "Arr", IsArray: true})
+	single := map[heap.HandleID]bool{}
+	rt.NewThread(0).CallVoid(1, func(f *vm.Frame) {
+		for i := 0; i < 6; i++ {
+			single[f.MustNew(s)], single[f.MustNew(b)] = true, true
+			p, q := f.MustNew(s), f.MustNew(b)
+			f.PutField(q, 0, p)
+			x, y := f.MustNewArray(arr, 1100+200*(i%2)), f.MustNewArray(arr, 1300)
+			f.PutField(x, 0, y)
 		}
 	})
-	populated := 0
-	for cl := cg.recycleNonEmpty.NextSet(0); cl >= 0; cl = cg.recycleNonEmpty.NextSet(cl + 1) {
-		if len(cg.recycleClasses[cl]) == 0 {
-			t.Fatalf("class %d flagged non-empty but empty", cl)
+	lists := map[recycleKey][]heap.HandleID{}
+	for _, o := range dead {
+		k := recycleKey{0, heap.SizeClass(h.SizeOf(o))}
+		switch {
+		case cfg.TypedRecycle && single[o]:
+			k = recycleKey{2, int(h.ClassOf(o))}
+		case h.SizeOf(o) > heap.MaxSmallSize:
+			k = recycleKey{1, h.SizeOf(o)}
 		}
-		populated++
+		lists[k] = append(lists[k], o)
 	}
-	if populated != 2 {
-		t.Fatalf("populated ladder classes = %d, want 2", populated)
-	}
-	tab := cg.tab
-	rt.Reset(New(Config{StaticOpt: true, Recycle: true})) // fires detach
-	if len(tab.recycleClasses) != heap.NumSizeClasses {
-		t.Fatalf("pooled class array len %d, want %d", len(tab.recycleClasses), heap.NumSizeClasses)
-	}
-	for cl, objs := range tab.recycleClasses {
-		if objs != nil {
-			t.Fatalf("pooled class %d still holds a slice", cl)
+	return cg, lists
+}
+
+// TestRecycleListOrder pins the three orders of the recycle lists, which
+// live in the dead objects' own records, under cg+recycle (ladder and
+// spill lists) and cg+typed (typed lists beside them):
+//   - AllocFallback takes the newest object of the best-fitting list;
+//   - FlushRecycle frees ladder classes in ascending order, oldest first
+//     within a class, then spill sizes, then typed classes: the handle
+//     ids and arena addresses fresh allocations get afterwards are those
+//     a free in exactly that order leaves behind;
+//   - detach leaves no list head for the next cell, which then runs as
+//     on a fresh runtime.
+func TestRecycleListOrder(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the pooled tables in core's pool
+	for _, cfg := range []Config{{StaticOpt: true, Recycle: true}, {StaticOpt: true, TypedRecycle: true}} {
+		name := New(cfg).Name()
+		if cfg.TypedRecycle {
+			name += "+typed"
 		}
-	}
-	if len(tab.spare) != 2 {
-		t.Fatalf("spare scratch slices = %d, want 2", len(tab.spare))
-	}
-	for i, s := range tab.spare {
-		if len(s) != 0 || cap(s) == 0 {
-			t.Fatalf("spare[%d]: len %d cap %d, want empty with capacity", i, len(s), cap(s))
-		}
-	}
-	if cg.recycleClasses != nil || cg.spare != nil || cg.recycleNonEmpty != nil {
-		t.Fatal("detached collector still holds recycle scratch")
-	}
-	// A recycled table's spare pool feeds the next cell's first-touch
-	// classes: run the same workload again on a fresh collector drawing
-	// from the pool and confirm recycling still engages.
-	cg2 := New(Config{StaticOpt: true, Recycle: true})
-	rt.Reset(cg2)
-	small2 := h.DefineClass(heap.Class{Name: "S", Refs: 1, Data: 0})
-	big2 := h.DefineClass(heap.Class{Name: "B", Refs: 2, Data: 64})
-	th2 := rt.NewThread(0)
-	th2.CallVoid(2, func(f *vm.Frame) {
-		for i := 0; i < 16; i++ {
-			f.SetLocal(0, f.MustNew(small2))
-			f.SetLocal(1, f.MustNew(big2))
-		}
-	})
-	if cg2.RecycledObjects() == 0 {
-		t.Fatal("recycling inert after table recycling")
+		t.Run(name, func(t *testing.T) {
+			type alloc struct {
+				id   heap.HandleID
+				addr int
+			}
+			// run plays a cell, takes from the lists what AllocFallback
+			// hands out, frees the rest (by FlushRecycle, or by hand in
+			// the model's order) and reallocates every freed object's
+			// shape straight from the heap.
+			run := func(rt *vm.Runtime, byHand bool) []alloc {
+				cg, lists := recycleCell(t, rt, cfg)
+				h := rt.Heap
+				take := func(k recycleKey, cls heap.ClassID, extra int) {
+					l := lists[k]
+					if o, ok := cg.AllocFallback(cls, extra); !ok || o != l[len(l)-1] {
+						t.Fatalf("AllocFallback(%s, %d) = %d, %v; want %d, the newest of list %v", h.ClassDef(cls).Name, extra, o, ok, l[len(l)-1], k)
+					}
+					lists[k] = l[:len(l)-1]
+				}
+				s, _ := h.ClassByName("S")
+				b, _ := h.ClassByName("B")
+				arr, _ := h.ClassByName("Arr")
+				mid := h.DefineClass(heap.Class{Name: "Mid", Refs: 8}) // 40 B: best fit is B's 80-byte class
+				if cfg.TypedRecycle {
+					take(recycleKey{2, int(s)}, s, 0)
+					take(recycleKey{2, int(b)}, b, 0)
+				} else {
+					take(recycleKey{0, heap.SizeClass(16)}, s, 0)
+				}
+				take(recycleKey{0, heap.SizeClass(80)}, mid, 0)
+				take(recycleKey{1, heap.InstanceSize(heap.Class{}, 1300)}, arr, 1200)
+				keys := make([]recycleKey, 0, len(lists))
+				for k := range lists {
+					keys = append(keys, k)
+				}
+				slices.SortFunc(keys, func(x, y recycleKey) int { return cmp.Or(x.tier-y.tier, x.n-y.n) })
+				var order []heap.HandleID
+				var shapes [][2]int
+				for _, k := range keys {
+					for _, o := range lists[k] {
+						order = append(order, o)
+						cls := h.ClassOf(o)
+						shapes = append(shapes, [2]int{int(cls), h.NumRefSlots(o) - h.ClassDef(cls).Refs})
+					}
+				}
+				if got := cg.RecycledObjects(); got != len(order) {
+					t.Fatalf("%d objects wait on the recycle lists, the model has %d", got, len(order))
+				}
+				if byHand {
+					for _, o := range order {
+						h.Free(o)
+					}
+				} else {
+					cg.FlushRecycle()
+				}
+				var fresh []alloc
+				for i, sh := range shapes {
+					id, err := h.Alloc(heap.ClassID(sh[0]), sh[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The free-slot list is LIFO, so ids come back in
+					// reverse free order.
+					if want := order[len(order)-1-i]; id != want {
+						t.Fatalf("fresh allocation %d got handle %d, want %d: not freed in list order", i, id, want)
+					}
+					fresh = append(fresh, alloc{id, h.AddrOf(id)})
+				}
+				return fresh
+			}
+			// A cell leaves its lists full, and the runtime is reset under
+			// it: the pooled tables keep no list head, and the next cell,
+			// on them, runs as a fresh runtime does.
+			rt := vm.New(heap.New(1<<20), vm.None())
+			cg, _ := recycleCell(t, rt, cfg)
+			tab := cg.tab
+			rt.Reset(vm.None()) // detach
+			if i := slices.IndexFunc(tab.recycleClasses, func(l recycleList) bool { return l != recycleList{} }); i >= 0 {
+				t.Fatalf("detach left ladder class %d holding %+v", i, tab.recycleClasses[i])
+			}
+			if len(tab.recycleSpill) != 0 {
+				t.Fatalf("detach left %d spill lists", len(tab.recycleSpill))
+			}
+			pooled := run(rt, false)
+			if fresh := run(vm.New(heap.New(1<<20), vm.None()), false); !slices.Equal(pooled, fresh) {
+				t.Fatalf("a cell on the detached collector's tables ran otherwise than on fresh ones:\n%v\n%v", pooled, fresh)
+			}
+			if byHand := run(vm.New(heap.New(1<<20), vm.None()), true); !slices.Equal(pooled, byHand) {
+				t.Fatalf("FlushRecycle left the arena otherwise than a free in list order:\n%v\n%v", pooled, byHand)
+			}
+		})
 	}
 }

@@ -39,36 +39,43 @@ func TestRecordsAreSmallAndPointerFree(t *testing.T) {
 }
 
 // TestMappedRecordsHoldNoPointers is the heap package's test of the same
-// name for the one table core draws from heap.Mapped, by its element
-// type as declared; and that table, where this build maps it, is
-// reserved at the attached heap's handle bound, or at a larger one the
-// pool kept, and never moves as it grows.
+// name for the three tables core draws from heap.Mapped, by their
+// element types as declared; and the handle-indexed two, where this
+// build maps them, are reserved at the attached heap's handle bound, or
+// at a larger one the pool kept, and never move as they grow.
 func TestMappedRecordsHoldNoPointers(t *testing.T) {
-	if elem := reflect.TypeOf(tables{}.meta).Elem(); hasPointers(elem) {
-		t.Errorf("tables.meta is mapped and its element %v holds a pointer", elem)
+	for name, table := range map[string]any{"meta": tables{}.meta, "oldFrames": tables{}.oldFrames, "sets": tables{}.sets} {
+		if elem := reflect.TypeOf(table).Elem(); hasPointers(elem) {
+			t.Errorf("tables.%s is mapped and its element %v holds a pointer", name, elem)
+		}
 	}
 	rt, cg, node := newRT(t, DefaultConfig(), 1<<22)
-	if cg.tab.metaMapped == 0 {
-		t.Log("no mapping on this build: meta grows by heap.Grow's copy")
+	mapped := cap(cg.tab.maps.meta)
+	if mapped == 0 {
+		t.Log("no mapping on this build: the tables grow by heap.Grow's copy")
 		return
 	}
-	if got, bound := cap(cg.meta), rt.Heap.HandleBound(); got < bound || cg.tab.metaMapped != got {
-		t.Fatalf("meta is mapped at %d slots (recorded as %d), the heap's handle bound is %d", got, cg.tab.metaMapped, bound)
+	if bound := rt.Heap.HandleBound(); cap(cg.meta) != mapped || cap(cg.oldFrames) != mapped || mapped < bound {
+		t.Fatalf("meta and oldFrames are mapped at %d and %d slots (recorded as %d), the heap's handle bound is %d",
+			cap(cg.meta), cap(cg.oldFrames), mapped, bound)
 	}
-	base := unsafe.SliceData(cg.meta)
+	meta, old := unsafe.SliceData(cg.meta), unsafe.SliceData(cg.oldFrames)
 	f := rt.NewThread(1).Top()
 	for i := 0; i < 3000; i++ {
 		f.MustNew(node)
 	}
-	if len(cg.meta) < 3000 || unsafe.SliceData(cg.meta) != base {
-		t.Fatalf("meta moved on its way to %d records", len(cg.meta))
+	rt.ForceCollect()
+	if len(cg.meta) < 3000 || len(cg.oldFrames) < 3000 || unsafe.SliceData(cg.meta) != meta || unsafe.SliceData(cg.oldFrames) != old {
+		t.Fatalf("meta or oldFrames moved on its way to %d records", len(cg.meta))
 	}
 }
 
 // TestSetTableIsSizedBySets: javac at size 100, the cell that sets every
 // ledger workload's peak memory, has 227 686 handles and never more than
 // a few hundred sets alive at once, so the set table ends under 1 % of
-// the handle count — 24 bytes a set, not 24 bytes a handle.
+// the handle count — 24 bytes a set, not 24 bytes a handle. A mapped
+// table is reserved at the handle bound and holds what it hands out; a
+// grown one holds its capacity.
 func TestSetTableIsSizedBySets(t *testing.T) {
 	spec, err := workload.ByName("javac")
 	if err != nil {
@@ -77,7 +84,10 @@ func TestSetTableIsSizedBySets(t *testing.T) {
 	cg := New(DefaultConfig())
 	rt := vm.New(heap.New(spec.HeapBytes(100)), cg)
 	spec.Run(rt, 100)
-	records, handles := cap(cg.sets), rt.Heap.NumHandles()
+	records, handles := len(cg.sets), rt.Heap.NumHandles()
+	if cap(cg.tab.maps.sets) == 0 {
+		records = cap(cg.sets)
+	}
 	t.Logf("%d set slots in use, %d records held, %d handles", len(cg.sets)-1, records, handles)
 	if 100*records >= handles {
 		t.Errorf("the set table holds %d records for %d handles, budget is 1 %%", records, handles)

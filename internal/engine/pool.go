@@ -46,18 +46,26 @@ func (p *shardPool) get(arenaBytes int) *vm.Runtime {
 }
 
 // put returns a quiescent shard to the pool; at the retention cap the
-// oldest pooled shard is dropped to the GC to make room (the cap bounds
-// idle handle-table memory at the worker count — the same high-water the
+// oldest pooled shard is evicted to make room (the cap bounds idle
+// handle-table memory at the worker count — the same high-water the
 // pool's cells reached anyway). The newest shard is the one kept: the
 // next cell is likelier to want the arena size of the cell that just
 // ran than that of the first sizes the engine ever saw, and a pool that
 // refused newcomers had every later size build and discard a shard per
-// cell.
+// cell. The pool alone owns an evicted shard, so its mappings are
+// released here: left to the Go collector, they would stay resident
+// until a collection came, and cells that barely allocate make those
+// rare.
 func (p *shardPool) put(arenaBytes int, rt *vm.Runtime) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	var evicted *vm.Runtime
 	if len(p.shards) >= p.max {
+		evicted = p.shards[0].rt
 		p.shards = slices.Delete(p.shards, 0, 1)
 	}
 	p.shards = append(p.shards, pooledShard{arenaBytes, rt})
+	p.mu.Unlock()
+	if evicted != nil {
+		evicted.Release()
+	}
 }

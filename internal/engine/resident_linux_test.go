@@ -27,11 +27,11 @@ func residentBytes(t *testing.T) int {
 }
 
 // TestMappedTablesAreNotResident is TestArenaCapacityIsNotMemory for the
-// tables reserved at the arena's handle bound (DESIGN.md §5 "Tables that
-// never move"): eight demographics heaps and a CG attached to each
-// reserve some 20 GiB of handle table, live bitmap and object records,
-// and are resident in under 8 MiB, because a page of a mapping is memory
-// only once it is written. Reset must keep it that way: it clears the
+// tables reserved at the arena's bounds (DESIGN.md §5 "Where per-object
+// state lives"): eight demographics heaps and a CG attached to each
+// reserve some 26 GiB of handle table, live bitmap, ref slab, object
+// records and reset stamps, and are resident in under 8 MiB, because a
+// page of a mapping is memory only once it is written. Reset must keep it that way: it clears the
 // live bitmap through its length, so resetting all eight after a
 // 100-object cell writes nothing beyond what the cell did — through the
 // capacity it would be 8 MiB a heap.

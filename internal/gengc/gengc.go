@@ -22,6 +22,7 @@ package gengc
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"repro/internal/heap"
@@ -97,6 +98,42 @@ type genTables struct {
 	mark       heap.Bitset
 	remembered []heap.HandleID
 	work       []heap.HandleID
+	// maps is the mapping flags, survivals and remembered were drawn
+	// from, at its full capacity (empty while they are Go slices); unmap
+	// releases it when the tables are dropped (see mapTables).
+	maps  mappedTables
+	unmap runtime.Cleanup
+}
+
+// mappedTables holds what mapTables drew from heap.Mapped.
+type mappedTables struct {
+	flags, survivals []uint8
+	remembered       []heap.HandleID
+}
+
+func (m mappedTables) release() {
+	heap.Unmap(m.flags)
+	heap.Unmap(m.survivals)
+	heap.Unmap(m.remembered)
+}
+
+// mapTables draws the per-handle tables from heap.Mapped at the attached
+// heap's handle bound, as core's are: no HandleCap exceeds it, and the
+// remembered list names an id at most once but for the stale entries of
+// reused handles (only an append past the bound would move it, as it
+// would any slice). A pooled mapping too small for this heap is released
+// at once; where there is no mapping to be had the tables stay what they
+// were, and heap.Grow and append double them.
+func (t *genTables) mapTables(bound int) {
+	m := mappedTables{heap.Mapped[uint8](bound), heap.Mapped[uint8](bound), heap.Mapped[heap.HandleID](bound)}
+	if m.flags == nil || m.survivals == nil || m.remembered == nil {
+		m.release()
+		return
+	}
+	t.unmap.Stop()
+	t.maps.release()
+	t.maps, t.flags, t.survivals, t.remembered = m, m.flags, m.survivals, m.remembered
+	t.unmap = runtime.AddCleanup(t, mappedTables.release, m)
 }
 
 var genTablePool = sync.Pool{New: func() any { return new(genTables) }}
@@ -150,6 +187,9 @@ func (g *System) Attach(rt *vm.Runtime) {
 	g.rt = rt
 	t := genTablePool.Get().(*genTables)
 	g.tab = t
+	if bound := rt.Heap.HandleBound(); cap(t.maps.flags) < bound {
+		t.mapTables(bound)
+	}
 	g.flags = t.flags[:0]
 	g.survivals = t.survivals[:0]
 	g.mark = t.mark

@@ -113,7 +113,9 @@ type Heap struct {
 	// recycled with their handle slot (see handle.refCap); an extent is
 	// orphaned only when a recycled slot needs a wider one, so in steady
 	// state Alloc/Reinit/Free perform no Go allocation and the mark
-	// phase walks contiguous memory.
+	// phase walks contiguous memory. It is drawn from Mapped at one slot
+	// per refBytes of arena, what live slots can ever use; only orphaned
+	// extents can carve past that, and then Grow doubles it on the Go heap.
 	slab  []HandleID
 	arena *Arena
 	stats Stats
@@ -123,6 +125,24 @@ type Heap struct {
 	// live &^ mark, one AND-NOT per word — and ForEachLive/NumLive walk
 	// words instead of handle records.
 	liveBits Bitset
+	// mapped is what New drew from Mapped, released by unmap once the heap
+	// is unreachable, or at once by Release.
+	mapped mappedTables
+	unmap  runtime.Cleanup
+}
+
+// mappedTables holds the heap's mappings at their full capacity; a nil
+// table is one Mapped could not reserve.
+type mappedTables struct {
+	handles []handle
+	live    []uint64
+	slab    []HandleID
+}
+
+func (m mappedTables) release() {
+	Unmap(m.handles)
+	Unmap(m.live)
+	Unmap(m.slab)
 }
 
 // New returns a heap whose object space spans arenaBytes.
@@ -132,17 +152,27 @@ func New(arenaBytes int) *Heap {
 		byName:    make(map[string]ClassID),
 		handleCap: 1,
 	}
-	handles := Mapped[handle](h.HandleBound())
-	if handles != nil {
-		runtime.AddCleanup(h, Unmap[handle], handles)
+	bound := h.HandleBound()
+	h.mapped = mappedTables{
+		handles: Mapped[handle](bound),
+		live:    Mapped[uint64](BitsetWords(bound)),
+		slab:    Mapped[HandleID](arenaBytes / refBytes),
 	}
-	live := Mapped[uint64](BitsetWords(h.HandleBound()))
-	if live != nil {
-		runtime.AddCleanup(h, Unmap[uint64], live)
-	}
-	h.handles = Grow(handles, 1, 1) // slot 0 = Nil, never used
-	h.liveBits = Grow(live, 1, 1)
+	h.unmap = runtime.AddCleanup(h, mappedTables.release, h.mapped)
+	h.handles = Grow(h.mapped.handles, 1, 1) // slot 0 = Nil, never used
+	h.liveBits = Grow(h.mapped.live, 1, 1)
+	h.slab = h.mapped.slab
 	return h
+}
+
+// Release unmaps the heap's tables now rather than once a Go collection
+// finds the heap unreachable: for a heap nobody will use again, such as
+// a shard the engine's pool evicts. The heap must not be used afterwards.
+func (h *Heap) Release() {
+	h.unmap.Stop()
+	h.mapped.release()
+	h.mapped = mappedTables{}
+	h.handles, h.liveBits, h.slab = nil, nil, nil
 }
 
 // DefineClass registers a class and returns its ID. Redefining a name
@@ -296,9 +326,8 @@ func (h *Heap) bindRefs(hd *handle, nrefs int) {
 		panic("heap: ref slab exceeds 2^31 slots")
 	}
 	// Reused capacity may hold stale refs; Grow clears what it uncovers.
-	// A full slab doubles like the handle table, without the arena clamp:
-	// a slot that widens orphans its old extent, so arena bytes do not
-	// bound slab slots.
+	// Past its reservation the slab doubles: a slot that widens orphans
+	// its old extent, so arena bytes do not bound the slots carved.
 	h.slab = Grow(h.slab, off+nrefs, min(2*cap(h.slab), maxSlab))
 	hd.refOff = int32(off)
 	hd.refLen = int32(nrefs)

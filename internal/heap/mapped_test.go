@@ -34,12 +34,48 @@ func endState(t *testing.T, r engine.Result) string {
 		payload, o.GCCycles, *o.Arena, h.NumHandles(), h.HandleCap(), h.NumLive(), h.Stats())
 }
 
+// widening drives a heap whose freed handle slots come back wider every
+// time, so each allocation carves a fresh slab extent and orphans the
+// last: 40 live objects and, by the end, 64 000 slots carved from a slab
+// reserved at 16 384 (a 64 KiB arena's 4-byte slots). It returns every
+// live object's id, address and references.
+func widening(t *testing.T) (*heap.Heap, string) {
+	h := heap.New(64 << 10)
+	arr := h.DefineClass(heap.Class{Name: "Arr", IsArray: true})
+	var live []heap.HandleID
+	for i := 0; i < 40; i++ {
+		for w := 1; w <= 40; w++ {
+			id, err := h.Alloc(arr, i+w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w < 40 {
+				h.Free(id) // LIFO: the next, wider object takes this slot
+				continue
+			}
+			for s := range h.NumRefSlots(id) {
+				if len(live) > 0 {
+					h.SetRef(id, s, live[(i+s)%len(live)])
+				}
+			}
+			live = append(live, id)
+		}
+	}
+	state := fmt.Sprintf("handles=%d/%d stats=%+v", h.NumHandles(), h.HandleCap(), h.Stats())
+	for _, id := range live {
+		state += fmt.Sprintf(" %d@%d%v", id, h.AddrOf(id), h.RefSlots(id))
+	}
+	return h, state
+}
+
 // TestMappedAndGrownTablesAgree runs the ledger's 28 matrix cells (at
-// size 10) and one pooled small-then-large sequence twice: on tables
+// size 10), one pooled small-then-large sequence and a heap whose
+// widening slots carve past the slab's reservation twice: on tables
 // reserved by heap.Mapped, and with Mapped returning nil, as it does
 // under -race and off unix, so that heap.Grow doubles them. Where a
 // table lives is not observable: payloads, cycle counts, arena
-// occupancy, handle ids and the capacity granted are the same.
+// occupancy, handle ids, references and the capacity granted are the
+// same, and a slab that outgrows its mapping goes on in a grown copy.
 func TestMappedAndGrownTablesAgree(t *testing.T) {
 	run := func() (states []string) {
 		for _, w := range []string{"compress", "raytrace", "db", "javac", "mpegaudio", "mtrt", "jack"} {
@@ -55,13 +91,15 @@ func TestMappedAndGrownTablesAgree(t *testing.T) {
 			job := engine.Job{Workload: "jess", Size: size, Collector: "cg+recycle", HeapBytes: 1 << 24, GCEvery: 5000}
 			eng.ExecRelease(job, func(r engine.Result) { states = append(states, endState(t, r)) })
 		}
-		return states
+		h, state := widening(t)
+		if h.SlabInMapping() {
+			t.Error("the widening heap's slab is still in its mapping: it never fell back to Grow")
+		}
+		return append(states, state)
 	}
-	probe := heap.Mapped[uint64](1)
-	if probe == nil {
+	if !heap.New(64 << 10).SlabInMapping() {
 		t.Skip("this host refuses the mapping: both runs would take the grown path")
 	}
-	heap.Unmap(probe)
 	mapped := run()
 	heap.SetMapOff(true)
 	defer heap.SetMapOff(false)
@@ -96,15 +134,16 @@ func collected(want int64) int64 {
 }
 
 // TestDroppedOwnersAreUnmapped: nobody calls Unmap on a heap's tables or
-// on a collector's; dropping the owner is the release. A heap holds two
-// mappings, an attached CG's tables a third, and all three are gone two
-// collections after the runtime is.
+// on a collector's; dropping the owner is the release. A heap holds three
+// mappings (handles, live bitmap, ref slab), an attached CG's tables
+// three more (object records, reset stamps, set records), and all six
+// are gone two collections after the runtime is.
 func TestDroppedOwnersAreUnmapped(t *testing.T) {
 	base := collected(-1) // earlier tests' garbage, and core's pool, emptied
 	func() {
 		rt := vm.New(heap.New(64<<20), core.New(core.DefaultConfig()))
-		if got := heap.MappingCount(); got != base+3 {
-			t.Fatalf("a heap and an attached CG hold %d mappings, want 3", got-base)
+		if got := heap.MappingCount(); got != base+6 {
+			t.Fatalf("a heap and an attached CG hold %d mappings, want 6", got-base)
 		}
 		runtime.KeepAlive(rt)
 	}()
@@ -139,4 +178,30 @@ func TestRemapReleasesAtOnce(t *testing.T) {
 	}
 	runtime.KeepAlive(small)
 	runtime.KeepAlive(large)
+}
+
+// TestEvictedShardsAreUnmapped: the engine's pool owns a shard alone
+// once it is pooled, so evicting it releases its mappings then and
+// there (Runtime.Release), not at a Go collection that may be long in
+// coming. With the collector off, a one-slot pool running tight-heap
+// cells of seven arena sizes holds the mappings of the one shard it
+// keeps: the count after the first cell is the count after the last.
+func TestEvictedShardsAreUnmapped(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	eng := engine.New(1)
+	var counts []int64
+	for _, w := range []string{"compress", "raytrace", "db", "javac", "mpegaudio", "mtrt", "jack"} {
+		job := engine.Job{Workload: w, Size: 1, Collector: "msa", HeapBytes: engine.TightHeap}
+		eng.ExecRelease(job, func(r engine.Result) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		})
+		counts = append(counts, heap.MappingCount())
+	}
+	for i, n := range counts {
+		if n != counts[0] {
+			t.Fatalf("mappings after each cell: %v; cell %d left %d more than the first", counts, i, n-counts[0])
+		}
+	}
 }

@@ -268,6 +268,18 @@ func (rt *Runtime) Reset(c Collector) {
 	rt.Attach(c.Events())
 }
 
+// Release ends a runtime nobody will run again: the collector detaches,
+// so a pooled implementation takes its side tables back, and the heap
+// unmaps its tables at once (heap.Heap.Release). The runtime must not be
+// used afterwards.
+func (rt *Runtime) Release() {
+	if rt.detach != nil {
+		rt.detach()
+		rt.detach = nil
+	}
+	rt.Heap.Release()
+}
+
 // StaticFrame returns the immortal pseudo-frame 0.
 func (rt *Runtime) StaticFrame() *Frame { return rt.staticFrame }
 

@@ -60,8 +60,9 @@ func runJess(rt *vm.Runtime, size int) {
 	// Working memory: a static, growing list of facts.
 	wmSlot := rt.StaticSlot("jess.wm")
 	var wmHead heap.HandleID
-	// factVals mirrors each fact's primitive slot values.
-	var factVals [][jessSlotsPerFact]int
+	// factVals mirrors the primitive slot values of the facts this
+	// cycle asserts, the only ones the match reads.
+	var factVals [jessFactsPerCycle][jessSlotsPerFact]int
 
 	snapSlot := rt.StaticSlot("jess.snapshot")
 	cycles := 12 * size
@@ -78,19 +79,16 @@ func runJess(rt *vm.Runtime, size int) {
 		}
 		th.CallVoid(2, func(f *vm.Frame) {
 			// Assert new facts into working memory (immortal).
-			base := len(factVals)
-			for i := 0; i < jessFactsPerCycle; i++ {
+			for i := range factVals {
 				ft := f.MustNew(fact)
 				if wmHead != heap.Nil {
 					f.PutField(ft, 0, wmHead)
 				}
 				wmHead = ft
 				f.PutStatic(wmSlot, wmHead)
-				var vals [jessSlotsPerFact]int
-				for s := range vals {
-					vals[s] = rng.Intn(jessValueRange)
+				for s := range factVals[i] {
+					factVals[i][s] = rng.Intn(jessValueRange)
 				}
-				factVals = append(factVals, vals)
 			}
 
 			// Match: run every rule against the newly asserted facts
@@ -103,7 +101,7 @@ func runJess(rt *vm.Runtime, size int) {
 			for r := 0; r < jessRules; r++ {
 				var prevTok heap.HandleID
 				for i := 0; i < jessFactsPerCycle; i++ {
-					if factVals[base+i][patterns[r].slot] != patterns[r].value {
+					if factVals[i][patterns[r].slot] != patterns[r].value {
 						continue
 					}
 					matches++
