@@ -6,9 +6,9 @@ import (
 	"repro/internal/collectors"
 )
 
-// The alloc gate runs under collectors.AllSpecs() — the registry-
-// grammar enumeration shared with the elision equivalence gate — so a
-// newly registered family or modifier is gated automatically. The
+// The alloc gate runs under collectors.AllSpecs() — the grammar
+// enumeration shared with the elision equivalence gate — so a new
+// family or modifier is gated automatically. The
 // hot-path budget (§3.5: collector bookkeeping costs a few machine ops
 // per event) implies zero Go-heap traffic per event once tables are
 // warm; a new collector variant that allocates per PutField shows up
@@ -16,7 +16,7 @@ import (
 
 // TestSteadyStateEventAllocs pins PutField / GetField / Call (and the
 // operand-rooting they imply) at zero allocations per op in steady
-// state, under every registered collector — the events route through
+// state, under every collector spec — the events route through
 // the event-table slots the collector declared, so the gate also
 // proves the descriptor dispatch itself is allocation-free.
 func TestSteadyStateEventAllocs(t *testing.T) {
@@ -54,7 +54,7 @@ func TestSteadyStateEventAllocs(t *testing.T) {
 // TestSteadyStateArenaOpAllocs pins the slab arena's own operation
 // surface — Alloc, Free and the O(1) Info read — at zero Go-heap
 // allocations per op in steady state, for the shard arena of every
-// registered collector spec. Once the first pass has grown the slab
+// collector spec. Once the first pass has grown the slab
 // metadata and page-heap slices to their high-water capacity, churning
 // small classes, a page-sized class and a multi-page large block
 // touches only the arena's free masks and counters.
@@ -101,8 +101,8 @@ func TestSteadyStateArenaOpAllocs(t *testing.T) {
 // TestSteadyStateCycleAllocs pins the full collection cycle — mark,
 // sweep, and the cycle-timeline recording vm.ForceCollect now wraps
 // around it — at zero allocations per cycle in steady state, for every
-// registered collector spec. The timeline's buffers are fixed-size
-// arrays embedded in the runtime and its default clock is a shared
+// collector spec. The timeline is a fixed-size struct embedded in the
+// runtime and its default clock is a shared
 // func value, so instrumented cycles must cost no Go-heap traffic
 // beyond the collector's own (warmed) work lists. A spec with no
 // Collect capability still exercises the instrumentation's

@@ -1,6 +1,6 @@
 // Command cgrun assembles and executes a .jasm program (see
 // internal/jasm for the language) under one or more collectors resolved
-// from the registry, then reports what was collected and how. With
+// from their specs, then reports what was collected and how. With
 // several collectors the runs execute concurrently on independent
 // runtime shards and the reports print in flag order — a side-by-side
 // ablation in one invocation.
@@ -19,10 +19,9 @@
 // one collector only, since a tape is a single recording — which
 // -replay later re-drives bit-identically under any collector.
 //
-// Collector specs are the registry's grammar: cg, cg+noopt, cg+recycle,
-// cg+recycle+reset, msa, gen, gen+promote=N, none, ... ; -list prints
-// every registered base with its description and modifier grammar (see
-// internal/collectors).
+// Collector specs follow the collector grammar: cg, cg+noopt,
+// cg+recycle, cg+recycle+reset, msa, gen, none, ... ; -list prints every
+// base with its description and modifiers (see internal/collectors).
 package main
 
 import (
@@ -66,7 +65,7 @@ func main() {
 		"force a full collection every N runtime operations (0 = only on exhaustion; the §4.7 instrumentation)")
 	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
 	dis := flag.Bool("dis", false, "print the disassembly instead of running")
-	list := flag.Bool("list", false, "list the registered collectors and exit")
+	list := flag.Bool("list", false, "list the collectors and their modifiers and exit")
 	wlName := flag.String("workload", "", "run a registered workload analog instead of a .jasm file")
 	wlSize := flag.Int("size", 1, "workload problem size (with -workload)")
 	record := flag.String("record", "", "record the run's event tape to this file (exactly one collector)")
@@ -243,16 +242,13 @@ func runOne(src *source, ev vm.Events, heapBytes int, recordPath string) (rep re
 	return report{text: b.String()}
 }
 
-// printCollectors renders the registry: every base name with its doc
-// line, plus the modifier grammar it accepts.
+// printCollectors renders the grammar: every base name with its doc
+// line, plus the modifiers it accepts.
 func printCollectors() {
 	for _, name := range collectors.Names() {
 		fmt.Printf("%-6s %s\n", name, collectors.Doc(name))
 		if mods := collectors.Modifiers(name); len(mods) > 0 {
-			// Parameterised modifiers are shown by a representative
-			// instance (promote=4 stands for promote=N; see the doc
-			// line for the accepted range).
-			fmt.Printf("       modifiers (e.g.): +%s\n", strings.Join(mods, ", +"))
+			fmt.Printf("       modifiers: +%s\n", strings.Join(mods, ", +"))
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command t100 is the large-run throughput harness: it executes the
 // benchmark analogs at SPEC size 100 (or any -size) under two or more
-// collectors resolved from the registry, head to head, and reports wall
+// collectors resolved from their specs, head to head, and reports wall
 // time, GC cycles and the speedup of the first collector over the last.
 // It replaces the old underscore-hidden cmd/_t100_main.go scratch tool,
 // now wired to the sharded execution engine: the whole

@@ -13,7 +13,7 @@ import (
 
 // TestCellEndStateIsDeterministic runs javac at size 100 on its tight
 // heap — hundreds of collection cycles, each of which releases the
-// recycle lists to the arena — four times under every registered spec
+// recycle lists to the arena — four times under every collector spec
 // and compares the final handle → (address, size) maps. The order in
 // which a collector frees objects decides which address the next
 // allocation gets, so a release order drawn from a Go map (cg+typed's

@@ -20,7 +20,7 @@ import (
 // survival bytes and remembered list are reserved at the arena's bound,
 // and CG's recycle lists run through the dead objects' own records. What
 // is left is the mark bitmaps (a bit per handle) and what grows with
-// classes and frames, so under every registered spec the cell allocates
+// classes and frames, so under every collector spec the cell allocates
 // at most 1.5 MB (it reads 0.67 MB under CG, 0.96 under msa and gen,
 // 0.97 with recycling) and the Go collector never runs. A per-object
 // table back on the Go heap fails here first.

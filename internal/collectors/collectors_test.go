@@ -53,7 +53,7 @@ func TestCGModifiersCompose(t *testing.T) {
 }
 
 // TestEventNamesParse: the name a collector gives its event table —
-// what cgrun prints — is itself a spec, for every spec the registry
+// what cgrun prints — is itself a spec, for every spec the grammar
 // enumerates.
 func TestEventNamesParse(t *testing.T) {
 	for _, spec := range AllSpecs() {
@@ -76,6 +76,9 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := New("msa+recycle"); err == nil {
 		t.Fatal("msa must reject modifiers")
+	}
+	if _, err := New("gen+promote=4"); err == nil {
+		t.Fatal("gen must reject modifiers")
 	}
 }
 

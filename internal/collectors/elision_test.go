@@ -137,7 +137,7 @@ func driveElisionScript(rt *vm.Runtime) {
 }
 
 // TestElisionMatchesInterfaceDispatch is the ABI-equivalence property:
-// for every registered collector spec, the events the runtime delivers
+// for every collector spec, the events the runtime delivers
 // through the spec's declared slots are exactly the events the old
 // interface ABI would have delivered to the same collector — the
 // subscribed-slot streams of a partially subscribed table equal the

@@ -7,15 +7,13 @@ import (
 )
 
 // TestSpecRoundTrip is the property the results codec depends on: for
-// every registered base and every combination of its declared
-// modifiers — in any order, with duplicates —
+// every base and every combination of its modifiers — in any order, with duplicates —
 // ParseSpec(s.String()) yields an equal Spec.
 func TestSpecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, base := range Names() {
 		mods := Modifiers(base)
-		// Every subset of the declared modifiers (the grammars are small:
-		// cg has 6, the rest none).
+		// Every subset of the modifiers (cg has 6, the rest none).
 		for mask := 0; mask < 1<<len(mods); mask++ {
 			var pick []string
 			for i, m := range mods {
@@ -55,13 +53,9 @@ func TestSpecAliasesCanonicalise(t *testing.T) {
 	for raw, want := range map[string]string{
 		"cg+reset+recycle":   "cg+recycle+reset",
 		"cg+recycle+recycle": "cg+recycle",
+		"cg+typed+checked":   "cg+checked+typed",
 		"msa":                "msa",
-		// The default tenuring threshold is the plain base, whatever
-		// its numeric spelling: all must share one store identity.
-		"gen+promote=2":  "gen",
-		"gen+promote=02": "gen",
-		"gen+promote=8":  "gen+promote=8",
-		"gen+promote=08": "gen+promote=8",
+		"gen":                "gen",
 	} {
 		got, err := Canonical(raw)
 		if err != nil {
@@ -77,10 +71,10 @@ func TestSpecAliasesCanonicalise(t *testing.T) {
 func TestSpecRejectsBadGrammar(t *testing.T) {
 	for _, bad := range []string{
 		"quantum", "cg+warp", "msa+recycle", "",
-		// Conflicting tenuring thresholds must be rejected, including
-		// conflicts involving the default spelling.
-		"gen+promote=2+promote=3", "gen+promote=4+promote=8",
-		"gen+promote=0", "gen+promote=abc",
+		// gen takes no modifiers: its tenuring threshold is a constant.
+		"gen+promote=2", "gen+promote=4",
+		// An empty modifier is not a modifier.
+		"cg+", "cg+recycle+", "cg++recycle",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) must error", bad)
@@ -88,7 +82,8 @@ func TestSpecRejectsBadGrammar(t *testing.T) {
 	}
 }
 
-// TestModifiersDeclared keeps the declared grammar in sync with buildCG.
+// TestModifiersDeclared keeps the families table in sync with the cg
+// switch in Spec.Factory.
 func TestModifiersDeclared(t *testing.T) {
 	for _, m := range []string{"noopt", "recycle", "typed", "reset", "packed", "checked"} {
 		found := false
@@ -98,7 +93,7 @@ func TestModifiersDeclared(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("cg modifier %q not declared in Register", m)
+			t.Fatalf("cg modifier %q not declared in families", m)
 		}
 		if _, err := ParseSpec("cg+" + m); err != nil {
 			t.Fatalf("declared modifier %q does not build: %v", m, err)

@@ -284,8 +284,8 @@ func New(cfg Config) *CG {
 	return &CG{cfg: cfg}
 }
 
-// Name spells out the active variant configuration (the registry's
-// canonical naming convention).
+// Name spells out the active variant configuration as a collector
+// spec (internal/collectors).
 func (c *CG) Name() string {
 	n := "cg"
 	if c.cfg.Recycle {

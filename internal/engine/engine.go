@@ -16,7 +16,7 @@
 // Layering: engine sits between the experiment harness above and the
 // runtime/collector substrate below. It resolves workloads from the
 // internal/workload registry and collectors from the internal/collectors
-// registry, so adding a benchmark or collector variant requires no
+// grammar, so adding a benchmark or collector variant requires no
 // engine change.
 package engine
 
@@ -66,12 +66,6 @@ type Job struct {
 	// cells finish in well under a millisecond, so timing experiments
 	// repeat them to keep scheduler jitter out of the comparison.
 	Repeats int
-	// Client tags the job with the sweep-server client it was admitted
-	// for, feeding the per-client fairness lanes on /progress. It is
-	// scheduling metadata, never cell identity: excluded from the
-	// results key and from every serialised form, so a tagged cell
-	// stores and streams byte-identically to an untagged one.
-	Client string `json:"-"`
 }
 
 // Result is the outcome of one Job.
@@ -268,16 +262,6 @@ func (e *Engine) SetProgress(p *obs.Progress) *Engine {
 	return e
 }
 
-// laneDone credits a completed execution to the job's client lane (a
-// no-op for untagged jobs and unobserved engines) — the engine-side
-// half of the sweep server's fairness accounting: lanes count what the
-// engine actually executed per client, not what was merely requested.
-func (e *Engine) laneDone(job Job) {
-	if job.Client != "" {
-		e.progress.LaneComputed(job.Client)
-	}
-}
-
 // ExecRelease runs one job, hands the result to consume, and then
 // recycles the job's runtime shard into the engine's pool — so a sweep
 // of equal-arena cells stops paying per-cell heap and runtime
@@ -295,7 +279,6 @@ func (e *Engine) ExecRelease(job Job, consume func(Result)) {
 		return
 	}
 	r := exec(job, e.pool.get(bytes), e.tapes, e.progress)
-	e.laneDone(job)
 	consume(r)
 	if r.Err == nil && r.RT != nil {
 		e.pool.put(bytes, r.RT)

@@ -10,7 +10,7 @@ import (
 	"repro/internal/vm"
 )
 
-// exampleCG resolves a contaminated collector from the registry; the
+// exampleCG resolves a contaminated collector from its spec; the
 // worked examples inspect CG-specific observables (DependentFrame), so
 // they assert the concrete type.
 func exampleCG(spec string) *core.CG {

@@ -20,7 +20,6 @@
 package gengc
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -29,9 +28,8 @@ import (
 	"repro/internal/vm"
 )
 
-// PromoteAfter is the default number of minor collections an object
-// must survive before promotion to the old generation; NewTuned selects
-// other tenuring thresholds (the registry's gen+promote=N grammar).
+// PromoteAfter is the number of minor collections an object must
+// survive before promotion to the old generation.
 const PromoteAfter = 2
 
 // minorYieldNum/minorYieldDen: a minor collection that frees fewer than
@@ -75,10 +73,9 @@ func (s *Stats) Merge(o Stats) {
 type System struct {
 	rt *vm.Runtime
 
-	promoteAfter uint8   // minor-cycle survivals before tenuring
-	flags        []uint8 // flagOld | flagRemembered per handle
-	survivals    []uint8
-	mark         heap.Bitset // word-packed mark scratch
+	flags     []uint8 // flagOld | flagRemembered per handle
+	survivals []uint8
+	mark      heap.Bitset // word-packed mark scratch
 	// remembered lists the ids that set flagRemembered: old objects
 	// that may reference young ones. An id whose bit handle reuse
 	// cleared stays listed until the next cycle compacts the list.
@@ -138,33 +135,12 @@ func (t *genTables) mapTables(bound int) {
 
 var genTablePool = sync.Pool{New: func() any { return new(genTables) }}
 
-// New returns an unattached generational system with the default
-// tenuring threshold; pass it to vm.New.
-func New() *System { return NewTuned(PromoteAfter) }
+// New returns an unattached generational system; pass it to vm.New.
+// The side tables are drawn from the pool at Attach, not here.
+func New() *System { return &System{} }
 
-// NewTuned returns a generational system that promotes survivors after
-// promoteAfter minor collections — the tunable variant the registry
-// exposes as gen+promote=N. promoteAfter is clamped to [1, 255]. The
-// side tables are drawn from the pool at Attach, not here.
-func NewTuned(promoteAfter int) *System {
-	if promoteAfter < 1 {
-		promoteAfter = 1
-	}
-	if promoteAfter > 255 {
-		promoteAfter = 255
-	}
-	return &System{promoteAfter: uint8(promoteAfter)}
-}
-
-// Name identifies the configuration in experiment output (the
-// registry's canonical spelling: "gen", or "gen+promote=N" when tuned
-// away from the default threshold).
-func (g *System) Name() string {
-	if g.promoteAfter == PromoteAfter {
-		return "gen"
-	}
-	return fmt.Sprintf("gen+promote=%d", g.promoteAfter)
-}
+// Name identifies the collector in experiment output: its spec, "gen".
+func (g *System) Name() string { return "gen" }
 
 // Events implements vm.Collector.
 func (g *System) Events() vm.Events {
@@ -336,7 +312,7 @@ func (g *System) minor() int {
 			freed++
 			return
 		}
-		if g.survivals[i]++; g.survivals[i] >= g.promoteAfter {
+		if g.survivals[i]++; g.survivals[i] >= PromoteAfter {
 			g.promote(id)
 		}
 	})

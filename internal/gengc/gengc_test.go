@@ -284,41 +284,3 @@ func TestStatsMerge(t *testing.T) {
 		t.Fatalf("Stats.Merge = %+v", a)
 	}
 }
-
-// TestTunedPromotionThreshold pins the gen+promote=N semantics: with a
-// threshold of 1 a surviving object tenures on its first minor cycle;
-// with a high threshold the same program promotes nothing.
-func TestTunedPromotionThreshold(t *testing.T) {
-	run := func(promote int) (Stats, *System) {
-		h := heap.New(1 << 16)
-		node := h.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
-		g := NewTuned(promote)
-		rt := vm.New(h, g)
-		th := rt.NewThread(1)
-		th.Top().SetLocal(0, th.Top().MustNew(node))
-		g.Collect()
-		return g.Stats(), g
-	}
-	eager, g1 := run(1)
-	if eager.Promoted == 0 {
-		t.Fatalf("promote=1 tenured nothing after a survived minor cycle: %+v", eager)
-	}
-	if got := g1.Name(); got != "gen+promote=1" {
-		t.Fatalf("Name() = %q, want gen+promote=1", got)
-	}
-	lazy, g8 := run(100)
-	if lazy.Promoted != 0 {
-		t.Fatalf("promote=100 tenured %d objects after one minor cycle", lazy.Promoted)
-	}
-	if got := g8.Name(); got != "gen+promote=100" {
-		t.Fatalf("Name() = %q", got)
-	}
-	def, gd := run(PromoteAfter)
-	if def.Promoted != 0 {
-		t.Fatalf("default threshold tenured %d objects after a single minor cycle (PromoteAfter = %d)",
-			def.Promoted, PromoteAfter)
-	}
-	if got := gd.Name(); got != "gen" {
-		t.Fatalf("default threshold must keep the canonical name, got %q", got)
-	}
-}

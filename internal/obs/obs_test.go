@@ -100,8 +100,7 @@ func fakeClock(step int64) func() func() int64 {
 }
 
 // TestTimelinePhases drives the cycle protocol against a deterministic
-// clock and checks the phase arithmetic, the ring and the cumulative
-// stats.
+// clock and checks the phase arithmetic and the cumulative stats.
 func TestTimelinePhases(t *testing.T) {
 	SetClockFactory(fakeClock(10))
 	defer SetClockFactory(nil)
@@ -114,14 +113,6 @@ func TestTimelinePhases(t *testing.T) {
 	tl.CycleEnd(0)        // t=50: pause = 10, no mark-done: mark 0, sweep 10
 	tl.CycleMarkDone(1)   // outside a cycle: ignored
 	tl.CycleEnd(99)       // ignored
-	recs := tl.Recent(nil)
-	want := []CycleRecord{
-		{Pause: 20, Mark: 10, Sweep: 10, Workers: 1, Marked: 100, Freed: 25},
-		{Pause: 10, Mark: 0, Sweep: 10, Workers: 1, Marked: 0, Freed: 0},
-	}
-	if len(recs) != 2 || recs[0] != want[0] || recs[1] != want[1] {
-		t.Fatalf("ring = %+v, want %+v", recs, want)
-	}
 	s := tl.Stats()
 	if s.Cycles != 2 || s.Marked != 100 || s.Freed != 25 ||
 		s.PauseNS != 30 || s.MarkNS != 10 || s.SweepNS != 20 ||
@@ -133,32 +124,8 @@ func TestTimelinePhases(t *testing.T) {
 	}
 
 	tl.Reset()
-	if tl.Cycles() != 0 || tl.Stats() != (CycleStats{}) {
+	if tl.Stats() != (CycleStats{}) {
 		t.Fatal("reset timeline not observably fresh")
-	}
-}
-
-// TestTimelineRingBounded overfills the ring and checks only the most
-// recent TimelineCap records survive while the stats keep counting.
-func TestTimelineRingBounded(t *testing.T) {
-	SetClockFactory(fakeClock(1))
-	defer SetClockFactory(nil)
-	var tl Timeline
-	total := TimelineCap + 37
-	for i := 0; i < total; i++ {
-		tl.CycleStart()
-		tl.CycleEnd(uint64(i))
-	}
-	recs := tl.Recent(nil)
-	if len(recs) != TimelineCap {
-		t.Fatalf("ring holds %d records, want %d", len(recs), TimelineCap)
-	}
-	if recs[0].Freed != uint64(total-TimelineCap) || recs[len(recs)-1].Freed != uint64(total-1) {
-		t.Fatalf("ring window [%d..%d], want [%d..%d]",
-			recs[0].Freed, recs[len(recs)-1].Freed, total-TimelineCap, total-1)
-	}
-	if got := tl.Stats().Cycles; got != uint64(total) {
-		t.Fatalf("stats counted %d cycles, want %d", got, total)
 	}
 }
 

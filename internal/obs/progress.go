@@ -118,9 +118,9 @@ func (p *Progress) LaneSubmitted(client string, n int) {
 	}
 }
 
-// LaneComputed counts one cell the engine executed on client's behalf —
-// the engine calls it for jobs carrying a client tag, which is what
-// makes fairness auditable from /progress.
+// LaneComputed counts one cell computed on client's behalf — the cell
+// scheduler calls it beside AddComputed, which is what makes fairness
+// auditable from /progress.
 func (p *Progress) LaneComputed(client string) {
 	if p == nil {
 		return

@@ -52,41 +52,46 @@ func TestFlightJoinResolve(t *testing.T) {
 	}
 }
 
-// TestClientTagOutsideCellIdentity pins that the scheduling-only client
-// tag on engine.Job never leaks into cell identity or serialised form:
-// a tagged and an untagged job share their store key and their Encode
-// bytes, which is what lets the sweep server tag jobs for fairness
-// accounting while staying byte-identical to batch runs.
+// TestClientTagOutsideCellIdentity pins that the client a session is
+// opened for is scheduling metadata, never cell identity: a cell
+// computed for a named client stores under the same key, and with the
+// same job, as one computed for an anonymous sweep, and the client name
+// appears nowhere in the stored bytes.
 func TestClientTagOutsideCellIdentity(t *testing.T) {
-	plain := engine.Job{Workload: workload.All()[0].Name, Size: 1, Collector: "cg"}
-	tagged := plain
-	tagged.Client = "alice"
-
-	kp, err := Key(plain)
+	job := engine.Job{Workload: workload.All()[0].Name, Size: 1, Collector: "cg"}
+	key, err := Key(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kt, err := Key(tagged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kp != kt {
-		t.Errorf("client tag changed the store key:\n%s\n%s", kp, kt)
-	}
-
-	ep, err := Encode(Outcome{Job: plain, Payload: Payload{Kind: "none"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	et, err := Encode(Outcome{Job: tagged, Payload: Payload{Kind: "none"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ep, et) {
-		t.Errorf("client tag changed the serialised outcome:\n%s%s", ep, et)
-	}
-	if bytes.Contains(et, []byte("alice")) {
-		t.Error("client name leaked into the serialised outcome")
+	for _, client := range []string{"", "alice"} {
+		store, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler(Local{Eng: engine.New(1)}, store, nil, 1)
+		sess, err := s.OpenSession(client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Run([]engine.Job{job}, func(int, Outcome) {}); err != nil {
+			t.Fatal(err)
+		}
+		sess.Close()
+		s.Wait()
+		data, ok, err := store.GetKey(key)
+		if err != nil || !ok {
+			t.Fatalf("client %q: cell not stored under its key: ok=%v err=%v", client, ok, err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Job != job {
+			t.Errorf("client %q: stored job %+v, want %+v", client, got.Job, job)
+		}
+		if client != "" && bytes.Contains(data, []byte(client)) {
+			t.Errorf("client name leaked into the stored outcome: %s", data)
+		}
 	}
 }
 

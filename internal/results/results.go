@@ -3,7 +3,7 @@
 // the experiment harness:
 //
 //   - Outcome is the JSON codec for (engine.Job, engine.Result) pairs:
-//     collector specs round-trip via the registry's canonical grammar
+//     collector specs round-trip via the collector grammar's canonical form
 //     (collectors.Spec) and collector statistics travel as typed
 //     payloads, so a worker process can compute a cell and a
 //     coordinator can merge it without ever sharing a heap.
@@ -67,11 +67,11 @@ type Outcome struct {
 	Prov *obs.Provenance `json:"prov,omitempty"`
 	// Stored marks an outcome the Scheduler read from its store instead
 	// of having it computed. It is delivery metadata for sweep
-	// accounting, like Job.Client: never serialised, never cell identity.
+	// accounting: never serialised, never cell identity.
 	Stored bool `json:"-"`
 }
 
-// Payload is the typed per-collector extract; Kind names the registry
+// Payload is the typed per-collector extract; Kind names the collector
 // family and selects which branch is populated.
 type Payload struct {
 	Kind string       `json:"kind"`
@@ -141,7 +141,7 @@ func Encode(o Outcome) ([]byte, error) {
 }
 
 // Decode unmarshals an Encode line, re-validating the collector spec
-// against the registry grammar (a stored cell for a collector this
+// against the collector grammar (a stored cell for a collector this
 // build no longer knows is an error, not a silent blob) and checking
 // payload/kind consistency.
 func Decode(data []byte) (Outcome, error) {

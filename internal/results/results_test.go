@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -125,6 +124,32 @@ func TestKeyIdentity(t *testing.T) {
 	}
 }
 
+// TestKeyPinnedPerSpec holds the store key of every spec the goldens and
+// the benchmark's matrices use to the exact string stores on disk carry:
+// a change to the collector grammar that respells one of them would
+// orphan every stored cell of that collector.
+func TestKeyPinnedPerSpec(t *testing.T) {
+	const rest = " h=-1 g=0 r=1 seed=3889386059357"
+	for spec, want := range map[string]string{
+		"cg":         "v3 w=javac s=100 c=cg" + rest,
+		"cg+noopt":   "v3 w=javac s=100 c=cg+noopt" + rest,
+		"cg+reset":   "v3 w=javac s=100 c=cg+reset" + rest,
+		"cg+recycle": "v3 w=javac s=100 c=cg+recycle" + rest,
+		"cg+packed":  "v3 w=javac s=100 c=cg+packed" + rest,
+		"msa":        "v3 w=javac s=100 c=msa" + rest,
+		"gen":        "v3 w=javac s=100 c=gen" + rest,
+		"none":       "v3 w=javac s=100 c=none" + rest,
+	} {
+		got, err := Key(engine.Job{Workload: "javac", Size: 100, Collector: spec, HeapBytes: engine.TightHeap})
+		if err != nil {
+			t.Fatalf("Key(%s): %v", spec, err)
+		}
+		if got != want {
+			t.Errorf("Key(%s) = %q, want %q", spec, got, want)
+		}
+	}
+}
+
 func TestStorePutGet(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -198,21 +223,41 @@ func TestSinkStreamsRowsInIndexOrder(t *testing.T) {
 	if !strings.Contains(header, "T\n") || !strings.Contains(header, "a ") {
 		t.Fatalf("header not written eagerly: %q", header)
 	}
-	s.Row(2, "z", 3)
-	if strings.Contains(buf.String(), "z") {
-		t.Fatal("row 2 rendered before rows 0-1")
-	}
 	s.Row(0, "x", 1)
 	if !strings.Contains(buf.String(), "x") {
 		t.Fatal("row 0 must render immediately")
 	}
 	s.Row(1, "y", 2.5)
+	s.Row(2, "z", 3)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	want := "T\na  bb\n-----\nx  1 \ny  2.50\nz  3 \n"
 	if buf.String() != want {
 		t.Fatalf("sink rendered:\n%q\nwant:\n%q", buf.String(), want)
+	}
+}
+
+// TestSinkRejectsOutOfOrderRows: a row that is not the next one — ahead
+// of it or a repeat — prints nothing, and Flush reports it however many
+// rows arrive afterwards.
+func TestSinkRejectsOutOfOrderRows(t *testing.T) {
+	for name, order := range map[string][]int{
+		"ahead":  {0, 2, 1},
+		"repeat": {0, 0, 1, 2},
+	} {
+		var buf bytes.Buffer
+		s := NewSink(&buf, "", 3, "i")
+		for _, i := range order {
+			s.Row(i, i)
+		}
+		err := s.Flush()
+		if err == nil || !strings.Contains(err.Error(), "want row 1") {
+			t.Errorf("%s: Flush = %v, want the out-of-order row reported", name, err)
+		}
+		if rows := strings.Count(buf.String(), "\n") - 2; rows != 1 {
+			t.Errorf("%s: %d rows printed, want only row 0:\n%s", name, rows, buf.String())
+		}
 	}
 }
 
@@ -225,19 +270,27 @@ func TestSinkFlushReportsMissingRows(t *testing.T) {
 	}
 }
 
+// TestSinkConcurrentRows submits each row from its own goroutine, one at
+// a time in index order, as a Backend's emit does from whichever
+// executor completed the cell.
 func TestSinkConcurrentRows(t *testing.T) {
 	var buf bytes.Buffer
 	const n = 64
 	s := NewSink(&buf, "", n, "i")
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.Row(i, i)
-		}(i)
+	// Row i's goroutine waits for row i-1's to hand it the turn.
+	turn := make([]chan struct{}, n+1)
+	for i := range turn {
+		turn[i] = make(chan struct{})
 	}
-	wg.Wait()
+	for i := n - 1; i >= 0; i-- {
+		go func() {
+			<-turn[i]
+			s.Row(i, i)
+			close(turn[i+1])
+		}()
+	}
+	close(turn[0])
+	<-turn[n]
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}

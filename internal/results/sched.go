@@ -207,7 +207,6 @@ func (sess *Session) Run(jobs []engine.Job, emit func(i int, o Outcome)) error {
 	var wg sync.WaitGroup
 	wg.Add(len(jobs))
 	for i, job := range jobs {
-		job.Client = sess.client
 		key, err := Key(job)
 		if err != nil {
 			// A malformed cell is a job-level failure: it must not wedge
@@ -332,6 +331,7 @@ func (s *Scheduler) compute(slot int, t *task) {
 	out := s.exec.Exec(slot, fc.Job)
 	sess.computed.Add(1)
 	s.prog.AddComputed(1)
+	s.prog.LaneComputed(sess.client)
 	if s.store != nil {
 		if err := s.store.Put(out); err != nil {
 			// A failed Put degrades the cache, not the stream: the waiters

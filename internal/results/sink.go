@@ -4,42 +4,38 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/table"
 )
 
 // Sink renders one figure's table incrementally: the title, header row
 // and rule print at construction, and each data row prints the moment
-// the in-order prefix reaches it — a long sweep shows its first rows
-// while later cells are still running, instead of barriering on the
-// whole matrix.
+// it is submitted — a long sweep shows its first rows while later cells
+// are still running, instead of barriering on the whole matrix.
 //
 // Streaming forecloses the batch table's measure-then-render pass, so
 // columns are sized from the headers alone and a wider cell simply
 // widens its own row. What it preserves is determinism: cell text comes
-// from the same table.Format the batch path uses, and rows are emitted
+// from the same table.Format the batch path uses, and rows are printed
 // by index, so sweep output is byte-identical for any worker count,
 // process count or store state.
 //
-// Rows may arrive from any goroutine and in any order; out-of-order
-// rows buffer until the prefix completes. Write errors stick and
-// surface from Flush.
+// Rows must arrive one at a time in index order, as a Backend emits
+// cells; a row out of order is a sticky error, like a write error, and
+// both surface from Flush.
 type Sink struct {
-	mu      sync.Mutex
-	w       io.Writer
-	widths  []int
-	pending map[int][]string
-	next    int
-	rows    int
-	err     error
+	w      io.Writer
+	widths []int
+	next   int
+	rows   int
+	err    error
 }
 
 // NewSink writes the title, header and rule immediately and returns the
 // row sink. rows is the number of data rows the figure will emit;
 // Flush reports any shortfall.
 func NewSink(w io.Writer, title string, rows int, headers ...string) *Sink {
-	s := &Sink{w: w, pending: make(map[int][]string), rows: rows}
+	s := &Sink{w: w, rows: rows}
 	s.widths = make([]int, len(headers))
 	for i, h := range headers {
 		s.widths[i] = len(h)
@@ -59,30 +55,21 @@ func NewSink(w io.Writer, title string, rows int, headers ...string) *Sink {
 	return s
 }
 
-// Row submits data row i (0-based). Safe for concurrent use; rows print
-// in index order as the prefix completes.
+// Row prints data row i (0-based), which must be the next row.
 func (s *Sink) Row(i int, cells ...any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.pending[i]; dup || i < s.next {
-		return // first submission wins, matching the reorder contract
+	if s.err != nil {
+		return
 	}
-	s.pending[i] = table.Format(cells...)
-	for {
-		row, ok := s.pending[s.next]
-		if !ok {
-			return
-		}
-		delete(s.pending, s.next)
-		s.next++
-		s.writeRow(row)
+	if i != s.next {
+		s.err = fmt.Errorf("results: sink got row %d, want row %d", i, s.next)
+		return
 	}
+	s.next++
+	s.writeRow(table.Format(cells...))
 }
 
-// Flush verifies every row arrived and returns the first write error.
+// Flush verifies every row arrived and returns the first error.
 func (s *Sink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
 	}

@@ -25,7 +25,7 @@ const keyVersion = "v3"
 
 // Key is the canonical identity of a cell: every field that determines
 // its deterministic outcome. The collector spec is canonicalised
-// through the registry grammar (so "cg+reset+recycle" and
+// through the collector grammar (so "cg+reset+recycle" and
 // "cg+recycle+reset" are one cell) and the workload's RNG seed is
 // included explicitly (so a change to the seeding scheme invalidates
 // the store rather than silently mixing event streams). HeapBytes stays in its symbolic form

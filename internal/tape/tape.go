@@ -10,7 +10,7 @@
 // A tape therefore captures exactly the driver's *inputs* to the
 // runtime (allocate, put/get field, call, return, intern, ...) and
 // none of the collector's activity, so one recording replays
-// bit-identically under any registered collector spec, any heap
+// bit-identically under any collector spec, any heap
 // budget and any gc-every setting.
 //
 // Encoding. Ops and operands live in separate streams (SoA): one

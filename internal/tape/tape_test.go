@@ -166,7 +166,7 @@ func runCell(t *testing.T, name string, size int, colSpec string, gcEvery uint64
 }
 
 // TestReplayEquivalence is the bit-identity gate: for every collector
-// spec the registry can produce, a cell replayed from a tape (recorded
+// spec the grammar enumerates, a cell replayed from a tape (recorded
 // once, under "none") is indistinguishable from the driven cell —
 // instruction count, cycle count, allocation statistics, the exact
 // live handle set, arena occupancy, and even the panic message when

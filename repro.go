@@ -14,7 +14,7 @@
 //   - internal/msa — the traditional mark–sweep baseline
 //   - internal/gengc — a generational baseline for ablations
 //   - internal/workload — SPECjvm98 benchmark analogs (a registry)
-//   - internal/collectors — the collector registry (name → factory)
+//   - internal/collectors — the closed collector grammar (spec → factory)
 //   - internal/engine — the sharded execution engine (worker pool)
 //   - internal/experiments — the one list of the thesis's figures, and their renderer
 //   - internal/results — serialisable cell outcomes and the content-addressed store
@@ -106,9 +106,8 @@ func NewMarkSweep() Collector { return msa.NewSystem() }
 // related-work ablations (§1.1, §5).
 func NewGenerational() Collector { return gengc.New() }
 
-// NewCollector resolves a collector spec from the registry to its
-// event table, e.g. "cg", "cg+recycle+reset", "msa", "gen",
-// "gen+promote=4".
+// NewCollector resolves a collector spec to its event table, e.g.
+// "cg", "cg+recycle+reset", "msa", "gen", "none".
 func NewCollector(spec string) (Events, error) { return collectors.New(spec) }
 
 // NewEngine returns a sharded execution engine; workers <= 0 selects

@@ -46,7 +46,7 @@ func churnTape(t *testing.T, iters int) *tape.Tape {
 }
 
 // TestReplayInnerLoopAllocs pins the replay decode loop at zero
-// allocations per op under every registered collector spec.
+// allocations per op under every collector spec.
 func TestReplayInnerLoopAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful unraced")
