@@ -22,7 +22,8 @@ import (
 //	go run ./cmd/cgbench
 //
 // BenchmarkFigures/<id> times the full regeneration of each figure on
-// the engine cgbench renders on (every worker, tape cache off); the
+// the engine cgbench renders on (every worker; only the demographic
+// cells may replay a tape, so from the second iteration on they do); the
 // Workload/... benchmarks time one run of each SPEC analog under each
 // collector, which is the raw comparison behind Figures 4.7-4.10.
 //
@@ -40,7 +41,7 @@ func BenchmarkFigures(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := engine.New(0).SetTapeCache(false)
+	eng := engine.New(0)
 	for _, f := range figs {
 		b.Run(f.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -54,7 +54,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	texts, errs := experiments.Render(timingEngine(*workers), figs)
+	texts, errs := experiments.Render(engine.New(*workers), figs)
 	failed := false
 	for i, text := range texts {
 		if errs[i] != nil {
@@ -67,12 +67,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// timingEngine builds the engine behind the figures. The wall-clock
-// ones (4.7, 4.8, 4.10, 4.12, A.5–A.7) print Result.Elapsed as the time
-// a program takes under a collector, so no cell may be served by
-// replaying a tape: the cache is off, and every cell drives.
-func timingEngine(workers int) *engine.Engine {
-	return engine.New(workers).SetTapeCache(false)
 }

@@ -10,9 +10,9 @@
 //   - cells requested concurrently by several clients compute exactly
 //     once (in-flight dedup), with every requesting stream receiving
 //     the outcome;
-//   - admission is bounded by the -max-inflight execution cap, and a
-//     per-client round-robin scheduler keeps one huge sweep from
-//     starving small ones.
+//   - admission is bounded by -workers, one cell executor per engine
+//     worker, and a per-client round-robin scheduler keeps one huge
+//     sweep from starving small ones.
 //
 // Usage:
 //
@@ -45,9 +45,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address for the sweep API, /progress, /healthz and pprof")
-	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "engine workers, one concurrent cell each (0 = GOMAXPROCS)")
 	storeDir := flag.String("store", "", "shared cell store directory (empty = a temporary directory, discarded on exit)")
-	maxInFlight := flag.Int("max-inflight", 0, "concurrent cell executions (0 = engine worker count)")
 	flag.Parse()
 
 	prog := &obs.Progress{}
@@ -66,14 +65,8 @@ func main() {
 		fatal(err)
 	}
 
-	srv := serve.New(serve.Config{Engine: eng, Store: store, Progress: prog, MaxInFlight: *maxInFlight})
-	obsSrv, err := obshttp.Serve(*addr, func() obshttp.Snapshot {
-		ps := prog.Snapshot()
-		return obshttp.Snapshot{
-			Provenance: obs.Capture(obs.Nanotime()),
-			Progress:   &ps,
-		}
-	})
+	srv := serve.New(serve.Config{Engine: eng, Store: store, Progress: prog})
+	obsSrv, err := obshttp.Serve(*addr, prog)
 	if err != nil {
 		fatal(err)
 	}

@@ -22,9 +22,8 @@
 // arrive. The output is byte-identical to a local run of the same
 // figures — the server renders with the same code path — but cells are
 // served from the server's shared cache, deduplicated against other
-// clients' concurrent sweeps, and admitted under the server's
-// -max-inflight. -client names this client in the server's fairness
-// lanes.
+// clients' concurrent sweeps, and run on the server's -workers
+// executors. -client names this client in the server's fairness lanes.
 //
 // -debug-addr serves net/http/pprof and a JSON snapshot (/progress) of
 // the sweep's live state — cells stored/computed/in-flight, queue
@@ -42,10 +41,11 @@
 // them) and only the missing ones recompute.
 //
 // With -procs N the coordinator spawns N cgworker children — found via
-// -worker, next to the cgsweep binary, or on $PATH — each hosting its
-// own engine pool of -workers shards. They start when the first cell
-// misses the store, so a rerun over a full store forks nothing. Cells
-// in flight on a worker that dies are retried on the survivors.
+// -worker, next to the cgsweep binary, or on $PATH — each running the
+// cells it is sent as one session of its own cell pipeline, on -workers
+// shards. They start when the first cell misses the store, so a rerun
+// over a full store forks nothing. Cells in flight on a worker that
+// dies are retried on the survivors.
 package main
 
 import (
@@ -179,10 +179,7 @@ func sweep(figs []experiments.SweepFig, procs, workers int, storeDir, workerCmd,
 	}
 
 	if debugAddr != "" {
-		srv, err := obshttp.Serve(debugAddr, func() obshttp.Snapshot {
-			ps := prog.Snapshot()
-			return obshttp.Snapshot{Provenance: obs.Capture(obs.Nanotime()), Progress: &ps}
-		})
+		srv, err := obshttp.Serve(debugAddr, prog)
 		if err != nil {
 			return err
 		}

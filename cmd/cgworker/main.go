@@ -1,8 +1,9 @@
 // Command cgworker is one worker process of a distributed sweep: it
-// speaks internal/dist's NDJSON protocol on stdin/stdout, runs each
-// received cell on its own engine pool, and streams serialised
-// outcomes back. cgsweep -procs N spawns N of these; there is no
-// reason to run one by hand except to poke the protocol:
+// speaks internal/dist's NDJSON protocol on stdin/stdout, runs the
+// cells it receives as one session of the cell pipeline over its own
+// engine, and streams serialised outcomes back. cgsweep -procs N spawns
+// N of these; there is no reason to run one by hand except to poke the
+// protocol:
 //
 //	echo '{"type":"job","id":0,"job":{"Workload":"compress","Size":1,"Collector":"cg"}}' | cgworker
 //
@@ -41,12 +42,7 @@ func main() {
 	if *debugAddr != "" {
 		prog = &obs.Progress{}
 		eng.SetProgress(prog) // tapes recorded / declined / replayed
-		srv, err := obshttp.Serve(*debugAddr, func() obshttp.Snapshot {
-			return obshttp.Snapshot{
-				Provenance: obs.Capture(obs.Nanotime()),
-				Progress:   progSnapshot(prog),
-			}
-		})
+		srv, err := obshttp.Serve(*debugAddr, prog)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cgworker:", err)
 			os.Exit(2)
@@ -59,9 +55,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cgworker:", err)
 		os.Exit(1)
 	}
-}
-
-func progSnapshot(p *obs.Progress) *obs.ProgressSnapshot {
-	s := p.Snapshot()
-	return &s
 }

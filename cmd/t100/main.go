@@ -69,9 +69,8 @@ func main() {
 		}
 	}
 	// The table prints Result.Elapsed as the time a program takes under a
-	// collector, so no cell may be served by replaying a tape: every
-	// cell drives.
-	eng := engine.New(*workers).SetTapeCache(false)
+	// collector; RunEach drives every cell, so that is what it measures.
+	eng := engine.New(*workers)
 	// Extract per-cell wall time and cycle counts as shards complete;
 	// size-100 tight heaps are modest, but there is no reason to hold
 	// every runtime until render.

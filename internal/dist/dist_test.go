@@ -331,3 +331,60 @@ func TestRealWorkerProcesses(t *testing.T) {
 		t.Fatal("multi-process outcomes diverged from the in-process backend")
 	}
 }
+
+// TestServeIsOneSchedulerSession drives the worker side over in-memory
+// pipes with a Progress attached: every job is answered once, by id,
+// each cell is computed once on an executor lane, and the queue and
+// in-flight gauges are back at zero when the coordinator hangs up.
+func TestServeIsOneSchedulerSession(t *testing.T) {
+	jobs := smallJobs()
+	prog := &obs.Progress{}
+	jobR, jobW := io.Pipe()
+	resR, resW := io.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		served <- Serve(jobR, resW, engine.New(2), prog)
+		resW.Close()
+	}()
+	go func() {
+		enc := json.NewEncoder(jobW)
+		for i, job := range jobs {
+			enc.Encode(request{Type: "job", ID: i, Job: job})
+		}
+		jobW.Close()
+	}()
+
+	dec := json.NewDecoder(resR)
+	var hello response
+	if err := dec.Decode(&hello); err != nil || hello.Type != "hello" || hello.Capacity != 2 {
+		t.Fatalf("hello = %+v, %v; want capacity 2", hello, err)
+	}
+	answered := make(map[int]bool)
+	for range jobs {
+		var resp response
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Type != "result" || resp.Outcome == nil || answered[resp.ID] {
+			t.Fatalf("bad or repeated answer %+v", resp)
+		}
+		if o := resp.Outcome; o.Err != "" || o.Job != jobs[resp.ID] {
+			t.Fatalf("job %d answered with %+v", resp.ID, o)
+		}
+		answered[resp.ID] = true
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+
+	s := prog.Snapshot()
+	n := int64(len(jobs))
+	var done int64
+	for _, w := range s.Workers {
+		done += w.Done
+	}
+	if s.CellsComputed != n || done != n || s.QueueDepth != 0 || s.CellsInFlight != 0 {
+		t.Errorf("after %d jobs: computed %d, lanes done %d, queue %d, in flight %d; want %d, %d, 0, 0",
+			n, s.CellsComputed, done, s.QueueDepth, s.CellsInFlight, n, n)
+	}
+}

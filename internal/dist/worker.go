@@ -14,10 +14,11 @@ import (
 
 // Serve runs the worker side of the protocol until r reaches EOF (the
 // coordinator closing our stdin is the shutdown signal), then drains
-// in-flight jobs and returns. Jobs execute on eng's pool via
-// ExecRelease; outcomes are extracted on the worker goroutine so a
-// finished shard is recycled before the next job starts. Serve is what
-// cmd/cgworker wraps; tests drive it directly over in-memory pipes.
+// in-flight jobs and returns. The worker is one session of a store-less
+// results.Scheduler over results.Local: each job is a one-cell Run on
+// it, answered the moment its cell completes, on eng's pooled shards
+// with one executor per engine worker. Serve is what cmd/cgworker
+// wraps; tests drive it directly over in-memory pipes.
 //
 // prog, when non-nil, mirrors the worker's live state (per-lane
 // utilization, queue depth, cells computed) for a -debug-addr surface;
@@ -40,36 +41,16 @@ func Serve(r io.Reader, w io.Writer, eng *engine.Engine, prog *obs.Progress) err
 		return fmt.Errorf("dist: worker hello: %w", err)
 	}
 
-	// The window guarantees at most `capacity` unanswered jobs, so a
-	// buffered channel of that depth means the decode loop never blocks
-	// handing work to the pool.
-	jobs := make(chan request, capacity)
-	prog.EnsureWorkers(capacity)
+	sched := results.NewScheduler(results.Local{Eng: eng, Obs: prog}, nil, prog, capacity)
+	sess, _ := sched.OpenSession("") // a fresh scheduler is not draining
+	// The coordinator's window keeps at most capacity jobs unanswered; the
+	// semaphore holds the decode loop to the same bound, so a coordinator
+	// that overruns it blocks on its pipe instead of growing our
+	// goroutine count.
+	sem := make(chan struct{}, capacity)
 	var wg sync.WaitGroup
 	var errOnce sync.Once
 	var sendErr error
-	for i := 0; i < capacity; i++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			for req := range jobs {
-				prog.SetQueued(len(jobs))
-				prog.SetWorkerBusy(lane, 1)
-				// ExecRelease recycles the shard as soon as the outcome
-				// is extracted, so back-to-back cells of one sweep reuse
-				// one runtime instead of rebuilding 512 MiB arenas.
-				var o results.Outcome
-				eng.ExecRelease(req.Job, func(r engine.Result) { o = results.Extract(r) })
-				prog.SetWorkerBusy(lane, 0)
-				prog.AddWorkerDone(lane)
-				prog.AddComputed(1)
-				if err := send(response{Type: "result", ID: req.ID, Outcome: &o}); err != nil {
-					errOnce.Do(func() { sendErr = err })
-				}
-			}
-		}(i)
-	}
-
 	dec := json.NewDecoder(bufio.NewReader(r))
 	var readErr error
 	for {
@@ -84,10 +65,22 @@ func Serve(r io.Reader, w io.Writer, eng *engine.Engine, prog *obs.Progress) err
 			readErr = fmt.Errorf("dist: worker got unknown request %q", req.Type)
 			break
 		}
-		jobs <- req
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			// A one-job Run returns once its job was delivered, so its
+			// "never completed" error cannot occur.
+			_ = sess.Run([]engine.Job{req.Job}, func(_ int, o results.Outcome) {
+				if err := send(response{Type: "result", ID: req.ID, Outcome: &o}); err != nil {
+					errOnce.Do(func() { sendErr = err })
+				}
+			})
+		}()
 	}
-	close(jobs)
 	wg.Wait()
+	sess.Close()
+	sched.Wait()
 	if readErr != nil {
 		return readErr
 	}

@@ -1,6 +1,10 @@
-// Package engine is the sharded execution engine: a worker-pool job
-// scheduler that runs (workload, size, collector) cells of the
-// experiment matrix on independent vm.Runtime shards.
+// Package engine is the sharded execution engine: it runs (workload,
+// size, collector) cells of the experiment matrix on independent
+// vm.Runtime shards. It queues nothing across callers — that is
+// results.Scheduler's job — and has four entries: ExecRelease, the cell
+// pipeline's (results.Local) and the only one that may replay an event
+// tape, and RunEach, Do and Exec, which always drive the program, so
+// the Elapsed they report is the program's time.
 //
 // Each vm.Runtime owns its heap, threads, statics and collector, and
 // every workload analog draws from its own deterministic RNG, so a cell
@@ -111,10 +115,10 @@ func ArenaBytes(job Job) (int, error) {
 }
 
 // Exec runs one job synchronously in the caller's goroutine on a fresh
-// shard, with no engine: no shard pool, no tape cache. The Result's RT
-// is the caller's to keep. Callers with their own per-benchmark control
-// flow (probe runs, budget retry loops) use it; a matrix goes through
-// Engine.RunEach.
+// shard, with no engine: no shard pool, no tape cache — it always
+// drives. The Result's RT is the caller's to keep. Callers with their
+// own per-benchmark control flow (probe runs, budget retry loops) use
+// it; a matrix goes through Engine.RunEach.
 func Exec(job Job) Result { return exec(job, nil, nil, nil) }
 
 // exec is the shared job body. With a non-nil rt it starts from that
@@ -122,12 +126,13 @@ func Exec(job Job) Result { return exec(job, nil, nil, nil) }
 // never returns shards to the pool itself — the caller does, once the
 // Result can no longer escape (see ExecRelease).
 //
-// A non-nil tc consults the event-tape cache: a hit replays the row's
-// recorded operation stream through the runtime instead of re-running
-// driver logic (bit-identical results, no driver overhead); a miss
-// claims the row's recording slot, if free, and records as a side effect
-// of the first repeat until the recording reaches maxTapedOps —
-// otherwise it just drives. p counts those outcomes.
+// A non-nil tc — ExecRelease's, and no other entry's — consults the
+// event-tape cache: a hit replays the row's recorded operation stream
+// through the runtime instead of re-running driver logic (bit-identical
+// results, no driver overhead); a miss claims the row's recording slot,
+// if free, and records as a side effect of the first repeat until the
+// recording reaches maxTapedOps — otherwise it just drives. p counts
+// those outcomes.
 func exec(job Job, rt *vm.Runtime, tc *tapeCache, p *obs.Progress) (res Result) {
 	res.Job = job
 	defer func() {
@@ -231,13 +236,13 @@ func exec(job Job, rt *vm.Runtime, tc *tapeCache, p *obs.Progress) (res Result) 
 
 // Engine is a fixed-size worker pool with a shard pool that recycles
 // runtimes between cells of equal arena size and a cache of event
-// tapes. The zero value is not usable; construct with New. An Engine
-// holds no per-run state beyond those two and is safe for concurrent
-// use.
+// tapes, which only ExecRelease reads. The zero value is not usable;
+// construct with New. An Engine holds no per-run state beyond those two
+// and is safe for concurrent use.
 type Engine struct {
 	workers  int
 	pool     *shardPool
-	tapes    *tapeCache    // nil when the tape cache is disabled
+	tapes    *tapeCache
 	progress *obs.Progress // nil unless a debug surface is watching
 }
 
@@ -247,7 +252,8 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{workers: workers, pool: newShardPool(workers), tapes: newTapeCache()}
+	tapes := &tapeCache{tapes: make(map[tapeKey]*tape.Tape), claimed: make(map[tapeKey]bool)}
+	return &Engine{workers: workers, pool: newShardPool(workers), tapes: tapes}
 }
 
 // Workers reports the pool size.
@@ -269,16 +275,27 @@ func (e *Engine) SetProgress(p *obs.Progress) *Engine {
 // consume returns: extract what the merge needs, drop the rest. A shard
 // that panicked mid-run is discarded, never recycled.
 //
+// ExecRelease is the cell pipeline's entry (results.Local) and the only
+// one that may replay a tape: a demographic cell is a pure function of
+// its job, so a replayed one is indistinguishable from a driven one.
+// Its Elapsed is then not the program's time, which is why every entry
+// that reports time — RunEach, Do, Exec — drives.
+//
 // Nothing is admitted or refused here: the engine's memory scales with
 // the cells in flight (the caller's worker count) times a cell's handle
 // tables, not with arena capacity, which is virtual (DESIGN.md §13).
 func (e *Engine) ExecRelease(job Job, consume func(Result)) {
+	e.release(job, e.tapes, consume)
+}
+
+// release is ExecRelease with the tape cache tc (nil: drive).
+func (e *Engine) release(job Job, tc *tapeCache, consume func(Result)) {
 	bytes, err := ArenaBytes(job)
 	if err != nil {
 		consume(Result{Job: job, Err: err})
 		return
 	}
-	r := exec(job, e.pool.get(bytes), e.tapes, e.progress)
+	r := exec(job, e.pool.get(bytes), tc, e.progress)
 	consume(r)
 	if r.Err == nil && r.RT != nil {
 		e.pool.put(bytes, r.RT)
@@ -336,9 +353,11 @@ func (e *Engine) Do(n int, fn func(i int)) {
 // let the Result's RT or Col escape). Peak memory is bounded by the
 // worker count instead of the matrix size — the sequential-loop
 // footprint at -workers 1. Like Do's fn, consume must confine its
-// writes to state owned by index i.
+// writes to state owned by index i. Every cell drives its program, so
+// Result.Elapsed is the program's time: RunEach runs the timing
+// matrices and t100.
 func (e *Engine) RunEach(jobs []Job, consume func(i int, r Result)) {
 	e.Do(len(jobs), func(i int) {
-		e.ExecRelease(jobs[i], func(r Result) { consume(i, r) })
+		e.release(jobs[i], nil, func(r Result) { consume(i, r) })
 	})
 }

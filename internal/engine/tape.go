@@ -34,13 +34,6 @@ type tapeCache struct {
 	claimed map[tapeKey]bool
 }
 
-func newTapeCache() *tapeCache {
-	return &tapeCache{
-		tapes:   make(map[tapeKey]*tape.Tape),
-		claimed: make(map[tapeKey]bool),
-	}
-}
-
 // maxTapedOps is the one admission rule: a recording that reaches this
 // many ops abandons itself and its row is declined. Below it a tape is
 // KB-sized and cost under 0.1 ms to make, so it is kept whatever the
@@ -88,35 +81,7 @@ func (tc *tapeCache) publish(k tapeKey, t *tape.Tape) {
 
 // Tapes reports how many event tapes the engine currently caches.
 func (e *Engine) Tapes() int {
-	if e.tapes == nil {
-		return 0
-	}
 	e.tapes.mu.Lock()
 	defer e.tapes.mu.Unlock()
 	return len(e.tapes.tapes)
 }
-
-// SetTapeCache enables or disables the per-(workload, size) event-tape
-// cache and returns e for chaining. Enabled (the default from New),
-// one cell of a matrix row records the driver's operation stream as a
-// side effect of running it, and every later cell of the row —
-// different collector, heap budget, gc-every or repeat — replays the
-// tape through the same runtime entry points instead of re-running
-// driver logic. Which cell records: the first of the row to arrive,
-// through any entry, and only a row shorter than maxTapedOps — a longer
-// one abandons its recording on reaching that many ops, for good, and
-// all its cells drive. Results are bit-identical either way; the cache only removes
-// redundant driver work. Disabling clears any cached tapes.
-func (e *Engine) SetTapeCache(on bool) *Engine {
-	if on {
-		if e.tapes == nil {
-			e.tapes = newTapeCache()
-		}
-		return e
-	}
-	e.tapes = nil
-	return e
-}
-
-// TapeCache reports whether the event-tape cache is enabled.
-func (e *Engine) TapeCache() bool { return e.tapes != nil }

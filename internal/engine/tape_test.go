@@ -51,9 +51,9 @@ func execOne(t *testing.T, eng *Engine, job Job) {
 }
 
 // TestTapeCacheSharesAcrossRepeats pins the Repeats contract: one job
-// with N repeats drives the workload once (recording) and replays the
-// other N-1 from the shared tape; with the cache off every repeat
-// drives.
+// with N repeats through ExecRelease drives the workload once
+// (recording) and replays the other N-1 from the shared tape; through
+// RunEach, which times programs, every repeat drives.
 func TestTapeCacheSharesAcrossRepeats(t *testing.T) {
 	job := Job{Workload: "tape-count", Size: 1, Collector: "cg", HeapBytes: 1 << 21, Repeats: 5}
 
@@ -64,20 +64,24 @@ func TestTapeCacheSharesAcrossRepeats(t *testing.T) {
 	}
 
 	tapeDriveCount.Store(0)
-	execOne(t, New(1).SetTapeCache(false), job)
+	New(1).RunEach([]Job{job}, func(_ int, r Result) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	})
 	if got := tapeDriveCount.Load(); got != 5 {
-		t.Errorf("tape cache off: driver ran %d times across 5 repeats, want 5", got)
+		t.Errorf("RunEach: driver ran %d times across 5 repeats, want 5", got)
 	}
 }
 
 // TestTapeCacheBitIdentical pins the substitution property at the
 // engine surface: the same matrix row produces identical collector
-// statistics and heap state however its cells were run — one at a time
-// through the cache, as one batch, as one-cell batches, and with the
-// cache disabled. It does so on both sides of the admission rule: javac
-// at size 1 (2.4k ops) records with its first cell and replays for the
-// other two, whichever way they arrive; jess at size 1 (8k ops) has its
-// first cell's recording abandoned mid-run and every cell drives.
+// statistics and heap state whether its cells drive (RunEach) or go
+// through the cache (ExecRelease), in either arrival order. It does so
+// on both sides of the admission rule: javac at size 1 (2.4k ops)
+// records with its first cell and replays for the other two, whichever
+// cell arrives first; jess at size 1 (8k ops) has its first cell's
+// recording abandoned mid-run and every cell drives.
 func TestTapeCacheBitIdentical(t *testing.T) {
 	type snap struct {
 		stats core.Stats
@@ -102,20 +106,19 @@ func TestTapeCacheBitIdentical(t *testing.T) {
 		}
 		// Each way hands every Result to take while its shard is valid.
 		ways := map[string]func(eng *Engine, take func(i int, r Result)){
-			"cached": func(eng *Engine, take func(int, Result)) {
+			"in order": func(eng *Engine, take func(int, Result)) {
 				for i, job := range jobs {
 					eng.ExecRelease(job, func(r Result) { take(i, r) })
 				}
 			},
-			"batched": func(eng *Engine, take func(int, Result)) { eng.RunEach(jobs, take) },
-			"alone": func(eng *Engine, take func(int, Result)) {
-				for i, job := range jobs {
-					eng.RunEach([]Job{job}, func(_ int, r Result) { take(i, r) })
+			"reversed": func(eng *Engine, take func(int, Result)) {
+				for i := len(jobs) - 1; i >= 0; i-- {
+					eng.ExecRelease(jobs[i], func(r Result) { take(i, r) })
 				}
 			},
 		}
 		driven := make([]snap, len(jobs))
-		ways["cached"](New(1).SetTapeCache(false), func(i int, r Result) { driven[i] = snapOf(r) })
+		New(1).RunEach(jobs, func(i int, r Result) { driven[i] = snapOf(r) })
 		for how, run := range ways {
 			p := &obs.Progress{}
 			run(New(1).SetProgress(p), func(i int, r Result) {
@@ -188,15 +191,14 @@ func TestTapeAdmissionByOpCount(t *testing.T) {
 
 	t.Run("concurrent cells of a row get one verdict", func(t *testing.T) {
 		batch := func(eng *Engine, size int) {
-			jobs := make([]Job, 8)
-			for i := range jobs {
-				jobs[i] = cell(size, "cg")
-				jobs[i].GCEvery = uint64(1000 + i)
-			}
-			eng.RunEach(jobs, func(i int, r Result) {
-				if r.Err != nil {
-					t.Errorf("job %d: %v", i, r.Err)
-				}
+			eng.Do(8, func(i int) {
+				job := cell(size, "cg")
+				job.GCEvery = uint64(1000 + i)
+				eng.ExecRelease(job, func(r Result) {
+					if r.Err != nil {
+						t.Errorf("job %d: %v", i, r.Err)
+					}
+				})
 			})
 		}
 		eng, p := engine(4)
@@ -212,11 +214,12 @@ func TestTapeAdmissionByOpCount(t *testing.T) {
 	})
 }
 
-// TestOneAdmissionRuleForEveryEntry pins that RunEach and ExecRelease
-// both admit tapes by the one op-count rule — no entry counts
-// consumers and none records every row it sees first. At size 1
-// compress (1.4k ops) and tape-count are shorter than the limit, db
-// (4.3k ops) and jess (8k ops) are not.
+// TestOneAdmissionRuleForEveryEntry pins who may tape: ExecRelease
+// admits rows by the one op-count rule — it neither counts consumers
+// nor records every row it sees first — and RunEach, which times
+// programs, neither records nor replays, even a row ExecRelease has
+// already taped. At size 1 compress (1.4k ops) and tape-count are
+// shorter than the limit, db (4.3k ops) and jess (8k ops) are not.
 func TestOneAdmissionRuleForEveryEntry(t *testing.T) {
 	fresh := func() (*Engine, *obs.Progress) {
 		p := &obs.Progress{}
@@ -224,11 +227,9 @@ func TestOneAdmissionRuleForEveryEntry(t *testing.T) {
 	}
 	run := func(eng *Engine, jobs ...Job) {
 		t.Helper()
-		eng.RunEach(jobs, func(i int, r Result) {
-			if r.Err != nil {
-				t.Errorf("job %d: %v", i, r.Err)
-			}
-		})
+		for _, job := range jobs {
+			execOne(t, eng, job)
+		}
 	}
 	counters := func(p *obs.Progress) [3]int64 {
 		s := p.Snapshot()
@@ -239,19 +240,30 @@ func TestOneAdmissionRuleForEveryEntry(t *testing.T) {
 	}
 
 	// Three rows, one cell each: the short one records although nothing
-	// in the batch will replay it, the long ones decline.
+	// will replay it, the long ones decline.
 	eng, p := fresh()
 	run(eng, cell("compress", "cg"), cell("db", "cg"), cell("jess", "cg"))
 	if got := counters(p); got != [3]int64{1, 2, 0} || eng.Tapes() != 1 {
 		t.Errorf("one cell per row: recorded/declined/replays %v, %d tapes cached; want [1 2 0], 1", got, eng.Tapes())
 	}
-	// Further cells of the recorded row replay, in this batch and the
-	// next; further cells of a declined row drive and are not judged
-	// again.
+	// Further cells of the recorded row replay; further cells of a
+	// declined row drive and are not judged again.
 	run(eng, cell("compress", "msa"), cell("db", "msa"), cell("compress", "gen"))
 	run(eng, cell("compress", "cg+recycle"), cell("jess", "msa"))
 	if got := counters(p); got != [3]int64{1, 2, 3} || eng.Tapes() != 1 {
 		t.Errorf("later cells of judged rows: recorded/declined/replays %v, %d tapes cached; want [1 2 3], 1", got, eng.Tapes())
+	}
+
+	// RunEach drives the taped row and judges no new one.
+	tapeDriveCount.Store(0)
+	eng.RunEach([]Job{cell("compress", "cg+typed"), cell("tape-count", "cg")}, func(i int, r Result) {
+		if r.Err != nil {
+			t.Errorf("job %d: %v", i, r.Err)
+		}
+	})
+	if got := counters(p); got != [3]int64{1, 2, 3} || eng.Tapes() != 1 || tapeDriveCount.Load() != 1 {
+		t.Errorf("RunEach: recorded/declined/replays %v, %d tapes cached, tape-count driven %d times; want [1 2 3], 1, 1",
+			got, eng.Tapes(), tapeDriveCount.Load())
 	}
 
 	// Repeats share the tape their first repeat recorded.
@@ -261,15 +273,6 @@ func TestOneAdmissionRuleForEveryEntry(t *testing.T) {
 	if got := counters(p); got != [3]int64{1, 0, 3} || tapeDriveCount.Load() != 1 {
 		t.Errorf("one job, four repeats: recorded/declined/replays %v, driver ran %d times; want [1 0 3], 1",
 			got, tapeDriveCount.Load())
-	}
-
-	// The single-job entry reaches the same verdicts as the batch did.
-	eng, p = fresh()
-	for _, job := range []Job{cell("compress", "cg"), cell("db", "cg"), cell("jess", "cg")} {
-		execOne(t, eng, job)
-	}
-	if got := counters(p); got != [3]int64{1, 2, 0} || eng.Tapes() != 1 {
-		t.Errorf("ExecRelease: recorded/declined/replays %v, %d tapes cached; want [1 2 0], 1", got, eng.Tapes())
 	}
 }
 
@@ -287,18 +290,5 @@ func TestTapeCacheProgressCounters(t *testing.T) {
 	}
 	if eng.Tapes() != 1 {
 		t.Errorf("engine caches %d tapes, want 1", eng.Tapes())
-	}
-}
-
-// TestTapeCacheClears pins that disabling the cache drops its tapes.
-func TestTapeCacheClears(t *testing.T) {
-	eng := New(1)
-	execOne(t, eng, Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 22})
-	if eng.Tapes() != 1 {
-		t.Fatalf("expected 1 cached tape, have %d", eng.Tapes())
-	}
-	eng.SetTapeCache(false)
-	if eng.Tapes() != 0 || eng.TapeCache() {
-		t.Error("SetTapeCache(false) left the cache populated")
 	}
 }

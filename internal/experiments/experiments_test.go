@@ -15,9 +15,8 @@ import (
 	"repro/internal/results"
 )
 
-// testEng is the engine cgbench renders on: every worker the host has,
-// the tape cache off.
-var testEng = engine.New(0).SetTapeCache(false)
+// testEng is the engine cgbench renders on: every worker the host has.
+var testEng = engine.New(0)
 
 // rendering is one Render call's figures and results.
 type rendering struct {
@@ -180,7 +179,7 @@ func TestDemographicFiguresComputeEachCellOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &countingLocal{Local: results.Local{Eng: engine.New(2).SetTapeCache(false)}}
+	b := &countingLocal{Local: results.Local{Eng: engine.New(2)}}
 	_, errs := render(b, b.Eng, figs)
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
@@ -198,7 +197,7 @@ func TestDemographicFiguresComputeEachCellOnce(t *testing.T) {
 func TestTimingMatricesRunOnce(t *testing.T) {
 	skipTiming(t)
 	prog := &obs.Progress{}
-	renderAll(t, engine.New(2).SetTapeCache(false).SetProgress(prog), "4.7", "4.8", "4.12", "A.5", "A.6")
+	renderAll(t, engine.New(2).SetProgress(prog), "4.7", "4.8", "4.12", "A.5", "A.6")
 	jobs := int64(0)
 	for _, w := range prog.Snapshot().Workers {
 		jobs += w.Done

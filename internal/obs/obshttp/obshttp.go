@@ -50,13 +50,14 @@ type Server struct {
 // Serve binds addr (":0" picks a free port; the chosen address is
 // reported by Addr) and serves in a background goroutine:
 //
-//	/progress          JSON Snapshot from the snap callback
+//	/progress          JSON Snapshot: the process's provenance and prog's counters
 //	/healthz           JSON Health (200 ok / 503 draining)
 //	/debug/pprof/...   the standard pprof handlers
 //
-// The callbacks run per request, so snapshots always reflect the live
-// counters. Without SetHealth, /healthz reports a static ok.
-func Serve(addr string, snap func() Snapshot) (*Server, error) {
+// Snapshots are taken per request, so they always reflect the live
+// counters; a nil prog serves provenance alone. Without SetHealth,
+// /healthz reports a static ok.
+func Serve(addr string, prog *obs.Progress) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obshttp: debug listen %s: %w", addr, err)
@@ -67,7 +68,12 @@ func Serve(addr string, snap func() Snapshot) (*Server, error) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(snap()); err != nil {
+		snap := Snapshot{Provenance: obs.Capture(obs.Nanotime())}
+		if prog != nil {
+			ps := prog.Snapshot()
+			snap.Progress = &ps
+		}
+		if err := enc.Encode(snap); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

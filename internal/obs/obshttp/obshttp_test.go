@@ -19,13 +19,7 @@ func TestDebugServerServesSnapshotAndPprof(t *testing.T) {
 	p.AddComputed(3)
 	p.EnsureWorkers(1)
 	p.SetWorkerLabel(0, "w0")
-	srv, err := Serve("127.0.0.1:0", func() Snapshot {
-		ps := p.Snapshot()
-		return Snapshot{
-			Provenance: obs.Capture(obs.Nanotime()),
-			Progress:   &ps,
-		}
-	})
+	srv, err := Serve("127.0.0.1:0", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +66,7 @@ func TestDebugServerServesSnapshotAndPprof(t *testing.T) {
 // as a 503 — which is how load balancers and the smoke scripts observe
 // a draining server.
 func TestDebugServerHealthz(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", func() Snapshot { return Snapshot{} })
+	srv, err := Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -425,3 +425,36 @@ func TestPackedIsASpellingOfCG(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreGetKey pins the key-addressed read path the cell endpoint
+// serves from: the raw stored bytes come back for the exact key, and
+// an uncomputed key is a miss, not an error.
+func TestStoreGetKey(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := engine.Job{Workload: workload.All()[0].Name, Size: 1, Collector: "cg"}
+	o := Outcome{Job: job, Payload: Payload{Kind: "none"}}
+	if err := s.Put(o); err != nil {
+		t.Fatal(err)
+	}
+	key, err := Key(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok, err := s.GetKey(key)
+	if err != nil || !ok {
+		t.Fatalf("GetKey = %v, %v", ok, err)
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Job != job {
+		t.Fatalf("GetKey round-trip job = %+v, want %+v", got.Job, job)
+	}
+	if _, ok, err := s.GetKey(key + "-missing"); err != nil || ok {
+		t.Fatalf("uncomputed key: ok=%v err=%v, want miss", ok, err)
+	}
+}

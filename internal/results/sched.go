@@ -33,9 +33,9 @@ type Exec interface {
 // with three properties:
 //
 //   - exactly-once execution: a cell wanted by several sessions at once
-//     is computed once (Flight dedups in-flight work; the store dedups
-//     completed work — the leader Puts before it Resolves, so any later
-//     request for the key is a disk hit);
+//     is computed once (the calls table dedups in-flight work; the store
+//     dedups completed work — the leader Puts before its call leaves the
+//     table, so any later request for the key is a disk hit);
 //   - fairness: each session owns a FIFO queue and executors take the
 //     next cell round-robin across sessions, so a 10k-cell sweep and a
 //     3-cell sweep make progress side by side;
@@ -43,30 +43,35 @@ type Exec interface {
 //     process holds that many cells' handle tables no matter how many
 //     sessions are open.
 type Scheduler struct {
-	exec   Exec
-	store  *Store // nil: no store
-	prog   *obs.Progress
-	flight Flight
+	exec  Exec
+	store *Store // nil: no store
+	prog  *obs.Progress
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	ring     []*Session // sessions with non-empty pending queues, round-robin order
-	rr       int        // next ring slot to serve
-	queued   int        // total pending tasks across the ring
-	running  int        // tasks currently executing
-	draining bool       // no new sessions
-	closed   bool       // executors may exit once the ring drains
+	calls    map[string]*call // in-flight cells by key, queued or executing
+	ring     []*Session       // sessions with non-empty pending queues, round-robin order
+	rr       int              // next ring slot to serve
+	queued   int              // calls pending across the ring
+	running  int              // calls currently executing
+	draining bool             // no new sessions
+	closed   bool             // executors may exit once the ring drains
 
 	sessions sync.WaitGroup // open sessions
 	execs    sync.WaitGroup // executor goroutines
 }
 
-// task is one queued leader computation: the in-flight call and the
-// session whose queue carried it (fairness and accounting credit the
-// leader; other sessions attached to the call ride along for free).
-type task struct {
-	fc   *FlightCall
-	sess *Session
+// call is one in-flight cell: queued on its leader session's FIFO, then
+// executing. Fairness and accounting credit the leader; every session
+// that asks for the key meanwhile attaches a waiter and rides along. A
+// call leaves the table when it finishes, so a later request for the
+// key starts a fresh call — which finds the cell in the store, if there
+// is one.
+type call struct {
+	key     string
+	job     engine.Job
+	sess    *Session
+	waiters []func(Outcome)
 }
 
 // NewScheduler returns a running scheduler that computes cells with
@@ -84,7 +89,7 @@ func NewScheduler(exec Exec, store *Store, prog *obs.Progress, executors int) *S
 // newScheduler builds the scheduler state without starting executors
 // (the fairness unit tests drive popLocked directly).
 func newScheduler(exec Exec, store *Store, prog *obs.Progress) *Scheduler {
-	s := &Scheduler{exec: exec, store: store, prog: prog}
+	s := &Scheduler{exec: exec, store: store, prog: prog, calls: make(map[string]*call)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -167,8 +172,8 @@ type Session struct {
 	client string
 	closed bool // guarded by s.mu
 
-	pending []*task
-	inRing  bool // guarded by s.mu
+	pending []*call // guarded by s.mu
+	inRing  bool    // guarded by s.mu
 
 	submitted, computed, stored, deduped atomic.Int64
 }
@@ -224,18 +229,21 @@ func (sess *Session) Run(jobs []engine.Job, emit func(i int, o Outcome)) error {
 	return ord.Finish()
 }
 
-// submit routes one cell: attach to an existing in-flight call (dedup)
-// or become its leader and queue it on this session's fair queue.
+// submit routes one cell: attach to the key's in-flight call (dedup) or
+// open the call as its leader and queue it on this session's fair queue.
 func (s *Scheduler) submit(sess *Session, key string, job engine.Job, deliver func(Outcome)) {
-	fc, leader := s.flight.Join(key, job, deliver)
-	if !leader {
+	s.mu.Lock()
+	if c, ok := s.calls[key]; ok {
+		c.waiters = append(c.waiters, deliver)
+		s.mu.Unlock()
 		sess.deduped.Add(1)
 		s.prog.AddDeduped(1)
 		s.prog.LaneDeduped(sess.client)
 		return
 	}
-	s.mu.Lock()
-	sess.pending = append(sess.pending, &task{fc: fc, sess: sess})
+	c := &call{key: key, job: job, sess: sess, waiters: []func(Outcome){deliver}}
+	s.calls[key] = c
+	sess.pending = append(sess.pending, c)
 	if !sess.inRing {
 		sess.inRing = true
 		s.ring = append(s.ring, sess)
@@ -246,11 +254,11 @@ func (s *Scheduler) submit(sess *Session, key string, job engine.Job, deliver fu
 	s.cond.Signal()
 }
 
-// popLocked takes the next task round-robin across session queues.
-// Callers hold s.mu. The ring holds only sessions with pending tasks;
+// popLocked takes the next call round-robin across session queues.
+// Callers hold s.mu. The ring holds only sessions with pending calls;
 // a session leaves the ring the moment its queue empties and rejoins
 // on its next submit (at the tail — fresh work waits its turn).
-func (s *Scheduler) popLocked() *task {
+func (s *Scheduler) popLocked() *call {
 	if len(s.ring) == 0 {
 		return nil
 	}
@@ -258,7 +266,7 @@ func (s *Scheduler) popLocked() *task {
 		s.rr = 0
 	}
 	sess := s.ring[s.rr]
-	t := sess.pending[0]
+	c := sess.pending[0]
 	sess.pending = sess.pending[1:]
 	if len(sess.pending) == 0 {
 		sess.inRing = false
@@ -268,7 +276,7 @@ func (s *Scheduler) popLocked() *task {
 		s.rr++
 	}
 	s.queued--
-	return t
+	return c
 }
 
 // syncGauges mirrors queue depth and in-flight count into the progress
@@ -286,23 +294,23 @@ func (s *Scheduler) syncGauges() {
 func (s *Scheduler) executor(slot int) {
 	defer s.execs.Done()
 	for {
-		t := s.next()
-		if t == nil {
+		c := s.next()
+		if c == nil {
 			return
 		}
-		s.compute(slot, t)
+		s.compute(slot, c)
 	}
 }
 
-// next blocks for the next task; nil means the scheduler has closed.
-func (s *Scheduler) next() *task {
+// next blocks for the next call; nil means the scheduler has closed.
+func (s *Scheduler) next() *call {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if t := s.popLocked(); t != nil {
+		if c := s.popLocked(); c != nil {
 			s.running++
 			s.syncGauges()
-			return t
+			return c
 		}
 		if s.closed {
 			return nil
@@ -311,24 +319,24 @@ func (s *Scheduler) next() *task {
 	}
 }
 
-// compute satisfies one leader task: from the store when the cell is
-// already on disk (marked Stored), else by exec, persisting the result
-// before resolving — the Put-before-Resolve order is what guarantees a
-// late joiner's fresh call store-hits instead of recomputing.
-func (s *Scheduler) compute(slot int, t *task) {
-	fc, sess := t.fc, t.sess
+// compute satisfies one call: from the store when the cell is already
+// on disk (marked Stored), else by exec, persisting the result before
+// finishing — the Put-before-finish order is what guarantees a late
+// requester's fresh call store-hits instead of recomputing.
+func (s *Scheduler) compute(slot int, c *call) {
+	sess := c.sess
 	if s.store != nil {
 		// An unreadable file (a torn write from a killed sweep) is a miss.
-		if o, _, ok, err := s.store.load(fc.Key); err == nil && ok {
+		if o, _, ok, err := s.store.load(c.key); err == nil && ok {
 			o.Stored = true
 			sess.stored.Add(1)
 			s.prog.AddStored(1)
 			s.prog.LaneStored(sess.client)
-			s.finish(fc, o)
+			s.finish(c, o)
 			return
 		}
 	}
-	out := s.exec.Exec(slot, fc.Job)
+	out := s.exec.Exec(slot, c.job)
 	sess.computed.Add(1)
 	s.prog.AddComputed(1)
 	s.prog.LaneComputed(sess.client)
@@ -336,18 +344,25 @@ func (s *Scheduler) compute(slot int, t *task) {
 		if err := s.store.Put(out); err != nil {
 			// A failed Put degrades the cache, not the stream: the waiters
 			// still get the outcome, the cell just recomputes next time.
-			fmt.Fprintf(os.Stderr, "results: store put %s: %v\n", fc.Key, err)
+			fmt.Fprintf(os.Stderr, "results: store put %s: %v\n", c.key, err)
 		}
 	}
-	s.finish(fc, out)
+	s.finish(c, out)
 }
 
-// finish resolves the call (delivering to every waiter) and returns
-// the execution slot.
-func (s *Scheduler) finish(fc *FlightCall, o Outcome) {
-	fc.Resolve(o)
+// finish takes the call out of the table and returns its execution slot
+// under the lock, then delivers o to every waiter in attach order
+// outside it — so a waiter may submit the same key again without
+// deadlock, and starts a fresh call when it does.
+func (s *Scheduler) finish(c *call, o Outcome) {
 	s.mu.Lock()
+	delete(s.calls, c.key)
+	waiters := c.waiters
+	c.waiters = nil
 	s.running--
 	s.syncGauges()
 	s.mu.Unlock()
+	for _, deliver := range waiters {
+		deliver(o)
+	}
 }

@@ -134,6 +134,14 @@ func TestConcurrentSweepsDedupInFlight(t *testing.T) {
 	if got := s.CellsStored + s.CellsDeduped; got != trioUnique {
 		t.Errorf("stored+deduped = %d, want %d (one client's worth of cells rode along)", got, trioUnique)
 	}
+	// Every computed cell ran on an executor lane /progress shows.
+	var done int64
+	for _, w := range s.Workers {
+		done += w.Done
+	}
+	if done != s.CellsComputed {
+		t.Errorf("executor lanes %+v did %d cells, want cells_computed = %d", s.Workers, done, s.CellsComputed)
+	}
 	if len(s.Lanes) != len(clients) {
 		t.Fatalf("lanes = %+v, want one per client", s.Lanes)
 	}

@@ -46,24 +46,24 @@ type Event struct {
 type DoneStats = results.SessionStats
 
 // Config assembles a Server. Engine and Store are required and shared
-// by every client; Progress feeds the /progress debug surface and the
-// fairness lanes (nil disables both).
+// by every client; the server runs one executor per engine worker.
+// Progress feeds the /progress debug surface — counters, executor lanes
+// and fairness lanes — (nil disables it).
 type Config struct {
-	Engine      *engine.Engine
-	Store       *results.Store
-	Progress    *obs.Progress
-	MaxInFlight int // concurrent cell executions (<= 0: engine worker count)
+	Engine   *engine.Engine
+	Store    *results.Store
+	Progress *obs.Progress
 }
 
 // NewScheduler returns the cell pipeline over eng and store with
-// maxInFlight executors (<= 0 selects the engine's worker count). The
-// store is what makes the server a cache rather than a proxy. prog may
-// be nil.
-func NewScheduler(eng *engine.Engine, store *results.Store, prog *obs.Progress, maxInFlight int) *results.Scheduler {
-	if maxInFlight <= 0 {
-		maxInFlight = eng.Workers()
+// executors executors (<= 0 selects the engine's worker count), each
+// reporting its lane to prog. The store is what makes the server a
+// cache rather than a proxy. prog may be nil.
+func NewScheduler(eng *engine.Engine, store *results.Store, prog *obs.Progress, executors int) *results.Scheduler {
+	if executors <= 0 {
+		executors = eng.Workers()
 	}
-	return results.NewScheduler(results.Local{Eng: eng}, store, prog, maxInFlight)
+	return results.NewScheduler(results.Local{Eng: eng, Obs: prog}, store, prog, executors)
 }
 
 // Server is the sweep server's HTTP surface: POST /sweep (streamed
@@ -79,7 +79,7 @@ type Server struct {
 // New returns a serving Server over cfg.
 func New(cfg Config) *Server {
 	return &Server{
-		sched: NewScheduler(cfg.Engine, cfg.Store, cfg.Progress, cfg.MaxInFlight),
+		sched: NewScheduler(cfg.Engine, cfg.Store, cfg.Progress, 0),
 		store: cfg.Store,
 	}
 }

@@ -12,9 +12,9 @@
 //   - the scheduler's in-flight dedup makes two concurrent clients
 //     asking for overlapping grids execute each overlapping cell
 //     exactly once while both streams receive it;
-//   - admission is the -max-inflight executor count, and executors take
-//     the next cell from each client's queue in turn, so one huge sweep
-//     cannot starve small ones.
+//   - admission is one executor per engine worker (cgserve's -workers),
+//     and executors take the next cell from each client's queue in
+//     turn, so one huge sweep cannot starve small ones.
 //
 // Determinism survives the sharing: a cell's outcome is a pure function
 // of its key, emission per client is index-ordered (the results.Backend
@@ -36,7 +36,7 @@ import (
 // cgsweep's default.
 type Spec struct {
 	// Client names the submitting client for the /progress fairness
-	// lanes and the engine's per-client accounting. Empty is anonymous:
+	// lanes, which the scheduler credits per session. Empty is anonymous:
 	// the sweep still gets its own fair scheduling queue (queues are
 	// per-session), it just doesn't appear as a named lane.
 	Client string `json:"client,omitempty"`

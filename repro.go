@@ -15,9 +15,9 @@
 //   - internal/gengc — a generational baseline for ablations
 //   - internal/workload — SPECjvm98 benchmark analogs (a registry)
 //   - internal/collectors — the closed collector grammar (spec → factory)
-//   - internal/engine — the sharded execution engine (worker pool)
+//   - internal/engine — runs cells on pooled runtime shards; only its pipeline entry replays tapes
 //   - internal/experiments — the one list of the thesis's figures, and their renderer
-//   - internal/results — serialisable cell outcomes and the content-addressed store
+//   - internal/results — cell outcomes, the content-addressed store and the one cell pipeline (Scheduler)
 //   - internal/dist — the multi-process sweep (coordinator and cgworker protocol)
 //   - internal/serve — the sweep server behind cgserve and cgsweep -server
 //   - internal/tape — record a program's event stream once, replay it under any collector
@@ -74,7 +74,8 @@ type (
 	// as an Events table — every collector implementation, and Events
 	// itself. The single method runs once at attach, never per event.
 	Collector = vm.Collector
-	// Engine is the sharded execution engine (worker-pool scheduler).
+	// Engine runs cells on pooled runtime shards; results.Scheduler is
+	// what queues them.
 	Engine = engine.Engine
 	// Job is one (workload, size, collector) cell of the matrix.
 	Job = engine.Job
