@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/collectors"
@@ -32,10 +31,8 @@ import (
 // (DESIGN.md "Why there is one ledger"). No baseline of them is
 // committed.
 
-// BenchmarkFigures renders each figure on its own, at its real sizes. A
-// figure that reads jess at size 100 under msa (4.10 and A.7) is skipped
-// while that cell exhausts its tight heap (ROADMAP item 0); any other
-// failure fails its benchmark.
+// BenchmarkFigures renders each figure on its own, at its real sizes; a
+// figure that fails fails its benchmark.
 func BenchmarkFigures(b *testing.B) {
 	figs, err := experiments.Figures()
 	if err != nil {
@@ -47,9 +44,6 @@ func BenchmarkFigures(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, errs := experiments.Render(eng, []experiments.Figure{f})
 				if err := errs[0]; err != nil {
-					if msg := err.Error(); strings.Contains(msg, "jess/100 under msa") && strings.Contains(msg, "heap exhausted") {
-						b.Skip(err)
-					}
 					b.Fatal(err)
 				}
 			}
@@ -82,7 +76,7 @@ func BenchmarkWorkload(b *testing.B) {
 
 // ledgerPrograms × ledgerCollectors is bench/'s collector matrix
 // (matrixPrograms × matrixCollectors in bench/setup.go; jess is left
-// out as the ledger leaves it out, ROADMAP item 0).
+// out as the ledger leaves it out).
 var (
 	ledgerPrograms   = []string{"compress", "raytrace", "db", "javac", "mpegaudio", "mtrt", "jack"}
 	ledgerCollectors = []string{"cg", "cg+recycle", "msa", "gen"}

@@ -233,6 +233,9 @@ func runOne(src *source, ev vm.Events, heapBytes int, recordPath string) (rep re
 	hs := rt.Heap.Stats()
 	fmt.Fprintf(&b, "allocations:   %d (%d bytes)\n", hs.Allocs, hs.BytesAlloc)
 	fmt.Fprintf(&b, "frees:         %d\n", hs.Frees)
+	if hs.Compactions > 0 { // only a run that came that close to exhaustion
+		fmt.Fprintf(&b, "compactions:   %d\n", hs.Compactions)
+	}
 	fmt.Fprintf(&b, "live at exit:  %d objects, %d bytes\n", rt.Heap.NumLive(), rt.Heap.Arena().InUse())
 	if cg, ok := ev.Collector.(*core.CG); ok {
 		s := cg.Snapshot()

@@ -21,17 +21,19 @@ import (
 // and CG's recycle lists run through the dead objects' own records. What
 // is left is the mark bitmaps (a bit per handle) and what grows with
 // classes and frames, so under every collector spec the cell allocates
-// at most 1.5 MB (it reads 0.67 MB under CG, 0.96 under msa and gen,
-// 0.97 with recycling) and the Go collector never runs. A per-object
-// table back on the Go heap fails here first.
+// at most 1.5 MB (it reads 0.66 MB under CG, 0.95 under msa, gen and
+// with recycling) and the Go collector never runs. A per-object
+// table back on the Go heap fails here first. The runtime's owner table
+// is mapped too, under every spec with an Access slot.
 //
 // A build with no mapping (or a host that refuses one) grows all of them
 // by heap.Grow's doubling, and is held to looser budgets: at most 7
 // Go GC cycles (it reads 4-5); 32.8 MB allocated hook-free, 32.2 under
-// CG, 54.3 with recycling and 37.6 under gen (it reads 28.5, 28.0, 44.0
+// CG, 54.3 with recycling and 37.6 under gen (it reads 28.5, 26.4, 40.0
 // and 31.8); and 52 / 66 / 76 bytes held per handle (hook-free / CG / CG
 // with recycling: the 24-byte handle, its ref slots and the bitmaps,
-// plus the 16-byte object record under CG; it reads 41-45 / 60 / 66).
+// plus under CG the 12-byte object record and the 1-byte owner; it reads
+// 41-45 / 57 / 57).
 func TestColdCellGrowthBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful unraced")

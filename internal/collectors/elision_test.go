@@ -144,7 +144,13 @@ func driveElisionScript(rt *vm.Runtime) {
 // streams of the same collector under full subscription (which is the
 // old five-method dispatch, AllAccess/AllPops standing in for the
 // ForceAccessEvents/ForceFramePopEvents opt-outs). Events the new ABI
-// elides are exactly the calls the old ABI spent on no-op methods.
+// elides are still exactly the calls the old ABI spent on no-op
+// methods. Both runs here filter Access alike — the single-thread gate
+// and the runtime's owner table, which drops an owner's own touches,
+// touches from no thread and touches of disowned objects — and those
+// are the touches CG's Access slot returns from at once, as core's
+// TestAccessDispatchedOnlyOnForeignTouch pins against cg+checked, whose
+// AllAccess sees every touch.
 func TestElisionMatchesInterfaceDispatch(t *testing.T) {
 	for _, spec := range AllSpecs() {
 		t.Run(spec, func(t *testing.T) {

@@ -108,23 +108,37 @@ func (s *Stats) Merge(o Stats) {
 	s.OptSkips += o.OptSkips
 }
 
-// objMeta is CG's per-handle metadata — the fields §3.1.1 adds to the JDK
-// handle, the union-find forest among them. CG.meta holds one per handle
-// slot and follows the handle table. Like setMeta and oldFrames it holds
-// no Go pointer — frames are named by their registry slot
-// (vm.Frame.Index), sets by their slot in CG.sets — so the Go collector
-// never scans a CG table, OnAlloc's whole-entry store carries no write
-// barrier, and a pooled table pins nothing of the shard that filled it.
+// objMeta is CG's per-handle metadata — the three words §3.1.1 adds to
+// the JDK handle, the union-find forest among them. CG.meta holds one
+// per handle slot and follows the handle table. The allocating thread
+// is not among them: the runtime keeps it (vm.Runtime.Foreign,
+// Disowned), since it filters Access by it. Like setMeta and oldFrames
+// the record holds no Go pointer — frames are named by their registry
+// slot (vm.Frame.Index), sets by their slot in CG.sets — so the Go
+// collector never scans a CG table, OnAlloc's whole-entry store carries
+// no write barrier, and a pooled table pins nothing of the shard that
+// filled it.
 type objMeta struct {
-	birthDepth int32         // stack depth at allocation ("birth depth")
-	owner      int32         // allocating thread ID, or ownerShared / ownerTainted
-	next       heap.HandleID // next object in the equilive set's list
+	// birthDepth is the stack depth at allocation ("birth depth"), or
+	// depthTainted once the object is known dead: collectSet reads it
+	// last, for the age histogram, so the word is free from there on.
+	birthDepth int32
+	// next is the next object in the equilive set's list. A cycle's
+	// beginCycle detaches every set and stamps each live object's old
+	// dependent frame here, as registry slot + 1, for reached to read
+	// before it starts the object's new list.
+	next heap.HandleID
 	// link is the thesis's "ancestor" word with §3.5's integer packed in.
 	// > 0: the union-find parent handle. < 0: a representative, -link being
 	// slot<<rankBits | rank — the set's slot in CG.sets and the tree's rank,
 	// which only a representative has. 0: a slot never allocated in.
 	link int32
 }
+
+// depthTainted is the birthDepth of an object CG knows to be dead
+// (§3.1.4's tainted list): collected at a frame pop or swept by the
+// traditional collector. No depth is negative.
+const depthTainted int32 = -1
 
 // Four rank bits, as §3.5 reserves (ranks stay below ten on SPECjvm98):
 // a rank that reaches 15 stops growing, and unions stay correct, merely
@@ -137,14 +151,6 @@ const (
 
 // rootLink is the link word of the representative of the set in slot.
 func rootLink(slot, rank int32) int32 { return -(slot<<rankBits | rank) }
-
-// The two states that end an object's ownership are negative owner
-// values: neither is ever left for a thread ID again, and a dead object
-// no longer needs to be known as shared.
-const (
-	ownerShared  int32 = -1 // demoted for thread sharing (§3.3), sticky
-	ownerTainted int32 = -2 // known dead (§3.1.4 tainted list)
-)
 
 // setMeta describes one equilive set. CG.sets holds one per *live set*,
 // not per handle: the set's union-find representative names its slot
@@ -177,10 +183,12 @@ type CG struct {
 	// few records.
 	sets     []setMeta
 	freeSets int32
-	// oldFrames is reset-pass scratch, indexed like meta: each live
-	// object's dependent frame stamped at BeginCycle as registry slot + 1
-	// (0 = no stamp), consumed by Reached/EndCycle. Kept out of objMeta
-	// so demographics runs (no forced collections) never write it.
+	// oldFrames is the §3.6 reset pass's scratch, indexed like meta and
+	// used only under ResetOnGC: each live object's dependent frame
+	// stamped at beginCycle as registry slot + 1 (0 = no stamp), which
+	// endCycle compares with the frame the mark gave it. Every other
+	// configuration stamps into the object's own next word, and this
+	// table stays empty.
 	oldFrames []int32
 
 	// Recycled storage (§3.7), indexed by the arena's size-class ladder:
@@ -583,11 +591,7 @@ func (c *CG) checkTaint(id heap.HandleID, op string) {
 // equilive set dependent on the allocating frame.
 func (c *CG) OnAlloc(id heap.HandleID, f *vm.Frame) {
 	c.ensure(id)
-	owner := int32(0)
-	if f.Thread != nil {
-		owner = int32(f.Thread.ID)
-	}
-	c.meta[int(id)] = objMeta{birthDepth: int32(f.Depth), owner: owner, link: c.singleton(id, f)}
+	c.meta[int(id)] = objMeta{birthDepth: int32(f.Depth), link: c.singleton(id, f)}
 	c.stats.Created++
 }
 
@@ -674,14 +678,14 @@ func (c *CG) OnReturn(val heap.HandleID, caller *vm.Frame) {
 
 // OnAccess is the Access slot: thread-share detection (§3.3). The
 // first time an object is touched by a thread other than its allocator,
-// its whole equilive block is demoted to the static set, permanently.
+// its whole equilive block is demoted to the static set, permanently,
+// and each member disowned, so the runtime dispatches none of their
+// touches again. The runtime calls it only for such a touch unless
+// cg+checked's AllAccess shows it every touch; the owner check here
+// filters those the same way.
 func (c *CG) OnAccess(id heap.HandleID, t *vm.Thread) {
 	c.checkNotTainted(id, "access")
-	if t == nil {
-		return
-	}
-	m := &c.meta[int(id)]
-	if m.owner < 0 || m.owner == int32(t.ID) {
+	if t == nil || !c.rt.Foreign(id, t) || c.meta[int(id)].birthDepth == depthTainted {
 		return
 	}
 	slot := c.setOf(id)
@@ -690,14 +694,14 @@ func (c *CG) OnAccess(id heap.HandleID, t *vm.Thread) {
 		// The block is already immortal; just record this object as
 		// shared. (Avoids re-walking large static sets on every
 		// cross-thread touch.)
-		m.owner = ownerShared
+		c.rt.Disown(id)
 		c.stats.Shared++
 		return
 	}
 	// Demote the entire block to the static set (§3.3).
 	for o := s.head; o != heap.Nil; o = c.meta[int(o)].next {
-		if om := &c.meta[int(o)]; om.owner != ownerShared {
-			om.owner = ownerShared
+		if !c.rt.Disowned(o) {
+			c.rt.Disown(o)
 			c.stats.Shared++
 		}
 	}
@@ -740,7 +744,7 @@ func (c *CG) collectSet(slot int32, f *vm.Frame) {
 		if singleton {
 			c.stats.Singleton++
 		}
-		m.owner = ownerTainted
+		m.birthDepth = depthTainted
 		if c.cfg.FreeHook != nil {
 			c.cfg.FreeHook(o)
 		}
@@ -936,15 +940,28 @@ func (c *CG) beginCycle() {
 	// sets from all frames: the mark phase rebuilds them. EachFrame
 	// visits every frame exactly once, so no per-cycle scratch set is
 	// needed (the map this replaced allocated on every forced GC of the
-	// resetting experiment).
-	if n := len(c.meta); len(c.oldFrames) < n {
+	// resetting experiment). The stamp goes into the object's own next
+	// word once the walk has read it: the list it chains is being
+	// dissolved, and reached reads the stamp before it starts a new one.
+	// Only the reset pass, whose endCycle compares after the mark, keeps
+	// it in oldFrames instead.
+	reset := c.cfg.ResetOnGC
+	if n := len(c.meta); reset && len(c.oldFrames) < n {
 		c.oldFrames = heap.Grow(c.oldFrames, n, n)
 	}
 	c.rt.EachFrame(func(f *vm.Frame) {
 		for slot := f.GCHead; slot != 0; slot = c.sets[int(slot)].next {
 			s := &c.sets[int(slot)]
-			for o := s.head; o != heap.Nil; o = c.meta[int(o)].next {
-				c.oldFrames[int(o)] = s.frame + 1
+			stamp := s.frame + 1
+			for o := s.head; o != heap.Nil; {
+				m := &c.meta[int(o)]
+				next := m.next
+				if reset {
+					c.oldFrames[int(o)] = stamp
+				} else {
+					m.next = heap.HandleID(stamp)
+				}
+				o = next
 			}
 		}
 		f.GCHead = 0
@@ -959,16 +976,19 @@ func (c *CG) beginCycle() {
 }
 
 // reached is the Reached slot: a live object becomes a fresh singleton
-// set on its (possibly improved) dependent frame.
+// set on its (possibly improved) dependent frame. Every object the mark
+// reaches was on some frame's set list at beginCycle — the recycle lists
+// were flushed first — so without ResetOnGC its next word holds a stamp.
 func (c *CG) reached(id heap.HandleID, f *vm.Frame) {
 	m := &c.meta[int(id)]
+	stamp := int32(m.next)
 	m.next = heap.Nil
 	nf := f
 	switch {
-	case m.owner == ownerShared:
+	case c.rt.Disowned(id):
 		nf = c.rt.StaticFrame() // sharing demotion is sticky (§3.3)
-	case !c.cfg.ResetOnGC && int(id) < len(c.oldFrames) && c.oldFrames[int(id)] != 0:
-		nf = c.rt.FrameAt(c.oldFrames[int(id)] - 1) // preserve plain-CG conservativeness
+	case !c.cfg.ResetOnGC:
+		nf = c.rt.FrameAt(stamp - 1) // preserve plain-CG conservativeness
 	}
 	m.link = c.singleton(id, nf)
 }
@@ -982,7 +1002,7 @@ func (c *CG) edge(src, dst heap.HandleID) {
 // willFree is the WillFree slot: the object dropped out of CG's
 // structures and is collected by the sweep (Fig 4.11 "collected by MSA").
 func (c *CG) willFree(id heap.HandleID) {
-	c.meta[int(id)].owner = ownerTainted
+	c.meta[int(id)].birthDepth = depthTainted
 	c.stats.MSAFreed++
 }
 
@@ -1059,7 +1079,7 @@ func (c *CG) SameSet(a, b heap.HandleID) bool { return c.find(a) == c.find(b) }
 
 // IsTainted reports whether CG has declared id dead.
 func (c *CG) IsTainted(id heap.HandleID) bool {
-	return int(id) < len(c.meta) && c.meta[int(id)].owner == ownerTainted
+	return int(id) < len(c.meta) && c.meta[int(id)].birthDepth == depthTainted
 }
 
 // Breakdown is the Fig A.2–A.4 object classification at end of run:
@@ -1095,7 +1115,7 @@ func (c *CG) Snapshot() Breakdown {
 		Thread:  c.stats.Shared,
 	}
 	c.heap.ForEachLive(func(id heap.HandleID) {
-		if c.meta[int(id)].owner < 0 {
+		if c.meta[int(id)].birthDepth == depthTainted || c.rt.Disowned(id) {
 			return // recycled-awaiting-reuse or already counted as thread
 		}
 		if c.sets[int(c.setOf(id))].frame == 0 {

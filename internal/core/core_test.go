@@ -913,3 +913,68 @@ func TestRecycleListOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestRecycleListsSurviveCompaction: a compaction moves objects, not
+// handles, so the recycle lists — dead objects' ids threaded through
+// their own records — read the same after one, every waiting object
+// keeps its extent's size, AllocFallback still hands out the newest of
+// the best-fitting list, and FlushRecycle then frees exactly the
+// waiting objects' bytes.
+func TestRecycleListsSurviveCompaction(t *testing.T) {
+	for _, cfg := range []Config{{StaticOpt: true, Recycle: true}, {StaticOpt: true, TypedRecycle: true}} {
+		rt := vm.New(heap.New(1<<20), vm.None())
+		cg, lists := recycleCell(t, rt, cfg)
+		h := rt.Heap
+		read := func(k recycleKey) (ids []heap.HandleID) {
+			l := cg.recycleClasses[0]
+			switch k.tier {
+			case 0:
+				l = cg.recycleClasses[k.n]
+			case 1:
+				l = *cg.spillFor(k.n)
+			case 2:
+				l = cg.byType[k.n]
+			}
+			for o := l.head; o != heap.Nil; o = cg.meta[int(o)].next {
+				ids = append(ids, o)
+			}
+			return ids
+		}
+		sizes := map[heap.HandleID]int{}
+		waiting := 0
+		for _, l := range lists {
+			for _, o := range l {
+				sizes[o] = h.SizeOf(o)
+				waiting += sizes[o]
+			}
+		}
+		if !h.Compact() {
+			t.Fatal("Compact refused")
+		}
+		for k, l := range lists {
+			if got := read(k); !slices.Equal(got, l) {
+				t.Fatalf("%s: list %v reads %v after Compact, want %v", cg.Name(), k, got, l)
+			}
+		}
+		for o, size := range sizes {
+			if !h.Live(o) || h.SizeOf(o) != size {
+				t.Fatalf("%s: recycled object %d lost its %d-byte extent in the move", cg.Name(), o, size)
+			}
+		}
+		mid := h.DefineClass(heap.Class{Name: "Mid", Refs: 8}) // 40 B: best fit is B's 80-byte class
+		k := recycleKey{0, heap.SizeClass(80)}
+		l := lists[k]
+		if o, ok := cg.AllocFallback(mid, 0); !ok || o != l[len(l)-1] {
+			t.Fatalf("%s: AllocFallback after Compact = %d, %v; want %d", cg.Name(), o, ok, l[len(l)-1])
+		}
+		waiting -= sizes[l[len(l)-1]]
+		before := h.Arena().InUse()
+		cg.FlushRecycle()
+		if freed := before - h.Arena().InUse(); freed != waiting {
+			t.Fatalf("%s: FlushRecycle after Compact freed %d bytes, %d were waiting", cg.Name(), freed, waiting)
+		}
+		if h.Stats().Compactions != 1 {
+			t.Fatalf("%s: %d compactions counted, want 1", cg.Name(), h.Stats().Compactions)
+		}
+	}
+}

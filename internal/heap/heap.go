@@ -85,6 +85,7 @@ type Stats struct {
 	Frees       uint64 // explicit frees (CG or MSA)
 	FailedAlloc uint64 // allocations that saw ErrOutOfMemory at least once
 	BytesAlloc  uint64 // cumulative bytes allocated
+	Compactions uint64 // Compact calls that moved the live objects
 }
 
 // Heap combines the class table, handle table, the shared ref slab and
@@ -359,6 +360,50 @@ func (h *Heap) Free(id HandleID) {
 	h.freeHead = id
 	h.liveBits.Clear(int(id))
 	h.stats.Frees++
+}
+
+// Compact moves every live object into an emptied arena, leaving no
+// partial slab but each class's last and no free page below a used one.
+// It is how an allocation refused at low occupancy — a phase of small
+// objects that died and left one survivor a page, so that no page is
+// free for another class — gets its page.
+//
+// The placement rule: starting from an empty arena, the live handles
+// are re-allocated in ascending id order, each at its own size, by the
+// arena's ordinary policy (lowest free block of a partial slab, else the
+// lowest free page or page run). So where everything lands depends only
+// on which ids are live and how big they are, never on the history that
+// fragmented the arena. Objects are reached only through their handles
+// (§3.1), so moving one writes its addr word and nothing else: ids,
+// classes, references and every collector's tables stay as they are.
+//
+// Compact places into a scratch arena first and commits only if every
+// object found room. In the rare arena where id order packs worse than
+// the layout it replaces (a class that spilled into the short tail page
+// can need a full page instead), it changes nothing and returns false.
+func (h *Heap) Compact() bool {
+	a := NewArena(h.arena.Size())
+	ok := true
+	h.ForEachLive(func(id HandleID) {
+		if ok {
+			_, err := a.Alloc(int(h.handles[int(id)].size))
+			ok = err == nil
+		}
+	})
+	if !ok {
+		return false
+	}
+	// Same sizes in the same order over an empty arena: the same
+	// addresses, now written down.
+	a.Reset()
+	h.ForEachLive(func(id HandleID) {
+		hd := &h.handles[int(id)]
+		addr, _ := a.Alloc(int(hd.size))
+		hd.addr = int32(addr)
+	})
+	*h.arena = *a
+	h.stats.Compactions++
+	return true
 }
 
 // Reinit repurposes a live object's extent and handle for a fresh

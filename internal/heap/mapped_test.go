@@ -135,15 +135,16 @@ func collected(want int64) int64 {
 
 // TestDroppedOwnersAreUnmapped: nobody calls Unmap on a heap's tables or
 // on a collector's; dropping the owner is the release. A heap holds three
-// mappings (handles, live bitmap, ref slab), an attached CG's tables
-// three more (object records, reset stamps, set records), and all six
-// are gone two collections after the runtime is.
+// mappings (handles, live bitmap, ref slab), a runtime with an Access
+// slot bound one (the thread-owner table), an attached CG's tables three
+// more (object records, reset stamps, set records), and all seven are
+// gone two collections after the runtime is.
 func TestDroppedOwnersAreUnmapped(t *testing.T) {
 	base := collected(-1) // earlier tests' garbage, and core's pool, emptied
 	func() {
 		rt := vm.New(heap.New(64<<20), core.New(core.DefaultConfig()))
-		if got := heap.MappingCount(); got != base+6 {
-			t.Fatalf("a heap and an attached CG hold %d mappings, want 6", got-base)
+		if got := heap.MappingCount(); got != base+7 {
+			t.Fatalf("a heap and a runtime with CG attached hold %d mappings, want 7", got-base)
 		}
 		runtime.KeepAlive(rt)
 	}()
@@ -155,19 +156,22 @@ func TestDroppedOwnersAreUnmapped(t *testing.T) {
 // TestRemapReleasesAtOnce: CG's pooled tables follow the heaps they are
 // attached to. A larger heap than the pooled mapping covers gets a new
 // one, and the old one is unmapped then, not at some later collection;
-// a smaller heap keeps the mapping it finds.
+// a smaller heap keeps the mapping it finds. Each runtime is released
+// when done, which unmaps its heap's tables and its owner table.
 func TestRemapReleasesAtOnce(t *testing.T) {
 	// core's pool is a sync.Pool: without collections it hands back what
 	// detach put in.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	small, large := heap.New(1<<20), heap.New(1<<24)
-	rt := vm.New(small, core.New(core.DefaultConfig()))
-	held := heap.MappingCount()
+	rt := vm.New(heap.New(1<<20), core.New(core.DefaultConfig()))
 	rt.Reset(vm.None()) // detach: the tables, mapping and all, go to core's pool
-	for _, h := range []*heap.Heap{large, small, large} {
+	rt.Release()
+	held := heap.MappingCount() // the pooled tables'
+	for _, size := range []int{1 << 24, 1 << 20, 1 << 24} {
+		h := heap.New(size)
 		rt = vm.New(h, core.New(core.DefaultConfig()))
-		if got := heap.MappingCount(); got != held {
-			t.Fatalf("attached to a %d-byte heap: %d mappings, want the %d held before", h.Arena().Size(), got, held)
+		if got := heap.MappingCount(); got != held+4 {
+			t.Fatalf("attached to a %d-byte heap: %d mappings, want the %d held before and the new heap's and runtime's 4",
+				size, got, held)
 		}
 		node := h.DefineClass(heap.Class{Name: "Node", Refs: 1})
 		f := rt.NewThread(1).Top()
@@ -175,9 +179,8 @@ func TestRemapReleasesAtOnce(t *testing.T) {
 			f.MustNew(node)
 		}
 		rt.Reset(vm.None())
+		rt.Release()
 	}
-	runtime.KeepAlive(small)
-	runtime.KeepAlive(large)
 }
 
 // TestEvictedShardsAreUnmapped: the engine's pool owns a shard alone

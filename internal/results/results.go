@@ -53,8 +53,13 @@ type Outcome struct {
 	// O(1) Info counters). Wall-clock-independent but address- and
 	// allocator-layout-dependent, so it is versioned by the store key
 	// (keyVersion v2), never part of table rendering.
-	Arena   *heap.Info `json:"arena,omitempty"`
-	Payload Payload    `json:"payload"`
+	Arena *heap.Info `json:"arena,omitempty"`
+	// Compactions counts the times the shard's heap moved its live
+	// objects to satisfy an allocation a full collection could not
+	// (heap.Stats.Compactions). It is 0, and absent from the JSON, for
+	// every cell that never came that close to exhaustion.
+	Compactions uint64  `json:"compactions,omitempty"`
+	Payload     Payload `json:"payload"`
 	// Obs is the shard's cumulative cycle-phase extract: pause/mark/sweep
 	// nanoseconds and the pause-time histogram (keyVersion v3). Its
 	// object counts (Cycles/Marked/Freed) are deterministic; its
@@ -105,6 +110,7 @@ func Extract(r engine.Result) Outcome {
 		o.Instr = r.RT.Instr()
 		info := r.RT.Heap.Arena().Info()
 		o.Arena = &info
+		o.Compactions = r.RT.Heap.Stats().Compactions
 		if st := r.RT.Timeline().Stats(); st.Cycles > 0 {
 			o.Obs = &st
 		}

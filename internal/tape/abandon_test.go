@@ -1,6 +1,7 @@
 package tape
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/heap"
@@ -140,5 +141,21 @@ func TestOperandArrayExact(t *testing.T) {
 	if got, want := tp.MemBytes(), len(tp.ops)+len(tp.args)+8*len(vals)+tables; got != want {
 		t.Errorf("MemBytes = %d, want %d (ops %d + args %d + 8 x %d operands + %d for the tables)",
 			got, want, len(tp.ops), len(tp.args), len(vals), tables)
+	}
+}
+
+// TestReplayRefusesThreadPastTheCap: a tape is input, so one that asks
+// for more threads than a runtime holds is a replay error, not the
+// runtime's panic.
+func TestReplayRefusesThreadPastTheCap(t *testing.T) {
+	n := vm.MaxThreads + 1
+	tp := &Tape{ops: make([]byte, n), args: make([]byte, n)} // n × opNewThread(0 locals)
+	for i := range tp.ops {
+		tp.ops[i] = byte(opNewThread)
+	}
+	rt := vm.New(heap.New(1<<16), vm.None())
+	err := NewReplayer(tp).Run(rt)
+	if err == nil || !strings.Contains(err.Error(), "thread 128") {
+		t.Fatalf("replaying %d NewThread ops: %v, want an error naming thread 128", n, err)
 	}
 }

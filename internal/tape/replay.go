@@ -121,6 +121,9 @@ func (r *Replayer) exec(inBody bool) heap.HandleID {
 			depth := int(r.arg())
 			r.cur = r.frameAt(tid, depth)
 		case opNewThread:
+			if n := len(r.rt.Threads()); n == vm.MaxThreads {
+				fail("thread %d at op %d: a runtime holds at most %d", n+1, r.pos-1, vm.MaxThreads)
+			}
 			t := r.rt.NewThread(int(r.arg()))
 			r.cur = t.Top()
 		case opCall:

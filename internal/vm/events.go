@@ -53,11 +53,16 @@ type Events struct {
 	// runtime elides the dispatch for frames whose GCHead is zero — no
 	// collector-owned state depends on them — unless AllPops is set.
 	FramePop func(f *Frame) int
-	// Access observes thread t touching object id (thread-share
-	// detection, §3.3). The runtime elides the dispatch entirely while
-	// it can prove every call would be a no-op — a single thread owns
-	// every object it could touch (see Runtime.accessOn) — unless
-	// AllAccess is set.
+	// Access observes thread t touching object id that t did not
+	// allocate — the static pseudo-frame's objects included — and that
+	// no collector has disowned (thread-share detection, §3.3). The
+	// runtime keeps the owner table this rule reads: each allocation
+	// records its thread while the slot is bound, and Runtime.Disown,
+	// which the collector calls when it demotes an object as shared,
+	// stops the object's touches from being dispatched again. While a
+	// single thread owns every object it could touch (Runtime.accessOn)
+	// nothing is dispatched at all. AllAccess lifts both filters: the
+	// slot then sees every touch, t nil for the static pseudo-frame's.
 	Access func(id heap.HandleID, t *Thread)
 
 	// AllocFallback, if non-nil, declares the recycling capability: it
@@ -71,9 +76,9 @@ type Events struct {
 	Collect func() int
 
 	// AllAccess subscribes Access to every object touch, defeating the
-	// single-thread elision. Collectors whose Access slot has effects
-	// beyond thread-share detection (cg+checked's taint assurance)
-	// declare it; it replaces Runtime.ForceAccessEvents.
+	// single-thread elision and the owner filter. Collectors whose
+	// Access slot has effects beyond thread-share detection (cg+checked's
+	// taint assurance) declare it; it replaces Runtime.ForceAccessEvents.
 	AllAccess bool
 	// AllPops subscribes FramePop to every pop, including frames whose
 	// GCHead is zero. Collectors that track pops without arming the

@@ -1,6 +1,9 @@
 package vm
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/heap"
@@ -8,16 +11,28 @@ import (
 
 // accessLog records Access dispatches, to pin down exactly when the
 // runtime elides them. allAccess mirrors the descriptor's AllAccess
-// capability (the declarative form of the old ForceAccessEvents).
+// capability (the declarative form of the old ForceAccessEvents);
+// disown makes the slot disown each object it is shown, as CG's
+// thread-share demotion does.
 type accessLog struct {
 	accesses  int
 	allAccess bool
+	disown    bool
+	touched   []string // "id tThreadID" per dispatch
+	rt        *Runtime
 }
 
 func (a *accessLog) Events() Events {
 	return Events{
-		Name:      "accesslog",
-		Access:    func(id heap.HandleID, t *Thread) { a.accesses++ },
+		Name:   "accesslog",
+		Attach: func(rt *Runtime) { a.rt = rt },
+		Access: func(id heap.HandleID, t *Thread) {
+			a.accesses++
+			a.touched = append(a.touched, fmt.Sprintf("%d t%d", id, t.ID))
+			if a.disown {
+				a.rt.Disown(id)
+			}
+		},
 		AllAccess: a.allAccess,
 		Collector: a,
 	}
@@ -107,28 +122,100 @@ func TestForgetManyOperandsLinearish(t *testing.T) {
 	})
 }
 
+// TestAccessDispatchElidedUntilSecondThread pins the Access rule. One
+// thread dispatches nothing. With two, an owner's own touches are still
+// never dispatched — through every touching op, and whoever else touched
+// the object before — while each foreign touch is, until the slot
+// disowns the object. An object the static pseudo-frame allocated is
+// foreign to every thread: its first touch by any thread is dispatched,
+// and none after the slot has disowned it.
 func TestAccessDispatchElidedUntilSecondThread(t *testing.T) {
 	log := &accessLog{}
 	rt, node, _ := newTestRT(log, 1<<20)
-	t1 := rt.NewThread(1)
-	t1.CallVoid(1, func(f *Frame) {
-		obj := f.MustNew(node)
-		val := f.MustNew(node)
-		f.PutField(obj, 0, val)
-		f.GetField(obj, 0)
+	slot := rt.StaticSlot("s")
+	// touchAll touches obj through every op that can dispatch Access.
+	touchAll := func(f *Frame, obj heap.HandleID) {
 		f.SetLocal(0, obj)
+		f.PutField(obj, 1, heap.Nil)
+		f.GetField(obj, 1)
+		f.PutStatic(slot, obj)
+		f.GetStatic(slot)
+	}
+	t1 := rt.NewThread(1)
+	var a, b heap.HandleID
+	t1.CallVoid(1, func(f *Frame) {
+		a, b = f.MustNew(node), f.MustNew(node)
+		f.PutField(a, 0, b)
+		touchAll(f, a)
+		touchAll(f, b)
 	})
 	if log.accesses != 0 {
-		t.Fatalf("single-threaded runtime dispatched %d OnAccess events, want 0", log.accesses)
+		t.Fatalf("single-threaded runtime dispatched %d Access events, want 0", log.accesses)
 	}
-	rt.NewThread(1) // second thread: deferred semantics fire, dispatch is live
+	t2 := rt.NewThread(1) // second thread: the gate opens
 	t1.CallVoid(1, func(f *Frame) {
-		obj := f.MustNew(node)
-		f.SetLocal(0, obj)
+		touchAll(f, a)
+		touchAll(f, f.MustNew(node))
 	})
-	if log.accesses == 0 {
-		t.Fatal("multithreaded runtime still eliding OnAccess")
+	if log.accesses != 0 {
+		t.Fatalf("thread 1's touches of its own objects dispatched %v", log.touched)
 	}
+	t2.CallVoid(1, func(f *Frame) {
+		f.SetLocal(0, a) // foreign: dispatched
+		f.GetField(a, 0) // a again, then b, both foreign
+		touchAll(f, f.MustNew(node))
+	})
+	t1.CallVoid(1, func(f *Frame) { touchAll(f, a) }) // the owner, after t2
+	want := []string{fmt.Sprintf("%d t2", a), fmt.Sprintf("%d t2", a), fmt.Sprintf("%d t2", b)}
+	if !slices.Equal(log.touched, want) {
+		t.Fatalf("dispatched %v, want %v", log.touched, want)
+	}
+
+	log.touched, log.disown = nil, true
+	s, err := rt.StaticFrame().New(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1.CallVoid(1, func(f *Frame) { touchAll(f, s) }) // dispatched once, then disowned
+	t2.CallVoid(1, func(f *Frame) { touchAll(f, s) })
+	t1.CallVoid(1, func(f *Frame) { touchAll(f, s) })
+	if want := []string{fmt.Sprintf("%d t1", s)}; !slices.Equal(log.touched, want) {
+		t.Fatalf("a static-frame object's touches dispatched %v, want %v", log.touched, want)
+	}
+	if !rt.Disowned(s) || rt.Disowned(a) {
+		t.Fatalf("Disowned(static object) = %v, Disowned(a) = %v; want true, false", rt.Disowned(s), rt.Disowned(a))
+	}
+}
+
+// TestAllAccessSeesEveryTouchOfADisownedObject: AllAccess lifts the
+// owner filter as well as the single-thread gate.
+func TestAllAccessSeesEveryTouchOfADisownedObject(t *testing.T) {
+	log := &accessLog{allAccess: true, disown: true}
+	rt, node, _ := newTestRT(log, 1<<20)
+	th := rt.NewThread(1)
+	th.CallVoid(1, func(f *Frame) {
+		obj := f.MustNew(node) // the allocating touch, which disowns it
+		f.SetLocal(0, obj)
+		f.SetLocal(0, obj)
+		f.GetField(obj, 0) // slot 0 is Nil: one touch
+	})
+	if log.accesses != 4 {
+		t.Fatalf("AllAccess dispatched %d events, want 4: %v", log.accesses, log.touched)
+	}
+}
+
+// TestThreadCap: the owner table spends a signed byte on a thread ID.
+func TestThreadCap(t *testing.T) {
+	rt, _, _ := newTestRT(None(), 1<<16)
+	for i := 0; i < MaxThreads; i++ {
+		rt.NewThread(0)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "thread 128") {
+			t.Fatalf("thread 128: recovered %v, want a panic naming it", r)
+		}
+	}()
+	rt.NewThread(0)
 }
 
 func TestAccessDispatchForcedByStaticFrameAlloc(t *testing.T) {

@@ -9,18 +9,20 @@
 //	putstatic / intern / JNI   -> Events.StaticRef
 //	areturn                    -> Events.Return
 //	method return (frame pop)  -> Events.FramePop
-//	any object touch           -> Events.Access (thread-share detection)
+//	a foreign object touch     -> Events.Access (thread-share detection)
 //
 // The runtime is collector-agnostic: a collector declares the events it
 // wants as an Events descriptor (events.go) and owns all liveness
 // policy; unsubscribed events cost nothing. Allocation failure
 // triggers, in order, the collector's declared recycling fallback
-// (§3.7), a full traditional collection, and only then an
-// out-of-memory error — the same cascade the JDK allocator performs.
+// (§3.7), a full traditional collection, a compaction of the survivors
+// (heap.Heap.Compact), and only then an out-of-memory error — the JDK
+// allocator's cascade, plus the move its handles make cheap.
 package vm
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/heap"
 	"repro/internal/obs"
@@ -146,10 +148,28 @@ type Runtime struct {
 	// events before the flip are exactly the ones that were provably
 	// no-ops, so eliding them is semantics-preserving (DESIGN.md §5).
 	// It can only ever flip to accessArmed: with no Access slot bound
-	// the dispatch stays elided for the life of the run.
+	// the dispatch stays elided for the life of the run. Past the gate,
+	// touch filters each event by the owner table.
 	accessOn bool
 	// accessArmed records whether the descriptor bound an Access slot.
 	accessArmed bool
+	// accessAll is the descriptor's AllAccess: touch dispatches every
+	// event the gate lets through, owner or not.
+	accessAll bool
+	// owners is the thread-ownership table, one byte per handle id: the
+	// Thread.ID of the thread whose frame allocated the object, 0 for
+	// the static pseudo-frame, or disowned once a collector has called
+	// Disown. Every allocation writes its entry while an Access slot is
+	// bound, so an entry is stale only for an id no live object holds.
+	// It is drawn from heap.Mapped at the heap's HandleBound when the
+	// first Access slot is bound, at full length, so the owner store is
+	// a plain store that never grows; where there is no mapping it is a
+	// Go slice that grows with the handle table (growOwners).
+	owners []int8
+	// ownersMapped is the mapping owners was drawn from (nil if none),
+	// released by Release or, for a dropped runtime, by unmapOwners.
+	ownersMapped []int8
+	unmapOwners  runtime.Cleanup
 	// accessBroken records that the single-thread proof failed (second
 	// thread, or static-frame allocation). It is sticky for the life
 	// of the run — Reset clears it, Attach does not — so attaching a
@@ -221,7 +241,11 @@ func (rt *Runtime) Attach(ev Events) {
 	rt.allocFallback = ev.AllocFallback
 	rt.collect = ev.Collect
 	rt.accessArmed = ev.Access != nil
+	rt.accessAll = ev.AllAccess
 	rt.accessOn = rt.accessArmed && (ev.AllAccess || rt.accessBroken)
+	if rt.accessArmed && len(rt.owners) < rt.Heap.HandleCap() {
+		rt.growOwners()
+	}
 	rt.popAlways = ev.AllPops && ev.FramePop != nil
 	if ev.Attach != nil {
 		ev.Attach(rt)
@@ -277,8 +301,63 @@ func (rt *Runtime) Release() {
 		rt.detach()
 		rt.detach = nil
 	}
+	rt.unmapOwners.Stop()
+	heap.Unmap(rt.ownersMapped)
+	rt.owners, rt.ownersMapped = nil, nil
 	rt.Heap.Release()
 }
+
+// disowned is the owners entry of an object a collector has disowned.
+const disowned int8 = -1
+
+// growOwners makes owners cover every handle id the heap can hand out
+// before its table next grows. The first call maps the table at the
+// heap's HandleBound, which no id reaches, so it never grows again;
+// without a mapping it grows with the handle table, by its rule.
+//
+//go:noinline
+func (rt *Runtime) growOwners() {
+	if rt.owners == nil {
+		if m := heap.Mapped[int8](rt.Heap.HandleBound()); m != nil {
+			rt.ownersMapped, rt.owners = m, m[:cap(m)]
+			rt.unmapOwners = runtime.AddCleanup(rt, heap.Unmap[int8], m)
+			return
+		}
+	}
+	n := rt.Heap.HandleCap()
+	rt.owners = heap.Grow(rt.owners, n, n)
+}
+
+// touch is every Access dispatch site past the accessOn gate. It fires
+// the slot when t touches an object that another thread, or the static
+// pseudo-frame, allocated and that no collector has disowned — the
+// foreign touch thread-share detection (§3.3) acts on — and under
+// AllAccess on every touch. What it filters out is what a collector's
+// own check of the same table would return from at once: an owner's
+// touches, touches from no thread, and touches of disowned objects.
+func (rt *Runtime) touch(id heap.HandleID, t *Thread) {
+	if rt.accessAll || t != nil && rt.Foreign(id, t) {
+		rt.onAccess(id, t)
+	}
+}
+
+// Foreign reports whether t's touch of id is one the Access slot sees
+// without AllAccess: t did not allocate id and nobody has disowned it.
+// Valid while an Access slot is bound, for an id a live object holds.
+func (rt *Runtime) Foreign(id heap.HandleID, t *Thread) bool {
+	o := rt.owners[id]
+	return o != int8(t.ID) && o != disowned
+}
+
+// Disown records that id is shared between threads: from now on no
+// touch of it is dispatched to Access (but under AllAccess), until the
+// id is allocated anew. A collector calls it for each object its
+// thread-share detection demotes.
+func (rt *Runtime) Disown(id heap.HandleID) { rt.owners[id] = disowned }
+
+// Disowned reports whether Disown was called on id since its
+// allocation.
+func (rt *Runtime) Disowned(id heap.HandleID) bool { return rt.owners[id] == disowned }
 
 // StaticFrame returns the immortal pseudo-frame 0.
 func (rt *Runtime) StaticFrame() *Frame { return rt.staticFrame }
@@ -359,14 +438,24 @@ func (rt *Runtime) forceCollect() int {
 	return freed
 }
 
-// NewThread creates a thread with a root frame holding nlocals locals.
+// MaxThreads is the most threads one runtime creates: the owner table
+// holds a thread ID in one signed byte per object. Every analog runs at
+// most two.
+const MaxThreads = 127
+
+// NewThread creates a thread with a root frame holding nlocals locals;
+// thread IDs run 1, 2, ... MaxThreads, and asking for thread 128 panics.
 // The second thread flips the runtime to multithreaded dispatch: from
-// here on every object touch fires Access (thread-share detection can
-// now observe something) — provided the collector subscribed an Access
-// slot at all. The flip is deferred semantics firing exactly once —
-// every elided event before it was a provable no-op, because the sole
-// thread owned every object it could have touched.
+// here on an object's first touch by a thread that did not allocate it
+// fires Access (thread-share detection can now observe something) —
+// provided the collector subscribed an Access slot at all. The flip is
+// deferred semantics firing exactly once — every elided event before it
+// was a provable no-op, because the sole thread owned every object it
+// could have touched.
 func (rt *Runtime) NewThread(nlocals int) *Thread {
+	if len(rt.threads) == MaxThreads {
+		panic(fmt.Sprintf("vm: thread %d: a runtime holds at most %d threads", MaxThreads+1, MaxThreads))
+	}
 	t := &Thread{ID: len(rt.threads) + 1, rt: rt}
 	rt.threads = append(rt.threads, t)
 	if len(rt.threads) == 2 {
@@ -601,7 +690,7 @@ func (f *Frame) SetLocal(i int, v heap.HandleID) {
 	}
 	f.rt.step()
 	if f.rt.accessOn && v != heap.Nil {
-		f.rt.onAccess(v, f.Thread)
+		f.rt.touch(v, f.Thread)
 	}
 	f.locals[i] = v
 }
@@ -648,31 +737,53 @@ func (f *Frame) alloc(c heap.ClassID, extra int) (heap.HandleID, error) {
 	}
 	id, err := rt.Heap.Alloc(c, extra)
 	if err != nil {
-		if rt.allocFallback != nil {
-			if rid, ok := rt.allocFallback(c, extra); ok {
-				if rt.onAlloc != nil {
-					rt.onAlloc(rid, f)
-				}
-				if rt.accessOn && f.Thread != nil {
-					rt.onAccess(rid, f.Thread)
-				}
-				f.addOperand(rid)
-				return rid, nil
-			}
-		}
-		rt.forceCollect()
-		id, err = rt.Heap.Alloc(c, extra)
-		if err != nil {
-			return heap.Nil, rt.exhausted(c, extra, err)
+		if id, err = rt.refill(c, extra); err != nil {
+			return heap.Nil, err
 		}
 	}
 	if rt.onAlloc != nil {
 		rt.onAlloc(id, f)
 	}
-	if rt.accessOn && f.Thread != nil {
-		rt.onAccess(id, f.Thread)
+	if rt.accessArmed {
+		// The new object's owner: f's thread, or 0 for the static
+		// pseudo-frame, whose objects every thread touches as foreign.
+		if int(id) >= len(rt.owners) {
+			rt.growOwners()
+		}
+		if t := f.Thread; t == nil {
+			rt.owners[id] = 0
+		} else {
+			rt.owners[id] = int8(t.ID)
+			if rt.accessOn {
+				rt.touch(id, t)
+			}
+		}
 	}
 	f.addOperand(id)
+	return id, nil
+}
+
+// refill is alloc's cold half, the cascade after the arena refused an
+// instance of c: the collector's recycled storage, else a full
+// collection and a retry, else a compaction and a last retry.
+//
+//go:noinline
+func (rt *Runtime) refill(c heap.ClassID, extra int) (heap.HandleID, error) {
+	if rt.allocFallback != nil {
+		if id, ok := rt.allocFallback(c, extra); ok {
+			return id, nil
+		}
+	}
+	rt.forceCollect()
+	id, err := rt.Heap.Alloc(c, extra)
+	if err != nil && rt.Heap.Compact() {
+		// Survivors scattered one to a page can refuse a request at low
+		// occupancy; moved together, they free whole pages.
+		id, err = rt.Heap.Alloc(c, extra)
+	}
+	if err != nil {
+		return heap.Nil, rt.exhausted(c, extra, err)
+	}
 	return id, nil
 }
 
@@ -714,9 +825,9 @@ func (f *Frame) PutField(obj heap.HandleID, slot int, val heap.HandleID) {
 	}
 	rt.step()
 	if rt.accessOn {
-		rt.onAccess(obj, f.Thread)
+		rt.touch(obj, f.Thread)
 		if val != heap.Nil {
-			rt.onAccess(val, f.Thread)
+			rt.touch(val, f.Thread)
 		}
 	}
 	if val != heap.Nil && rt.onRef != nil {
@@ -733,12 +844,12 @@ func (f *Frame) GetField(obj heap.HandleID, slot int) heap.HandleID {
 	}
 	rt.step()
 	if rt.accessOn {
-		rt.onAccess(obj, f.Thread)
+		rt.touch(obj, f.Thread)
 	}
 	v := rt.Heap.GetRef(obj, slot)
 	if v != heap.Nil {
 		if rt.accessOn {
-			rt.onAccess(v, f.Thread)
+			rt.touch(v, f.Thread)
 		}
 		f.addOperand(v)
 	}
@@ -771,7 +882,7 @@ func (f *Frame) PutStatic(slot int, val heap.HandleID) {
 	rt.step()
 	if val != heap.Nil {
 		if rt.accessOn {
-			rt.onAccess(val, f.Thread)
+			rt.touch(val, f.Thread)
 		}
 		if rt.onStaticRef != nil {
 			rt.onStaticRef(val)
@@ -790,7 +901,7 @@ func (f *Frame) GetStatic(slot int) heap.HandleID {
 	v := rt.statics[slot]
 	if v != heap.Nil {
 		if rt.accessOn {
-			rt.onAccess(v, f.Thread)
+			rt.touch(v, f.Thread)
 		}
 		f.addOperand(v)
 	}
@@ -805,7 +916,7 @@ func (f *Frame) Intern(content string, c heap.ClassID) (heap.HandleID, error) {
 	if id, ok := rt.interned[content]; ok {
 		rt.step()
 		if rt.accessOn {
-			rt.onAccess(id, f.Thread)
+			rt.touch(id, f.Thread)
 		}
 		f.addOperand(id)
 		if rt.rec != nil {
