@@ -243,12 +243,13 @@ type spillList struct {
 // table, and sets, which follows the live-set count. The engine runs
 // each cell on a fresh collector (shards must not share mutable state),
 // but the *capacity* behind the tables is content-free once truncated —
-// grown regions are re-zeroed by heap.Grow, detach clears the records a
-// cell wrote and newSet zeroes each slot it appends — so recycling it
+// grown regions are re-zeroed by heap.Grow, detach decommits what a cell
+// wrote and newSet zeroes each slot it appends — so recycling it
 // through a pool is observably identical to fresh construction
-// (TestPooledFigureIdentity pins this at the figure level). The pool
-// fills only via Events.Detach, i.e. on the engine's Reset path; a
-// dropped runtime donates nothing.
+// (TestPooledFigureIdentity pins this at the figure level), and a
+// pooled set costs address space, not memory. The pool fills only via
+// Events.Detach, i.e. when the engine vacates a shard or a runtime is
+// released; a dropped runtime donates nothing.
 type tables struct {
 	meta      []objMeta
 	sets      []setMeta
@@ -397,21 +398,29 @@ func (t *tables) mapTables(bound int) {
 
 // detach implements the event table's Detach capability: the runtime is
 // replacing this collector, so its side tables go back to the pool,
-// truncated: none holds a pointer, and heap.Grow zeroes what a later
-// cell uncovers — but for meta, which grow only re-slices, so detach
-// clears the records the cell wrote: those of the ids the heap handed
-// out (the runtime detaches before it resets the heap), pages that are
-// resident already. That clear takes the recycle lists' threads with
-// it, and clearing the ladder array their heads. The collector must not
-// be queried (Stats, Snapshot, events) after detach; its table fields
-// are nilled so a violation fails loudly.
+// truncated and decommitted (heap.Decommit): a pooled table set costs
+// address space, not the pages the cell wrote. meta is decommitted
+// through the ids the heap handed out (the runtime detaches before it
+// resets the heap): grow only re-slices it, so nothing past them was
+// written. oldFrames is decommitted through its length, and so is sets
+// but after a rebuild cycle, which truncates it: then, as its high-water
+// is not kept, sets is decommitted whole. That takes the recycle lists'
+// threads with meta, and clearing the ladder array their heads. The
+// collector must not be queried (Stats, Snapshot, events) after detach;
+// its table fields are nilled so a violation fails loudly.
 func (c *CG) detach() {
 	t := c.tab
 	if t == nil {
 		return
 	}
 	c.tab = nil
-	clear(c.meta[:min(len(c.meta), c.heap.NumHandles())])
+	heap.Decommit(c.meta[:min(len(c.meta), c.heap.NumHandles())], t.maps.meta)
+	sets := c.sets
+	if c.msa.Stats().Cycles > 0 {
+		sets = sets[:cap(sets)]
+	}
+	heap.Decommit(sets, t.maps.sets)
+	heap.Decommit(c.oldFrames, t.maps.oldFrames)
 	t.meta, t.sets, t.oldFrames = c.meta[:0], c.sets[:0], c.oldFrames[:0]
 	if c.recycleClasses != nil {
 		clear(c.recycleClasses)
@@ -447,7 +456,7 @@ func (c *CG) ensure(id heap.HandleID) {
 // the heap has already handed it out. Within meta's capacity — the
 // mapping, where there is one — it only re-slices: everything there past
 // the ids a cell handed out is zero already (fresh from mmap or make,
-// or cleared by detach), and clearing it again would commit pages of
+// or decommitted by detach), and clearing it again would commit pages of
 // records no handle uses.
 //
 //go:noinline

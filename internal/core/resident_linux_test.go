@@ -35,9 +35,9 @@ func residentBytes(t *testing.T, meta []objMeta) int {
 // handles and a HandleCap of 2^19, and its object records are resident
 // as far as the handles reach — 4 MiB — not through the 8 MiB granted.
 // The slack is one 2 MiB page, for a host that backs the mapping with
-// huge pages. Then the pooled sequence: Reset clears the records the
-// cell wrote without touching another page, and the next cell, handed
-// the same tables, starts on zeroed records.
+// huge pages. Then the pooled sequence: Reset decommits the records the
+// cell wrote, so that no more than the slack of them stays resident, and
+// the next cell, handed the same tables, starts on zeroed records.
 func TestMetaIsResidentAsFarAsUsed(t *testing.T) {
 	const objects, slack = 1 << 18, 2 << 20
 	// core's pool is a sync.Pool: without collections it hands back what
@@ -72,8 +72,9 @@ func TestMetaIsResidentAsFarAsUsed(t *testing.T) {
 	if next.tab != tab {
 		t.Skip("the pool handed the second cell other tables")
 	}
-	if reset := residentBytes(t, next.meta); reset > grown {
-		t.Errorf("Reset raised the records' resident set from %d KiB to %d", grown>>10, reset>>10)
+	if reset := residentBytes(t, next.meta); reset > slack {
+		t.Errorf("after Reset the records are resident through %d KiB (%d before it), want under %d",
+			reset>>10, grown>>10, slack>>10)
 	}
 	for i, m := range next.meta[:firstHandles] {
 		if m != (objMeta{}) {

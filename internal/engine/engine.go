@@ -122,7 +122,7 @@ func ArenaBytes(job Job) (int, error) {
 func Exec(job Job) Result { return exec(job, nil, nil, nil) }
 
 // exec is the shared job body. With a non-nil rt it starts from that
-// Reset pooled shard (whose arena size must match the job's budget); it
+// vacated pooled shard (whose arena size must match the job's budget); it
 // never returns shards to the pool itself — the caller does, once the
 // Result can no longer escape (see ExecRelease).
 //
@@ -189,9 +189,12 @@ func exec(job Job, rt *vm.Runtime, tc *tapeCache, p *obs.Progress) (res Result) 
 		// old post-construction SetGCEvery call.
 		ev := factory()
 		ev.GCEvery = job.GCEvery
-		if rt == nil {
+		switch {
+		case rt == nil:
 			rt = vm.New(heap.New(bytes), ev)
-		} else {
+		case i == 0:
+			rt.Attach(ev) // a pooled shard was vacated when it was pooled
+		default:
 			rt.Reset(ev)
 		}
 		if rp != nil {
@@ -298,6 +301,7 @@ func (e *Engine) release(job Job, tc *tapeCache, consume func(Result)) {
 	r := exec(job, e.pool.get(bytes), tc, e.progress)
 	consume(r)
 	if r.Err == nil && r.RT != nil {
+		r.RT.Vacate()
 		e.pool.put(bytes, r.RT)
 	}
 }

@@ -9,12 +9,16 @@ import (
 
 // shardPool recycles quiescent vm.Runtime shards between matrix cells,
 // keyed by arena size: a demographics sweep runs hundreds of cells over
-// identical 512 MiB arenas, and Reset-ing a pooled shard replaces
-// per-cell heap/runtime construction (arena spans, handle table, ref
-// slab, intern maps) with a handful of slice truncations. Only the
-// extract-and-drop execution paths (ExecRelease, RunEach) recycle
-// through the pool; package-level Exec, whose Result escapes to the
-// caller, never does, so a retained Result.RT stays quiescent.
+// identical 512 MiB arenas, and attaching a collector to a pooled shard
+// replaces per-cell heap/runtime construction (arena spans, handle
+// table, ref slab, intern maps) with a handful of slice truncations.
+// Every pooled shard is vacated (vm.Runtime.Vacate): its mapped tables,
+// and the collector tables pooled beside it, are decommitted, so an idle
+// shard holds address space and a few Go-heap records, not the pages
+// its last cell wrote. Only the extract-and-drop execution paths
+// (ExecRelease, RunEach) recycle through the pool; package-level Exec,
+// whose Result escapes to the caller, never does, so a retained
+// Result.RT stays quiescent.
 type shardPool struct {
 	mu     sync.Mutex
 	shards []pooledShard // oldest first
@@ -45,17 +49,16 @@ func (p *shardPool) get(arenaBytes int) *vm.Runtime {
 	return nil
 }
 
-// put returns a quiescent shard to the pool; at the retention cap the
-// oldest pooled shard is evicted to make room (the cap bounds idle
-// handle-table memory at the worker count — the same high-water the
-// pool's cells reached anyway). The newest shard is the one kept: the
-// next cell is likelier to want the arena size of the cell that just
-// ran than that of the first sizes the engine ever saw, and a pool that
-// refused newcomers had every later size build and discard a shard per
-// cell. The pool alone owns an evicted shard, so its mappings are
-// released here: left to the Go collector, they would stay resident
-// until a collection came, and cells that barely allocate make those
-// rare.
+// put returns a vacated shard to the pool; at the retention cap the
+// oldest pooled shard is evicted to make room (the cap bounds how many
+// shards' address space and Go-heap records stay idle, at the worker
+// count). The newest shard is the one kept: the next cell is likelier
+// to want the arena size of the cell that just ran than that of the
+// first sizes the engine ever saw, and a pool that refused newcomers had
+// every later size build and discard a shard per cell. The pool alone
+// owns an evicted shard, so its mappings are released here: left to the
+// Go collector, they would stay reserved until a collection came, and
+// cells that barely allocate make those rare.
 func (p *shardPool) put(arenaBytes int, rt *vm.Runtime) {
 	p.mu.Lock()
 	var evicted *vm.Runtime

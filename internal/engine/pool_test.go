@@ -88,12 +88,13 @@ func TestExecReleaseRecyclesShards(t *testing.T) {
 	})
 }
 
-// TestEnginePooledDeterminism is the Reset-reuse determinism gate: a
+// TestEnginePooledDeterminism is the shard-reuse determinism gate: a
 // cell computed on a recycled shard must produce byte-for-byte the
 // statistics a fresh shard produces. The first RunEach pass fills the
-// pool, the second runs entirely on recycled runtimes, and the third
-// runs larger cells on them: every handle-indexed table grows past the
-// capacity, and the stale contents, the pool kept from the small cells.
+// pool, the second runs entirely on recycled runtimes, which the pool
+// vacated (their tables decommitted) before the collector of the next
+// cell attached, and the third runs larger cells on them: every
+// handle-indexed table grows past the capacity the small cells used.
 func TestEnginePooledDeterminism(t *testing.T) {
 	jobs := []Job{
 		{Workload: "jess", Size: 1, Collector: "cg", HeapBytes: 1 << 24},

@@ -95,9 +95,9 @@ type genTables struct {
 	mark       heap.Bitset
 	remembered []heap.HandleID
 	work       []heap.HandleID
-	// maps is the mapping flags, survivals and remembered were drawn
-	// from, at its full capacity (empty while they are Go slices); unmap
-	// releases it when the tables are dropped (see mapTables).
+	// maps is the mapping the tables were drawn from, at its full
+	// capacity (empty while they are Go slices); unmap releases it when
+	// the tables are dropped (see mapTables).
 	maps  mappedTables
 	unmap runtime.Cleanup
 }
@@ -105,31 +105,41 @@ type genTables struct {
 // mappedTables holds what mapTables drew from heap.Mapped.
 type mappedTables struct {
 	flags, survivals []uint8
-	remembered       []heap.HandleID
+	mark             []uint64
+	remembered, work []heap.HandleID
 }
 
 func (m mappedTables) release() {
 	heap.Unmap(m.flags)
 	heap.Unmap(m.survivals)
+	heap.Unmap(m.mark)
 	heap.Unmap(m.remembered)
+	heap.Unmap(m.work)
 }
 
-// mapTables draws the per-handle tables from heap.Mapped at the attached
-// heap's handle bound, as core's are: no HandleCap exceeds it, and the
-// remembered list names an id at most once but for the stale entries of
-// reused handles (only an append past the bound would move it, as it
-// would any slice). A pooled mapping too small for this heap is released
-// at once; where there is no mapping to be had the tables stay what they
-// were, and heap.Grow and append double them.
+// mapTables draws every table from heap.Mapped at the attached heap's
+// handle bound, as core's are: no HandleCap exceeds it, the mark bits
+// cover every id, the DFS stack holds each marked object at most once,
+// and the remembered list names an id at most once but for the stale
+// entries of reused handles (only an append past the bound would move
+// it, as it would any slice). A pooled mapping too small for this heap
+// is released at once; where there is no mapping to be had the tables
+// stay what they were, and heap.Grow and append double them.
 func (t *genTables) mapTables(bound int) {
-	m := mappedTables{heap.Mapped[uint8](bound), heap.Mapped[uint8](bound), heap.Mapped[heap.HandleID](bound)}
-	if m.flags == nil || m.survivals == nil || m.remembered == nil {
+	m := mappedTables{
+		flags:      heap.Mapped[uint8](bound),
+		survivals:  heap.Mapped[uint8](bound),
+		mark:       heap.Mapped[uint64](heap.BitsetWords(bound)),
+		remembered: heap.Mapped[heap.HandleID](bound),
+		work:       heap.Mapped[heap.HandleID](bound),
+	}
+	if m.flags == nil || m.survivals == nil || m.mark == nil || m.remembered == nil || m.work == nil {
 		m.release()
 		return
 	}
 	t.unmap.Stop()
 	t.maps.release()
-	t.maps, t.flags, t.survivals, t.remembered = m, m.flags, m.survivals, m.remembered
+	t.maps, t.flags, t.survivals, t.mark, t.remembered, t.work = m, m.flags, m.survivals, m.mark, m.remembered, m.work
 	t.unmap = runtime.AddCleanup(t, mappedTables.release, m)
 }
 
@@ -174,19 +184,33 @@ func (g *System) Attach(rt *vm.Runtime) {
 }
 
 // detach implements the event table's Detach capability: the runtime
-// is replacing this collector, so its side tables go back to the pool.
-// The system must not be queried afterwards; fields are nilled so a
-// violation fails loudly. None of the tables carries pointers into the
-// shard (handle IDs are indices), so pooling pins nothing.
+// is replacing this collector, so its side tables go back to the pool,
+// decommitted (heap.Decommit): a pooled table set costs address space,
+// not the pages the cell wrote, and reads as zero when it is next used.
+// Only a cycle writes the mark bits and the DFS stack, and only an
+// object a cycle promoted is ever remembered, so those three are left
+// alone after a cell that never collected; otherwise the remembered
+// list and the stack, whose high-water is not kept, are decommitted
+// whole. The system must not be queried afterwards; fields are nilled
+// so a violation fails loudly. None of the tables carries pointers into
+// the shard (handle IDs are indices), so pooling pins nothing.
 func (g *System) detach() {
 	t := g.tab
 	if t == nil {
 		return
 	}
 	g.tab = nil
+	m := t.maps
+	heap.Decommit(g.flags, m.flags)
+	heap.Decommit(g.survivals, m.survivals)
+	if g.stats.Minor > 0 {
+		heap.Decommit(g.mark, m.mark)
+		heap.Decommit(g.remembered[:cap(g.remembered)], m.remembered)
+		heap.Decommit(g.work[:cap(g.work)], m.work)
+	}
 	t.flags = g.flags[:0]
 	t.survivals = g.survivals[:0]
-	t.mark = g.mark
+	t.mark = g.mark[:0]
 	t.work = g.work[:0]
 	t.remembered = g.remembered[:0]
 	g.rt = nil

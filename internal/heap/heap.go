@@ -575,25 +575,24 @@ func (h *Heap) LiveWords() Bitset { return h.liveBits }
 
 // Reset returns the heap to its freshly constructed state — empty class
 // table, one-slot handle table, empty slab, fully free arena, zeroed
-// counters — without releasing any capacity. A pooled execution shard
-// calls this between matrix cells so a sweep stops paying per-cell
-// arena and table construction; a reset heap is observably identical to
-// heap.New(h.Arena().Size()).
+// counters — keeping its mappings but not their memory: the handle
+// table, live bitmap and ref slab are decommitted through the length
+// the cell used (Decommit), so a heap the engine pools between cells
+// holds address space, not the pages its last cell wrote, and the next
+// cell faults in only what it writes. A reset heap is observably
+// identical to heap.New(h.Arena().Size()).
 func (h *Heap) Reset() {
 	h.arena.Reset()
 	h.classes = h.classes[:0]
 	h.layouts = h.layouts[:0]
 	clear(h.byName)
-	// Shrink to the Nil slot. Stale records beyond len are zeroed by
-	// Alloc's Grow before they are ever reachable.
-	h.handles = h.handles[:1]
+	Decommit(h.handles, h.mapped.handles)
+	h.handles = h.handles[:1] // the Nil slot
 	h.handleCap = 1
 	h.freeHead = Nil
-	// Clear the live bitmap through its length: nothing beyond it was
-	// ever set, and clearing through the capacity would write, and so
-	// commit, a bound-sized mapping at every Reset.
-	clear(h.liveBits)
+	Decommit(h.liveBits, h.mapped.live)
 	h.liveBits = h.liveBits[:1]
+	Decommit(h.slab, h.mapped.slab)
 	h.slab = h.slab[:0]
 	h.stats = Stats{}
 }

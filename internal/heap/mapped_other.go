@@ -11,3 +11,6 @@ func Mapped[T any](n int) []T { return nil }
 
 // Unmap has nothing to release on this build.
 func Unmap[T any](s []T) {}
+
+// Decommit clears s: on this build no table is in a mapping.
+func Decommit[T any](s, m []T) { clear(s) }

@@ -137,14 +137,15 @@ func collected(want int64) int64 {
 // on a collector's; dropping the owner is the release. A heap holds three
 // mappings (handles, live bitmap, ref slab), a runtime with an Access
 // slot bound one (the thread-owner table), an attached CG's tables three
-// more (object records, reset stamps, set records), and all seven are
-// gone two collections after the runtime is.
+// more (object records, reset stamps, set records) and its mark-sweep
+// engine two (mark bits, DFS stack), and all nine are gone two
+// collections after the runtime is.
 func TestDroppedOwnersAreUnmapped(t *testing.T) {
 	base := collected(-1) // earlier tests' garbage, and core's pool, emptied
 	func() {
 		rt := vm.New(heap.New(64<<20), core.New(core.DefaultConfig()))
-		if got := heap.MappingCount(); got != base+7 {
-			t.Fatalf("a heap and a runtime with CG attached hold %d mappings, want 7", got-base)
+		if got := heap.MappingCount(); got != base+9 {
+			t.Fatalf("a heap and a runtime with CG attached hold %d mappings, want 9", got-base)
 		}
 		runtime.KeepAlive(rt)
 	}()
@@ -207,4 +208,63 @@ func TestEvictedShardsAreUnmapped(t *testing.T) {
 			t.Fatalf("mappings after each cell: %v; cell %d left %d more than the first", counts, i, n-counts[0])
 		}
 	}
+}
+
+// TestDecommitLeavesZeros: Decommit zeroes exactly the table it is given,
+// whether that hands whole pages back to the kernel (a table in its
+// mapping, starting on a page or inside one, ending inside the mapping
+// or at its end) or clears a Go slice (with mapping switched off, and a
+// slice that is not in the mapping it is said to come from).
+func TestDecommitLeavesZeros(t *testing.T) {
+	const n = 5000 // 20 000 bytes: four pages and a part, on 4 KiB pages
+	fill := func(s []uint32) {
+		for i := range s {
+			s[i] = uint32(i) | 1
+		}
+	}
+	check := func(name string, s []uint32, zero bool) {
+		t.Helper()
+		for i, v := range s {
+			if (v == 0) != zero {
+				t.Fatalf("%s: word %d reads %#x after Decommit, want zero %v", name, i, v, zero)
+			}
+		}
+	}
+	m := heap.Mapped[uint32](n)
+	if m == nil {
+		t.Skip("this host refuses the mapping")
+	}
+	m = m[:n]
+	defer heap.Unmap(m)
+	for _, r := range []struct {
+		name   string
+		lo, hi int
+	}{
+		{"from the start, past two pages", 0, 2500},
+		{"inside one page", 10, 900},
+		{"across pages, off both edges", 100, 4000},
+		{"to the mapping's end", 1030, n},
+		{"the whole mapping", 0, n},
+	} {
+		fill(m)
+		heap.Decommit(m[r.lo:r.hi], m)
+		check(r.name+": before it", m[:r.lo], false)
+		check(r.name, m[r.lo:r.hi], true)
+		check(r.name+": after it", m[r.hi:], false)
+	}
+
+	elsewhere := make([]uint32, 3000)
+	fill(elsewhere)
+	fill(m)
+	heap.Decommit(elsewhere, m)
+	check("a Go slice passed with a mapping", elsewhere, true)
+	check("the mapping beside it", m, false)
+
+	heap.SetMapOff(true)
+	defer heap.SetMapOff(false)
+	off := append(heap.Mapped[uint32](n), make([]uint32, n)...)
+	fill(off)
+	heap.Decommit(off[:2500], heap.Mapped[uint32](n))
+	check("with mapping off", off[:2500], true)
+	check("with mapping off, past the table", off[2500:], false)
 }

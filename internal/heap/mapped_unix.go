@@ -43,6 +43,50 @@ func Mapped[T any](n int) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n)[:0]
 }
 
+// pageSize is the unit Decommit hands back.
+var pageSize = syscall.Getpagesize()
+
+// Decommit zeroes the table s, which is drawn from m, the mapping Mapped
+// returned for it (nil if it returned none). Where s lies in m, the
+// whole pages s covers go back to the kernel (dontNeed): they cost
+// address space again, not memory, and read back as zero when next
+// touched. The bytes of a page s shares with memory outside it are
+// cleared by hand, except past the end of m, which is all the table's.
+// A table below a page skips the system call. A table that is not in m —
+// a Go slice, where Mapped had nothing or Grow copied the table out of
+// its mapping — is cleared, so no Go memory is ever handed back.
+func Decommit[T any](s, m []T) {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	n := len(s) * size
+	if n == 0 {
+		return
+	}
+	off := uintptr(unsafe.Pointer(unsafe.SliceData(s))) - uintptr(unsafe.Pointer(unsafe.SliceData(m)))
+	whole := cap(m) * size
+	if cap(m) == 0 || off > uintptr(whole) || int(off)+n > whole {
+		clear(s)
+		return
+	}
+	// The mapping spans whole pages: the last one's tail past m is m's.
+	page := pageSize
+	end := (whole + page - 1) &^ (page - 1)
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(m))), end)
+	lo, hi := (int(off)+page-1)&^(page-1), (int(off)+n)&^(page-1)
+	if int(off)+n == whole {
+		hi = end
+	}
+	if lo >= hi {
+		clear(s)
+		return
+	}
+	clear(b[off:lo])
+	dontNeed(b[lo:hi])
+	if tail := int(off) + n; hi < tail {
+		clear(b[hi:tail])
+	}
+}
+
 // Unmap releases a table Mapped returned, which must not be used again;
 // Unmap(nil) does nothing.
 func Unmap[T any](s []T) {

@@ -19,6 +19,7 @@ package msa
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"repro/internal/heap"
@@ -68,20 +69,71 @@ type Collector struct {
 	stats Stats
 	mark  heap.Bitset     // scratch mark bits, indexed by HandleID
 	work  []heap.HandleID // scratch DFS stack
+	// maps is the mapping mark and work were drawn from (nil tables
+	// while they are Go slices); unmap releases it when the engine is
+	// dropped (see mapScratch).
+	maps  scratch
+	unmap runtime.Cleanup
+}
+
+// scratch holds what mapScratch drew from heap.Mapped.
+type scratch struct {
+	mark []uint64
+	work []heap.HandleID
+}
+
+func (s scratch) release() {
+	heap.Unmap(s.mark)
+	heap.Unmap(s.work)
 }
 
 // New returns a mark–sweep engine bound to rt.
-func New(rt *vm.Runtime) *Collector { return &Collector{rt: rt} }
+func New(rt *vm.Runtime) *Collector {
+	m := &Collector{}
+	m.Reattach(rt)
+	return m
+}
 
-// Reattach rebinds the engine to a new runtime and zeroes its
-// counters, keeping the mark/work scratch capacity. A reattached engine
-// is observably fresh: Collect re-sizes and re-clears the mark bits
-// every cycle anyway. Pooled collectors (core's detachable tables, the
-// System pool below) reuse engines through this instead of allocating
+// Reattach rebinds the engine to a new runtime (nil: to none) and zeroes
+// its counters, keeping the mark/work scratch capacity but not its
+// memory: the scratch of an outgoing cell that collected is decommitted
+// (heap.Decommit), the stack whole, as its high-water is not kept, so a
+// pooled engine holds address space, not pages. A reattached engine is
+// observably fresh: Collect re-sizes and re-clears the mark bits every
+// cycle anyway. Pooled collectors (core's detachable tables, the System
+// pool below) reuse engines through this instead of allocating
 // handle-table-sized scratch per matrix cell.
 func (m *Collector) Reattach(rt *vm.Runtime) {
+	if m.rt != nil && m.stats.Cycles > 0 {
+		heap.Decommit(m.mark, m.maps.mark)
+		heap.Decommit(m.work[:cap(m.work)], m.maps.work)
+	}
 	m.rt = rt
 	m.stats = Stats{}
+	if rt == nil {
+		return
+	}
+	if bound := rt.Heap.HandleBound(); cap(m.maps.work) < bound {
+		m.mapScratch(bound)
+	}
+}
+
+// mapScratch draws mark and work from heap.Mapped at the heap's handle
+// bound, as every other per-handle table is: the mark bits cover every
+// id, and the stack holds each marked object at most once. Neither then
+// moves. A pooled mapping too small for this heap is released at once;
+// where there is no mapping to be had the scratch stays what it was,
+// and heap.Grow and append double it.
+func (m *Collector) mapScratch(bound int) {
+	s := scratch{heap.Mapped[uint64](heap.BitsetWords(bound)), heap.Mapped[heap.HandleID](bound)}
+	if s.mark == nil || s.work == nil {
+		s.release()
+		return
+	}
+	m.unmap.Stop()
+	m.maps.release()
+	m.maps, m.mark, m.work = s, s.mark, s.work
+	m.unmap = runtime.AddCleanup(m, scratch.release, s)
 }
 
 // Stats returns a copy of the counters.

@@ -246,8 +246,10 @@ func TestAllAccessDefeatsElision(t *testing.T) {
 }
 
 // TestRuntimeResetObservablyFresh pins the pooled-shard contract at the
-// runtime level: after Reset the same Runtime replays a program with
-// identical frame IDs, handle IDs, instruction counts and statistics.
+// runtime level: after Reset — Vacate, which decommits the heap's and
+// the runtime's tables, then Attach — the same Runtime replays a program
+// with identical frame IDs, handle IDs, instruction counts and
+// statistics.
 func TestRuntimeResetObservablyFresh(t *testing.T) {
 	program := func(rt *Runtime, node heap.ClassID, n int) (ids []heap.HandleID, frames []uint64) {
 		th := rt.NewThread(1)

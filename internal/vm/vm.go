@@ -172,9 +172,9 @@ type Runtime struct {
 	unmapOwners  runtime.Cleanup
 	// accessBroken records that the single-thread proof failed (second
 	// thread, or static-frame allocation). It is sticky for the life
-	// of the run — Reset clears it, Attach does not — so attaching a
-	// descriptor mid-run re-derives accessOn without forgetting that
-	// the elision proof is already gone.
+	// of the run — Vacate (and so Reset) clears it, Attach does not —
+	// so attaching a descriptor mid-run re-derives accessOn without
+	// forgetting that the elision proof is already gone.
 	accessBroken bool
 }
 
@@ -212,7 +212,8 @@ func New(h *heap.Heap, c Collector) *Runtime {
 // re-derive the elision machinery (AllAccess, AllPops) and the forced-
 // collection countdown (GCEvery) from the descriptor, and the
 // descriptor's Attach hook runs last so the collector sees a fully
-// wired runtime. New and Reset call it; attaching mid-run (only
+// wired runtime. New and Reset call it, and the engine on a shard it
+// vacated before pooling (Vacate); attaching mid-run (only
 // meaningful for instrumentation) replaces the collector and its
 // declared capabilities but keeps heap, threads, statics and the
 // already-broken single-thread proof intact. A mid-run swap requires
@@ -262,18 +263,30 @@ func (rt *Runtime) Collector() any { return rt.source }
 
 // Reset returns the runtime — and its heap — to the freshly constructed
 // state over the same arena, attaching collector c in place of the old
-// one. Tables and slices keep their capacity: a pooled execution shard
-// resets between matrix cells instead of paying construction per cell.
-// A reset runtime is observably identical to vm.New(heap, c) over a
-// fresh heap of the same arena size (see TestEnginePooledDeterminism).
+// one: Vacate, then Attach. A reset runtime is observably identical to
+// vm.New(heap, c) over a fresh heap of the same arena size (see
+// TestEnginePooledDeterminism).
 func (rt *Runtime) Reset(c Collector) {
+	rt.Vacate()
+	rt.Attach(c.Events())
+}
+
+// Vacate ends the cell the runtime ran and leaves it holding address
+// space, not memory: the collector detaches (a pooled implementation
+// decommits its side tables as it takes them back), the owner table
+// and the heap's tables are decommitted (heap.Decommit), and the rest
+// of the runtime's state is truncated, keeping its capacity. The engine
+// vacates a shard before it pools it, so an idle shard pins no page its
+// last cell wrote, and the next cell faults in only the pages it
+// writes. A vacated runtime has no collector bound; Attach binds one.
+func (rt *Runtime) Vacate() {
 	// The outgoing collector detaches while the heap still holds the
-	// cell it served, so it can tell which of its records that cell wrote.
-	if rt.detach != nil {
-		rt.detach()
-		rt.detach = nil
-	}
+	// cell it served, so it can tell which of its records that cell
+	// wrote; an empty table binds nothing in its place.
+	rt.Attach(Events{})
+	heap.Decommit(rt.owners[:min(len(rt.owners), rt.Heap.NumHandles())], rt.ownersMapped)
 	rt.Heap.Reset()
+	clear(rt.threads) // the dropped threads pin their stacks' frames
 	rt.threads = rt.threads[:0]
 	rt.statics = rt.statics[:0]
 	clear(rt.staticNames)
@@ -289,7 +302,6 @@ func (rt *Runtime) Reset(c Collector) {
 	rt.accessBroken = false
 	rt.rec = nil
 	rt.timeline.Reset()
-	rt.Attach(c.Events())
 }
 
 // Release ends a runtime nobody will run again: the collector detaches,

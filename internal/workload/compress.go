@@ -49,13 +49,13 @@ func runCompress(rt *vm.Runtime, size int) {
 	}
 	nextCode := 256
 
-	// codes is the interpreter-side (prefixCode, byte) -> code table; it
-	// models primitive dictionary state, which carries no handles. The
-	// key space is dense and bounded (prefix < lzwDictCap, byte < 256),
-	// so a flat table replaces the hash map the inner loop used to spend
-	// most of its cycles probing; 0 means absent (codes 0-255 are never
-	// stored — only fresh codes >= 256 enter the table).
-	codes := make([]int32, lzwDictCap<<8)
+	// codes is the interpreter-side (prefixCode, byte) -> code table of
+	// primitive dictionary state, which carries no handles. Its key space
+	// is dense and small (prefix < lzwDictCap, byte < 64), so a flat 57 KB
+	// table replaces the hash map the inner loop used to probe; a code is
+	// below lzwDictCap, so a uint16 holds it, and 0 means absent (codes
+	// 0-255 are never stored: only fresh codes >= 256 enter the table).
+	codes := make([]uint16, lzwDictCap<<6)
 
 	// Compress blocks. Block count grows slowly with size (the SPEC
 	// input is recompressed repeatedly); block length carries the real
@@ -88,7 +88,7 @@ func runCompress(rt *vm.Runtime, size int) {
 			prev := int(rng.Intn(256))
 			for i := 0; i < blockLen; i++ {
 				c := byte(rng.Intn(256) & 0x3f) // skewed alphabet: real matches
-				key := uint32(prev)<<8 | uint32(c)
+				key := uint32(prev)<<6 | uint32(c)
 				if code := codes[key]; code != 0 {
 					prev = int(code)
 					continue
@@ -104,7 +104,7 @@ func runCompress(rt *vm.Runtime, size int) {
 						f.PutField(e, 0, prefix)
 					}
 					f.PutField(dict, nextCode, e)
-					codes[key] = int32(nextCode)
+					codes[key] = uint16(nextCode)
 					nextCode++
 				}
 				prev = int(c)
