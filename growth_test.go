@@ -43,9 +43,10 @@ func TestColdCellGrowthBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const size = 100
-	probe := heap.Mapped[uint64](1)
-	mapping := probe != nil
-	heap.Unmap(probe)
+	var probe heap.Table[uint64]
+	probe.Reserve(1)
+	mapping := probe.Reserved() > 0
+	probe.Release()
 	for _, name := range collectors.AllSpecs() {
 		t.Run(name, func(t *testing.T) {
 			ev, err := collectors.New(name)

@@ -23,7 +23,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -242,43 +241,23 @@ type spillList struct {
 // paid per matrix cell — meta and oldFrames, which follow the handle
 // table, and sets, which follows the live-set count. The engine runs
 // each cell on a fresh collector (shards must not share mutable state),
-// but the *capacity* behind the tables is content-free once truncated —
-// grown regions are re-zeroed by heap.Grow, detach decommits what a cell
-// wrote and newSet zeroes each slot it appends — so recycling it
-// through a pool is observably identical to fresh construction
-// (TestPooledFigureIdentity pins this at the figure level), and a
-// pooled set costs address space, not memory. The pool fills only via
-// Events.Detach, i.e. when the engine vacates a shard or a runtime is
-// released; a dropped runtime donates nothing.
+// but the *capacity* behind the tables is content-free once detach has
+// decommitted them, so recycling it through a pool is observably
+// identical to fresh construction (TestPooledFigureIdentity pins this
+// at the figure level). The pool fills only via Events.Detach, i.e.
+// when the engine vacates a shard or a runtime is released; a dropped
+// runtime donates nothing.
 type tables struct {
-	meta      []objMeta
-	sets      []setMeta
-	oldFrames []int32
+	meta      heap.Table[objMeta]
+	sets      heap.Table[setMeta]
+	oldFrames heap.Table[int32]
 	msa       *msa.Collector
-	// maps is the mapping meta, oldFrames and sets were drawn from, at
-	// its full capacity (empty while they are Go slices); unmap releases
-	// it when the tables are dropped (see mapTables).
-	maps  mappedTables
-	unmap runtime.Cleanup
 	// recycleClasses is the ladder-indexed list array (cleared at detach,
 	// the array itself reused) and recycleSpill the sorted overflow list
 	// for extents wider than the ladder.
 	recycleClasses  []recycleList
 	recycleNonEmpty heap.Bitset
 	recycleSpill    []spillList
-}
-
-// mappedTables holds what mapTables drew from heap.Mapped.
-type mappedTables struct {
-	meta      []objMeta
-	oldFrames []int32
-	sets      []setMeta
-}
-
-func (m mappedTables) release() {
-	heap.Unmap(m.meta)
-	heap.Unmap(m.oldFrames)
-	heap.Unmap(m.sets)
 }
 
 var tablePool = sync.Pool{New: func() any { return new(tables) }}
@@ -349,13 +328,16 @@ func (c *CG) Attach(rt *vm.Runtime) {
 		t.msa.Reattach(rt)
 	}
 	c.msa = t.msa
-	if bound := c.heap.HandleBound(); cap(t.maps.meta) < bound {
-		t.mapTables(bound)
-	}
-	c.meta = t.meta[:0]
-	c.sets = append(t.sets[:0], setMeta{}) // slot 0, never used
+	// The tables are reserved at the heap's handle bound, which no
+	// HandleCap exceeds; sets gets one slot more: every set holds a live
+	// object, a rebuild holds at most one slot beyond the sets it makes,
+	// and slot 0 is never used.
+	bound := c.heap.HandleBound()
+	c.meta = t.meta.Reserve(bound)
+	c.oldFrames = t.oldFrames.Reserve(bound)
+	t.sets.Reserve(bound + 1)
+	c.sets = t.sets.Cover(1, 1) // slot 0, never used
 	c.freeSets = 0
-	c.oldFrames = t.oldFrames[:0]
 	if c.cfg.Recycle {
 		if t.recycleClasses == nil {
 			t.recycleClasses = make([]recycleList, heap.NumSizeClasses)
@@ -376,52 +358,29 @@ func (c *CG) Attach(rt *vm.Runtime) {
 	}
 }
 
-// mapTables draws meta, oldFrames and sets from heap.Mapped at the
-// attached heap's handle bound, which no HandleCap exceeds: they then
-// never move. sets gets one slot more: every set holds a live object, a
-// rebuild holds at most one slot beyond the sets it makes, and slot 0 is
-// never used. A pooled mapping too small for this heap is released at
-// once — it is address space a long-lived pool would otherwise keep.
-// Where there is no mapping to be had the tables stay what they were,
-// and heap.Grow and append double them.
-func (t *tables) mapTables(bound int) {
-	m := mappedTables{heap.Mapped[objMeta](bound), heap.Mapped[int32](bound), heap.Mapped[setMeta](bound + 1)}
-	if m.meta == nil || m.oldFrames == nil || m.sets == nil {
-		m.release()
-		return
-	}
-	t.unmap.Stop()
-	t.maps.release()
-	t.maps, t.meta, t.oldFrames, t.sets = m, m.meta, m.oldFrames, m.sets
-	t.unmap = runtime.AddCleanup(t, mappedTables.release, m)
-}
-
 // detach implements the event table's Detach capability: the runtime is
-// replacing this collector, so its side tables go back to the pool,
-// truncated and decommitted (heap.Decommit): a pooled table set costs
-// address space, not the pages the cell wrote. meta is decommitted
-// through the ids the heap handed out (the runtime detaches before it
-// resets the heap): grow only re-slices it, so nothing past them was
-// written. oldFrames is decommitted through its length, and so is sets
-// but after a rebuild cycle, which truncates it: then, as its high-water
-// is not kept, sets is decommitted whole. That takes the recycle lists'
-// threads with meta, and clearing the ladder array their heads. The
-// collector must not be queried (Stats, Snapshot, events) after detach;
-// its table fields are nilled so a violation fails loudly.
+// replacing this collector, so its side tables go back to the pool
+// decommitted: meta through the ids the heap handed out (the runtime
+// detaches before it resets the heap, and grow writes nothing past
+// them), which takes the recycle lists' threads with it, and oldFrames
+// through its length; sets through its length too, but whole after a
+// rebuild cycle, which truncates it without keeping its high-water.
+// Clearing the ladder array takes the lists' heads. The collector must
+// not be queried (Stats, Snapshot, events) after detach; its table
+// fields are nilled so a violation fails loudly.
 func (c *CG) detach() {
 	t := c.tab
 	if t == nil {
 		return
 	}
 	c.tab = nil
-	heap.Decommit(c.meta[:min(len(c.meta), c.heap.NumHandles())], t.maps.meta)
+	t.meta.Decommit(c.meta[:min(len(c.meta), c.heap.NumHandles())])
 	sets := c.sets
 	if c.msa.Stats().Cycles > 0 {
 		sets = sets[:cap(sets)]
 	}
-	heap.Decommit(sets, t.maps.sets)
-	heap.Decommit(c.oldFrames, t.maps.oldFrames)
-	t.meta, t.sets, t.oldFrames = c.meta[:0], c.sets[:0], c.oldFrames[:0]
+	t.sets.Decommit(sets)
+	t.oldFrames.Decommit(c.oldFrames)
 	if c.recycleClasses != nil {
 		clear(c.recycleClasses)
 		t.recycleClasses = c.recycleClasses
@@ -453,20 +412,13 @@ func (c *CG) ensure(id heap.HandleID) {
 
 // grow takes meta to the handle table's capacity in one step: it grows
 // when that table does, by the heap's rule, and id is covered because
-// the heap has already handed it out. Within meta's capacity — the
-// mapping, where there is one — it only re-slices: everything there past
-// the ids a cell handed out is zero already (fresh from mmap or make,
-// or decommitted by detach), and clearing it again would commit pages of
-// records no handle uses.
+// the heap has already handed it out. Within the mapping Cover clears
+// nothing, so meta is resident only as far as the handles reach.
 //
 //go:noinline
 func (c *CG) grow() {
 	n := c.heap.HandleCap()
-	if n <= cap(c.meta) {
-		c.meta = c.meta[:n]
-		return
-	}
-	c.meta = heap.Grow(c.meta, n, n)
+	c.meta = c.tab.meta.Cover(n, n)
 }
 
 // find returns the representative handle of id's equilive set, with the
@@ -956,7 +908,7 @@ func (c *CG) beginCycle() {
 	// it in oldFrames instead.
 	reset := c.cfg.ResetOnGC
 	if n := len(c.meta); reset && len(c.oldFrames) < n {
-		c.oldFrames = heap.Grow(c.oldFrames, n, n)
+		c.oldFrames = c.tab.oldFrames.Cover(n, n)
 	}
 	c.rt.EachFrame(func(f *vm.Frame) {
 		for slot := f.GCHead; slot != 0; slot = c.sets[int(slot)].next {

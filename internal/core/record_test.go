@@ -41,7 +41,7 @@ func TestRecordsAreSmallAndPointerFree(t *testing.T) {
 }
 
 // TestMappedRecordsHoldNoPointers is the heap package's test of the same
-// name for the three tables core draws from heap.Mapped, by their
+// name for the three tables core keeps in a heap.Table, by their
 // element types as declared; and the handle-indexed two, where this
 // build maps them, are reserved at the attached heap's handle bound, or
 // at a larger one the pool kept, and never move as they grow. Only the
@@ -49,16 +49,16 @@ func TestRecordsAreSmallAndPointerFree(t *testing.T) {
 // stamps into the object records and leaves it empty. vm's test of this
 // name covers the runtime's owner table.
 func TestMappedRecordsHoldNoPointers(t *testing.T) {
-	for name, table := range map[string]any{"meta": tables{}.meta, "oldFrames": tables{}.oldFrames, "sets": tables{}.sets} {
+	for name, table := range map[string]any{"meta": CG{}.meta, "oldFrames": CG{}.oldFrames, "sets": CG{}.sets} {
 		if elem := reflect.TypeOf(table).Elem(); hasPointers(elem) {
-			t.Errorf("tables.%s is mapped and its element %v holds a pointer", name, elem)
+			t.Errorf("CG.%s is mapped and its element %v holds a pointer", name, elem)
 		}
 	}
 	for _, cfg := range []Config{DefaultConfig(), {StaticOpt: true, Recycle: true}, {StaticOpt: true, ResetOnGC: true}} {
 		rt, cg, node := newRT(t, cfg, 1<<22)
-		mapped := cap(cg.tab.maps.meta)
+		mapped := cg.tab.meta.Reserved()
 		if mapped == 0 {
-			t.Log("no mapping on this build: the tables grow by heap.Grow's copy")
+			t.Log("no mapping on this build: the tables grow by heap.Grow's rule")
 			return
 		}
 		if bound := rt.Heap.HandleBound(); cap(cg.meta) != mapped || cap(cg.oldFrames) != mapped || mapped < bound {
@@ -99,7 +99,7 @@ func TestSetTableIsSizedBySets(t *testing.T) {
 	rt := vm.New(heap.New(spec.HeapBytes(100)), cg)
 	spec.Run(rt, 100)
 	records, handles := len(cg.sets), rt.Heap.NumHandles()
-	if cap(cg.tab.maps.sets) == 0 {
+	if cg.tab.sets.Reserved() == 0 {
 		records = cap(cg.sets)
 	}
 	t.Logf("%d set slots in use, %d records held, %d handles", len(cg.sets)-1, records, handles)

@@ -47,7 +47,7 @@ func TestMetaIsResidentAsFarAsUsed(t *testing.T) {
 	leaf := h.DefineClass(heap.Class{Name: "Leaf"})
 	cg := New(DefaultConfig())
 	rt := vm.New(h, cg)
-	if cap(cg.tab.maps.meta) == 0 {
+	if cg.tab.meta.Reserved() == 0 {
 		t.Skip("no mapping on this build: meta is a Go slice")
 	}
 	f := rt.NewThread(0).Top()

@@ -21,7 +21,6 @@ package gengc
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"repro/internal/heap"
@@ -88,59 +87,16 @@ type System struct {
 // genTables is the recyclable allocation footprint of one generational
 // system — flag bytes, survival counters, mark scratch, the remembered
 // list and the DFS stack — pooled across matrix cells through the
-// event table's Detach path, mirroring core's table pool.
+// event table's Detach path, mirroring core's table pool. Each is
+// reserved at the attached heap's handle bound: no HandleCap exceeds
+// it, the mark bits cover every id, the DFS stack holds each marked
+// object at most once, and the remembered list names an id at most
+// once but for the stale entries of reused handles (only an append past
+// the bound would move it, as it would any slice).
 type genTables struct {
-	flags      []uint8
-	survivals  []uint8
-	mark       heap.Bitset
-	remembered []heap.HandleID
-	work       []heap.HandleID
-	// maps is the mapping the tables were drawn from, at its full
-	// capacity (empty while they are Go slices); unmap releases it when
-	// the tables are dropped (see mapTables).
-	maps  mappedTables
-	unmap runtime.Cleanup
-}
-
-// mappedTables holds what mapTables drew from heap.Mapped.
-type mappedTables struct {
-	flags, survivals []uint8
-	mark             []uint64
-	remembered, work []heap.HandleID
-}
-
-func (m mappedTables) release() {
-	heap.Unmap(m.flags)
-	heap.Unmap(m.survivals)
-	heap.Unmap(m.mark)
-	heap.Unmap(m.remembered)
-	heap.Unmap(m.work)
-}
-
-// mapTables draws every table from heap.Mapped at the attached heap's
-// handle bound, as core's are: no HandleCap exceeds it, the mark bits
-// cover every id, the DFS stack holds each marked object at most once,
-// and the remembered list names an id at most once but for the stale
-// entries of reused handles (only an append past the bound would move
-// it, as it would any slice). A pooled mapping too small for this heap
-// is released at once; where there is no mapping to be had the tables
-// stay what they were, and heap.Grow and append double them.
-func (t *genTables) mapTables(bound int) {
-	m := mappedTables{
-		flags:      heap.Mapped[uint8](bound),
-		survivals:  heap.Mapped[uint8](bound),
-		mark:       heap.Mapped[uint64](heap.BitsetWords(bound)),
-		remembered: heap.Mapped[heap.HandleID](bound),
-		work:       heap.Mapped[heap.HandleID](bound),
-	}
-	if m.flags == nil || m.survivals == nil || m.mark == nil || m.remembered == nil || m.work == nil {
-		m.release()
-		return
-	}
-	t.unmap.Stop()
-	t.maps.release()
-	t.maps, t.flags, t.survivals, t.mark, t.remembered, t.work = m, m.flags, m.survivals, m.mark, m.remembered, m.work
-	t.unmap = runtime.AddCleanup(t, mappedTables.release, m)
+	flags, survivals heap.Table[uint8]
+	mark             heap.Table[uint64]
+	remembered, work heap.Table[heap.HandleID]
 }
 
 var genTablePool = sync.Pool{New: func() any { return new(genTables) }}
@@ -166,53 +122,43 @@ func (g *System) Events() vm.Events {
 }
 
 // Attach binds the system to rt (the descriptor's Attach hook),
-// drawing side tables from the pool. Truncated tables are observably
-// fresh: OnAlloc regrows flags/survivals zeroed (heap.Grow) and the
-// remembered list was truncated at detach.
+// drawing side tables from the pool. Pooled tables are observably
+// fresh: detach emptied them, and OnAlloc covers flags/survivals zeroed.
 func (g *System) Attach(rt *vm.Runtime) {
 	g.rt = rt
 	t := genTablePool.Get().(*genTables)
 	g.tab = t
-	if bound := rt.Heap.HandleBound(); cap(t.maps.flags) < bound {
-		t.mapTables(bound)
-	}
-	g.flags = t.flags[:0]
-	g.survivals = t.survivals[:0]
-	g.mark = t.mark
-	g.remembered = t.remembered[:0]
-	g.work = t.work
+	bound := rt.Heap.HandleBound()
+	g.flags = t.flags.Reserve(bound)
+	g.survivals = t.survivals.Reserve(bound)
+	g.mark = t.mark.Reserve(heap.BitsetWords(bound))
+	g.remembered = t.remembered.Reserve(bound)
+	g.work = t.work.Reserve(bound)
 }
 
 // detach implements the event table's Detach capability: the runtime
-// is replacing this collector, so its side tables go back to the pool,
-// decommitted (heap.Decommit): a pooled table set costs address space,
-// not the pages the cell wrote, and reads as zero when it is next used.
-// Only a cycle writes the mark bits and the DFS stack, and only an
-// object a cycle promoted is ever remembered, so those three are left
-// alone after a cell that never collected; otherwise the remembered
-// list and the stack, whose high-water is not kept, are decommitted
-// whole. The system must not be queried afterwards; fields are nilled
-// so a violation fails loudly. None of the tables carries pointers into
-// the shard (handle IDs are indices), so pooling pins nothing.
+// is replacing this collector, so its side tables go back to the pool
+// decommitted: flags and survival counts through their lengths, and
+// only after a cell that collected — only a cycle writes the mark bits
+// and the DFS stack, and only an object a cycle promoted is ever
+// remembered — the mark bits through their length and the remembered
+// list and the stack whole, as their high-water is not kept. The
+// system must not be queried afterwards; fields are nilled so a
+// violation fails loudly. None of the tables carries pointers into the
+// shard (handle IDs are indices), so pooling pins nothing.
 func (g *System) detach() {
 	t := g.tab
 	if t == nil {
 		return
 	}
 	g.tab = nil
-	m := t.maps
-	heap.Decommit(g.flags, m.flags)
-	heap.Decommit(g.survivals, m.survivals)
+	t.flags.Decommit(g.flags)
+	t.survivals.Decommit(g.survivals)
 	if g.stats.Minor > 0 {
-		heap.Decommit(g.mark, m.mark)
-		heap.Decommit(g.remembered[:cap(g.remembered)], m.remembered)
-		heap.Decommit(g.work[:cap(g.work)], m.work)
+		t.mark.Decommit(g.mark)
+		t.remembered.Decommit(g.remembered[:cap(g.remembered)])
+		t.work.Decommit(g.work[:cap(g.work)])
 	}
-	t.flags = g.flags[:0]
-	t.survivals = g.survivals[:0]
-	t.mark = g.mark[:0]
-	t.work = g.work[:0]
-	t.remembered = g.remembered[:0]
 	g.rt = nil
 	g.flags, g.survivals, g.mark = nil, nil, nil
 	g.remembered, g.work = nil, nil
@@ -223,14 +169,16 @@ func (g *System) detach() {
 func (g *System) Stats() Stats { return g.stats }
 
 // OnAlloc is the Alloc slot: objects are born young. The flag and
-// survival tables follow the handle table's capacity in one step. The
-// flags store also takes a reused handle off the remembered set; its
-// stale list entry drops out at the next compaction.
+// survival tables follow the handle table's capacity in one step,
+// covered as CG.grow covers its records, so they are resident only as
+// far as the handles reach. The flags store also takes a reused handle
+// off the remembered set; its stale list entry drops out at the next
+// compaction.
 func (g *System) OnAlloc(id heap.HandleID, _ *vm.Frame) {
 	if int(id) >= len(g.flags) {
 		n := g.rt.Heap.HandleCap()
-		g.flags = heap.Grow(g.flags, n, n)
-		g.survivals = heap.Grow(g.survivals, n, n)
+		g.flags = g.tab.flags.Cover(n, n)
+		g.survivals = g.tab.survivals.Cover(n, n)
 	}
 	g.flags[int(id)] = 0
 	g.survivals[int(id)] = 0
@@ -297,7 +245,7 @@ func (g *System) Collect() int {
 }
 
 func (g *System) resetMarks() {
-	g.rt.Heap.ResetMarks(&g.mark)
+	g.mark = g.rt.Heap.ResetMarks(&g.tab.mark)
 }
 
 // minor collects the young generation only.

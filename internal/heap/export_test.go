@@ -2,7 +2,9 @@
 
 package heap
 
-// SetMapOff forces Mapped's nil path, the one the other builds take,
+import "unsafe"
+
+// SetMapOff makes Table.Reserve map nothing, as the other builds do,
 // for the external tests in this directory.
 func SetMapOff(off bool) { mapOff = off }
 
@@ -10,7 +12,7 @@ func SetMapOff(off bool) { mapOff = off }
 func MappingCount() int64 { return mappings.Load() }
 
 // SlabInMapping reports whether the ref slab still lies in the mapping
-// New reserved for it, rather than in a Go slice Grow copied it to.
+// New reserved for it, rather than in a Go slice it grew into.
 func (h *Heap) SlabInMapping() bool {
-	return cap(h.mapped.slab) > 0 && cap(h.slab) > 0 && &h.slab[:1][0] == &h.mapped.slab[:1][0]
+	return cap(h.mem.slab.m) > 0 && unsafe.SliceData(h.slab) == unsafe.SliceData(h.mem.slab.m)
 }

@@ -98,10 +98,10 @@ type Heap struct {
 	// Only array allocations consult classes.
 	layouts []layout
 	byName  map[string]ClassID
-	// handles and liveBits are drawn from Mapped at HandleBound slots
-	// where this build can map: reserved once, committed by the kernel as
-	// they are first written, never moved. Elsewhere they start empty and
-	// Grow doubles them. Either way handleCap is what they may use.
+	// handles, liveBits and slab are the plain slices the hot paths
+	// index and Grow grows; mem holds their memory (see Table). New
+	// reserves handles and liveBits at HandleBound slots, which
+	// handleCap never passes, so within the mapping Grow never copies.
 	handles []handle
 	// handleCap is the capacity the growth rule has granted the handle
 	// table, at most cap(handles). It starts over at Reset, so a pooled
@@ -114,9 +114,9 @@ type Heap struct {
 	// recycled with their handle slot (see handle.refCap); an extent is
 	// orphaned only when a recycled slot needs a wider one, so in steady
 	// state Alloc/Reinit/Free perform no Go allocation and the mark
-	// phase walks contiguous memory. It is drawn from Mapped at one slot
-	// per refBytes of arena, what live slots can ever use; only orphaned
-	// extents can carve past that, and then Grow doubles it on the Go heap.
+	// phase walks contiguous memory. It is reserved at one slot per
+	// refBytes of arena, what live slots can ever use; only orphaned
+	// extents can carve past that, and then it doubles on the Go heap.
 	slab  []HandleID
 	arena *Arena
 	stats Stats
@@ -126,24 +126,11 @@ type Heap struct {
 	// live &^ mark, one AND-NOT per word — and ForEachLive/NumLive walk
 	// words instead of handle records.
 	liveBits Bitset
-	// mapped is what New drew from Mapped, released by unmap once the heap
-	// is unreachable, or at once by Release.
-	mapped mappedTables
-	unmap  runtime.Cleanup
-}
-
-// mappedTables holds the heap's mappings at their full capacity; a nil
-// table is one Mapped could not reserve.
-type mappedTables struct {
-	handles []handle
-	live    []uint64
-	slab    []HandleID
-}
-
-func (m mappedTables) release() {
-	Unmap(m.handles)
-	Unmap(m.live)
-	Unmap(m.slab)
+	mem      struct {
+		handles Table[handle]
+		live    Table[uint64]
+		slab    Table[HandleID]
+	}
 }
 
 // New returns a heap whose object space spans arenaBytes.
@@ -154,15 +141,9 @@ func New(arenaBytes int) *Heap {
 		handleCap: 1,
 	}
 	bound := h.HandleBound()
-	h.mapped = mappedTables{
-		handles: Mapped[handle](bound),
-		live:    Mapped[uint64](BitsetWords(bound)),
-		slab:    Mapped[HandleID](arenaBytes / refBytes),
-	}
-	h.unmap = runtime.AddCleanup(h, mappedTables.release, h.mapped)
-	h.handles = Grow(h.mapped.handles, 1, 1) // slot 0 = Nil, never used
-	h.liveBits = Grow(h.mapped.live, 1, 1)
-	h.slab = h.mapped.slab
+	h.handles = Grow(h.mem.handles.Reserve(bound), 1, 1) // slot 0 = Nil, never used
+	h.liveBits = Grow(h.mem.live.Reserve(BitsetWords(bound)), 1, 1)
+	h.slab = h.mem.slab.Reserve(arenaBytes / refBytes)
 	return h
 }
 
@@ -170,9 +151,9 @@ func New(arenaBytes int) *Heap {
 // finds the heap unreachable: for a heap nobody will use again, such as
 // a shard the engine's pool evicts. The heap must not be used afterwards.
 func (h *Heap) Release() {
-	h.unmap.Stop()
-	h.mapped.release()
-	h.mapped = mappedTables{}
+	h.mem.handles.Release()
+	h.mem.live.Release()
+	h.mem.slab.Release()
 	h.handles, h.liveBits, h.slab = nil, nil, nil
 }
 
@@ -449,8 +430,9 @@ func (h *Heap) NumHandles() int { return len(h.handles) }
 
 // HandleCap reports how many handles the table holds before it next
 // grows. Tables indexed by HandleID size themselves to it in one step
-// (Grow(t, HandleCap(), HandleCap())) when they meet an id past their
-// length, so they grow when the handle table does and never between.
+// (Table.Cover(HandleCap(), HandleCap())) when they meet an id past
+// their length, so they grow when the handle table does and never
+// between.
 func (h *Heap) HandleCap() int { return h.handleCap }
 
 // HandleBound is the most slots the handle table can ever use: the Nil
@@ -481,7 +463,8 @@ func (h *Heap) grownHandleCap() int {
 // the grown region zeroed. Capacity s already has is reused, and
 // cleared first: what a Reset or Truncate left beyond len never
 // surfaces. A reallocation reserves capacity c in one step. The handle
-// table and the ref slab choose c; side tables pass n = c = HandleCap().
+// table and the ref slab choose c; side tables, through Table.Cover,
+// pass n = c = HandleCap().
 func Grow[T any](s []T, n, c int) []T {
 	if n <= cap(s) {
 		clear(s[len(s):n])
@@ -492,12 +475,14 @@ func Grow[T any](s []T, n, c int) []T {
 	return g
 }
 
-// ResetMarks is Bitset.Reset for a cycle's mark scratch: b covers every
-// handle id, all clear, and a b that has to be reallocated reserves the
-// table's capacity, so it grows when the table does and not once per
-// cycle that met new handles.
-func (h *Heap) ResetMarks(b *Bitset) {
-	*b = Grow((*b)[:0], BitsetWords(len(h.handles)), BitsetWords(h.handleCap))
+// ResetMarks is Bitset.Reset for a cycle's mark scratch, drawn from t:
+// it covers every handle id, all clear, and a table that has to be
+// reallocated reserves the handle table's capacity, so it grows when
+// that table does and not once per cycle that met new handles.
+func (h *Heap) ResetMarks(t *Table[uint64]) Bitset {
+	b := t.Cover(BitsetWords(len(h.handles)), BitsetWords(h.handleCap))
+	clear(b)
+	return b
 }
 
 // SizeOf reports the arena footprint of a live object.
@@ -586,13 +571,13 @@ func (h *Heap) Reset() {
 	h.classes = h.classes[:0]
 	h.layouts = h.layouts[:0]
 	clear(h.byName)
-	Decommit(h.handles, h.mapped.handles)
+	h.mem.handles.Decommit(h.handles)
 	h.handles = h.handles[:1] // the Nil slot
 	h.handleCap = 1
 	h.freeHead = Nil
-	Decommit(h.liveBits, h.mapped.live)
+	h.mem.live.Decommit(h.liveBits)
 	h.liveBits = h.liveBits[:1]
-	Decommit(h.slab, h.mapped.slab)
+	h.mem.slab.Decommit(h.slab)
 	h.slab = h.slab[:0]
 	h.stats = Stats{}
 }

@@ -2,15 +2,31 @@
 
 package heap
 
-// Mapped returns nil on this build: there is no mmap to draw from (or,
-// on aix, no MAP_NORESERVE to ask it for), or the race detector should
-// see the tables as the Go slices every other table is. The caller
-// starts from an empty table and Grow doubles it; mapped_unix.go has the
-// other half.
-func Mapped[T any](n int) []T { return nil }
+// Table is mapped_unix.go's type on the builds with no mapping to draw
+// from (or, on aix, no MAP_NORESERVE to ask for), and under the race
+// detector, which should see the tables as the Go slices every other
+// table is: the table is a Go slice that grows by Grow's rule, and
+// Decommit clears it.
+type Table[T any] struct{ s []T }
 
-// Unmap has nothing to release on this build.
-func Unmap[T any](s []T) {}
+// Reserve has nothing to map on this build. It returns the table.
+func (t *Table[T]) Reserve(n int) []T { return t.s }
 
-// Decommit clears s: on this build no table is in a mapping.
-func Decommit[T any](s, m []T) { clear(s) }
+// Reserved reports 0: the table is never in a mapping.
+func (t *Table[T]) Reserved() int { return 0 }
+
+// Cover returns the table at length n, grown by Grow's rule.
+func (t *Table[T]) Cover(n, c int) []T {
+	t.s = Grow(t.s, n, c)
+	return t.s
+}
+
+// Decommit clears s, the table through what to give back, and keeps
+// s[:0] as the table.
+func (t *Table[T]) Decommit(s []T) {
+	clear(s)
+	t.s = s[:0]
+}
+
+// Release drops the table.
+func (t *Table[T]) Release() { t.s = nil }

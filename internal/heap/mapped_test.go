@@ -5,14 +5,18 @@ package heap_test
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/gengc"
 	"repro/internal/heap"
+	"repro/internal/msa"
 	"repro/internal/results"
 	"repro/internal/vm"
 )
@@ -70,9 +74,9 @@ func widening(t *testing.T) (*heap.Heap, string) {
 
 // TestMappedAndGrownTablesAgree runs the ledger's 28 matrix cells (at
 // size 10), one pooled small-then-large sequence and a heap whose
-// widening slots carve past the slab's reservation twice: on tables
-// reserved by heap.Mapped, and with Mapped returning nil, as it does
-// under -race and off unix, so that heap.Grow doubles them. Where a
+// widening slots carve past the slab's reservation twice: on mapped
+// tables, and with Table.Reserve mapping nothing, as under -race and
+// off unix, so that the tables grow by heap.Grow's rule. Where a
 // table lives is not observable: payloads, cycle counts, arena
 // occupancy, handle ids, references and the capacity granted are the
 // same, and a slab that outgrows its mapping goes on in a grown copy.
@@ -103,8 +107,9 @@ func TestMappedAndGrownTablesAgree(t *testing.T) {
 	mapped := run()
 	heap.SetMapOff(true)
 	defer heap.SetMapOff(false)
-	if heap.Mapped[uint64](1) != nil {
-		t.Fatal("Mapped maps with mapping switched off")
+	var probe heap.Table[uint64]
+	if probe.Reserve(1); probe.Reserved() != 0 {
+		t.Fatal("Reserve maps with mapping switched off")
 	}
 	grown := run()
 	for i := range mapped {
@@ -133,54 +138,80 @@ func collected(want int64) int64 {
 	return n
 }
 
-// TestDroppedOwnersAreUnmapped: nobody calls Unmap on a heap's tables or
-// on a collector's; dropping the owner is the release. A heap holds three
-// mappings (handles, live bitmap, ref slab), a runtime with an Access
-// slot bound one (the thread-owner table), an attached CG's tables three
-// more (object records, reset stamps, set records) and its mark-sweep
-// engine two (mark bits, DFS stack), and all nine are gone two
-// collections after the runtime is.
+// owners are the collectors that keep tables of their own, beside the
+// three of the heap they are attached to (handles, live bitmap, ref
+// slab). tables counts their mappings: CG's object records, reset
+// stamps and set records and its mark-sweep engine's mark bits and DFS
+// stack; gen's flag and survival bytes, mark bits, remembered list and
+// DFS stack; msa's engine's mark bits and DFS stack. access is the
+// runtime's owner table, mapped for a collector that binds an Access
+// slot, as CG does.
+var owners = []struct {
+	spec           string
+	tables, access int64
+	new            func() vm.Collector
+}{
+	{"cg", 5, 1, func() vm.Collector { return core.New(core.DefaultConfig()) }},
+	{"gen", 5, 0, func() vm.Collector { return gengc.New() }},
+	{"msa", 2, 0, func() vm.Collector { return msa.NewSystem() }},
+}
+
+// TestDroppedOwnersAreUnmapped: nobody calls Release on a heap's tables
+// or on a collector's; dropping the owner is the release. Every mapping
+// a heap and a runtime with each collector attached hold — nine under
+// CG — is gone two collections after the runtime is.
 func TestDroppedOwnersAreUnmapped(t *testing.T) {
-	base := collected(-1) // earlier tests' garbage, and core's pool, emptied
-	func() {
-		rt := vm.New(heap.New(64<<20), core.New(core.DefaultConfig()))
-		if got := heap.MappingCount(); got != base+9 {
-			t.Fatalf("a heap and a runtime with CG attached hold %d mappings, want 9", got-base)
-		}
-		runtime.KeepAlive(rt)
-	}()
-	if got := collected(base); got > base {
-		t.Fatalf("%d mappings outlive their owners", got-base)
+	for _, o := range owners {
+		t.Run(o.spec, func(t *testing.T) {
+			base := collected(-1) // earlier tests' garbage, and the pools, emptied
+			func() {
+				rt := vm.New(heap.New(64<<20), o.new())
+				if got, want := heap.MappingCount()-base, 3+o.tables+o.access; got != want {
+					t.Fatalf("a heap and a runtime with %s attached hold %d mappings, want %d", o.spec, got, want)
+				}
+				runtime.KeepAlive(rt)
+			}()
+			if got := collected(base); got > base {
+				t.Fatalf("%d mappings outlive their owners", got-base)
+			}
+		})
 	}
 }
 
-// TestRemapReleasesAtOnce: CG's pooled tables follow the heaps they are
-// attached to. A larger heap than the pooled mapping covers gets a new
-// one, and the old one is unmapped then, not at some later collection;
-// a smaller heap keeps the mapping it finds. Each runtime is released
-// when done, which unmaps its heap's tables and its owner table.
+// TestRemapReleasesAtOnce: each collector's pooled tables follow the
+// heaps they are attached to. A larger heap than the pooled mapping
+// covers gets a new one, and the old one is unmapped then, not at some
+// later collection; a smaller heap keeps the mapping it finds. Each
+// runtime is released when done, which unmaps its heap's tables and its
+// owner table, so only the pooled tables' mappings stay.
 func TestRemapReleasesAtOnce(t *testing.T) {
-	// core's pool is a sync.Pool: without collections it hands back what
+	// The pools are sync.Pools: without collections they hand back what
 	// detach put in.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	rt := vm.New(heap.New(1<<20), core.New(core.DefaultConfig()))
-	rt.Reset(vm.None()) // detach: the tables, mapping and all, go to core's pool
-	rt.Release()
-	held := heap.MappingCount() // the pooled tables'
-	for _, size := range []int{1 << 24, 1 << 20, 1 << 24} {
-		h := heap.New(size)
-		rt = vm.New(h, core.New(core.DefaultConfig()))
-		if got := heap.MappingCount(); got != held+4 {
-			t.Fatalf("attached to a %d-byte heap: %d mappings, want the %d held before and the new heap's and runtime's 4",
-				size, got, held)
-		}
-		node := h.DefineClass(heap.Class{Name: "Node", Refs: 1})
-		f := rt.NewThread(1).Top()
-		for i := 0; i < 1000; i++ {
-			f.MustNew(node)
-		}
-		rt.Reset(vm.None())
-		rt.Release()
+	for _, o := range owners {
+		t.Run(o.spec, func(t *testing.T) {
+			rt := vm.New(heap.New(1<<20), o.new())
+			rt.Reset(vm.None()) // detach: the tables, mapping and all, go to the pool
+			rt.Release()
+			held := heap.MappingCount() // the pooled tables'
+			runtimeTables := 3 + o.access
+			for _, size := range []int{1 << 24, 1 << 20, 1 << 24} {
+				h := heap.New(size)
+				rt = vm.New(h, o.new())
+				if got := heap.MappingCount(); got != held+runtimeTables {
+					t.Fatalf("attached to a %d-byte heap: %d mappings, want the %d held before and the new heap's and runtime's %d",
+						size, got, held, runtimeTables)
+				}
+				node := h.DefineClass(heap.Class{Name: "Node", Refs: 1})
+				f := rt.NewThread(1).Top()
+				for i := 0; i < 1000; i++ {
+					f.MustNew(node)
+				}
+				rt.ForceCollect()
+				rt.Reset(vm.None())
+				rt.Release()
+			}
+		})
 	}
 }
 
@@ -210,11 +241,17 @@ func TestEvictedShardsAreUnmapped(t *testing.T) {
 	}
 }
 
-// TestDecommitLeavesZeros: Decommit zeroes exactly the table it is given,
-// whether that hands whole pages back to the kernel (a table in its
-// mapping, starting on a page or inside one, ending inside the mapping
-// or at its end) or clears a Go slice (with mapping switched off, and a
-// slice that is not in the mapping it is said to come from).
+// residentPages reports how many of b's pages the kernel holds in
+// memory, where a test file for this system sets it.
+var residentPages func(b []byte) int
+
+// TestDecommitLeavesZeros: Table.Decommit zeroes exactly what it is
+// given, whether that hands whole pages back to the kernel (a window of
+// the mapping, starting on a page or inside one, ending inside the
+// mapping or at its end) or clears a Go slice (a slice from outside the
+// table, a table with mapping switched off, and a table grown past its
+// reservation, as the ref slab is by orphaned extents — whose Go memory
+// must be cleared, never handed back).
 func TestDecommitLeavesZeros(t *testing.T) {
 	const n = 5000 // 20 000 bytes: four pages and a part, on 4 KiB pages
 	fill := func(s []uint32) {
@@ -230,12 +267,12 @@ func TestDecommitLeavesZeros(t *testing.T) {
 			}
 		}
 	}
-	m := heap.Mapped[uint32](n)
-	if m == nil {
+	var tab heap.Table[uint32]
+	if tab.Reserve(n); tab.Reserved() != n {
 		t.Skip("this host refuses the mapping")
 	}
-	m = m[:n]
-	defer heap.Unmap(m)
+	defer tab.Release()
+	m := tab.Cover(n, n)
 	for _, r := range []struct {
 		name   string
 		lo, hi int
@@ -247,7 +284,7 @@ func TestDecommitLeavesZeros(t *testing.T) {
 		{"the whole mapping", 0, n},
 	} {
 		fill(m)
-		heap.Decommit(m[r.lo:r.hi], m)
+		tab.Decommit(m[r.lo:r.hi])
 		check(r.name+": before it", m[:r.lo], false)
 		check(r.name, m[r.lo:r.hi], true)
 		check(r.name+": after it", m[r.hi:], false)
@@ -256,15 +293,37 @@ func TestDecommitLeavesZeros(t *testing.T) {
 	elsewhere := make([]uint32, 3000)
 	fill(elsewhere)
 	fill(m)
-	heap.Decommit(elsewhere, m)
-	check("a Go slice passed with a mapping", elsewhere, true)
+	tab.Decommit(elsewhere)
+	check("a Go slice given to a mapped table", elsewhere, true)
 	check("the mapping beside it", m, false)
+
+	fill(m)
+	tab.Decommit(m[:0]) // the table back at the mapping's start, empty
+	if &tab.Cover(n, n)[0] != &m[0] {
+		t.Fatal("a table covered within its reservation left its mapping")
+	}
+	grown := tab.Cover(4*n, 4*n)
+	if &grown[0] == &m[0] {
+		t.Fatal("a table covered past its reservation is still in its mapping")
+	}
+	fill(grown)
+	tab.Decommit(grown)
+	if residentPages != nil { // before reading, which would fault a handed-back page in
+		b := unsafe.Slice((*byte)(unsafe.Pointer(&grown[0])), 4*len(grown))
+		if got, want := residentPages(b), len(b)/os.Getpagesize(); got < want {
+			t.Errorf("a grown table's Go memory is resident in %d of its %d whole pages after Decommit: it was handed back", got, want)
+		}
+	}
+	check("a table grown past its reservation", grown, true)
+	check("its mapping", m, false)
 
 	heap.SetMapOff(true)
 	defer heap.SetMapOff(false)
-	off := append(heap.Mapped[uint32](n), make([]uint32, n)...)
-	fill(off)
-	heap.Decommit(off[:2500], heap.Mapped[uint32](n))
-	check("with mapping off", off[:2500], true)
-	check("with mapping off, past the table", off[2500:], false)
+	var off heap.Table[uint32]
+	off.Reserve(n)
+	s := off.Cover(n, n)
+	fill(s)
+	off.Decommit(s[:2500])
+	check("with mapping off", s[:2500], true)
+	check("with mapping off, past the table", s[2500:], false)
 }

@@ -21,7 +21,7 @@ func TestHandleRecordIsSmallAndPointerFree(t *testing.T) {
 }
 
 // TestMappedRecordsHoldNoPointers: the Go collector does not scan a
-// mapping, so a table drawn from Mapped must hold nothing it would have
+// mapping, so a table a Table maps must hold nothing it would have
 // to find there. The heap's two are checked by their element types as
 // declared; core checks its own.
 func TestMappedRecordsHoldNoPointers(t *testing.T) {

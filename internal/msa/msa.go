@@ -19,7 +19,6 @@ package msa
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"repro/internal/heap"
@@ -69,22 +68,11 @@ type Collector struct {
 	stats Stats
 	mark  heap.Bitset     // scratch mark bits, indexed by HandleID
 	work  []heap.HandleID // scratch DFS stack
-	// maps is the mapping mark and work were drawn from (nil tables
-	// while they are Go slices); unmap releases it when the engine is
-	// dropped (see mapScratch).
-	maps  scratch
-	unmap runtime.Cleanup
-}
-
-// scratch holds what mapScratch drew from heap.Mapped.
-type scratch struct {
-	mark []uint64
-	work []heap.HandleID
-}
-
-func (s scratch) release() {
-	heap.Unmap(s.mark)
-	heap.Unmap(s.work)
+	// markTab and workTab hold mark's and work's memory, reserved at the
+	// heap's handle bound: the mark bits cover every id, and the stack
+	// holds each marked object at most once.
+	markTab heap.Table[uint64]
+	workTab heap.Table[heap.HandleID]
 }
 
 // New returns a mark–sweep engine bound to rt.
@@ -96,44 +84,26 @@ func New(rt *vm.Runtime) *Collector {
 
 // Reattach rebinds the engine to a new runtime (nil: to none) and zeroes
 // its counters, keeping the mark/work scratch capacity but not its
-// memory: the scratch of an outgoing cell that collected is decommitted
-// (heap.Decommit), the stack whole, as its high-water is not kept, so a
-// pooled engine holds address space, not pages. A reattached engine is
-// observably fresh: Collect re-sizes and re-clears the mark bits every
-// cycle anyway. Pooled collectors (core's detachable tables, the System
-// pool below) reuse engines through this instead of allocating
+// memory: only a cycle writes the scratch, so an outgoing cell that
+// collected decommits its mark bits, and its stack whole, as the
+// stack's high-water is not kept. A reattached engine is observably
+// fresh: Collect re-sizes and re-clears the mark bits every cycle
+// anyway. Pooled collectors (core's detachable tables, the System pool
+// below) reuse engines through this instead of allocating
 // handle-table-sized scratch per matrix cell.
 func (m *Collector) Reattach(rt *vm.Runtime) {
 	if m.rt != nil && m.stats.Cycles > 0 {
-		heap.Decommit(m.mark, m.maps.mark)
-		heap.Decommit(m.work[:cap(m.work)], m.maps.work)
+		m.markTab.Decommit(m.mark)
+		m.workTab.Decommit(m.work[:cap(m.work)])
 	}
 	m.rt = rt
 	m.stats = Stats{}
 	if rt == nil {
 		return
 	}
-	if bound := rt.Heap.HandleBound(); cap(m.maps.work) < bound {
-		m.mapScratch(bound)
-	}
-}
-
-// mapScratch draws mark and work from heap.Mapped at the heap's handle
-// bound, as every other per-handle table is: the mark bits cover every
-// id, and the stack holds each marked object at most once. Neither then
-// moves. A pooled mapping too small for this heap is released at once;
-// where there is no mapping to be had the scratch stays what it was,
-// and heap.Grow and append double it.
-func (m *Collector) mapScratch(bound int) {
-	s := scratch{heap.Mapped[uint64](heap.BitsetWords(bound)), heap.Mapped[heap.HandleID](bound)}
-	if s.mark == nil || s.work == nil {
-		s.release()
-		return
-	}
-	m.unmap.Stop()
-	m.maps.release()
-	m.maps, m.mark, m.work = s, s.mark, s.work
-	m.unmap = runtime.AddCleanup(m, scratch.release, s)
+	bound := rt.Heap.HandleBound()
+	m.mark = m.markTab.Reserve(heap.BitsetWords(bound))
+	m.work = m.workTab.Reserve(bound)
 }
 
 // Stats returns a copy of the counters.
@@ -157,7 +127,7 @@ func (m *Collector) Collect(cy Cycle) int {
 	if cy.Begin != nil {
 		cy.Begin()
 	}
-	h.ResetMarks(&m.mark)
+	m.mark = h.ResetMarks(&m.markTab)
 
 	markedBefore := m.stats.Marked
 	if cy.Reached == nil && cy.Edge == nil {

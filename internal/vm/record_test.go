@@ -34,13 +34,13 @@ func TestMappedRecordsHoldNoPointers(t *testing.T) {
 		t.Fatalf("a runtime with no Access slot holds an owner table of %d entries", len(rt.owners))
 	}
 	rt.Attach((&accessLog{}).Events())
-	if rt.ownersMapped == nil {
+	if rt.ownerTab.Reserved() == 0 {
 		t.Log("no mapping on this build: the owner table grows with the handle table")
 		return
 	}
-	if bound := rt.Heap.HandleBound(); len(rt.owners) != bound || cap(rt.ownersMapped) != bound {
+	if bound := rt.Heap.HandleBound(); len(rt.owners) != bound || rt.ownerTab.Reserved() != bound {
 		t.Fatalf("owner table of %d entries over a mapping of %d, the heap's handle bound is %d",
-			len(rt.owners), cap(rt.ownersMapped), bound)
+			len(rt.owners), rt.ownerTab.Reserved(), bound)
 	}
 	base := unsafe.SliceData(rt.owners)
 	f := rt.NewThread(1).Top()
@@ -52,7 +52,7 @@ func TestMappedRecordsHoldNoPointers(t *testing.T) {
 		t.Fatalf("the owner table moved, or handle %d's entry reads %d, want thread 1", last, rt.owners[last])
 	}
 	rt.Release()
-	if rt.owners != nil || rt.ownersMapped != nil {
+	if rt.owners != nil || rt.ownerTab.Reserved() != 0 {
 		t.Fatal("Release kept the owner table")
 	}
 }

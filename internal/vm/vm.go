@@ -22,7 +22,6 @@ package vm
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/heap"
 	"repro/internal/obs"
@@ -161,15 +160,12 @@ type Runtime struct {
 	// the static pseudo-frame, or disowned once a collector has called
 	// Disown. Every allocation writes its entry while an Access slot is
 	// bound, so an entry is stale only for an id no live object holds.
-	// It is drawn from heap.Mapped at the heap's HandleBound when the
-	// first Access slot is bound, at full length, so the owner store is
-	// a plain store that never grows; where there is no mapping it is a
-	// Go slice that grows with the handle table (growOwners).
-	owners []int8
-	// ownersMapped is the mapping owners was drawn from (nil if none),
-	// released by Release or, for a dropped runtime, by unmapOwners.
-	ownersMapped []int8
-	unmapOwners  runtime.Cleanup
+	// ownerTab reserves it at the heap's HandleBound when an Access slot
+	// is bound, and Attach covers the whole mapping, which no id
+	// reaches, so the owner store is a plain store that never grows;
+	// where there is no mapping it grows with the handle table (alloc).
+	owners   []int8
+	ownerTab heap.Table[int8]
 	// accessBroken records that the single-thread proof failed (second
 	// thread, or static-frame allocation). It is sticky for the life
 	// of the run — Vacate (and so Reset) clears it, Attach does not —
@@ -244,8 +240,9 @@ func (rt *Runtime) Attach(ev Events) {
 	rt.accessArmed = ev.Access != nil
 	rt.accessAll = ev.AllAccess
 	rt.accessOn = rt.accessArmed && (ev.AllAccess || rt.accessBroken)
-	if rt.accessArmed && len(rt.owners) < rt.Heap.HandleCap() {
-		rt.growOwners()
+	if n := rt.Heap.HandleCap(); rt.accessArmed && len(rt.owners) < n {
+		rt.ownerTab.Reserve(rt.Heap.HandleBound())
+		rt.owners = rt.ownerTab.Cover(max(n, rt.ownerTab.Reserved()), n)
 	}
 	rt.popAlways = ev.AllPops && ev.FramePop != nil
 	if ev.Attach != nil {
@@ -272,19 +269,20 @@ func (rt *Runtime) Reset(c Collector) {
 }
 
 // Vacate ends the cell the runtime ran and leaves it holding address
-// space, not memory: the collector detaches (a pooled implementation
-// decommits its side tables as it takes them back), the owner table
-// and the heap's tables are decommitted (heap.Decommit), and the rest
-// of the runtime's state is truncated, keeping its capacity. The engine
+// space, not memory: the collector detaches (a pooled one decommits its
+// side tables), the owner table is decommitted through the ids the heap
+// handed out, the only ones written, and the heap resets; the rest of
+// the runtime's state is truncated, keeping its capacity. The engine
 // vacates a shard before it pools it, so an idle shard pins no page its
-// last cell wrote, and the next cell faults in only the pages it
-// writes. A vacated runtime has no collector bound; Attach binds one.
+// last cell wrote. A vacated runtime has no collector bound; Attach
+// binds one.
 func (rt *Runtime) Vacate() {
 	// The outgoing collector detaches while the heap still holds the
 	// cell it served, so it can tell which of its records that cell
 	// wrote; an empty table binds nothing in its place.
 	rt.Attach(Events{})
-	heap.Decommit(rt.owners[:min(len(rt.owners), rt.Heap.NumHandles())], rt.ownersMapped)
+	rt.ownerTab.Decommit(rt.owners[:min(len(rt.owners), rt.Heap.NumHandles())])
+	rt.owners = rt.owners[:0]
 	rt.Heap.Reset()
 	clear(rt.threads) // the dropped threads pin their stacks' frames
 	rt.threads = rt.threads[:0]
@@ -313,32 +311,13 @@ func (rt *Runtime) Release() {
 		rt.detach()
 		rt.detach = nil
 	}
-	rt.unmapOwners.Stop()
-	heap.Unmap(rt.ownersMapped)
-	rt.owners, rt.ownersMapped = nil, nil
+	rt.ownerTab.Release()
+	rt.owners = nil
 	rt.Heap.Release()
 }
 
 // disowned is the owners entry of an object a collector has disowned.
 const disowned int8 = -1
-
-// growOwners makes owners cover every handle id the heap can hand out
-// before its table next grows. The first call maps the table at the
-// heap's HandleBound, which no id reaches, so it never grows again;
-// without a mapping it grows with the handle table, by its rule.
-//
-//go:noinline
-func (rt *Runtime) growOwners() {
-	if rt.owners == nil {
-		if m := heap.Mapped[int8](rt.Heap.HandleBound()); m != nil {
-			rt.ownersMapped, rt.owners = m, m[:cap(m)]
-			rt.unmapOwners = runtime.AddCleanup(rt, heap.Unmap[int8], m)
-			return
-		}
-	}
-	n := rt.Heap.HandleCap()
-	rt.owners = heap.Grow(rt.owners, n, n)
-}
 
 // touch is every Access dispatch site past the accessOn gate. It fires
 // the slot when t touches an object that another thread, or the static
@@ -759,8 +738,8 @@ func (f *Frame) alloc(c heap.ClassID, extra int) (heap.HandleID, error) {
 	if rt.accessArmed {
 		// The new object's owner: f's thread, or 0 for the static
 		// pseudo-frame, whose objects every thread touches as foreign.
-		if int(id) >= len(rt.owners) {
-			rt.growOwners()
+		if int(id) >= len(rt.owners) { // unmapped: grow with the handle table
+			rt.owners = rt.ownerTab.Cover(rt.Heap.HandleCap(), rt.Heap.HandleCap())
 		}
 		if t := f.Thread; t == nil {
 			rt.owners[id] = 0
