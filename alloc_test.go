@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/collectors"
+	"repro/internal/gengc"
 )
 
 // The alloc gate runs under collectors.AllSpecs() — the grammar
@@ -122,12 +123,23 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 			rt := NewRuntime(h, col)
 			th := rt.NewThread(2)
 			f := th.Top()
-			// A little live graph plus churn so mark and sweep both do work.
+			// A little live graph plus churn so mark and sweep both do
+			// work. Each step hands a a fresh object and b the one a
+			// held, and drops the one b held. Under gen the warm-up
+			// tenures a and b, and an object is tenured by the time b
+			// drops it, so every measured minor scans a remembered set
+			// that old→young stores filled, frees no young object and
+			// escalates to a major, which frees the dropped one.
 			a, b := f.MustNew(cls), f.MustNew(cls)
 			f.SetLocal(0, a)
 			f.SetLocal(1, b)
 			f.PutField(a, 0, b)
-			churn := func(inner *Frame) { inner.SetLocal(0, inner.MustNew(cls)) }
+			churn := func(inner *Frame) {
+				n := inner.MustNew(cls)
+				inner.SetLocal(0, n)
+				inner.PutField(b, 1, inner.GetField(a, 1))
+				inner.PutField(a, 1, n)
+			}
 			step := func() {
 				th.CallVoid(1, churn)
 				rt.ForceCollect()
@@ -135,8 +147,21 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 			for i := 0; i < 8; i++ { // warm mark bitsets, work lists, the timeline clock
 				step()
 			}
+			gen, _ := col.Collector.(*gengc.System)
+			var before gengc.Stats
+			if gen != nil {
+				before = gen.Stats()
+			}
 			if n := testing.AllocsPerRun(100, step); n != 0 {
 				t.Fatalf("steady-state collection cycle allocates %v objects/op under %s", n, spec)
+			}
+			if gen != nil {
+				st := gen.Stats()
+				minors := st.Minor - before.Minor
+				if minors == 0 || st.Major-before.Major != minors || st.Remembered-before.Remembered != uint64(minors) ||
+					st.FreedYoung != before.FreedYoung || st.FreedOld-before.FreedOld != uint64(minors) {
+					t.Fatalf("the measured steps are not one remembered store, one escalation and one tenured death per cycle: %+v, then %+v", before, st)
+				}
 			}
 		})
 	}

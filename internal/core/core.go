@@ -892,8 +892,8 @@ func (c *CG) Collect() int { return c.msa.Collect(c.cycle) }
 // slot is order-sensitive under the §3.4 static optimization, a cycle
 // carrying these slots always runs msa's sequential mark.
 
-// beginCycle is the Begin slot.
-func (c *CG) beginCycle() {
+// beginCycle is the Begin slot; it reads no mark bit.
+func (c *CG) beginCycle(heap.Bitset) {
 	// Recycled storage is definitively dead: release it to the heap so
 	// the sweep's accounting sees only MSA-discovered garbage.
 	c.FlushRecycle()

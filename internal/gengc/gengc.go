@@ -5,25 +5,31 @@
 // by *expected expiration* (dependent frames), generational collection by
 // *age* — the experiments contrast the two on identical workloads.
 //
-// Design: objects are born young; a minor collection marks the young
-// generation from the runtime roots plus a remembered set of old objects
-// holding references into the young generation (maintained by the OnRef
-// write barrier), sweeps unmarked young objects, and promotes survivors
-// after PromoteAfter minor cycles. When a minor collection reclaims
-// little, a major (full mark–sweep) collection runs and the remembered
-// set is rebuilt by scanning the old generation.
+// Design: objects are born young. Every cycle runs on the one
+// mark–sweep engine, msa.Collector, the one CG rebuilds its sets on
+// (DESIGN.md §7). A minor collection is one engine cycle whose Begin
+// pre-marks the old generation, so the mark neither enters nor frees
+// it, and whose Scan is a remembered set of old objects holding
+// references into the young generation (maintained by the OnRef write
+// barrier): their referents are traced as roots beside the frames'.
+// The young objects the mark missed are swept, and the survivors age
+// and are promoted after PromoteAfter minor cycles. When a minor
+// collection reclaims little, a major collection — a plain engine
+// cycle over both generations — runs and the remembered set is rebuilt
+// by scanning the old generation.
 //
-// The remembered set is a bit beside the generation bit in each
-// handle's flags byte plus a list of the ids that set it, in insertion
-// order: membership is one load, insertion one store and one append, and
-// every walk is deterministic (DESIGN.md §7).
+// An object's generation, its remembered bit and its age share one
+// flags byte per handle; the remembered set is that bit plus a list of
+// the ids that set it, in insertion order: membership is one load,
+// insertion one store and one append, and every walk is deterministic
+// (DESIGN.md §7).
 package gengc
 
 import (
-	"math/bits"
 	"sync"
 
 	"repro/internal/heap"
+	"repro/internal/msa"
 	"repro/internal/vm"
 )
 
@@ -38,11 +44,18 @@ const (
 	minorYieldDen = 10
 )
 
-// The bits of System.flags.
+// The fields of System.flags: the generation bit, the remembered bit,
+// and above them a young object's age, the minor collections it has
+// survived, in units of ageOne. A young object carries no other bit.
 const (
 	flagOld        uint8 = 1 << iota // the object is in the old generation
 	flagRemembered                   // the object is on the remembered list
+	ageOne                           // one survived minor collection
 )
+
+// The age field counts up to PromoteAfter: a threshold that overflows
+// the byte does not compile.
+const _ uint8 = PromoteAfter * ageOne
 
 // Stats aggregates generational activity.
 type Stats struct {
@@ -71,32 +84,34 @@ func (s *Stats) Merge(o Stats) {
 // stores and object touches cost it nothing under the event-table ABI.
 type System struct {
 	rt *vm.Runtime
+	m  *msa.Collector // the engine both collections run on
 
-	flags     []uint8 // flagOld | flagRemembered per handle
-	survivals []uint8
-	mark      heap.Bitset // word-packed mark scratch
+	flags []uint8 // flagOld | flagRemembered | age per handle
 	// remembered lists the ids that set flagRemembered: old objects
 	// that may reference young ones. An id whose bit handle reuse
 	// cleared stays listed until the next cycle compacts the list.
 	remembered []heap.HandleID
-	work       []heap.HandleID
+	// minorCycle is the minor collection's subscription, built once at
+	// Attach so a cycle allocates nothing: preMark as Begin, and the
+	// remembered list, set before each cycle, as Scan.
+	minorCycle msa.Cycle
+	young      int        // the young population preMark counted
 	tab        *genTables // pooled carrier the tables came from
 	stats      Stats
 }
 
 // genTables is the recyclable allocation footprint of one generational
-// system — flag bytes, survival counters, mark scratch, the remembered
-// list and the DFS stack — pooled across matrix cells through the
-// event table's Detach path, mirroring core's table pool. Each is
-// reserved at the attached heap's handle bound: no HandleCap exceeds
-// it, the mark bits cover every id, the DFS stack holds each marked
-// object at most once, and the remembered list names an id at most
-// once but for the stale entries of reused handles (only an append past
-// the bound would move it, as it would any slice).
+// system — the flag bytes, the remembered list and the mark–sweep
+// engine with its mark bits and DFS stack — pooled across matrix cells
+// through the event table's Detach path, mirroring core's table pool.
+// The flags and the list are reserved at the attached heap's handle
+// bound: no HandleCap exceeds it, and the list names an id at most once
+// but for the stale entries of reused handles (only an append past the
+// bound would move it, as it would any slice).
 type genTables struct {
-	flags, survivals heap.Table[uint8]
-	mark             heap.Table[uint64]
-	remembered, work heap.Table[heap.HandleID]
+	flags      heap.Table[uint8]
+	remembered heap.Table[heap.HandleID]
+	msa        msa.Collector
 }
 
 var genTablePool = sync.Pool{New: func() any { return new(genTables) }}
@@ -122,30 +137,30 @@ func (g *System) Events() vm.Events {
 }
 
 // Attach binds the system to rt (the descriptor's Attach hook),
-// drawing side tables from the pool. Pooled tables are observably
-// fresh: detach emptied them, and OnAlloc covers flags/survivals zeroed.
+// drawing side tables and the engine from the pool. Pooled tables are
+// observably fresh: detach emptied them, and OnAlloc covers flags
+// zeroed.
 func (g *System) Attach(rt *vm.Runtime) {
 	g.rt = rt
 	t := genTablePool.Get().(*genTables)
 	g.tab = t
+	t.msa.Reattach(rt)
+	g.m = &t.msa
 	bound := rt.Heap.HandleBound()
 	g.flags = t.flags.Reserve(bound)
-	g.survivals = t.survivals.Reserve(bound)
-	g.mark = t.mark.Reserve(heap.BitsetWords(bound))
 	g.remembered = t.remembered.Reserve(bound)
-	g.work = t.work.Reserve(bound)
+	g.minorCycle = msa.Cycle{Begin: g.preMark}
 }
 
 // detach implements the event table's Detach capability: the runtime
 // is replacing this collector, so its side tables go back to the pool
-// decommitted: flags and survival counts through their lengths, and
-// only after a cell that collected — only a cycle writes the mark bits
-// and the DFS stack, and only an object a cycle promoted is ever
-// remembered — the mark bits through their length and the remembered
-// list and the stack whole, as their high-water is not kept. The
-// system must not be queried afterwards; fields are nilled so a
-// violation fails loudly. None of the tables carries pointers into the
-// shard (handle IDs are indices), so pooling pins nothing.
+// decommitted: the flags through their length, and, only after a cell
+// that collected — only an object a cycle promoted is ever remembered —
+// the remembered list whole, as its high-water is not kept. The engine
+// decommits its own scratch as it is unbound. The system must not be
+// queried afterwards but for Stats; fields are nilled so a violation
+// fails loudly. None of the tables carries pointers into the shard
+// (handle IDs are indices), so pooling pins nothing.
 func (g *System) detach() {
 	t := g.tab
 	if t == nil {
@@ -153,35 +168,34 @@ func (g *System) detach() {
 	}
 	g.tab = nil
 	t.flags.Decommit(g.flags)
-	t.survivals.Decommit(g.survivals)
 	if g.stats.Minor > 0 {
-		t.mark.Decommit(g.mark)
 		t.remembered.Decommit(g.remembered[:cap(g.remembered)])
-		t.work.Decommit(g.work[:cap(g.work)])
 	}
-	g.rt = nil
-	g.flags, g.survivals, g.mark = nil, nil, nil
-	g.remembered, g.work = nil, nil
+	t.msa.Reattach(nil)
+	g.rt, g.m = nil, nil
+	g.flags, g.remembered = nil, nil
+	g.minorCycle = msa.Cycle{}
 	genTablePool.Put(t)
 }
 
 // Stats returns a copy of the counters.
 func (g *System) Stats() Stats { return g.stats }
 
-// OnAlloc is the Alloc slot: objects are born young. The flag and
-// survival tables follow the handle table's capacity in one step,
-// covered as CG.grow covers its records, so they are resident only as
-// far as the handles reach. The flags store also takes a reused handle
-// off the remembered set; its stale list entry drops out at the next
-// compaction.
+// Engine exposes the mark–sweep engine both collections run on (stats).
+func (g *System) Engine() *msa.Collector { return g.m }
+
+// OnAlloc is the Alloc slot: objects are born young, aged zero, and
+// off the remembered set — one store, which takes a reused handle off
+// the set too; its stale list entry drops out at the next compaction.
+// The flags follow the handle table's capacity in one step, covered as
+// CG.grow covers its records, so they are resident only as far as the
+// handles reach.
 func (g *System) OnAlloc(id heap.HandleID, _ *vm.Frame) {
 	if int(id) >= len(g.flags) {
 		n := g.rt.Heap.HandleCap()
 		g.flags = g.tab.flags.Cover(n, n)
-		g.survivals = g.tab.survivals.Cover(n, n)
 	}
 	g.flags[int(id)] = 0
-	g.survivals[int(id)] = 0
 }
 
 // OnRef is the Ref slot: the write barrier. An old object
@@ -231,60 +245,29 @@ func (g *System) pointsYoung(id heap.HandleID) bool {
 // Collect is the collection capability: minor first, escalating to major when
 // the minor yield is poor.
 func (g *System) Collect() int {
-	young := 0
-	g.rt.Heap.ForEachLive(func(id heap.HandleID) {
-		if g.flags[int(id)]&flagOld == 0 {
-			young++
-		}
-	})
 	freed := g.minor()
-	if freed*minorYieldDen < young*minorYieldNum {
+	if freed*minorYieldDen < g.young*minorYieldNum {
 		freed += g.major()
 	}
 	return freed
 }
 
-func (g *System) resetMarks() {
-	g.mark = g.rt.Heap.ResetMarks(&g.tab.mark)
-}
-
-// minor collects the young generation only.
+// minor collects the young generation only, in one engine cycle:
+// preMark keeps the mark out of the old generation, and the remembered
+// list's referents are the roots it adds (a set bit implies flagOld;
+// only OnAlloc lowers that). Then one walk ages the survivors — every
+// young object still live — and promotes those PromoteAfter minors old.
 func (g *System) minor() int {
 	g.stats.Minor++
-	h := g.rt.Heap
-	g.resetMarks()
-	// Roots: stacks and statics, traversing young objects only.
-	g.rt.EachRootFrame(func(_ *vm.Frame, roots []heap.HandleID) {
-		for _, r := range roots {
-			if r != heap.Nil {
-				g.markYoung(r)
-			}
-		}
-	})
-	// Remembered set: old objects whose fields may reach young objects
-	// (a set bit implies flagOld; only OnAlloc lowers that).
 	g.compactRemembered()
-	for _, src := range g.remembered {
-		if h.Live(src) {
-			h.Refs(src, g.markYoung)
-		}
-	}
-	// Mark/sweep boundary for the cycle timeline (last pass wins, so an
-	// escalated minor+major cycle reports the major's boundary).
-	g.rt.Timeline().CycleMarkDone(0)
-	// Sweep unmarked young; age and possibly promote survivors.
-	freed := 0
-	h.ForEachLive(func(id heap.HandleID) {
+	g.minorCycle.Scan = g.remembered
+	freed := g.m.Collect(g.minorCycle)
+	g.rt.Heap.ForEachLive(func(id heap.HandleID) {
 		i := int(id)
 		if g.flags[i]&flagOld != 0 {
 			return
 		}
-		if !g.mark.Has(i) {
-			h.Free(id)
-			freed++
-			return
-		}
-		if g.survivals[i]++; g.survivals[i] >= PromoteAfter {
+		if g.flags[i] += ageOne; g.flags[i] >= PromoteAfter*ageOne {
 			g.promote(id)
 		}
 	})
@@ -292,25 +275,17 @@ func (g *System) minor() int {
 	return freed
 }
 
-// markYoung marks young objects reachable from id without crossing into
-// the old generation (old→young edges are covered by the remembered set).
-func (g *System) markYoung(id heap.HandleID) {
-	if g.flags[int(id)]&flagOld != 0 || g.mark.Has(int(id)) {
-		return
-	}
-	h := g.rt.Heap
-	g.mark.Set(int(id))
-	g.work = append(g.work[:0], id)
-	for len(g.work) > 0 {
-		src := g.work[len(g.work)-1]
-		g.work = g.work[:len(g.work)-1]
-		for _, dst := range h.RefSlots(src) {
-			if dst != heap.Nil && g.flags[int(dst)]&flagOld == 0 && !g.mark.Has(int(dst)) {
-				g.mark.Set(int(dst))
-				g.work = append(g.work, dst)
-			}
+// preMark is the minor cycle's Begin slot: it marks the old generation
+// and counts the young one.
+func (g *System) preMark(mark heap.Bitset) {
+	g.young = 0
+	g.rt.Heap.ForEachLive(func(id heap.HandleID) {
+		if g.flags[int(id)]&flagOld != 0 {
+			mark.Set(int(id))
+		} else {
+			g.young++
 		}
-	}
+	})
 }
 
 // promote tenures id, adding it to the remembered set if it still holds
@@ -324,35 +299,12 @@ func (g *System) promote(id heap.HandleID) {
 }
 
 // major is a full mark–sweep over both generations, after which the
-// remembered set is rebuilt from the surviving old generation.
+// remembered set is rebuilt from the surviving old generation. The
+// sweep does no per-object remembered-set work: the rebuild clears the
+// whole set before repopulating it.
 func (g *System) major() int {
 	g.stats.Major++
-	h := g.rt.Heap
-	g.resetMarks()
-	g.rt.EachRootFrame(func(_ *vm.Frame, roots []heap.HandleID) {
-		for _, r := range roots {
-			if r != heap.Nil {
-				g.markAll(r)
-			}
-		}
-	})
-	g.rt.Timeline().CycleMarkDone(0)
-	// Word-at-a-time sweep: garbage in a 64-handle window is one
-	// live&^mark (the same find-next-zero walk the msa sweep performs).
-	freed := 0
-	live := h.LiveWords()
-	for k, lw := range live {
-		garbage := lw &^ g.mark[k]
-		base := k << 6
-		// No per-object remembered-set work here: the rebuild below
-		// clears the whole set before repopulating it.
-		for garbage != 0 {
-			id := heap.HandleID(base + bits.TrailingZeros64(garbage))
-			garbage &= garbage - 1
-			h.Free(id)
-			freed++
-		}
-	}
+	freed := g.m.Collect(msa.Cycle{})
 	g.stats.FreedOld += uint64(freed)
 	// Rebuild the remembered set exactly, in handle order. Stats.Remembered
 	// counts the barrier's and promote's insertions, not the rebuild's.
@@ -360,33 +312,13 @@ func (g *System) major() int {
 		g.flags[int(id)] &^= flagRemembered
 	}
 	g.remembered = g.remembered[:0]
-	h.ForEachLive(func(id heap.HandleID) {
+	g.rt.Heap.ForEachLive(func(id heap.HandleID) {
 		if g.flags[int(id)]&flagOld != 0 && g.pointsYoung(id) {
 			g.flags[int(id)] |= flagRemembered
 			g.remembered = append(g.remembered, id)
 		}
 	})
 	return freed
-}
-
-// markAll marks everything reachable from id across both generations.
-func (g *System) markAll(id heap.HandleID) {
-	if g.mark.Has(int(id)) {
-		return
-	}
-	h := g.rt.Heap
-	g.mark.Set(int(id))
-	g.work = append(g.work[:0], id)
-	for len(g.work) > 0 {
-		src := g.work[len(g.work)-1]
-		g.work = g.work[:len(g.work)-1]
-		for _, dst := range h.RefSlots(src) {
-			if dst != heap.Nil && !g.mark.Has(int(dst)) {
-				g.mark.Set(int(dst))
-				g.work = append(g.work, dst)
-			}
-		}
-	}
 }
 
 var _ vm.Collector = (*System)(nil)

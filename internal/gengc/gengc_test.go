@@ -178,6 +178,115 @@ func TestGenerationalExactnessOracle(t *testing.T) {
 	}
 }
 
+// TestMinorExactnessOracle: a minor collection frees exactly the young
+// objects that no path through young objects reaches from the roots or
+// from a remembered object's referents, and no old object. The oracle
+// is a BFS that shares no code with the engine; on the way it checks
+// the write barrier's invariant, that every live old object holding a
+// reference to a young one is remembered. Rounds of fresh objects and
+// random stores — old→young among them, once objects tenure — run
+// between the checked minors, and every other round a full Collect
+// escalates when the yield is poor, so majors rebuild the set too.
+func TestMinorExactnessOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	rt, g, node := newRT(1 << 18)
+	h := rt.Heap
+	th := rt.NewThread(4)
+	f := th.Top()
+	var objs []heap.HandleID
+	checked := 0
+	for round := 0; round < 12; round++ {
+		th.CallVoid(0, func(inner *vm.Frame) {
+			for i := 0; i < 60; i++ {
+				objs = append(objs, inner.MustNew(node))
+			}
+			live := objs[:0]
+			for _, o := range objs {
+				if h.Live(o) {
+					live = append(live, o)
+				}
+			}
+			objs = live
+			for i := 0; i < 120; i++ {
+				inner.PutField(objs[rng.Intn(len(objs))], rng.Intn(2), objs[rng.Intn(len(objs))])
+			}
+			for i := 0; i < 4; i++ {
+				f.SetLocal(i, objs[rng.Intn(len(objs))])
+			}
+		})
+
+		old := func(id heap.HandleID) bool { return g.flags[int(id)]&flagOld != 0 }
+		reach := make([]bool, h.NumHandles())
+		var queue []heap.HandleID
+		push := func(id heap.HandleID) {
+			if id != heap.Nil && !old(id) && !reach[id] {
+				reach[id] = true
+				queue = append(queue, id)
+			}
+		}
+		rt.EachRootFrame(func(_ *vm.Frame, roots []heap.HandleID) {
+			for _, r := range roots {
+				push(r)
+			}
+		})
+		var olds []heap.HandleID
+		for id := heap.HandleID(1); int(id) < h.NumHandles(); id++ {
+			if !h.Live(id) || !old(id) {
+				continue
+			}
+			olds = append(olds, id)
+			remembered := g.flags[int(id)]&flagRemembered != 0
+			h.Refs(id, func(dst heap.HandleID) {
+				if !old(dst) && !remembered {
+					t.Fatalf("round %d: old %d references young %d but is not remembered", round, id, dst)
+				}
+			})
+			if remembered {
+				h.Refs(id, push)
+			}
+		}
+		for len(queue) > 0 {
+			id := queue[0]
+			queue = queue[1:]
+			h.Refs(id, push)
+		}
+		var garbage []heap.HandleID
+		for id := heap.HandleID(1); int(id) < h.NumHandles(); id++ {
+			if h.Live(id) && !old(id) && !reach[id] {
+				garbage = append(garbage, id)
+			}
+		}
+
+		if freed := g.minor(); freed != len(garbage) {
+			t.Fatalf("round %d: minor freed %d, oracle says %d young objects unreachable", round, freed, len(garbage))
+		}
+		for _, id := range garbage {
+			if h.Live(id) {
+				t.Fatalf("round %d: unreachable young %d survived the minor", round, id)
+			}
+		}
+		for id, r := range reach {
+			if r && !h.Live(heap.HandleID(id)) {
+				t.Fatalf("round %d: reachable young %d was freed", round, id)
+			}
+		}
+		for _, id := range olds {
+			if !h.Live(id) {
+				t.Fatalf("round %d: the minor freed old %d", round, id)
+			}
+		}
+		if len(olds) > 0 && len(g.remembered) > 0 {
+			checked++
+		}
+		if round%2 == 1 {
+			g.Collect()
+		}
+	}
+	if checked == 0 || g.Stats().Major == 0 {
+		t.Fatalf("no checked minor ran with a remembered set (%d), or no major ran (%+v): the oracle is vacuous", checked, g.Stats())
+	}
+}
+
 func TestHandleReuseResetsGeneration(t *testing.T) {
 	rt, g, node := newRT(1 << 16)
 	th := rt.NewThread(1)

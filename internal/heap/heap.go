@@ -475,16 +475,6 @@ func Grow[T any](s []T, n, c int) []T {
 	return g
 }
 
-// ResetMarks is Bitset.Reset for a cycle's mark scratch, drawn from t:
-// it covers every handle id, all clear, and a table that has to be
-// reallocated reserves the handle table's capacity, so it grows when
-// that table does and not once per cycle that met new handles.
-func (h *Heap) ResetMarks(t *Table[uint64]) Bitset {
-	b := t.Cover(BitsetWords(len(h.handles)), BitsetWords(h.handleCap))
-	clear(b)
-	return b
-}
-
 // SizeOf reports the arena footprint of a live object.
 func (h *Heap) SizeOf(id HandleID) int { return int(h.h(id).size) }
 

@@ -142,8 +142,8 @@ func collected(want int64) int64 {
 // three of the heap they are attached to (handles, live bitmap, ref
 // slab). tables counts their mappings: CG's object records, reset
 // stamps and set records and its mark-sweep engine's mark bits and DFS
-// stack; gen's flag and survival bytes, mark bits, remembered list and
-// DFS stack; msa's engine's mark bits and DFS stack. access is the
+// stack; gen's flag bytes and remembered list and its engine's mark
+// bits and DFS stack; msa's engine's mark bits and DFS stack. access is the
 // runtime's owner table, mapped for a collector that binds an Access
 // slot, as CG does.
 var owners = []struct {
@@ -152,7 +152,7 @@ var owners = []struct {
 	new            func() vm.Collector
 }{
 	{"cg", 5, 1, func() vm.Collector { return core.New(core.DefaultConfig()) }},
-	{"gen", 5, 0, func() vm.Collector { return gengc.New() }},
+	{"gen", 4, 0, func() vm.Collector { return gengc.New() }},
 	{"msa", 2, 0, func() vm.Collector { return msa.NewSystem() }},
 }
 

@@ -2,14 +2,19 @@
 // exact mark-and-sweep collector (MSA) over the handle table, rooted in
 // the runtime stacks and static area ("the roots of computation", §1).
 //
-// The collection cycle exposes observation points so the contaminated
-// collector can verify and rebuild its equilive structures while the
-// world is being traversed anyway — the resetting scheme of §3.6.
-// Observers subscribe through the Cycle descriptor, the collection-side
-// analog of vm.Events: function-valued slots, nil meaning
-// "unsubscribed". A cycle with no per-object/per-edge slots runs a
-// tight, hook-free mark loop; a fully subscribed cycle pays one direct
-// indirect call per event, never interface dispatch.
+// Collector is the one engine that traces and sweeps the heap: every
+// cycle of every collector runs on it. The collection cycle exposes
+// observation points so the contaminated collector can verify and
+// rebuild its equilive structures while the world is being traversed
+// anyway — the resetting scheme of §3.6 — and so the generational
+// collector can run its minor collection as a plain cycle: its Begin
+// pre-marks the old generation, and its Scan list, the remembered set,
+// adds roots. Observers subscribe through the Cycle descriptor, the
+// collection-side analog of vm.Events: function-valued slots, nil
+// meaning "unsubscribed". The subscription picks the mark loop: a cycle
+// with no per-object/per-edge slots runs a tight, hook-free mark loop;
+// a fully subscribed cycle pays one direct indirect call per event,
+// never interface dispatch.
 //
 // Frames are visited oldest-first (static pseudo-frame, then each
 // thread's stack bottom-up), so the first frame to reach an object is
@@ -30,10 +35,15 @@ import (
 // slot is optional; the zero value observes nothing and selects the
 // flat mark path.
 type Cycle struct {
-	// Begin fires before marking starts.
-	Begin func()
+	// Begin fires before marking starts, with the cycle's mark bits, all
+	// clear. An object it marks is neither traced nor freed.
+	Begin func(mark heap.Bitset)
+	// Scan lists objects whose referents are traced as roots after the
+	// frames'; an entry that is no longer live is skipped.
+	Scan []heap.HandleID
 	// Reached fires the first time the mark phase visits id; f is the
-	// root frame whose traversal reached it first.
+	// root frame whose traversal reached it first, nil for an object
+	// first reached from a Scan entry.
 	Reached func(id heap.HandleID, f *vm.Frame)
 	// Edge fires for every reference src -> dst the traversal follows
 	// (dst may already be marked).
@@ -88,8 +98,8 @@ func New(rt *vm.Runtime) *Collector {
 // collected decommits its mark bits, and its stack whole, as the
 // stack's high-water is not kept. A reattached engine is observably
 // fresh: Collect re-sizes and re-clears the mark bits every cycle
-// anyway. Pooled collectors (core's detachable tables, the System pool
-// below) reuse engines through this instead of allocating
+// anyway. Pooled collectors (core's and gengc's detachable tables, the
+// System pool below) reuse engines through this instead of allocating
 // handle-table-sized scratch per matrix cell.
 func (m *Collector) Reattach(rt *vm.Runtime) {
 	if m.rt != nil && m.stats.Cycles > 0 {
@@ -124,14 +134,19 @@ func (m *Collector) Stats() Stats { return m.stats }
 func (m *Collector) Collect(cy Cycle) int {
 	h := m.rt.Heap
 	m.stats.Cycles++
+	// The mark bits cover every handle id, all clear; a table that has
+	// to be reallocated reserves the handle table's capacity, so it
+	// grows when that table does and not once per cycle that met new
+	// handles.
+	m.mark = m.markTab.Cover(heap.BitsetWords(h.NumHandles()), heap.BitsetWords(h.HandleCap()))
+	clear(m.mark)
 	if cy.Begin != nil {
-		cy.Begin()
+		cy.Begin(m.mark)
 	}
-	m.mark = h.ResetMarks(&m.markTab)
 
 	markedBefore := m.stats.Marked
 	if cy.Reached == nil && cy.Edge == nil {
-		m.markFlat()
+		m.markFlat(cy.Scan)
 	} else {
 		m.markHooked(cy)
 	}
@@ -172,14 +187,15 @@ func (m *Collector) Collect(cy Cycle) int {
 
 // markFlat is the hook-free mark: the tight inner loop a
 // cycle with no per-object/per-edge observers runs. Roots are visited
-// in the canonical oldest-first order; each reachable object is pushed
-// once and its slab extent scanned once.
-func (m *Collector) markFlat() {
+// in the canonical oldest-first order, then the referents of each live
+// scan entry; each reachable object is pushed once and its slab extent
+// scanned once.
+func (m *Collector) markFlat(scan []heap.HandleID) {
 	h := m.rt.Heap
 	mark := m.mark
 	work := m.work[:0]
 	var marked, edges uint64
-	m.rt.EachRootFrame(func(_ *vm.Frame, roots []heap.HandleID) {
+	trace := func(_ *vm.Frame, roots []heap.HandleID) {
 		for _, r := range roots {
 			if r == heap.Nil || mark.Has(int(r)) {
 				continue
@@ -206,7 +222,13 @@ func (m *Collector) markFlat() {
 				}
 			}
 		}
-	})
+	}
+	m.rt.EachRootFrame(trace)
+	for _, src := range scan {
+		if h.Live(src) {
+			trace(nil, h.RefSlots(src))
+		}
+	}
 	m.work = work
 	m.stats.Marked += marked
 	m.stats.EdgeVisits += edges
@@ -225,7 +247,7 @@ func (m *Collector) markHooked(cy Cycle) {
 	work := m.work[:0]
 	reached, edge := cy.Reached, cy.Edge
 	var marked, edges uint64
-	m.rt.EachRootFrame(func(f *vm.Frame, roots []heap.HandleID) {
+	trace := func(f *vm.Frame, roots []heap.HandleID) {
 		for _, r := range roots {
 			if r == heap.Nil || mark.Has(int(r)) {
 				continue
@@ -258,7 +280,13 @@ func (m *Collector) markHooked(cy Cycle) {
 				}
 			}
 		}
-	})
+	}
+	m.rt.EachRootFrame(trace)
+	for _, src := range cy.Scan {
+		if h.Live(src) {
+			trace(nil, h.RefSlots(src))
+		}
+	}
 	m.work = work
 	m.stats.Marked += marked
 	m.stats.EdgeVisits += edges

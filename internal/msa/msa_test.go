@@ -179,6 +179,10 @@ func TestStaticsAreRoots(t *testing.T) {
 	}
 }
 
+// fromScan is the frame ID recordReached records for an object first
+// reached from a Scan entry, which Reached reports with no frame.
+const fromScan = ^uint64(0)
+
 // recordReached returns a Cycle subscribing only Reached, recording
 // first-visit attribution — the oldest-first property the resetting
 // pass depends on.
@@ -187,7 +191,10 @@ func recordReached(firstFrame map[heap.HandleID]uint64) Cycle {
 		if _, ok := firstFrame[id]; ok {
 			panic("Reached fired twice for one object")
 		}
-		firstFrame[id] = f.ID
+		firstFrame[id] = fromScan
+		if f != nil {
+			firstFrame[id] = f.ID
+		}
 	}}
 }
 
@@ -292,13 +299,18 @@ func TestRandomGraphExactness(t *testing.T) {
 }
 
 // TestFlatAndHookedMarksAgree pins the two mark loops against each
-// other and against an independent oracle. Over twin worlds of one seed,
-// a hook-free cycle (markFlat) and a fully observed one (markHooked)
-// must count the same Marked, EdgeVisits and Freed and leave the same
-// live set and the same arena; both must match a BFS that shares no code
-// with either loop; and every Reached frame must be the oldest frame
-// whose roots reach the object — the dependent frame the §3.6 rebuild
-// takes from it.
+// other and against an independent oracle, on two inputs: a cycle with
+// no Begin or Scan, and one whose Begin pre-marks a random subset of
+// the objects and whose Scan lists some live objects and one dead id.
+// Over twin worlds of one seed, a cycle with no Reached/Edge slot
+// (markFlat) and a fully observed one (markHooked) must count the same
+// Marked, EdgeVisits and Freed and leave the same live set and the same
+// arena. Both must match a BFS that shares no code with either loop:
+// it neither enters nor frees a pre-marked object, takes the referents
+// of the live Scan entries as roots after the frames' and skips the
+// dead one. Every Reached frame must be the oldest frame whose roots
+// reach the object — the dependent frame the §3.6 rebuild takes from
+// it — and none for an object that only a Scan entry reaches.
 func TestFlatAndHookedMarksAgree(t *testing.T) {
 	type outcome struct {
 		freed int
@@ -315,87 +327,153 @@ func TestFlatAndHookedMarksAgree(t *testing.T) {
 		}
 		return out
 	}
-	for seed := int64(0); seed < 60; seed++ {
-		var flat, hooked outcome
-		buildWorld(4000+seed, 1<<20, func(rt *vm.Runtime, sys *System, objs []heap.HandleID) {
-			flat = finish(rt, sys, objs, sys.Engine().Collect(Cycle{}))
-		})
-		buildWorld(4000+seed, 1<<20, func(rt *vm.Runtime, sys *System, objs []heap.HandleID) {
-			// The oracle, before the cycle: each root presentation's full
-			// closure, in EachRootFrame order. An object belongs to the
-			// first presentation whose closure holds it.
-			owner := make(map[heap.HandleID]uint64)
-			rt.EachRootFrame(func(f *vm.Frame, roots []heap.HandleID) {
-				seen := make(map[heap.HandleID]bool)
-				var queue []heap.HandleID
-				push := func(id heap.HandleID) {
-					if id != heap.Nil && !seen[id] {
-						seen[id] = true
-						queue = append(queue, id)
+	// slots draws the second input from a world's objects, identically
+	// in twin worlds: a quarter of them pre-marked, and a quarter of
+	// them scanned after a dead id, an object allocated and freed just
+	// before the cycle. It returns the pre-marked set too; the first
+	// input is the zero Cycle and an empty set.
+	slots := func(rt *vm.Runtime, objs []heap.HandleID, seed int64, with bool) (Cycle, map[heap.HandleID]bool) {
+		pre := make(map[heap.HandleID]bool)
+		if !with {
+			return Cycle{}, pre
+		}
+		rng := rand.New(rand.NewSource(seed))
+		dead, err := rt.Heap.Alloc(rt.Heap.ClassOf(objs[0]), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Heap.Free(dead)
+		scan := []heap.HandleID{dead}
+		for _, id := range objs {
+			if rng.Intn(4) == 0 {
+				pre[id] = true
+			}
+			if rng.Intn(4) == 0 {
+				scan = append(scan, id)
+			}
+		}
+		return Cycle{
+			Begin: func(mark heap.Bitset) {
+				for id := range pre {
+					mark.Set(int(id))
+				}
+			},
+			Scan: scan,
+		}, pre
+	}
+	for _, with := range []bool{false, true} {
+		scanOnly := 0 // objects only a Scan entry reaches, over all seeds
+		for seed := int64(0); seed < 60; seed++ {
+			var flat, hooked outcome
+			buildWorld(4000+seed, 1<<20, func(rt *vm.Runtime, sys *System, objs []heap.HandleID) {
+				cy, _ := slots(rt, objs, seed, with)
+				flat = finish(rt, sys, objs, sys.Engine().Collect(cy))
+			})
+			buildWorld(4000+seed, 1<<20, func(rt *vm.Runtime, sys *System, objs []heap.HandleID) {
+				cy, pre := slots(rt, objs, seed, with)
+				// The oracle, before the cycle: each root presentation's
+				// full closure, short of the pre-marked objects — the
+				// frames' in EachRootFrame order, then each live Scan
+				// entry's referents. An object belongs to the first
+				// presentation whose closure holds it.
+				owner := make(map[heap.HandleID]uint64)
+				present := func(frame uint64, roots []heap.HandleID) {
+					seen := make(map[heap.HandleID]bool)
+					var queue []heap.HandleID
+					push := func(id heap.HandleID) {
+						if id != heap.Nil && !pre[id] && !seen[id] {
+							seen[id] = true
+							queue = append(queue, id)
+						}
+					}
+					for _, r := range roots {
+						push(r)
+					}
+					for len(queue) > 0 {
+						id := queue[0]
+						queue = queue[1:]
+						if _, ok := owner[id]; !ok {
+							owner[id] = frame
+						}
+						rt.Heap.Refs(id, push)
 					}
 				}
-				for _, r := range roots {
-					push(r)
-				}
-				for len(queue) > 0 {
-					id := queue[0]
-					queue = queue[1:]
-					if _, ok := owner[id]; !ok {
-						owner[id] = f.ID
+				rt.EachRootFrame(func(f *vm.Frame, roots []heap.HandleID) { present(f.ID, roots) })
+				for _, src := range cy.Scan {
+					if rt.Heap.Live(src) {
+						var referents []heap.HandleID
+						rt.Heap.Refs(src, func(dst heap.HandleID) { referents = append(referents, dst) })
+						present(fromScan, referents)
 					}
-					rt.Heap.Refs(id, push)
+				}
+				var wantEdges uint64
+				for id := range owner {
+					rt.Heap.Refs(id, func(heap.HandleID) { wantEdges++ })
+				}
+				wantFreed := 0
+				for _, id := range objs {
+					if _, ok := owner[id]; !ok && !pre[id] {
+						wantFreed++
+					}
+				}
+
+				reached := make(map[heap.HandleID]uint64)
+				cy.Reached = recordReached(reached).Reached
+				var edges uint64
+				cy.Edge = func(src, dst heap.HandleID) {
+					if _, ok := reached[src]; !ok {
+						t.Fatalf("seed %d: Edge %d->%d before Reached(%d)", seed, src, dst, src)
+					}
+					if _, ok := reached[dst]; !ok && !pre[dst] {
+						t.Fatalf("seed %d: Edge %d->%d before Reached(%d)", seed, src, dst, dst)
+					}
+					edges++
+				}
+				willFree := 0
+				cy.WillFree = func(id heap.HandleID) {
+					if _, ok := owner[id]; ok || pre[id] {
+						t.Fatalf("seed %d: WillFree(%d) on a reachable or pre-marked object", seed, id)
+					}
+					willFree++
+				}
+				hooked = finish(rt, sys, objs, sys.Engine().Collect(cy))
+
+				if len(reached) != len(owner) {
+					t.Fatalf("seed %d: Reached fired for %d objects, oracle reaches %d", seed, len(reached), len(owner))
+				}
+				for id, want := range owner {
+					if want == fromScan {
+						scanOnly++
+					}
+					if got, ok := reached[id]; !ok || got != want {
+						t.Fatalf("seed %d: object %d reached from frame %d (fired=%v), oldest referencing frame is %d",
+							seed, id, got, ok, want)
+					}
+				}
+				for id := range pre {
+					if !rt.Heap.Live(id) {
+						t.Fatalf("seed %d: pre-marked object %d was freed", seed, id)
+					}
+				}
+				if hooked.stats.Marked != uint64(len(owner)) || hooked.stats.EdgeVisits != wantEdges || edges != wantEdges {
+					t.Fatalf("seed %d: hooked marked/edges/Edge calls = %d/%d/%d, oracle %d/%d",
+						seed, hooked.stats.Marked, hooked.stats.EdgeVisits, edges, len(owner), wantEdges)
+				}
+				if hooked.freed != wantFreed || willFree != wantFreed {
+					t.Fatalf("seed %d: freed %d with %d WillFree calls, oracle says %d unreachable",
+						seed, hooked.freed, willFree, wantFreed)
 				}
 			})
-			var wantEdges uint64
-			for id := range owner {
-				rt.Heap.Refs(id, func(heap.HandleID) { wantEdges++ })
+			if flat.freed != hooked.freed || flat.stats != hooked.stats || flat.arena != hooked.arena {
+				t.Fatalf("seed %d: flat freed %d %+v %+v, hooked freed %d %+v %+v",
+					seed, flat.freed, flat.stats, flat.arena, hooked.freed, hooked.stats, hooked.arena)
 			}
-
-			reached := make(map[heap.HandleID]uint64)
-			cy := recordReached(reached)
-			var edges uint64
-			cy.Edge = func(src, dst heap.HandleID) {
-				if _, ok := reached[src]; !ok {
-					t.Fatalf("seed %d: Edge %d->%d before Reached(%d)", seed, src, dst, src)
-				}
-				if _, ok := reached[dst]; !ok {
-					t.Fatalf("seed %d: Edge %d->%d before Reached(%d)", seed, src, dst, dst)
-				}
-				edges++
+			if !slices.Equal(flat.live, hooked.live) {
+				t.Fatalf("seed %d: survivors diverge: flat %v, hooked %v", seed, flat.live, hooked.live)
 			}
-			willFree := 0
-			cy.WillFree = func(id heap.HandleID) {
-				if _, ok := owner[id]; ok {
-					t.Fatalf("seed %d: WillFree(%d) on a reachable object", seed, id)
-				}
-				willFree++
-			}
-			hooked = finish(rt, sys, objs, sys.Engine().Collect(cy))
-
-			if len(reached) != len(owner) {
-				t.Fatalf("seed %d: Reached fired for %d objects, oracle reaches %d", seed, len(reached), len(owner))
-			}
-			for id, want := range owner {
-				if got, ok := reached[id]; !ok || got != want {
-					t.Fatalf("seed %d: object %d reached from frame %d (fired=%v), oldest referencing frame is %d",
-						seed, id, got, ok, want)
-				}
-			}
-			if hooked.stats.Marked != uint64(len(owner)) || hooked.stats.EdgeVisits != wantEdges || edges != wantEdges {
-				t.Fatalf("seed %d: hooked marked/edges/Edge calls = %d/%d/%d, oracle %d/%d",
-					seed, hooked.stats.Marked, hooked.stats.EdgeVisits, edges, len(owner), wantEdges)
-			}
-			if want := len(objs) - len(owner); hooked.freed != want || willFree != want {
-				t.Fatalf("seed %d: freed %d with %d WillFree calls, oracle says %d unreachable",
-					seed, hooked.freed, willFree, want)
-			}
-		})
-		if flat.freed != hooked.freed || flat.stats != hooked.stats || flat.arena != hooked.arena {
-			t.Fatalf("seed %d: flat freed %d %+v %+v, hooked freed %d %+v %+v",
-				seed, flat.freed, flat.stats, flat.arena, hooked.freed, hooked.stats, hooked.arena)
 		}
-		if !slices.Equal(flat.live, hooked.live) {
-			t.Fatalf("seed %d: survivors diverge: flat %v, hooked %v", seed, flat.live, hooked.live)
+		if with && scanOnly == 0 {
+			t.Fatal("no object was reached only from a Scan entry: the second input is vacuous")
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/gengc"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -112,5 +113,25 @@ func TestOutcomeCarriesObsAndProvThroughStore(t *testing.T) {
 	}
 	if *got.Prov != *o.Prov {
 		t.Fatalf("provenance did not round-trip:\n%+v\n%+v", got.Prov, o.Prov)
+	}
+}
+
+// TestGenCellCountsMarked: a gen cell that collects reports the objects
+// its cycles marked, as msa and cg cells do. Minor and major cycles
+// both run on the mark–sweep engine, whose count the cell's timeline
+// must equal.
+func TestGenCellCountsMarked(t *testing.T) {
+	r := engine.Exec(engine.Job{Workload: "javac", Size: 1, Collector: "gen",
+		HeapBytes: engine.TightHeap, GCEvery: 1000})
+	o := Extract(r)
+	if o.Err != "" {
+		t.Fatal(o.Err)
+	}
+	g := r.Col.(*gengc.System)
+	if g.Stats().Minor == 0 {
+		t.Fatal("the cell ran no cycle: the comparison is vacuous")
+	}
+	if marked := g.Engine().Stats().Marked; o.Obs == nil || o.Obs.Marked == 0 || o.Obs.Marked != marked {
+		t.Fatalf("cycle stats %+v; the engine marked %d", o.Obs, marked)
 	}
 }
