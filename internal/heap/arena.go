@@ -86,12 +86,14 @@ type pageSpan struct {
 // slabRec describes one page. A page is either a slab (class >= 0),
 // carving the page into equal blocks of its class size with a free
 // bitmap, or not (class < 0): free, part of a large run, or the unused
-// short tail. Partial slabs of a class form a doubly-linked list through
-// prev/next; the links are page indices, so the whole structure is
-// pointer-free and a pooled arena pins nothing.
+// short tail. The head page of a large run holds the run's requested
+// size in used, which is what SizeAt reads. Partial slabs of a class
+// form a doubly-linked list through prev/next; the links are page
+// indices, so the whole structure is pointer-free and a pooled arena
+// pins nothing.
 type slabRec struct {
 	class  int32 // ladder class, -1 when the page is not a slab
-	used   int32 // allocated blocks
+	used   int32 // allocated blocks; a large run's size on its head page
 	blocks int32 // total blocks (usable bytes / class bytes)
 	prev   int32 // partial-list neighbours, -1 = none
 	next   int32
@@ -256,6 +258,19 @@ func (a *Arena) Free(addr, size int) {
 		return
 	}
 	a.freeLarge(addr, size)
+}
+
+// SizeAt reports the size of the live extent at addr: its slab's class
+// size for a small block, the size passed to Alloc for a large run. A
+// small block's size is thus the requested size rounded to 8 bytes,
+// which is the requested size itself for every instance the heap
+// allocates.
+func (a *Arena) SizeAt(addr int) int {
+	s := &a.slabs[addr>>a.pageShift]
+	if s.class >= 0 {
+		return SizeClassBytes(int(s.class))
+	}
+	return int(s.used)
 }
 
 // --- small path ---
@@ -482,6 +497,8 @@ func (a *Arena) allocLarge(size int) (int, error) {
 	if p < 0 {
 		return 0, ErrOutOfMemory
 	}
+	a.ensureSlabs(int(p) + 1)
+	a.slabs[p].used = int32(size)
 	a.heapBytes += int(n) << a.pageShift
 	a.allocBytes += size
 	return int(p) << a.pageShift, nil

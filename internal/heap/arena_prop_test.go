@@ -255,3 +255,134 @@ func TestInfoCheckerCatchesMutants(t *testing.T) {
 		t.Error("checker missed the drifting-overhead Info mutant")
 	}
 }
+
+// checkSizeAt replays a randomized alloc/free/reset script and returns
+// an error if sizeAt, after any step, disagrees with the size passed to
+// Alloc for any live extent. Resets are rare enough that the arena
+// fills between them. Small sizes are multiples of 8, as every
+// size the heap allocates is, so a block's class size is its own; large
+// sizes are arbitrary, so a run must answer its requested size, not its
+// pages'. tail counts the extents checked on the short tail page, so a
+// caller can tell the script reached it.
+func checkSizeAt(a *Arena, sizeAt func(addr int) int, seed int64, steps int) (tail int, err error) {
+	rng := rand.New(rand.NewSource(seed))
+	type ext struct{ addr, size int }
+	var live []ext
+	ps := a.PageSize()
+	tailAddr := a.Size() &^ (ps - 1)
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(1000); {
+		case op == 0:
+			a.Reset()
+			live = live[:0]
+		case op < 650 || len(live) == 0:
+			size := 8 * (1 + rng.Intn(40))
+			if rng.Intn(6) == 0 {
+				size = ps + 1 + rng.Intn(4*ps)
+			}
+			if addr, err := a.Alloc(size); err == nil {
+				live = append(live, ext{addr, size})
+			}
+		default:
+			i := rng.Intn(len(live))
+			a.Free(live[i].addr, live[i].size)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		for _, e := range live {
+			if got := sizeAt(e.addr); got != e.size {
+				return tail, fmt.Errorf("step %d: SizeAt(%d) = %d, allocated %d", step, e.addr, got, e.size)
+			}
+			if e.addr >= tailAddr {
+				tail++
+			}
+		}
+	}
+	return tail, nil
+}
+
+// TestArenaSizeAt: small blocks, large runs and the short tail page
+// answer the size they were allocated at, before and after Resets. The
+// 1000-byte and 64 KiB + 200 arenas have a short tail page (232 and 200
+// bytes) that the script fills; the 1 MiB one has none.
+func TestArenaSizeAt(t *testing.T) {
+	for _, capacity := range []int{1000, 64<<10 + 200, 1 << 20} {
+		a := NewArena(capacity)
+		tail, err := checkSizeAt(a, a.SizeAt, int64(capacity), 6000)
+		if err != nil {
+			t.Errorf("capacity %d: %v", capacity, err)
+		}
+		if hasTail := capacity%a.PageSize() >= 8; hasTail != (tail > 0) {
+			t.Errorf("capacity %d: %d checks on the short tail page, want some iff it has one", capacity, tail)
+		}
+		if err := a.checkInvariants(); err != nil {
+			t.Errorf("capacity %d: %v", capacity, err)
+		}
+	}
+}
+
+// TestCompactedSizes: after Compact, every live object of a fragmented
+// heap reads its own instance size, small and large, from the arena
+// that replaced the old one.
+func TestCompactedSizes(t *testing.T) {
+	compacted, large := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		h := fragment(seed)
+		if !h.Compact() {
+			continue
+		}
+		compacted++
+		n, err := checkHeapSizes(h, h.Arena().SizeAt)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		large += n
+	}
+	if compacted == 0 || large == 0 {
+		t.Fatalf("%d fragmented heaps compacted, holding %d large objects: want some of each", compacted, large)
+	}
+}
+
+// checkHeapSizes returns an error if sizeAt disagrees, at any live
+// object's address, with the instance size of its class. large counts
+// the objects checked that span a page run.
+func checkHeapSizes(h *Heap, sizeAt func(addr int) int) (large int, err error) {
+	h.ForEachLive(func(id HandleID) {
+		want := InstanceSize(h.ClassDef(h.ClassOf(id)), 0)
+		if want > h.Arena().PageSize() {
+			large++
+		}
+		if got := sizeAt(h.AddrOf(id)); got != want && err == nil {
+			err = fmt.Errorf("handle %d at %d: size %d, want %d", id, h.AddrOf(id), got, want)
+		}
+	})
+	return large, err
+}
+
+// TestSizeAtCheckersCatchRoundedRuns: a SizeAt that answers a large
+// run's whole pages fails both checkers.
+func TestSizeAtCheckersCatchRoundedRuns(t *testing.T) {
+	rounded := func(a *Arena) func(int) int {
+		return func(addr int) int {
+			s, ps := a.SizeAt(addr), a.PageSize()
+			if s > ps {
+				s = (s + ps - 1) &^ (ps - 1)
+			}
+			return s
+		}
+	}
+	a := NewArena(1 << 16)
+	if _, err := checkSizeAt(a, rounded(a), 1, 2000); err == nil {
+		t.Error("checkSizeAt passes a SizeAt that rounds large runs to pages")
+	}
+	caught := false
+	for seed := int64(1); seed <= 40 && !caught; seed++ {
+		if h := fragment(seed); h.Compact() {
+			_, err := checkHeapSizes(h, rounded(h.Arena()))
+			caught = err != nil
+		}
+	}
+	if !caught {
+		t.Error("checkHeapSizes passes a SizeAt that rounds large runs to pages")
+	}
+}

@@ -198,12 +198,11 @@ func TestCompactCheckerCatchesMutants(t *testing.T) {
 		h.ForEachLive(func(id HandleID) { ids = append(ids, id) })
 		a := NewArena(h.Arena().Size())
 		for i := len(ids) - 1; i >= 0; i-- {
-			hd := &h.handles[int(ids[i])]
-			addr, err := a.Alloc(int(hd.size))
+			addr, err := a.Alloc(h.SizeOf(ids[i]))
 			if err != nil {
 				return false
 			}
-			hd.addr = int32(addr)
+			h.handles[int(ids[i])].addr = int32(addr)
 		}
 		*h.arena = *a
 		return true

@@ -29,6 +29,10 @@ type Class struct {
 // headerBytes models the JVM object header.
 const headerBytes = 8
 
+// extHeads bounds the extent lengths the ref slab recycles: a freed
+// extent of extHeads slots or more is orphaned rather than listed.
+const extHeads = 1024
+
 // maxSlab bounds the shared ref slab so extent offsets (and off+len
 // sums) fit the int32 fields of the handle record.
 const maxSlab = 1<<31 - 1
@@ -59,18 +63,17 @@ func InstanceSize(c Class, extra int) int {
 // which all references pass (§3.1: "Each handle contains a pointer to the
 // object's current location …"). Reference slots live in the heap's
 // shared slab, not in a per-handle slice: the handle records only its
-// extent (offset, live length, capacity). refOff/refCap survive Free so
-// that a handle slot recycled through the free-ID path reuses its slab
-// extent — steady-state allocation touches no Go allocator. The record
-// is 24 pointer-free bytes (the thesis's handle is a pointer pair plus
-// CG's fields, §3.1.1): addr and size are int32 behind MaxArenaBytes.
+// extent (offset, length), and a freed object's extent goes to the
+// slab's free list for its length (Heap.extFree). The object's size is
+// not recorded: every instance size is a multiple of 8, so the arena
+// answers it from the page the object lies in (Arena.SizeAt). The record
+// is 16 pointer-free bytes (the thesis's handle is a pointer beside CG's
+// fields, §3.1.1): addr is int32 behind MaxArenaBytes.
 type handle struct {
-	class  ClassID
-	addr   int32 // arena address; in a free slot, the next free slot's id (Heap.freeHead)
-	size   int32 // arena footprint, at least the header; 0 iff the slot is free (or Nil's)
-	refOff int32 // base of this handle's extent in the ref slab
-	refLen int32 // live reference slots (current instance)
-	refCap int32 // extent capacity; kept across Free for reuse
+	cls    ClassID // the object's ClassID+1; 0 iff the slot is free (or Nil's)
+	addr   int32   // arena address; in a free slot, the next free slot's id (Heap.freeHead)
+	refOff int32   // base of this handle's extent in the ref slab
+	refLen int32   // reference slots (current instance)
 }
 
 // layout is a class's instance footprint with no extra slots.
@@ -110,18 +113,26 @@ type Heap struct {
 	handleCap int
 	freeHead  HandleID // LIFO of free slots, linked through their addr words
 	// slab is the single backing store for every handle's reference
-	// slots: handle i owns slab[refOff : refOff+refLen]. Extents are
-	// recycled with their handle slot (see handle.refCap); an extent is
-	// orphaned only when a recycled slot needs a wider one, so in steady
-	// state Alloc/Reinit/Free perform no Go allocation and the mark
-	// phase walks contiguous memory. It is reserved at one slot per
-	// refBytes of arena, what live slots can ever use; only orphaned
-	// extents can carve past that, and then it doubles on the Go heap.
-	slab  []HandleID
-	arena *Arena
-	stats Stats
+	// slots: handle i owns slab[refOff : refOff+refLen], and slot 0,
+	// like the Nil handle, belongs to no one. Extents are recycled by
+	// length, not with their handle slot: Free pushes an object's extent
+	// on extFree[refLen], and an allocation of n slots pops extFree[n]
+	// before it carves a fresh extent off the slab's tail, so in steady
+	// state Alloc/Reinit/Free perform no Go allocation and the mark phase
+	// walks contiguous memory. It is reserved at slot 0 and one slot per
+	// refBytes of arena, what live slots can ever use; extents waiting
+	// on the list of a length no one allocates, and orphaned ones of
+	// extHeads slots or more, can carve past that, and then it doubles
+	// on the Go heap.
+	slab []HandleID
+	// extFree[n] heads the list of free n-slot extents: the offset of
+	// the first one's first slot, 0 when the list is empty. Each
+	// extent's first slot holds the next one's offset the same way.
+	extFree [extHeads]int32
+	arena   *Arena
+	stats   Stats
 	// liveBits is the live set word-packed, maintained by Alloc/Free:
-	// bit i is set iff handles[i].size != 0. The sweep phase
+	// bit i is set iff handles[i].cls != 0. The sweep phase
 	// consumes it directly — garbage in a 64-handle window is
 	// live &^ mark, one AND-NOT per word — and ForEachLive/NumLive walk
 	// words instead of handle records.
@@ -143,7 +154,7 @@ func New(arenaBytes int) *Heap {
 	bound := h.HandleBound()
 	h.handles = Grow(h.mem.handles.Reserve(bound), 1, 1) // slot 0 = Nil, never used
 	h.liveBits = Grow(h.mem.live.Reserve(BitsetWords(bound)), 1, 1)
-	h.slab = h.mem.slab.Reserve(arenaBytes / refBytes)
+	h.slab = Grow(h.mem.slab.Reserve(1+arenaBytes/refBytes), 1, 1) // slot 0 ends every extFree list
 	return h
 }
 
@@ -212,7 +223,7 @@ func (h *Heap) ClassByName(name string) (ClassID, bool) {
 }
 
 // ClassOf reports the class of a live object.
-func (h *Heap) ClassOf(id HandleID) ClassID { return h.h(id).class }
+func (h *Heap) ClassOf(id HandleID) ClassID { return h.h(id).cls - 1 }
 
 // ClassDef returns the class descriptor.
 func (h *Heap) ClassDef(c ClassID) Class { return h.classes[int(c)] }
@@ -233,10 +244,10 @@ func (h *Heap) Stats() Stats { return h.stats }
 // h returns the handle record for id, panicking on null or stale IDs:
 // handle discipline violations are runtime bugs, not user errors. The
 // failure paths live in a noinline helper so h itself inlines into the
-// per-event accessors. The Nil slot's size stays 0 like a freed slot's.
+// per-event accessors. The Nil slot's cls stays 0 like a freed slot's.
 func (h *Heap) h(id HandleID) *handle {
 	hd := &h.handles[int(id)]
-	if hd.size == 0 {
+	if hd.cls == 0 {
 		h.badHandle(id)
 	}
 	return hd
@@ -252,7 +263,7 @@ func (h *Heap) badHandle(id HandleID) {
 
 //go:noinline
 func (h *Heap) badSlot(hd *handle, i int) {
-	panic(fmt.Sprintf("heap: ref slot %d out of range on %s", i, h.classes[hd.class].Name))
+	panic(fmt.Sprintf("heap: ref slot %d out of range on %s", i, h.classes[hd.cls-1].Name))
 }
 
 // Alloc creates an instance of class c with extra additional reference
@@ -284,9 +295,8 @@ func (h *Heap) Alloc(c ClassID, extra int) (HandleID, error) {
 		id = HandleID(n)
 	}
 	hd := &h.handles[int(id)]
-	hd.class = c
+	hd.cls = c + 1
 	hd.addr = int32(addr)
-	hd.size = int32(size)
 	h.liveBits.Set(int(id))
 	h.bindRefs(hd, nrefs)
 	h.stats.Allocs++
@@ -294,26 +304,49 @@ func (h *Heap) Alloc(c ClassID, extra int) (HandleID, error) {
 	return id, nil
 }
 
-// bindRefs points hd at a zeroed slab extent of nrefs slots, reusing the
-// slot's previous extent when it is wide enough (the free-ID recycling
-// path) and carving a fresh one off the slab tail otherwise.
+// bindRefs points hd at a zeroed slab extent of nrefs slots: none for
+// no slots, a freed extent of exactly that length if extFree lists one,
+// else a fresh one carved off the slab tail.
 func (h *Heap) bindRefs(hd *handle, nrefs int) {
-	if nrefs <= int(hd.refCap) {
-		hd.refLen = int32(nrefs)
-		clearRefs(h.slab[hd.refOff : hd.refOff+int32(nrefs)])
+	hd.refLen = int32(nrefs)
+	if nrefs == 0 {
 		return
 	}
+	if nrefs < extHeads {
+		if off := h.extFree[nrefs]; off != 0 {
+			h.extFree[nrefs] = int32(h.slab[off])
+			clearRefs(h.slab[off : off+int32(nrefs)])
+			hd.refOff = off
+			return
+		}
+	}
+	h.carve(hd, nrefs)
+}
+
+// carve is bindRefs' cold half: it binds hd to nrefs fresh slots off the
+// slab tail. Reused capacity may hold stale refs; Grow clears what it
+// uncovers. Past its reservation the slab doubles: free extents wait on
+// the list of their own length, so arena bytes do not bound the slots
+// carved.
+//
+//go:noinline
+func (h *Heap) carve(hd *handle, nrefs int) {
 	off := len(h.slab)
 	if off+nrefs > maxSlab {
 		panic("heap: ref slab exceeds 2^31 slots")
 	}
-	// Reused capacity may hold stale refs; Grow clears what it uncovers.
-	// Past its reservation the slab doubles: a slot that widens orphans
-	// its old extent, so arena bytes do not bound the slots carved.
 	h.slab = Grow(h.slab, off+nrefs, min(2*cap(h.slab), maxSlab))
 	hd.refOff = int32(off)
-	hd.refLen = int32(nrefs)
-	hd.refCap = int32(nrefs)
+}
+
+// freeRefs pushes hd's extent on the free list for its length. Empty
+// extents hold nothing, and extents of extHeads slots or more are
+// orphaned.
+func (h *Heap) freeRefs(hd *handle) {
+	if n := hd.refLen; n > 0 && n < extHeads {
+		h.slab[hd.refOff] = HandleID(h.extFree[n])
+		h.extFree[n] = hd.refOff
+	}
 }
 
 // clearRefs nils out a slab extent (compiles to a memclr).
@@ -328,16 +361,16 @@ func (h *Heap) refs(hd *handle) []HandleID {
 	return h.slab[hd.refOff : hd.refOff+hd.refLen]
 }
 
-// Free releases an object's arena extent and recycles its handle slot.
-// The slab extent stays bound to the slot (refCap) so a later Alloc
-// reusing the slot reuses the extent. Freeing Nil or a dead handle
-// panics: both collectors must agree on ownership, and a double free
-// indicates a collector bug.
+// Free releases an object's arena extent, at the size the arena reads
+// from the object's page, and recycles its handle slot and its slab
+// extent. Freeing Nil or a dead handle panics: both collectors must
+// agree on ownership, and a double free indicates a collector bug.
 func (h *Heap) Free(id HandleID) {
 	hd := h.h(id)
-	h.arena.Free(int(hd.addr), int(hd.size))
-	hd.addr, hd.size = int32(h.freeHead), 0
-	hd.refLen = 0
+	addr := int(hd.addr)
+	h.arena.Free(addr, h.arena.SizeAt(addr))
+	h.freeRefs(hd)
+	hd.addr, hd.cls = int32(h.freeHead), 0
 	h.freeHead = id
 	h.liveBits.Clear(int(id))
 	h.stats.Frees++
@@ -362,12 +395,14 @@ func (h *Heap) Free(id HandleID) {
 // object found room. In the rare arena where id order packs worse than
 // the layout it replaces (a class that spilled into the short tail page
 // can need a full page instead), it changes nothing and returns false.
+// Sizes are read from the old arena, which stays in place until the
+// new one is committed.
 func (h *Heap) Compact() bool {
 	a := NewArena(h.arena.Size())
 	ok := true
 	h.ForEachLive(func(id HandleID) {
 		if ok {
-			_, err := a.Alloc(int(h.handles[int(id)].size))
+			_, err := a.Alloc(h.SizeOf(id))
 			ok = err == nil
 		}
 	})
@@ -378,9 +413,8 @@ func (h *Heap) Compact() bool {
 	// addresses, now written down.
 	a.Reset()
 	h.ForEachLive(func(id HandleID) {
-		hd := &h.handles[int(id)]
-		addr, _ := a.Alloc(int(hd.size))
-		hd.addr = int32(addr)
+		addr, _ := a.Alloc(h.SizeOf(id))
+		h.handles[int(id)].addr = int32(addr)
 	})
 	*h.arena = *a
 	h.stats.Compactions++
@@ -393,18 +427,25 @@ func (h *Heap) Compact() bool {
 // touching the allocator ("instead of having to free each object … we
 // only update a pointer"). The extent keeps its original size (first-fit
 // allows internal fragmentation); it must be at least as big as the new
-// instance requires.
+// instance requires. A slab extent of the new length stays in place;
+// one of another length goes to its free list and a fitting one is
+// bound.
 func (h *Heap) Reinit(id HandleID, c ClassID, extra int) error {
 	hd := h.h(id)
 	need, nrefs, err := h.footprint(c, extra)
 	if err != nil {
 		return err
 	}
-	if need > int(hd.size) {
-		return fmt.Errorf("heap: recycled extent of %d bytes too small for %d", hd.size, need)
+	if size := h.arena.SizeAt(int(hd.addr)); need > size {
+		return fmt.Errorf("heap: recycled extent of %d bytes too small for %d", size, need)
 	}
-	hd.class = c
-	h.bindRefs(hd, nrefs)
+	hd.cls = c + 1
+	if nrefs == int(hd.refLen) {
+		clearRefs(h.refs(hd))
+	} else {
+		h.freeRefs(hd)
+		h.bindRefs(hd, nrefs)
+	}
 	h.stats.Allocs++
 	h.stats.BytesAlloc += uint64(need)
 	return nil
@@ -413,7 +454,7 @@ func (h *Heap) Reinit(id HandleID, c ClassID, extra int) error {
 // Live reports whether id names a currently allocated object. Nil is not
 // live.
 func (h *Heap) Live(id HandleID) bool {
-	return int(id) < len(h.handles) && h.handles[int(id)].size != 0
+	return int(id) < len(h.handles) && h.handles[int(id)].cls != 0
 }
 
 // NumLive counts live objects: one popcount per 64 handles.
@@ -476,7 +517,7 @@ func Grow[T any](s []T, n, c int) []T {
 }
 
 // SizeOf reports the arena footprint of a live object.
-func (h *Heap) SizeOf(id HandleID) int { return int(h.h(id).size) }
+func (h *Heap) SizeOf(id HandleID) int { return h.arena.SizeAt(int(h.h(id).addr)) }
 
 // AddrOf reports a live object's arena address (tests, fragmentation
 // studies).
@@ -549,13 +590,13 @@ func (h *Heap) ForEachLive(fn func(HandleID)) {
 func (h *Heap) LiveWords() Bitset { return h.liveBits }
 
 // Reset returns the heap to its freshly constructed state — empty class
-// table, one-slot handle table, empty slab, fully free arena, zeroed
-// counters — keeping its mappings but not their memory: the handle
-// table, live bitmap and ref slab are decommitted through the length
-// the cell used (Decommit), so a heap the engine pools between cells
-// holds address space, not the pages its last cell wrote, and the next
-// cell faults in only what it writes. A reset heap is observably
-// identical to heap.New(h.Arena().Size()).
+// table, one-slot handle table, one-slot slab with no free extents,
+// fully free arena, zeroed counters — keeping its mappings but not
+// their memory: the handle table, live bitmap and ref slab are
+// decommitted through the length the cell used (Decommit), so a heap
+// the engine pools between cells holds address space, not the pages
+// its last cell wrote, and the next cell faults in only what it writes.
+// A reset heap is observably identical to heap.New(h.Arena().Size()).
 func (h *Heap) Reset() {
 	h.arena.Reset()
 	h.classes = h.classes[:0]
@@ -568,6 +609,7 @@ func (h *Heap) Reset() {
 	h.mem.live.Decommit(h.liveBits)
 	h.liveBits = h.liveBits[:1]
 	h.mem.slab.Decommit(h.slab)
-	h.slab = h.slab[:0]
+	h.slab = h.slab[:1]
+	clear(h.extFree[:])
 	h.stats = Stats{}
 }

@@ -38,32 +38,35 @@ func endState(t *testing.T, r engine.Result) string {
 		payload, o.GCCycles, *o.Arena, h.NumHandles(), h.HandleCap(), h.NumLive(), h.Stats())
 }
 
-// widening drives a heap whose freed handle slots come back wider every
-// time, so each allocation carves a fresh slab extent and orphans the
-// last: 40 live objects and, by the end, 64 000 slots carved from a slab
-// reserved at 16 384 (a 64 KiB arena's 4-byte slots). It returns every
-// live object's id, address and references.
-func widening(t *testing.T) (*heap.Heap, string) {
+// shifting drives a heap whose freed extents are never asked for again:
+// each churned array is one slot longer than the one before, so every
+// allocation carves a fresh slab extent and every free lists one that no
+// later allocation pops. 40 rounds of 20 churned arrays, up to 800
+// slots, and one small survivor each carve some 320 000 slots from a
+// slab reserved at 16 385 (a 64 KiB arena's 4-byte slots, and slot 0).
+// It returns every survivor's id, address and references.
+func shifting(t *testing.T) (*heap.Heap, string) {
 	h := heap.New(64 << 10)
 	arr := h.DefineClass(heap.Class{Name: "Arr", IsArray: true})
 	var live []heap.HandleID
 	for i := 0; i < 40; i++ {
-		for w := 1; w <= 40; w++ {
-			id, err := h.Alloc(arr, i+w)
+		for w := 1; w <= 20; w++ {
+			id, err := h.Alloc(arr, 20*i+w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w < 40 {
-				h.Free(id) // LIFO: the next, wider object takes this slot
-				continue
-			}
-			for s := range h.NumRefSlots(id) {
-				if len(live) > 0 {
-					h.SetRef(id, s, live[(i+s)%len(live)])
-				}
-			}
-			live = append(live, id)
+			h.Free(id)
 		}
+		id, err := h.Alloc(arr, 1+i%5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range h.NumRefSlots(id) {
+			if len(live) > 0 {
+				h.SetRef(id, s, live[(i+s)%len(live)])
+			}
+		}
+		live = append(live, id)
 	}
 	state := fmt.Sprintf("handles=%d/%d stats=%+v", h.NumHandles(), h.HandleCap(), h.Stats())
 	for _, id := range live {
@@ -74,9 +77,9 @@ func widening(t *testing.T) (*heap.Heap, string) {
 
 // TestMappedAndGrownTablesAgree runs the ledger's 28 matrix cells (at
 // size 10), one pooled small-then-large sequence and a heap whose
-// widening slots carve past the slab's reservation twice: on mapped
-// tables, and with Table.Reserve mapping nothing, as under -race and
-// off unix, so that the tables grow by heap.Grow's rule. Where a
+// shifting extent lengths carve past the slab's reservation twice: on
+// mapped tables, and with Table.Reserve mapping nothing, as under -race
+// and off unix, so that the tables grow by heap.Grow's rule. Where a
 // table lives is not observable: payloads, cycle counts, arena
 // occupancy, handle ids, references and the capacity granted are the
 // same, and a slab that outgrows its mapping goes on in a grown copy.
@@ -95,9 +98,9 @@ func TestMappedAndGrownTablesAgree(t *testing.T) {
 			job := engine.Job{Workload: "jess", Size: size, Collector: "cg+recycle", HeapBytes: 1 << 24, GCEvery: 5000}
 			eng.ExecRelease(job, func(r engine.Result) { states = append(states, endState(t, r)) })
 		}
-		h, state := widening(t)
+		h, state := shifting(t)
 		if h.SlabInMapping() {
-			t.Error("the widening heap's slab is still in its mapping: it never fell back to Grow")
+			t.Error("the shifting heap's slab is still in its mapping: it never fell back to Grow")
 		}
 		return append(states, state)
 	}

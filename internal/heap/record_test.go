@@ -8,12 +8,13 @@ import (
 )
 
 // TestHandleRecordIsSmallAndPointerFree pins the handle record: at most
-// 24 bytes — no live flag beside size, no free-id list beside addr — and
-// no field the Go collector would have to scan: the handle table is the
+// 16 bytes — no live flag beside cls, no free-id list beside addr, no
+// size the arena knows, no extent capacity beside its length — and no
+// field the Go collector would have to scan: the handle table is the
 // largest table a cell owns.
 func TestHandleRecordIsSmallAndPointerFree(t *testing.T) {
-	if n := unsafe.Sizeof(handle{}); n > 24 {
-		t.Errorf("handle is %d bytes, budget is 24", n)
+	if n := unsafe.Sizeof(handle{}); n > 16 {
+		t.Errorf("handle is %d bytes, budget is 16", n)
 	}
 	if hasPointers(reflect.TypeOf(handle{})) {
 		t.Error("handle holds a pointer")

@@ -220,3 +220,51 @@ func TestHeapResetObservablyFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyChurnCarvesNothing: a steady churn of a fixed mix of object
+// shapes — every round allocates the same objects, writes their slots
+// and frees them all in a random order — carves the slab in its first
+// round and never again: each freed extent waits on the list for its
+// length, which the next round's allocation of that length pops, in
+// whatever handle slot it lands.
+func TestSteadyChurnCarvesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	h := New(1 << 20)
+	type shape struct {
+		c     ClassID
+		extra int
+	}
+	arr := h.DefineClass(Class{Name: "Arr", IsArray: true})
+	shapes := []shape{
+		{h.DefineClass(Class{Name: "N0", Data: 8}), 0},
+		{h.DefineClass(Class{Name: "N1", Refs: 1, Data: 8}), 0},
+		{h.DefineClass(Class{Name: "N3", Refs: 3, Data: 16}), 0},
+		{h.DefineClass(Class{Name: "N7", Refs: 7}), 0},
+		{arr, 2}, {arr, 10}, {arr, 100},
+	}
+	var ids []HandleID
+	carved := 0
+	for round := 0; round < 30; round++ {
+		ids = ids[:0]
+		for i := 0; i < 60; i++ {
+			s := shapes[i%len(shapes)]
+			id, err := h.Alloc(s.c, s.extra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range h.NumRefSlots(id) {
+				h.SetRef(id, j, id)
+			}
+			ids = append(ids, id)
+		}
+		if round == 0 {
+			carved = len(h.slab)
+		} else if len(h.slab) != carved {
+			t.Fatalf("round %d: slab at %d slots, %d after the first round", round, len(h.slab), carved)
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		for _, id := range ids {
+			h.Free(id)
+		}
+	}
+}

@@ -12,8 +12,12 @@
 # if it inlines vm.(*Thread).Call into raytrace's recursive shade: one
 # sample in three did, and that build ran every raytrace and mtrt cell
 # 20-35 % slower (DESIGN.md §5 "The forest lives in the record"). The
-# sample is a coin; run pgo.sh again. `bash pgo.sh --check` runs only the
-# check, against the committed profile.
+# sample is a coin; run pgo.sh again. It also exits 1 unless the profile
+# inlines the allocation path whole: vm.(*Frame).alloc into (*Frame).New
+# and heap.(*Heap).Alloc into (*Frame).alloc. Both sit at the hot budget's
+# edge, and a handle-table change that costs Heap.Alloc a few nodes more
+# drops the first. `bash pgo.sh --check` runs only the checks, against
+# the committed profile.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 tmp="$(mktemp -d)"
@@ -28,6 +32,25 @@ check() {
     exit 1
   fi
   echo "pgo.sh: the profile does not inline Thread.Call into shade"
+  inlined 'vm.(*Frame).alloc' 'vm.(*Frame).New' '(*Frame).alloc'
+  inlined 'heap.(*Heap).Alloc' 'vm.(*Frame).alloc' 'heap.(*Heap).Alloc'
+}
+
+# inlined CALLEE CALLER NAME exits 1 unless -m reports "inlining call to
+# NAME" at every site where the hot budget let repro/internal/CALLEE into
+# repro/internal/CALLER, and there is at least one such site.
+inlined() {
+  local sites
+  sites="$(grep -F "for call repro/internal/$1 (cost" "$tmp/inline.txt" |
+    grep -F " in function repro/internal/$2" | sed -E 's/.* at ([^ ]+) in function .*/\1/' | sort -u || true)"
+  for site in $sites; do
+    grep -qF "$site: inlining call to $3" "$tmp/inline.txt" || sites=""
+  done
+  if [ -z "$sites" ]; then
+    echo "pgo.sh: cmd/cgrun/default.pgo does not inline $1 into $2; rerun pgo.sh, or cut the callee's cost" >&2
+    exit 1
+  fi
+  echo "pgo.sh: the profile inlines $1 into $2"
 }
 
 if [ "${1:-}" = "--check" ]; then
