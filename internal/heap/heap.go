@@ -29,9 +29,29 @@ type Class struct {
 // headerBytes models the JVM object header.
 const headerBytes = 8
 
-// extHeads bounds the extent lengths the ref slab recycles: a freed
-// extent of extHeads slots or more is orphaned rather than listed.
+// extHeads bounds the extent lengths the ref slab lists one by one: a
+// length of extHeads slots or more shares a list with the lengths its
+// capacity class holds (extList).
 const extHeads = 1024
+
+// extLists counts the slab's free lists: one per length below extHeads
+// (list 0 goes unused) and eight per doubling above it, up to maxSlab.
+const extLists = extHeads + 28<<3
+
+// extList names the free list for extents of n slots and the slots each
+// extent on it spans. A length below extHeads has a list of its own and
+// spans just its length. A longer one is rounded up to the next capacity
+// with three bits below its leading one — at most an eighth more — so
+// extents of any lengths in one class serve each other, and a churn of
+// long objects carves no more than its peak of live ones in each class.
+func extList(n int) (list, span int) {
+	if n < extHeads {
+		return n, n
+	}
+	shift := bits.Len(uint(n-1)) - 4 // n-1 has 10 to 31 bits
+	q := (n - 1) >> shift            // its leading four bits: 8 to 15
+	return extHeads + shift<<3 + q - 8, (q + 1) << shift
+}
 
 // maxSlab bounds the shared ref slab so extent offsets (and off+len
 // sums) fit the int32 fields of the handle record.
@@ -119,16 +139,18 @@ type Heap struct {
 	// on extFree[refLen], and an allocation of n slots pops extFree[n]
 	// before it carves a fresh extent off the slab's tail, so in steady
 	// state Alloc/Reinit/Free perform no Go allocation and the mark phase
-	// walks contiguous memory. It is reserved at slot 0 and one slot per
-	// refBytes of arena, what live slots can ever use; extents waiting
-	// on the list of a length no one allocates, and orphaned ones of
-	// extHeads slots or more, can carve past that, and then it doubles
-	// on the Go heap.
+	// walks contiguous memory. Lengths of extHeads slots or more are
+	// listed by capacity class instead (extList). It is reserved at slot
+	// 0 and one slot per refBytes of arena, what live slots can ever
+	// use; extents waiting on the list of a length no one allocates,
+	// and the rounding of long ones, can carve past that, and then it
+	// doubles on the Go heap.
 	slab []HandleID
-	// extFree[n] heads the list of free n-slot extents: the offset of
-	// the first one's first slot, 0 when the list is empty. Each
-	// extent's first slot holds the next one's offset the same way.
-	extFree [extHeads]int32
+	// extFree[extList(n)] heads the list of free extents for n slots:
+	// the offset of the first one's first slot, 0 when the list is
+	// empty. Each extent's first slot holds the next one's offset the
+	// same way.
+	extFree [extLists]int32
 	arena   *Arena
 	stats   Stats
 	// liveBits is the live set word-packed, maintained by Alloc/Free:
@@ -323,29 +345,42 @@ func (h *Heap) bindRefs(hd *handle, nrefs int) {
 	h.carve(hd, nrefs)
 }
 
-// carve is bindRefs' cold half: it binds hd to nrefs fresh slots off the
-// slab tail. Reused capacity may hold stale refs; Grow clears what it
-// uncovers. Past its reservation the slab doubles: free extents wait on
-// the list of their own length, so arena bytes do not bound the slots
-// carved.
+// carve is bindRefs' cold half: it binds hd to a free extent from the
+// capacity class of a long length, else to a fresh extent off the slab
+// tail that spans what its list's extents span. An extent of 256 slots or
+// more starts on a 64-byte boundary: clearing 2 KiB or more at an address
+// that is not 8-byte aligned runs up to ten times slower on amd64.
+// Reused capacity may hold stale refs; Grow clears what it uncovers.
+// Past its reservation the slab doubles: free extents wait on the list of
+// their own length, so arena bytes do not bound the slots carved.
 //
 //go:noinline
 func (h *Heap) carve(hd *handle, nrefs int) {
+	list, span := extList(nrefs)
+	if off := h.extFree[list]; off != 0 {
+		h.extFree[list] = int32(h.slab[off])
+		clearRefs(h.slab[off : off+int32(nrefs)])
+		hd.refOff = off
+		return
+	}
 	off := len(h.slab)
-	if off+nrefs > maxSlab {
+	if span >= 256 {
+		off = (off + 15) &^ 15
+	}
+	if off+span > maxSlab {
 		panic("heap: ref slab exceeds 2^31 slots")
 	}
-	h.slab = Grow(h.slab, off+nrefs, min(2*cap(h.slab), maxSlab))
+	h.slab = Grow(h.slab, off+span, min(2*cap(h.slab), maxSlab))
 	hd.refOff = int32(off)
 }
 
 // freeRefs pushes hd's extent on the free list for its length. Empty
-// extents hold nothing, and extents of extHeads slots or more are
-// orphaned.
+// extents hold nothing.
 func (h *Heap) freeRefs(hd *handle) {
-	if n := hd.refLen; n > 0 && n < extHeads {
-		h.slab[hd.refOff] = HandleID(h.extFree[n])
-		h.extFree[n] = hd.refOff
+	if n := int(hd.refLen); n > 0 {
+		list, _ := extList(n)
+		h.slab[hd.refOff] = HandleID(h.extFree[list])
+		h.extFree[list] = hd.refOff
 	}
 }
 
@@ -427,9 +462,8 @@ func (h *Heap) Compact() bool {
 // touching the allocator ("instead of having to free each object … we
 // only update a pointer"). The extent keeps its original size (first-fit
 // allows internal fragmentation); it must be at least as big as the new
-// instance requires. A slab extent of the new length stays in place;
-// one of another length goes to its free list and a fitting one is
-// bound.
+// instance requires. The slab extent goes to its free list and one for
+// the new length is bound: the same one, if the length is unchanged.
 func (h *Heap) Reinit(id HandleID, c ClassID, extra int) error {
 	hd := h.h(id)
 	need, nrefs, err := h.footprint(c, extra)
@@ -440,12 +474,8 @@ func (h *Heap) Reinit(id HandleID, c ClassID, extra int) error {
 		return fmt.Errorf("heap: recycled extent of %d bytes too small for %d", size, need)
 	}
 	hd.cls = c + 1
-	if nrefs == int(hd.refLen) {
-		clearRefs(h.refs(hd))
-	} else {
-		h.freeRefs(hd)
-		h.bindRefs(hd, nrefs)
-	}
+	h.freeRefs(hd)
+	h.bindRefs(hd, nrefs)
 	h.stats.Allocs++
 	h.stats.BytesAlloc += uint64(need)
 	return nil

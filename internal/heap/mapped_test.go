@@ -253,8 +253,8 @@ var residentPages func(b []byte) int
 // the mapping, starting on a page or inside one, ending inside the
 // mapping or at its end) or clears a Go slice (a slice from outside the
 // table, a table with mapping switched off, and a table grown past its
-// reservation, as the ref slab is by orphaned extents — whose Go memory
-// must be cleared, never handed back).
+// reservation, as the ref slab is by extents waiting on lists no
+// allocation pops — whose Go memory must be cleared, never handed back).
 func TestDecommitLeavesZeros(t *testing.T) {
 	const n = 5000 // 20 000 bytes: four pages and a part, on 4 KiB pages
 	fill := func(s []uint32) {

@@ -21,10 +21,11 @@ import (
 // table never moves and past its length it is zero, so growing it is a
 // re-slice. Where there is no mapping — the builds mapped_other.go
 // serves, a host that refuses one, or an index past the bound (the ref
-// slab's orphaned extents) — the table is a Go slice and grows by
-// Grow's rule. The mapping is unmapped once the Table is unreachable,
-// or at once by Release or by a Reserve that needs a larger one. T must
-// hold no Go pointer: the Go collector does not scan a mapping.
+// slab's free extents of lengths no one allocates) — the table is a Go
+// slice and grows by Grow's rule. The mapping is unmapped once the
+// Table is unreachable, or at once by Release or by a Reserve that needs
+// a larger one. T must hold no Go pointer: the Go collector does not
+// scan a mapping.
 type Table[T any] struct {
 	s     []T             // the table; where it lies in m, zero past its length
 	m     []T             // the mapping, at its full capacity; nil where there is none

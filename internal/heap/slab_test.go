@@ -24,7 +24,9 @@ func (m *slabModel) free(id HandleID) { delete(m.refs, id) }
 // reference model after every step. This is the property the slab
 // refactor must preserve: extent sharing and recycling are invisible —
 // no stale value from a previous occupant of an extent may ever leak
-// into a fresh object's slots.
+// into a fresh object's slots. One array in eight is long, with lengths
+// on both sides of extHeads, so extents are also recycled across the
+// lengths of a capacity class.
 func TestSlabMatchesPerSliceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	h := New(1 << 20)
@@ -35,6 +37,15 @@ func TestSlabMatchesPerSliceModel(t *testing.T) {
 		h.DefineClass(Class{Name: "Arr", Refs: 0, Data: 0, IsArray: true}),
 	}
 	nrefsOf := func(c ClassID, extra int) int { return h.ClassDef(c).Refs + extra }
+	extraOf := func(c ClassID) int {
+		switch {
+		case !h.ClassDef(c).IsArray:
+			return 0
+		case rng.Intn(8) == 0:
+			return extHeads - 24 + rng.Intn(160)
+		}
+		return rng.Intn(6)
+	}
 
 	model := &slabModel{refs: make(map[HandleID][]HandleID)}
 	var live []HandleID
@@ -92,10 +103,7 @@ func TestSlabMatchesPerSliceModel(t *testing.T) {
 		case op < 4 || len(live) == 0: // alloc
 			ci := rng.Intn(len(classes))
 			c := classes[ci]
-			extra := 0
-			if h.ClassDef(c).IsArray {
-				extra = rng.Intn(6)
-			}
+			extra := extraOf(c)
 			id, err := h.Alloc(c, extra)
 			if err != nil {
 				t.Fatalf("step %d: alloc: %v", step, err)
@@ -111,10 +119,7 @@ func TestSlabMatchesPerSliceModel(t *testing.T) {
 			id := randLive()
 			ci := rng.Intn(len(classes))
 			c := classes[ci]
-			extra := 0
-			if h.ClassDef(c).IsArray {
-				extra = rng.Intn(6)
-			}
+			extra := extraOf(c)
 			if InstanceSize(h.ClassDef(c), extra) > h.SizeOf(id) {
 				continue
 			}
@@ -226,7 +231,8 @@ func TestHeapResetObservablyFresh(t *testing.T) {
 // and frees them all in a random order — carves the slab in its first
 // round and never again: each freed extent waits on the list for its
 // length, which the next round's allocation of that length pops, in
-// whatever handle slot it lands.
+// whatever handle slot it lands. Among the shapes is an array longer
+// than extHeads.
 func TestSteadyChurnCarvesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := New(1 << 20)
@@ -240,7 +246,7 @@ func TestSteadyChurnCarvesNothing(t *testing.T) {
 		{h.DefineClass(Class{Name: "N1", Refs: 1, Data: 8}), 0},
 		{h.DefineClass(Class{Name: "N3", Refs: 3, Data: 16}), 0},
 		{h.DefineClass(Class{Name: "N7", Refs: 7}), 0},
-		{arr, 2}, {arr, 10}, {arr, 100},
+		{arr, 2}, {arr, 10}, {arr, 100}, {arr, 2000},
 	}
 	var ids []HandleID
 	carved := 0
@@ -266,5 +272,48 @@ func TestSteadyChurnCarvesNothing(t *testing.T) {
 		for _, id := range ids {
 			h.Free(id)
 		}
+	}
+}
+
+// TestLongExtentsRecycleByClass: a churn of one long array at a time,
+// of a random length from 1024 to 8191 slots, carves at most one extent
+// per capacity class — 25 classes, none of them more than an eighth
+// longer than any length it serves, each carved on a 16-slot boundary —
+// and, once each class has carved its extent, nothing more.
+func TestLongExtentsRecycleByClass(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	h := New(1 << 20)
+	arr := h.DefineClass(Class{Name: "Arr", IsArray: true})
+	spans := map[int]int{} // list -> span
+	bound := 1             // slot 0
+	for n := extHeads; n < 8192; n++ {
+		list, span := extList(n)
+		if span < n || span > n+n/8 || list < extHeads || list >= extLists {
+			t.Fatalf("extList(%d) = %d, %d", n, list, span)
+		}
+		if s, ok := spans[list]; ok && s != span {
+			t.Fatalf("list %d spans %d and %d", list, s, span)
+		} else if !ok {
+			spans[list] = span
+			bound += 15 + span
+		}
+	}
+	if len(spans) != 25 {
+		t.Fatalf("%d classes between 1024 and 8191 slots, want 25", len(spans))
+	}
+	var settled int
+	for i := 0; i < 4000; i++ {
+		id, err := h.Alloc(arr, extHeads+rng.Intn(8192-extHeads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetRef(id, h.NumRefSlots(id)-1, id)
+		h.Free(id)
+		if i == 2000 {
+			settled = len(h.slab)
+		}
+	}
+	if len(h.slab) > bound || len(h.slab) != settled {
+		t.Fatalf("slab at %d slots, %d after 2000 rounds; one extent per class is %d", len(h.slab), settled, bound)
 	}
 }
