@@ -1,12 +1,17 @@
 package repro
 
 import (
+	"io"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/collectors"
+	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/heap"
+	"repro/internal/obs"
+	"repro/internal/results"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -108,4 +113,44 @@ func runCell(rt *vm.Runtime, spec workload.Spec, size int) (oom any) {
 	defer func() { oom = recover() }()
 	spec.Run(rt, size)
 	return nil
+}
+
+// TestSweepGrowthBudget pins what the default demographic grid costs the
+// Go heap when it runs in process on one worker, as cgsweep runs it. The
+// 40 cells allocate little of their own (TestColdCellGrowthBudget); the
+// rest is the tape cache's. Seven rows record and keep a tape, seventeen
+// record 4096 ops and decline, and a recorder's streams are reused from
+// one recording to the next, so the declined rows grow no fresh buffers
+// (DESIGN.md §12). The grid allocates at most 3.0 MB (it reads 2.6; a
+// fresh recorder per recording read 3.9 and ran a Go GC), and the tape
+// verdicts stay 7 recorded, 17 declined and 6 replays.
+func TestSweepGrowthBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful unraced")
+	}
+	figs, err := experiments.DemographicFigs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &obs.Progress{}
+	local := results.Local{Eng: engine.New(1).SetProgress(prog), Obs: prog}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := experiments.Sweep(local, figs, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+
+	allocated := after.TotalAlloc - before.TotalAlloc
+	s := prog.Snapshot()
+	t.Logf("default grid: allocated %.2f MB on the Go heap, %d GC cycles; tapes %d recorded, %d declined, %d replays",
+		float64(allocated)/1e6, after.NumGC-before.NumGC, s.TapesRecorded, s.TapesDeclined, s.TapeReplays)
+	if allocated > 3_000_000 {
+		t.Errorf("default grid allocated %d bytes on the Go heap, budget is 3.0 MB", allocated)
+	}
+	if s.CellsComputed != 40 || s.TapesRecorded != 7 || s.TapesDeclined != 17 || s.TapeReplays != 6 {
+		t.Errorf("default grid: %d cells computed, %d tapes recorded, %d declined, %d replays; want 40, 7, 17, 6",
+			s.CellsComputed, s.TapesRecorded, s.TapesDeclined, s.TapeReplays)
+	}
 }

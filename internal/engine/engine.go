@@ -206,18 +206,17 @@ func exec(job Job, rt *vm.Runtime, tc *tapeCache, p *obs.Progress) (res Result) 
 		} else {
 			var rec *tape.Recorder
 			if recording && i == 0 {
-				rec = tape.NewRecorder(rt, tape.Meta{
+				rec = tc.recorder(rt, tape.Meta{
 					Workload:  job.Workload,
 					Size:      job.Size,
 					Threads:   spec.Threads(job.Size),
 					HeapBytes: spec.HeapBytes(job.Size),
 				})
-				rec.MaxOps(maxTapedOps)
 			}
 			spec.Run(rt, job.Size)
 			if rec != nil {
 				recording = false
-				if t := rec.Finish(); t != nil {
+				if t := tc.finish(rec); t != nil {
 					// The run completed without error, so the tape is a
 					// full recording: publish now and replay the
 					// remaining repeats from it — they share the one tape.

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/tape"
+	"repro/internal/vm"
 )
 
 // tapeKey identifies a recorded event stream. A tape is a pure
@@ -32,6 +33,31 @@ type tapeCache struct {
 	// right now, or for good by a recording that reached maxTapedOps —
 	// the row is declined, and every cell of it drives.
 	claimed map[tapeKey]bool
+	// recorders holds spent *tape.Recorders. A declined row records
+	// maxTapedOps ops before it gives up; reusing the streams it grew
+	// keeps every later recording from growing its own.
+	recorders sync.Pool
+}
+
+// recorder attaches a recorder to the fresh runtime rt, reusing a spent
+// one when the pool has it, and bounds it by maxTapedOps.
+func (tc *tapeCache) recorder(rt *vm.Runtime, meta tape.Meta) *tape.Recorder {
+	rec, ok := tc.recorders.Get().(*tape.Recorder)
+	if ok {
+		rec.Restart(rt, meta)
+	} else {
+		rec = tape.NewRecorder(rt, meta)
+	}
+	rec.MaxOps(maxTapedOps)
+	return rec
+}
+
+// finish seals rec's recording (nil if it was declined) and returns the
+// recorder to the pool. A recorder whose run panicked never gets here.
+func (tc *tapeCache) finish(rec *tape.Recorder) *tape.Tape {
+	t := rec.Finish()
+	tc.recorders.Put(rec)
+	return t
 }
 
 // maxTapedOps is the one admission rule: a recording that reaches this

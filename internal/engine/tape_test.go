@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/obs"
+	"repro/internal/tape"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -273,6 +274,57 @@ func TestOneAdmissionRuleForEveryEntry(t *testing.T) {
 	if got := counters(p); got != [3]int64{1, 0, 3} || tapeDriveCount.Load() != 1 {
 		t.Errorf("one job, four repeats: recorded/declined/replays %v, driver ran %d times; want [1 0 3], 1",
 			got, tapeDriveCount.Load())
+	}
+}
+
+// TestReusedRecordersPublishFreshTapes: the cache hands spent recorders
+// from one recording to the next, across rows and workers. Short
+// tape-count rows (under 1k ops) interleave with long ones (over 6k
+// ops, declined) on four workers, so a recorder that abandoned a long
+// row records a short one and the other way round; every published tape
+// must hash like a fresh recorder's recording of its row. A recorder
+// whose run panicked never goes back to the pool.
+func TestReusedRecordersPublishFreshTapes(t *testing.T) {
+	spec, err := workload.ByName("tape-count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	for s := 1; s <= 8; s++ {
+		sizes = append(sizes, 50+s, s)
+	}
+	p := &obs.Progress{}
+	eng := New(4).SetProgress(p)
+	eng.Do(len(sizes), func(i int) {
+		eng.ExecRelease(Job{Workload: "tape-count", Size: sizes[i], Collector: "cg", HeapBytes: 1 << 22}, func(r Result) {
+			if r.Err != nil {
+				t.Errorf("size %d: %v", sizes[i], r.Err)
+			}
+		})
+	})
+	if s := p.Snapshot(); s.TapesRecorded != 8 || s.TapesDeclined != 8 {
+		t.Fatalf("%d rows recorded, %d declined; want 8, 8", s.TapesRecorded, s.TapesDeclined)
+	}
+	for size := 1; size <= 8; size++ {
+		rt := vm.New(heap.New(1<<22), vm.None())
+		rec := tape.NewRecorder(rt, tape.Meta{
+			Workload: "tape-count", Size: size, Threads: spec.Threads(size), HeapBytes: spec.HeapBytes(size),
+		})
+		spec.Run(rt, size)
+		want := tape.Hash(rec.Finish())
+		if got := tape.Hash(eng.tapes.tapes[tapeKey{"tape-count", size}]); got != want {
+			t.Errorf("size %d: cached tape %s, a fresh recorder's %s", size, got[:12], want[:12])
+		}
+	}
+
+	eng = New(1)
+	eng.ExecRelease(Job{Workload: panicWorkload, Size: 1, Collector: "cg", HeapBytes: 1 << 20}, func(r Result) {
+		if r.Err == nil {
+			t.Error("the panicking cell reported no error")
+		}
+	})
+	if rec := eng.tapes.recorders.Get(); rec != nil {
+		t.Error("the recorder of a run that panicked went back to the pool")
 	}
 }
 

@@ -172,8 +172,10 @@ func (p *Program) Bind(rt *vm.Runtime) *Exec {
 		statics:  make(map[string]int),
 		MaxSteps: 100_000_000,
 	}
-	for name, c := range p.classes {
-		e.classes[name] = rt.Heap.DefineClass(heap.Class{
+	// Declaration order, not map order: ClassIDs, and so a recorded
+	// tape's class table, must not vary from run to run.
+	for _, c := range p.unit.Classes {
+		e.classes[c.Name] = rt.Heap.DefineClass(heap.Class{
 			Name: c.Name, Refs: c.Refs, Data: c.Data, IsArray: c.IsArray,
 		})
 	}

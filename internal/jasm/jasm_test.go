@@ -428,3 +428,33 @@ end
 		t.Fatal("callee did not see both arguments")
 	}
 }
+
+// TestBindDefinesClassesInDeclarationOrder: ClassIDs follow the source,
+// so every run of a program — and every tape recorded from it — has the
+// same class table.
+func TestBindDefinesClassesInDeclarationOrder(t *testing.T) {
+	src := `
+class Zeta refs 1 data 8
+class Alpha data 16
+class Mid[] array
+class Beta refs 2
+
+method main
+  ret
+end
+`
+	prog, err := AssembleSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"Zeta", "Alpha", "Mid[]", "Beta"}
+	for run := 0; run < 10; run++ {
+		rt := vm.New(heap.New(1<<16), vm.None())
+		prog.Bind(rt)
+		for i, name := range want {
+			if got := rt.Heap.ClassDef(heap.ClassID(i)).Name; got != name {
+				t.Fatalf("run %d: class %d is %q, want %q (declaration order)", run, i, got, name)
+			}
+		}
+	}
+}

@@ -257,6 +257,25 @@ func TestBadSpecIsRejectedAtAdmission(t *testing.T) {
 	}
 }
 
+// TestOffGridSizeIsRejectedAtAdmission: a cell's size is 1, 10 or 100.
+// Any other is a 400 before anything runs, so no client can add rows to
+// the engine's tape cache, which keeps one tape per (workload, size) for
+// the server's lifetime.
+func TestOffGridSizeIsRejectedAtAdmission(t *testing.T) {
+	_, cl, prog := newTestServer(t)
+	w := workload.All()[0].Name
+	for _, size := range []int{2, 0, -1, 1000} {
+		spec := Spec{Cells: []CellSpec{{Workload: w, Size: size, Collector: "cg"}}}
+		if _, err := cl.Sweep(spec, &bytes.Buffer{}); err == nil ||
+			!strings.Contains(err.Error(), "400") {
+			t.Errorf("size %d: err = %v, want 400", size, err)
+		}
+	}
+	if s := prog.Snapshot(); s.CellsTotal != 0 || s.CellsComputed != 0 || s.TapesRecorded != 0 || s.TapesDeclined != 0 {
+		t.Errorf("rejected specs reached the pipeline: %+v", s)
+	}
+}
+
 // TestDrainFinishesStreamsAndRefusesNew pins the graceful-shutdown
 // contract: after Drain, new sweeps get 503 and health reports
 // draining, but a session admitted before the drain runs to completion

@@ -69,13 +69,19 @@ func (c CellSpec) Job() engine.Job {
 
 // Jobs validates every explicit cell against the registries (a bad
 // workload or collector spec is a 400 at admission, not a mid-stream
-// error event) and returns the job list.
+// error event) and returns the job list. A cell's size must be one of
+// SPEC's 1, 10 and 100: the engine keeps one event tape per (workload,
+// size) row for as long as the server runs, so an open size axis would
+// let clients grow that cache without bound.
 func (s Spec) Jobs() ([]engine.Job, error) {
 	if len(s.Cells) == 0 {
 		return nil, nil
 	}
 	jobs := make([]engine.Job, len(s.Cells))
 	for i, c := range s.Cells {
+		if c.Size != 1 && c.Size != 10 && c.Size != 100 {
+			return nil, fmt.Errorf("serve: cell %d: size %d, want 1, 10 or 100", i, c.Size)
+		}
 		job := c.Job()
 		if _, err := results.Key(job); err != nil {
 			return nil, fmt.Errorf("serve: cell %d: %w", i, err)
