@@ -2,8 +2,7 @@
 // benchmark analogs at SPEC size 100 (or any -size) under two or more
 // collectors resolved from their specs, head to head, and reports wall
 // time, GC cycles and the speedup of the first collector over the last.
-// It replaces the old underscore-hidden cmd/_t100_main.go scratch tool,
-// now wired to the sharded execution engine: the whole
+// It runs on the sharded execution engine, so the whole
 // (benchmark × collector) matrix runs concurrently under -workers.
 //
 // Absolute times under -workers N > 1 include scheduling contention —

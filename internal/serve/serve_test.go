@@ -276,6 +276,32 @@ func TestOffGridSizeIsRejectedAtAdmission(t *testing.T) {
 	}
 }
 
+// TestRepeatsOutOfRangeAreRejectedAtAdmission: a cell asks for 0 to
+// maxRepeats runs. A count outside that is a 400 before anything runs,
+// so no client can hold an executor with one huge Repeats; the bound
+// itself is admitted.
+func TestRepeatsOutOfRangeAreRejectedAtAdmission(t *testing.T) {
+	_, cl, prog := newTestServer(t)
+	w := workload.All()[0].Name
+	for _, reps := range []int{-1, maxRepeats + 1, 1000000000} {
+		spec := Spec{Cells: []CellSpec{{Workload: w, Size: 1, Collector: "cg", Repeats: reps}}}
+		if _, err := cl.Sweep(spec, &bytes.Buffer{}); err == nil ||
+			!strings.Contains(err.Error(), "400") {
+			t.Errorf("repeats %d: err = %v, want 400", reps, err)
+		}
+	}
+	if s := prog.Snapshot(); s.CellsTotal != 0 || s.CellsComputed != 0 {
+		t.Errorf("rejected specs reached the pipeline: %+v", s)
+	}
+	spec := Spec{Cells: []CellSpec{{Workload: w, Size: 1, Collector: "cg", Repeats: maxRepeats}}}
+	if _, err := cl.Sweep(spec, &bytes.Buffer{}); err != nil {
+		t.Fatalf("repeats %d: %v", maxRepeats, err)
+	}
+	if s := prog.Snapshot(); s.CellsComputed != 1 {
+		t.Errorf("repeats %d: %d cells computed, want 1", maxRepeats, s.CellsComputed)
+	}
+}
+
 // TestDrainFinishesStreamsAndRefusesNew pins the graceful-shutdown
 // contract: after Drain, new sweeps get 503 and health reports
 // draining, but a session admitted before the drain runs to completion

@@ -67,12 +67,19 @@ func (c CellSpec) Job() engine.Job {
 	}
 }
 
+// maxRepeats is the most repeats one cell may ask for: the 20 runs a
+// size-1 timing figure averages, the most any figure uses.
+const maxRepeats = 20
+
 // Jobs validates every explicit cell against the registries (a bad
 // workload or collector spec is a 400 at admission, not a mid-stream
 // error event) and returns the job list. A cell's size must be one of
 // SPEC's 1, 10 and 100: the engine keeps one event tape per (workload,
 // size) row for as long as the server runs, so an open size axis would
-// let clients grow that cache without bound.
+// let clients grow that cache without bound. Its repeats must lie in
+// [0, maxRepeats]: the engine runs a cell that many times on one
+// executor, so an unbounded count would hold that executor for as long
+// as the client likes.
 func (s Spec) Jobs() ([]engine.Job, error) {
 	if len(s.Cells) == 0 {
 		return nil, nil
@@ -81,6 +88,9 @@ func (s Spec) Jobs() ([]engine.Job, error) {
 	for i, c := range s.Cells {
 		if c.Size != 1 && c.Size != 10 && c.Size != 100 {
 			return nil, fmt.Errorf("serve: cell %d: size %d, want 1, 10 or 100", i, c.Size)
+		}
+		if c.Repeats < 0 || c.Repeats > maxRepeats {
+			return nil, fmt.Errorf("serve: cell %d: repeats %d, want 0 to %d", i, c.Repeats, maxRepeats)
 		}
 		job := c.Job()
 		if _, err := results.Key(job); err != nil {

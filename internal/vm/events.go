@@ -103,9 +103,8 @@ type Events struct {
 func (ev Events) Events() Events { return ev }
 
 // Collector is anything that can describe its event subscriptions as an
-// Events table: every collector implementation, and Events itself. It
-// replaces the old five-method event interface — the single method runs
-// once at attach, never per event.
+// Events table: every collector implementation, and Events itself. Its
+// single method runs once, at attach, never per event.
 type Collector interface {
 	Events() Events
 }

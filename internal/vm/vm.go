@@ -381,8 +381,8 @@ func (rt *Runtime) SetGCEvery(n uint64) {
 func (rt *Runtime) GCEvery() uint64 { return rt.gcEvery }
 
 // step counts one runtime operation and fires the periodic forced
-// collection used by the resetting experiment. The countdown replaces
-// the modulo the instrumentation check used to cost on every event.
+// collection used by the resetting experiment. It counts down instead
+// of taking a modulo, so an event pays compares and a decrement, no divide.
 func (rt *Runtime) step() {
 	rt.instr++
 	if rt.countdown != 0 {
