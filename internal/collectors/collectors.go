@@ -125,17 +125,16 @@ func (s Spec) Factory() (Factory, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
+	var f Factory
 	switch s.Base {
 	case "cg":
 		cfg := core.DefaultConfig()
 		for _, m := range s.Mods {
-			switch m {
+			switch m { // "packed" selects nothing: §3.5's word is CG's one layout
 			case "checked":
 				cfg.Checked = true
 			case "noopt":
 				cfg.StaticOpt = false
-			case "packed":
-				cfg.Packed = true // identity only: selects nothing (core.Config.Packed)
 			case "recycle":
 				cfg.Recycle = true
 			case "reset":
@@ -144,14 +143,21 @@ func (s Spec) Factory() (Factory, error) {
 				cfg.TypedRecycle = true
 			}
 		}
-		return func() vm.Events { return core.New(cfg).Events() }, nil
+		f = func() vm.Events { return core.New(cfg).Events() }
 	case "gen":
-		return func() vm.Events { return gengc.New().Events() }, nil
+		f = func() vm.Events { return gengc.New().Events() }
 	case "msa":
-		return func() vm.Events { return msa.NewSystem().Events() }, nil
+		f = func() vm.Events { return msa.NewSystem().Events() }
 	default: // "none", the one base left in families
-		return vm.None, nil
+		f = vm.None
 	}
+	// Every table is named by its canonical spelling, what cgrun prints.
+	name := s.String()
+	return func() vm.Events {
+		ev := f()
+		ev.Name = name
+		return ev
+	}, nil
 }
 
 // Parse resolves spec to a validated factory. The factory may be called

@@ -45,24 +45,24 @@ func TestCGModifiersCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Name encodes the active variants (core.CG.Name's convention).
+	// Name is the canonical spec, naming every active variant.
 	n := col.Name
 	if !strings.Contains(n, "recycle") || !strings.Contains(n, "reset") {
 		t.Fatalf("cg+recycle+reset built %q", n)
 	}
 }
 
-// TestEventNamesParse: the name a collector gives its event table —
-// what cgrun prints — is itself a spec, for every spec the grammar
-// enumerates.
-func TestEventNamesParse(t *testing.T) {
-	for _, spec := range AllSpecs() {
+// TestEventNameIsCanonical: the name of a collector's event table —
+// what cgrun prints — is the canonical spelling of its spec, for every
+// spec the grammar enumerates and for modifiers given out of order.
+func TestEventNameIsCanonical(t *testing.T) {
+	for _, spec := range append(AllSpecs(), "cg+noopt+recycle", "cg+reset+recycle+typed") {
 		ev, err := New(spec)
 		if err != nil {
 			t.Fatalf("New(%q): %v", spec, err)
 		}
-		if _, err := Parse(ev.Name); err != nil {
-			t.Errorf("New(%q).Name = %q does not parse: %v", spec, ev.Name, err)
+		if want, _ := Canonical(spec); ev.Name != want {
+			t.Errorf("New(%q).Name = %q, want %q", spec, ev.Name, want)
 		}
 	}
 }

@@ -51,9 +51,6 @@ type Config struct {
 	// live object's dependent frame from actual reachability, undoing
 	// accumulated conservativeness.
 	ResetOnGC bool
-	// Packed selects nothing: §3.5's packed word is the one layout CG has
-	// (objMeta.link). "cg+packed" stays a spec for the stored keys.
-	Packed bool
 	// Checked makes CG verify, on every event, that the touched objects
 	// are not on the tainted (known-dead) list (§3.1.4). A violation is
 	// a collector or runtime bug and panics.
@@ -272,29 +269,12 @@ func New(cfg Config) *CG {
 	return &CG{cfg: cfg}
 }
 
-// Name spells out the active variant configuration as a collector
-// spec (internal/collectors).
-func (c *CG) Name() string {
-	n := "cg"
-	if c.cfg.Recycle {
-		n += "+recycle"
-	}
-	if c.cfg.ResetOnGC {
-		n += "+reset"
-	}
-	if !c.cfg.StaticOpt {
-		n += "+noopt"
-	}
-	return n
-}
-
 // Events implements vm.Collector: CG subscribes every slot, declares
 // the recycling fallback capability only when §3.7 recycling is
 // configured, and demands unelided access events only when the
 // cfg.Checked taint assurance needs to see every touch.
 func (c *CG) Events() vm.Events {
 	ev := vm.Events{
-		Name:      c.Name(),
 		Attach:    c.Attach,
 		Detach:    c.detach,
 		Alloc:     c.OnAlloc,

@@ -681,44 +681,6 @@ func TestSnapshotBuckets(t *testing.T) {
 	}
 }
 
-// TestPackedVariantAgrees: Config.Packed is a spelling — the §3.5 packed
-// word is the only layout — so both settings behave as one on a
-// deterministic workload.
-func TestPackedVariantAgrees(t *testing.T) {
-	run := func(packed bool) Stats {
-		rt, cg, node := newRT(t, Config{StaticOpt: true, Packed: packed, Checked: true}, 1<<20)
-		th := rt.NewThread(2)
-		rng := rand.New(rand.NewSource(5))
-		var recent []heap.HandleID
-		for i := 0; i < 50; i++ {
-			th.CallVoid(2, func(f *vm.Frame) {
-				for j := 0; j < 40; j++ {
-					o := f.MustNew(node)
-					recent = append(recent, o)
-					if len(recent) > 30 {
-						recent = recent[1:]
-					}
-					if len(recent) >= 2 && rng.Intn(3) == 0 {
-						a, b := recent[rng.Intn(len(recent))], recent[rng.Intn(len(recent))]
-						if !cg.IsTainted(a) && !cg.IsTainted(b) {
-							f.PutField(a, rng.Intn(2), b)
-						}
-					}
-				}
-			})
-			recent = recent[:0]
-		}
-		return cg.Stats()
-	}
-	wide, packed := run(false), run(true)
-	if wide != packed {
-		t.Fatalf("representations diverge:\nwide:   %+v\npacked: %+v", wide, packed)
-	}
-	if wide.Popped == 0 {
-		t.Fatal("degenerate workload collected nothing")
-	}
-}
-
 // TestCheckedCatchesTaintedTouch: the §3.1.4 tainted-list assurance.
 func TestCheckedCatchesTaintedTouch(t *testing.T) {
 	rt, _, node := newRT(t, checkedCfg(), 1<<16)
@@ -816,7 +778,7 @@ func recycleCell(t *testing.T, rt *vm.Runtime, cfg Config) (*CG, map[recycleKey]
 func TestRecycleListOrder(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the pooled tables in core's pool
 	for _, cfg := range []Config{{StaticOpt: true, Recycle: true}, {StaticOpt: true, TypedRecycle: true}} {
-		name := New(cfg).Name()
+		name := "cg+recycle"
 		if cfg.TypedRecycle {
 			name += "+typed"
 		}
@@ -953,28 +915,28 @@ func TestRecycleListsSurviveCompaction(t *testing.T) {
 		}
 		for k, l := range lists {
 			if got := read(k); !slices.Equal(got, l) {
-				t.Fatalf("%s: list %v reads %v after Compact, want %v", cg.Name(), k, got, l)
+				t.Fatalf("%+v: list %v reads %v after Compact, want %v", cfg, k, got, l)
 			}
 		}
 		for o, size := range sizes {
 			if !h.Live(o) || h.SizeOf(o) != size {
-				t.Fatalf("%s: recycled object %d lost its %d-byte extent in the move", cg.Name(), o, size)
+				t.Fatalf("%+v: recycled object %d lost its %d-byte extent in the move", cfg, o, size)
 			}
 		}
 		mid := h.DefineClass(heap.Class{Name: "Mid", Refs: 8}) // 40 B: best fit is B's 80-byte class
 		k := recycleKey{0, heap.SizeClass(80)}
 		l := lists[k]
 		if o, ok := cg.AllocFallback(mid, 0); !ok || o != l[len(l)-1] {
-			t.Fatalf("%s: AllocFallback after Compact = %d, %v; want %d", cg.Name(), o, ok, l[len(l)-1])
+			t.Fatalf("%+v: AllocFallback after Compact = %d, %v; want %d", cfg, o, ok, l[len(l)-1])
 		}
 		waiting -= sizes[l[len(l)-1]]
 		before := h.Arena().InUse()
 		cg.FlushRecycle()
 		if freed := before - h.Arena().InUse(); freed != waiting {
-			t.Fatalf("%s: FlushRecycle after Compact freed %d bytes, %d were waiting", cg.Name(), freed, waiting)
+			t.Fatalf("%+v: FlushRecycle after Compact freed %d bytes, %d were waiting", cfg, freed, waiting)
 		}
 		if h.Stats().Compactions != 1 {
-			t.Fatalf("%s: %d compactions counted, want 1", cg.Name(), h.Stats().Compactions)
+			t.Fatalf("%+v: %d compactions counted, want 1", cfg, h.Stats().Compactions)
 		}
 	}
 }

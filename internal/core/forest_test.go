@@ -105,7 +105,7 @@ func (m *forestModel) compare(t *testing.T, c *CG, when string) {
 // without a returned object, forced collection cycles — through a CG and
 // a unionfind.DSU side by side and compares them after every step that
 // changes the partition. The DSU never hears about rank ceilings, slots
-// or the link encoding; both spellings of the layout and the resetting
+// or the link encoding; the plain and the resetting
 // variant must match it.
 func TestForestAgreesWithDSU(t *testing.T) {
 	for _, tc := range []struct {
@@ -113,7 +113,6 @@ func TestForestAgreesWithDSU(t *testing.T) {
 		cfg  Config
 	}{
 		{"cg", Config{StaticOpt: true, Checked: true}},
-		{"cg+packed", Config{StaticOpt: true, Packed: true, Checked: true}},
 		{"cg+reset", Config{StaticOpt: true, ResetOnGC: true, Checked: true}},
 	} {
 		for seed := int64(1); seed <= 4; seed++ {

@@ -78,8 +78,8 @@ func TestMappedRecordsHoldNoPointers(t *testing.T) {
 			wantOld = len(cg.meta)
 		}
 		if len(cg.meta) < 3000 || len(cg.oldFrames) != wantOld || unsafe.SliceData(cg.meta) != meta || unsafe.SliceData(cg.oldFrames) != old {
-			t.Fatalf("%s: meta and oldFrames at %d and %d records (want oldFrames at %d), or one moved",
-				cg.Name(), len(cg.meta), len(cg.oldFrames), wantOld)
+			t.Fatalf("%+v: meta and oldFrames at %d and %d records (want oldFrames at %d), or one moved",
+				cfg, len(cg.meta), len(cg.oldFrames), wantOld)
 		}
 	}
 }

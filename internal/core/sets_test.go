@@ -308,7 +308,7 @@ func TestSetsStayConsistentOverAnalogs(t *testing.T) {
 	for _, spec := range workload.All() {
 		for _, cfg := range []Config{
 			{StaticOpt: true, Checked: true},
-			{StaticOpt: true, Recycle: true, ResetOnGC: true, Packed: true, Checked: true},
+			{StaticOpt: true, Recycle: true, ResetOnGC: true, Checked: true},
 		} {
 			name := spec.Name + "/cg"
 			if cfg.Recycle {

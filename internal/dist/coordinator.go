@@ -175,7 +175,6 @@ func (c *Coordinator) acquire() (*worker, int, chan reply, error) {
 // said hello, with the first failure of the rest.
 func (c *Coordinator) spawnAll() ([]*worker, error) {
 	procs := max(c.Procs, 1)
-	c.Obs.EnsureWorkers(procs)
 	ws := make([]*worker, procs)
 	errs := make([]error, procs)
 	var wg sync.WaitGroup
@@ -245,8 +244,7 @@ func (c *Coordinator) read(w *worker, dec *json.Decoder) {
 		ok = ok && resp.Type == "result" && resp.Outcome != nil
 		if ok {
 			delete(w.calls, resp.ID)
-			c.Obs.SetWorkerBusy(w.id, len(w.calls))
-			c.Obs.AddWorkerDone(w.id)
+			c.Obs.WorkerDone(w.id, len(w.calls))
 			c.cond.Broadcast()
 		}
 		c.mu.Unlock()

@@ -318,13 +318,11 @@ func (e *Engine) Do(n int, fn func(i int)) {
 		workers = n
 	}
 	p := e.progress
-	p.EnsureWorkers(workers)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			p.SetWorkerBusy(0, 1)
 			fn(i)
-			p.SetWorkerBusy(0, 0)
-			p.AddWorkerDone(0)
+			p.WorkerDone(0, 0)
 		}
 		return
 	}
@@ -337,8 +335,7 @@ func (e *Engine) Do(n int, fn func(i int)) {
 			for i := range idx {
 				p.SetWorkerBusy(w, 1)
 				fn(i)
-				p.SetWorkerBusy(w, 0)
-				p.AddWorkerDone(w)
+				p.WorkerDone(w, 0)
 			}
 		}(w)
 	}

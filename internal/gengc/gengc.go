@@ -120,13 +120,9 @@ var genTablePool = sync.Pool{New: func() any { return new(genTables) }}
 // The side tables are drawn from the pool at Attach, not here.
 func New() *System { return &System{} }
 
-// Name identifies the collector in experiment output: its spec, "gen".
-func (g *System) Name() string { return "gen" }
-
 // Events implements vm.Collector.
 func (g *System) Events() vm.Events {
 	return vm.Events{
-		Name:      g.Name(),
 		Attach:    g.Attach,
 		Detach:    g.detach,
 		Alloc:     g.OnAlloc,

@@ -98,6 +98,26 @@ func TestAssembleErrors(t *testing.T) {
 	}
 }
 
+// TestCountsAreBounded: a count or size in the source is input, so one
+// outside its range is a line-numbered parse error, never an
+// allocation sized by it. A method may declare vm.MaxLocals locals (the
+// JVM's u2 max_locals) and no more.
+func TestCountsAreBounded(t *testing.T) {
+	for src, want := range map[string]string{
+		"class C\nmethod main locals 1099511627776\nend": "jasm:2: locals count 1099511627776 outside [0, 65535]",
+		"method main locals -1\nend":                     "jasm:1: locals count -1 outside",
+		"class C refs 4294967296\nmethod main\nend":      "jasm:1: ref count 4294967296 outside",
+		"\nclass C data -8\nmethod main\nend":            "jasm:2: data size -8 outside",
+	} {
+		if _, err := ParseSource(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: %v, want an error containing %q", src, err, want)
+		}
+	}
+	if _, err := ParseSource("method main locals 65535\nend"); err != nil {
+		t.Errorf("vm.MaxLocals locals: %v", err)
+	}
+}
+
 // TestWorkedExampleInJasm encodes the Figure 2.1/2.2 program in assembly
 // and checks the final CG classification: E is static and, because
 // contamination cannot be undone, A-D are static too.

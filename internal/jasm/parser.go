@@ -1,6 +1,11 @@
 package jasm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/heap"
+	"repro/internal/vm"
+)
 
 // Parse turns a token stream into a Unit. Grammar (newline-separated):
 //
@@ -49,6 +54,17 @@ func (p *Parse) expectInt(what string) (int, error) {
 		return 0, p.errf(t.Line, "expected %s, got %s", what, t)
 	}
 	return t.Int, nil
+}
+
+// expectCount is expectInt for a count or size read from input, which
+// must lie in [0, max] before anything is sized by it.
+func (p *Parse) expectCount(what string, max int) (int, error) {
+	line := p.peek().Line
+	n, err := p.expectInt(what)
+	if err == nil && (n < 0 || n > max) {
+		err = p.errf(line, "%s %d outside [0, %d]", what, n, max)
+	}
+	return n, err
 }
 
 func (p *Parse) endOfStmt() error {
@@ -112,11 +128,11 @@ func (p *Parse) classDecl() (ClassDecl, error) {
 		case "array":
 			c.IsArray = true
 		case "refs":
-			if c.Refs, err = p.expectInt("ref count"); err != nil {
+			if c.Refs, err = p.expectCount("ref count", heap.MaxArenaBytes); err != nil {
 				return c, err
 			}
 		case "data":
-			if c.Data, err = p.expectInt("data size"); err != nil {
+			if c.Data, err = p.expectCount("data size", heap.MaxArenaBytes); err != nil {
 				return c, err
 			}
 		default:
@@ -135,7 +151,7 @@ func (p *Parse) method() (MethodDecl, error) {
 	m := MethodDecl{Name: name.Text, Line: kw.Line}
 	if p.peek().Kind == TokIdent && p.peek().Text == "locals" {
 		p.next()
-		if m.Locals, err = p.expectInt("locals count"); err != nil {
+		if m.Locals, err = p.expectCount("locals count", vm.MaxLocals); err != nil {
 			return m, err
 		}
 	}

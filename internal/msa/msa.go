@@ -312,13 +312,9 @@ type System struct {
 // NewSystem returns an unattached baseline system; pass it to vm.New.
 func NewSystem() *System { return &System{} }
 
-// Name identifies the system in experiment output.
-func (s *System) Name() string { return "msa" }
-
 // Events implements vm.Collector.
 func (s *System) Events() vm.Events {
 	return vm.Events{
-		Name:      "msa",
 		Attach:    s.Attach,
 		Detach:    s.detach,
 		Collect:   s.Collect,

@@ -11,13 +11,13 @@ import (
 // aggregate into the "(other)" lane instead of growing without bound.
 func TestProgressLanes(t *testing.T) {
 	p := &Progress{}
-	p.LaneSubmitted("bob", 4)
-	p.LaneComputed("bob")
-	p.LaneStored("bob")
-	p.LaneDeduped("bob")
-	p.LaneSubmitted("alice", 2)
-	p.LaneComputed("alice")
-	p.LaneSubmitted("", 100) // anonymous: no lane
+	p.Submitted("bob", 4)
+	p.Computed("bob")
+	p.Stored("bob")
+	p.Deduped("bob")
+	p.Submitted("alice", 2)
+	p.Computed("alice")
+	p.Submitted("", 100) // anonymous: no lane
 
 	s := p.Snapshot()
 	if len(s.Lanes) != 2 {
@@ -32,7 +32,7 @@ func TestProgressLanes(t *testing.T) {
 
 	// Overflow the table: everything past maxLanes lands in "(other)".
 	for i := 0; i < maxLanes+10; i++ {
-		p.LaneSubmitted(fmt.Sprintf("client-%03d", i), 1)
+		p.Submitted(fmt.Sprintf("client-%03d", i), 1)
 	}
 	s = p.Snapshot()
 	if len(s.Lanes) != maxLanes+1 {

@@ -21,8 +21,9 @@
 //     GOMAXPROCS, go version and load averages, stamped into stored
 //     outcomes so a wall-clock measurement is meaningful after the
 //     fact (which machine, how loaded).
-//   - Progress (progress.go): live counters for a running sweep (cells
-//     stored/computed/in-flight, per-worker utilization, queue depth).
+//   - Progress (progress.go): the live ledger of a running sweep
+//     (per-client cell lanes, whose sums are the cell totals; queue
+//     and in-flight gauges; tape verdicts; per-worker utilization).
 //     The child package obshttp serves them as a JSON snapshot next to
 //     net/http/pprof on -debug-addr; this package imports no network
 //     code (TestNoNetworkImports), because internal/vm imports it and

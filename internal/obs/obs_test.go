@@ -183,23 +183,24 @@ func TestProvenanceCapture(t *testing.T) {
 // TestProgressCounters exercises the nil-safety and the snapshot copy.
 func TestProgressCounters(t *testing.T) {
 	var nilP *Progress
-	nilP.AddTotal(1) // must not panic
+	nilP.Submitted("", 1) // must not panic
 	nilP.SetWorkerBusy(0, 1)
 	if s := nilP.Snapshot(); s.CellsTotal != 0 {
 		t.Fatal("nil progress must snapshot as zero")
 	}
 
 	p := &Progress{}
-	p.AddTotal(10)
-	p.AddStored(3)
-	p.AddComputed(2)
-	p.SetQueued(4)
-	p.SetInFlight(1)
-	p.EnsureWorkers(2)
+	p.Submitted("", 10)
+	for i := 0; i < 3; i++ {
+		p.Stored("")
+	}
+	p.Computed("")
+	p.Computed("")
+	p.SetGauges(4, 1)
 	p.SetWorkerLabel(1, "hostb:42")
-	p.SetWorkerBusy(1, 1)
-	p.AddWorkerDone(1)
-	p.AddWorkerDone(7) // out of range: ignored
+	p.SetWorkerBusy(1, 2)
+	p.WorkerDone(1, 1)
+	p.WorkerDone(7, 0) // out of range: ignored
 	s := p.Snapshot()
 	if s.CellsTotal != 10 || s.CellsStored != 3 || s.CellsComputed != 2 ||
 		s.CellsInFlight != 1 || s.QueueDepth != 4 {

@@ -15,9 +15,10 @@ import (
 // JSON snapshot, and the pprof index answers.
 func TestDebugServerServesSnapshotAndPprof(t *testing.T) {
 	p := &obs.Progress{}
-	p.AddTotal(7)
-	p.AddComputed(3)
-	p.EnsureWorkers(1)
+	p.Submitted("", 7)
+	for i := 0; i < 3; i++ {
+		p.Computed("")
+	}
 	p.SetWorkerLabel(0, "w0")
 	srv, err := Serve("127.0.0.1:0", p)
 	if err != nil {

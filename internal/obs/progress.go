@@ -1,42 +1,27 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Progress is the live counter set of a running sweep: cell totals,
-// store hits, computed cells, queue depth and in-flight count, plus
+// Progress is the live counter set of a running sweep: per-client cell
+// lanes, queue depth and in-flight count, tape verdicts, and
 // per-worker utilization. Cell-grained — every update happens at job
-// boundaries, never on an event or cycle path — so plain atomics and
-// one small mutex for the worker table are plenty. All methods are
+// boundaries, never on an event or cycle path — so one mutex over the
+// snapshot types themselves is plenty. All methods are
 // nil-receiver-safe: call sites thread an optional *Progress through
 // without guarding.
+//
+// The lanes are the one cell ledger. Each outcome is booked once, in
+// its client's lane; Snapshot sums the lanes into the cell totals, so
+// a total and the lanes can never disagree.
 type Progress struct {
-	total, stored, computed, deduped, inFlight, queued atomic.Int64
-	tapesRecorded, tapesDeclined, tapeReplays          atomic.Int64
-
-	mu      sync.Mutex
-	workers []workerState
-	lanes   map[string]*laneState
-}
-
-type workerState struct {
-	label string
-	busy  int64
-	done  int64
-}
-
-// laneState is one client's slice of a shared sweep server: how many
-// cells it submitted and how each was satisfied. Lanes are the fairness
-// ledger — a server snapshot shows exactly which client's sweeps the
-// engine is spending its executions on.
-type laneState struct {
-	submitted int64 // cells this client asked for
-	computed  int64 // executed by the engine on this client's behalf
-	stored    int64 // served from the shared results store
-	deduped   int64 // attached to another client's in-flight cell
+	mu    sync.Mutex
+	s     ProgressSnapshot         // gauges, tape counters, workers; no cell totals
+	anon  LaneSnapshot             // the "" client's lane: summed, never listed
+	lanes map[string]*LaneSnapshot // named lanes: at most maxLanes, plus OtherLane
 }
 
 // maxLanes bounds the lane table on a long-running server: clients
@@ -48,210 +33,109 @@ const maxLanes = 128
 // clients have been seen.
 const OtherLane = "(other)"
 
-// AddTotal adds n cells to the expected total (one batch submission).
-func (p *Progress) AddTotal(n int) {
-	if p == nil {
-		return
+// update runs f on the state under the lock; a nil p does nothing.
+func (p *Progress) update(f func()) {
+	if p != nil {
+		p.mu.Lock()
+		f()
+		p.mu.Unlock()
 	}
-	p.total.Add(int64(n))
 }
 
-// AddStored counts a cell served from the results store.
-func (p *Progress) AddStored(n int) {
-	if p == nil {
-		return
-	}
-	p.stored.Add(int64(n))
-}
-
-// AddComputed counts a cell actually computed (locally or by a worker
-// process).
-func (p *Progress) AddComputed(n int) {
-	if p == nil {
-		return
-	}
-	p.computed.Add(int64(n))
-}
-
-// AddDeduped counts a cell delivered by attaching to another client's
-// in-flight computation (neither stored nor recomputed).
-func (p *Progress) AddDeduped(n int) {
-	if p == nil {
-		return
-	}
-	p.deduped.Add(int64(n))
-}
-
-// lane returns client's lane state, creating it under the cap. Callers
-// hold p.mu. Empty client names have no lane.
-func (p *Progress) lane(client string) *laneState {
-	if client == "" {
-		return nil
-	}
-	if p.lanes == nil {
-		p.lanes = make(map[string]*laneState)
-	}
-	l, ok := p.lanes[client]
-	if !ok {
-		if len(p.lanes) >= maxLanes {
-			client = OtherLane
-			if l, ok = p.lanes[client]; ok {
-				return l
+// book adds d to client's lane, creating the lane under the cap; the
+// "" client is the anonymous lane.
+func (p *Progress) book(client string, d LaneSnapshot) {
+	p.update(func() {
+		l := &p.anon
+		if client != "" {
+			l = p.lanes[client]
+		}
+		if l == nil {
+			if len(p.lanes) >= maxLanes {
+				client = OtherLane
+			}
+			if l = p.lanes[client]; l == nil {
+				if p.lanes == nil {
+					p.lanes = make(map[string]*LaneSnapshot)
+				}
+				l = &LaneSnapshot{Client: client}
+				p.lanes[client] = l
 			}
 		}
-		l = &laneState{}
-		p.lanes[client] = l
-	}
-	return l
+		l.add(&d)
+	})
 }
 
-// LaneSubmitted counts n cells submitted by client (no-op for the empty
-// client name, so anonymous one-shot requests never grow the table).
-func (p *Progress) LaneSubmitted(client string, n int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if l := p.lane(client); l != nil {
-		l.submitted += int64(n)
-	}
+// Submitted counts n cells submitted by client ("" for an anonymous
+// session, which counts toward the totals but is never listed).
+func (p *Progress) Submitted(client string, n int) {
+	p.book(client, LaneSnapshot{Submitted: int64(n)})
 }
 
-// LaneComputed counts one cell computed on client's behalf — the cell
-// scheduler calls it beside AddComputed, which is what makes fairness
-// auditable from /progress.
-func (p *Progress) LaneComputed(client string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if l := p.lane(client); l != nil {
-		l.computed++
-	}
-}
+// Computed counts one cell executed on client's behalf (locally or by
+// a worker process), which is what makes fairness auditable.
+func (p *Progress) Computed(client string) { p.book(client, LaneSnapshot{Computed: 1}) }
 
-// LaneStored counts one of client's cells served from the shared store.
-func (p *Progress) LaneStored(client string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if l := p.lane(client); l != nil {
-		l.stored++
-	}
-}
+// Stored counts one of client's cells served from the results store.
+func (p *Progress) Stored(client string) { p.book(client, LaneSnapshot{Stored: 1}) }
 
-// LaneDeduped counts one of client's cells delivered by another
-// client's in-flight computation.
-func (p *Progress) LaneDeduped(client string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if l := p.lane(client); l != nil {
-		l.deduped++
-	}
+// Deduped counts one of client's cells delivered by attaching to
+// another call's in-flight computation (neither stored nor recomputed).
+func (p *Progress) Deduped(client string) { p.book(client, LaneSnapshot{Deduped: 1}) }
+
+// SetGauges records the scheduler's ready-queue depth and how many
+// cells are currently being computed.
+func (p *Progress) SetGauges(queued, inFlight int) {
+	p.update(func() { p.s.QueueDepth, p.s.CellsInFlight = int64(queued), int64(inFlight) })
 }
 
 // TapeRecorded counts one event tape captured by the engine (the first
 // cell of a (workload, size) row drove the workload and recorded it).
-func (p *Progress) TapeRecorded() {
-	if p == nil {
-		return
-	}
-	p.tapesRecorded.Add(1)
-}
+func (p *Progress) TapeRecorded() { p.update(func() { p.s.TapesRecorded++ }) }
 
 // TapeDeclined counts one (workload, size) row whose recording was
 // abandoned as too long to pay: the row is never recorded again and all
 // its cells drive, which is why it shows no replays.
-func (p *Progress) TapeDeclined() {
-	if p == nil {
-		return
-	}
-	p.tapesDeclined.Add(1)
-}
+func (p *Progress) TapeDeclined() { p.update(func() { p.s.TapesDeclined++ }) }
 
 // TapeReplayed counts one repeat served by replaying a cached event
 // tape instead of re-running driver logic.
-func (p *Progress) TapeReplayed() {
-	if p == nil {
-		return
-	}
-	p.tapeReplays.Add(1)
-}
+func (p *Progress) TapeReplayed() { p.update(func() { p.s.TapeReplays++ }) }
 
-// SetQueued records the scheduler's current ready-queue depth.
-func (p *Progress) SetQueued(n int) {
-	if p == nil {
-		return
+// worker returns worker i's slot, growing the table to cover it.
+// Callers hold p.mu.
+func (p *Progress) worker(i int) *WorkerSnapshot {
+	for len(p.s.Workers) <= i {
+		p.s.Workers = append(p.s.Workers, WorkerSnapshot{})
 	}
-	p.queued.Store(int64(n))
-}
-
-// SetInFlight records how many cells are currently being computed.
-func (p *Progress) SetInFlight(n int) {
-	if p == nil {
-		return
-	}
-	p.inFlight.Store(int64(n))
-}
-
-// EnsureWorkers grows the per-worker table to at least n slots.
-func (p *Progress) EnsureWorkers(n int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.workers) < n {
-		p.workers = append(p.workers, workerState{})
-	}
+	return &p.s.Workers[i]
 }
 
 // SetWorkerLabel names worker i in snapshots (a dist worker's host and
 // pid, say).
 func (p *Progress) SetWorkerLabel(i int, label string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if i >= 0 && i < len(p.workers) {
-		p.workers[i].label = label
-	}
+	p.update(func() { p.worker(i).Label = label })
 }
 
 // SetWorkerBusy records worker i's current in-flight cell count.
-func (p *Progress) SetWorkerBusy(i int, busy int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if i >= 0 && i < len(p.workers) {
-		p.workers[i].busy = int64(busy)
-	}
+func (p *Progress) SetWorkerBusy(i, busy int) {
+	p.update(func() { p.worker(i).Busy = int64(busy) })
 }
 
-// AddWorkerDone counts one cell completed by worker i.
-func (p *Progress) AddWorkerDone(i int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if i >= 0 && i < len(p.workers) {
-		p.workers[i].done++
-	}
+// WorkerDone counts one cell completed by worker i, which now has busy
+// cells in flight. A worker that never started is ignored.
+func (p *Progress) WorkerDone(i, busy int) {
+	p.update(func() {
+		if i >= 0 && i < len(p.s.Workers) {
+			p.s.Workers[i].Busy = int64(busy)
+			p.s.Workers[i].Done++
+		}
+	})
 }
 
 // ProgressSnapshot is the JSON-ready copy of a Progress — what the
-// debug endpoint serves.
+// debug endpoint serves. The four cell totals are the sums of every
+// lane, the anonymous one included.
 type ProgressSnapshot struct {
 	CellsTotal    int64            `json:"cells_total"`
 	CellsStored   int64            `json:"cells_stored"`
@@ -285,34 +169,28 @@ type WorkerSnapshot struct {
 	Done  int64  `json:"done"`
 }
 
+// add sums d's four counts into l.
+func (l *LaneSnapshot) add(d *LaneSnapshot) {
+	l.Submitted += d.Submitted
+	l.Computed += d.Computed
+	l.Stored += d.Stored
+	l.Deduped += d.Deduped
+}
+
 // Snapshot copies the current counters. Safe to call concurrently with
 // updates; nil returns the zero snapshot.
-func (p *Progress) Snapshot() ProgressSnapshot {
-	if p == nil {
-		return ProgressSnapshot{}
-	}
-	s := ProgressSnapshot{
-		CellsTotal:    p.total.Load(),
-		CellsStored:   p.stored.Load(),
-		CellsComputed: p.computed.Load(),
-		CellsDeduped:  p.deduped.Load(),
-		CellsInFlight: p.inFlight.Load(),
-		QueueDepth:    p.queued.Load(),
-		TapesRecorded: p.tapesRecorded.Load(),
-		TapesDeclined: p.tapesDeclined.Load(),
-		TapeReplays:   p.tapeReplays.Load(),
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		s.Workers = append(s.Workers, WorkerSnapshot{Label: w.label, Busy: w.busy, Done: w.done})
-	}
-	for client, l := range p.lanes {
-		s.Lanes = append(s.Lanes, LaneSnapshot{
-			Client: client, Submitted: l.submitted,
-			Computed: l.computed, Stored: l.stored, Deduped: l.deduped,
-		})
-	}
+func (p *Progress) Snapshot() (s ProgressSnapshot) {
+	p.update(func() {
+		s = p.s
+		s.Workers = slices.Clone(p.s.Workers)
+		sum := p.anon
+		for _, l := range p.lanes {
+			sum.add(l)
+			s.Lanes = append(s.Lanes, *l)
+		}
+		s.CellsTotal, s.CellsComputed = sum.Submitted, sum.Computed
+		s.CellsStored, s.CellsDeduped = sum.Stored, sum.Deduped
+	})
 	// Map iteration order is random; snapshots sort by client so the
 	// rendered JSON is stable across requests.
 	sort.Slice(s.Lanes, func(i, j int) bool { return s.Lanes[i].Client < s.Lanes[j].Client })

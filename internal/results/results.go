@@ -222,11 +222,9 @@ type Local struct {
 
 // Exec implements Exec.
 func (l Local) Exec(slot int, job engine.Job) (o Outcome) {
-	l.Obs.EnsureWorkers(slot + 1)
 	l.Obs.SetWorkerBusy(slot, 1)
 	l.Eng.ExecRelease(job, func(r engine.Result) { o = Extract(r) })
-	l.Obs.SetWorkerBusy(slot, 0)
-	l.Obs.AddWorkerDone(slot)
+	l.Obs.WorkerDone(slot, 0)
 	return o
 }
 

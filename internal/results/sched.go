@@ -206,8 +206,7 @@ func (sess *Session) Close() {
 func (sess *Session) Run(jobs []engine.Job, emit func(i int, o Outcome)) error {
 	s := sess.s
 	sess.submitted.Add(int64(len(jobs)))
-	s.prog.AddTotal(len(jobs))
-	s.prog.LaneSubmitted(sess.client, len(jobs))
+	s.prog.Submitted(sess.client, len(jobs))
 	ord := NewReorder(len(jobs), emit)
 	var wg sync.WaitGroup
 	wg.Add(len(jobs))
@@ -237,8 +236,7 @@ func (s *Scheduler) submit(sess *Session, key string, job engine.Job, deliver fu
 		c.waiters = append(c.waiters, deliver)
 		s.mu.Unlock()
 		sess.deduped.Add(1)
-		s.prog.AddDeduped(1)
-		s.prog.LaneDeduped(sess.client)
+		s.prog.Deduped(sess.client)
 		return
 	}
 	c := &call{key: key, job: job, sess: sess, waiters: []func(Outcome){deliver}}
@@ -249,7 +247,7 @@ func (s *Scheduler) submit(sess *Session, key string, job engine.Job, deliver fu
 		s.ring = append(s.ring, sess)
 	}
 	s.queued++
-	s.syncGauges()
+	s.prog.SetGauges(s.queued, s.running)
 	s.mu.Unlock()
 	s.cond.Signal()
 }
@@ -279,13 +277,6 @@ func (s *Scheduler) popLocked() *call {
 	return c
 }
 
-// syncGauges mirrors queue depth and in-flight count into the progress
-// surface. Callers hold s.mu.
-func (s *Scheduler) syncGauges() {
-	s.prog.SetQueued(s.queued)
-	s.prog.SetInFlight(s.running)
-}
-
 // executor is one admission slot: it loops taking the fairest next
 // cell and computing it. The store check happens here, on the
 // executor, so cells completed by another session between submit and
@@ -309,7 +300,7 @@ func (s *Scheduler) next() *call {
 	for {
 		if c := s.popLocked(); c != nil {
 			s.running++
-			s.syncGauges()
+			s.prog.SetGauges(s.queued, s.running)
 			return c
 		}
 		if s.closed {
@@ -330,16 +321,14 @@ func (s *Scheduler) compute(slot int, c *call) {
 		if o, _, ok, err := s.store.load(c.key); err == nil && ok {
 			o.Stored = true
 			sess.stored.Add(1)
-			s.prog.AddStored(1)
-			s.prog.LaneStored(sess.client)
+			s.prog.Stored(sess.client)
 			s.finish(c, o)
 			return
 		}
 	}
 	out := s.exec.Exec(slot, c.job)
 	sess.computed.Add(1)
-	s.prog.AddComputed(1)
-	s.prog.LaneComputed(sess.client)
+	s.prog.Computed(sess.client)
 	if s.store != nil {
 		if err := s.store.Put(out); err != nil {
 			// A failed Put degrades the cache, not the stream: the waiters
@@ -360,7 +349,7 @@ func (s *Scheduler) finish(c *call, o Outcome) {
 	waiters := c.waiters
 	c.waiters = nil
 	s.running--
-	s.syncGauges()
+	s.prog.SetGauges(s.queued, s.running)
 	s.mu.Unlock()
 	for _, deliver := range waiters {
 		deliver(o)

@@ -77,20 +77,22 @@ func Decode(b []byte) (*Tape, error) {
 	t.Meta.Size = int(r.uvarint())
 	t.Meta.Threads = int(r.uvarint())
 	t.Meta.HeapBytes = int(r.uvarint())
-	t.classes = make([]heap.Class, r.uvarint())
+	// A class takes at least 4 bytes and a string at least 1, so no
+	// count can size a table past the bytes that would fill it.
+	t.classes = make([]heap.Class, r.upTo((len(body)-r.pos)/4, "class count"))
 	for i := range t.classes {
 		t.classes[i] = heap.Class{
 			Name:    r.str(),
-			Refs:    int(r.uvarint()),
-			Data:    int(r.uvarint()),
-			IsArray: r.byte() != 0,
+			Refs:    r.upTo(heap.MaxArenaBytes, "class refs"),
+			Data:    r.upTo(heap.MaxArenaBytes, "class data"),
+			IsArray: r.upTo(1, "class array flag") == 1,
 		}
 	}
-	t.strings = make([]string, r.uvarint())
+	t.strings = make([]string, r.upTo(len(body)-r.pos, "string count"))
 	for i := range t.strings {
 		t.strings[i] = r.str()
 	}
-	t.allocs = int(r.uvarint())
+	t.allocs = r.upTo(len(body)-r.pos, "allocs")
 	t.ops = r.bytes(int(r.uvarint()))
 	t.args = r.bytes(int(r.uvarint()))
 	if r.err != nil {
@@ -98,6 +100,11 @@ func Decode(b []byte) (*Tape, error) {
 	}
 	if r.pos != len(body) {
 		return nil, fmt.Errorf("tape: %d trailing bytes", len(body)-r.pos)
+	}
+	// Every value-producing op is one op: a replayer sizes its handle
+	// table by allocs.
+	if t.allocs > len(t.ops) {
+		return nil, fmt.Errorf("tape: %d allocs in %d ops", t.allocs, len(t.ops))
 	}
 	for i, op := range t.ops {
 		if op >= numOps {
@@ -150,28 +157,32 @@ func (r *reader) uvarint() uint64 {
 		r.fail("truncated varint")
 		return 0
 	}
+	if n > 1 && r.b[r.pos+n-1] == 0 {
+		// Encode writes the shortest form; a padded one would not
+		// re-encode to the same bytes.
+		r.fail("overlong varint")
+		return 0
+	}
 	r.pos += n
 	return v
 }
 
-func (r *reader) byte() byte {
-	if r.err != nil {
+// upTo reads a varint and fails if it is above max: every count and
+// size is checked before anything is sized by it.
+func (r *reader) upTo(max int, what string) int {
+	v := r.uvarint()
+	if v > uint64(max) {
+		r.fail(fmt.Sprintf("%s %d above %d", what, v, max))
 		return 0
 	}
-	if r.pos >= len(r.b) {
-		r.fail("truncated")
-		return 0
-	}
-	c := r.b[r.pos]
-	r.pos++
-	return c
+	return int(v)
 }
 
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.pos+n > len(r.b) {
+	if n < 0 || n > len(r.b)-r.pos {
 		r.fail("truncated byte run")
 		return nil
 	}

@@ -124,11 +124,11 @@ func (r *Replayer) exec(inBody bool) heap.HandleID {
 			if n := len(r.rt.Threads()); n == vm.MaxThreads {
 				fail("thread %d at op %d: a runtime holds at most %d", n+1, r.pos-1, vm.MaxThreads)
 			}
-			t := r.rt.NewThread(int(r.arg()))
+			t := r.rt.NewThread(r.argUpTo(vm.MaxLocals, errLocals))
 			r.cur = t.Top()
 		case opCall:
 			th := r.thread(int(r.arg()))
-			nlocals := int(r.arg())
+			nlocals := r.argUpTo(vm.MaxLocals, errLocals)
 			th.Call(nlocals, r.bodyFn)
 			r.cur = th.Top()
 		case opReturn:
@@ -138,7 +138,7 @@ func (r *Replayer) exec(inBody bool) heap.HandleID {
 			return r.ref()
 		case opAlloc:
 			c := r.class(int(r.arg()))
-			extra := int(r.arg())
+			extra := r.argUpTo(heap.MaxArenaBytes, errExtra)
 			var id heap.HandleID
 			var err error
 			if extra == 0 {
@@ -163,7 +163,7 @@ func (r *Replayer) exec(inBody bool) heap.HandleID {
 		case opStaticSlot:
 			r.rt.StaticSlot(r.str())
 		case opIntern:
-			si := int(r.arg())
+			si := r.strIndex()
 			c := r.class(int(r.arg()))
 			id, err := r.cur.Intern(r.t.strings[si], c)
 			if err != nil {
@@ -197,12 +197,15 @@ func (r *Replayer) body(f *vm.Frame) heap.HandleID {
 	return r.exec(true)
 }
 
-// errUnderflow and errRefRange are pre-built so arg and ref stay
-// within the inlining budget (panic on a prebuilt value costs the
-// inliner almost nothing; a fail(...) call would not).
+// The pre-built errors keep the operand readers within the
+// inlining budget (panic on a prebuilt value costs the inliner almost
+// nothing; a fail(...) call would not).
 var (
 	errUnderflow = &tapeErr{msg: "operand stream underflow"}
 	errRefRange  = &tapeErr{msg: "ref beyond recorded allocations"}
+	errStrRange  = &tapeErr{msg: "string beyond the string table"}
+	errLocals    = &tapeErr{msg: fmt.Sprintf("nlocals above vm.MaxLocals (%d)", vm.MaxLocals)}
+	errExtra     = &tapeErr{msg: fmt.Sprintf("array length above heap.MaxArenaBytes (%d)", heap.MaxArenaBytes)}
 )
 
 // arg reads the next operand. Inlined into exec's switch.
@@ -223,6 +226,18 @@ func (r *Replayer) ref() heap.HandleID {
 		panic(errRefRange)
 	}
 	return r.table[i]
+}
+
+// argUpTo reads an operand that sizes runtime state and panics with e
+// above max: a frame's locals (vm.MaxLocals) or an array's extra slots
+// (heap.MaxArenaBytes, like a class's fields in Decode, so no instance
+// size overflows and the arena refuses whatever does not fit).
+func (r *Replayer) argUpTo(max uint64, e *tapeErr) int {
+	n := r.arg()
+	if n > max {
+		panic(e)
+	}
+	return int(n)
 }
 
 func (r *Replayer) thread(tid int) *vm.Thread {
@@ -251,10 +266,13 @@ func (r *Replayer) class(ci int) heap.ClassID {
 	return r.classIDs[ci]
 }
 
-func (r *Replayer) str() string {
+// strIndex reads a string-table index.
+func (r *Replayer) strIndex() int {
 	si := r.arg()
 	if si >= uint64(len(r.t.strings)) {
-		fail("string %d out of range (have %d)", si, len(r.t.strings))
+		panic(errStrRange)
 	}
-	return r.t.strings[si]
+	return int(si)
 }
+
+func (r *Replayer) str() string { return r.t.strings[r.strIndex()] }

@@ -17,7 +17,8 @@ import "repro/internal/heap"
 // The zero value subscribes to nothing: it is the "none" collector
 // (plenty-of-storage configuration of §4.5).
 type Events struct {
-	// Name identifies the collector in experiment output.
+	// Name identifies the collector in experiment output;
+	// collectors.Spec.Factory sets it to the canonical spec.
 	Name string
 
 	// Attach, if non-nil, is called once when the descriptor is bound

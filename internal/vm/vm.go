@@ -95,7 +95,6 @@ type Runtime struct {
 	allocFallback func(c heap.ClassID, extra int) (heap.HandleID, bool)
 	collect       func() int
 	detach        func()
-	name          string
 	source        any
 
 	threads     []*Thread
@@ -227,7 +226,6 @@ func (rt *Runtime) Attach(ev Events) {
 		rt.detach()
 	}
 	rt.detach = ev.Detach
-	rt.name = ev.Name
 	rt.source = ev.Collector
 	rt.onAlloc = ev.Alloc
 	rt.onRef = ev.Ref
@@ -250,9 +248,6 @@ func (rt *Runtime) Attach(ev Events) {
 	}
 	rt.SetGCEvery(ev.GCEvery)
 }
-
-// CollectorName reports the bound event table's Name.
-func (rt *Runtime) CollectorName() string { return rt.name }
 
 // Collector returns the concrete collector behind the bound event
 // table (the descriptor's Collector field); nil for the empty table.
@@ -433,6 +428,12 @@ func (rt *Runtime) forceCollect() int {
 // holds a thread ID in one signed byte per object. Every analog runs at
 // most two.
 const MaxThreads = 127
+
+// MaxLocals is the most locals a frame declared by input may hold: the
+// JVM's max_locals is a u2. The frontends that read untrusted input (the
+// jasm parser, the tape replayer) enforce it; Thread.push, on the hot
+// path, trusts its callers.
+const MaxLocals = 65535
 
 // NewThread creates a thread with a root frame holding nlocals locals;
 // thread IDs run 1, 2, ... MaxThreads, and asking for thread 128 panics.

@@ -30,8 +30,8 @@ func TestEveryWorkloadUnderEveryCollector(t *testing.T) {
 		{"cg-reset", func() vm.Collector {
 			return core.New(core.Config{StaticOpt: true, ResetOnGC: true, Checked: true})
 		}},
-		{"cg-packed", func() vm.Collector {
-			return core.New(core.Config{StaticOpt: true, Packed: true, Checked: true})
+		{"cg-packed", func() vm.Collector { // a spelling of cg: §3.5's word is the one layout
+			return core.New(core.Config{StaticOpt: true, Checked: true})
 		}},
 		{"msa", func() vm.Collector { return msa.NewSystem() }},
 		{"gen", func() vm.Collector { return gengc.New() }},
