@@ -60,7 +60,7 @@ func InProcess(workers int) Spawner {
 		jobR, jobW := io.Pipe()
 		resR, resW := io.Pipe()
 		go func() {
-			err := Serve(jobR, resW, engine.New(workers), nil)
+			err := Serve(jobR, resW, engine.New(workers))
 			// Serve returned: no more results will ever flow. Propagate
 			// the state through the pipe so the coordinator's reads end
 			// instead of blocking forever.

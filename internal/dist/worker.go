@@ -19,11 +19,7 @@ import (
 // it, answered the moment its cell completes, on eng's pooled shards
 // with one executor per engine worker. Serve is what cmd/cgworker
 // wraps; tests drive it directly over in-memory pipes.
-//
-// prog, when non-nil, mirrors the worker's live state (per-lane
-// utilization, queue depth, cells computed) for a -debug-addr surface;
-// updates happen only at job boundaries.
-func Serve(r io.Reader, w io.Writer, eng *engine.Engine, prog *obs.Progress) error {
+func Serve(r io.Reader, w io.Writer, eng *engine.Engine) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	var wmu sync.Mutex
@@ -41,7 +37,7 @@ func Serve(r io.Reader, w io.Writer, eng *engine.Engine, prog *obs.Progress) err
 		return fmt.Errorf("dist: worker hello: %w", err)
 	}
 
-	sched := results.NewScheduler(results.Local{Eng: eng, Obs: prog}, nil, prog, capacity)
+	sched := results.NewScheduler(results.Local{Eng: eng}, nil, nil, capacity)
 	sess, _ := sched.OpenSession("") // a fresh scheduler is not draining
 	// The coordinator's window keeps at most capacity jobs unanswered; the
 	// semaphore holds the decode loop to the same bound, so a coordinator

@@ -355,7 +355,7 @@ func (e *Engine) Do(n int, fn func(i int)) {
 // footprint at -workers 1. Like Do's fn, consume must confine its
 // writes to state owned by index i. Every cell drives its program, so
 // Result.Elapsed is the program's time: RunEach runs the timing
-// matrices and t100.
+// matrices.
 func (e *Engine) RunEach(jobs []Job, consume func(i int, r Result)) {
 	e.Do(len(jobs), func(i int) {
 		e.release(jobs[i], nil, func(r Result) { consume(i, r) })

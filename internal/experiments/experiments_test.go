@@ -111,9 +111,7 @@ func rows(s string) [][]string {
 // order, at its real sizes (everyFigure says which it leaves out under
 // -short), and each must render: cgbench exits 0 exactly when they all
 // do. 4.10 and A.7 read jess at size 100, which completes its tight heap
-// under msa only because the heap compacts on exhaustion; 4.10's matrix,
-// every benchmark at size 100 under cg and msa at its tight heap, is
-// also t100's default one.
+// under msa only because the heap compacts on exhaustion.
 func TestEveryFigureRenders(t *testing.T) {
 	want := []string{"2.1", "3.1", "4.1", "4.2", "4.3", "4.4", "4.5", "4.6", "4.7", "4.8", "4.9",
 		"4.10", "4.11", "4.12", "4.13", "A.1", "A.2", "A.3", "A.4", "A.5", "A.6", "A.7"}

@@ -79,9 +79,6 @@ func timeMatrix(eng *engine.Engine, specs []workload.Spec, m matrix) (out series
 	return out
 }
 
-// mean is a series entry's mean wall time, in seconds.
-func mean(ds []time.Duration) float64 { return stats.SummarizeDurations(ds).Mean }
-
 // fig47_48 reproduces Figures 4.7 (size 1) and 4.8 (size 10): mean wall
 // time of the CG system versus the base (traditional-collector-only)
 // system, with the speedup of CG over the base in the rightmost column.
@@ -91,7 +88,7 @@ func fig47_48(specs []workload.Spec, size int) Figure {
 		t := table.New(fmt.Sprintf("Fig %s: timing results, size %d (mean of %d runs, seconds)", id, size, Repeats),
 			"benchmark", "CG", "base", "speedup")
 		for i, s := range specs {
-			cs, bs := mean(got[0].a[i]), mean(got[0].b[i])
+			cs, bs := stats.MeanSeconds(got[0].a[i]), stats.MeanSeconds(got[0].b[i])
 			t.Rowf(s.Name, fmt.Sprintf("%.4f", cs), fmt.Sprintf("%.4f", bs),
 				fmt.Sprintf("%.2f", stats.Speedup(bs, cs)))
 		}
@@ -114,7 +111,7 @@ func fig410(specs []workload.Spec) Figure {
 		for i, s := range specs {
 			row := []any{s.Name}
 			for _, g := range got {
-				row = append(row, fmt.Sprintf("%.2f", stats.Speedup(mean(g.b[i]), mean(g.a[i]))))
+				row = append(row, fmt.Sprintf("%.2f", stats.Speedup(stats.MeanSeconds(g.b[i]), stats.MeanSeconds(g.a[i]))))
 			}
 			t.Rowf(row...)
 		}
@@ -130,7 +127,7 @@ func fig412(specs []workload.Spec) Figure {
 		t := table.New(fmt.Sprintf("Fig 4.12: recycle timing, small runs (mean of %d runs, seconds)", Repeats),
 			"benchmark", "CG", "CG with recycling", "speedup using recycling")
 		for i, s := range specs {
-			ps, rs := mean(got[0].a[i]), mean(got[0].b[i])
+			ps, rs := stats.MeanSeconds(got[0].a[i]), stats.MeanSeconds(got[0].b[i])
 			t.Rowf(s.Name, fmt.Sprintf("%.4f", ps), fmt.Sprintf("%.4f", rs),
 				fmt.Sprintf("%.2f", stats.Speedup(ps, rs)))
 		}

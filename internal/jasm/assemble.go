@@ -161,6 +161,9 @@ type Exec struct {
 	// accidental infinite loops in user programs).
 	Steps    int
 	MaxSteps int
+	// live is the locals of the frames invoke has pushed on the one
+	// thread Run drives, held to vm.MaxLiveLocals.
+	live int
 }
 
 // Bind registers the program's classes and statics on a runtime.
@@ -193,12 +196,23 @@ func (e *Exec) Run() (heap.HandleID, error) {
 }
 
 // invoke runs one method body in a fresh frame. args become the low
-// locals, as the JVM calling convention does.
+// locals, as the JVM calling convention does. Each call nests run on
+// the Go stack, so a call that would take the thread past vm.MaxFrames
+// frames or vm.MaxLiveLocals locals is an error.
 func (e *Exec) invoke(th *vm.Thread, m *Method, args []heap.HandleID) (ret heap.HandleID, err error) {
 	locals := m.Locals
 	if len(args) > locals {
 		locals = len(args)
 	}
+	if th.Depth() >= vm.MaxFrames {
+		return heap.Nil, fmt.Errorf("jasm: call to %s at depth %d: a thread holds at most vm.MaxFrames (%d) frames",
+			m.Name, th.Depth(), vm.MaxFrames)
+	}
+	if e.live+locals > vm.MaxLiveLocals {
+		return heap.Nil, fmt.Errorf("jasm: call to %s: %d live locals above vm.MaxLiveLocals (%d)",
+			m.Name, e.live+locals, vm.MaxLiveLocals)
+	}
+	e.live += locals
 	ret = th.Call(locals, func(f *vm.Frame) heap.HandleID {
 		for i, a := range args {
 			if a != heap.Nil {
@@ -212,6 +226,7 @@ func (e *Exec) invoke(th *vm.Thread, m *Method, args []heap.HandleID) (ret heap.
 		}
 		return r
 	})
+	e.live -= locals
 	return ret, err
 }
 

@@ -98,23 +98,56 @@ func TestAssembleErrors(t *testing.T) {
 	}
 }
 
+// hostileCounts maps sources whose counts or sizes lie outside their
+// bounds to the parse error each must raise.
+var hostileCounts = map[string]string{
+	"class C\nmethod main locals 1099511627776\nend":     "jasm:2: locals count 1099511627776 outside [0, 65535]",
+	"method main locals -1\nend":                         "jasm:1: locals count -1 outside",
+	"class C refs 4294967296\nmethod main\nend":          "jasm:1: ref count 4294967296 outside",
+	"\nclass C data -8\nmethod main\nend":                "jasm:2: data size -8 outside",
+	"method main locals 18446744073709551617\nend":       "jasm:1: integer literal 18446744073709551617 out of range",
+	"method main\ncall main -1\nend":                     "jasm:2: argument count -1 outside [0, 65535]",
+	"method main\ncall main 65536\nend":                  "jasm:2: argument count 65536 outside",
+	"class A[] array\nmethod main\nnewarray A[] -1\nend": "jasm:3: array length -1 outside",
+}
+
 // TestCountsAreBounded: a count or size in the source is input, so one
 // outside its range is a line-numbered parse error, never an
-// allocation sized by it. A method may declare vm.MaxLocals locals (the
-// JVM's u2 max_locals) and no more.
+// allocation sized by it. That includes a literal beyond int, which
+// must not wrap around into range. A method may declare vm.MaxLocals
+// locals (the JVM's u2 max_locals) and no more, and pass as many
+// arguments.
 func TestCountsAreBounded(t *testing.T) {
-	for src, want := range map[string]string{
-		"class C\nmethod main locals 1099511627776\nend": "jasm:2: locals count 1099511627776 outside [0, 65535]",
-		"method main locals -1\nend":                     "jasm:1: locals count -1 outside",
-		"class C refs 4294967296\nmethod main\nend":      "jasm:1: ref count 4294967296 outside",
-		"\nclass C data -8\nmethod main\nend":            "jasm:2: data size -8 outside",
-	} {
+	for src, want := range hostileCounts {
 		if _, err := ParseSource(src); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%q: %v, want an error containing %q", src, err, want)
 		}
 	}
-	if _, err := ParseSource("method main locals 65535\nend"); err != nil {
-		t.Errorf("vm.MaxLocals locals: %v", err)
+	if _, err := ParseSource("method main locals 65535\ncall main 65535\nend"); err != nil {
+		t.Errorf("vm.MaxLocals locals and arguments: %v", err)
+	}
+}
+
+// TestCallDepthIsBounded: every call nests the interpreter on the Go
+// stack, so a program that recurses without end, or whose frames hold
+// too many locals, is an error at vm.MaxFrames frames or
+// vm.MaxLiveLocals locals rather than a fatal stack overflow or an
+// out-of-memory. The step budget is cut to 10,000 so that, were the
+// bounds missing, the first program would end at the budget instead.
+func TestCallDepthIsBounded(t *testing.T) {
+	for src, want := range map[string]string{
+		"method main\ncall main 0\nret\nend":              "jasm: call to main at depth 1024: a thread holds at most vm.MaxFrames (1024) frames",
+		"method main locals 65535\ncall main 0\nret\nend": "jasm: call to main: 196605 live locals above vm.MaxLiveLocals (131070)",
+	} {
+		prog, err := AssembleSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := prog.Bind(vm.New(heap.New(1<<16), vm.None()))
+		ex.MaxSteps = 10_000
+		if _, err := ex.Run(); err == nil || err.Error() != want {
+			t.Errorf("%q: %v, want %q", src, err, want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package jasm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -110,17 +111,13 @@ func Lex(src string) ([]Token, error) {
 			toks = append(toks, Token{Kind: TokStr, Text: sb.String(), Line: line})
 			i = j + 1
 		case c >= '0' && c <= '9' || c == '-' && i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9':
-			j := i
-			if c == '-' {
-				j++
-			}
-			n := 0
+			j := i + 1
 			for j < len(src) && src[j] >= '0' && src[j] <= '9' {
-				n = n*10 + int(src[j]-'0')
 				j++
 			}
-			if c == '-' {
-				n = -n
+			n, err := strconv.Atoi(src[i:j])
+			if err != nil {
+				return nil, fmt.Errorf("jasm:%d: integer literal %s out of range", line, src[i:j])
 			}
 			toks = append(toks, Token{Kind: TokInt, Int: n, Line: line})
 			i = j

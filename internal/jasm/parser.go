@@ -203,7 +203,7 @@ func (p *Parse) instruction() (rawInstr, error) {
 		var c Token
 		if c, err = p.expectIdent("class name"); err == nil {
 			in.name = c.Text
-			in.num, err = p.expectInt("array length")
+			in.num, err = p.expectCount("array length", heap.MaxArenaBytes)
 		}
 	case "load", "store":
 		in.op = map[string]Op{"load": OpLoad, "store": OpStore}[t.Text]
@@ -240,7 +240,8 @@ func (p *Parse) instruction() (rawInstr, error) {
 		var n Token
 		if n, err = p.expectIdent("method name"); err == nil {
 			in.name = n.Text
-			in.num, err = p.expectInt("argument count")
+			// The arguments become the callee's low locals.
+			in.num, err = p.expectCount("argument count", vm.MaxLocals)
 		}
 	case "areturn":
 		in.op = OpARet

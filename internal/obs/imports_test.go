@@ -12,7 +12,7 @@ import (
 // TestNoNetworkImports: internal/vm imports this package, so whatever it
 // imports is linked into every binary that runs a cell. The HTTP surface
 // lives in obshttp; a net or net/http import here would put HTTP, TLS
-// and x509 back into cgrun, cgstats, cgbench and t100.
+// and x509 back into cgrun, cgstats, cgbench and cgworker.
 func TestNoNetworkImports(t *testing.T) {
 	files, err := os.ReadDir(".")
 	if err != nil {

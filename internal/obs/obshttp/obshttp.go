@@ -1,8 +1,8 @@
 // Package obshttp is the HTTP half of the observability layer: the
 // debug/serving surface behind -debug-addr and cgserve. It lives apart
 // from internal/obs because internal/vm imports obs for cycle timelines,
-// and a binary that runs one cell (cgrun, cgstats, cgbench, t100) should
-// not link net/http, TLS and x509 to do it.
+// and a binary that runs cells without serving them (cgrun, cgstats,
+// cgbench, cgworker) should not link net/http, TLS and x509 to do it.
 package obshttp
 
 import (

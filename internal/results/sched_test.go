@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -37,6 +38,37 @@ func TestSchedulerInFlightDedup(t *testing.T) {
 	}
 	if len(s.calls) != 0 || s.running != 0 {
 		t.Fatalf("after finish: %d calls / %d running, want 0 / 0", len(s.calls), s.running)
+	}
+}
+
+// TestSchedulerGaugesReturnToZero runs one session on two executors
+// with a Progress attached, as a worker process runs its jobs: each
+// cell is computed once on an executor lane, and the queue and
+// in-flight gauges are back at zero once the session closes.
+func TestSchedulerGaugesReturnToZero(t *testing.T) {
+	jobs := []engine.Job{
+		{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: engine.TightHeap},
+		{Workload: "db", Size: 1, Collector: "cg", HeapBytes: engine.TightHeap},
+		{Workload: "jess", Size: 1, Collector: "msa", HeapBytes: engine.TightHeap},
+	}
+	prog := &obs.Progress{}
+	s := NewScheduler(Local{Eng: engine.New(2), Obs: prog}, nil, prog, 2)
+	sess, _ := s.OpenSession("")
+	if err := sess.Run(jobs, func(int, Outcome) {}); err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	s.Wait()
+
+	p := prog.Snapshot()
+	n := int64(len(jobs))
+	var done int64
+	for _, w := range p.Workers {
+		done += w.Done
+	}
+	if p.CellsComputed != n || done != n || p.QueueDepth != 0 || p.CellsInFlight != 0 {
+		t.Errorf("after %d jobs: computed %d, lanes done %d, queue %d, in flight %d; want %d, %d, 0, 0",
+			n, p.CellsComputed, done, p.QueueDepth, p.CellsInFlight, n, n)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the small numeric helpers the experiment
-// harness shares: summary statistics over repeated timing runs, speedups
-// and percentages.
+// harness shares: the mean of repeated timing runs, speedups and
+// percentages.
 package stats
 
 import (
@@ -9,52 +9,18 @@ import (
 	"time"
 )
 
-// Summary condenses repeated measurements (the thesis reports five runs
-// per configuration, Appendix A.5–A.7).
-type Summary struct {
-	N    int
-	Mean float64
-	Min  float64
-	Max  float64
-	Std  float64
-}
-
-// Summarize computes a Summary over xs. An empty slice yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
+// MeanSeconds is the mean of repeated wall-clock runs, in seconds (the
+// thesis reports five runs per configuration, Appendix A.5–A.7). An
+// empty slice yields 0.
+func MeanSeconds(ds []time.Duration) float64 {
+	if len(ds) == 0 {
+		return 0
 	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
 	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
+	for _, d := range ds {
+		sum += d.Seconds()
 	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	return s
-}
-
-// SummarizeDurations is Summarize over time.Durations, in seconds.
-func SummarizeDurations(ds []time.Duration) Summary {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = d.Seconds()
-	}
-	return Summarize(xs)
+	return sum / float64(len(ds))
 }
 
 // Speedup reports base/other — the thesis's convention, where a value

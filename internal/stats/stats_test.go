@@ -3,54 +3,23 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
-func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("summary: %+v", s)
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.Std-want) > 1e-12 {
-		t.Fatalf("std = %v, want %v", s.Std, want)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty: %+v", s)
-	}
-	if s := Summarize([]float64{7}); s.N != 1 || s.Std != 0 || s.Mean != 7 {
-		t.Fatalf("single: %+v", s)
-	}
-}
-
-func TestSummarizeDurations(t *testing.T) {
-	s := SummarizeDurations([]time.Duration{time.Second, 3 * time.Second})
-	if s.Mean != 2 {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-}
-
-// TestSummaryBounds property: Min <= Mean <= Max for any input.
-func TestSummaryBounds(t *testing.T) {
-	check := func(xs []float64) bool {
-		for _, x := range xs {
-			// Skip pathological inputs whose sum overflows float64.
-			if math.IsNaN(x) || math.Abs(x) > 1e150 {
-				return true
-			}
+func TestMeanSeconds(t *testing.T) {
+	for _, c := range []struct {
+		ds   []time.Duration
+		want float64
+	}{
+		{nil, 0},
+		{[]time.Duration{7 * time.Second}, 7},
+		{[]time.Duration{time.Second, 3 * time.Second}, 2},
+		{[]time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second}, 2.5},
+		{[]time.Duration{250 * time.Millisecond, 750 * time.Millisecond}, 0.5},
+	} {
+		if got := MeanSeconds(c.ds); got != c.want {
+			t.Errorf("MeanSeconds(%v) = %v, want %v", c.ds, got, c.want)
 		}
-		s := Summarize(xs)
-		if s.N == 0 {
-			return true
-		}
-		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -13,7 +13,6 @@ type Table struct {
 	title   string
 	headers []string
 	rows    [][]string
-	notes   []string
 }
 
 // New creates a table with a title line and column headers.
@@ -48,11 +47,6 @@ func Format(cells ...any) []string {
 		}
 	}
 	return row
-}
-
-// Note appends a footnote line printed under the table.
-func (t *Table) Note(format string, args ...any) {
-	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
 
 // String renders the table.
@@ -104,9 +98,6 @@ func (t *Table) String() string {
 	b.WriteString("\n")
 	for _, r := range t.rows {
 		writeRow(r)
-	}
-	for _, n := range t.notes {
-		fmt.Fprintf(&b, "  %s\n", n)
 	}
 	return b.String()
 }

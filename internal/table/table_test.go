@@ -34,15 +34,6 @@ func TestRowfFormatting(t *testing.T) {
 	}
 }
 
-func TestNotes(t *testing.T) {
-	tb := New("T", "h")
-	tb.Row("r")
-	tb.Note("footnote %d", 7)
-	if !strings.Contains(tb.String(), "footnote 7") {
-		t.Fatal("note not rendered")
-	}
-}
-
 func TestRaggedRows(t *testing.T) {
 	tb := New("", "a")
 	tb.Row("1", "2", "3") // wider than the header

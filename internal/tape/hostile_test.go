@@ -35,8 +35,9 @@ func forge(head []byte, allocs uint64, ops, args []byte) []byte {
 }
 
 // hostile are inputs each of which once killed the process from Decode
-// or replay (an allocation sized by a forged count, or a Go runtime
-// panic out of Run), with what the error must now say.
+// or replay (an allocation sized by a forged count, a Go runtime panic
+// out of Run, or calls nested until the Go stack or the heap ran out),
+// with what the error must now say.
 var hostile = []struct {
 	name, want string
 	enc        []byte
@@ -51,6 +52,20 @@ var hostile = []struct {
 	{"array-length", "array length above", forge(append(uv(1, 1, 'A', 0, 0), 1, 0), 1,
 		[]byte{opNewThread, opAlloc}, uv(0, 0, 1<<61+1))},
 	{"intern-string", "string beyond", forge(uv(0, 0), 0, []byte{opNewThread, opIntern}, uv(0, 7, 0))},
+	{"call-depth", "call depth above vm.MaxFrames (1024)", nestedCalls(vm.MaxFrames, 0)},
+	{"live-locals", "a thread's live locals above vm.MaxLiveLocals (131070)", nestedCalls(3, vm.MaxLocals)},
+}
+
+// nestedCalls forges a tape whose one thread makes n calls, each inside
+// the last and each with nlocals locals, and never returns: every call
+// nests the replayer on the Go stack.
+func nestedCalls(n int, nlocals uint64) []byte {
+	ops, args := []byte{opNewThread}, uv(0)
+	for range n {
+		ops = append(ops, opCall)
+		args = append(args, uv(1, nlocals)...)
+	}
+	return forge(uv(0, 0), 0, ops, args)
 }
 
 // replay runs tp on a fresh 1 MiB runtime with no collector and

@@ -49,6 +49,9 @@ type Replayer struct {
 	pos  int // next opcode in t.ops
 	apos int // next operand in vals
 	cur  *vm.Frame
+	// live is, per thread ID, the locals of the frames opCall pushed and
+	// has not yet returned from.
+	live [vm.MaxThreads + 1]int
 
 	// bodyFn is the one Call body, stored so nested opCall decoding
 	// does not allocate a closure per call.
@@ -100,6 +103,7 @@ func (r *Replayer) Run(rt *vm.Runtime) (err error) {
 	}
 	r.pos, r.apos = 0, 0
 	r.cur = rt.StaticFrame()
+	r.live = [vm.MaxThreads + 1]int{}
 
 	r.exec(false)
 	if r.pos != len(r.t.ops) {
@@ -193,19 +197,41 @@ func (r *Replayer) exec(inBody bool) heap.HandleID {
 // matching opReturn. The frame handed in by Call is the new current
 // frame, exactly as CallBegin re-pointed the recorder's.
 func (r *Replayer) body(f *vm.Frame) heap.HandleID {
-	r.cur = f
-	return r.exec(true)
+	r.cur = r.enter(f)
+	return r.leave(f, r.exec(true))
+}
+
+// enter admits the frame an opCall pushed, and panics once its thread
+// holds more than vm.MaxFrames frames or its calls' frames more than
+// vm.MaxLiveLocals locals: each opCall nests exec on the Go stack.
+func (r *Replayer) enter(f *vm.Frame) *vm.Frame {
+	if f.Depth > vm.MaxFrames {
+		panic(errFrames)
+	}
+	n := &r.live[f.Thread.ID]
+	if *n += f.NumLocals(); *n > vm.MaxLiveLocals {
+		panic(errLiveLocals)
+	}
+	return f
+}
+
+// leave releases f's locals as its body returns ret.
+func (r *Replayer) leave(f *vm.Frame, ret heap.HandleID) heap.HandleID {
+	r.live[f.Thread.ID] -= f.NumLocals()
+	return ret
 }
 
 // The pre-built errors keep the operand readers within the
 // inlining budget (panic on a prebuilt value costs the inliner almost
 // nothing; a fail(...) call would not).
 var (
-	errUnderflow = &tapeErr{msg: "operand stream underflow"}
-	errRefRange  = &tapeErr{msg: "ref beyond recorded allocations"}
-	errStrRange  = &tapeErr{msg: "string beyond the string table"}
-	errLocals    = &tapeErr{msg: fmt.Sprintf("nlocals above vm.MaxLocals (%d)", vm.MaxLocals)}
-	errExtra     = &tapeErr{msg: fmt.Sprintf("array length above heap.MaxArenaBytes (%d)", heap.MaxArenaBytes)}
+	errUnderflow  = &tapeErr{msg: "operand stream underflow"}
+	errRefRange   = &tapeErr{msg: "ref beyond recorded allocations"}
+	errStrRange   = &tapeErr{msg: "string beyond the string table"}
+	errLocals     = &tapeErr{msg: fmt.Sprintf("nlocals above vm.MaxLocals (%d)", vm.MaxLocals)}
+	errExtra      = &tapeErr{msg: fmt.Sprintf("array length above heap.MaxArenaBytes (%d)", heap.MaxArenaBytes)}
+	errFrames     = &tapeErr{msg: fmt.Sprintf("call depth above vm.MaxFrames (%d)", vm.MaxFrames)}
+	errLiveLocals = &tapeErr{msg: fmt.Sprintf("a thread's live locals above vm.MaxLiveLocals (%d)", vm.MaxLiveLocals)}
 )
 
 // arg reads the next operand. Inlined into exec's switch.

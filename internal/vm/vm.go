@@ -435,6 +435,19 @@ const MaxThreads = 127
 // path, trusts its callers.
 const MaxLocals = 65535
 
+// MaxFrames and MaxLiveLocals bound one thread's stack as input drives
+// it: the frames the thread holds, root included, and the locals of the
+// frames its calls pushed. The tape replayer and the jasm interpreter
+// recurse on the Go stack once per call, so without them a forged tape
+// or a self-calling program ends in a fatal stack overflow or an
+// out-of-memory instead of an error. Both frontends enforce them;
+// Thread.Call and Thread.push trust their callers. The deepest analog
+// stack, raytrace's and mtrt's, is 11 frames holding 15 locals.
+const (
+	MaxFrames     = 1024
+	MaxLiveLocals = 2 * MaxLocals
+)
+
 // NewThread creates a thread with a root frame holding nlocals locals;
 // thread IDs run 1, 2, ... MaxThreads, and asking for thread 128 panics.
 // The second thread flips the runtime to multithreaded dispatch: from

@@ -3,7 +3,7 @@
 # (bench_test.go: the 28 collector-matrix cells and one default sweep,
 # which is all the traffic the binaries serve), copied byte for byte
 # beside every main.go. Plain `go build` picks the file up, and equal
-# bytes let the seven builds share one set of dependency objects. Run it
+# bytes let the six builds share one set of dependency objects. Run it
 # after a PR that rewrites a hot path or claims a wall_s gain (DESIGN.md
 # §5 "Profile-guided builds"). The test binary and the raw profile stay
 # in a temporary directory outside the tree.
