@@ -14,26 +14,19 @@
 //	cgsweep -figs 4.1,4.5,4.11            # a subset
 //	cgsweep -procs 4                      # fan cells out to 4 cgworker processes
 //	cgsweep -store cells/                 # persist cells; a rerun skips completed ones
-//	cgsweep -debug-addr localhost:6060    # live pprof + JSON progress while it runs
-//	cgsweep -server http://host:8080      # run the sweep on a cgserve instead
 //
-// With -server the sweep is not run locally at all: the spec is POSTed
-// to a cgserve and the streamed rows are written to stdout as they
-// arrive. The output is byte-identical to a local run of the same
-// figures — the server renders with the same code path — but cells are
-// served from the server's shared cache, deduplicated against other
-// clients' concurrent sweeps, and run on the server's -workers
-// executors. -client names this client in the server's fairness lanes.
+// Each completed figure prints a stderr line — its cell count, how
+// many of those cells this run computed on its account, and the time
+// since the previous figure flushed — and the run closes with a
+// summary: how many figure cells were delivered without being computed
+// (shared with another figure, or read from the store) and how many
+// were computed.
 //
-// -debug-addr serves net/http/pprof and a JSON snapshot (/progress) of
-// the sweep's live state — cells stored/computed/in-flight, queue
-// depth, per-worker utilization — without touching the deterministic
-// stdout stream. Each completed figure also prints a stderr line — its
-// cell count, how many of those cells this run computed on its account,
-// and the time since the previous figure flushed — and the run closes
-// with a summary: how many figure cells were delivered without being
-// computed (shared with another figure, or read from the store) and how
-// many were computed.
+// cgsweep is the batch sweep and links no network code. Running the
+// same sweep on a shared server, and watching a sweep's live progress
+// and profiles, are cgserve's: `cgserve sweep URL` prints what cgsweep
+// prints for the same figures, and the server serves /progress and
+// net/http/pprof.
 //
 // With -store, a killed sweep (power cut, OOM kill, ^C) is restarted
 // with the same command line and completes from where it died: cells
@@ -62,29 +55,8 @@ import (
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/obs"
-	"repro/internal/obs/obshttp"
 	"repro/internal/results"
-	"repro/internal/serve"
 )
-
-// localOnly names the flags that configure a local run; -server runs
-// the sweep on another machine's engine and store and rejects each.
-var localOnly = map[string]bool{
-	"procs": true, "workers": true, "store": true, "worker": true,
-	"debug-addr": true,
-}
-
-// rejectLocalFlags fails on the first flag the command line set that
-// -server cannot honour.
-func rejectLocalFlags(fs *flag.FlagSet) (err error) {
-	fs.Visit(func(f *flag.Flag) {
-		if err == nil && localOnly[f.Name] {
-			err = fmt.Errorf("-server runs the sweep remotely; -%s configures a local run and cannot be combined with -server", f.Name)
-		}
-	})
-	return err
-}
 
 func main() {
 	figsFlag := flag.String("figs", "", "comma-separated figure ids (default: all demographic figures)")
@@ -92,12 +64,6 @@ func main() {
 	workers := flag.Int("workers", 0, "engine workers per process (0 = GOMAXPROCS; with -procs, per child)")
 	storeDir := flag.String("store", "", "results store directory; completed cells are persisted and resumed")
 	workerCmd := flag.String("worker", "", "cgworker binary for -procs (default: beside cgsweep, then $PATH)")
-	debugAddr := flag.String("debug-addr", "",
-		"serve pprof and a JSON progress snapshot on this address (e.g. localhost:6060; empty = off)")
-	server := flag.String("server", "",
-		"run the sweep on a cgserve at this URL (e.g. http://localhost:8080) instead of locally; output is byte-identical")
-	client := flag.String("client", "",
-		"client name reported to -server for its fairness lanes (default: host:pid)")
 	flag.Parse()
 
 	var ids []string
@@ -112,29 +78,7 @@ func main() {
 		fatal(err)
 	}
 
-	if *server != "" {
-		// Server mode: the sweep runs remotely; a flag that configures a
-		// local run is a contradiction, not a no-op.
-		if err := rejectLocalFlags(flag.CommandLine); err != nil {
-			fatal(err)
-		}
-		name := *client
-		if name == "" {
-			host, _ := os.Hostname()
-			name = fmt.Sprintf("%s:%d", host, os.Getpid())
-		}
-		spec := serve.Spec{Client: name, Figs: ids}
-		start := time.Now()
-		stats, err := (&serve.Client{Base: *server}).Sweep(spec, os.Stdout)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "cgsweep: %d cells from %s in %v (%d computed, %d from store, %d deduped in flight)\n",
-			stats.Cells, *server, time.Since(start).Round(time.Millisecond), stats.Computed, stats.Stored, stats.Deduped)
-		return
-	}
-
-	if err := sweep(figs, *procs, *workers, *storeDir, *workerCmd, *debugAddr); err != nil {
+	if err := sweep(figs, *procs, *workers, *storeDir, *workerCmd); err != nil {
 		fatal(err)
 	}
 }
@@ -143,11 +87,7 @@ func main() {
 // in-process engine, or over procs cgworker children when procs > 0,
 // with a store when storeDir is set. It kills and reaps the children
 // before returning.
-func sweep(figs []experiments.SweepFig, procs, workers int, storeDir, workerCmd, debugAddr string) error {
-	// The progress counters exist regardless of -debug-addr: they cost
-	// nothing on hot paths (every update is at a cell boundary).
-	prog := &obs.Progress{}
-
+func sweep(figs []experiments.SweepFig, procs, workers int, storeDir, workerCmd string) error {
 	var exec results.Exec
 	var executors int
 	if procs > 0 {
@@ -162,12 +102,12 @@ func sweep(figs []experiments.SweepFig, procs, workers int, storeDir, workerCmd,
 			perChild = (runtime.GOMAXPROCS(0) + procs - 1) / procs
 		}
 		argv := []string{bin, "-workers", strconv.Itoa(perChild)}
-		coord := &dist.Coordinator{Spawn: dist.Command(argv, os.Stderr), Procs: procs, Obs: prog}
+		coord := &dist.Coordinator{Spawn: dist.Command(argv, os.Stderr), Procs: procs}
 		defer coord.Close()
 		exec, executors = coord, procs*perChild
 	} else {
-		eng := engine.New(workers).SetProgress(prog)
-		exec, executors = results.Local{Eng: eng, Obs: prog}, eng.Workers()
+		eng := engine.New(workers)
+		exec, executors = results.Local{Eng: eng}, eng.Workers()
 	}
 
 	var store *results.Store
@@ -178,16 +118,7 @@ func sweep(figs []experiments.SweepFig, procs, workers int, storeDir, workerCmd,
 		}
 	}
 
-	if debugAddr != "" {
-		srv, err := obshttp.Serve(debugAddr, prog)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "cgsweep: debug endpoint on http://%s\n", srv.Addr())
-	}
-
-	sched := results.NewScheduler(exec, store, prog, executors)
+	sched := results.NewScheduler(exec, store, nil, executors)
 	sess, err := sched.OpenSession("")
 	if err != nil {
 		return err

@@ -13,9 +13,9 @@
 //
 // -workers sets the in-process pool (and the advertised capacity the
 // coordinator's flow-control window uses); it is also what bounds the
-// process's memory, one cell's handle tables per worker. A worker has
-// no debug endpoint and links no net/http: the coordinator's own
-// /progress (cgsweep -debug-addr) shows each worker's lane.
+// process's memory, one cell's handle tables per worker. Like cgsweep,
+// a worker is a batch binary: it has no debug endpoint and links no
+// net/http. A sweep is watched on /progress by running it on a cgserve.
 package main
 
 import (

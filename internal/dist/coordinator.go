@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/results"
 )
 
@@ -50,9 +49,6 @@ type Spawner func(id int) (*Conn, error)
 type Coordinator struct {
 	Spawn Spawner
 	Procs int
-	// Obs, when non-nil, shows each worker's in-flight count and
-	// completions, labelled by its hello's provenance.
-	Obs *obs.Progress
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast when a slot frees, a worker dies or spawning ends
@@ -91,7 +87,7 @@ type reply struct {
 // cells went undelivered because every worker was lost.
 func (c *Coordinator) Run(jobs []engine.Job, emit func(i int, o results.Outcome)) error {
 	defer c.Close()
-	if err := results.RunOnce(c, c.Obs, max(c.Procs, 1)*runtime.GOMAXPROCS(0), jobs, emit); err != nil {
+	if err := results.RunOnce(c, nil, max(c.Procs, 1)*runtime.GOMAXPROCS(0), jobs, emit); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -158,7 +154,6 @@ func (c *Coordinator) acquire() (*worker, int, chan reply, error) {
 					c.nextID++
 					ch := make(chan reply, 1)
 					w.calls[id] = ch
-					c.Obs.SetWorkerBusy(w.id, len(w.calls))
 					return w, id, ch, nil
 				}
 			}
@@ -206,9 +201,6 @@ func (c *Coordinator) dial(id int) (*worker, error) {
 		return nil, fmt.Errorf("dist: worker %d spoke %q proto %d, want hello proto %d",
 			id, hello.Type, hello.Proto, protoVersion)
 	}
-	if p := hello.Prov; p != nil {
-		c.Obs.SetWorkerLabel(id, fmt.Sprintf("%s/%d", p.Host, p.PID))
-	}
 	bw := bufio.NewWriter(conn.W)
 	w := &worker{
 		id: id, conn: conn, capacity: max(hello.Capacity, 1),
@@ -244,7 +236,6 @@ func (c *Coordinator) read(w *worker, dec *json.Decoder) {
 		ok = ok && resp.Type == "result" && resp.Outcome != nil
 		if ok {
 			delete(w.calls, resp.ID)
-			c.Obs.WorkerDone(w.id, len(w.calls))
 			c.cond.Broadcast()
 		}
 		c.mu.Unlock()
@@ -269,7 +260,6 @@ func (c *Coordinator) fail(w *worker, err error) {
 	calls := w.calls
 	w.calls = nil
 	c.lastErr = err
-	c.Obs.SetWorkerBusy(w.id, 0)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	shut(w.conn)

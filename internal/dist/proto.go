@@ -30,14 +30,13 @@ package dist
 
 import (
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/results"
 )
 
 // protoVersion guards against coordinator/worker skew: a hello with a
 // different version aborts the worker connection before any job is
 // lost to a silent schema mismatch.
-// v2: hello grew the worker's provenance; outcomes grew obs/prov.
+// v2: outcomes grew obs/prov.
 const protoVersion = 2
 
 // request is a coordinator→worker message.
@@ -52,7 +51,6 @@ type response struct {
 	Type     string           `json:"type"`            // "hello" | "result"
 	Proto    int              `json:"proto,omitempty"` // hello
 	Capacity int              `json:"capacity,omitempty"`
-	Prov     *obs.Provenance  `json:"prov,omitempty"` // hello: the worker process
-	ID       int              `json:"id"`             // result
+	ID       int              `json:"id"` // result
 	Outcome  *results.Outcome `json:"outcome,omitempty"`
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/results"
 )
 
@@ -32,8 +31,7 @@ func Serve(r io.Reader, w io.Writer, eng *engine.Engine) error {
 		return bw.Flush()
 	}
 	capacity := eng.Workers()
-	prov := obs.Capture(obs.Nanotime())
-	if err := send(response{Type: "hello", Proto: protoVersion, Capacity: capacity, Prov: &prov}); err != nil {
+	if err := send(response{Type: "hello", Proto: protoVersion, Capacity: capacity}); err != nil {
 		return fmt.Errorf("dist: worker hello: %w", err)
 	}
 

@@ -25,9 +25,9 @@
 //     (per-client cell lanes, whose sums are the cell totals; queue
 //     and in-flight gauges; tape verdicts; per-worker utilization).
 //     The child package obshttp serves them as a JSON snapshot next to
-//     net/http/pprof on -debug-addr; this package imports no network
-//     code (TestNoNetworkImports), because internal/vm imports it and
-//     one-cell binaries should not link an HTTP stack.
+//     net/http/pprof on cgserve's listener; this package imports no
+//     network code (TestNoNetworkImports), because internal/vm imports
+//     it and the batch binaries should not link an HTTP stack.
 //
 // Determinism contract: everything wall-clock-dependent that obs
 // produces (histogram buckets, phase nanoseconds, provenance) lives

@@ -197,7 +197,6 @@ func TestProgressCounters(t *testing.T) {
 	p.Computed("")
 	p.Computed("")
 	p.SetGauges(4, 1)
-	p.SetWorkerLabel(1, "hostb:42")
 	p.SetWorkerBusy(1, 2)
 	p.WorkerDone(1, 1)
 	p.WorkerDone(7, 0) // out of range: ignored
@@ -206,7 +205,7 @@ func TestProgressCounters(t *testing.T) {
 		s.CellsInFlight != 1 || s.QueueDepth != 4 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-	if len(s.Workers) != 2 || s.Workers[1].Label != "hostb:42" ||
+	if len(s.Workers) != 2 || s.Workers[0] != (WorkerSnapshot{}) ||
 		s.Workers[1].Busy != 1 || s.Workers[1].Done != 1 {
 		t.Fatalf("worker snapshot = %+v", s.Workers)
 	}

@@ -1,7 +1,7 @@
 // Package obshttp is the HTTP half of the observability layer: the
-// debug/serving surface behind -debug-addr and cgserve. It lives apart
-// from internal/obs because internal/vm imports obs for cycle timelines,
-// and a binary that runs cells without serving them (cgrun, cgstats,
+// debug/serving surface of cgserve. It lives apart from internal/obs
+// because internal/vm imports obs for cycle timelines, and a binary
+// that runs cells without serving them (cgsweep, cgrun, cgstats,
 // cgbench, cgworker) should not link net/http, TLS and x509 to do it.
 package obshttp
 
@@ -35,9 +35,9 @@ type Health struct {
 }
 
 // Server is the debug/serving HTTP surface: net/http/pprof, the JSON
-// progress snapshot, and /healthz. It exists so a long sweep — or the
-// sweep server — can be profiled and watched while it runs, without
-// paying anything when the flag is absent. Hosts with their own
+// progress snapshot, and /healthz. It exists so the sweep server, and
+// every sweep it runs, can be profiled and watched while it runs.
+// Hosts with their own
 // endpoints (cgserve's /sweep and /cell) mount them on Mux before
 // announcing the address.
 type Server struct {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestDebugServerServesSnapshotAndPprof boots the -debug-addr surface
+// TestDebugServerServesSnapshotAndPprof boots cgserve's debug surface
 // on a free port and checks both halves: /progress returns the live
 // JSON snapshot, and the pprof index answers.
 func TestDebugServerServesSnapshotAndPprof(t *testing.T) {
@@ -19,7 +19,7 @@ func TestDebugServerServesSnapshotAndPprof(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.Computed("")
 	}
-	p.SetWorkerLabel(0, "w0")
+	p.SetWorkerBusy(0, 1)
 	srv, err := Serve("127.0.0.1:0", p)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestDebugServerServesSnapshotAndPprof(t *testing.T) {
 	if snap.Progress == nil || snap.Progress.CellsTotal != 7 || snap.Progress.CellsComputed != 3 {
 		t.Fatalf("snapshot progress = %+v", snap.Progress)
 	}
-	if len(snap.Progress.Workers) != 1 || snap.Progress.Workers[0].Label != "w0" {
+	if len(snap.Progress.Workers) != 1 || snap.Progress.Workers[0].Busy != 1 {
 		t.Fatalf("snapshot workers = %+v", snap.Progress.Workers)
 	}
 	if snap.Provenance.GoVersion == "" {

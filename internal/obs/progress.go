@@ -111,12 +111,6 @@ func (p *Progress) worker(i int) *WorkerSnapshot {
 	return &p.s.Workers[i]
 }
 
-// SetWorkerLabel names worker i in snapshots (a dist worker's host and
-// pid, say).
-func (p *Progress) SetWorkerLabel(i int, label string) {
-	p.update(func() { p.worker(i).Label = label })
-}
-
 // SetWorkerBusy records worker i's current in-flight cell count.
 func (p *Progress) SetWorkerBusy(i, busy int) {
 	p.update(func() { p.worker(i).Busy = int64(busy) })
@@ -164,9 +158,8 @@ type LaneSnapshot struct {
 // WorkerSnapshot is one worker's utilization: its current in-flight
 // count and cumulative completions.
 type WorkerSnapshot struct {
-	Label string `json:"label,omitempty"`
-	Busy  int64  `json:"busy"`
-	Done  int64  `json:"done"`
+	Busy int64 `json:"busy"`
+	Done int64 `json:"done"`
 }
 
 // add sums d's four counts into l.

@@ -4,15 +4,21 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 )
 
+// maxLine bounds what either side of the protocol reads at once: a
+// POSTed spec, and one NDJSON event line. A figure's data chunk and an
+// outcome line are a few KB.
+const maxLine = 1 << 20
+
 // Client speaks the sweep server's NDJSON protocol: POST the spec,
 // decode events, reassemble the deterministic byte stream. It is what
-// cgsweep -server runs instead of a local backend — everything
+// `cgserve sweep` runs in place of a local backend — everything
 // downstream of it (stdout, diffs, goldens) cannot tell the
 // difference.
 type Client struct {
@@ -36,7 +42,8 @@ func (c *Client) http() *http.Client {
 // the same figures), outcome events append one results.Encode line
 // each. It returns the server's terminal stats. A connection that drops
 // before the done event — a truncated stream — is an error, never a
-// silently short table.
+// silently short table, and so is an event line of maxLine bytes or
+// more.
 func (c *Client) Sweep(spec Spec, w io.Writer) (DoneStats, error) {
 	var stats DoneStats
 	body, err := json.Marshal(spec)
@@ -52,34 +59,33 @@ func (c *Client) Sweep(spec Spec, w io.Writer) (DoneStats, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return stats, fmt.Errorf("serve: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-	br := bufio.NewReader(resp.Body)
-	for {
-		line, err := br.ReadBytes('\n')
-		if len(line) > 0 {
-			var ev Event
-			if jerr := json.Unmarshal(line, &ev); jerr != nil {
-				return stats, fmt.Errorf("serve: bad event line: %w", jerr)
-			}
-			switch {
-			case ev.Error != "":
-				return stats, fmt.Errorf("serve: %s", ev.Error)
-			case ev.Done != nil:
-				return *ev.Done, nil
-			case len(ev.Outcome) > 0:
-				if _, werr := w.Write(append(ev.Outcome, '\n')); werr != nil {
-					return stats, werr
-				}
-			case ev.Data != "":
-				if _, werr := io.WriteString(w, ev.Data); werr != nil {
-					return stats, werr
-				}
-			}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, maxLine)
+	for sc.Scan() {
+		var ev Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return stats, fmt.Errorf("serve: bad event line: %w", err)
 		}
-		if err == io.EOF {
-			return stats, fmt.Errorf("serve: stream truncated before done event")
-		}
-		if err != nil {
-			return stats, fmt.Errorf("serve: %w", err)
+		switch {
+		case ev.Error != "":
+			return stats, fmt.Errorf("serve: %s", ev.Error)
+		case ev.Done != nil:
+			return *ev.Done, nil
+		case len(ev.Outcome) > 0:
+			if _, err := w.Write(append(ev.Outcome, '\n')); err != nil {
+				return stats, err
+			}
+		case ev.Data != "":
+			if _, err := io.WriteString(w, ev.Data); err != nil {
+				return stats, err
+			}
 		}
 	}
+	switch err := sc.Err(); {
+	case errors.Is(err, bufio.ErrTooLong):
+		return stats, fmt.Errorf("serve: event line of %d bytes or more", maxLine)
+	case err != nil:
+		return stats, fmt.Errorf("serve: %w", err)
+	}
+	return stats, fmt.Errorf("serve: stream truncated before done event")
 }

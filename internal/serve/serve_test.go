@@ -406,3 +406,23 @@ func TestClientTruncationDetected(t *testing.T) {
 		t.Fatalf("partial data not delivered before the error: %q", buf.String())
 	}
 }
+
+// TestClientRefusesLongEventLine: the client reads one NDJSON event at
+// a time into memory, so a line is bounded like the spec the server
+// reads. A well-formed 2 MiB data event followed by done is refused
+// with a serve: error, not written through.
+func TestClientRefusesLongEventLine(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "{\"data\":%q}\n", strings.Repeat("x", 2<<20))
+		fmt.Fprint(w, "{\"done\":{\"cells\":1,\"computed\":1}}\n")
+	}))
+	defer ts.Close()
+	var buf bytes.Buffer
+	_, err := (&Client{Base: ts.URL}).Sweep(Spec{Figs: []string{"4.1"}}, &buf)
+	if err == nil || !strings.HasPrefix(err.Error(), "serve: ") || !strings.Contains(err.Error(), fmt.Sprint(maxLine)) {
+		t.Fatalf("err = %v, want a serve: error naming the %d-byte bound", err, maxLine)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes of the long event written through", buf.Len())
+	}
+}

@@ -122,7 +122,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec Spec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxLine)).Decode(&spec); err != nil {
 		http.Error(w, fmt.Sprintf("bad sweep spec: %v", err), http.StatusBadRequest)
 		return
 	}
