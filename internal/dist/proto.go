@@ -8,15 +8,13 @@
 //
 // Protocol (one JSON object per line):
 //
-//	worker -> coordinator   {"type":"hello","proto":2,"capacity":K,"prov":{...}}
+//	worker -> coordinator   {"type":"hello","proto":2,"capacity":K}
 //	coordinator -> worker   {"type":"job","id":I,"job":{...}}        (at most K unanswered)
 //	worker -> coordinator   {"type":"result","id":I,"outcome":{...}}
 //	coordinator closes the worker's stdin; worker drains and exits 0.
 //
-// The hello carries the worker process's provenance (host, CPU, load),
-// so the coordinator can label workers in its debug surface; each
-// result's outcome additionally carries the provenance captured when
-// that cell was extracted.
+// Each result's outcome carries the provenance (host, CPU, load)
+// captured when that cell was extracted.
 //
 // The coordinator keeps at most `capacity` jobs in flight per worker (a
 // sliding window), which doubles as flow control: a worker always has
