@@ -11,14 +11,16 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 // TestTimingFiguresTimeTheProgram pins what the wall-clock figures
 // measure: every cell drives its program, so rendering Fig 4.7 — whose
-// size-1 rows are short enough to tape — on a fresh engine leaves the
-// engine holding no tape it could have replayed instead.
+// size-1 compress, mpegaudio and javac rows ship a tape — replays
+// nothing.
 func TestTimingFiguresTimeTheProgram(t *testing.T) {
-	eng := engine.New(1)
+	p := &obs.Progress{}
+	eng := engine.New(1).SetProgress(p)
 	figs, err := experiments.Figures("4.7")
 	if err != nil {
 		t.Fatal(err)
@@ -27,8 +29,8 @@ func TestTimingFiguresTimeTheProgram(t *testing.T) {
 	if errs[0] != nil || texts[0] == "" {
 		t.Fatalf("Fig 4.7 rendered nothing (err %v)", errs[0])
 	}
-	if n := eng.Tapes(); n != 0 {
-		t.Errorf("after Fig 4.7 the engine holds %d tapes; a timing figure must drive every cell", n)
+	if n := p.Snapshot().TapeReplays; n != 0 {
+		t.Errorf("Fig 4.7 replayed %d cells; a timing figure must drive every cell", n)
 	}
 }
 

@@ -2,9 +2,9 @@
 // size, collector) cells of the experiment matrix on independent
 // vm.Runtime shards. It queues nothing across callers — that is
 // results.Scheduler's job — and has four entries: ExecRelease, the cell
-// pipeline's (results.Local) and the only one that may replay an event
-// tape, and RunEach, Do and Exec, which always drive the program, so
-// the Elapsed they report is the program's time.
+// pipeline's (results.Local) and the only one that may replay a shipped
+// event tape, and RunEach, Do and Exec, which always drive the program,
+// so the Elapsed they report is the program's time.
 //
 // Each vm.Runtime owns its heap, threads, statics and collector, and
 // every workload analog draws from its own deterministic RNG, so a cell
@@ -115,10 +115,10 @@ func ArenaBytes(job Job) (int, error) {
 }
 
 // Exec runs one job synchronously in the caller's goroutine on a fresh
-// shard, with no engine: no shard pool, no tape cache — it always
-// drives. The Result's RT is the caller's to keep. Callers with their
-// own per-benchmark control flow (probe runs, budget retry loops) use
-// it; a matrix goes through Engine.RunEach.
+// shard, with no engine: no shard pool, no tape — it always drives.
+// The Result's RT is the caller's to keep. Callers with their own
+// per-benchmark control flow (probe runs, budget retry loops) use it; a
+// matrix goes through Engine.RunEach.
 func Exec(job Job) Result { return exec(job, nil, nil, nil) }
 
 // exec is the shared job body. With a non-nil rt it starts from that
@@ -126,14 +126,12 @@ func Exec(job Job) Result { return exec(job, nil, nil, nil) }
 // never returns shards to the pool itself — the caller does, once the
 // Result can no longer escape (see ExecRelease).
 //
-// A non-nil tc — ExecRelease's, and no other entry's — consults the
-// event-tape cache: a hit replays the row's recorded operation stream
-// through the runtime instead of re-running driver logic (bit-identical
-// results, no driver overhead); a miss claims the row's recording slot,
-// if free, and records as a side effect of the first repeat until the
-// recording reaches maxTapedOps — otherwise it just drives. p counts
-// those outcomes.
-func exec(job Job, rt *vm.Runtime, tc *tapeCache, p *obs.Progress) (res Result) {
+// With a non-nil ts — ExecRelease's, and no other entry's — a row that
+// ships a tape replays its recorded operation stream through the
+// runtime instead of re-running driver logic (bit-identical results, no
+// driver overhead), every repeat from the first; p counts the replays.
+// Every other row drives.
+func exec(job Job, rt *vm.Runtime, ts *seeds, p *obs.Progress) (res Result) {
 	res.Job = job
 	defer func() {
 		if r := recover(); r != nil {
@@ -162,23 +160,15 @@ func exec(job Job, rt *vm.Runtime, tc *tapeCache, p *obs.Progress) (res Result) 
 		reps = 1
 	}
 
-	key := tapeKey{workload: job.Workload, size: job.Size}
 	var rp *tape.Replayer
-	recording := false
-	if tc != nil {
-		if t, ok := tc.lookup(key); ok {
+	if ts != nil {
+		t, err := ts.lookup(tapeKey{workload: job.Workload, size: job.Size})
+		if err != nil {
+			res.Err = err
+			return res
+		}
+		if t != nil {
 			rp = tape.NewReplayer(t)
-		} else if tc.beginRecord(key) {
-			recording = true
-			// The claim must not leak if this run dies before its verdict
-			// (workload panic, OOM): the recover above eats the panic, so
-			// release here, where the success path has already flipped
-			// the flag.
-			defer func() {
-				if recording {
-					tc.abortRecord(key)
-				}
-			}()
 		}
 	}
 
@@ -204,31 +194,7 @@ func exec(job Job, rt *vm.Runtime, tc *tapeCache, p *obs.Progress) (res Result) 
 			}
 			p.TapeReplayed()
 		} else {
-			var rec *tape.Recorder
-			if recording && i == 0 {
-				rec = tc.recorder(rt, tape.Meta{
-					Workload:  job.Workload,
-					Size:      job.Size,
-					Threads:   spec.Threads(job.Size),
-					HeapBytes: spec.HeapBytes(job.Size),
-				})
-			}
 			spec.Run(rt, job.Size)
-			if rec != nil {
-				recording = false
-				if t := tc.finish(rec); t != nil {
-					// The run completed without error, so the tape is a
-					// full recording: publish now and replay the
-					// remaining repeats from it — they share the one tape.
-					tc.publish(key, t)
-					p.TapeRecorded()
-					if i+1 < reps {
-						rp = tape.NewReplayer(t)
-					}
-				} else {
-					p.TapeDeclined() // the claim stays: the row never records again
-				}
-			}
 		}
 		res.RT, res.Col = rt, ev.Collector
 	}
@@ -237,14 +203,14 @@ func exec(job Job, rt *vm.Runtime, tc *tapeCache, p *obs.Progress) (res Result) 
 }
 
 // Engine is a fixed-size worker pool with a shard pool that recycles
-// runtimes between cells of equal arena size and a cache of event
-// tapes, which only ExecRelease reads. The zero value is not usable;
-// construct with New. An Engine holds no per-run state beyond those two
-// and is safe for concurrent use.
+// runtimes between cells of equal arena size and the shipped tapes it
+// has decoded, which only ExecRelease reads. The zero value is not
+// usable; construct with New. An Engine holds no per-run state beyond
+// those two and is safe for concurrent use.
 type Engine struct {
 	workers  int
 	pool     *shardPool
-	tapes    *tapeCache
+	tapes    *seeds
 	progress *obs.Progress // nil unless a debug surface is watching
 }
 
@@ -254,7 +220,7 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	tapes := &tapeCache{tapes: make(map[tapeKey]*tape.Tape), claimed: make(map[tapeKey]bool)}
+	tapes := &seeds{tapes: make(map[tapeKey]*tape.Tape)}
 	return &Engine{workers: workers, pool: newShardPool(workers), tapes: tapes}
 }
 
@@ -278,10 +244,11 @@ func (e *Engine) SetProgress(p *obs.Progress) *Engine {
 // that panicked mid-run is discarded, never recycled.
 //
 // ExecRelease is the cell pipeline's entry (results.Local) and the only
-// one that may replay a tape: a demographic cell is a pure function of
-// its job, so a replayed one is indistinguishable from a driven one.
-// Its Elapsed is then not the program's time, which is why every entry
-// that reports time — RunEach, Do, Exec — drives.
+// one that replays: a row that ships a tape (DESIGN.md §12) replays it
+// from its first cell. A demographic cell is a pure function of its
+// job, so a replayed one is indistinguishable from a driven one. Its
+// Elapsed is then not the program's time, which is why every entry that
+// reports time — RunEach, Do, Exec — drives.
 //
 // Nothing is admitted or refused here: the engine's memory scales with
 // the cells in flight (the caller's worker count) times a cell's handle
@@ -290,14 +257,14 @@ func (e *Engine) ExecRelease(job Job, consume func(Result)) {
 	e.release(job, e.tapes, consume)
 }
 
-// release is ExecRelease with the tape cache tc (nil: drive).
-func (e *Engine) release(job Job, tc *tapeCache, consume func(Result)) {
+// release is ExecRelease with the shipped tapes ts (nil: drive).
+func (e *Engine) release(job Job, ts *seeds, consume func(Result)) {
 	bytes, err := ArenaBytes(job)
 	if err != nil {
 		consume(Result{Job: job, Err: err})
 		return
 	}
-	r := exec(job, e.pool.get(bytes), tc, e.progress)
+	r := exec(job, e.pool.get(bytes), ts, e.progress)
 	consume(r)
 	if r.Err == nil && r.RT != nil {
 		r.RT.Vacate()

@@ -1,10 +1,11 @@
 package engine
 
 import (
+	"embed"
+	"fmt"
 	"sync"
 
 	"repro/internal/tape"
-	"repro/internal/vm"
 )
 
 // tapeKey identifies a recorded event stream. A tape is a pure
@@ -17,97 +18,44 @@ type tapeKey struct {
 	size     int
 }
 
-// tapeCache holds one tape per (workload, size) row of the matrix.
-// Recording is opportunistic singleflight: the first cell of a row to
-// arrive claims the recording slot and drives the workload normally
-// (recording as a side effect); concurrent cells of the same row miss
-// and drive normally too — nobody ever blocks on a recording in
-// flight. Only complete, error-free runs publish; a panic mid-record
-// releases the claim so the next cell can try again. Kept tapes are
-// never evicted: maxTapedOps bounds each at KBs and the matrix has 24
-// rows.
-type tapeCache struct {
-	mu    sync.Mutex
-	tapes map[tapeKey]*tape.Tape
-	// claimed rows have their recording slot taken: by a cell recording
-	// right now, or for good by a recording that reached maxTapedOps —
-	// the row is declined, and every cell of it drives.
-	claimed map[tapeKey]bool
-	// recorders holds spent *tape.Recorders. A declined row records
-	// maxTapedOps ops before it gives up; reusing the streams it grew
-	// keeps every later recording from growing its own.
-	recorders sync.Pool
-}
-
-// recorder attaches a recorder to the fresh runtime rt, reusing a spent
-// one when the pool has it, and bounds it by maxTapedOps.
-func (tc *tapeCache) recorder(rt *vm.Runtime, meta tape.Meta) *tape.Recorder {
-	rec, ok := tc.recorders.Get().(*tape.Recorder)
-	if ok {
-		rec.Restart(rt, meta)
-	} else {
-		rec = tape.NewRecorder(rt, meta)
-	}
-	rec.MaxOps(maxTapedOps)
-	return rec
-}
-
-// finish seals rec's recording (nil if it was declined) and returns the
-// recorder to the pool. A recorder whose run panicked never gets here.
-func (tc *tapeCache) finish(rec *tape.Recorder) *tape.Tape {
-	t := rec.Finish()
-	tc.recorders.Put(rec)
-	return t
-}
-
-// maxTapedOps is the one admission rule: a recording that reaches this
-// many ops abandons itself and its row is declined. Below it a tape is
-// KB-sized and cost under 0.1 ms to make, so it is kept whatever the
-// row; every measured row above it issues an op each 27–45 ns — the
-// runtime's own cost, with no driver work between ops for a replay to
-// save — and its tape would be MBs (the table is in DESIGN.md §12).
+// maxTapedOps is the one admission rule, applied when the seeds are
+// made: a row of the default grid ships a tape exactly when its run is
+// shorter than this many ops. Below it a tape is KB-sized; every
+// measured row above it issues an op each 27–45 ns — the runtime's own
+// cost, with no driver work between ops for a replay to save — and its
+// tape would be MBs (the table is in DESIGN.md §12).
 const maxTapedOps = 4096
 
-// lookup returns the cached tape for k, if one has been published.
-func (tc *tapeCache) lookup(k tapeKey) (*tape.Tape, bool) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	t, ok := tc.tapes[k]
-	return t, ok
+// seedFiles holds the shipped tapes, tapes/<workload>-<size>.cgt, one
+// per admitted row. TestSeedTapesAreCurrent records every grid row
+// afresh and requires these bytes; run it with -update to rewrite them.
+//
+//go:embed tapes
+var seedFiles embed.FS
+
+// seeds holds the shipped tapes an engine has decoded so far.
+type seeds struct {
+	mu    sync.Mutex
+	tapes map[tapeKey]*tape.Tape
 }
 
-// beginRecord claims the recording slot for k. It fails (false) when a
-// tape is already published, another cell is mid-recording, or the row
-// was declined.
-func (tc *tapeCache) beginRecord(k tapeKey) bool {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if _, ok := tc.tapes[k]; ok || tc.claimed[k] {
-		return false
+// lookup returns the shipped tape of row k, or nil when the row ships
+// none. Each file is decoded on its row's first lookup, so an engine
+// that never looks one up never decodes one.
+func (s *seeds) lookup(k tapeKey) (*tape.Tape, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t, ok := s.tapes[k]; ok {
+		return t, nil
 	}
-	tc.claimed[k] = true
-	return true
-}
-
-// abortRecord releases an unfulfilled recording claim (the recording
-// run panicked or errored before publish).
-func (tc *tapeCache) abortRecord(k tapeKey) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	delete(tc.claimed, k)
-}
-
-// publish installs the recorded tape and releases the claim.
-func (tc *tapeCache) publish(k tapeKey, t *tape.Tape) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	delete(tc.claimed, k)
-	tc.tapes[k] = t
-}
-
-// Tapes reports how many event tapes the engine currently caches.
-func (e *Engine) Tapes() int {
-	e.tapes.mu.Lock()
-	defer e.tapes.mu.Unlock()
-	return len(e.tapes.tapes)
+	b, err := seedFiles.ReadFile(fmt.Sprintf("tapes/%s-%d.cgt", k.workload, k.size))
+	if err != nil {
+		return nil, nil // no file: the row drives
+	}
+	t, err := tape.Decode(b)
+	if err != nil {
+		return nil, fmt.Errorf("engine: seeded tape of %s/%d: %w", k.workload, k.size, err)
+	}
+	s.tapes[k] = t
+	return t, nil
 }

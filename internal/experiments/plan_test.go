@@ -118,12 +118,12 @@ func orderedSublists(ids []string) [][]string {
 // handed one batch holding each distinct cell once, in first-occurrence
 // order, and the rendered bytes are the committed golden's. The full
 // grid runs first, for real, on a one-worker engine, which also pins
-// what the engine's tape admission rule makes of it: 104 figure cells
-// are 40 computations over 24 (workload, size) rows, the seven rows
-// shorter than the rule's op limit record (compress and mpegaudio at
-// every size, javac at size 1), the other 17 decline, and only size-1
-// rows have further cells — three collectors each — so the three
-// recorded ones earn two replays apiece.
+// the engine's shipped tapes make of it: 104 figure cells are 40
+// computations over 24 (workload, size) rows. The seven rows shorter
+// than the admission rule's op limit ship a tape (compress and
+// mpegaudio at every size, javac at size 1) and the size-1 rows have
+// three cells each, so 13 cells replay from the first; nothing is
+// recorded.
 func TestPlanRunsEachDistinctCellOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the full grid has size-100 cells")
@@ -181,9 +181,9 @@ func TestPlanRunsEachDistinctCellOnce(t *testing.T) {
 			t.Errorf("full grid: %d distinct cells, want 40", got)
 		}
 		s := prog.Snapshot()
-		if s.CellsComputed != 40 || s.TapesRecorded != 7 || s.TapesDeclined != 17 || s.TapeReplays != 6 {
-			t.Errorf("full grid on one worker: %d cells computed, %d tapes recorded, %d declined, %d replays; want 40, 7, 17, 6",
-				s.CellsComputed, s.TapesRecorded, s.TapesDeclined, s.TapeReplays)
+		if s.CellsComputed != 40 || s.TapesRecorded != 0 || s.TapeReplays != 13 {
+			t.Errorf("full grid on one worker: %d cells computed, %d tapes recorded, %d replays; want 40, 0, 13",
+				s.CellsComputed, s.TapesRecorded, s.TapeReplays)
 		}
 	}
 	if got := prog.Snapshot().CellsComputed; got != 40 {

@@ -89,16 +89,7 @@ func (p *Progress) SetGauges(queued, inFlight int) {
 	p.update(func() { p.s.QueueDepth, p.s.CellsInFlight = int64(queued), int64(inFlight) })
 }
 
-// TapeRecorded counts one event tape captured by the engine (the first
-// cell of a (workload, size) row drove the workload and recorded it).
-func (p *Progress) TapeRecorded() { p.update(func() { p.s.TapesRecorded++ }) }
-
-// TapeDeclined counts one (workload, size) row whose recording was
-// abandoned as too long to pay: the row is never recorded again and all
-// its cells drive, which is why it shows no replays.
-func (p *Progress) TapeDeclined() { p.update(func() { p.s.TapesDeclined++ }) }
-
-// TapeReplayed counts one repeat served by replaying a cached event
+// TapeReplayed counts one repeat served by replaying a shipped event
 // tape instead of re-running driver logic.
 func (p *Progress) TapeReplayed() { p.update(func() { p.s.TapeReplays++ }) }
 
@@ -129,7 +120,9 @@ func (p *Progress) WorkerDone(i, busy int) {
 
 // ProgressSnapshot is the JSON-ready copy of a Progress — what the
 // debug endpoint serves. The four cell totals are the sums of every
-// lane, the anonymous one included.
+// lane, the anonymous one included. TapesRecorded is always 0, since
+// the engine records no tape at run time; it stays only because the
+// frozen bench/ reads it (ROADMAP item 4).
 type ProgressSnapshot struct {
 	CellsTotal    int64            `json:"cells_total"`
 	CellsStored   int64            `json:"cells_stored"`
@@ -138,7 +131,6 @@ type ProgressSnapshot struct {
 	CellsInFlight int64            `json:"cells_in_flight"`
 	QueueDepth    int64            `json:"queue_depth"`
 	TapesRecorded int64            `json:"tapes_recorded,omitempty"`
-	TapesDeclined int64            `json:"tapes_declined,omitempty"`
 	TapeReplays   int64            `json:"tape_replays,omitempty"`
 	Workers       []WorkerSnapshot `json:"workers,omitempty"`
 	Lanes         []LaneSnapshot   `json:"lanes,omitempty"`

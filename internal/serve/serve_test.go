@@ -257,10 +257,8 @@ func TestBadSpecIsRejectedAtAdmission(t *testing.T) {
 	}
 }
 
-// TestOffGridSizeIsRejectedAtAdmission: a cell's size is 1, 10 or 100.
-// Any other is a 400 before anything runs, so no client can add rows to
-// the engine's tape cache, which keeps one tape per (workload, size) for
-// the server's lifetime.
+// TestOffGridSizeIsRejectedAtAdmission: a cell's size is 1, 10 or 100,
+// the grid's sizes. Any other is a 400 before anything runs.
 func TestOffGridSizeIsRejectedAtAdmission(t *testing.T) {
 	_, cl, prog := newTestServer(t)
 	w := workload.All()[0].Name
@@ -271,7 +269,7 @@ func TestOffGridSizeIsRejectedAtAdmission(t *testing.T) {
 			t.Errorf("size %d: err = %v, want 400", size, err)
 		}
 	}
-	if s := prog.Snapshot(); s.CellsTotal != 0 || s.CellsComputed != 0 || s.TapesRecorded != 0 || s.TapesDeclined != 0 {
+	if s := prog.Snapshot(); s.CellsTotal != 0 || s.CellsComputed != 0 || s.TapeReplays != 0 {
 		t.Errorf("rejected specs reached the pipeline: %+v", s)
 	}
 }

@@ -74,12 +74,9 @@ const maxRepeats = 20
 // Jobs validates every explicit cell against the registries (a bad
 // workload or collector spec is a 400 at admission, not a mid-stream
 // error event) and returns the job list. A cell's size must be one of
-// SPEC's 1, 10 and 100: the engine keeps one event tape per (workload,
-// size) row for as long as the server runs, so an open size axis would
-// let clients grow that cache without bound. Its repeats must lie in
-// [0, maxRepeats]: the engine runs a cell that many times on one
-// executor, so an unbounded count would hold that executor for as long
-// as the client likes.
+// SPEC's 1, 10 and 100, and its repeats must lie in [0, maxRepeats]: a
+// cell's run time grows with both, so an open axis would let a client
+// hold an executor for as long as it likes.
 func (s Spec) Jobs() ([]engine.Job, error) {
 	if len(s.Cells) == 0 {
 		return nil, nil

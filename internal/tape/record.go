@@ -3,7 +3,6 @@ package tape
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/heap"
 	"repro/internal/vm"
@@ -17,23 +16,9 @@ import (
 // passes a freed handle back into the runtime): operand encoding maps
 // live handles to allocation-sequence indices, and a freed handle's
 // mapping is only overwritten when the handle is reused.
-//
-// Recording only observes, so a recorder may stop early: one given an
-// op limit (MaxOps) abandons itself on reaching it. The run carries on
-// undisturbed and Finish reports nil.
-//
-// A spent recorder — finished or abandoned — can record again: Restart
-// attaches it to another fresh runtime and reuses its buffers, so a
-// caller that records many runs grows its streams and tables once.
 type Recorder struct {
 	rt   *vm.Runtime
 	meta Meta
-
-	// limit is the op count at which emit abandons the recording; 0 —
-	// no limit, or abandoned already — never matches, since emit
-	// compares after appending.
-	limit     int
-	abandoned bool
 
 	ops  []byte
 	args []byte
@@ -64,11 +49,10 @@ var _ vm.OpRecorder = (*Recorder)(nil)
 // happen after attachment (jasm's Bind, a workload's prologue) are
 // captured — classes via the Finish snapshot, slots via the stream.
 //
-// NewRecorder builds its recorder in place instead of calling Restart.
-// It inlines into its callers, and the one in cgrun's runOne sits above
-// a workload's whole stack: built through Restart, that frame shrank
-// by 8 bytes and raytrace at size 100 ran 35 % slower under cgrun (68
-// against 92 ms, 12 alternated runs, 2-vCPU Xeon VM).
+// NewRecorder inlines into its callers, and the one in cgrun's runOne
+// sits above a workload's whole stack: a constructor that shrank that
+// frame by 8 bytes made raytrace at size 100 run 35 % slower under
+// cgrun (68 against 92 ms, 12 alternated runs, 2-vCPU Xeon VM).
 func NewRecorder(rt *vm.Runtime, meta Meta) *Recorder {
 	if rt.Instr() != 0 || len(rt.Threads()) != 0 {
 		panic("tape: recorder attached to a runtime that already ran")
@@ -84,52 +68,12 @@ func NewRecorder(rt *vm.Runtime, meta Meta) *Recorder {
 	return r
 }
 
-// Restart attaches a spent recorder to rt, under the same terms as
-// NewRecorder, for a new recording: the streams and tables empty but
-// keep their capacity, and the op limit is cleared. Tapes the recorder
-// published earlier are unaffected (Finish copies). A recorder still
-// attached to a runtime mid-run must not be restarted, and neither may
-// one whose run panicked.
-func (r *Recorder) Restart(rt *vm.Runtime, meta Meta) {
-	if rt.Instr() != 0 || len(rt.Threads()) != 0 {
-		panic("tape: recorder attached to a runtime that already ran")
-	}
-	r.rt, r.meta, r.cur = rt, meta, rt.StaticFrame()
-	r.limit, r.abandoned, r.allocs = 0, false, 0
-	r.ops, r.args, r.idx, r.strings = r.ops[:0], r.args[:0], r.idx[:0], r.strings[:0]
-	clear(r.strIdx)
-	clear(r.interned)
-	rt.SetRecorder(r)
-}
-
-// MaxOps bounds the recording: on emitting its n-th op the recorder
-// abandons itself, so only a run shorter than n ops yields a tape. Call
-// it right after NewRecorder or Restart. Without a limit a recorder
-// records in full.
-func (r *Recorder) MaxOps(n int) { r.limit = n }
-
-// abandon detaches the recorder mid-run and empties the streams, keeping
-// their capacity for a Restart. It runs inside a hook (emit called it),
-// and that hook goes on to encode its operands, so the handle and string
-// tables stay intact: what is left of the hook scribbles a few bytes
-// into a recorder nobody will read. Every later hook site sees a nil
-// recorder.
-func (r *Recorder) abandon() {
-	r.rt.SetRecorder(nil)
-	r.ops, r.args, r.limit, r.abandoned = r.ops[:0], r.args[:0], 0, true
-}
-
-// Finish detaches the recorder and returns the sealed tape: copies of
-// the recorded streams, sized to fit, plus a snapshot of the
-// runtime's class table (in ClassID order, so a replay's DefineClass
-// calls reproduce the ids). The tape shares no memory with the
-// recorder, which a Restart may fill again. Meta.Threads defaults to the
-// observed thread count when the caller left it zero. It returns nil
-// when the recording reached its op limit and abandoned itself.
+// Finish detaches the recorder and returns the sealed tape: the
+// recorded streams plus a snapshot of the runtime's class table (in
+// ClassID order, so a replay's DefineClass calls reproduce the ids).
+// The recorder is spent. Meta.Threads defaults to the observed thread
+// count when the caller left it zero.
 func (r *Recorder) Finish() *Tape {
-	if r.abandoned {
-		return nil
-	}
 	r.rt.SetRecorder(nil)
 	h := r.rt.Heap
 	classes := make([]heap.Class, h.NumClasses())
@@ -143,19 +87,14 @@ func (r *Recorder) Finish() *Tape {
 	return &Tape{
 		Meta:    meta,
 		classes: classes,
-		strings: slices.Clone(r.strings),
-		ops:     slices.Clone(r.ops),
-		args:    slices.Clone(r.args),
+		strings: r.strings,
+		ops:     r.ops,
+		args:    r.args,
 		allocs:  r.allocs,
 	}
 }
 
-func (r *Recorder) emit(op byte) {
-	r.ops = append(r.ops, op)
-	if len(r.ops) == r.limit {
-		r.abandon()
-	}
-}
+func (r *Recorder) emit(op byte) { r.ops = append(r.ops, op) }
 func (r *Recorder) arg(v uint64) { r.args = binary.AppendUvarint(r.args, v) }
 func (r *Recorder) argI(v int)   { r.arg(uint64(v)) }
 

@@ -146,9 +146,9 @@ func (t *Tape) Ops() int { return len(t.ops) }
 // handle table's size).
 func (t *Tape) Allocs() int { return t.allocs }
 
-// MemBytes is the tape's resident footprint for cache admission: the
-// two streams and the decoded operand array replays materialize,
-// exactly (8 bytes per operand), plus a small allowance for the tables.
+// MemBytes is the tape's resident footprint once replayed: the two
+// streams and the decoded operand array replays materialize, exactly
+// (8 bytes per operand), plus a small allowance for the tables.
 func (t *Tape) MemBytes() int {
 	n := len(t.ops) + len(t.args) + 8*t.numOperands() + 128
 	for _, s := range t.strings {
