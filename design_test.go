@@ -30,7 +30,8 @@ var (
 	designSpace   = regexp.MustCompile(`\s+`)
 	// A reference is DESIGN.md followed by a section number, a quoted
 	// title, or both; a line break inside it may carry a comment marker.
-	designRef = regexp.MustCompile(`DESIGN\.md,?\s+(?:§(\d+)(?:[ ,]+"([^"]+)")?|"([^"]+)")`)
+	// A dotted number is matched whole, so that it fails to resolve.
+	designRef = regexp.MustCompile(`DESIGN\.md,?\s+(?:§(\d+(?:\.\d+)*)(?:[ ,]+"([^"]+)")?|"([^"]+)")`)
 	lineJoin  = regexp.MustCompile(`\n[ \t]*(?://+|#+)?[ \t]*`)
 	testName  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
@@ -120,8 +121,9 @@ func walkTree(t *testing.T, fn func(path string, data []byte)) {
 // TestDesignReferencesResolve: every reference to a DESIGN.md section
 // from code, CI, scripts and the skill notes names a section that
 // exists, and a quoted title names a heading or a bold lead-in of that
-// section (DESIGN.md §5 "Where per-object state lives", say). The
-// Markdown files at the module root are the design document and the
+// section (DESIGN.md §5 "Where per-object state lives", say). DESIGN.md
+// numbers sections, not subsections, so a dotted number (§5.5) names
+// nothing. The Markdown files at the module root are the design document and the
 // notes around it, which may quote titles past and planned; they are
 // not checked.
 func TestDesignReferencesResolve(t *testing.T) {
@@ -135,10 +137,11 @@ func TestDesignReferencesResolve(t *testing.T) {
 		for _, m := range designRef.FindAllStringSubmatch(text, -1) {
 			refs++
 			sec, title := -1, m[2]+m[3]
+			var err error
 			if m[1] != "" {
-				sec, _ = strconv.Atoi(m[1])
+				sec, err = strconv.Atoi(m[1])
 			}
-			if !d.resolves(sec, title) {
+			if err != nil || !d.resolves(sec, title) {
 				t.Errorf("%s: %q names no section or title of DESIGN.md", path, m[0])
 			}
 		}

@@ -24,7 +24,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/heap"
 	"repro/internal/msa"
@@ -111,9 +110,8 @@ func (s *Stats) Merge(o Stats) {
 // Disowned), since it filters Access by it. Like setMeta and oldFrames
 // the record holds no Go pointer — frames are named by their registry
 // slot (vm.Frame.Index), sets by their slot in CG.sets — so the Go
-// collector never scans a CG table, OnAlloc's whole-entry store carries
-// no write barrier, and a pooled table pins nothing of the shard that
-// filled it.
+// collector never scans a CG table and OnAlloc's whole-entry store
+// carries no write barrier.
 type objMeta struct {
 	// birthDepth is the stack depth at allocation ("birth depth"), or
 	// depthTainted once the object is known dead: collectSet reads it
@@ -206,15 +204,18 @@ type CG struct {
 	// byType holds recycled singleton objects (Chapter 6 typed recycling):
 	// a list per ClassID, flushed in id order.
 	byType []recycleList
-	// tab is the pooled carrier the side tables above were drawn from
-	// at Attach; detach hands them back (see tablePool).
-	tab *tables
 	// cycle is CG's subscription to the collection cycle, built once at
 	// Attach: the §3.6 rebuild slots always, the End accounting slot
 	// only under ResetOnGC — an unsubscribed slot costs the mark loop
 	// nothing (see msa.Cycle).
 	cycle msa.Cycle
 	stats Stats
+	// metaTab, setsTab and oldFramesTab hold meta's, sets' and
+	// oldFrames' memory for the one cell the collector serves: Attach
+	// reserves them and detach unmaps them.
+	metaTab      heap.Table[objMeta]
+	setsTab      heap.Table[setMeta]
+	oldFramesTab heap.Table[int32]
 }
 
 // recycleList is a LIFO of dead objects kept heap-live for reuse
@@ -233,35 +234,9 @@ type spillList struct {
 	recycleList
 }
 
-// tables is the recyclable allocation footprint of one CG instance:
-// every side table whose construction and growth would otherwise be
-// paid per matrix cell — meta and oldFrames, which follow the handle
-// table, and sets, which follows the live-set count. The engine runs
-// each cell on a fresh collector (shards must not share mutable state),
-// but the *capacity* behind the tables is content-free once detach has
-// decommitted them, so recycling it through a pool is observably
-// identical to fresh construction (TestPooledFigureIdentity pins this
-// at the figure level). The pool fills only via Events.Detach, i.e.
-// when the engine vacates a shard or a runtime is released; a dropped
-// runtime donates nothing.
-type tables struct {
-	meta      heap.Table[objMeta]
-	sets      heap.Table[setMeta]
-	oldFrames heap.Table[int32]
-	msa       *msa.Collector
-	// recycleClasses is the ladder-indexed list array (cleared at detach,
-	// the array itself reused) and recycleSpill the sorted overflow list
-	// for extents wider than the ladder.
-	recycleClasses  []recycleList
-	recycleNonEmpty heap.Bitset
-	recycleSpill    []spillList
-}
-
-var tablePool = sync.Pool{New: func() any { return new(tables) }}
-
 // New returns an unattached CG collector; pass it to vm.New. Side
-// tables are drawn from the pool at Attach, not here: construction is
-// cheap and a collector that never attaches owns nothing.
+// tables are reserved at Attach, not here: construction is cheap and a
+// collector that never attaches owns nothing.
 func New(cfg Config) *CG {
 	if cfg.TypedRecycle {
 		cfg.Recycle = true
@@ -295,37 +270,24 @@ func (c *CG) Events() vm.Events {
 	return ev
 }
 
-// Attach binds CG to rt (the descriptor's Attach hook), drawing side
-// tables from the pool.
+// Attach binds CG to rt (the descriptor's Attach hook) and reserves the
+// side tables its configuration uses at the heap's handle bound, which
+// no HandleCap exceeds; sets gets one slot more: every set holds a live
+// object, a rebuild holds at most one slot beyond the sets it makes, and
+// slot 0 is never used. Only the reset pass keeps oldFrames, and the
+// mark–sweep engine maps its scratch before its first cycle (Collect).
 func (c *CG) Attach(rt *vm.Runtime) {
 	c.rt = rt
 	c.heap = rt.Heap
-	t := tablePool.Get().(*tables)
-	c.tab = t
-	if t.msa == nil {
-		t.msa = msa.New(rt)
-	} else {
-		t.msa.Reattach(rt)
-	}
-	c.msa = t.msa
-	// The tables are reserved at the heap's handle bound, which no
-	// HandleCap exceeds; sets gets one slot more: every set holds a live
-	// object, a rebuild holds at most one slot beyond the sets it makes,
-	// and slot 0 is never used.
+	c.msa = msa.New(rt)
 	bound := c.heap.HandleBound()
-	c.meta = t.meta.Reserve(bound)
-	c.oldFrames = t.oldFrames.Reserve(bound)
-	t.sets.Reserve(bound + 1)
-	c.sets = t.sets.Cover(1, 1) // slot 0, never used
+	c.meta = c.metaTab.Reserve(bound)
+	c.setsTab.Reserve(bound + 1)
+	c.sets = c.setsTab.Cover(1, 1) // slot 0, never used
 	c.freeSets = 0
 	if c.cfg.Recycle {
-		if t.recycleClasses == nil {
-			t.recycleClasses = make([]recycleList, heap.NumSizeClasses)
-		}
-		t.recycleNonEmpty.Reset(heap.NumSizeClasses)
-		c.recycleClasses = t.recycleClasses
-		c.recycleNonEmpty = t.recycleNonEmpty
-		c.recycleSpill = t.recycleSpill
+		c.recycleClasses = make([]recycleList, heap.NumSizeClasses)
+		c.recycleNonEmpty = make(heap.Bitset, heap.BitsetWords(heap.NumSizeClasses))
 	}
 	c.cycle = msa.Cycle{
 		Begin:    c.beginCycle,
@@ -334,45 +296,29 @@ func (c *CG) Attach(rt *vm.Runtime) {
 		WillFree: c.willFree,
 	}
 	if c.cfg.ResetOnGC {
+		c.oldFrames = c.oldFramesTab.Reserve(bound)
 		c.cycle.End = c.endCycle
 	}
 }
 
 // detach implements the event table's Detach capability: the runtime is
-// replacing this collector, so its side tables go back to the pool
-// decommitted: meta through the ids the heap handed out (the runtime
-// detaches before it resets the heap, and grow writes nothing past
-// them), which takes the recycle lists' threads with it, and oldFrames
-// through its length; sets through its length too, but whole after a
-// rebuild cycle, which truncates it without keeping its high-water.
-// Clearing the ladder array takes the lists' heads. The collector must
-// not be queried (Stats, Snapshot, events) after detach; its table
-// fields are nilled so a violation fails loudly.
+// replacing this collector, whose cell has ended, so its side tables and
+// its engine's scratch are unmapped now, not at some later Go
+// collection. The recycle lists' members are threaded through meta and
+// go with it. The collector must not be queried (Stats, Snapshot,
+// events) after detach; its table fields are nilled so a violation
+// fails loudly.
 func (c *CG) detach() {
-	t := c.tab
-	if t == nil {
+	if c.msa == nil {
 		return
 	}
-	c.tab = nil
-	t.meta.Decommit(c.meta[:min(len(c.meta), c.heap.NumHandles())])
-	sets := c.sets
-	if c.msa.Stats().Cycles > 0 {
-		sets = sets[:cap(sets)]
-	}
-	t.sets.Decommit(sets)
-	t.oldFrames.Decommit(c.oldFrames)
-	if c.recycleClasses != nil {
-		clear(c.recycleClasses)
-		t.recycleClasses = c.recycleClasses
-		t.recycleSpill = c.recycleSpill[:0]
-	}
-	// Unbind the pooled mark-sweep engine from the runtime too: a
-	// pooled table must not pin a dead shard's heap and arena either.
-	t.msa.Reattach(nil)
+	c.metaTab.Release()
+	c.setsTab.Release()
+	c.oldFramesTab.Release()
+	c.msa.Release()
 	c.meta, c.sets, c.oldFrames = nil, nil, nil
 	c.recycleClasses, c.recycleNonEmpty, c.recycleSpill, c.byType = nil, nil, nil, nil
 	c.msa = nil
-	tablePool.Put(t)
 }
 
 // Stats returns a copy of the counters.
@@ -398,7 +344,7 @@ func (c *CG) ensure(id heap.HandleID) {
 //go:noinline
 func (c *CG) grow() {
 	n := c.heap.HandleCap()
-	c.meta = c.tab.meta.Cover(n, n)
+	c.meta = c.metaTab.Cover(n, n)
 }
 
 // find returns the representative handle of id's equilive set, with the
@@ -857,7 +803,10 @@ func (c *CG) reuse(o heap.HandleID, cls heap.ClassID, extra int) heap.HandleID {
 
 // Collect is the collection capability: run the traditional collector
 // with CG's cycle subscription attached.
-func (c *CG) Collect() int { return c.msa.Collect(c.cycle) }
+func (c *CG) Collect() int {
+	c.msa.Reserve()
+	return c.msa.Collect(c.cycle)
+}
 
 // --- msa.Cycle slots: structure rebuilding during traditional collection ---
 //
@@ -888,7 +837,7 @@ func (c *CG) beginCycle(heap.Bitset) {
 	// it in oldFrames instead.
 	reset := c.cfg.ResetOnGC
 	if n := len(c.meta); reset && len(c.oldFrames) < n {
-		c.oldFrames = c.tab.oldFrames.Cover(n, n)
+		c.oldFrames = c.oldFramesTab.Cover(n, n)
 	}
 	c.rt.EachFrame(func(f *vm.Frame) {
 		for slot := f.GCHead; slot != 0; slot = c.sets[int(slot)].next {

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"math/rand"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -361,7 +360,7 @@ func TestMonotoneAgeing(t *testing.T) {
 
 // TestSafetyOracle is the headline conservativeness property: every
 // object CG declares dead is unreachable from all roots at that moment,
-// across randomized programs (DESIGN.md §5.1).
+// across randomized programs (DESIGN.md §5 "A set record per set").
 func TestSafetyOracle(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -773,10 +772,9 @@ func recycleCell(t *testing.T, rt *vm.Runtime, cfg Config) (*CG, map[recycleKey]
 //     within a class, then spill sizes, then typed classes: the handle
 //     ids and arena addresses fresh allocations get afterwards are those
 //     a free in exactly that order leaves behind;
-//   - detach leaves no list head for the next cell, which then runs as
-//     on a fresh runtime.
+//   - the lists go with the collector: the next cell on a runtime reset
+//     under full lists runs as on a fresh runtime.
 func TestRecycleListOrder(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the pooled tables in core's pool
 	for _, cfg := range []Config{{StaticOpt: true, Recycle: true}, {StaticOpt: true, TypedRecycle: true}} {
 		name := "cg+recycle"
 		if cfg.TypedRecycle {
@@ -853,24 +851,16 @@ func TestRecycleListOrder(t *testing.T) {
 				return fresh
 			}
 			// A cell leaves its lists full, and the runtime is reset under
-			// it: the pooled tables keep no list head, and the next cell,
-			// on them, runs as a fresh runtime does.
+			// it: the next cell runs as a fresh runtime does.
 			rt := vm.New(heap.New(1<<20), vm.None())
-			cg, _ := recycleCell(t, rt, cfg)
-			tab := cg.tab
+			recycleCell(t, rt, cfg)
 			rt.Reset(vm.None()) // detach
-			if i := slices.IndexFunc(tab.recycleClasses, func(l recycleList) bool { return l != recycleList{} }); i >= 0 {
-				t.Fatalf("detach left ladder class %d holding %+v", i, tab.recycleClasses[i])
+			reset := run(rt, false)
+			if fresh := run(vm.New(heap.New(1<<20), vm.None()), false); !slices.Equal(reset, fresh) {
+				t.Fatalf("a cell on a runtime reset under full recycle lists ran otherwise than on a fresh one:\n%v\n%v", reset, fresh)
 			}
-			if len(tab.recycleSpill) != 0 {
-				t.Fatalf("detach left %d spill lists", len(tab.recycleSpill))
-			}
-			pooled := run(rt, false)
-			if fresh := run(vm.New(heap.New(1<<20), vm.None()), false); !slices.Equal(pooled, fresh) {
-				t.Fatalf("a cell on the detached collector's tables ran otherwise than on fresh ones:\n%v\n%v", pooled, fresh)
-			}
-			if byHand := run(vm.New(heap.New(1<<20), vm.None()), true); !slices.Equal(pooled, byHand) {
-				t.Fatalf("FlushRecycle left the arena otherwise than a free in list order:\n%v\n%v", pooled, byHand)
+			if byHand := run(vm.New(heap.New(1<<20), vm.None()), true); !slices.Equal(reset, byHand) {
+				t.Fatalf("FlushRecycle left the arena otherwise than a free in list order:\n%v\n%v", reset, byHand)
 			}
 		})
 	}

@@ -14,15 +14,14 @@ import (
 // is born in and its putfield frees — every set formed so far must have
 // survived the copy, and every entry a step uncovered must read as zero,
 // which the forest reads as a root naming no set. The second pass runs
-// on tables the pool kept from the first (detached dirty, cut to length
-// zero), grown past that capacity.
+// on the runtime the first left, reset, and grows past its capacity.
 func TestSideTablesFollowHandleTable(t *testing.T) {
 	cfg := Config{StaticOpt: true}
 	rt, cg, node := newRT(t, cfg, 1<<22)
 	for pass, objects := range []int{700, 3000} {
 		if pass > 0 {
 			cg = New(cfg)
-			rt.Reset(cg) // detaches the dirty tables into the pool, attaches them again
+			rt.Reset(cg) // unmaps the first collector's tables, maps the second's
 			node = rt.Heap.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
 		}
 		h := rt.Heap

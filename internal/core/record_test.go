@@ -16,9 +16,8 @@ import (
 // beside it (TestNoForestBesideTheRecord) and the allocating thread in
 // the runtime's owner table (vm's test of this name holds it to 2
 // bytes) — and the reset pass's stamp 4; per live set, the set record
-// 24 — and none of them holds a Go pointer, which is what lets detach
-// pool the tables by truncation and keeps them out of every Go GC
-// cycle's scan.
+// 24 — and none of them holds a Go pointer, which is what lets the
+// tables live in mappings, out of every Go GC cycle's scan.
 func TestRecordsAreSmallAndPointerFree(t *testing.T) {
 	var c CG
 	for _, r := range []struct {
@@ -43,11 +42,10 @@ func TestRecordsAreSmallAndPointerFree(t *testing.T) {
 // TestMappedRecordsHoldNoPointers is the heap package's test of the same
 // name for the three tables core keeps in a heap.Table, by their
 // element types as declared; and the handle-indexed two, where this
-// build maps them, are reserved at the attached heap's handle bound, or
-// at a larger one the pool kept, and never move as they grow. Only the
-// reset pass writes oldFrames: a cycle of any other configuration
-// stamps into the object records and leaves it empty. vm's test of this
-// name covers the runtime's owner table.
+// build maps them, are reserved at the attached heap's handle bound and
+// never move as they grow. Only the reset pass reserves and writes
+// oldFrames: a cycle of any other configuration stamps into the object
+// records. vm's test of this name covers the runtime's owner table.
 func TestMappedRecordsHoldNoPointers(t *testing.T) {
 	for name, table := range map[string]any{"meta": CG{}.meta, "oldFrames": CG{}.oldFrames, "sets": CG{}.sets} {
 		if elem := reflect.TypeOf(table).Elem(); hasPointers(elem) {
@@ -56,14 +54,18 @@ func TestMappedRecordsHoldNoPointers(t *testing.T) {
 	}
 	for _, cfg := range []Config{DefaultConfig(), {StaticOpt: true, Recycle: true}, {StaticOpt: true, ResetOnGC: true}} {
 		rt, cg, node := newRT(t, cfg, 1<<22)
-		mapped := cg.tab.meta.Reserved()
+		mapped := cg.metaTab.Reserved()
 		if mapped == 0 {
 			t.Log("no mapping on this build: the tables grow by heap.Grow's rule")
 			return
 		}
-		if bound := rt.Heap.HandleBound(); cap(cg.meta) != mapped || cap(cg.oldFrames) != mapped || mapped < bound {
-			t.Fatalf("meta and oldFrames are mapped at %d and %d slots (recorded as %d), the heap's handle bound is %d",
-				cap(cg.meta), cap(cg.oldFrames), mapped, bound)
+		wantOld := 0
+		if cfg.ResetOnGC {
+			wantOld = mapped
+		}
+		if bound := rt.Heap.HandleBound(); cap(cg.meta) != mapped || cap(cg.oldFrames) != wantOld || mapped != bound {
+			t.Fatalf("%+v: meta and oldFrames are mapped at %d and %d slots (recorded as %d), the heap's handle bound is %d",
+				cfg, cap(cg.meta), cap(cg.oldFrames), mapped, bound)
 		}
 		meta, old := unsafe.SliceData(cg.meta), unsafe.SliceData(cg.oldFrames)
 		th := rt.NewThread(1)
@@ -73,7 +75,7 @@ func TestMappedRecordsHoldNoPointers(t *testing.T) {
 			th.CallVoid(0, func(g *vm.Frame) { g.MustNew(node) }) // recycled under Recycle
 		}
 		rt.ForceCollect()
-		wantOld := 0
+		wantOld = 0
 		if cfg.ResetOnGC {
 			wantOld = len(cg.meta)
 		}
@@ -99,7 +101,7 @@ func TestSetTableIsSizedBySets(t *testing.T) {
 	rt := vm.New(heap.New(spec.HeapBytes(100)), cg)
 	spec.Run(rt, 100)
 	records, handles := len(cg.sets), rt.Heap.NumHandles()
-	if cg.tab.sets.Reserved() == 0 {
+	if cg.setsTab.Reserved() == 0 {
 		records = cap(cg.sets)
 	}
 	t.Logf("%d set slots in use, %d records held, %d handles", len(cg.sets)-1, records, handles)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"os"
-	"runtime/debug"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -35,19 +34,15 @@ func residentBytes(t *testing.T, meta []objMeta) int {
 // handles and a HandleCap of 2^19, and its object records are resident
 // as far as the handles reach — 4 MiB — not through the 8 MiB granted.
 // The slack is one 2 MiB page, for a host that backs the mapping with
-// huge pages. Then the pooled sequence: Reset decommits the records the
-// cell wrote, so that no more than the slack of them stays resident, and
-// the next cell, handed the same tables, starts on zeroed records.
+// huge pages. Then Reset: the records go with the collector, and the
+// next cell's, no more than the slack of them resident, start zeroed.
 func TestMetaIsResidentAsFarAsUsed(t *testing.T) {
 	const objects, slack = 1 << 18, 2 << 20
-	// core's pool is a sync.Pool: without collections it hands back what
-	// detach put in.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	h := heap.New(16 << 20)
 	leaf := h.DefineClass(heap.Class{Name: "Leaf"})
 	cg := New(DefaultConfig())
 	rt := vm.New(h, cg)
-	if cg.tab.meta.Reserved() == 0 {
+	if cg.metaTab.Reserved() == 0 {
 		t.Skip("no mapping on this build: meta is a Go slice")
 	}
 	f := rt.NewThread(0).Top()
@@ -66,12 +61,9 @@ func TestMetaIsResidentAsFarAsUsed(t *testing.T) {
 	}
 	t.Logf("records: %d KiB used, %d KiB granted, %d KiB resident", used>>10, granted>>10, grown>>10)
 
-	tab, firstHandles := cg.tab, h.NumHandles()
+	firstHandles := h.NumHandles()
 	next := New(DefaultConfig())
 	rt.Reset(checked(t, next))
-	if next.tab != tab {
-		t.Skip("the pool handed the second cell other tables")
-	}
 	if reset := residentBytes(t, next.meta); reset > slack {
 		t.Errorf("after Reset the records are resident through %d KiB (%d before it), want under %d",
 			reset>>10, grown>>10, slack>>10)

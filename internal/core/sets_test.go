@@ -251,7 +251,7 @@ func TestSetSlotsScripted(t *testing.T) {
 		}
 
 		cg = New(cfg)
-		rt.Reset(checked(t, cg)) // the old tables go to the pool dirty; these may be them
+		rt.Reset(checked(t, cg)) // the old tables are unmapped; these are fresh
 		step("Runtime.Reset", "0 live 0 free of 0 | S[]")
 		obj = h.DefineClass(heap.Class{Name: "Obj", Refs: 2, Data: 16})
 		alloc(rt.NewThread(0).Top(), "a")

@@ -83,7 +83,9 @@ type Result struct {
 	// table's Collector field); callers type-assert it (e.g. to
 	// *core.CG) to extract statistics. Nil under the "none" table.
 	Col any
-	// Elapsed is the mean wall time per repeat.
+	// Elapsed is the mean wall time per repeat of the drive or replay
+	// alone; building the shard and attaching the collector are not in
+	// it.
 	Elapsed time.Duration
 	// Err is non-nil if the spec failed to resolve or the run panicked
 	// (workloads panic on hard OOM; the engine converts that to an
@@ -172,7 +174,10 @@ func exec(job Job, rt *vm.Runtime, ts *seeds, p *obs.Progress) (res Result) {
 		}
 	}
 
-	start := time.Now()
+	// Only the drive or replay is timed: attaching a collector, which
+	// reserves its side tables, and building a shard are not the
+	// program's time.
+	var elapsed time.Duration
 	for i := 0; i < reps; i++ {
 		// The forced-collection instrumentation is a declarative field
 		// of the event table: decorating the descriptor replaces the
@@ -187,6 +192,7 @@ func exec(job Job, rt *vm.Runtime, ts *seeds, p *obs.Progress) (res Result) {
 		default:
 			rt.Reset(ev)
 		}
+		start := time.Now()
 		if rp != nil {
 			if err := rp.Run(rt); err != nil {
 				res.Err = err
@@ -196,9 +202,10 @@ func exec(job Job, rt *vm.Runtime, ts *seeds, p *obs.Progress) (res Result) {
 		} else {
 			spec.Run(rt, job.Size)
 		}
+		elapsed += time.Since(start)
 		res.RT, res.Col = rt, ev.Collector
 	}
-	res.Elapsed = time.Since(start) / time.Duration(reps)
+	res.Elapsed = elapsed / time.Duration(reps)
 	return res
 }
 
@@ -227,10 +234,8 @@ func New(workers int) *Engine {
 // Workers reports the pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// SetProgress attaches live per-worker utilization reporting (nil
-// detaches it) and returns e for chaining. Updates happen only at job
-// boundaries inside Do, so an attached Progress costs nothing on any
-// per-event or per-cycle path.
+// SetProgress attaches p (nil detaches it), which counts the cells
+// ExecRelease replays from a shipped tape, and returns e for chaining.
 func (e *Engine) SetProgress(p *obs.Progress) *Engine {
 	e.progress = p
 	return e
@@ -284,12 +289,9 @@ func (e *Engine) Do(n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	p := e.progress
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			p.SetWorkerBusy(0, 1)
 			fn(i)
-			p.WorkerDone(0, 0)
 		}
 		return
 	}
@@ -297,14 +299,12 @@ func (e *Engine) Do(n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range idx {
-				p.SetWorkerBusy(w, 1)
 				fn(i)
-				p.WorkerDone(w, 0)
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < n; i++ {
 		idx <- i

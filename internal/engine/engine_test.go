@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/heap"
@@ -125,6 +126,42 @@ func TestRunEachSurvivesPanickingWorkload(t *testing.T) {
 	if pooled := eng.pool.pooled(1 << 21); len(pooled) != 1 || pooled[0] != got[3].RT {
 		t.Fatalf("the healthy cell's shard was not pooled (%d shards of its arena size)", len(pooled))
 	}
+}
+
+// slowDetachWorkload ends its run by binding an event table whose
+// Detach sleeps for slowDetach, so the Reset that attaches the next
+// repeat's collector takes that long.
+const (
+	slowDetachWorkload = "slow-detach"
+	slowDetach         = 40 * time.Millisecond
+)
+
+func init() {
+	workload.Register(workload.Spec{
+		Name:      slowDetachWorkload,
+		Desc:      "leaves a slow Detach behind (test fixture)",
+		Threads:   func(int) int { return 0 },
+		HeapBytes: func(int) int { return 1 << 20 },
+		Run: func(rt *vm.Runtime, size int) {
+			rt.Attach(vm.Events{Detach: func() { time.Sleep(slowDetach) }})
+		},
+	})
+}
+
+// TestElapsedIsTheProgramsTime: a RunEach job's Elapsed times each
+// repeat's drive alone. Of three repeats of the fixture, the last two
+// attach their collector through a Reset that sleeps 40 ms; counted, it
+// would raise the mean per repeat to over 26 ms.
+func TestElapsedIsTheProgramsTime(t *testing.T) {
+	job := Job{Workload: slowDetachWorkload, Size: 1, Collector: "cg", Repeats: 3}
+	New(1).RunEach([]Job{job}, func(_ int, r Result) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if r.Elapsed >= slowDetach/4 {
+			t.Errorf("Elapsed = %v: the repeats' slow attach is in it", r.Elapsed)
+		}
+	})
 }
 
 func TestExecErrors(t *testing.T) {

@@ -12,10 +12,10 @@ import (
 // identical 512 MiB arenas, and attaching a collector to a pooled shard
 // replaces per-cell heap/runtime construction (arena spans, handle
 // table, ref slab, intern maps) with a handful of slice truncations.
-// Every pooled shard is vacated (vm.Runtime.Vacate): its mapped tables,
-// and the collector tables pooled beside it, are decommitted, so an idle
-// shard holds address space and a few Go-heap records, not the pages
-// its last cell wrote. Only the extract-and-drop execution paths
+// Every pooled shard is vacated (vm.Runtime.Vacate): its collector
+// detaches, unmapping its side tables, and its own mapped tables are
+// decommitted, so an idle shard holds address space and a few Go-heap
+// records, not the pages its last cell wrote. Only the extract-and-drop execution paths
 // (ExecRelease, RunEach) recycle through the pool; package-level Exec,
 // whose Result escapes to the caller, never does, so a retained
 // Result.RT stays quiescent.

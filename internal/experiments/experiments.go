@@ -142,17 +142,12 @@ func Render(eng *engine.Engine, figs []Figure) ([]string, []error) {
 // render is Render with the demographic cells run on b.
 func render(b results.Backend, eng *engine.Engine, figs []Figure) ([]string, []error) {
 	var demo []SweepFig
-	var ms []matrix
 	for _, f := range figs {
 		if f.demo != nil {
 			demo = append(demo, *f.demo)
 		}
-		for _, m := range f.reads {
-			if !slices.Contains(ms, m) {
-				ms = append(ms, m)
-			}
-		}
 	}
+	ms := matrices(figs)
 
 	p := planSweep(demo)
 	cells := make([]Cell, len(p.cells))
@@ -193,6 +188,20 @@ func render(b results.Backend, eng *engine.Engine, figs []Figure) ([]string, []e
 		}
 	}
 	return texts, errs
+}
+
+// matrices lists the distinct timing matrices figs read, in the order
+// they are first read.
+func matrices(figs []Figure) []matrix {
+	var ms []matrix
+	for _, f := range figs {
+		for _, m := range f.reads {
+			if !slices.Contains(ms, m) {
+				ms = append(ms, m)
+			}
+		}
+	}
+	return ms
 }
 
 // demoTable renders a demographic figure as a measured-width table from

@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/results"
+	"repro/internal/workload"
 )
 
 // testEng is the engine cgbench renders on: every worker the host has.
@@ -171,15 +171,17 @@ func TestDemographicFiguresComputeEachCellOnce(t *testing.T) {
 
 // TestTimingMatricesRunOnce: 4.7, 4.8, 4.12, A.5 and A.6 read three
 // distinct matrices — cg/msa at sizes 1 and 10, cg/cg+recycle at size
-// 1 — so rendering them runs 3 × 8 benchmarks × 5 repeats × 2 systems =
-// 240 timing jobs, not a matrix per figure (400).
+// 1 — so rendering them, which runs each distinct matrix once, runs 3 ×
+// 8 benchmarks × 5 repeats × 2 systems = 240 timing jobs, not a matrix
+// per figure (400).
 func TestTimingMatricesRunOnce(t *testing.T) {
-	skipTiming(t)
-	prog := &obs.Progress{}
-	renderAll(t, engine.New(2).SetProgress(prog), "4.7", "4.8", "4.12", "A.5", "A.6")
-	jobs := int64(0)
-	for _, w := range prog.Snapshot().Workers {
-		jobs += w.Done
+	figs, err := Figures("4.7", "4.8", "4.12", "A.5", "A.6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := 0
+	for _, m := range matrices(figs) {
+		jobs += len(m.jobs(workload.All()))
 	}
 	if jobs != 240 {
 		t.Errorf("rendering 4.7, 4.8, 4.12, A.5 and A.6 ran %d timing jobs, want 240", jobs)

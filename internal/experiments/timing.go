@@ -44,13 +44,9 @@ type series struct {
 	err  error
 }
 
-// timeMatrix runs m's jobs over specs as one batch of its own on eng.
-// The two systems' jobs are interleaved (a, b, a, b, ...) so that with
-// more than one worker both systems face the same mix of concurrent
-// neighbours: absolute numbers still include scheduling contention, but
-// it cancels in the speedup columns. For paper-grade absolute timings
-// run -workers 1.
-func timeMatrix(eng *engine.Engine, specs []workload.Spec, m matrix) (out series) {
+// jobs lists m's timing jobs over specs: per benchmark, Repeats rounds
+// of one job under a and one under b.
+func (m matrix) jobs(specs []workload.Spec) []engine.Job {
 	var jobs []engine.Job
 	for _, s := range specs {
 		for r := 0; r < Repeats; r++ {
@@ -60,6 +56,17 @@ func timeMatrix(eng *engine.Engine, specs []workload.Spec, m matrix) (out series
 			}
 		}
 	}
+	return jobs
+}
+
+// timeMatrix runs m's jobs over specs as one batch of its own on eng.
+// The two systems' jobs are interleaved (a, b, a, b, ...) so that with
+// more than one worker both systems face the same mix of concurrent
+// neighbours: absolute numbers still include scheduling contention, but
+// it cancels in the speedup columns. For paper-grade absolute timings
+// run -workers 1.
+func timeMatrix(eng *engine.Engine, specs []workload.Spec, m matrix) (out series) {
+	jobs := m.jobs(specs)
 	els := make([]time.Duration, len(jobs))
 	errs := make([]error, len(jobs))
 	eng.RunEach(jobs, func(i int, r engine.Result) {

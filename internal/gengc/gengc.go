@@ -26,8 +26,6 @@
 package gengc
 
 import (
-	"sync"
-
 	"repro/internal/heap"
 	"repro/internal/msa"
 	"repro/internal/vm"
@@ -95,29 +93,19 @@ type System struct {
 	// Attach so a cycle allocates nothing: preMark as Begin, and the
 	// remembered list, set before each cycle, as Scan.
 	minorCycle msa.Cycle
-	young      int        // the young population preMark counted
-	tab        *genTables // pooled carrier the tables came from
+	young      int // the young population preMark counted
 	stats      Stats
+	// flagsTab and rememberedTab hold flags' and remembered's memory for
+	// the one cell the system serves, reserved at the attached heap's
+	// handle bound: no HandleCap exceeds it, and the list names an id at
+	// most once but for the stale entries of reused handles (only an
+	// append past the bound would move it, as it would any slice).
+	flagsTab      heap.Table[uint8]
+	rememberedTab heap.Table[heap.HandleID]
 }
-
-// genTables is the recyclable allocation footprint of one generational
-// system — the flag bytes, the remembered list and the mark–sweep
-// engine with its mark bits and DFS stack — pooled across matrix cells
-// through the event table's Detach path, mirroring core's table pool.
-// The flags and the list are reserved at the attached heap's handle
-// bound: no HandleCap exceeds it, and the list names an id at most once
-// but for the stale entries of reused handles (only an append past the
-// bound would move it, as it would any slice).
-type genTables struct {
-	flags      heap.Table[uint8]
-	remembered heap.Table[heap.HandleID]
-	msa        msa.Collector
-}
-
-var genTablePool = sync.Pool{New: func() any { return new(genTables) }}
 
 // New returns an unattached generational system; pass it to vm.New.
-// The side tables are drawn from the pool at Attach, not here.
+// The side tables are reserved at Attach, not here.
 func New() *System { return &System{} }
 
 // Events implements vm.Collector.
@@ -132,46 +120,33 @@ func (g *System) Events() vm.Events {
 	}
 }
 
-// Attach binds the system to rt (the descriptor's Attach hook),
-// drawing side tables and the engine from the pool. Pooled tables are
-// observably fresh: detach emptied them, and OnAlloc covers flags
-// zeroed.
+// Attach binds the system to rt (the descriptor's Attach hook) and
+// reserves its side tables; the engine maps its scratch before its
+// first cycle.
 func (g *System) Attach(rt *vm.Runtime) {
 	g.rt = rt
-	t := genTablePool.Get().(*genTables)
-	g.tab = t
-	t.msa.Reattach(rt)
-	g.m = &t.msa
+	g.m = msa.New(rt)
 	bound := rt.Heap.HandleBound()
-	g.flags = t.flags.Reserve(bound)
-	g.remembered = t.remembered.Reserve(bound)
+	g.flags = g.flagsTab.Reserve(bound)
+	g.remembered = g.rememberedTab.Reserve(bound)
 	g.minorCycle = msa.Cycle{Begin: g.preMark}
 }
 
 // detach implements the event table's Detach capability: the runtime
-// is replacing this collector, so its side tables go back to the pool
-// decommitted: the flags through their length, and, only after a cell
-// that collected — only an object a cycle promoted is ever remembered —
-// the remembered list whole, as its high-water is not kept. The engine
-// decommits its own scratch as it is unbound. The system must not be
+// is replacing this system, whose cell has ended, so its side tables
+// and its engine's scratch are unmapped now. The system must not be
 // queried afterwards but for Stats; fields are nilled so a violation
-// fails loudly. None of the tables carries pointers into the shard
-// (handle IDs are indices), so pooling pins nothing.
+// fails loudly.
 func (g *System) detach() {
-	t := g.tab
-	if t == nil {
+	if g.m == nil {
 		return
 	}
-	g.tab = nil
-	t.flags.Decommit(g.flags)
-	if g.stats.Minor > 0 {
-		t.remembered.Decommit(g.remembered[:cap(g.remembered)])
-	}
-	t.msa.Reattach(nil)
+	g.flagsTab.Release()
+	g.rememberedTab.Release()
+	g.m.Release()
 	g.rt, g.m = nil, nil
 	g.flags, g.remembered = nil, nil
 	g.minorCycle = msa.Cycle{}
-	genTablePool.Put(t)
 }
 
 // Stats returns a copy of the counters.
@@ -189,7 +164,7 @@ func (g *System) Engine() *msa.Collector { return g.m }
 func (g *System) OnAlloc(id heap.HandleID, _ *vm.Frame) {
 	if int(id) >= len(g.flags) {
 		n := g.rt.Heap.HandleCap()
-		g.flags = g.tab.flags.Cover(n, n)
+		g.flags = g.flagsTab.Cover(n, n)
 	}
 	g.flags[int(id)] = 0
 }
@@ -257,6 +232,7 @@ func (g *System) minor() int {
 	g.stats.Minor++
 	g.compactRemembered()
 	g.minorCycle.Scan = g.remembered
+	g.m.Reserve()
 	freed := g.m.Collect(g.minorCycle)
 	g.rt.Heap.ForEachLive(func(id heap.HandleID) {
 		i := int(id)
@@ -300,6 +276,7 @@ func (g *System) promote(id heap.HandleID) {
 // whole set before repopulating it.
 func (g *System) major() int {
 	g.stats.Major++
+	g.m.Reserve()
 	freed := g.m.Collect(msa.Cycle{})
 	g.stats.FreedOld += uint64(freed)
 	// Rebuild the remembered set exactly, in handle order. Stats.Remembered

@@ -2,7 +2,6 @@ package gengc
 
 import (
 	"os"
-	"runtime/debug"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -36,20 +35,16 @@ func residentBytes(t *testing.T, flags []uint8) int {
 // HandleCap of 2^23, and its flags are resident as far as the handles
 // reach — 4 MiB — not through the 8 MiB granted. At a byte a handle the
 // gap exceeds the one 2 MiB page of slack, for a host that backs the
-// mapping with huge pages, only at this many objects. Then the pooled
-// sequence: Reset decommits the flags the cell wrote, so that no more
-// than the slack of them stays resident, and the next cell, handed the
-// same tables, starts on zeroed flags.
+// mapping with huge pages, only at this many objects. Then Reset: the
+// flags go with the system, and the next cell's, no more than the slack
+// of them resident, start zeroed.
 func TestFlagsAreResidentAsFarAsUsed(t *testing.T) {
 	const objects, slack = 1 << 22, 2 << 20
-	// gen's pool is a sync.Pool: without collections it hands back what
-	// detach put in.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	h := heap.New(1 << 27)
 	leaf := h.DefineClass(heap.Class{Name: "Leaf"})
 	g := New()
 	rt := vm.New(h, g)
-	if g.tab.flags.Reserved() == 0 {
+	if g.flagsTab.Reserved() == 0 {
 		t.Skip("no mapping on this build: flags is a Go slice")
 	}
 	// The runtime's Alloc slot, without the frame that would hold every
@@ -72,12 +67,9 @@ func TestFlagsAreResidentAsFarAsUsed(t *testing.T) {
 	}
 	t.Logf("flags: %d KiB used, %d KiB granted, %d KiB resident", used>>10, granted>>10, grown>>10)
 
-	tab, firstHandles := g.tab, h.NumHandles()
+	firstHandles := h.NumHandles()
 	next := New()
 	rt.Reset(next)
-	if next.tab != tab {
-		t.Skip("the pool handed the second cell other tables")
-	}
 	if reset := residentBytes(t, next.flags); reset > slack {
 		t.Errorf("after Reset the flags are resident through %d KiB (%d before it), want under %d",
 			reset>>10, grown>>10, slack>>10)

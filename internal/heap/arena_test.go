@@ -385,8 +385,7 @@ func TestArenaRandomizedInvariants(t *testing.T) {
 }
 
 func TestBitsetNextSet(t *testing.T) {
-	var b Bitset
-	b.Reset(300)
+	b := make(Bitset, BitsetWords(300))
 	if got := b.NextSet(0); got != -1 {
 		t.Fatalf("NextSet on empty = %d, want -1", got)
 	}

@@ -14,12 +14,6 @@ type Bitset []uint64
 // bits.
 func BitsetWords(n int) int { return (n + 63) >> 6 }
 
-// Reset sizes b to cover n bits and zeroes every covered word, reusing
-// capacity. The whole new length is cleared unconditionally, so a
-// pooled bitset shrunk and re-grown across uses can never leak stale
-// bits into a later cycle.
-func (b *Bitset) Reset(n int) { *b = Grow((*b)[:0], BitsetWords(n), 0) }
-
 // Has reports whether bit i is set.
 func (b Bitset) Has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 

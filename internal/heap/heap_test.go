@@ -113,7 +113,7 @@ func TestSpanArenaDoubleFreePanics(t *testing.T) {
 }
 
 // TestSpanArenaRandomized drives a random alloc/free workload and checks the
-// structural invariants after every operation (DESIGN.md §5.5).
+// structural invariants after every operation (DESIGN.md §8 "The ladder").
 func TestSpanArenaRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	a := NewSpanArena(1 << 16)

@@ -12,6 +12,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/collectors"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gengc"
@@ -76,7 +77,7 @@ func shifting(t *testing.T) (*heap.Heap, string) {
 }
 
 // TestMappedAndGrownTablesAgree runs the ledger's 28 matrix cells (at
-// size 10), one pooled small-then-large sequence and a heap whose
+// size 10), a small-then-large sequence on one pooled shard and a heap whose
 // shifting extent lengths carve past the slab's reservation twice: on
 // mapped tables, and with Table.Reserve mapping nothing, as under -race
 // and off unix, so that the tables grow by heap.Grow's rule. Where a
@@ -91,8 +92,8 @@ func TestMappedAndGrownTablesAgree(t *testing.T) {
 				states = append(states, endState(t, engine.Exec(job)))
 			}
 		}
-		// The large cell runs on the shard, and the CG tables, the small
-		// one left in the pools: regrowth over a dirty table.
+		// The large cell runs on the shard the small one left in the
+		// pool: regrowth over a vacated heap.
 		eng := engine.New(1)
 		for _, size := range []int{1, 10} {
 			job := engine.Job{Workload: "jess", Size: size, Collector: "cg+recycle", HeapBytes: 1 << 24, GCEvery: 5000}
@@ -143,10 +144,10 @@ func collected(want int64) int64 {
 
 // owners are the collectors that keep tables of their own, beside the
 // three of the heap they are attached to (handles, live bitmap, ref
-// slab). tables counts their mappings: CG's object records, reset
-// stamps and set records and its mark-sweep engine's mark bits and DFS
-// stack; gen's flag bytes and remembered list and its engine's mark
-// bits and DFS stack; msa's engine's mark bits and DFS stack. access is the
+// slab). tables counts the mappings each reserves at Attach: CG's object
+// records and set records (its reset stamps only under +reset), gen's
+// flag bytes and remembered list, none for msa. Every one of them maps
+// its engine's mark bits and DFS stack at its first cycle. access is the
 // runtime's owner table, mapped for a collector that binds an Access
 // slot, as CG does.
 var owners = []struct {
@@ -154,25 +155,32 @@ var owners = []struct {
 	tables, access int64
 	new            func() vm.Collector
 }{
-	{"cg", 5, 1, func() vm.Collector { return core.New(core.DefaultConfig()) }},
-	{"gen", 4, 0, func() vm.Collector { return gengc.New() }},
-	{"msa", 2, 0, func() vm.Collector { return msa.NewSystem() }},
+	{"cg", 2, 1, func() vm.Collector { return core.New(core.DefaultConfig()) }},
+	{"gen", 2, 0, func() vm.Collector { return gengc.New() }},
+	{"msa", 0, 0, func() vm.Collector { return msa.NewSystem() }},
 }
+
+// scratch is the mappings of the mark–sweep engine's scratch: the mark
+// bits and the DFS stack.
+const scratch = 2
 
 // TestDroppedOwnersAreUnmapped: nobody calls Release on a heap's tables
 // or on a collector's; dropping the owner is the release. Every mapping
-// a heap and a runtime with each collector attached hold — nine under
-// CG — is gone two collections after the runtime is.
+// a heap and a runtime with each collector attached hold, after a cycle
+// — eight under CG — is gone two collections after the runtime is.
 func TestDroppedOwnersAreUnmapped(t *testing.T) {
 	for _, o := range owners {
 		t.Run(o.spec, func(t *testing.T) {
-			base := collected(-1) // earlier tests' garbage, and the pools, emptied
+			base := collected(-1) // earlier tests' garbage emptied
 			func() {
 				rt := vm.New(heap.New(64<<20), o.new())
 				if got, want := heap.MappingCount()-base, 3+o.tables+o.access; got != want {
 					t.Fatalf("a heap and a runtime with %s attached hold %d mappings, want %d", o.spec, got, want)
 				}
-				runtime.KeepAlive(rt)
+				rt.ForceCollect()
+				if got, want := heap.MappingCount()-base, 3+o.tables+o.access+scratch; got != want {
+					t.Fatalf("after a cycle, a heap and a runtime with %s attached hold %d mappings, want %d", o.spec, got, want)
+				}
 			}()
 			if got := collected(base); got > base {
 				t.Fatalf("%d mappings outlive their owners", got-base)
@@ -181,41 +189,61 @@ func TestDroppedOwnersAreUnmapped(t *testing.T) {
 	}
 }
 
-// TestRemapReleasesAtOnce: each collector's pooled tables follow the
-// heaps they are attached to. A larger heap than the pooled mapping
-// covers gets a new one, and the old one is unmapped then, not at some
-// later collection; a smaller heap keeps the mapping it finds. Each
-// runtime is released when done, which unmaps its heap's tables and its
-// owner table, so only the pooled tables' mappings stay.
-func TestRemapReleasesAtOnce(t *testing.T) {
-	// The pools are sync.Pools: without collections they hand back what
-	// detach put in.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, o := range owners {
-		t.Run(o.spec, func(t *testing.T) {
-			rt := vm.New(heap.New(1<<20), o.new())
-			rt.Reset(vm.None()) // detach: the tables, mapping and all, go to the pool
-			rt.Release()
-			held := heap.MappingCount() // the pooled tables'
-			runtimeTables := 3 + o.access
-			for _, size := range []int{1 << 24, 1 << 20, 1 << 24} {
-				h := heap.New(size)
-				rt = vm.New(h, o.new())
-				if got := heap.MappingCount(); got != held+runtimeTables {
-					t.Fatalf("attached to a %d-byte heap: %d mappings, want the %d held before and the new heap's and runtime's %d",
-						size, got, held, runtimeTables)
-				}
-				node := h.DefineClass(heap.Class{Name: "Node", Refs: 1})
-				f := rt.NewThread(1).Top()
-				for i := 0; i < 1000; i++ {
-					f.MustNew(node)
-				}
-				rt.ForceCollect()
-				rt.Reset(vm.None())
-				rt.Release()
+// TestDetachUnmapsTheCollectorsTables: a collector's side tables live
+// for its one cell. Under every spec of the grammar, a cell that runs a
+// cycle holds its collector's tables and its engine's scratch beside the
+// heap's three tables and, where an Access slot is bound, the runtime's
+// owner table, and Reset unmaps the collector's at once: the count falls
+// back to the heap's and the runtime's own. A demographics cell under
+// cg, which never collects, maps no mark scratch.
+func TestDetachUnmapsTheCollectorsTables(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cleanup runs mid-count
+	for _, spec := range collectors.AllSpecs() {
+		t.Run(spec, func(t *testing.T) {
+			ev, err := collectors.New(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
+			base := collected(-1)
+			own := int64(3)
+			if ev.Access != nil {
+				own++
+			}
+			h := heap.New(1 << 20)
+			rt := vm.New(h, ev)
+			node := h.DefineClass(heap.Class{Name: "Node", Refs: 1})
+			f := rt.NewThread(1).Top()
+			for i := 0; i < 1000; i++ {
+				f.MustNew(node)
+			}
+			rt.ForceCollect()
+			if spec != "none" && heap.MappingCount()-base <= own {
+				t.Fatalf("a cell that collected under %s holds %d mappings, no more than the heap's and the runtime's %d",
+					spec, heap.MappingCount()-base, own)
+			}
+			rt.Reset(vm.None())
+			if got := heap.MappingCount() - base; got != own {
+				t.Fatalf("after Reset, %d mappings are held, want the heap's and the runtime's %d", got, own)
+			}
+			rt.Release()
 		})
 	}
+	t.Run("a demographics cell maps no mark scratch", func(t *testing.T) {
+		base := collected(-1)
+		o := owners[0]
+		job := engine.Job{Workload: "jess", Size: 1, Collector: o.spec}
+		engine.New(1).ExecRelease(job, func(r engine.Result) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			if n := r.RT.GCCycles(); n != 0 {
+				t.Fatalf("the demographics cell ran %d cycles", n)
+			}
+			if got, want := heap.MappingCount()-base, 3+o.tables+o.access; got != want {
+				t.Fatalf("a %s demographics cell holds %d mappings, want %d: the heap's, the owner table and CG's tables", o.spec, got, want)
+			}
+		})
+	})
 }
 
 // TestEvictedShardsAreUnmapped: the engine's pool owns a shard alone

@@ -13,7 +13,8 @@ import (
 // Table is the memory behind one table indexed by handle id (or by ref
 // slab offset), whoever owns it. The owner indexes a plain slice the
 // Table hands out, grows it with Cover (or with Grow or append, in the
-// same memory), and hands it back with Decommit when its cell ends.
+// same memory), and when its cell ends hands it back with Decommit, if
+// it outlives the cell, or unmaps it with Release.
 //
 // Reserve maps the table at a bound its owner knows no index reaches:
 // a private, zero-filled, MAP_NORESERVE anonymous mapping, which costs
@@ -23,9 +24,8 @@ import (
 // serves, a host that refuses one, or an index past the bound (the ref
 // slab's free extents of lengths no one allocates) — the table is a Go
 // slice and grows by Grow's rule. The mapping is unmapped once the
-// Table is unreachable, or at once by Release or by a Reserve that needs
-// a larger one. T must hold no Go pointer: the Go collector does not
-// scan a mapping.
+// Table is unreachable, or at once by Release. T must hold no Go
+// pointer: the Go collector does not scan a mapping.
 type Table[T any] struct {
 	s     []T             // the table; where it lies in m, zero past its length
 	m     []T             // the mapping, at its full capacity; nil where there is none
@@ -40,20 +40,17 @@ var mapOff bool
 // what TestDroppedOwnersAreUnmapped reads.
 var mappings atomic.Int64
 
-// Reserve maps the empty table at n elements, unless its mapping holds
-// that many already: a pooled table keeps a larger mapping and unmaps a
-// smaller one at once, not at some later collection. A table that is
-// not empty, or finds no mapping to be had, stays what it was. It
-// returns the table.
+// Reserve maps the empty table at n elements, once: a table that is
+// mapped already, is not empty, or finds no mapping to be had stays
+// what it was. It returns the table.
 func (t *Table[T]) Reserve(n int) []T {
-	if cap(t.m) >= n || len(t.s) > 0 {
+	if t.m != nil || len(t.s) > 0 {
 		return t.s
 	}
 	m := mapTable[T](n)
 	if m == nil {
 		return t.s
 	}
-	t.Release()
 	t.s, t.m = m[:0], m
 	t.unmap = runtime.AddCleanup(t, unmapTable[T], m)
 	return t.s

@@ -145,7 +145,8 @@ func (a *SpanArena) Free(addr, size int) {
 		panic(fmt.Sprintf("heap: bad free [%d,%d) in arena of %d", addr, addr+size, a.size))
 	}
 	i := a.freeIndex(addr)
-	// Overlap checks guard the no-overlap invariant (DESIGN.md §5.5).
+	// Overlap checks guard the no-overlap invariant (DESIGN.md §8 "The
+	// ladder").
 	if i > 0 && a.free[i-1].addr+a.free[i-1].size > addr {
 		panic(fmt.Sprintf("heap: double free or overlap at %d", addr))
 	}

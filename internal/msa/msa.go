@@ -24,7 +24,6 @@ package msa
 
 import (
 	"math/bits"
-	"sync"
 
 	"repro/internal/heap"
 	"repro/internal/vm"
@@ -79,41 +78,38 @@ type Collector struct {
 	mark  heap.Bitset     // scratch mark bits, indexed by HandleID
 	work  []heap.HandleID // scratch DFS stack
 	// markTab and workTab hold mark's and work's memory, reserved at the
-	// heap's handle bound: the mark bits cover every id, and the stack
-	// holds each marked object at most once.
+	// heap's handle bound (Reserve): the mark bits cover every id, and
+	// the stack holds each marked object at most once.
 	markTab heap.Table[uint64]
 	workTab heap.Table[heap.HandleID]
 }
 
-// New returns a mark–sweep engine bound to rt.
-func New(rt *vm.Runtime) *Collector {
-	m := &Collector{}
-	m.Reattach(rt)
-	return m
-}
+// New returns a mark–sweep engine bound to rt. It holds no scratch
+// until Reserve.
+func New(rt *vm.Runtime) *Collector { return &Collector{rt: rt} }
 
-// Reattach rebinds the engine to a new runtime (nil: to none) and zeroes
-// its counters, keeping the mark/work scratch capacity but not its
-// memory: only a cycle writes the scratch, so an outgoing cell that
-// collected decommits its mark bits, and its stack whole, as the
-// stack's high-water is not kept. A reattached engine is observably
-// fresh: Collect re-sizes and re-clears the mark bits every cycle
-// anyway. Pooled collectors (core's and gengc's detachable tables, the
-// System pool below) reuse engines through this instead of allocating
-// handle-table-sized scratch per matrix cell.
-func (m *Collector) Reattach(rt *vm.Runtime) {
-	if m.rt != nil && m.stats.Cycles > 0 {
-		m.markTab.Decommit(m.mark)
-		m.workTab.Decommit(m.work[:cap(m.work)])
-	}
-	m.rt = rt
-	m.stats = Stats{}
-	if rt == nil {
+// Reserve maps the engine's scratch at the heap's handle bound, before
+// its first cycle. Its collector calls it before every Collect rather
+// than at Attach, since only a cycle writes the scratch and most cells
+// never collect, and Collect does not call it, since the committed
+// profile's inlining is fitted to Collect's body (DESIGN.md §5
+// "Profile-guided builds"). A cycle on an engine never reserved grows
+// its scratch on the Go heap.
+func (m *Collector) Reserve() {
+	if m.mark != nil {
 		return
 	}
-	bound := rt.Heap.HandleBound()
+	bound := m.rt.Heap.HandleBound()
 	m.mark = m.markTab.Reserve(heap.BitsetWords(bound))
 	m.work = m.workTab.Reserve(bound)
+}
+
+// Release unmaps the engine's scratch now, for an engine whose cell has
+// ended, rather than once a Go collection finds it unreachable.
+func (m *Collector) Release() {
+	m.markTab.Release()
+	m.workTab.Release()
+	m.mark, m.work = nil, nil
 }
 
 // Stats returns a copy of the counters.
@@ -292,11 +288,6 @@ func (m *Collector) markHooked(cy Cycle) {
 	m.stats.EdgeVisits += edges
 }
 
-// systemPool recycles System engines (mark bitset, DFS stack) across
-// pooled-shard cells through the event table's Detach path, mirroring
-// core's table pool.
-var systemPool = sync.Pool{New: func() any { return &Collector{} }}
-
 // System is the baseline "JDK 1.1.8" configuration: no incremental
 // collection, mark–sweep on demand. It implements vm.Collector with the
 // leanest possible event table: mark–sweep needs no per-event
@@ -322,29 +313,25 @@ func (s *System) Events() vm.Events {
 	}
 }
 
-// Attach binds the system to rt (the descriptor's Attach hook), drawing
-// a pooled engine so a sweep of matrix cells stops re-allocating
-// handle-table-sized mark scratch per cell.
-func (s *System) Attach(rt *vm.Runtime) {
-	m := systemPool.Get().(*Collector)
-	m.Reattach(rt)
-	s.m = m
-}
+// Attach binds the system to rt (the descriptor's Attach hook).
+func (s *System) Attach(rt *vm.Runtime) { s.m = New(rt) }
 
-// detach implements the event table's Detach capability: the engine
-// (and its scratch) goes back to the pool. The system must not be
-// queried after detach; m is nilled so a violation fails loudly.
+// detach implements the event table's Detach capability: the engine's
+// scratch is unmapped. The system must not be queried after detach; m
+// is nilled so a violation fails loudly.
 func (s *System) detach() {
 	if s.m == nil {
 		return
 	}
-	s.m.Reattach(nil)
-	systemPool.Put(s.m)
+	s.m.Release()
 	s.m = nil
 }
 
 // Collect is the collection capability.
-func (s *System) Collect() int { return s.m.Collect(Cycle{}) }
+func (s *System) Collect() int {
+	s.m.Reserve()
+	return s.m.Collect(Cycle{})
+}
 
 // Engine exposes the underlying mark–sweep engine (stats).
 func (s *System) Engine() *Collector { return s.m }

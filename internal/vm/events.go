@@ -29,11 +29,10 @@ type Events struct {
 
 	// Detach, if non-nil, is called when another event table replaces
 	// this one on the runtime (Reset between pooled-shard cells, or a
-	// mid-run Attach). The collector must consider itself unbound and
-	// must not be queried afterwards; pooled implementations reclaim
-	// their side tables here so a sweep of cells stops paying per-cell
-	// table construction. A runtime that is simply dropped never calls
-	// Detach.
+	// mid-run Attach) or the runtime is released. The collector must
+	// consider itself unbound and must not be queried afterwards; it
+	// unmaps its side tables here. A runtime that is simply dropped
+	// never calls Detach.
 	Detach func()
 
 	// Alloc observes a fresh object allocated while f was the active

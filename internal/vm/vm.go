@@ -219,9 +219,8 @@ func New(h *heap.Heap, c Collector) *Runtime {
 // stateful collectors mid-run is therefore unsupported — quiesce via
 // Reset instead.
 func (rt *Runtime) Attach(ev Events) {
-	// The outgoing collector is unbound first, so a pooled
-	// implementation can reclaim its side tables before the incoming
-	// one (possibly of the same family) asks for a fresh set.
+	// The outgoing collector is unbound first, so its side tables are
+	// unmapped before the incoming one reserves its own.
 	if rt.detach != nil {
 		rt.detach()
 	}
@@ -264,17 +263,16 @@ func (rt *Runtime) Reset(c Collector) {
 }
 
 // Vacate ends the cell the runtime ran and leaves it holding address
-// space, not memory: the collector detaches (a pooled one decommits its
-// side tables), the owner table is decommitted through the ids the heap
+// space, not memory: the collector detaches (and unmaps its side
+// tables), the owner table is decommitted through the ids the heap
 // handed out, the only ones written, and the heap resets; the rest of
 // the runtime's state is truncated, keeping its capacity. The engine
 // vacates a shard before it pools it, so an idle shard pins no page its
 // last cell wrote. A vacated runtime has no collector bound; Attach
 // binds one.
 func (rt *Runtime) Vacate() {
-	// The outgoing collector detaches while the heap still holds the
-	// cell it served, so it can tell which of its records that cell
-	// wrote; an empty table binds nothing in its place.
+	// The outgoing collector detaches, unmapping its side tables; an
+	// empty table binds nothing in its place.
 	rt.Attach(Events{})
 	rt.ownerTab.Decommit(rt.owners[:min(len(rt.owners), rt.Heap.NumHandles())])
 	rt.owners = rt.owners[:0]
@@ -298,8 +296,8 @@ func (rt *Runtime) Vacate() {
 }
 
 // Release ends a runtime nobody will run again: the collector detaches,
-// so a pooled implementation takes its side tables back, and the heap
-// unmaps its tables at once (heap.Heap.Release). The runtime must not be
+// unmapping its side tables, and the owner table and the heap's tables
+// are unmapped at once (heap.Heap.Release). The runtime must not be
 // used afterwards.
 func (rt *Runtime) Release() {
 	if rt.detach != nil {
