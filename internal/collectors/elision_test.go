@@ -12,9 +12,10 @@ import (
 // to out. Slots the descriptor leaves nil are replaced by pure
 // recorders only when fill is set — with fill, the wrapped table
 // subscribes everything, which is exactly the dispatch behavior of the
-// old interface ABI (every collector had every method; elision opt-outs
-// were the ForceAccessEvents/ForceFramePopEvents flags the AllAccess/
-// AllPops fields replaced).
+// old interface ABI (every collector had every method; the access
+// elision's opt-out was the ForceAccessEvents flag the AllAccess field
+// replaced). Either way a pop reaches FramePop only from a frame whose
+// GCHead the collector armed.
 func traceEvents(ev vm.Events, fill bool, out *[]string) vm.Events {
 	w := ev
 	add := func(s string) { *out = append(*out, s) }
@@ -142,8 +143,8 @@ func driveElisionScript(rt *vm.Runtime) {
 // interface ABI would have delivered to the same collector — the
 // subscribed-slot streams of a partially subscribed table equal the
 // streams of the same collector under full subscription (which is the
-// old five-method dispatch, AllAccess/AllPops standing in for the
-// ForceAccessEvents/ForceFramePopEvents opt-outs). Events the new ABI
+// old five-method dispatch, AllAccess standing in for the
+// ForceAccessEvents opt-out). Events the new ABI
 // elides are still exactly the calls the old ABI spent on no-op
 // methods. Both runs here filter Access alike — the single-thread gate
 // and the runtime's owner table, which drops an owner's own touches,

@@ -282,8 +282,7 @@ func (c *CG) Attach(rt *vm.Runtime) {
 	c.msa = msa.New(rt)
 	bound := c.heap.HandleBound()
 	c.meta = c.metaTab.Reserve(bound)
-	c.setsTab.Reserve(bound + 1)
-	c.sets = c.setsTab.Cover(1, 1) // slot 0, never used
+	c.sets = heap.Grow(c.setsTab.Reserve(bound+1), 1, 1) // slot 0, never used
 	c.freeSets = 0
 	if c.cfg.Recycle {
 		c.recycleClasses = make([]recycleList, heap.NumSizeClasses)
@@ -338,13 +337,13 @@ func (c *CG) ensure(id heap.HandleID) {
 
 // grow takes meta to the handle table's capacity in one step: it grows
 // when that table does, by the heap's rule, and id is covered because
-// the heap has already handed it out. Within the mapping Cover clears
+// the heap has already handed it out. Within the mapping Grow writes
 // nothing, so meta is resident only as far as the handles reach.
 //
 //go:noinline
 func (c *CG) grow() {
 	n := c.heap.HandleCap()
-	c.meta = c.metaTab.Cover(n, n)
+	c.meta = heap.Grow(c.meta, n, n)
 }
 
 // find returns the representative handle of id's equilive set, with the
@@ -837,7 +836,7 @@ func (c *CG) beginCycle(heap.Bitset) {
 	// it in oldFrames instead.
 	reset := c.cfg.ResetOnGC
 	if n := len(c.meta); reset && len(c.oldFrames) < n {
-		c.oldFrames = c.oldFramesTab.Cover(n, n)
+		c.oldFrames = heap.Grow(c.oldFrames, n, n)
 	}
 	c.rt.EachFrame(func(f *vm.Frame) {
 		for slot := f.GCHead; slot != 0; slot = c.sets[int(slot)].next {

@@ -10,15 +10,15 @@ import (
 // shardPool recycles quiescent vm.Runtime shards between matrix cells,
 // keyed by arena size: a demographics sweep runs hundreds of cells over
 // identical 512 MiB arenas, and attaching a collector to a pooled shard
-// replaces per-cell heap/runtime construction (arena spans, handle
-// table, ref slab, intern maps) with a handful of slice truncations.
-// Every pooled shard is vacated (vm.Runtime.Vacate): its collector
-// detaches, unmapping its side tables, and its own mapped tables are
-// decommitted, so an idle shard holds address space and a few Go-heap
-// records, not the pages its last cell wrote. Only the extract-and-drop execution paths
-// (ExecRelease, RunEach) recycle through the pool; package-level Exec,
-// whose Result escapes to the caller, never does, so a retained
-// Result.RT stays quiescent.
+// replaces per-cell construction of its Go records (arena spans, class
+// tables, frame records, intern maps) with a handful of slice
+// truncations. Those records are all the pool keeps: every pooled shard
+// is vacated (vm.Runtime.Vacate), which unmaps its collector's side
+// tables and its owner table and gives its heap fresh mappings, so an
+// idle shard holds address space, not the pages its last cell wrote.
+// Only the extract-and-drop execution paths (ExecRelease, RunEach)
+// recycle through the pool; package-level Exec, whose Result escapes to
+// the caller, never does, so a retained Result.RT stays quiescent.
 type shardPool struct {
 	mu     sync.Mutex
 	shards []pooledShard // oldest first

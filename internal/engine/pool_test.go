@@ -92,8 +92,8 @@ func TestExecReleaseRecyclesShards(t *testing.T) {
 // cell computed on a recycled shard must produce byte-for-byte the
 // statistics a fresh shard produces. The first RunEach pass fills the
 // pool, the second runs entirely on recycled runtimes, which the pool
-// vacated (their tables decommitted) before the collector of the next
-// cell attached, and the third runs larger cells on them: every
+// vacated (their tables unmapped, the heap's mapped fresh) before the
+// collector of the next cell attached, and the third runs larger cells on them: every
 // handle-indexed table grows past the capacity the small cells used.
 func TestEnginePooledDeterminism(t *testing.T) {
 	jobs := []Job{

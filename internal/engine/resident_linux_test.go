@@ -32,10 +32,10 @@ func residentBytes(t *testing.T) int {
 // reserve some 26 GiB of handle table, live bitmap, ref slab, object
 // records and reset stamps, and are resident in under 8 MiB, because a
 // page of a mapping is memory only once it is written. Reset must keep
-// it that way: it decommits each table through the length its cell used,
-// so resetting all eight after a 100-object cell writes nothing beyond
-// what the cell did — clearing the live bitmap through its capacity
-// would commit 8 MiB a heap. TestVacatedShardHoldsNoPages checks the
+// it that way: it unmaps each table and maps a fresh one, so resetting
+// all eight after a 100-object cell writes nothing beyond what the cell
+// did — clearing the live bitmap through its capacity would commit
+// 8 MiB a heap. TestVacatedShardHoldsNoPages checks the
 // other half: what a large cell wrote goes back.
 func TestMappedTablesAreNotResident(t *testing.T) {
 	const budget = 8 << 20

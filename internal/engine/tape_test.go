@@ -61,11 +61,11 @@ func replays(t *testing.T, jobs ...Job) int64 {
 	return p.Snapshot().TapeReplays
 }
 
-// TestTapeCacheSharesAcrossRepeats pins the Repeats contract: one job
+// TestSeedReplaysEveryRepeat pins the Repeats contract: one job
 // of a seeded row with N repeats through ExecRelease replays the one
 // shipped tape N times; through RunEach, which times programs, every
 // repeat drives.
-func TestTapeCacheSharesAcrossRepeats(t *testing.T) {
+func TestSeedReplaysEveryRepeat(t *testing.T) {
 	job := Job{Workload: "compress", Size: 1, Collector: "cg", HeapBytes: 1 << 24, Repeats: 5}
 	if got := replays(t, job); got != 5 {
 		t.Errorf("ExecRelease: %d of 5 repeats replayed, want 5", got)
@@ -82,13 +82,13 @@ func TestTapeCacheSharesAcrossRepeats(t *testing.T) {
 	}
 }
 
-// TestTapeCacheBitIdentical pins the substitution property at the
+// TestSeedReplayIsBitIdentical pins the substitution property at the
 // engine surface: the same matrix row produces identical collector
 // statistics and heap state whether its cells drive (RunEach) or go
 // through ExecRelease. It does so on both sides of the admission rule:
 // javac at size 1 (2.4k ops) ships a tape and all three cells replay
 // it; jess at size 1 (8k ops) ships none and every cell drives.
-func TestTapeCacheBitIdentical(t *testing.T) {
+func TestSeedReplayIsBitIdentical(t *testing.T) {
 	type snap struct {
 		stats core.Stats
 		hs    heap.Stats
@@ -201,9 +201,9 @@ func TestOneAdmissionRuleForEveryEntry(t *testing.T) {
 	}
 }
 
-// TestTapeCacheProgressCounters checks the /progress accounting: one
+// TestSeedReplaysAreCounted checks the /progress accounting: one
 // replay per cell of a seeded row, and no recording.
-func TestTapeCacheProgressCounters(t *testing.T) {
+func TestSeedReplaysAreCounted(t *testing.T) {
 	p := &obs.Progress{}
 	eng := New(1).SetProgress(p)
 	for _, col := range []string{"cg", "msa", "gen"} {

@@ -158,13 +158,13 @@ func (g *System) Engine() *msa.Collector { return g.m }
 // OnAlloc is the Alloc slot: objects are born young, aged zero, and
 // off the remembered set — one store, which takes a reused handle off
 // the set too; its stale list entry drops out at the next compaction.
-// The flags follow the handle table's capacity in one step, covered as
-// CG.grow covers its records, so they are resident only as far as the
+// The flags follow the handle table's capacity in one step, grown as
+// CG.grow grows its records, so they are resident only as far as the
 // handles reach.
 func (g *System) OnAlloc(id heap.HandleID, _ *vm.Frame) {
 	if int(id) >= len(g.flags) {
 		n := g.rt.Heap.HandleCap()
-		g.flags = g.flagsTab.Cover(n, n)
+		g.flags = heap.Grow(g.flags, n, n)
 	}
 	g.flags[int(id)] = 0
 }

@@ -1,11 +1,9 @@
-//go:build unix && !aix && !race
-
 package heap
 
 import "unsafe"
 
-// SetMapOff makes Table.Reserve map nothing, as the other builds do,
-// for the external tests in this directory.
+// SetMapOff makes Table.Reserve map nothing, as the builds without a
+// mapping do, for the external tests in this directory.
 func SetMapOff(off bool) { mapOff = off }
 
 // MappingCount reads the gauge of mappings made and not yet released.

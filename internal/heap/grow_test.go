@@ -155,21 +155,28 @@ func TestHandleTableArenaClamp(t *testing.T) {
 }
 
 // TestGrowReusesAndZeroes pins the one growth function on its own:
-// retained capacity is reused and cleared, a reallocation reserves the
-// asked capacity, and contents survive both.
+// retained capacity is reused as it stands — Grow clears nothing, since
+// every table reads zero past its length
+// (TestTablesReadZeroPastTheirLength) — a reallocation reserves the
+// asked capacity and reads zero past what it copies, and contents
+// survive both.
 func TestGrowReusesAndZeroes(t *testing.T) {
-	dirty := []int{1, 2, 3, 9, 9, 9}
-	s := Grow(dirty[:3], 5, 100)
-	if &s[0] != &dirty[0] || len(s) != 5 || s[3] != 0 || s[4] != 0 || dirty[5] != 9 {
-		t.Fatalf("Grow within capacity: %v (backing %v)", s, dirty)
+	backing := []int{1, 2, 3, 0, 0, 0}
+	s := Grow(backing[:3], 5, 100)
+	if &s[0] != &backing[0] || len(s) != 5 || cap(s) != 6 {
+		t.Fatalf("Grow within capacity: len %d cap %d, or it left its backing array", len(s), cap(s))
+	}
+	s[3] = 4
+	if backing[3] != 4 {
+		t.Fatal("Grow within capacity copied the table")
 	}
 	g := Grow(s, 7, 16)
-	if len(g) != 7 || cap(g) != 16 || g[0] != 1 || g[1] != 2 || g[2] != 3 {
+	if len(g) != 7 || cap(g) != 16 || g[0] != 1 || g[1] != 2 || g[2] != 3 || g[3] != 4 {
 		t.Fatalf("Grow past capacity: len %d cap %d %v", len(g), cap(g), g)
 	}
-	for i, v := range g[3:cap(g)] {
+	for i, v := range g[5:cap(g)] {
 		if v != 0 {
-			t.Fatalf("Grow past capacity: slot %d reads %d", 3+i, v)
+			t.Fatalf("Grow past capacity: slot %d reads %d", 5+i, v)
 		}
 	}
 	if g = Grow(g, 40, 20); len(g) != 40 || cap(g) != 40 {

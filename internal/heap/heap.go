@@ -122,14 +122,15 @@ type Heap struct {
 	layouts []layout
 	byName  map[string]ClassID
 	// handles, liveBits and slab are the plain slices the hot paths
-	// index and Grow grows; mem holds their memory (see Table). New
-	// reserves handles and liveBits at HandleBound slots, which
-	// handleCap never passes, so within the mapping Grow never copies.
+	// index and Grow grows; mem holds their memory (see Table) for the
+	// one cell the heap serves. New and Reset reserve handles and
+	// liveBits at HandleBound slots, which handleCap never passes, so
+	// within the mapping Grow never copies.
 	handles []handle
 	// handleCap is the capacity the growth rule has granted the handle
 	// table, at most cap(handles). It starts over at Reset, so a pooled
-	// heap and the tables that follow it grow, and are cleared, in step
-	// with the cell they serve, not with the largest cell they ever held.
+	// heap and the tables that follow it grow in step with the cell
+	// they serve, not with the largest cell they ever held.
 	handleCap int
 	freeHead  HandleID // LIFO of free slots, linked through their addr words
 	// slab is the single backing store for every handle's reference
@@ -168,16 +169,20 @@ type Heap struct {
 
 // New returns a heap whose object space spans arenaBytes.
 func New(arenaBytes int) *Heap {
-	h := &Heap{
-		arena:     NewArena(arenaBytes),
-		byName:    make(map[string]ClassID),
-		handleCap: 1,
-	}
-	bound := h.HandleBound()
-	h.handles = Grow(h.mem.handles.Reserve(bound), 1, 1) // slot 0 = Nil, never used
-	h.liveBits = Grow(h.mem.live.Reserve(BitsetWords(bound)), 1, 1)
-	h.slab = Grow(h.mem.slab.Reserve(1+arenaBytes/refBytes), 1, 1) // slot 0 ends every extFree list
+	h := &Heap{arena: NewArena(arenaBytes), byName: make(map[string]ClassID)}
+	h.reserve()
 	return h
+}
+
+// reserve gives the heap fresh, empty tables for a cell: a one-slot
+// handle table and slab, each slot 0 unused (the Nil handle; the end
+// of every extFree list).
+func (h *Heap) reserve() {
+	bound := h.HandleBound()
+	h.handleCap = 1
+	h.handles = Grow(h.mem.handles.Reserve(bound), 1, 1)
+	h.liveBits = Grow(h.mem.live.Reserve(BitsetWords(bound)), 1, 1)
+	h.slab = Grow(h.mem.slab.Reserve(1+h.arena.Size()/refBytes), 1, 1)
 }
 
 // Release unmaps the heap's tables now rather than once a Go collection
@@ -310,8 +315,8 @@ func (h *Heap) Alloc(c ClassID, extra int) (HandleID, error) {
 		if n == h.handleCap {
 			h.handleCap = h.grownHandleCap()
 		}
-		// Grow zeroes the slots it uncovers, so capacity retained across
-		// Reset can never surface a stale record or stale live bits.
+		// Past their lengths the tables read zero, so Grow uncovers a
+		// zero record and a clear live bit without writing them.
 		h.handles = Grow(h.handles, n+1, h.handleCap)
 		h.liveBits = Grow(h.liveBits, BitsetWords(n+1), BitsetWords(h.handleCap))
 		id = HandleID(n)
@@ -350,7 +355,6 @@ func (h *Heap) bindRefs(hd *handle, nrefs int) {
 // tail that spans what its list's extents span. An extent of 256 slots or
 // more starts on a 64-byte boundary: clearing 2 KiB or more at an address
 // that is not 8-byte aligned runs up to ten times slower on amd64.
-// Reused capacity may hold stale refs; Grow clears what it uncovers.
 // Past its reservation the slab doubles: free extents wait on the list of
 // their own length, so arena bytes do not bound the slots carved.
 //
@@ -501,7 +505,7 @@ func (h *Heap) NumHandles() int { return len(h.handles) }
 
 // HandleCap reports how many handles the table holds before it next
 // grows. Tables indexed by HandleID size themselves to it in one step
-// (Table.Cover(HandleCap(), HandleCap())) when they meet an id past
+// (Grow(s, HandleCap(), HandleCap())) when they meet an id past
 // their length, so they grow when the handle table does and never
 // between.
 func (h *Heap) HandleCap() int { return h.handleCap }
@@ -530,15 +534,15 @@ func (h *Heap) grownHandleCap() int {
 	return min(c, h.HandleBound())
 }
 
-// Grow returns s at length n >= len(s) with its contents preserved and
-// the grown region zeroed. Capacity s already has is reused, and
-// cleared first: what a Reset or Truncate left beyond len never
-// surfaces. A reallocation reserves capacity c in one step. The handle
-// table and the ref slab choose c; side tables, through Table.Cover,
-// pass n = c = HandleCap().
+// Grow returns s at length n >= len(s) with its contents preserved.
+// Capacity s already has is reused as it stands, since every table
+// reads zero past its length: it is born zero, from a fresh mapping or
+// a fresh Go slice, lives one cell, and no owner truncates it and grows
+// it again (TestTablesReadZeroPastTheirLength). A reallocation reserves
+// capacity c in one step. The handle table and the ref slab choose c;
+// handle-indexed side tables pass n = c = HandleCap().
 func Grow[T any](s []T, n, c int) []T {
 	if n <= cap(s) {
-		clear(s[len(s):n])
 		return s[:n]
 	}
 	g := make([]T, n, max(n, c))
@@ -621,25 +625,20 @@ func (h *Heap) LiveWords() Bitset { return h.liveBits }
 
 // Reset returns the heap to its freshly constructed state — empty class
 // table, one-slot handle table, one-slot slab with no free extents,
-// fully free arena, zeroed counters — keeping its mappings but not
-// their memory: the handle table, live bitmap and ref slab are
-// decommitted through the length the cell used (Decommit), so a heap
-// the engine pools between cells holds address space, not the pages
-// its last cell wrote, and the next cell faults in only what it writes.
-// A reset heap is observably identical to heap.New(h.Arena().Size()).
+// fully free arena, zeroed counters. The handle table, live bitmap and
+// ref slab go with the cell that wrote them (Release), and fresh ones
+// are reserved as New reserves them, so a heap the engine pools between
+// cells holds address space, not the pages its last cell wrote, and the
+// next cell faults in only what it writes. A reset heap is observably
+// identical to heap.New(h.Arena().Size()).
 func (h *Heap) Reset() {
 	h.arena.Reset()
 	h.classes = h.classes[:0]
 	h.layouts = h.layouts[:0]
 	clear(h.byName)
-	h.mem.handles.Decommit(h.handles)
-	h.handles = h.handles[:1] // the Nil slot
-	h.handleCap = 1
+	h.Release()
+	h.reserve()
 	h.freeHead = Nil
-	h.mem.live.Decommit(h.liveBits)
-	h.liveBits = h.liveBits[:1]
-	h.mem.slab.Decommit(h.slab)
-	h.slab = h.slab[:1]
 	clear(h.extFree[:])
 	h.stats = Stats{}
 }

@@ -3,14 +3,12 @@
 package heap_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/collectors"
 	"repro/internal/core"
@@ -18,110 +16,8 @@ import (
 	"repro/internal/gengc"
 	"repro/internal/heap"
 	"repro/internal/msa"
-	"repro/internal/results"
 	"repro/internal/vm"
 )
-
-// endState is everything deterministic a finished cell can be asked:
-// what the sweep stores of it and where its heap ended up.
-func endState(t *testing.T, r engine.Result) string {
-	t.Helper()
-	if r.Err != nil {
-		t.Fatalf("%+v: %v", r.Job, r.Err)
-	}
-	o := results.Extract(r)
-	payload, err := json.Marshal(o.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := r.RT.Heap
-	return fmt.Sprintf("%s cycles=%d arena=%+v handles=%d/%d live=%d stats=%+v",
-		payload, o.GCCycles, *o.Arena, h.NumHandles(), h.HandleCap(), h.NumLive(), h.Stats())
-}
-
-// shifting drives a heap whose freed extents are never asked for again:
-// each churned array is one slot longer than the one before, so every
-// allocation carves a fresh slab extent and every free lists one that no
-// later allocation pops. 40 rounds of 20 churned arrays, up to 800
-// slots, and one small survivor each carve some 320 000 slots from a
-// slab reserved at 16 385 (a 64 KiB arena's 4-byte slots, and slot 0).
-// It returns every survivor's id, address and references.
-func shifting(t *testing.T) (*heap.Heap, string) {
-	h := heap.New(64 << 10)
-	arr := h.DefineClass(heap.Class{Name: "Arr", IsArray: true})
-	var live []heap.HandleID
-	for i := 0; i < 40; i++ {
-		for w := 1; w <= 20; w++ {
-			id, err := h.Alloc(arr, 20*i+w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.Free(id)
-		}
-		id, err := h.Alloc(arr, 1+i%5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range h.NumRefSlots(id) {
-			if len(live) > 0 {
-				h.SetRef(id, s, live[(i+s)%len(live)])
-			}
-		}
-		live = append(live, id)
-	}
-	state := fmt.Sprintf("handles=%d/%d stats=%+v", h.NumHandles(), h.HandleCap(), h.Stats())
-	for _, id := range live {
-		state += fmt.Sprintf(" %d@%d%v", id, h.AddrOf(id), h.RefSlots(id))
-	}
-	return h, state
-}
-
-// TestMappedAndGrownTablesAgree runs the ledger's 28 matrix cells (at
-// size 10), a small-then-large sequence on one pooled shard and a heap whose
-// shifting extent lengths carve past the slab's reservation twice: on
-// mapped tables, and with Table.Reserve mapping nothing, as under -race
-// and off unix, so that the tables grow by heap.Grow's rule. Where a
-// table lives is not observable: payloads, cycle counts, arena
-// occupancy, handle ids, references and the capacity granted are the
-// same, and a slab that outgrows its mapping goes on in a grown copy.
-func TestMappedAndGrownTablesAgree(t *testing.T) {
-	run := func() (states []string) {
-		for _, w := range []string{"compress", "raytrace", "db", "javac", "mpegaudio", "mtrt", "jack"} {
-			for _, c := range []string{"cg", "cg+recycle", "msa", "gen"} {
-				job := engine.Job{Workload: w, Size: 10, Collector: c, HeapBytes: engine.TightHeap}
-				states = append(states, endState(t, engine.Exec(job)))
-			}
-		}
-		// The large cell runs on the shard the small one left in the
-		// pool: regrowth over a vacated heap.
-		eng := engine.New(1)
-		for _, size := range []int{1, 10} {
-			job := engine.Job{Workload: "jess", Size: size, Collector: "cg+recycle", HeapBytes: 1 << 24, GCEvery: 5000}
-			eng.ExecRelease(job, func(r engine.Result) { states = append(states, endState(t, r)) })
-		}
-		h, state := shifting(t)
-		if h.SlabInMapping() {
-			t.Error("the shifting heap's slab is still in its mapping: it never fell back to Grow")
-		}
-		return append(states, state)
-	}
-	if !heap.New(64 << 10).SlabInMapping() {
-		t.Skip("this host refuses the mapping: both runs would take the grown path")
-	}
-	mapped := run()
-	heap.SetMapOff(true)
-	defer heap.SetMapOff(false)
-	var probe heap.Table[uint64]
-	if probe.Reserve(1); probe.Reserved() != 0 {
-		t.Fatal("Reserve maps with mapping switched off")
-	}
-	grown := run()
-	for i := range mapped {
-		if mapped[i] != grown[i] {
-			t.Errorf("cell %d differs:\nmapped %s\ngrown  %s", i, mapped[i], grown[i])
-		}
-	}
-}
 
 // collected runs the two collections that find a dropped owner and
 // queue its cleanup, then waits (cleanups run on a goroutine of their
@@ -190,12 +86,13 @@ func TestDroppedOwnersAreUnmapped(t *testing.T) {
 }
 
 // TestDetachUnmapsTheCollectorsTables: a collector's side tables live
-// for its one cell. Under every spec of the grammar, a cell that runs a
-// cycle holds its collector's tables and its engine's scratch beside the
-// heap's three tables and, where an Access slot is bound, the runtime's
-// owner table, and Reset unmaps the collector's at once: the count falls
-// back to the heap's and the runtime's own. A demographics cell under
-// cg, which never collects, maps no mark scratch.
+// for its one cell, as the runtime's owner table does. Under every spec
+// of the grammar, a cell that runs a cycle holds its collector's tables
+// and its engine's scratch beside the heap's three tables and, where an
+// Access slot is bound, the owner table, and Reset unmaps them at once:
+// with no collector attached, the count falls back to the fresh heap's
+// three. A demographics cell under cg, which never collects, maps no
+// mark scratch.
 func TestDetachUnmapsTheCollectorsTables(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cleanup runs mid-count
 	for _, spec := range collectors.AllSpecs() {
@@ -205,10 +102,7 @@ func TestDetachUnmapsTheCollectorsTables(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := collected(-1)
-			own := int64(3)
-			if ev.Access != nil {
-				own++
-			}
+			const own = 3 // the heap's
 			h := heap.New(1 << 20)
 			rt := vm.New(h, ev)
 			node := h.DefineClass(heap.Class{Name: "Node", Refs: 1})
@@ -218,12 +112,12 @@ func TestDetachUnmapsTheCollectorsTables(t *testing.T) {
 			}
 			rt.ForceCollect()
 			if spec != "none" && heap.MappingCount()-base <= own {
-				t.Fatalf("a cell that collected under %s holds %d mappings, no more than the heap's and the runtime's %d",
+				t.Fatalf("a cell that collected under %s holds %d mappings, no more than the heap's %d",
 					spec, heap.MappingCount()-base, own)
 			}
 			rt.Reset(vm.None())
 			if got := heap.MappingCount() - base; got != own {
-				t.Fatalf("after Reset, %d mappings are held, want the heap's and the runtime's %d", got, own)
+				t.Fatalf("after Reset, %d mappings are held, want the heap's %d", got, own)
 			}
 			rt.Release()
 		})
@@ -276,85 +170,64 @@ func TestEvictedShardsAreUnmapped(t *testing.T) {
 // memory, where a test file for this system sets it.
 var residentPages func(b []byte) int
 
-// TestDecommitLeavesZeros: Table.Decommit zeroes exactly what it is
-// given, whether that hands whole pages back to the kernel (a window of
-// the mapping, starting on a page or inside one, ending inside the
-// mapping or at its end) or clears a Go slice (a slice from outside the
-// table, a table with mapping switched off, and a table grown past its
-// reservation, as the ref slab is by extents waiting on lists no
-// allocation pops — whose Go memory must be cleared, never handed back).
-func TestDecommitLeavesZeros(t *testing.T) {
-	const n = 5000 // 20 000 bytes: four pages and a part, on 4 KiB pages
-	fill := func(s []uint32) {
-		for i := range s {
-			s[i] = uint32(i) | 1
-		}
-	}
-	check := func(name string, s []uint32, zero bool) {
-		t.Helper()
-		for i, v := range s {
-			if (v == 0) != zero {
-				t.Fatalf("%s: word %d reads %#x after Decommit, want zero %v", name, i, v, zero)
+// TestResetShardHoldsFreshMappings: a reset shard starts its next cell
+// as a new one does. Under every spec of the grammar, a cell that ran a
+// cycle is reset (Runtime.Reset, which resets the heap), and the shard
+// then holds exactly the mappings vm.New(heap.New(n), ev) holds, table
+// for table and of the same sizes, with none of their pages resident:
+// what the last cell wrote went with its mappings, and nothing writes a
+// fresh table before its cell does.
+func TestResetShardHoldsFreshMappings(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cleanup runs mid-count
+	const arena = 1 << 20
+	for _, spec := range collectors.AllSpecs() {
+		t.Run(spec, func(t *testing.T) {
+			events := func() vm.Events {
+				ev, err := collectors.New(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ev
 			}
-		}
-	}
-	var tab heap.Table[uint32]
-	if tab.Reserve(n); tab.Reserved() != n {
-		t.Skip("this host refuses the mapping")
-	}
-	defer tab.Release()
-	m := tab.Cover(n, n)
-	for _, r := range []struct {
-		name   string
-		lo, hi int
-	}{
-		{"from the start, past two pages", 0, 2500},
-		{"inside one page", 10, 900},
-		{"across pages, off both edges", 100, 4000},
-		{"to the mapping's end", 1030, n},
-		{"the whole mapping", 0, n},
-	} {
-		fill(m)
-		tab.Decommit(m[r.lo:r.hi])
-		check(r.name+": before it", m[:r.lo], false)
-		check(r.name, m[r.lo:r.hi], true)
-		check(r.name+": after it", m[r.hi:], false)
-	}
+			mapped := func(rt *vm.Runtime) (caps []string) {
+				for _, tab := range tablesOf(rt) {
+					if tab.s.Cap() > 0 {
+						caps = append(caps, fmt.Sprintf("%s:%d", tab.name, tab.s.Cap()))
+					}
+				}
+				return caps
+			}
+			base := collected(-1)
+			fresh := vm.New(heap.New(arena), events())
+			want, wantCaps := heap.MappingCount()-base, mapped(fresh)
+			fresh.Release()
+			if int64(len(wantCaps)) != want {
+				t.Fatalf("a new shard holds %d mappings but %d tables %v: a table is missing from tablesOf", want, len(wantCaps), wantCaps)
+			}
 
-	elsewhere := make([]uint32, 3000)
-	fill(elsewhere)
-	fill(m)
-	tab.Decommit(elsewhere)
-	check("a Go slice given to a mapped table", elsewhere, true)
-	check("the mapping beside it", m, false)
-
-	fill(m)
-	tab.Decommit(m[:0]) // the table back at the mapping's start, empty
-	if &tab.Cover(n, n)[0] != &m[0] {
-		t.Fatal("a table covered within its reservation left its mapping")
+			rt := vm.New(heap.New(arena), events())
+			node := rt.Heap.DefineClass(heap.Class{Name: "Node", Refs: 1})
+			f := rt.NewThread(1).Top()
+			for i := 0; i < 10_000; i++ {
+				f.PutField(f.MustNew(node), 0, f.MustNew(node))
+			}
+			rt.ForceCollect()
+			rt.Reset(events())
+			defer rt.Release()
+			if got := heap.MappingCount() - base; got != want {
+				t.Fatalf("a reset shard holds %d mappings, a new one %d", got, want)
+			}
+			if got := mapped(rt); !slices.Equal(got, wantCaps) {
+				t.Fatalf("a reset shard holds tables %v, a new one %v", got, wantCaps)
+			}
+			if residentPages == nil {
+				return
+			}
+			for _, tab := range tablesOf(rt) {
+				if n := residentPages(tab.bytes(false)); n != 0 {
+					t.Errorf("%s: %d pages of the reset shard's fresh mapping are resident", tab.name, n)
+				}
+			}
+		})
 	}
-	grown := tab.Cover(4*n, 4*n)
-	if &grown[0] == &m[0] {
-		t.Fatal("a table covered past its reservation is still in its mapping")
-	}
-	fill(grown)
-	tab.Decommit(grown)
-	if residentPages != nil { // before reading, which would fault a handed-back page in
-		b := unsafe.Slice((*byte)(unsafe.Pointer(&grown[0])), 4*len(grown))
-		if got, want := residentPages(b), len(b)/os.Getpagesize(); got < want {
-			t.Errorf("a grown table's Go memory is resident in %d of its %d whole pages after Decommit: it was handed back", got, want)
-		}
-	}
-	check("a table grown past its reservation", grown, true)
-	check("its mapping", m, false)
-
-	heap.SetMapOff(true)
-	defer heap.SetMapOff(false)
-	var off heap.Table[uint32]
-	off.Reserve(n)
-	s := off.Cover(n, n)
-	fill(s)
-	off.Decommit(s[:2500])
-	check("with mapping off", s[:2500], true)
-	check("with mapping off, past the table", s[2500:], false)
 }

@@ -151,9 +151,8 @@ func TestSlabMatchesPerSliceModel(t *testing.T) {
 // TestHeapResetObservablyFresh checks the pooled-shard contract: after
 // Reset, a heap behaves exactly like heap.New of the same arena size —
 // same handle IDs, same addresses, same zeroed slots — though the slab
-// and tables held a previous run's bytes, which Reset decommitted: the
-// 100-object cell's tables lie within a page, and are cleared by hand;
-// the 1000-object cell's span pages, which go back to the kernel.
+// and tables held a previous run's bytes, which went with the mappings
+// Reset released: a 100-object cell and a 1000-object one.
 func TestHeapResetObservablyFresh(t *testing.T) {
 	run := func(h *Heap, n int) (ids []HandleID, addrs []int, vals []HandleID) {
 		cls := h.DefineClass(Class{Name: "Node", Refs: 2, Data: 8})

@@ -134,7 +134,7 @@ func (m *Collector) Collect(cy Cycle) int {
 	// to be reallocated reserves the handle table's capacity, so it
 	// grows when that table does and not once per cycle that met new
 	// handles.
-	m.mark = m.markTab.Cover(heap.BitsetWords(h.NumHandles()), heap.BitsetWords(h.HandleCap()))
+	m.mark = heap.Grow(m.mark, heap.BitsetWords(h.NumHandles()), heap.BitsetWords(h.HandleCap()))
 	clear(m.mark)
 	if cy.Begin != nil {
 		cy.Begin(m.mark)

@@ -9,10 +9,9 @@ import "repro/internal/heap"
 // event nobody subscribed to costs a single nil check and a collector
 // pays an indirect call only for the events it declared. The old
 // five-method Collector interface made every collector pay interface
-// dispatch on every event and bolted elision opt-outs
-// (ForceAccessEvents/ForceFramePopEvents), the AllocFallback probe and
-// SetGCEvery wiring on the side; all of those are declarative fields
-// here.
+// dispatch on every event and bolted an elision opt-out
+// (ForceAccessEvents), the AllocFallback probe and SetGCEvery wiring on
+// the side; all of those are declarative fields here.
 //
 // The zero value subscribes to nothing: it is the "none" collector
 // (plenty-of-storage configuration of §4.5).
@@ -50,8 +49,9 @@ type Events struct {
 	Return func(val heap.HandleID, caller *Frame)
 	// FramePop observes frame f popping; an incremental collector may
 	// reclaim storage here and reports how many objects it freed. The
-	// runtime elides the dispatch for frames whose GCHead is zero — no
-	// collector-owned state depends on them — unless AllPops is set.
+	// runtime dispatches it only for frames whose GCHead is non-zero:
+	// no collector-owned state depends on the others, so a collector
+	// that wants a frame's pop arms its GCHead.
 	FramePop func(f *Frame) int
 	// Access observes thread t touching object id that t did not
 	// allocate — the static pseudo-frame's objects included — and that
@@ -80,11 +80,6 @@ type Events struct {
 	// Access slot has effects beyond thread-share detection (cg+checked's
 	// taint assurance) declare it; it replaces Runtime.ForceAccessEvents.
 	AllAccess bool
-	// AllPops subscribes FramePop to every pop, including frames whose
-	// GCHead is zero. Collectors that track pops without arming the
-	// frame's GCHead word (instrumentation, tests) declare it; it
-	// replaces Runtime.ForceFramePopEvents.
-	AllPops bool
 
 	// GCEvery, when non-zero, arms a full collection every GCEvery
 	// runtime operations at attach (the §4.7 resetting

@@ -246,8 +246,9 @@ func TestAllAccessDefeatsElision(t *testing.T) {
 }
 
 // TestRuntimeResetObservablyFresh pins the pooled-shard contract at the
-// runtime level: after Reset — Vacate, which decommits the heap's and
-// the runtime's tables, then Attach — the same Runtime replays a program
+// runtime level: after Reset — Vacate, which unmaps the heap's and the
+// runtime's tables and maps the heap fresh ones, then Attach — the same
+// Runtime replays a program
 // with identical frame IDs, handle IDs, instruction counts and
 // statistics.
 func TestRuntimeResetObservablyFresh(t *testing.T) {

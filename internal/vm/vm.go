@@ -132,11 +132,6 @@ type Runtime struct {
 	gcEvery   uint64
 	countdown uint64
 
-	// popAlways, when set, dispatches FramePop even for frames whose
-	// GCHead is zero (the descriptor's AllPops capability; true only
-	// when a FramePop slot is bound).
-	popAlways bool
-
 	// accessOn gates Access dispatch. While false the runtime has
 	// proved every Access call would be a no-op: a single thread
 	// exists and every object was allocated by it, so thread-share
@@ -159,10 +154,11 @@ type Runtime struct {
 	// the static pseudo-frame, or disowned once a collector has called
 	// Disown. Every allocation writes its entry while an Access slot is
 	// bound, so an entry is stale only for an id no live object holds.
-	// ownerTab reserves it at the heap's HandleBound when an Access slot
-	// is bound, and Attach covers the whole mapping, which no id
-	// reaches, so the owner store is a plain store that never grows;
-	// where there is no mapping it grows with the handle table (alloc).
+	// ownerTab holds its memory for the one cell the runtime runs:
+	// Attach reserves it at the heap's HandleBound when an Access slot
+	// is bound and takes the whole mapping, which no id passes, so the
+	// owner store is a plain store that never grows; where there is no
+	// mapping it grows with the handle table (alloc). Vacate unmaps it.
 	owners   []int8
 	ownerTab heap.Table[int8]
 	// accessBroken records that the single-thread proof failed (second
@@ -204,7 +200,7 @@ func New(h *heap.Heap, c Collector) *Runtime {
 
 // Attach binds an event table into the runtime's dispatch sites: each
 // non-nil slot is copied into its hot-path field, the capability fields
-// re-derive the elision machinery (AllAccess, AllPops) and the forced-
+// re-derive the elision machinery (AllAccess) and the forced-
 // collection countdown (GCEvery) from the descriptor, and the
 // descriptor's Attach hook runs last so the collector sees a fully
 // wired runtime. New and Reset call it, and the engine on a shard it
@@ -238,10 +234,11 @@ func (rt *Runtime) Attach(ev Events) {
 	rt.accessAll = ev.AllAccess
 	rt.accessOn = rt.accessArmed && (ev.AllAccess || rt.accessBroken)
 	if n := rt.Heap.HandleCap(); rt.accessArmed && len(rt.owners) < n {
-		rt.ownerTab.Reserve(rt.Heap.HandleBound())
-		rt.owners = rt.ownerTab.Cover(max(n, rt.ownerTab.Reserved()), n)
+		if rt.owners == nil {
+			rt.owners = rt.ownerTab.Reserve(rt.Heap.HandleBound())
+		}
+		rt.owners = heap.Grow(rt.owners, max(n, cap(rt.owners)), n)
 	}
-	rt.popAlways = ev.AllPops && ev.FramePop != nil
 	if ev.Attach != nil {
 		ev.Attach(rt)
 	}
@@ -264,18 +261,17 @@ func (rt *Runtime) Reset(c Collector) {
 
 // Vacate ends the cell the runtime ran and leaves it holding address
 // space, not memory: the collector detaches (and unmaps its side
-// tables), the owner table is decommitted through the ids the heap
-// handed out, the only ones written, and the heap resets; the rest of
-// the runtime's state is truncated, keeping its capacity. The engine
-// vacates a shard before it pools it, so an idle shard pins no page its
-// last cell wrote. A vacated runtime has no collector bound; Attach
-// binds one.
+// tables), the owner table is unmapped, and the heap resets onto fresh
+// tables; the rest of the runtime's state is truncated, keeping its
+// capacity. The engine vacates a shard before it pools it, so an idle
+// shard pins no page its last cell wrote. A vacated runtime has no
+// collector bound; Attach binds one.
 func (rt *Runtime) Vacate() {
 	// The outgoing collector detaches, unmapping its side tables; an
 	// empty table binds nothing in its place.
 	rt.Attach(Events{})
-	rt.ownerTab.Decommit(rt.owners[:min(len(rt.owners), rt.Heap.NumHandles())])
-	rt.owners = rt.owners[:0]
+	rt.ownerTab.Release()
+	rt.owners = nil
 	rt.Heap.Reset()
 	clear(rt.threads) // the dropped threads pin their stacks' frames
 	rt.threads = rt.threads[:0]
@@ -566,7 +562,7 @@ func (t *Thread) pop() {
 	n := len(t.stack) - 1
 	f := t.stack[n]
 	t.stack = t.stack[:n]
-	if f.GCHead != 0 || t.rt.popAlways {
+	if f.GCHead != 0 {
 		if fp := t.rt.onFramePop; fp != nil {
 			fp(f)
 		}
@@ -751,7 +747,7 @@ func (f *Frame) alloc(c heap.ClassID, extra int) (heap.HandleID, error) {
 		// The new object's owner: f's thread, or 0 for the static
 		// pseudo-frame, whose objects every thread touches as foreign.
 		if int(id) >= len(rt.owners) { // unmapped: grow with the handle table
-			rt.owners = rt.ownerTab.Cover(rt.Heap.HandleCap(), rt.Heap.HandleCap())
+			rt.owners = heap.Grow(rt.owners, rt.Heap.HandleCap(), rt.Heap.HandleCap())
 		}
 		if t := f.Thread; t == nil {
 			rt.owners[id] = 0

@@ -19,14 +19,16 @@ type eventLog struct {
 }
 
 // Events implements Collector: the log subscribes every reference and
-// lifecycle slot. It arms no GCHead, so it declares AllPops to opt out
-// of the zero-GCHead pop elision.
+// lifecycle slot. It arms the GCHead of every frame that allocates, as
+// CG arms a frame its sets depend on, so those frames' pops reach it in
+// order; the runtime elides the pops of frames that allocated nothing.
 func (e *eventLog) Events() Events {
 	return Events{
 		Name:   "log",
 		Attach: func(rt *Runtime) { e.rt = rt },
 		Alloc: func(id heap.HandleID, f *Frame) {
 			e.allocs = append(e.allocs, id)
+			f.GCHead = 1
 			e.add("alloc")
 		},
 		Ref:       func(src, dst heap.HandleID) { e.add("ref") },
@@ -37,7 +39,6 @@ func (e *eventLog) Events() Events {
 			e.add("pop")
 			return 0
 		},
-		AllPops:   true,
 		Collector: e,
 	}
 }
