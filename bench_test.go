@@ -88,7 +88,7 @@ var (
 // each cold at its tight heap as a `cgrun -workload P -size 100
 // -collector C` process runs it, then one full default demographic
 // sweep through a one-worker engine and results.Local, as `cgsweep
-// -workers 1` runs it: plan, shard pool, tapes, extract, render. A cell
+// -workers 1` runs it: plan, a shard per cell, tapes, extract, render. A cell
 // that fails is reported and the rest still run, so a profile is never
 // recorded from a run that stopped half way without saying so.
 func BenchmarkLedgerCells(b *testing.B) {
@@ -129,46 +129,6 @@ func ledgerCell(program, collector string) (err error) {
 	rt := NewRuntime(NewHeap(spec.HeapBytes(100)), mk())
 	spec.Run(rt, 100)
 	return nil
-}
-
-// BenchmarkWorkloadPooled is the pooled-path counterpart of
-// BenchmarkWorkload: each iteration drives the cell through a
-// persistent single-worker engine's ExecRelease, so after the warmup
-// run every iteration starts from Runtime.Reset on a pooled shard —
-// the steady state a store-backed sweep pays per cell, as opposed to
-// the cold heap/collector construction the Workload family times. The
-// ledger's probes of the same path are vm.shard_new_us,
-// vm.shard_reset_us and engine.cell_overhead_us.
-func BenchmarkWorkloadPooled(b *testing.B) {
-	eng := engine.New(1)
-	for _, spec := range workload.All() {
-		for _, name := range []string{"cg", "cg+recycle", "msa", "gen"} {
-			if _, err := collectors.Parse(name); err != nil {
-				b.Fatal(err)
-			}
-			for _, size := range []int{1, 10} {
-				job := engine.Job{
-					Workload:  spec.Name,
-					Size:      size,
-					Collector: name,
-					HeapBytes: engine.TightHeap,
-				}
-				b.Run(spec.Name+"/"+name+"/size"+strconv.Itoa(size), func(b *testing.B) {
-					b.ReportAllocs()
-					check := func(r engine.Result) {
-						if r.Err != nil {
-							b.Fatal(r.Err)
-						}
-					}
-					eng.ExecRelease(job, check) // warm the shard pool
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						eng.ExecRelease(job, check)
-					}
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkStaticOptAblation measures the §3.4 optimization's runtime

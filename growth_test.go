@@ -23,13 +23,14 @@ import (
 // state lives"): the heap's handle table, live bitmap and ref slab, CG's
 // object records, reset stamps and set records, gengc's flag and
 // survival bytes and remembered list are reserved at the arena's bound,
-// and CG's recycle lists run through the dead objects' own records. What
-// is left is the mark bitmaps (a bit per handle) and what grows with
-// classes and frames, so under every collector spec the cell allocates
-// at most 1.5 MB (it reads 0.66 MB under CG, 0.95 under msa, gen and
-// with recycling) and the Go collector never runs. A per-object
-// table back on the Go heap fails here first. The runtime's owner table
-// is mapped too, under every spec with an Access slot.
+// as are the arena's page records and list heads, and CG's recycle lists
+// run through the dead objects' own records. What is left is what grows
+// with classes and frames, so under every collector spec the cell
+// allocates at most 0.5 MB (it reads 0.19 MB under every spec; 0.66 to
+// 0.95 MB while the arena's page records were a Go slice) and the Go
+// collector never runs. A per-object table back on the Go heap fails
+// here first. The runtime's owner table is mapped too, under every spec
+// with an Access slot.
 //
 // A build with no mapping (or a host that refuses one) grows all of them
 // by heap.Grow's doubling, and is held to looser budgets: at most 7
@@ -77,8 +78,8 @@ func TestColdCellGrowthBudget(t *testing.T) {
 			t.Logf("%d handles: allocated %.2f MB, holding %.1f MB (%d B/handle) on the Go heap, %d GC cycles",
 				handles, float64(allocated)/1e6, float64(onHeap)/1e6, onHeap/handles, cycles)
 			if mapping {
-				if allocated > 1_500_000 {
-					t.Errorf("cold cell allocated %d bytes on the Go heap, budget is 1.5 MB", allocated)
+				if allocated > 500_000 {
+					t.Errorf("cold cell allocated %d bytes on the Go heap, budget is 0.5 MB", allocated)
 				}
 				if cycles != 0 {
 					t.Errorf("cold cell ran %d Go GC cycles, want 0", cycles)
@@ -120,9 +121,14 @@ func runCell(rt *vm.Runtime, spec workload.Spec, size int) (oom any) {
 // 40 cells allocate little of their own (TestColdCellGrowthBudget); the
 // engine records nothing, and the seven rows that ship a tape decode it
 // on first use and replay it for all 13 of their cells (DESIGN.md §12).
-// The grid allocates at most 2.8 MB (it reads 2.63, of which 0.26 is
-// the seeds' decoded operands; recording at run time read 2.62, and
-// 3.87 with a fresh recorder per recording).
+// Every cell runs on a shard built for it and released once consumed,
+// and a fresh shard's per-page and per-object tables are all mapped, so
+// building 40 of them costs the Go heap about what recycling them
+// through a pool did. The grid allocates at most 2.8 MB (it reads 2.69
+// MB and no Go GC cycle, of which 0.26 MB is the seeds' decoded
+// operands; with the shards pooled it read 2.66 MB and one cycle, and
+// 3.54 MB with a fresh shard per cell and the arena's page records on
+// the Go heap).
 func TestSweepGrowthBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful unraced")

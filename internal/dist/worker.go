@@ -15,7 +15,7 @@ import (
 // coordinator closing our stdin is the shutdown signal), then drains
 // in-flight jobs and returns. The worker is one session of a store-less
 // results.Scheduler over results.Local: each job is a one-cell Run on
-// it, answered the moment its cell completes, on eng's pooled shards
+// it, answered the moment its cell completes, on a shard of its own
 // with one executor per engine worker. Serve is what cmd/cgworker
 // wraps; tests drive it directly over in-memory pipes.
 func Serve(r io.Reader, w io.Writer, eng *engine.Engine) error {

@@ -76,8 +76,9 @@ type Job struct {
 type Result struct {
 	// Job echoes the submitted cell.
 	Job Job
-	// RT is the runtime shard of the last repeat. It is quiescent: no
-	// engine goroutine touches it once the job completes.
+	// RT is the runtime shard of the last repeat (or of the repeat that
+	// failed). It is quiescent: no engine goroutine touches it once the
+	// job completes.
 	RT *vm.Runtime
 	// Col is the concrete collector of the last repeat (the event
 	// table's Collector field); callers type-assert it (e.g. to
@@ -95,8 +96,7 @@ type Result struct {
 
 // ArenaBytes resolves the arena budget a job's shard will allocate: an
 // explicit positive HeapBytes, the plenty-of-storage demographics
-// default, or the workload's own tight budget. It is also the key the
-// shard pool matches recycled runtimes by.
+// default, or the workload's own tight budget.
 func ArenaBytes(job Job) (int, error) {
 	switch {
 	case job.HeapBytes > heap.MaxArenaBytes:
@@ -117,23 +117,22 @@ func ArenaBytes(job Job) (int, error) {
 }
 
 // Exec runs one job synchronously in the caller's goroutine on a fresh
-// shard, with no engine: no shard pool, no tape — it always drives.
-// The Result's RT is the caller's to keep. Callers with their own
-// per-benchmark control flow (probe runs, budget retry loops) use it; a
-// matrix goes through Engine.RunEach.
-func Exec(job Job) Result { return exec(job, nil, nil, nil) }
+// shard, with no engine and no tape — it always drives. The Result's RT
+// is the caller's to keep. Callers with their own per-benchmark control
+// flow (probe runs, budget retry loops) use it; a matrix goes through
+// Engine.RunEach.
+func Exec(job Job) Result { return exec(job, nil, nil) }
 
-// exec is the shared job body. With a non-nil rt it starts from that
-// vacated pooled shard (whose arena size must match the job's budget); it
-// never returns shards to the pool itself — the caller does, once the
-// Result can no longer escape (see ExecRelease).
+// exec is the shared job body. It builds the job's shard and resets it
+// between repeats; it never releases the shard — a caller that drops
+// the Result does (see ExecRelease).
 //
 // With a non-nil ts — ExecRelease's, and no other entry's — a row that
 // ships a tape replays its recorded operation stream through the
 // runtime instead of re-running driver logic (bit-identical results, no
 // driver overhead), every repeat from the first; p counts the replays.
 // Every other row drives.
-func exec(job Job, rt *vm.Runtime, ts *seeds, p *obs.Progress) (res Result) {
+func exec(job Job, ts *seeds, p *obs.Progress) (res Result) {
 	res.Job = job
 	defer func() {
 		if r := recover(); r != nil {
@@ -184,39 +183,36 @@ func exec(job Job, rt *vm.Runtime, ts *seeds, p *obs.Progress) (res Result) {
 		// old post-construction SetGCEvery call.
 		ev := factory()
 		ev.GCEvery = job.GCEvery
-		switch {
-		case rt == nil:
-			rt = vm.New(heap.New(bytes), ev)
-		case i == 0:
-			rt.Attach(ev) // a pooled shard was vacated when it was pooled
-		default:
-			rt.Reset(ev)
+		if res.RT == nil {
+			res.RT = vm.New(heap.New(bytes), ev)
+		} else {
+			res.RT.Reset(ev)
 		}
+		res.Col = ev.Collector
 		start := time.Now()
 		if rp != nil {
-			if err := rp.Run(rt); err != nil {
+			if err := rp.Run(res.RT); err != nil {
 				res.Err = err
 				return res
 			}
 			p.TapeReplayed()
 		} else {
-			spec.Run(rt, job.Size)
+			spec.Run(res.RT, job.Size)
 		}
 		elapsed += time.Since(start)
-		res.RT, res.Col = rt, ev.Collector
 	}
 	res.Elapsed = elapsed / time.Duration(reps)
 	return res
 }
 
-// Engine is a fixed-size worker pool with a shard pool that recycles
-// runtimes between cells of equal arena size and the shipped tapes it
-// has decoded, which only ExecRelease reads. The zero value is not
-// usable; construct with New. An Engine holds no per-run state beyond
-// those two and is safe for concurrent use.
+// Engine is a fixed-size worker pool with the shipped tapes it has
+// decoded, which only ExecRelease reads. Every cell runs on a shard
+// built for it and released once the cell's Result is consumed, so no
+// cell's state outlives it. The zero value is not usable; construct
+// with New. An Engine holds no per-run state and is safe for concurrent
+// use.
 type Engine struct {
 	workers  int
-	pool     *shardPool
 	tapes    *seeds
 	progress *obs.Progress // nil unless a debug surface is watching
 }
@@ -228,7 +224,7 @@ func New(workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	tapes := &seeds{tapes: make(map[tapeKey]*tape.Tape)}
-	return &Engine{workers: workers, pool: newShardPool(workers), tapes: tapes}
+	return &Engine{workers: workers, tapes: tapes}
 }
 
 // Workers reports the pool size.
@@ -241,12 +237,13 @@ func (e *Engine) SetProgress(p *obs.Progress) *Engine {
 	return e
 }
 
-// ExecRelease runs one job, hands the result to consume, and then
-// recycles the job's runtime shard into the engine's pool — so a sweep
-// of equal-arena cells stops paying per-cell heap and runtime
-// construction. The Result, its RT and its Col are only valid until
-// consume returns: extract what the merge needs, drop the rest. A shard
-// that panicked mid-run is discarded, never recycled.
+// ExecRelease runs one job on a shard built for it, hands the result to
+// consume, and then releases the shard: its collector's side tables,
+// its owner table and its heap's tables are unmapped at once
+// (vm.Runtime.Release), not at a Go collection that may be long in
+// coming. The Result, its RT and its Col are only valid until consume
+// returns: extract what the merge needs, drop the rest. A shard that
+// panicked mid-run is released too.
 //
 // ExecRelease is the cell pipeline's entry (results.Local) and the only
 // one that replays: a row that ships a tape (DESIGN.md §12) replays it
@@ -264,16 +261,10 @@ func (e *Engine) ExecRelease(job Job, consume func(Result)) {
 
 // release is ExecRelease with the shipped tapes ts (nil: drive).
 func (e *Engine) release(job Job, ts *seeds, consume func(Result)) {
-	bytes, err := ArenaBytes(job)
-	if err != nil {
-		consume(Result{Job: job, Err: err})
-		return
-	}
-	r := exec(job, e.pool.get(bytes), ts, e.progress)
+	r := exec(job, ts, e.progress)
 	consume(r)
-	if r.Err == nil && r.RT != nil {
-		r.RT.Vacate()
-		e.pool.put(bytes, r.RT)
+	if r.RT != nil {
+		r.RT.Release()
 	}
 }
 
@@ -315,14 +306,13 @@ func (e *Engine) Do(n int, fn func(i int)) {
 
 // RunEach executes jobs concurrently, invoking consume(i, result) on
 // the worker's goroutine as cell i completes, and retains nothing: once
-// consume returns, the shard's runtime is recycled into the engine's
-// pool for the next cell of the same arena size (so consume must not
-// let the Result's RT or Col escape). Peak memory is bounded by the
-// worker count instead of the matrix size — the sequential-loop
-// footprint at -workers 1. Like Do's fn, consume must confine its
-// writes to state owned by index i. Every cell drives its program, so
-// Result.Elapsed is the program's time: RunEach runs the timing
-// matrices.
+// consume returns, the shard's runtime is released, as ExecRelease
+// releases it (so consume must not let the Result's RT or Col escape).
+// Peak memory is bounded by the worker count instead of the matrix
+// size — the sequential-loop footprint at -workers 1. Like Do's fn,
+// consume must confine its writes to state owned by index i. Every cell
+// drives its program, so Result.Elapsed is the program's time: RunEach
+// runs the timing matrices.
 func (e *Engine) RunEach(jobs []Job, consume func(i int, r Result)) {
 	e.Do(len(jobs), func(i int) {
 		e.release(jobs[i], nil, func(r Result) { consume(i, r) })

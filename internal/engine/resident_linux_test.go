@@ -35,8 +35,8 @@ func residentBytes(t *testing.T) int {
 // it that way: it unmaps each table and maps a fresh one, so resetting
 // all eight after a 100-object cell writes nothing beyond what the cell
 // did — clearing the live bitmap through its capacity would commit
-// 8 MiB a heap. TestVacatedShardHoldsNoPages checks the
-// other half: what a large cell wrote goes back.
+// 8 MiB a heap. TestReleasedShardHoldsNoPages (internal/heap) checks
+// the other half: what a large cell wrote goes back.
 func TestMappedTablesAreNotResident(t *testing.T) {
 	const budget = 8 << 20
 	before := residentBytes(t)

@@ -405,16 +405,3 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestPooledFigureIdentity renders the same figures twice on one
-// engine: the first pass fills the shard pool, the second runs on
-// recycled (Reset) runtimes. The rendered bytes must not differ — the
-// figure-level form of the pooled-shard determinism contract.
-func TestPooledFigureIdentity(t *testing.T) {
-	eng := engine.New(4)
-	first := strings.Join(renderAll(t, eng, "4.1", "4.5"), "")
-	second := strings.Join(renderAll(t, eng, "4.1", "4.5"), "")
-	if first != second {
-		t.Fatalf("pooled re-render differs:\n%s\nvs\n%s", second, first)
-	}
-}

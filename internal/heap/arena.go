@@ -89,8 +89,8 @@ type pageSpan struct {
 // short tail. The head page of a large run holds the run's requested
 // size in used, which is what SizeAt reads. Partial slabs of a class
 // form a doubly-linked list through prev/next; the links are page
-// indices, so the whole structure is pointer-free and a pooled arena
-// pins nothing.
+// indices, so the whole structure is pointer-free and its table can be
+// mapped (Table).
 type slabRec struct {
 	class  int32 // ladder class, -1 when the page is not a slab
 	used   int32 // allocated blocks; a large run's size on its head page
@@ -124,12 +124,21 @@ type Arena struct {
 
 	// slabs is indexed by page and grown lazily to the high-water page —
 	// pages are acquired lowest-first, so its length tracks peak usage,
-	// not capacity.
+	// not capacity. Reset reserves it at a record per page, the short
+	// one included, so within its mapping it never moves.
 	slabs []slabRec
 
 	partial []int32 // per-class head of the partial-slab list, -1 = empty
 	cached  []int32 // per-class retained fully-free slab, -1 = none
 	cachedN int32   // count of non-empty cached entries (O(1) reclaim no-op)
+
+	// mem holds the page records and the list heads (partial, then
+	// cached, in one table) for the one cell the arena serves: Reset
+	// maps them fresh and Release unmaps them.
+	mem struct {
+		slabs Table[slabRec]
+		heads Table[int32]
+	}
 
 	freePages []pageSpan // sorted by page, coalesced
 	// maxRun is an upper bound on the longest free page run: it never
@@ -166,9 +175,6 @@ func NewArena(size int) *Arena {
 		fullPages: int32(size >> shift),
 	}
 	a.shortLen = size - int(a.fullPages)<<shift
-	classes := a.pageSize / 8
-	a.partial = make([]int32, classes)
-	a.cached = make([]int32, classes)
 	a.Reset()
 	return a
 }
@@ -198,18 +204,21 @@ func (a *Arena) Info() Info {
 	}
 }
 
-// Reset returns the arena to its entirely-free initial state, retaining
-// the slab table's capacity (shard pooling). Because the table is
-// re-grown from length zero, every record re-initialises on first use
-// and the post-Reset address sequence is identical to a fresh arena's.
+// Reset returns the arena to its entirely-free initial state: the page
+// records and list heads of the cell that ran go with it (Release), and
+// fresh ones are reserved, a record per page and a head per class for
+// each list. The slab table is re-grown from length zero, so every
+// record initialises on first use and the post-Reset address sequence
+// is identical to a fresh arena's.
 func (a *Arena) Reset() {
-	a.slabs = a.slabs[:0]
-	for i := range a.partial {
-		a.partial[i] = -1
+	a.Release()
+	classes := a.pageSize / 8
+	a.slabs = a.mem.slabs.Reserve(int(a.fullPages) + 1)
+	heads := Grow(a.mem.heads.Reserve(2*classes), 2*classes, 2*classes)
+	for i := range heads {
+		heads[i] = -1
 	}
-	for i := range a.cached {
-		a.cached[i] = -1
-	}
+	a.partial, a.cached = heads[:classes:classes], heads[classes:]
 	a.cachedN = 0
 	a.freePages = a.freePages[:0]
 	if a.fullPages > 0 {
@@ -223,13 +232,13 @@ func (a *Arena) Reset() {
 	a.reclaims = 0
 }
 
-// Release resets the arena and drops its retained buffers, returning the
-// slab table and page heap to the Go allocator. The arena remains
-// usable; the buffers re-grow on demand.
+// Release unmaps the arena's page records and list heads now rather
+// than once the arena is unreachable: for an arena whose cell has ended.
+// The arena must not be used again until Reset reserves fresh ones.
 func (a *Arena) Release() {
-	a.slabs = nil
-	a.freePages = nil
-	a.Reset()
+	a.mem.slabs.Release()
+	a.mem.heads.Release()
+	a.slabs, a.partial, a.cached = nil, nil, nil
 }
 
 // Alloc serves size bytes and returns the extent's base address or

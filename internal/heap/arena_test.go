@@ -296,7 +296,7 @@ func arenaScript(a *Arena, seed int64, steps int) []int {
 
 // TestArenaResetDeterministic pins the address determinism Reset
 // promises: a reset arena replays the fresh arena's exact address
-// sequence, so pooled shards are observably identical to fresh ones.
+// sequence, so reset shards are observably identical to fresh ones.
 func TestArenaResetDeterministic(t *testing.T) {
 	a := NewArena(1 << 16)
 	first := arenaScript(a, 42, 4000)
@@ -318,10 +318,17 @@ func TestArenaResetDeterministic(t *testing.T) {
 	}
 }
 
+// TestArenaReleaseKeepsWorking: Release unmaps the arena's page records
+// and list heads, and Reset maps fresh ones, on which the arena replays
+// the address sequence it served before.
 func TestArenaReleaseKeepsWorking(t *testing.T) {
 	a := NewArena(1 << 16)
 	before := arenaScript(a, 7, 1000)
 	a.Release()
+	if a.slabs != nil || a.mem.slabs.Reserved() != 0 || a.mem.heads.Reserved() != 0 {
+		t.Fatal("a released arena still holds its tables")
+	}
+	a.Reset()
 	if err := a.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}

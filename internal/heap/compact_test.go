@@ -3,7 +3,9 @@ package heap
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestCompactScripted is the exhaustion Compact exists for, step by
@@ -126,12 +128,9 @@ func checkCompacted(h *Heap, compact compactor) error {
 	}
 	freePages := a.Size()/ps - pages
 	for _, s := range []int{8, 24, 32, 64, 120, 208, ps, ps + 8, 3 * ps} {
-		probe := *a
-		probe.slabs = append([]slabRec(nil), a.slabs...)
-		probe.freePages = append([]pageSpan(nil), a.freePages...)
-		probe.partial = append([]int32(nil), a.partial...)
-		probe.cached = append([]int32(nil), a.cached...)
+		probe := a.clone()
 		_, aerr := probe.Alloc(s)
+		probe.Release()
 		need := (s + ps - 1) / ps
 		want := need <= freePages
 		if r := align(s); r <= ps {
@@ -143,6 +142,20 @@ func checkCompacted(h *Heap, compact compactor) error {
 		}
 	}
 	return nil
+}
+
+// clone returns a fresh arena in a's state, on tables of its own, for a
+// probe that must leave a as it is.
+func (a *Arena) clone() *Arena {
+	c := NewArena(a.size)
+	c.slabs = append(c.slabs, a.slabs...)
+	copy(c.partial, a.partial)
+	copy(c.cached, a.cached)
+	c.freePages = append(c.freePages[:0], a.freePages...)
+	c.cachedN, c.maxRun, c.shortFree = a.cachedN, a.maxRun, a.shortFree
+	c.allocBytes, c.heapBytes, c.freeListBytes = a.allocBytes, a.heapBytes, a.freeListBytes
+	c.reclaims = a.reclaims
+	return c
 }
 
 // fragment drives a random alloc/free script over objects of eight
@@ -204,7 +217,8 @@ func TestCompactCheckerCatchesMutants(t *testing.T) {
 			}
 			h.handles[int(ids[i])].addr = int32(addr)
 		}
-		*h.arena = *a
+		h.arena.Release()
+		h.arena = a
 		return true
 	}
 	for name, m := range map[string]compactor{"no-op": noop, "descending": descending} {
@@ -215,5 +229,49 @@ func TestCompactCheckerCatchesMutants(t *testing.T) {
 		if !caught {
 			t.Errorf("the checker passes the %s mutant", name)
 		}
+	}
+}
+
+// TestCompactedArenaOutlivesTheScratch: Compact commits the arena it
+// placed the live set in by swapping the heap's pointer to it. A copy of
+// that arena into the old one would carry its tables, whose cleanups
+// stay registered on the scratch arena: once collections find the
+// scratch unreachable they unmap the tables the heap still allocates
+// from, and the next allocation faults.
+func TestCompactedArenaOutlivesTheScratch(t *testing.T) {
+	// settle runs the two collections that find a dropped arena and
+	// waits, up to a second, until the cleanups they queue (which run on
+	// a goroutine of their own) bring the gauge down to want or, for
+	// want < 0, until it stops falling.
+	settle := func(want int64) int64 {
+		runtime.GC()
+		runtime.GC()
+		n := mappings.Load()
+		for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); {
+			time.Sleep(2 * time.Millisecond)
+			m := mappings.Load()
+			if want < 0 && m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	h := fragment(1)
+	held := settle(-1) // earlier tests' garbage unmapped
+	if !h.Compact() {
+		t.Fatal("Compact refused")
+	}
+	if got := settle(held); got != held {
+		t.Errorf("the compacted heap holds %d mappings, %d before Compact", got, held)
+	}
+	c := h.DefineClass(Class{Name: "After", Data: 40})
+	for i := 0; i < 100; i++ {
+		if _, err := h.Alloc(c, 0); err != nil {
+			t.Fatalf("allocation %d after Compact: %v", i, err)
+		}
+	}
+	if err := h.Arena().checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

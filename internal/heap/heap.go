@@ -128,7 +128,7 @@ type Heap struct {
 	// within the mapping Grow never copies.
 	handles []handle
 	// handleCap is the capacity the growth rule has granted the handle
-	// table, at most cap(handles). It starts over at Reset, so a pooled
+	// table, at most cap(handles). It starts over at Reset, so a reset
 	// heap and the tables that follow it grow in step with the cell
 	// they serve, not with the largest cell they ever held.
 	handleCap int
@@ -185,14 +185,16 @@ func (h *Heap) reserve() {
 	h.slab = Grow(h.mem.slab.Reserve(1+h.arena.Size()/refBytes), 1, 1)
 }
 
-// Release unmaps the heap's tables now rather than once a Go collection
-// finds the heap unreachable: for a heap nobody will use again, such as
-// a shard the engine's pool evicts. The heap must not be used afterwards.
+// Release unmaps the heap's tables and its arena's now rather than once
+// a Go collection finds the heap unreachable: for a heap nobody will
+// use again, such as the shard of a cell the engine has handed over.
+// The heap must not be used afterwards.
 func (h *Heap) Release() {
 	h.mem.handles.Release()
 	h.mem.live.Release()
 	h.mem.slab.Release()
 	h.handles, h.liveBits, h.slab = nil, nil, nil
+	h.arena.Release()
 }
 
 // DefineClass registers a class and returns its ID. Redefining a name
@@ -435,7 +437,10 @@ func (h *Heap) Free(id HandleID) {
 // the layout it replaces (a class that spilled into the short tail page
 // can need a full page instead), it changes nothing and returns false.
 // Sizes are read from the old arena, which stays in place until the
-// new one is committed.
+// new one is committed. Committing swaps the arena pointer and unmaps
+// the old arena's tables: a copy of the new arena into the old would
+// leave its tables' cleanups on the scratch arena, which unmap them
+// once it is collected (Table; go vet refuses the copy).
 func (h *Heap) Compact() bool {
 	a := NewArena(h.arena.Size())
 	ok := true
@@ -446,6 +451,7 @@ func (h *Heap) Compact() bool {
 		}
 	})
 	if !ok {
+		a.Release()
 		return false
 	}
 	// Same sizes in the same order over an empty arena: the same
@@ -455,7 +461,8 @@ func (h *Heap) Compact() bool {
 		addr, _ := a.Alloc(h.SizeOf(id))
 		h.handles[int(id)].addr = int32(addr)
 	})
-	*h.arena = *a
+	h.arena.Release()
+	h.arena = a
 	h.stats.Compactions++
 	return true
 }
@@ -625,18 +632,19 @@ func (h *Heap) LiveWords() Bitset { return h.liveBits }
 
 // Reset returns the heap to its freshly constructed state — empty class
 // table, one-slot handle table, one-slot slab with no free extents,
-// fully free arena, zeroed counters. The handle table, live bitmap and
-// ref slab go with the cell that wrote them (Release), and fresh ones
-// are reserved as New reserves them, so a heap the engine pools between
-// cells holds address space, not the pages its last cell wrote, and the
-// next cell faults in only what it writes. A reset heap is observably
-// identical to heap.New(h.Arena().Size()).
+// fully free arena, zeroed counters. The handle table, live bitmap, ref
+// slab and the arena's page records and list heads go with the cell
+// that wrote them (Release), and fresh ones are reserved as New
+// reserves them, so a heap reset between repeats holds address space,
+// not the pages its last cell wrote, and the next cell faults in only
+// what it writes. A reset heap is observably identical to
+// heap.New(h.Arena().Size()).
 func (h *Heap) Reset() {
+	h.Release()
 	h.arena.Reset()
 	h.classes = h.classes[:0]
 	h.layouts = h.layouts[:0]
 	clear(h.byName)
-	h.Release()
 	h.reserve()
 	h.freeHead = Nil
 	clear(h.extFree[:])

@@ -23,13 +23,14 @@ func TestHandleRecordIsSmallAndPointerFree(t *testing.T) {
 
 // TestMappedRecordsHoldNoPointers: the Go collector does not scan a
 // mapping, so a table a Table maps must hold nothing it would have
-// to find there. The heap's two are checked by their element types as
-// declared; core checks its own.
+// to find there. The heap's records and the arena's are checked by their
+// element types as declared; core checks its own.
 func TestMappedRecordsHoldNoPointers(t *testing.T) {
 	var h Heap
-	for name, table := range map[string]any{"handles": h.handles, "liveBits": h.liveBits} {
+	var a Arena
+	for name, table := range map[string]any{"Heap.handles": h.handles, "Heap.liveBits": h.liveBits, "Arena.slabs": a.slabs} {
 		if elem := reflect.TypeOf(table).Elem(); hasPointers(elem) {
-			t.Errorf("Heap.%s is mapped and its element %v holds a pointer", name, elem)
+			t.Errorf("%s is mapped and its element %v holds a pointer", name, elem)
 		}
 	}
 }

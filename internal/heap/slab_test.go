@@ -148,7 +148,7 @@ func TestSlabMatchesPerSliceModel(t *testing.T) {
 	check(5000)
 }
 
-// TestHeapResetObservablyFresh checks the pooled-shard contract: after
+// TestHeapResetObservablyFresh checks the reset-shard contract: after
 // Reset, a heap behaves exactly like heap.New of the same arena size —
 // same handle IDs, same addresses, same zeroed slots — though the slab
 // and tables held a previous run's bytes, which went with the mappings
@@ -180,8 +180,8 @@ func TestHeapResetObservablyFresh(t *testing.T) {
 		return ids, addrs, vals
 	}
 
-	pooled := New(1 << 20)
-	run(pooled, 100) // dirty it
+	reused := New(1 << 20)
+	run(reused, 100) // dirty it
 	// The first cell fits the capacity the dirty run was granted; the
 	// second grows the handle table, live bitmap and slab past it, so
 	// both the retained capacity and what lies beyond it — reallocated,
@@ -190,15 +190,15 @@ func TestHeapResetObservablyFresh(t *testing.T) {
 		fresh := New(1 << 20)
 		wantIDs, wantAddrs, wantVals := run(fresh, n)
 
-		granted := pooled.HandleCap()
-		pooled.Reset()
-		if pooled.NumLive() != 0 || pooled.Arena().InUse() != 0 || pooled.NumHandles() != 1 || pooled.HandleCap() != 1 {
+		granted := reused.HandleCap()
+		reused.Reset()
+		if reused.NumLive() != 0 || reused.Arena().InUse() != 0 || reused.NumHandles() != 1 || reused.HandleCap() != 1 {
 			t.Fatalf("Reset left residue: live=%d inUse=%d handles=%d cap=%d",
-				pooled.NumLive(), pooled.Arena().InUse(), pooled.NumHandles(), pooled.HandleCap())
+				reused.NumLive(), reused.Arena().InUse(), reused.NumHandles(), reused.HandleCap())
 		}
-		gotIDs, gotAddrs, gotVals := run(pooled, n)
-		if grew := pooled.HandleCap() > granted; grew != (n > 100) {
-			t.Fatalf("n=%d: granted handle capacity %d -> %d, want growth past the pooled cell's only for the large cell", n, granted, pooled.HandleCap())
+		gotIDs, gotAddrs, gotVals := run(reused, n)
+		if grew := reused.HandleCap() > granted; grew != (n > 100) {
+			t.Fatalf("n=%d: granted handle capacity %d -> %d, want growth past the first cell's only for the large cell", n, granted, reused.HandleCap())
 		}
 		for i := range wantIDs {
 			if gotIDs[i] != wantIDs[i] {
@@ -215,12 +215,12 @@ func TestHeapResetObservablyFresh(t *testing.T) {
 				t.Fatalf("n=%d val %d: %d after Reset, %d fresh", n, i, gotVals[i], wantVals[i])
 			}
 		}
-		if got := pooled.Stats(); got != fresh.Stats() {
+		if got := reused.Stats(); got != fresh.Stats() {
 			t.Fatalf("n=%d: stats after Reset = %+v, fresh = %+v", n, got, fresh.Stats())
 		}
-		if pooled.HandleCap() != fresh.HandleCap() || pooled.NumHandles() != fresh.NumHandles() {
-			t.Fatalf("n=%d: pooled table %d/%d, fresh %d/%d: a pooled heap must grow in a fresh one's steps",
-				n, pooled.NumHandles(), pooled.HandleCap(), fresh.NumHandles(), fresh.HandleCap())
+		if reused.HandleCap() != fresh.HandleCap() || reused.NumHandles() != fresh.NumHandles() {
+			t.Fatalf("n=%d: reused table %d/%d, fresh %d/%d: a reset heap must grow in a fresh one's steps",
+				n, reused.NumHandles(), reused.HandleCap(), fresh.NumHandles(), fresh.HandleCap())
 		}
 	}
 }

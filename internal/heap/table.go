@@ -22,10 +22,23 @@ import (
 // and grows by Grow's rule. The mapping is unmapped once the Table is
 // unreachable, or at once by Release. T must hold no Go pointer: the Go
 // collector does not scan a mapping.
+//
+// A Table must not be copied: its cleanup is registered on the Table
+// where Reserve ran, so a copy would read a mapping that is unmapped
+// once the original is unreachable. go vet's copylocks check refuses a
+// copy (noCopy), of a Table or of a struct holding one.
 type Table[T any] struct {
+	_     noCopy
 	m     []T             // the mapping, at its full capacity; nil where there is none
 	unmap runtime.Cleanup // unmaps m once the Table is unreachable
 }
+
+// noCopy makes go vet's copylocks check refuse a copy of the struct
+// that holds it. It has no state; Lock and Unlock do nothing.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // mapOff makes Reserve map nothing, as on the builds that cannot. Only
 // tests set it: TestMappedAndGrownTablesAgree runs both sides.

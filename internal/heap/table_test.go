@@ -74,7 +74,7 @@ func shifting(t *testing.T) (*heap.Heap, string) {
 }
 
 // TestMappedAndGrownTablesAgree runs the ledger's 28 matrix cells (at
-// size 10), a small-then-large sequence on one pooled shard and a heap whose
+// size 10), a small-then-large sequence on one shard reset between them and a heap whose
 // shifting extent lengths carve past the slab's reservation twice: on
 // mapped tables, and with Table.Reserve mapping nothing, as under -race
 // and off unix, so that the tables grow by heap.Grow's rule. Where a
@@ -89,13 +89,29 @@ func TestMappedAndGrownTablesAgree(t *testing.T) {
 				states = append(states, endState(t, engine.Exec(job)))
 			}
 		}
-		// The large cell runs on the shard the small one left in the
-		// pool: regrowth over a vacated heap.
-		eng := engine.New(1)
+		// The large cell runs on the shard the small one ran on, reset:
+		// regrowth over a reset heap.
+		jess, err := workload.ByName("jess")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rt *vm.Runtime
 		for _, size := range []int{1, 10} {
 			job := engine.Job{Workload: "jess", Size: size, Collector: "cg+recycle", HeapBytes: 1 << 24, GCEvery: 5000}
-			eng.ExecRelease(job, func(r engine.Result) { states = append(states, endState(t, r)) })
+			ev, err := collectors.New(job.Collector)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev.GCEvery = job.GCEvery
+			if rt == nil {
+				rt = vm.New(heap.New(job.HeapBytes), ev)
+			} else {
+				rt.Reset(ev)
+			}
+			jess.Run(rt, size)
+			states = append(states, endState(t, engine.Result{Job: job, RT: rt, Col: ev.Collector}))
 		}
+		rt.Release()
 		h, state := shifting(t)
 		if h.SlabInMapping() {
 			t.Error("the shifting heap's slab is still in its mapping: it never fell back to Grow")
@@ -142,8 +158,8 @@ func (t table) bytes(pastLength bool) []byte {
 	return b
 }
 
-// tablesOf lists every table a runtime's cell holds: its heap's, its
-// owner table, its collector's and its mark–sweep engine's scratch.
+// tablesOf lists every table a runtime's cell holds: its heap's and its
+// arena's, its owner table, its collector's and its mark–sweep engine's scratch.
 // They are unexported fields, so they are read through reflect.
 func tablesOf(rt *vm.Runtime) []table {
 	var ts []table
@@ -153,6 +169,8 @@ func tablesOf(rt *vm.Runtime) []table {
 		}
 	}
 	add(reflect.ValueOf(rt.Heap).Elem(), false, "handles", "liveBits", "slab")
+	// partial stands for the heads table it shares with cached.
+	add(reflect.ValueOf(rt.Heap.Arena()).Elem(), false, "slabs", "partial")
 	add(reflect.ValueOf(rt).Elem(), false, "owners")
 	c := reflect.ValueOf(rt.Collector())
 	var engine reflect.Value

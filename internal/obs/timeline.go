@@ -118,7 +118,7 @@ func (t *Timeline) Stats() CycleStats { return t.stats }
 
 // Reset returns the timeline to its zero state and discards its clock,
 // so the next cycle draws a fresh one from the current factory: a
-// pooled shard's timeline is indistinguishable from a fresh shard's.
+// reset shard's timeline is indistinguishable from a fresh shard's.
 func (t *Timeline) Reset() {
 	*t = Timeline{}
 }

@@ -11,7 +11,7 @@ import (
 // tight heap only because the heap compacts, under msa, gen and
 // cg+recycle alike. What such a cell stores — payload, cycles, arena
 // occupancy and compaction count — is the same at workers 1 and 8, on a
-// pooled shard as on a fresh one.
+// reset shard as on a fresh one.
 func TestCompactingCellsAreDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("size-100 cells")
@@ -39,17 +39,18 @@ func TestCompactingCellsAreDeterministic(t *testing.T) {
 	for i, job := range jobs {
 		want[i] = det(Extract(engine.Exec(job)))
 	}
-	// One worker: each job twice, the second on the shard the first left
-	// in the pool.
+	// One worker: each job repeated, the second repeat on the shard the
+	// first ran on, reset.
 	one := engine.New(1)
 	for i, job := range jobs {
-		for range 2 {
-			one.ExecRelease(job, func(r engine.Result) {
-				if got := det(Extract(r)); got != want[i] {
-					t.Fatalf("pooled shard, one worker:\n%s\nfresh:\n%s", got, want[i])
-				}
-			})
-		}
+		twice := job
+		twice.Repeats = 2
+		one.ExecRelease(twice, func(r engine.Result) {
+			r.Job = job
+			if got := det(Extract(r)); got != want[i] {
+				t.Fatalf("reset shard, one worker:\n%s\nfresh:\n%s", got, want[i])
+			}
+		})
 	}
 	err := (Local{Eng: engine.New(8)}).Run(jobs, func(i int, o Outcome) {
 		if got := det(o); got != want[i] {

@@ -14,7 +14,7 @@ import (
 // the per-cell cycle statistics — and therefore any order-independent
 // merge of them — are identical for a -workers 1 and a -workers 8 run.
 // Each Timeline draws its own clock instance lazily at its first cycle
-// (and discards it on Reset), so pooled-shard reuse and scheduling
+// (and discards it on Reset), so shard resets between repeats and scheduling
 // cannot perturb a cell's recorded sequence.
 func TestCycleStatsIdenticalAcrossWorkerCounts(t *testing.T) {
 	obs.SetClockFactory(func() func() int64 {

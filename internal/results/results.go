@@ -211,9 +211,9 @@ type Backend interface {
 	Run(jobs []engine.Job, emit func(i int, o Outcome)) error
 }
 
-// Local is the in-process Exec: cells run on the engine's pooled shards
-// and are extracted on the executor's goroutine, so a completed shard
-// is recycled before the executor takes its next cell. Obs, when
+// Local is the in-process Exec: each cell runs on a shard of its own
+// and is extracted on the executor's goroutine, so a completed shard is
+// released before the executor takes its next cell. Obs, when
 // non-nil, shows each executor's utilization as a worker lane.
 type Local struct {
 	Eng *engine.Engine

@@ -136,7 +136,7 @@ func (d *DSU) RankOf(x int) int { return int(d.rank[x]) }
 
 // Truncate empties the forest while keeping its capacity: MakeSet
 // re-derives every element from its index, so a truncated forest is
-// observably a fresh one. Pooled collectors reuse forests through it.
+// observably a fresh one, and a forest can serve run after run.
 func (d *DSU) Truncate() {
 	d.parent = d.parent[:0]
 	d.rank = d.rank[:0]

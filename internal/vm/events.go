@@ -27,7 +27,7 @@ type Events struct {
 	Attach func(rt *Runtime)
 
 	// Detach, if non-nil, is called when another event table replaces
-	// this one on the runtime (Reset between pooled-shard cells, or a
+	// this one on the runtime (Reset between a cell's repeats, or a
 	// mid-run Attach) or the runtime is released. The collector must
 	// consider itself unbound and must not be queried afterwards; it
 	// unmaps its side tables here. A runtime that is simply dropped

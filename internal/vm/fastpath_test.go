@@ -245,12 +245,11 @@ func TestAllAccessDefeatsElision(t *testing.T) {
 	}
 }
 
-// TestRuntimeResetObservablyFresh pins the pooled-shard contract at the
-// runtime level: after Reset — Vacate, which unmaps the heap's and the
-// runtime's tables and maps the heap fresh ones, then Attach — the same
-// Runtime replays a program
-// with identical frame IDs, handle IDs, instruction counts and
-// statistics.
+// TestRuntimeResetObservablyFresh pins the reset-shard contract at the
+// runtime level: after Reset — which unmaps the heap's and the
+// runtime's tables, maps the heap fresh ones and attaches the new
+// collector — the same Runtime replays a program with identical frame
+// IDs, handle IDs, instruction counts and statistics.
 func TestRuntimeResetObservablyFresh(t *testing.T) {
 	program := func(rt *Runtime, node heap.ClassID, n int) (ids []heap.HandleID, frames []uint64) {
 		th := rt.NewThread(1)
@@ -284,7 +283,7 @@ func TestRuntimeResetObservablyFresh(t *testing.T) {
 	reused, node2, _ := newTestRT(None(), 1<<20)
 	program(reused, node2, 1)
 	// The first cell fits the tables the dirty run left behind; the
-	// second grows them past the pooled capacity, so retained capacity
+	// second grows them past the first cell's capacity, so retained capacity
 	// and reallocated tables are both checked against a fresh runtime.
 	for _, n := range []int{1, 300} {
 		fresh, node, _ := newTestRT(None(), 1<<20)

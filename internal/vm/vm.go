@@ -158,12 +158,13 @@ type Runtime struct {
 	// Attach reserves it at the heap's HandleBound when an Access slot
 	// is bound and takes the whole mapping, which no id passes, so the
 	// owner store is a plain store that never grows; where there is no
-	// mapping it grows with the handle table (alloc). Vacate unmaps it.
+	// mapping it grows with the handle table (alloc). Reset and Release
+	// unmap it.
 	owners   []int8
 	ownerTab heap.Table[int8]
 	// accessBroken records that the single-thread proof failed (second
 	// thread, or static-frame allocation). It is sticky for the life
-	// of the run — Vacate (and so Reset) clears it, Attach does not —
+	// of the run — Reset clears it, Attach does not —
 	// so attaching a descriptor mid-run re-derives accessOn without
 	// forgetting that the elision proof is already gone.
 	accessBroken bool
@@ -203,8 +204,7 @@ func New(h *heap.Heap, c Collector) *Runtime {
 // re-derive the elision machinery (AllAccess) and the forced-
 // collection countdown (GCEvery) from the descriptor, and the
 // descriptor's Attach hook runs last so the collector sees a fully
-// wired runtime. New and Reset call it, and the engine on a shard it
-// vacated before pooling (Vacate); attaching mid-run (only
+// wired runtime. New and Reset call it; attaching mid-run (only
 // meaningful for instrumentation) replaces the collector and its
 // declared capabilities but keeps heap, threads, statics and the
 // already-broken single-thread proof intact. A mid-run swap requires
@@ -251,24 +251,15 @@ func (rt *Runtime) Collector() any { return rt.source }
 
 // Reset returns the runtime — and its heap — to the freshly constructed
 // state over the same arena, attaching collector c in place of the old
-// one: Vacate, then Attach. A reset runtime is observably identical to
-// vm.New(heap, c) over a fresh heap of the same arena size (see
-// TestEnginePooledDeterminism).
+// one. The cell that ran leaves address space behind, not memory: the
+// collector detaches (and unmaps its side tables), the owner table is
+// unmapped, and the heap resets onto fresh tables; the rest of the
+// runtime's state is truncated, keeping its capacity. A reset runtime
+// is observably identical to vm.New(heap, c) over a fresh heap of the
+// same arena size (TestRuntimeResetObservablyFresh).
 func (rt *Runtime) Reset(c Collector) {
-	rt.Vacate()
-	rt.Attach(c.Events())
-}
-
-// Vacate ends the cell the runtime ran and leaves it holding address
-// space, not memory: the collector detaches (and unmaps its side
-// tables), the owner table is unmapped, and the heap resets onto fresh
-// tables; the rest of the runtime's state is truncated, keeping its
-// capacity. The engine vacates a shard before it pools it, so an idle
-// shard pins no page its last cell wrote. A vacated runtime has no
-// collector bound; Attach binds one.
-func (rt *Runtime) Vacate() {
 	// The outgoing collector detaches, unmapping its side tables; an
-	// empty table binds nothing in its place.
+	// empty table binds nothing in its place until c is attached.
 	rt.Attach(Events{})
 	rt.ownerTab.Release()
 	rt.owners = nil
@@ -289,6 +280,7 @@ func (rt *Runtime) Vacate() {
 	rt.accessBroken = false
 	rt.rec = nil
 	rt.timeline.Reset()
+	rt.Attach(c.Events())
 }
 
 // Release ends a runtime nobody will run again: the collector detaches,

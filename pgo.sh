@@ -13,11 +13,15 @@
 # sample in three did, and that build ran every raytrace and mtrt cell
 # 20-35 % slower (DESIGN.md §5 "The forest lives in the record"). The
 # sample is a coin; run pgo.sh again. It also exits 1 unless the profile
-# inlines the allocation path whole: vm.(*Frame).alloc into (*Frame).New
-# and heap.(*Heap).Alloc into (*Frame).alloc. Both sit at the hot budget's
-# edge, and a handle-table change that costs Heap.Alloc a few nodes more
-# drops the first. `bash pgo.sh --check` runs only the checks, against
-# the committed profile.
+# inlines the allocation path whole, four hot-budget edges:
+# vm.(*Frame).alloc into (*Frame).New, heap.(*Heap).Alloc into
+# (*Frame).alloc, and heap.(*Heap).bindRefs and heap.(*Arena).Alloc into
+# (*Heap).Alloc. The first two sit at the hot budget's edge, and a
+# handle-table change that costs Heap.Alloc a few nodes more drops the
+# first. The last two are keyed by their line offsets inside Heap.Alloc,
+# so a line added to or removed from it drops them without a word.
+# `bash pgo.sh --check` runs only the checks, against the committed
+# profile.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 tmp="$(mktemp -d)"
@@ -34,6 +38,8 @@ check() {
   echo "pgo.sh: the profile does not inline Thread.Call into shade"
   inlined 'vm.(*Frame).alloc' 'vm.(*Frame).New' '(*Frame).alloc'
   inlined 'heap.(*Heap).Alloc' 'vm.(*Frame).alloc' 'heap.(*Heap).Alloc'
+  inlined 'heap.(*Heap).bindRefs' 'heap.(*Heap).Alloc' '(*Heap).bindRefs'
+  inlined 'heap.(*Arena).Alloc' 'heap.(*Heap).Alloc' '(*Arena).Alloc'
 }
 
 # inlined CALLEE CALLER NAME exits 1 unless -m reports "inlining call to

@@ -15,7 +15,7 @@
 //   - internal/gengc — a generational baseline for ablations
 //   - internal/workload — SPECjvm98 benchmark analogs (a registry)
 //   - internal/collectors — the closed collector grammar (spec → factory)
-//   - internal/engine — runs cells on pooled runtime shards; only its pipeline entry replays tapes
+//   - internal/engine — runs each cell on a runtime shard of its own; only its pipeline entry replays tapes
 //   - internal/experiments — the one list of the thesis's figures, and their renderer
 //   - internal/results — cell outcomes, the content-addressed store and the one cell pipeline (Scheduler)
 //   - internal/dist — the multi-process sweep (coordinator and cgworker protocol)
@@ -74,8 +74,8 @@ type (
 	// as an Events table — every collector implementation, and Events
 	// itself. The single method runs once at attach, never per event.
 	Collector = vm.Collector
-	// Engine runs cells on pooled runtime shards; results.Scheduler is
-	// what queues them.
+	// Engine runs each cell on a runtime shard of its own;
+	// results.Scheduler is what queues them.
 	Engine = engine.Engine
 	// Job is one (workload, size, collector) cell of the matrix.
 	Job = engine.Job
