@@ -34,12 +34,16 @@ import (
 //
 // A build with no mapping (or a host that refuses one) grows all of them
 // by heap.Grow's doubling, and is held to looser budgets: at most 7
-// Go GC cycles (it reads 4-5); 32.8 MB allocated hook-free, 32.2 under
-// CG, 54.3 with recycling and 37.6 under gen (it reads 28.5, 26.4, 40.0
-// and 31.8); and 52 / 66 / 76 bytes held per handle (hook-free / CG / CG
-// with recycling: the 24-byte handle, its ref slots and the bitmaps,
+// Go GC cycles (it reads 3-4); 32.8 MB allocated hook-free, 32.2 under
+// CG, 54.3 with recycling and 37.6 under gen (it reads 21.6, 22.4, 33.1
+// and 24.0); and 52 / 66 / 76 bytes held per handle (hook-free / CG / CG
+// with recycling: the 16-byte handle, its ref slots and the bitmaps,
 // plus under CG the 12-byte object record and the 1-byte owner; it reads
-// 41-45 / 57 / 57).
+// 32-34 / 48 / 48 with mapOff set). Those budgets bind only where there
+// is no mapping, so never on the Linux CI runners, which map every
+// table. What the cell holds is what the Go heap grew by across it,
+// read as zero when the collection after the cell freed more than the
+// cell kept.
 func TestColdCellGrowthBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful unraced")
@@ -73,7 +77,7 @@ func TestColdCellGrowthBudget(t *testing.T) {
 
 			handles := uint64(rt.Heap.NumHandles())
 			allocated := after.TotalAlloc - before.TotalAlloc
-			onHeap := held.HeapAlloc - before.HeapAlloc
+			onHeap := uint64(max(int64(held.HeapAlloc)-int64(before.HeapAlloc), 0))
 			cycles := after.NumGC - before.NumGC
 			t.Logf("%d handles: allocated %.2f MB, holding %.1f MB (%d B/handle) on the Go heap, %d GC cycles",
 				handles, float64(allocated)/1e6, float64(onHeap)/1e6, onHeap/handles, cycles)

@@ -118,14 +118,17 @@ func ArenaBytes(job Job) (int, error) {
 
 // Exec runs one job synchronously in the caller's goroutine on a fresh
 // shard, with no engine and no tape — it always drives. The Result's RT
-// is the caller's to keep. Callers with their own per-benchmark control
-// flow (probe runs, budget retry loops) use it; a matrix goes through
-// Engine.RunEach.
+// is the caller's to keep and nothing releases it, so no product path
+// calls Exec: the cell pipeline, the matrices and Fig 4.13's
+// calibration go through ExecRelease or RunEach. It stays for the
+// frozen bench module.
 func Exec(job Job) Result { return exec(job, nil, nil) }
 
-// exec is the shared job body. It builds the job's shard and resets it
-// between repeats; it never releases the shard — a caller that drops
-// the Result does (see ExecRelease).
+// exec is the shared job body. Each repeat builds its own shard and
+// releases the previous repeat's before building it, so at most one
+// shard is held at a time and only the last one escapes in the Result;
+// exec never releases that one — a caller that drops the Result does
+// (see ExecRelease).
 //
 // With a non-nil ts — ExecRelease's, and no other entry's — a row that
 // ships a tape replays its recorded operation stream through the
@@ -173,21 +176,20 @@ func exec(job Job, ts *seeds, p *obs.Progress) (res Result) {
 		}
 	}
 
-	// Only the drive or replay is timed: attaching a collector, which
-	// reserves its side tables, and building a shard are not the
-	// program's time.
+	// Only the drive or replay is timed: releasing the last repeat's
+	// shard, building this one and attaching its collector, which
+	// reserves its side tables, are not the program's time.
 	var elapsed time.Duration
 	for i := 0; i < reps; i++ {
+		if res.RT != nil {
+			res.RT.Release()
+		}
 		// The forced-collection instrumentation is a declarative field
 		// of the event table: decorating the descriptor replaces the
 		// old post-construction SetGCEvery call.
 		ev := factory()
 		ev.GCEvery = job.GCEvery
-		if res.RT == nil {
-			res.RT = vm.New(heap.New(bytes), ev)
-		} else {
-			res.RT.Reset(ev)
-		}
+		res.RT = vm.New(heap.New(bytes), ev)
 		res.Col = ev.Collector
 		start := time.Now()
 		if rp != nil {

@@ -126,8 +126,8 @@ func TestRunEachSurvivesPanickingWorkload(t *testing.T) {
 }
 
 // slowDetachWorkload ends its run by binding an event table whose
-// Detach sleeps for slowDetach, so the Reset that attaches the next
-// repeat's collector takes that long.
+// Detach sleeps for slowDetach, so releasing the repeat's shard, before
+// the next repeat's is built, takes that long.
 const (
 	slowDetachWorkload = "slow-detach"
 	slowDetach         = 40 * time.Millisecond
@@ -147,8 +147,9 @@ func init() {
 
 // TestElapsedIsTheProgramsTime: a RunEach job's Elapsed times each
 // repeat's drive alone. Of three repeats of the fixture, the last two
-// attach their collector through a Reset that sleeps 40 ms; counted, it
-// would raise the mean per repeat to over 26 ms.
+// are built only once the previous repeat's shard has been released,
+// and that Release sleeps 40 ms; counted, it would raise the mean per
+// repeat to over 26 ms.
 func TestElapsedIsTheProgramsTime(t *testing.T) {
 	job := Job{Workload: slowDetachWorkload, Size: 1, Collector: "cg", Repeats: 3}
 	New(1).RunEach([]Job{job}, func(_ int, r Result) {

@@ -235,9 +235,10 @@ const resetGCEvery = 1200
 // allocation pressure, so each benchmark shard calibrates its own arena
 // from a probe run and retries with more slack if the budget undershoots
 // the collector's peak holdings — per-benchmark control flow the
-// engine's generic Do distributes across the pool. A benchmark whose
-// probe or last retry fails fails the figure with the first such error,
-// in benchmark order.
+// engine's generic Do distributes across the pool. Each run is one job
+// through RunEach, on a shard released once the closure has read it. A
+// benchmark whose probe or last retry fails fails the figure with the
+// first such error, in benchmark order.
 func fig413(eng *engine.Engine, specs []workload.Spec) (string, error) {
 	t := table.New("Fig 4.13: number of objects recycled, small runs",
 		"benchmark", "objects recycled", "percent of total")
@@ -247,13 +248,17 @@ func fig413(eng *engine.Engine, specs []workload.Spec) (string, error) {
 		// Calibrate the arena from a probe run: final live bytes plus
 		// half the garbage bytes (the thesis sized its runs so the heap
 		// filled).
-		probe := engine.Exec(engine.Job{Workload: specs[i].Name, Size: 1, Collector: "cg"})
-		if probe.Err != nil {
-			errs[i] = probe.Err
+		var live, garbage int
+		probe := []engine.Job{{Workload: specs[i].Name, Size: 1, Collector: "cg"}}
+		eng.RunEach(probe, func(_ int, r engine.Result) {
+			if errs[i] = r.Err; r.Err == nil {
+				live = r.RT.Heap.Arena().InUse()
+				garbage = int(r.RT.Heap.Stats().BytesAlloc) - live
+			}
+		})
+		if errs[i] != nil {
 			return
 		}
-		live := probe.RT.Heap.Arena().InUse()
-		garbage := int(probe.RT.Heap.Stats().BytesAlloc) - live
 		budget := live + garbage/2
 
 		// An undershot budget surfaces as a hard-OOM job error; widen
@@ -261,18 +266,18 @@ func fig413(eng *engine.Engine, specs []workload.Spec) (string, error) {
 		// failure (anything but OOM) into a report instead of an
 		// unbounded arena-growth loop.
 		const maxAttempts = 24
-		var lastErr error
 		for attempt := 0; attempt < maxAttempts; attempt++ {
-			r := engine.Exec(engine.Job{Workload: specs[i].Name, Size: 1,
-				Collector: "cg+recycle", HeapBytes: budget})
-			if r.Err == nil {
-				recycled[i] = r.Col.(*core.CG).Stats()
+			job := []engine.Job{{Workload: specs[i].Name, Size: 1, Collector: "cg+recycle", HeapBytes: budget}}
+			eng.RunEach(job, func(_ int, r engine.Result) {
+				if errs[i] = r.Err; r.Err == nil {
+					recycled[i] = r.Col.(*core.CG).Stats()
+				}
+			})
+			if errs[i] == nil {
 				return
 			}
-			lastErr = r.Err
 			budget += garbage/4 + 1<<10
 		}
-		errs[i] = lastErr
 	})
 	for i, s := range specs {
 		if errs[i] != nil {

@@ -15,6 +15,10 @@ import (
 //	cgbench -workers 1 -fig 4.1|4.5|4.11 > fig4*.golden
 //	cgsweep -workers 1 -figs 4.1,4.5,4.11 > sweep_4_1_4_5_4_11.golden
 //
+// and fig413.golden later, from the tree whose Fig 4.13 still ran
+// through engine.Exec, with cgbench -workers 1 -fig 4.13: the figure's
+// bytes must not depend on the shard lifecycle that runs its cells.
+//
 // These tests are the ABI-swap equivalence suite: the event-table
 // runtime must reproduce every figure and the streamed sweep byte for
 // byte. They intentionally pin real output bytes, not shapes — a
@@ -32,14 +36,16 @@ func golden(t *testing.T, name string) string {
 
 // TestFigGoldenBytes pins the Fig 4.1/4.5/4.11 tables (the three
 // figures covering allocation, block-size and resetting event streams)
-// to the seed capture. The trailing newline matches cgbench's
+// to the seed capture, and Fig 4.13 (recycling under a calibrated
+// arena) to its own. The trailing newline matches cgbench's
 // per-figure println.
 func TestFigGoldenBytes(t *testing.T) {
-	texts := renderAll(t, engine.New(4), "4.1", "4.5", "4.11")
+	texts := renderAll(t, engine.New(4), "4.1", "4.5", "4.11", "4.13")
 	for i, c := range []struct{ fig, file string }{
 		{"4.1", "fig41.golden"},
 		{"4.5", "fig45.golden"},
 		{"4.11", "fig411.golden"},
+		{"4.13", "fig413.golden"},
 	} {
 		want := golden(t, c.file)
 		if got := texts[i] + "\n"; got != want {

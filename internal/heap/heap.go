@@ -169,15 +169,18 @@ type Heap struct {
 
 // New returns a heap whose object space spans arenaBytes.
 func New(arenaBytes int) *Heap {
-	h := &Heap{arena: NewArena(arenaBytes), byName: make(map[string]ClassID)}
-	h.reserve()
+	h := new(Heap)
+	h.init(NewArena(arenaBytes))
 	return h
 }
 
-// reserve gives the heap fresh, empty tables for a cell: a one-slot
-// handle table and slab, each slot 0 unused (the Nil handle; the end
-// of every extFree list).
-func (h *Heap) reserve() {
+// init makes h an empty heap over a, as New builds it, with fresh tables
+// for a cell: a one-slot handle table and slab, each slot 0 unused (the
+// Nil handle; the end of every extFree list). It writes a composite
+// literal rather than copying a built heap: a copy would carry tables
+// whose cleanups are registered on the source (Table).
+func (h *Heap) init(a *Arena) {
+	*h = Heap{arena: a, byName: make(map[string]ClassID)}
 	bound := h.HandleBound()
 	h.handleCap = 1
 	h.handles = Grow(h.mem.handles.Reserve(bound), 1, 1)
@@ -630,23 +633,15 @@ func (h *Heap) ForEachLive(fn func(HandleID)) {
 // retain it across heap growth.
 func (h *Heap) LiveWords() Bitset { return h.liveBits }
 
-// Reset returns the heap to its freshly constructed state — empty class
-// table, one-slot handle table, one-slot slab with no free extents,
-// fully free arena, zeroed counters. The handle table, live bitmap, ref
-// slab and the arena's page records and list heads go with the cell
-// that wrote them (Release), and fresh ones are reserved as New
-// reserves them, so a heap reset between repeats holds address space,
-// not the pages its last cell wrote, and the next cell faults in only
-// what it writes. A reset heap is observably identical to
-// heap.New(h.Arena().Size()).
+// Reset returns the heap to its freshly constructed state: it is
+// Release followed by New's own initialiser over a fresh arena of the
+// same size, so the tables and the arena's page records go with the
+// cell that wrote them and the next cell faults in only what it writes.
+// A reset heap is observably identical to heap.New(h.Arena().Size()).
+// No product path resets a heap — each cell, and each repeat of one,
+// runs on a shard built for it — so Reset stays for the frozen bench
+// module's probes.
 func (h *Heap) Reset() {
 	h.Release()
-	h.arena.Reset()
-	h.classes = h.classes[:0]
-	h.layouts = h.layouts[:0]
-	clear(h.byName)
-	h.reserve()
-	h.freeHead = Nil
-	clear(h.extFree[:])
-	h.stats = Stats{}
+	h.init(NewArena(h.arena.Size()))
 }

@@ -39,16 +39,28 @@ func residentBytes(t *testing.T) int {
 // some 9 and 11 MiB of pages; once ExecRelease returns, the mapping count
 // is back where it began — with the Go collector off, so no cleanup did
 // it — and the resident set is back within 1 MiB of where it started.
+// A job of three repeats runs each on a shard of its own and releases
+// each before it builds the next, so while consume runs it holds one
+// shard's mappings, as many as the one-repeat job under its collector,
+// and none once ExecRelease returns.
 func TestReleasedShardHoldsNoPages(t *testing.T) {
 	const slack = 1 << 20
-	for _, c := range []string{"cg", "gen"} {
-		t.Run(c, func(t *testing.T) {
+	shard := make(map[string]int64) // one shard's mappings, by collector
+	for _, c := range []struct {
+		name string
+		job  engine.Job
+	}{
+		{"cg", engine.Job{Workload: "javac", Size: 100, Collector: "cg"}},
+		{"gen", engine.Job{Workload: "javac", Size: 100, Collector: "gen"}},
+		{"cg_3_repeats", engine.Job{Workload: "javac", Size: 100, Collector: "cg", Repeats: 3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			base := collected(-1)
 			before := residentBytes(t)
 			var during, handles int
 			var held int64
 			gc := debug.SetGCPercent(-1)
-			engine.New(1).ExecRelease(engine.Job{Workload: "javac", Size: 100, Collector: c}, func(r engine.Result) {
+			engine.New(1).ExecRelease(c.job, func(r engine.Result) {
 				if r.Err != nil {
 					t.Fatal(r.Err)
 				}
@@ -65,6 +77,14 @@ func TestReleasedShardHoldsNoPages(t *testing.T) {
 			}
 			if during-before < 8*slack {
 				t.Fatalf("the cell raised the resident set by only %d KiB: nothing to release", (during-before)>>10)
+			}
+			if c.job.Repeats > 1 {
+				if want, ok := shard[c.job.Collector]; !ok || held != want {
+					t.Errorf("the last of %d repeats ran with %d mappings held, want one shard's, %d",
+						c.job.Repeats, held, want)
+				}
+			} else {
+				shard[c.job.Collector] = held
 			}
 			if left > 0 {
 				t.Errorf("the cell held %d mappings and left %d once released, want 0", held, left)

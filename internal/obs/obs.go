@@ -23,7 +23,8 @@
 //     fact (which machine, how loaded).
 //   - Progress (progress.go): the live ledger of a running sweep
 //     (per-client cell lanes, whose sums are the cell totals; queue
-//     and in-flight gauges; tape verdicts; per-worker utilization).
+//     and in-flight gauges; the count of tape replays; per-worker
+//     utilization).
 //     The child package obshttp serves them as a JSON snapshot next to
 //     net/http/pprof on cgserve's listener; this package imports no
 //     network code (TestNoNetworkImports), because internal/vm imports

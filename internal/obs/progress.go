@@ -7,8 +7,8 @@ import (
 )
 
 // Progress is the live counter set of a running sweep: per-client cell
-// lanes, queue depth and in-flight count, tape verdicts, and
-// per-worker utilization. Cell-grained — every update happens at job
+// lanes, queue depth and in-flight count, tape replays, and per-worker
+// utilization. Cell-grained — every update happens at job
 // boundaries, never on an event or cycle path — so one mutex over the
 // snapshot types themselves is plenty. All methods are
 // nil-receiver-safe: call sites thread an optional *Progress through

@@ -115,10 +115,3 @@ func (t *Timeline) CycleEnd(freed uint64) {
 
 // Stats returns a copy of the cumulative cycle statistics.
 func (t *Timeline) Stats() CycleStats { return t.stats }
-
-// Reset returns the timeline to its zero state and discards its clock,
-// so the next cycle draws a fresh one from the current factory: a
-// reset shard's timeline is indistinguishable from a fresh shard's.
-func (t *Timeline) Reset() {
-	*t = Timeline{}
-}

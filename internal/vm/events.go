@@ -4,7 +4,7 @@ import "repro/internal/heap"
 
 // Events is the event-table collector ABI: a descriptor of direct
 // function-valued slots — one per runtime event — plus capability
-// fields, handed to Runtime.Attach (usually via New or Reset). The
+// fields, handed to Runtime.Attach (usually via New). The
 // runtime binds each non-nil slot straight into its hot path, so an
 // event nobody subscribed to costs a single nil check and a collector
 // pays an indirect call only for the events it declared. The old
@@ -26,9 +26,9 @@ type Events struct {
 	// must not be attached to two runtimes at once.
 	Attach func(rt *Runtime)
 
-	// Detach, if non-nil, is called when another event table replaces
-	// this one on the runtime (Reset between a cell's repeats, or a
-	// mid-run Attach) or the runtime is released. The collector must
+	// Detach, if non-nil, is called when the runtime is released (once
+	// its cell, or one of a cell's repeats, has run; Reset releases
+	// too) or a mid-run Attach replaces this table. The collector must
 	// consider itself unbound and must not be queried afterwards; it
 	// unmaps its side tables here. A runtime that is simply dropped
 	// never calls Detach.

@@ -188,15 +188,24 @@ type Thread struct {
 // New creates a runtime over h governed by c's event table. The static
 // pseudo-frame (frame 0) is created immediately and never pops.
 func New(h *heap.Heap, c Collector) *Runtime {
-	rt := &Runtime{
+	rt := new(Runtime)
+	rt.init(h)
+	rt.Attach(c.Events())
+	return rt
+}
+
+// init makes rt a runtime over h with no collector bound, as New builds
+// it. It writes a composite literal rather than copying a built
+// runtime: a copy would carry the owner table's cleanup, registered on
+// the source (heap.Table).
+func (rt *Runtime) init(h *heap.Heap) {
+	*rt = Runtime{
 		Heap:        h,
 		staticNames: make(map[string]int),
 		interned:    make(map[string]heap.HandleID),
 	}
 	rt.staticFrame = &Frame{ID: 0, Depth: 0, rt: rt}
 	rt.frames = []*Frame{rt.staticFrame}
-	rt.Attach(c.Events())
-	return rt
 }
 
 // Attach binds an event table into the runtime's dispatch sites: each
@@ -250,36 +259,17 @@ func (rt *Runtime) Attach(ev Events) {
 func (rt *Runtime) Collector() any { return rt.source }
 
 // Reset returns the runtime — and its heap — to the freshly constructed
-// state over the same arena, attaching collector c in place of the old
-// one. The cell that ran leaves address space behind, not memory: the
-// collector detaches (and unmaps its side tables), the owner table is
-// unmapped, and the heap resets onto fresh tables; the rest of the
-// runtime's state is truncated, keeping its capacity. A reset runtime
-// is observably identical to vm.New(heap, c) over a fresh heap of the
-// same arena size (TestRuntimeResetObservablyFresh).
+// state over an arena of the same size, attaching collector c in place
+// of the old one: it is Release followed by New's own initialiser, so a
+// reset runtime is observably identical to vm.New(heap, c) over a fresh
+// heap of that size (TestRuntimeResetObservablyFresh). No product path
+// resets a shard — each of a job's repeats runs on one built for it —
+// so Reset stays for the frozen bench module's probes and walk.
 func (rt *Runtime) Reset(c Collector) {
-	// The outgoing collector detaches, unmapping its side tables; an
-	// empty table binds nothing in its place until c is attached.
-	rt.Attach(Events{})
-	rt.ownerTab.Release()
-	rt.owners = nil
-	rt.Heap.Reset()
-	clear(rt.threads) // the dropped threads pin their stacks' frames
-	rt.threads = rt.threads[:0]
-	rt.statics = rt.statics[:0]
-	clear(rt.staticNames)
-	clear(rt.interned)
-	rt.internedRoots = rt.internedRoots[:0]
-	*rt.staticFrame = Frame{ID: 0, Depth: 0, rt: rt}
-	clear(rt.frames[1:]) // the dropped threads' stacks held these records
-	rt.frames = rt.frames[:1]
-	rt.frameSeq = 0
-	rt.instr = 0
-	rt.gcCycles = 0
-	rt.gcEvery, rt.countdown = 0, 0
-	rt.accessBroken = false
-	rt.rec = nil
-	rt.timeline.Reset()
+	h := rt.Heap
+	rt.Release()
+	h.Reset()
+	rt.init(h)
 	rt.Attach(c.Events())
 }
 
