@@ -53,9 +53,8 @@ func TestColdCellGrowthBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const size = 100
-	var probe heap.Table[uint64]
-	probe.Reserve(1)
-	mapping := probe.Reserved() > 0
+	probe := heap.New(64 << 10)
+	mapping := heap.MapTable[uint64](probe, 1) != nil
 	probe.Release()
 	for _, name := range collectors.AllSpecs() {
 		t.Run(name, func(t *testing.T) {

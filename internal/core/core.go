@@ -210,12 +210,6 @@ type CG struct {
 	// nothing (see msa.Cycle).
 	cycle msa.Cycle
 	stats Stats
-	// metaTab, setsTab and oldFramesTab hold meta's, sets' and
-	// oldFrames' memory for the one cell the collector serves: Attach
-	// reserves them and detach unmaps them.
-	metaTab      heap.Table[objMeta]
-	setsTab      heap.Table[setMeta]
-	oldFramesTab heap.Table[int32]
 }
 
 // recycleList is a LIFO of dead objects kept heap-live for reuse
@@ -235,8 +229,8 @@ type spillList struct {
 }
 
 // New returns an unattached CG collector; pass it to vm.New. Side
-// tables are reserved at Attach, not here: construction is cheap and a
-// collector that never attaches owns nothing.
+// tables are mapped at Attach, not here: construction is cheap and a
+// collector that never attaches holds no table.
 func New(cfg Config) *CG {
 	if cfg.TypedRecycle {
 		cfg.Recycle = true
@@ -251,7 +245,6 @@ func New(cfg Config) *CG {
 func (c *CG) Events() vm.Events {
 	ev := vm.Events{
 		Attach:    c.Attach,
-		Detach:    c.detach,
 		Alloc:     c.OnAlloc,
 		Ref:       c.OnRef,
 		StaticRef: c.OnStaticRef,
@@ -270,19 +263,20 @@ func (c *CG) Events() vm.Events {
 	return ev
 }
 
-// Attach binds CG to rt (the descriptor's Attach hook) and reserves the
-// side tables its configuration uses at the heap's handle bound, which
-// no HandleCap exceeds; sets gets one slot more: every set holds a live
-// object, a rebuild holds at most one slot beyond the sets it makes, and
-// slot 0 is never used. Only the reset pass keeps oldFrames, and the
-// mark–sweep engine maps its scratch before its first cycle (Collect).
+// Attach binds CG to rt (the descriptor's Attach hook) and maps the side
+// tables its configuration uses on the heap, which unmaps them when the
+// cell ends, at its handle bound, which no HandleCap exceeds; sets gets
+// one slot more: every set holds a live object, a rebuild holds at most
+// one slot beyond the sets it makes, and slot 0 is never used. Only the
+// reset pass keeps oldFrames, and the mark–sweep engine maps its
+// scratch before its first cycle (Collect).
 func (c *CG) Attach(rt *vm.Runtime) {
 	c.rt = rt
 	c.heap = rt.Heap
 	c.msa = msa.New(rt)
 	bound := c.heap.HandleBound()
-	c.meta = c.metaTab.Reserve(bound)
-	c.sets = heap.Grow(c.setsTab.Reserve(bound+1), 1, 1) // slot 0, never used
+	c.meta = heap.MapTable[objMeta](c.heap, bound)
+	c.sets = heap.Grow(heap.MapTable[setMeta](c.heap, bound+1), 1, 1) // slot 0, never used
 	c.freeSets = 0
 	if c.cfg.Recycle {
 		c.recycleClasses = make([]recycleList, heap.NumSizeClasses)
@@ -295,29 +289,9 @@ func (c *CG) Attach(rt *vm.Runtime) {
 		WillFree: c.willFree,
 	}
 	if c.cfg.ResetOnGC {
-		c.oldFrames = c.oldFramesTab.Reserve(bound)
+		c.oldFrames = heap.MapTable[int32](c.heap, bound)
 		c.cycle.End = c.endCycle
 	}
-}
-
-// detach implements the event table's Detach capability: the runtime is
-// replacing this collector, whose cell has ended, so its side tables and
-// its engine's scratch are unmapped now, not at some later Go
-// collection. The recycle lists' members are threaded through meta and
-// go with it. The collector must not be queried (Stats, Snapshot,
-// events) after detach; its table fields are nilled so a violation
-// fails loudly.
-func (c *CG) detach() {
-	if c.msa == nil {
-		return
-	}
-	c.metaTab.Release()
-	c.setsTab.Release()
-	c.oldFramesTab.Release()
-	c.msa.Release()
-	c.meta, c.sets, c.oldFrames = nil, nil, nil
-	c.recycleClasses, c.recycleNonEmpty, c.recycleSpill, c.byType = nil, nil, nil, nil
-	c.msa = nil
 }
 
 // Stats returns a copy of the counters.

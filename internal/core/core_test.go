@@ -854,7 +854,7 @@ func TestRecycleListOrder(t *testing.T) {
 			// it: the next cell runs as a fresh runtime does.
 			rt := vm.New(heap.New(1<<20), vm.None())
 			recycleCell(t, rt, cfg)
-			rt.Reset(vm.None()) // detach
+			rt.Reset(vm.None())
 			reset := run(rt, false)
 			if fresh := run(vm.New(heap.New(1<<20), vm.None()), false); !slices.Equal(reset, fresh) {
 				t.Fatalf("a cell on a runtime reset under full recycle lists ran otherwise than on a fresh one:\n%v\n%v", reset, fresh)

@@ -40,10 +40,10 @@ func TestRecordsAreSmallAndPointerFree(t *testing.T) {
 }
 
 // TestMappedRecordsHoldNoPointers is the heap package's test of the same
-// name for the three tables core keeps in a heap.Table, by their
-// element types as declared; and the handle-indexed two, where this
-// build maps them, are reserved at the attached heap's handle bound and
-// never move as they grow. Only the reset pass reserves and writes
+// name for the three tables core maps on the heap, by their element
+// types as declared; and the handle-indexed two, where this build maps
+// them, are mapped at the attached heap's handle bound and never move
+// as they grow. Only the reset pass maps and writes
 // oldFrames: a cycle of any other configuration stamps into the object
 // records. vm's test of this name covers the runtime's owner table.
 func TestMappedRecordsHoldNoPointers(t *testing.T) {
@@ -54,7 +54,7 @@ func TestMappedRecordsHoldNoPointers(t *testing.T) {
 	}
 	for _, cfg := range []Config{DefaultConfig(), {StaticOpt: true, Recycle: true}, {StaticOpt: true, ResetOnGC: true}} {
 		rt, cg, node := newRT(t, cfg, 1<<22)
-		mapped := cg.metaTab.Reserved()
+		mapped := cap(cg.meta) // Attach hands the mapping out empty: its capacity
 		if mapped == 0 {
 			t.Log("no mapping on this build: the tables grow by heap.Grow's rule")
 			return
@@ -90,7 +90,7 @@ func TestMappedRecordsHoldNoPointers(t *testing.T) {
 // ledger workload's peak memory, has 227 686 handles and never more than
 // a few hundred sets alive at once, so the set table ends under 1 % of
 // the handle count — 24 bytes a set, not 24 bytes a handle. A mapped
-// table is reserved at the handle bound and holds what it hands out; a
+// table spans the handle bound and holds what it hands out; a
 // grown one holds its capacity.
 func TestSetTableIsSizedBySets(t *testing.T) {
 	spec, err := workload.ByName("javac")
@@ -99,9 +99,10 @@ func TestSetTableIsSizedBySets(t *testing.T) {
 	}
 	cg := New(DefaultConfig())
 	rt := vm.New(heap.New(spec.HeapBytes(100)), cg)
+	mapped := cap(cg.meta) > 0 // sets is mapped where meta is
 	spec.Run(rt, 100)
 	records, handles := len(cg.sets), rt.Heap.NumHandles()
-	if cg.setsTab.Reserved() == 0 {
+	if !mapped {
 		records = cap(cg.sets)
 	}
 	t.Logf("%d set slots in use, %d records held, %d handles", len(cg.sets)-1, records, handles)

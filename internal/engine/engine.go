@@ -177,12 +177,12 @@ func exec(job Job, ts *seeds, p *obs.Progress) (res Result) {
 	}
 
 	// Only the drive or replay is timed: releasing the last repeat's
-	// shard, building this one and attaching its collector, which
-	// reserves its side tables, are not the program's time.
+	// shard, building this one and attaching its collector, which maps
+	// its side tables, are not the program's time.
 	var elapsed time.Duration
 	for i := 0; i < reps; i++ {
 		if res.RT != nil {
-			res.RT.Release()
+			releaseShard(res.RT)
 		}
 		// The forced-collection instrumentation is a declarative field
 		// of the event table: decorating the descriptor replaces the
@@ -240,12 +240,12 @@ func (e *Engine) SetProgress(p *obs.Progress) *Engine {
 }
 
 // ExecRelease runs one job on a shard built for it, hands the result to
-// consume, and then releases the shard: its collector's side tables,
-// its owner table and its heap's tables are unmapped at once
-// (vm.Runtime.Release), not at a Go collection that may be long in
-// coming. The Result, its RT and its Col are only valid until consume
-// returns: extract what the merge needs, drop the rest. A shard that
-// panicked mid-run is released too.
+// consume, and then releases the shard: its heap unmaps every table
+// mapped on it, the collector's side tables and the owner table among
+// them, at once (vm.Runtime.Release), not at a Go collection that may
+// be long in coming. The Result, its RT and its Col are only valid
+// until consume returns: extract what the merge needs, drop the rest.
+// A shard that panicked mid-run is released too.
 //
 // ExecRelease is the cell pipeline's entry (results.Local) and the only
 // one that replays: a row that ships a tape (DESIGN.md §12) replays it
@@ -266,9 +266,13 @@ func (e *Engine) release(job Job, ts *seeds, consume func(Result)) {
 	r := exec(job, ts, e.progress)
 	consume(r)
 	if r.RT != nil {
-		r.RT.Release()
+		releaseShard(r.RT)
 	}
 }
+
+// releaseShard releases a shard whose cell, or repeat, has run; exec and
+// Engine.release release every shard through it. Only tests replace it.
+var releaseShard = (*vm.Runtime).Release
 
 // Do runs fn(i) for every i in [0, n) on the pool and returns when all
 // calls have completed. Each fn call must confine its writes to state

@@ -125,39 +125,39 @@ func TestRunEachSurvivesPanickingWorkload(t *testing.T) {
 	}
 }
 
-// slowDetachWorkload ends its run by binding an event table whose
-// Detach sleeps for slowDetach, so releasing the repeat's shard, before
-// the next repeat's is built, takes that long.
-const (
-	slowDetachWorkload = "slow-detach"
-	slowDetach         = 40 * time.Millisecond
-)
+// idleWorkload does nothing, so a repeat's drive takes next to no time.
+const idleWorkload = "idle"
 
 func init() {
 	workload.Register(workload.Spec{
-		Name:      slowDetachWorkload,
-		Desc:      "leaves a slow Detach behind (test fixture)",
+		Name:      idleWorkload,
+		Desc:      "does nothing (test fixture)",
 		Threads:   func(int) int { return 0 },
 		HeapBytes: func(int) int { return 1 << 20 },
-		Run: func(rt *vm.Runtime, size int) {
-			rt.Attach(vm.Events{Detach: func() { time.Sleep(slowDetach) }})
-		},
+		Run:       func(*vm.Runtime, int) {},
 	})
 }
 
 // TestElapsedIsTheProgramsTime: a RunEach job's Elapsed times each
-// repeat's drive alone. Of three repeats of the fixture, the last two
-// are built only once the previous repeat's shard has been released,
-// and that Release sleeps 40 ms; counted, it would raise the mean per
-// repeat to over 26 ms.
+// repeat's drive alone. Of three repeats of the idle fixture, the last
+// two are built only once the previous repeat's shard has been
+// released, and here each release sleeps 40 ms first; counted, it would
+// raise the mean per repeat to over 26 ms.
 func TestElapsedIsTheProgramsTime(t *testing.T) {
-	job := Job{Workload: slowDetachWorkload, Size: 1, Collector: "cg", Repeats: 3}
+	const slowRelease = 40 * time.Millisecond
+	release := releaseShard
+	defer func() { releaseShard = release }()
+	releaseShard = func(rt *vm.Runtime) {
+		time.Sleep(slowRelease)
+		release(rt)
+	}
+	job := Job{Workload: idleWorkload, Size: 1, Collector: "cg", Repeats: 3}
 	New(1).RunEach([]Job{job}, func(_ int, r Result) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		if r.Elapsed >= slowDetach/4 {
-			t.Errorf("Elapsed = %v: the repeats' slow attach is in it", r.Elapsed)
+		if r.Elapsed >= slowRelease/4 {
+			t.Errorf("Elapsed = %v: the repeats' slow release is in it", r.Elapsed)
 		}
 	})
 }

@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite tapes/ from fresh recordings of
 
 // fixtures are the workloads this package's tests register; every
 // other registered workload is an analog of the default grid.
-var fixtures = map[string]bool{"tape-count": true, panicWorkload: true, slowDetachWorkload: true}
+var fixtures = map[string]bool{"tape-count": true, panicWorkload: true, idleWorkload: true}
 
 // recordRow drives one grid row on a fresh demographics shard under cg,
 // as the grid's cells run, with a recorder attached.

@@ -95,24 +95,16 @@ type System struct {
 	minorCycle msa.Cycle
 	young      int // the young population preMark counted
 	stats      Stats
-	// flagsTab and rememberedTab hold flags' and remembered's memory for
-	// the one cell the system serves, reserved at the attached heap's
-	// handle bound: no HandleCap exceeds it, and the list names an id at
-	// most once but for the stale entries of reused handles (only an
-	// append past the bound would move it, as it would any slice).
-	flagsTab      heap.Table[uint8]
-	rememberedTab heap.Table[heap.HandleID]
 }
 
 // New returns an unattached generational system; pass it to vm.New.
-// The side tables are reserved at Attach, not here.
+// The side tables are mapped at Attach, not here.
 func New() *System { return &System{} }
 
 // Events implements vm.Collector.
 func (g *System) Events() vm.Events {
 	return vm.Events{
 		Attach:    g.Attach,
-		Detach:    g.detach,
 		Alloc:     g.OnAlloc,
 		Ref:       g.OnRef,
 		Collect:   g.Collect,
@@ -120,33 +112,19 @@ func (g *System) Events() vm.Events {
 	}
 }
 
-// Attach binds the system to rt (the descriptor's Attach hook) and
-// reserves its side tables; the engine maps its scratch before its
-// first cycle.
+// Attach binds the system to rt (the descriptor's Attach hook) and maps
+// its side tables on the heap for the one cell the system serves, at the
+// heap's handle bound: no HandleCap exceeds it, and the remembered list
+// names an id at most once but for the stale entries of reused handles
+// (only an append past the bound would move it, as it would any slice).
+// The engine maps its scratch before its first cycle.
 func (g *System) Attach(rt *vm.Runtime) {
 	g.rt = rt
 	g.m = msa.New(rt)
 	bound := rt.Heap.HandleBound()
-	g.flags = g.flagsTab.Reserve(bound)
-	g.remembered = g.rememberedTab.Reserve(bound)
+	g.flags = heap.MapTable[uint8](rt.Heap, bound)
+	g.remembered = heap.MapTable[heap.HandleID](rt.Heap, bound)
 	g.minorCycle = msa.Cycle{Begin: g.preMark}
-}
-
-// detach implements the event table's Detach capability: the runtime
-// is replacing this system, whose cell has ended, so its side tables
-// and its engine's scratch are unmapped now. The system must not be
-// queried afterwards but for Stats; fields are nilled so a violation
-// fails loudly.
-func (g *System) detach() {
-	if g.m == nil {
-		return
-	}
-	g.flagsTab.Release()
-	g.rememberedTab.Release()
-	g.m.Release()
-	g.rt, g.m = nil, nil
-	g.flags, g.remembered = nil, nil
-	g.minorCycle = msa.Cycle{}
 }
 
 // Stats returns a copy of the counters.

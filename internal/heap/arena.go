@@ -90,7 +90,7 @@ type pageSpan struct {
 // size in used, which is what SizeAt reads. Partial slabs of a class
 // form a doubly-linked list through prev/next; the links are page
 // indices, so the whole structure is pointer-free and its table can be
-// mapped (Table).
+// mapped (tables).
 type slabRec struct {
 	class  int32 // ladder class, -1 when the page is not a slab
 	used   int32 // allocated blocks; a large run's size on its head page
@@ -124,7 +124,7 @@ type Arena struct {
 
 	// slabs is indexed by page and grown lazily to the high-water page —
 	// pages are acquired lowest-first, so its length tracks peak usage,
-	// not capacity. Reset reserves it at a record per page, the short
+	// not capacity. Reset maps it at a record per page, the short
 	// one included, so within its mapping it never moves.
 	slabs []slabRec
 
@@ -132,13 +132,10 @@ type Arena struct {
 	cached  []int32 // per-class retained fully-free slab, -1 = none
 	cachedN int32   // count of non-empty cached entries (O(1) reclaim no-op)
 
-	// mem holds the page records and the list heads (partial, then
+	// tabs holds the page records and the list heads (partial, then
 	// cached, in one table) for the one cell the arena serves: Reset
 	// maps them fresh and Release unmaps them.
-	mem struct {
-		slabs Table[slabRec]
-		heads Table[int32]
-	}
+	tabs tables
 
 	freePages []pageSpan // sorted by page, coalesced
 	// maxRun is an upper bound on the longest free page run: it never
@@ -206,15 +203,15 @@ func (a *Arena) Info() Info {
 
 // Reset returns the arena to its entirely-free initial state: the page
 // records and list heads of the cell that ran go with it (Release), and
-// fresh ones are reserved, a record per page and a head per class for
+// fresh ones are mapped, a record per page and a head per class for
 // each list. The slab table is re-grown from length zero, so every
 // record initialises on first use and the post-Reset address sequence
 // is identical to a fresh arena's.
 func (a *Arena) Reset() {
 	a.Release()
 	classes := a.pageSize / 8
-	a.slabs = a.mem.slabs.Reserve(int(a.fullPages) + 1)
-	heads := Grow(a.mem.heads.Reserve(2*classes), 2*classes, 2*classes)
+	a.slabs = mapOn[slabRec](&a.tabs, int(a.fullPages)+1)
+	heads := Grow(mapOn[int32](&a.tabs, 2*classes), 2*classes, 2*classes)
 	for i := range heads {
 		heads[i] = -1
 	}
@@ -234,10 +231,9 @@ func (a *Arena) Reset() {
 
 // Release unmaps the arena's page records and list heads now rather
 // than once the arena is unreachable: for an arena whose cell has ended.
-// The arena must not be used again until Reset reserves fresh ones.
+// The arena must not be used again until Reset maps fresh ones.
 func (a *Arena) Release() {
-	a.mem.slabs.Release()
-	a.mem.heads.Release()
+	a.tabs.release()
 	a.slabs, a.partial, a.cached = nil, nil, nil
 }
 

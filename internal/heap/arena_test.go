@@ -325,7 +325,7 @@ func TestArenaReleaseKeepsWorking(t *testing.T) {
 	a := NewArena(1 << 16)
 	before := arenaScript(a, 7, 1000)
 	a.Release()
-	if a.slabs != nil || a.mem.slabs.Reserved() != 0 || a.mem.heads.Reserved() != 0 {
+	if a.slabs != nil || a.tabs.maps != nil {
 		t.Fatal("a released arena still holds its tables")
 	}
 	a.Reset()

@@ -2,7 +2,7 @@ package heap
 
 import "unsafe"
 
-// SetMapOff makes Table.Reserve map nothing, as the builds without a
+// SetMapOff makes MapTable map nothing, as the builds without a
 // mapping do, for the external tests in this directory.
 func SetMapOff(off bool) { mapOff = off }
 
@@ -10,7 +10,16 @@ func SetMapOff(off bool) { mapOff = off }
 func MappingCount() int64 { return mappings.Load() }
 
 // SlabInMapping reports whether the ref slab still lies in the mapping
-// New reserved for it, rather than in a Go slice it grew into.
+// New made for it, rather than in a Go slice it grew into.
 func (h *Heap) SlabInMapping() bool {
-	return cap(h.mem.slab.m) > 0 && unsafe.SliceData(h.slab) == unsafe.SliceData(h.mem.slab.m)
+	if h.tabs.maps == nil {
+		return false
+	}
+	slab := unsafe.Pointer(unsafe.SliceData(h.slab))
+	for _, m := range *h.tabs.maps {
+		if unsafe.Pointer(unsafe.SliceData(m)) == slab {
+			return true
+		}
+	}
+	return false
 }

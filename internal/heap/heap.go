@@ -122,10 +122,10 @@ type Heap struct {
 	layouts []layout
 	byName  map[string]ClassID
 	// handles, liveBits and slab are the plain slices the hot paths
-	// index and Grow grows; mem holds their memory (see Table) for the
-	// one cell the heap serves. New and Reset reserve handles and
-	// liveBits at HandleBound slots, which handleCap never passes, so
-	// within the mapping Grow never copies.
+	// index and Grow grows; tabs holds their memory (see tables) for the
+	// one cell the heap serves. New and Reset map handles and liveBits
+	// at HandleBound slots, which handleCap never passes, so within the
+	// mapping Grow never copies.
 	handles []handle
 	// handleCap is the capacity the growth rule has granted the handle
 	// table, at most cap(handles). It starts over at Reset, so a reset
@@ -160,11 +160,7 @@ type Heap struct {
 	// live &^ mark, one AND-NOT per word — and ForEachLive/NumLive walk
 	// words instead of handle records.
 	liveBits Bitset
-	mem      struct {
-		handles Table[handle]
-		live    Table[uint64]
-		slab    Table[HandleID]
-	}
+	tabs     tables // these three tables and every one MapTable maps on the heap
 }
 
 // New returns a heap whose object space spans arenaBytes.
@@ -177,25 +173,25 @@ func New(arenaBytes int) *Heap {
 // init makes h an empty heap over a, as New builds it, with fresh tables
 // for a cell: a one-slot handle table and slab, each slot 0 unused (the
 // Nil handle; the end of every extFree list). It writes a composite
-// literal rather than copying a built heap: a copy would carry tables
-// whose cleanups are registered on the source (Table).
+// literal rather than copying a built heap: a copy would carry
+// mappings whose cleanup is registered on the source (tables).
 func (h *Heap) init(a *Arena) {
 	*h = Heap{arena: a, byName: make(map[string]ClassID)}
 	bound := h.HandleBound()
 	h.handleCap = 1
-	h.handles = Grow(h.mem.handles.Reserve(bound), 1, 1)
-	h.liveBits = Grow(h.mem.live.Reserve(BitsetWords(bound)), 1, 1)
-	h.slab = Grow(h.mem.slab.Reserve(1+h.arena.Size()/refBytes), 1, 1)
+	h.handles = Grow(MapTable[handle](h, bound), 1, 1)
+	h.liveBits = Grow(MapTable[uint64](h, BitsetWords(bound)), 1, 1)
+	h.slab = Grow(MapTable[HandleID](h, 1+h.arena.Size()/refBytes), 1, 1)
 }
 
-// Release unmaps the heap's tables and its arena's now rather than once
-// a Go collection finds the heap unreachable: for a heap nobody will
-// use again, such as the shard of a cell the engine has handed over.
-// The heap must not be used afterwards.
+// Release unmaps every table mapped on the heap — its own, the owner
+// table and the collector's — and its arena's now rather than once a
+// Go collection finds the heap unreachable: for a heap nobody will use
+// again, such as the shard of a cell the engine has handed over. The
+// heap and its tables must not be used afterwards; a second Release
+// does nothing.
 func (h *Heap) Release() {
-	h.mem.handles.Release()
-	h.mem.live.Release()
-	h.mem.slab.Release()
+	h.tabs.release()
 	h.handles, h.liveBits, h.slab = nil, nil, nil
 	h.arena.Release()
 }
@@ -442,8 +438,8 @@ func (h *Heap) Free(id HandleID) {
 // Sizes are read from the old arena, which stays in place until the
 // new one is committed. Committing swaps the arena pointer and unmaps
 // the old arena's tables: a copy of the new arena into the old would
-// leave its tables' cleanups on the scratch arena, which unmap them
-// once it is collected (Table; go vet refuses the copy).
+// leave its tables' cleanup on the scratch arena, which unmaps them
+// once it is collected (tables; go vet refuses the copy).
 func (h *Heap) Compact() bool {
 	a := NewArena(h.arena.Size())
 	ok := true

@@ -19,10 +19,10 @@ import (
 	"repro/internal/vm"
 )
 
-// collected runs the two collections that find a dropped owner and
-// queue its cleanup, then waits (cleanups run on a goroutine of their
-// own) until the gauge is down to want, or, for want < 0, until it has
-// stopped falling. It returns the last reading.
+// collected runs the two collections that find a dropped shard and
+// queue its heap's and its arena's cleanups, then waits (cleanups run on
+// a goroutine of their own) until the gauge is down to want, or, for
+// want < 0, until it has stopped falling. It returns the last reading.
 func collected(want int64) int64 {
 	runtime.GC()
 	runtime.GC()
@@ -42,13 +42,13 @@ func collected(want int64) int64 {
 // ref slab, and its arena's page records and list heads.
 const heapTables = 5
 
-// owners are the collectors that keep tables of their own, beside the
-// heapTables of the heap they are attached to. tables counts the mappings each reserves at Attach: CG's object
-// records and set records (its reset stamps only under +reset), gen's
-// flag bytes and remembered list, none for msa. Every one of them maps
-// its engine's mark bits and DFS stack at its first cycle. access is the
-// runtime's owner table, mapped for a collector that binds an Access
-// slot, as CG does.
+// owners are the collectors that map tables of their own on the heap
+// they are attached to, beside its heapTables. tables counts the
+// mappings each makes at Attach: CG's object records and set records
+// (its reset stamps only under +reset), gen's flag bytes and remembered
+// list, none for msa. Every one of them maps its engine's mark bits and
+// DFS stack at its first cycle. access is the runtime's owner table,
+// mapped for a collector that binds an Access slot, as CG does.
 var owners = []struct {
 	spec           string
 	tables, access int64
@@ -63,11 +63,13 @@ var owners = []struct {
 // bits and the DFS stack.
 const scratch = 2
 
-// TestDroppedOwnersAreUnmapped: nobody calls Release on a heap's tables
-// or on a collector's; dropping the owner is the release. Every mapping
-// a heap and a runtime with each collector attached hold, after a cycle
-// — ten under CG — is gone two collections after the runtime is.
-func TestDroppedOwnersAreUnmapped(t *testing.T) {
+// TestDroppedShardsAreUnmapped: nobody calls Release on a shard — a
+// heap and a runtime over it with each collector attached — and
+// dropping the shard is the release. Every mapping it holds after a
+// cycle — ten under CG — is gone two collections after the shard is:
+// the heap's cleanup unmaps the runtime's and the collector's tables
+// with its own, and the arena's cleanup its two.
+func TestDroppedShardsAreUnmapped(t *testing.T) {
 	for _, o := range owners {
 		t.Run(o.spec, func(t *testing.T) {
 			base := collected(-1) // earlier tests' garbage emptied
@@ -82,21 +84,23 @@ func TestDroppedOwnersAreUnmapped(t *testing.T) {
 				}
 			}()
 			if got := collected(base); got > base {
-				t.Fatalf("%d mappings outlive their owners", got-base)
+				t.Fatalf("%d mappings outlive their shard", got-base)
 			}
 		})
 	}
 }
 
-// TestDetachUnmapsTheCollectorsTables: a collector's side tables live
-// for its one cell, as the runtime's owner table does. Under every spec
-// of the grammar, a cell that runs a cycle holds its collector's tables
-// and its engine's scratch beside the heap's five tables and, where an
-// Access slot is bound, the owner table, and Reset unmaps them at once:
+// TestReleaseUnmapsEveryTable: a collector's side tables live for its
+// one cell, as the runtime's owner table does, because the heap they
+// are mapped on unmaps them with its own. Under every spec of the
+// grammar, a cell that runs a cycle holds its collector's tables and
+// its engine's scratch beside the heap's five tables and, where an
+// Access slot is bound, the owner table. Reset unmaps them at once:
 // with no collector attached, the count falls back to the fresh heap's
-// five. A demographics cell under cg, which never collects, maps no
-// mark scratch.
-func TestDetachUnmapsTheCollectorsTables(t *testing.T) {
+// five. Release then unmaps those, and a second Release finds nothing
+// left to unmap. A demographics cell under cg, which never collects,
+// maps no mark scratch.
+func TestReleaseUnmapsEveryTable(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cleanup runs mid-count
 	for _, spec := range collectors.AllSpecs() {
 		t.Run(spec, func(t *testing.T) {
@@ -118,11 +122,20 @@ func TestDetachUnmapsTheCollectorsTables(t *testing.T) {
 				t.Fatalf("a cell that collected under %s holds %d mappings, no more than the heap's %d",
 					spec, heap.MappingCount()-base, own)
 			}
-			rt.Reset(vm.None())
-			if got := heap.MappingCount() - base; got != own {
-				t.Fatalf("after Reset, %d mappings are held, want the heap's %d", got, own)
+			for _, step := range []struct {
+				name string
+				do   func()
+				want int64
+			}{
+				{"Reset", func() { rt.Reset(vm.None()) }, own},
+				{"Release", rt.Release, 0},
+				{"a second Release", rt.Release, 0},
+			} {
+				step.do()
+				if got := heap.MappingCount() - base; got != step.want {
+					t.Fatalf("after %s, %d mappings are held, want %d", step.name, got, step.want)
+				}
 			}
-			rt.Release()
 		})
 	}
 	t.Run("a demographics cell maps no mark scratch", func(t *testing.T) {

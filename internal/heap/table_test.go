@@ -76,7 +76,7 @@ func shifting(t *testing.T) (*heap.Heap, string) {
 // TestMappedAndGrownTablesAgree runs the ledger's 28 matrix cells (at
 // size 10), a small-then-large sequence on one shard reset between them and a heap whose
 // shifting extent lengths carve past the slab's reservation twice: on
-// mapped tables, and with Table.Reserve mapping nothing, as under -race
+// mapped tables, and with MapTable mapping nothing, as under -race
 // and off unix, so that the tables grow by heap.Grow's rule. Where a
 // table lives is not observable: payloads, cycle counts, arena
 // occupancy, handle ids, references and the capacity granted are the
@@ -124,10 +124,11 @@ func TestMappedAndGrownTablesAgree(t *testing.T) {
 	mapped := run()
 	heap.SetMapOff(true)
 	defer heap.SetMapOff(false)
-	var probe heap.Table[uint64]
-	if probe.Reserve(1); probe.Reserved() != 0 {
-		t.Fatal("Reserve maps with mapping switched off")
+	probe := heap.New(64 << 10)
+	if heap.MapTable[uint64](probe, 1) != nil {
+		t.Fatal("MapTable maps with mapping switched off")
 	}
+	probe.Release()
 	grown := run()
 	for i := range mapped {
 		if mapped[i] != grown[i] {

@@ -77,39 +77,28 @@ type Collector struct {
 	stats Stats
 	mark  heap.Bitset     // scratch mark bits, indexed by HandleID
 	work  []heap.HandleID // scratch DFS stack
-	// markTab and workTab hold mark's and work's memory, reserved at the
-	// heap's handle bound (Reserve): the mark bits cover every id, and
-	// the stack holds each marked object at most once.
-	markTab heap.Table[uint64]
-	workTab heap.Table[heap.HandleID]
 }
 
 // New returns a mark–sweep engine bound to rt. It holds no scratch
 // until Reserve.
 func New(rt *vm.Runtime) *Collector { return &Collector{rt: rt} }
 
-// Reserve maps the engine's scratch at the heap's handle bound, before
-// its first cycle. Its collector calls it before every Collect rather
-// than at Attach, since only a cycle writes the scratch and most cells
-// never collect, and Collect does not call it, since the committed
-// profile's inlining is fitted to Collect's body (DESIGN.md §5
-// "Profile-guided builds"). A cycle on an engine never reserved grows
-// its scratch on the Go heap.
+// Reserve maps the engine's scratch on the heap at its handle bound,
+// before its first cycle: the mark bits cover every id, and the stack
+// holds each marked object at most once. The heap unmaps it with its
+// own tables when the cell ends. Its collector calls it before every
+// Collect rather than at Attach, since only a cycle writes the scratch
+// and most cells never collect, and Collect does not call it, since
+// the committed profile's inlining is fitted to Collect's body
+// (DESIGN.md §5 "Profile-guided builds"). A cycle on an engine never
+// reserved grows its scratch on the Go heap.
 func (m *Collector) Reserve() {
 	if m.mark != nil {
 		return
 	}
 	bound := m.rt.Heap.HandleBound()
-	m.mark = m.markTab.Reserve(heap.BitsetWords(bound))
-	m.work = m.workTab.Reserve(bound)
-}
-
-// Release unmaps the engine's scratch now, for an engine whose cell has
-// ended, rather than once a Go collection finds it unreachable.
-func (m *Collector) Release() {
-	m.markTab.Release()
-	m.workTab.Release()
-	m.mark, m.work = nil, nil
+	m.mark = heap.MapTable[uint64](m.rt.Heap, heap.BitsetWords(bound))
+	m.work = heap.MapTable[heap.HandleID](m.rt.Heap, bound)
 }
 
 // Stats returns a copy of the counters.
@@ -307,7 +296,6 @@ func NewSystem() *System { return &System{} }
 func (s *System) Events() vm.Events {
 	return vm.Events{
 		Attach:    s.Attach,
-		Detach:    s.detach,
 		Collect:   s.Collect,
 		Collector: s,
 	}
@@ -315,17 +303,6 @@ func (s *System) Events() vm.Events {
 
 // Attach binds the system to rt (the descriptor's Attach hook).
 func (s *System) Attach(rt *vm.Runtime) { s.m = New(rt) }
-
-// detach implements the event table's Detach capability: the engine's
-// scratch is unmapped. The system must not be queried after detach; m
-// is nilled so a violation fails loudly.
-func (s *System) detach() {
-	if s.m == nil {
-		return
-	}
-	s.m.Release()
-	s.m = nil
-}
 
 // Collect is the collection capability.
 func (s *System) Collect() int {

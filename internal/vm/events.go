@@ -22,17 +22,13 @@ type Events struct {
 
 	// Attach, if non-nil, is called once when the descriptor is bound
 	// to a runtime, before any event can fire. Collectors use it to
-	// capture the runtime and (re)initialise their state; a descriptor
-	// must not be attached to two runtimes at once.
+	// capture the runtime and (re)initialise their state, mapping their
+	// side tables on the runtime's heap (heap.MapTable); a descriptor
+	// must not be attached to two runtimes at once. There is no
+	// teardown slot: the heap owns every table mapped on it and unmaps
+	// them all when the runtime is released (Runtime.Release), so a
+	// collector must not be queried once its runtime has been.
 	Attach func(rt *Runtime)
-
-	// Detach, if non-nil, is called when the runtime is released (once
-	// its cell, or one of a cell's repeats, has run; Reset releases
-	// too) or a mid-run Attach replaces this table. The collector must
-	// consider itself unbound and must not be queried afterwards; it
-	// unmaps its side tables here. A runtime that is simply dropped
-	// never calls Detach.
-	Detach func()
 
 	// Alloc observes a fresh object allocated while f was the active
 	// frame ("when an object is created, it is associated with the

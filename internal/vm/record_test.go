@@ -25,22 +25,24 @@ func TestRecordsAreSmallAndPointerFree(t *testing.T) {
 }
 
 // TestMappedRecordsHoldNoPointers: where this build maps, the owner
-// table is reserved at the heap's handle bound when an Access slot is
+// table is mapped at the heap's handle bound when an Access slot is
 // first bound, at full length, and never moves as handles are handed
-// out; without an Access slot nothing is reserved.
+// out; without an Access slot nothing is mapped.
 func TestMappedRecordsHoldNoPointers(t *testing.T) {
 	rt, node, _ := newTestRT(None(), 1<<22)
 	if rt.owners != nil {
 		t.Fatalf("a runtime with no Access slot holds an owner table of %d entries", len(rt.owners))
 	}
 	rt.Attach((&accessLog{}).Events())
-	if rt.ownerTab.Reserved() == 0 {
+	// Where there is no mapping the table is grown to the handle table's
+	// capacity, so its own capacity cannot tell; a probe mapping can.
+	if heap.MapTable[int8](rt.Heap, 1) == nil {
 		t.Log("no mapping on this build: the owner table grows with the handle table")
 		return
 	}
-	if bound := rt.Heap.HandleBound(); len(rt.owners) != bound || rt.ownerTab.Reserved() != bound {
+	if bound := rt.Heap.HandleBound(); len(rt.owners) != bound || cap(rt.owners) != bound {
 		t.Fatalf("owner table of %d entries over a mapping of %d, the heap's handle bound is %d",
-			len(rt.owners), rt.ownerTab.Reserved(), bound)
+			len(rt.owners), cap(rt.owners), bound)
 	}
 	base := unsafe.SliceData(rt.owners)
 	f := rt.NewThread(1).Top()
@@ -52,7 +54,7 @@ func TestMappedRecordsHoldNoPointers(t *testing.T) {
 		t.Fatalf("the owner table moved, or handle %d's entry reads %d, want thread 1", last, rt.owners[last])
 	}
 	rt.Release()
-	if rt.owners != nil || rt.ownerTab.Reserved() != 0 {
+	if rt.owners != nil {
 		t.Fatal("Release kept the owner table")
 	}
 }

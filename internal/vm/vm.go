@@ -94,7 +94,6 @@ type Runtime struct {
 	onAccess      func(id heap.HandleID, t *Thread)
 	allocFallback func(c heap.ClassID, extra int) (heap.HandleID, bool)
 	collect       func() int
-	detach        func()
 	source        any
 
 	threads     []*Thread
@@ -154,14 +153,13 @@ type Runtime struct {
 	// the static pseudo-frame, or disowned once a collector has called
 	// Disown. Every allocation writes its entry while an Access slot is
 	// bound, so an entry is stale only for an id no live object holds.
-	// ownerTab holds its memory for the one cell the runtime runs:
-	// Attach reserves it at the heap's HandleBound when an Access slot
-	// is bound and takes the whole mapping, which no id passes, so the
+	// Attach maps it on the heap (heap.MapTable) for the one cell the
+	// runtime runs, at the heap's HandleBound when an Access slot is
+	// bound, and takes the whole mapping, which no id passes, so the
 	// owner store is a plain store that never grows; where there is no
-	// mapping it grows with the handle table (alloc). Reset and Release
-	// unmap it.
-	owners   []int8
-	ownerTab heap.Table[int8]
+	// mapping it grows with the handle table (alloc). The heap unmaps
+	// it with its own tables (Release).
+	owners []int8
 	// accessBroken records that the single-thread proof failed (second
 	// thread, or static-frame allocation). It is sticky for the life
 	// of the run — Reset clears it, Attach does not —
@@ -195,9 +193,7 @@ func New(h *heap.Heap, c Collector) *Runtime {
 }
 
 // init makes rt a runtime over h with no collector bound, as New builds
-// it. It writes a composite literal rather than copying a built
-// runtime: a copy would carry the owner table's cleanup, registered on
-// the source (heap.Table).
+// it.
 func (rt *Runtime) init(h *heap.Heap) {
 	*rt = Runtime{
 		Heap:        h,
@@ -216,20 +212,15 @@ func (rt *Runtime) init(h *heap.Heap) {
 // wired runtime. New and Reset call it; attaching mid-run (only
 // meaningful for instrumentation) replaces the collector and its
 // declared capabilities but keeps heap, threads, statics and the
-// already-broken single-thread proof intact. A mid-run swap requires
-// that no live frame carries collector-armed state: a frame whose
-// GCHead the outgoing collector armed still points into that
-// collector's (now detached) tables, and the incoming collector would
-// dereference it against its own empty ones. Swapping between
-// stateful collectors mid-run is therefore unsupported — quiesce via
-// Reset instead.
+// already-broken single-thread proof intact. The outgoing collector's
+// tables stay mapped on the heap until Release, beside the ones the
+// incoming collector maps. A mid-run swap requires that no live frame
+// carries collector-armed state: a frame whose GCHead the outgoing
+// collector armed still points into that collector's tables, and the
+// incoming collector would dereference it against its own empty ones.
+// Swapping between stateful collectors mid-run is therefore
+// unsupported — quiesce via Reset instead.
 func (rt *Runtime) Attach(ev Events) {
-	// The outgoing collector is unbound first, so its side tables are
-	// unmapped before the incoming one reserves its own.
-	if rt.detach != nil {
-		rt.detach()
-	}
-	rt.detach = ev.Detach
 	rt.source = ev.Collector
 	rt.onAlloc = ev.Alloc
 	rt.onRef = ev.Ref
@@ -244,7 +235,7 @@ func (rt *Runtime) Attach(ev Events) {
 	rt.accessOn = rt.accessArmed && (ev.AllAccess || rt.accessBroken)
 	if n := rt.Heap.HandleCap(); rt.accessArmed && len(rt.owners) < n {
 		if rt.owners == nil {
-			rt.owners = rt.ownerTab.Reserve(rt.Heap.HandleBound())
+			rt.owners = heap.MapTable[int8](rt.Heap, rt.Heap.HandleBound())
 		}
 		rt.owners = heap.Grow(rt.owners, max(n, cap(rt.owners)), n)
 	}
@@ -273,16 +264,11 @@ func (rt *Runtime) Reset(c Collector) {
 	rt.Attach(c.Events())
 }
 
-// Release ends a runtime nobody will run again: the collector detaches,
-// unmapping its side tables, and the owner table and the heap's tables
-// are unmapped at once (heap.Heap.Release). The runtime must not be
-// used afterwards.
+// Release ends a runtime nobody will run again: the heap unmaps every
+// table mapped on it at once — its own, the owner table and the
+// collector's (heap.Heap.Release). Neither the runtime nor its
+// collector may be used afterwards.
 func (rt *Runtime) Release() {
-	if rt.detach != nil {
-		rt.detach()
-		rt.detach = nil
-	}
-	rt.ownerTab.Release()
 	rt.owners = nil
 	rt.Heap.Release()
 }
