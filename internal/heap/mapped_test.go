@@ -63,13 +63,13 @@ var owners = []struct {
 // bits and the DFS stack.
 const scratch = 2
 
-// TestDroppedShardsAreUnmapped: nobody calls Release on a shard — a
+// TestDroppedOwnersAreUnmapped: nobody calls Release on a shard — a
 // heap and a runtime over it with each collector attached — and
 // dropping the shard is the release. Every mapping it holds after a
 // cycle — ten under CG — is gone two collections after the shard is:
 // the heap's cleanup unmaps the runtime's and the collector's tables
 // with its own, and the arena's cleanup its two.
-func TestDroppedShardsAreUnmapped(t *testing.T) {
+func TestDroppedOwnersAreUnmapped(t *testing.T) {
 	for _, o := range owners {
 		t.Run(o.spec, func(t *testing.T) {
 			base := collected(-1) // earlier tests' garbage emptied
@@ -90,7 +90,9 @@ func TestDroppedShardsAreUnmapped(t *testing.T) {
 	}
 }
 
-// TestReleaseUnmapsEveryTable: a collector's side tables live for its
+// TestDetachUnmapsTheCollectorsTables keeps the name it had when a
+// collector's detach hook unmapped its tables; that hook is gone, and
+// Release is what it checks. A collector's side tables live for its
 // one cell, as the runtime's owner table does, because the heap they
 // are mapped on unmaps them with its own. Under every spec of the
 // grammar, a cell that runs a cycle holds its collector's tables and
@@ -100,7 +102,7 @@ func TestDroppedShardsAreUnmapped(t *testing.T) {
 // five. Release then unmaps those, and a second Release finds nothing
 // left to unmap. A demographics cell under cg, which never collects,
 // maps no mark scratch.
-func TestReleaseUnmapsEveryTable(t *testing.T) {
+func TestDetachUnmapsTheCollectorsTables(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no cleanup runs mid-count
 	for _, spec := range collectors.AllSpecs() {
 		t.Run(spec, func(t *testing.T) {

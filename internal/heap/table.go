@@ -46,7 +46,7 @@ func (*noCopy) Unlock() {}
 var mapOff bool
 
 // mappings counts the mappings made and not yet unmapped: what
-// TestDroppedShardsAreUnmapped reads.
+// TestDroppedOwnersAreUnmapped reads.
 var mappings atomic.Int64
 
 // MapTable maps a table of n elements on h for its cell and returns it
