@@ -43,16 +43,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/obs"
-	"repro/internal/obs/obshttp"
 	"repro/internal/results"
 	"repro/internal/serve"
 )
@@ -70,12 +69,13 @@ func main() {
 	}
 	flag.Parse()
 
-	prog := &obs.Progress{}
-	eng := engine.New(*workers).SetProgress(prog)
-
+	// Listen first, so a bad -addr leaves no temporary store behind.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	dir, tempStore := *storeDir, false
 	if dir == "" {
-		var err error
 		if dir, err = os.MkdirTemp("", "cgserve-cells-*"); err != nil {
 			fatal(err)
 		}
@@ -86,14 +86,13 @@ func main() {
 		fatal(err)
 	}
 
-	srv := serve.New(serve.Config{Engine: eng, Store: store, Progress: prog})
-	obsSrv, err := obshttp.Serve(*addr, prog)
-	if err != nil {
-		fatal(err)
-	}
-	srv.Register(obsSrv.Mux())
-	obsSrv.SetHealth(srv.Health)
-	fmt.Fprintf(os.Stderr, "cgserve: serving on http://%s (store %s)\n", obsSrv.Addr(), dir)
+	srv := serve.New(serve.Config{Workers: *workers, Store: store})
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
+	go func() {
+		// ErrServerClosed after Close; the listener is gone either way.
+		_ = hs.Serve(ln)
+	}()
+	fmt.Fprintf(os.Stderr, "cgserve: serving on http://%s (store %s)\n", ln.Addr(), dir)
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
@@ -106,7 +105,7 @@ func main() {
 	}()
 	srv.Drain() // healthz flips to 503; new sweeps are refused
 	srv.Wait()  // accepted streams finish and flush
-	obsSrv.Close()
+	hs.Close()
 	if tempStore {
 		os.RemoveAll(dir)
 	}

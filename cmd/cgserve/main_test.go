@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/results"
 	"repro/internal/serve"
 )
@@ -46,8 +45,8 @@ func TestSweepPrintsTheBatchBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.New(serve.Config{Engine: engine.New(2), Store: store})
-	ts := httptest.NewServer(srv.Handler())
+	srv := serve.New(serve.Config{Workers: 2, Store: store})
+	ts := httptest.NewServer(srv)
 	defer func() {
 		srv.Drain()
 		srv.Wait()

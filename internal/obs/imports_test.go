@@ -11,8 +11,8 @@ import (
 
 // TestNoNetworkImports: internal/vm imports this package, so whatever it
 // imports is linked into every binary that runs a cell. The HTTP surface
-// lives in obshttp; a net or net/http import here would put HTTP, TLS
-// and x509 back into cgrun, cgstats, cgbench and cgworker.
+// lives in internal/serve; a net or net/http import here would put HTTP,
+// TLS and x509 back into cgrun, cgstats, cgbench and cgworker.
 func TestNoNetworkImports(t *testing.T) {
 	files, err := os.ReadDir(".")
 	if err != nil {
@@ -32,7 +32,7 @@ func TestNoNetworkImports(t *testing.T) {
 		for _, imp := range file.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
 			if path == "net" || strings.HasPrefix(path, "net/") {
-				t.Errorf("%s imports %q; network code belongs in internal/obs/obshttp", name, path)
+				t.Errorf("%s imports %q; network code belongs in internal/serve", name, path)
 			}
 		}
 	}

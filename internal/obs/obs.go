@@ -25,7 +25,7 @@
 //     (per-client cell lanes, whose sums are the cell totals; queue
 //     and in-flight gauges; the count of tape replays; per-worker
 //     utilization).
-//     The child package obshttp serves them as a JSON snapshot next to
+//     internal/serve serves them as a JSON snapshot next to
 //     net/http/pprof on cgserve's listener; this package imports no
 //     network code (TestNoNetworkImports), because internal/vm imports
 //     it and the batch binaries should not link an HTTP stack.

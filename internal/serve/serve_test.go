@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -39,22 +41,149 @@ func trioGolden(t *testing.T) string {
 }
 
 // newTestServer boots a full server — shared engine, shared store,
-// progress lanes — on an httptest listener and returns a client for it.
+// progress lanes — on an httptest listener and returns a client for it
+// and the server's progress ledger.
 func newTestServer(t *testing.T) (*Server, *Client, *obs.Progress) {
 	t.Helper()
 	store, err := results.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := &obs.Progress{}
-	srv := New(Config{Engine: engine.New(4).SetProgress(prog), Store: store, Progress: prog})
-	ts := httptest.NewServer(srv.Handler())
+	srv := New(Config{Workers: 4, Store: store})
+	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		srv.Drain()
 		srv.Wait()
 		ts.Close()
 	})
-	return srv, &Client{Base: ts.URL}, prog
+	return srv, &Client{Base: ts.URL}, srv.prog
+}
+
+// get fetches url and returns its status code and body.
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// health reads /healthz at base.
+func health(t *testing.T, base string) (int, Health) {
+	t.Helper()
+	code, body := get(t, base+"/healthz")
+	var h Health
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatalf("healthz is not JSON: %v: %s", err, body)
+	}
+	return code, h
+}
+
+// TestDebugServerServesSnapshotAndPprof runs a Fig 4.1 sweep on the
+// server and reads /progress after it: the engine's tape replays, the
+// scheduler's cells and the client's lane all reach the one ledger the
+// endpoint serves, beside the process's provenance. The pprof index
+// answers on the same listener.
+func TestDebugServerServesSnapshotAndPprof(t *testing.T) {
+	_, cl, _ := newTestServer(t)
+	if _, err := cl.Sweep(Spec{Client: "fig41", Figs: []string{"4.1"}}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	code, body := get(t, cl.Base+"/progress")
+	if code != http.StatusOK {
+		t.Fatalf("GET /progress: %d", code)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatalf("progress snapshot is not JSON: %v", err)
+	}
+	if snap.Provenance.GoVersion == "" {
+		t.Fatal("snapshot provenance missing")
+	}
+	// Fig 4.1 is 16 cells: cg+noopt and cg per benchmark. Three of its
+	// eight rows are size-1 rows with a shipped tape (compress, javac,
+	// mpegaudio), so 6 cells replay.
+	p := snap.Progress
+	if p.CellsTotal != 16 || p.CellsComputed != 16 {
+		t.Errorf("cells total %d, computed %d, want 16 and 16", p.CellsTotal, p.CellsComputed)
+	}
+	if p.TapeReplays != 6 {
+		t.Errorf("tape_replays = %d, want 6 (three seeded size-1 rows under two collectors)", p.TapeReplays)
+	}
+	if len(p.Lanes) != 1 || p.Lanes[0].Client != "fig41" || p.Lanes[0].Submitted != 16 || p.Lanes[0].Computed != 16 {
+		t.Errorf("lanes = %+v, want one fig41 lane of 16 computed cells", p.Lanes)
+	}
+
+	if code, body := get(t, cl.Base+"/debug/pprof/"); code != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+		t.Fatalf("pprof index = %d, does not list profiles: %.120s", code, body)
+	}
+}
+
+// TestDebugServerHealthz pins the /healthz contract, read from the
+// scheduler: 200 ok when idle, and once drained with a session still
+// open a 503 draining with that session's cells in flight, which is how
+// load balancers and the smoke scripts observe a draining server. The
+// root listing advertises the endpoint.
+func TestDebugServerHealthz(t *testing.T) {
+	store, err := results.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One executor, held in the session's first delivery: the second
+	// cell stays queued until the test lets the first go.
+	srv := New(Config{Workers: 1, Store: store})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if code, h := health(t, ts.URL); code != http.StatusOK || h.Status != "ok" || h.Draining || h.InFlight != 0 {
+		t.Fatalf("idle healthz = %d %+v, want 200 ok", code, h)
+	}
+
+	sess, err := srv.sched.OpenSession("open")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workload.All()[0].Name
+	jobs := []engine.Job{{Workload: w, Size: 1, Collector: "cg"}, {Workload: w, Size: 1, Collector: "msa"}}
+	started, finish := make(chan struct{}), make(chan struct{})
+	ran := make(chan error, 1)
+	go func() {
+		ran <- sess.Run(jobs, func(i int, _ results.Outcome) {
+			if i == 0 {
+				close(started)
+				<-finish
+			}
+		})
+	}()
+	<-started
+	for deadline := time.Now().Add(10 * time.Second); srv.sched.InFlight() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second cell was never queued")
+		}
+	}
+	srv.Drain()
+	code, h := health(t, ts.URL)
+	close(finish)
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	srv.Wait()
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("draining healthz status = %d, want 503", code)
+	}
+	if h.Status != "draining" || !h.Draining || h.InFlight != 1 {
+		t.Fatalf("draining healthz body = %+v, want draining with 1 cell in flight", h)
+	}
+
+	if _, body := get(t, ts.URL+"/"); !strings.Contains(string(body), "/healthz") {
+		t.Fatalf("root listing does not mention /healthz: %s", body)
+	}
 }
 
 // TestServerSweepGolden is the satellite acceptance test: a sweep
@@ -309,9 +438,8 @@ func TestDrainFinishesStreamsAndRefusesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := &obs.Progress{}
-	srv := New(Config{Engine: engine.New(2).SetProgress(prog), Store: store, Progress: prog})
-	ts := httptest.NewServer(srv.Handler())
+	srv := New(Config{Workers: 2, Store: store})
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	sess, err := srv.sched.OpenSession("early")
@@ -320,8 +448,8 @@ func TestDrainFinishesStreamsAndRefusesNew(t *testing.T) {
 	}
 	srv.Drain()
 
-	if h := srv.Health(); !h.Draining || h.Status != "draining" {
-		t.Fatalf("health after drain = %+v", h)
+	if code, h := health(t, ts.URL); code != http.StatusServiceUnavailable || !h.Draining || h.Status != "draining" {
+		t.Fatalf("health after drain = %d %+v", code, h)
 	}
 	resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(`{"figs":["4.1"]}`))
 	if err != nil {
@@ -361,7 +489,7 @@ func TestDrainFinishesStreamsAndRefusesNew(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Wait did not return after the last session closed")
 	}
-	if h := srv.Health(); h.InFlight != 0 {
+	if _, h := health(t, ts.URL); h.InFlight != 0 {
 		t.Fatalf("in-flight after drain completed = %d", h.InFlight)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"net/url"
 	"strings"
 	"sync"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/obs/obshttp"
 	"repro/internal/results"
 )
 
@@ -45,14 +45,12 @@ type Event struct {
 // completed stream.
 type DoneStats = results.SessionStats
 
-// Config assembles a Server. Engine and Store are required and shared
-// by every client; the server runs one executor per engine worker.
-// Progress feeds the /progress debug surface — counters, executor lanes
-// and fairness lanes — (nil disables it).
+// Config assembles a Server: Workers engine workers (<= 0 selects
+// GOMAXPROCS), one cell executor each, over Store, the cache every
+// client shares.
 type Config struct {
-	Engine   *engine.Engine
-	Store    *results.Store
-	Progress *obs.Progress
+	Workers int
+	Store   *results.Store
 }
 
 // NewScheduler returns the cell pipeline over eng and store with
@@ -66,37 +64,82 @@ func NewScheduler(eng *engine.Engine, store *results.Store, prog *obs.Progress, 
 	return results.NewScheduler(results.Local{Eng: eng, Obs: prog}, store, prog, executors)
 }
 
-// Server is the sweep server's HTTP surface: POST /sweep (streamed
-// sweeps) and GET /cell/{key} (the shared cache, content-addressed).
-// Mount it on an obshttp.Server's mux so /progress, /healthz and pprof
-// share the listener, and wire Drain/Wait/Health into the host's
-// signal handling for graceful shutdown.
+// Server is the sweep server's one HTTP surface, served by cgserve:
+//
+//	POST /sweep        streamed sweeps (Event lines)
+//	GET  /cell/{key}   the shared cache, content-addressed
+//	/progress          JSON Snapshot: provenance and the live counters
+//	/healthz           JSON Health (200 ok / 503 draining)
+//	/debug/pprof/...   the standard pprof handlers
+//
+// It owns its engine, its scheduler and the progress ledger both
+// report to, so a sweep is watched and profiled on the server that
+// runs it. Wire Drain and Wait into the host's signal handling for
+// graceful shutdown.
 type Server struct {
+	mux   *http.ServeMux
 	sched *results.Scheduler
 	store *results.Store
+	prog  *obs.Progress
+}
+
+// Snapshot is what /progress serves: the process's provenance and the
+// server's live progress counters.
+type Snapshot struct {
+	Provenance obs.Provenance       `json:"provenance"`
+	Progress   obs.ProgressSnapshot `json:"progress"`
+}
+
+// Health is what /healthz serves: liveness (answering at all) plus the
+// drain state. A draining server answers 503 so load balancers and
+// smoke scripts stop sending new sweeps while in-flight streams finish;
+// InFlight lets an operator watch the drain converge.
+type Health struct {
+	Status   string `json:"status"` // "ok" or "draining"
+	Draining bool   `json:"draining"`
+	InFlight int64  `json:"in_flight,omitempty"`
 }
 
 // New returns a serving Server over cfg.
 func New(cfg Config) *Server {
-	return &Server{
-		sched: NewScheduler(cfg.Engine, cfg.Store, cfg.Progress, 0),
+	prog := &obs.Progress{}
+	eng := engine.New(cfg.Workers).SetProgress(prog)
+	s := &Server{
+		mux:   http.NewServeMux(),
+		sched: NewScheduler(eng, cfg.Store, prog, 0),
 		store: cfg.Store,
+		prog:  prog,
 	}
+	s.mux.HandleFunc("/sweep", s.handleSweep)
+	s.mux.HandleFunc("/cell/", s.handleCell)
+	s.mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, Snapshot{Provenance: obs.Capture(obs.Nanotime()), Progress: s.prog.Snapshot()})
+	})
+	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		h := Health{Status: "ok", InFlight: s.sched.InFlight()}
+		code := http.StatusOK
+		if s.sched.Draining() {
+			h.Status, h.Draining, code = "draining", true, http.StatusServiceUnavailable
+		}
+		writeJSON(w, code, h)
+	})
+	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
+	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		fmt.Fprintln(w, "endpoints: /progress /healthz /debug/pprof/")
+	})
+	return s
 }
 
-// Register mounts the sweep endpoints on mux.
-func (s *Server) Register(mux *http.ServeMux) {
-	mux.HandleFunc("/sweep", s.handleSweep)
-	mux.HandleFunc("/cell/", s.handleCell)
-}
-
-// Handler returns a standalone handler with just the sweep endpoints
-// (tests; production hosts Register on the obshttp mux instead).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.Register(mux)
-	return mux
-}
+// ServeHTTP routes a request to its endpoint.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Drain stops admitting sweeps; accepted streams run to completion.
 func (s *Server) Drain() { s.sched.Drain() }
@@ -105,14 +148,13 @@ func (s *Server) Drain() { s.sched.Drain() }
 // scheduler has stopped. Call after Drain.
 func (s *Server) Wait() { s.sched.Wait() }
 
-// Health implements the obshttp.Server health callback: draining state plus
-// the number of cells still queued or executing.
-func (s *Server) Health() obshttp.Health {
-	h := obshttp.Health{Status: "ok", InFlight: s.sched.InFlight()}
-	if s.sched.Draining() {
-		h.Status, h.Draining = "draining", true
-	}
-	return h
+// writeJSON answers code with v as indented JSON.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 // handleSweep admits one client sweep and streams its events.
@@ -121,22 +163,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a sweep spec", http.StatusMethodNotAllowed)
 		return
 	}
-	var spec Spec
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxLine)).Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf("bad sweep spec: %v", err), http.StatusBadRequest)
-		return
-	}
-	// Resolve everything the spec names before admission: a typo'd
-	// figure or collector is a 400, never a half-streamed sweep.
-	var figs []experiments.SweepFig
-	if len(spec.Figs) > 0 || len(spec.Cells) == 0 {
-		var err error
-		if figs, err = experiments.DemographicFigs(spec.Figs...); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	jobs, err := spec.Jobs()
+	spec, figs, jobs, err := admit(r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

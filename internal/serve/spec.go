@@ -24,9 +24,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/results"
 )
 
@@ -96,4 +99,21 @@ func (s Spec) Jobs() ([]engine.Job, error) {
 		jobs[i] = job
 	}
 	return jobs, nil
+}
+
+// admit reads a POST /sweep body of at most maxLine bytes and resolves
+// everything it names before anything runs: the figures to render and
+// the explicit cells to run. A typo'd figure or collector is an error
+// here, a 400, never a half-streamed sweep.
+func admit(body io.Reader) (spec Spec, figs []experiments.SweepFig, jobs []engine.Job, err error) {
+	if err = json.NewDecoder(io.LimitReader(body, maxLine)).Decode(&spec); err != nil {
+		return spec, nil, nil, fmt.Errorf("bad sweep spec: %v", err)
+	}
+	if len(spec.Figs) > 0 || len(spec.Cells) == 0 {
+		if figs, err = experiments.DemographicFigs(spec.Figs...); err != nil {
+			return spec, nil, nil, err
+		}
+	}
+	jobs, err = spec.Jobs()
+	return spec, figs, jobs, err
 }

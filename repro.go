@@ -19,9 +19,9 @@
 //   - internal/experiments — the one list of the thesis's figures, and their renderer
 //   - internal/results — cell outcomes, the content-addressed store and the one cell pipeline (Scheduler)
 //   - internal/dist — the multi-process sweep (coordinator and cgworker protocol)
-//   - internal/serve — the sweep server and its client, both run by cgserve
+//   - internal/serve — the sweep server (/sweep, /cell, /progress, /healthz, pprof) and its client, both run by cgserve
 //   - internal/tape — record a program's event stream once, replay it under any collector
-//   - internal/obs — cycle timelines, provenance and progress counters (obs/obshttp serves them)
+//   - internal/obs — cycle timelines, provenance and progress counters (internal/serve serves them)
 //   - internal/jasm — a textual assembly for the runtime
 //
 // Quick start:
