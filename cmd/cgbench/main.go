@@ -2,9 +2,10 @@
 // evaluation (Chapter 4 and Appendix A) and prints them in order: it
 // renders experiments.Figures, the one list of ids, on one sharded
 // execution engine; -workers controls the pool size. The demographic
-// figures' distinct cells run once each through the cell pipeline, and
-// each timing matrix runs once, after them, for every figure that reads
-// it (DESIGN.md §4).
+// figures run as one sweep through the cell pipeline, each distinct
+// cell once, and each prints exactly what `cgsweep -figs <id>` prints
+// for it; each timing matrix runs once, after them, for every figure
+// that reads it (DESIGN.md §4).
 //
 // Usage:
 //
@@ -17,7 +18,9 @@
 // Demographics tables are byte-identical for any -workers value; only
 // the wall-clock figures (4.7, 4.8, 4.10, 4.12, A.5-A.7) vary. A figure
 // that fails prints one "cgbench: sweep <id>: ..." line on stderr; the
-// others still print, and cgbench exits 1 at the end.
+// others still print, and cgbench exits 1 at the end. A failed
+// demographic cell fails, as in cgsweep, the first figure to read it
+// and every demographic figure after that one.
 //
 // cgbench renders figures and nothing else. What a layer costs is read
 // off the end-to-end ledger (bench/run.sh, DESIGN.md "Why there is one

@@ -71,6 +71,10 @@ func main() {
 	record := flag.String("record", "", "record the run's event tape to this file (exactly one collector)")
 	replay := flag.String("replay", "", "replay a recorded event tape instead of driving a program")
 	flag.Parse()
+	if *wlSize < 1 {
+		fmt.Fprintf(os.Stderr, "cgrun: -size %d: want a positive size\n", *wlSize)
+		os.Exit(2)
+	}
 	if *list {
 		printCollectors()
 		return

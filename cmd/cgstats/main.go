@@ -56,6 +56,10 @@ func main() {
 	gcEvery := flag.Uint64("gc-every", 0,
 		"force a full traditional collection every N runtime operations (0 = off; the §4.7 resetting instrumentation)")
 	flag.Parse()
+	if *size < 1 {
+		fmt.Fprintf(os.Stderr, "cgstats: -size %d: want a positive size\n", *size)
+		os.Exit(2)
+	}
 
 	spec := *collector
 	probe, err := collectors.New(spec)

@@ -1,14 +1,18 @@
 // Package experiments regenerates every table and figure of the thesis's
 // evaluation (Chapter 4 and Appendix A). Figures is the one list of them,
-// in the thesis's order; Render renders any list of them on the caller's
-// sharded execution engine, running each distinct demographic cell and
-// each distinct timing matrix once however many figures read it. Sweep
-// streams the demographic figures over any results.Backend.
+// in the thesis's order. SweepProgress is the one renderer of the
+// demographic figures: it streams them over any results.Backend,
+// running each distinct cell once however many figures read it. Render
+// renders any list of figures on the caller's sharded execution engine:
+// the demographic ones through SweepProgress, so cgbench, cgsweep and
+// cgserve print a figure's same bytes, and each distinct timing matrix
+// once.
 //
 // Determinism: every demographics cell runs on an isolated vm.Runtime
-// shard with a deterministic workload RNG, and the pipeline delivers
-// cells in submission order, so the rendered tables are byte-identical
-// for any worker count (see TestEngineDeterminism). Only the wall-clock
+// shard with a deterministic workload RNG, the pipeline delivers cells
+// in submission order, and columns are as wide as their headers, so the
+// rendered tables are byte-identical for any worker count, process
+// count or store state (see TestEngineDeterminism). Only the wall-clock
 // figures (4.7, 4.8, 4.10, 4.12, A.5–A.7) vary run to run, as they did
 // on the thesis's hardware.
 package experiments
@@ -127,50 +131,60 @@ func pick[T any](all []T, ids []string, id func(T) string, what string) ([]T, er
 	return out, nil
 }
 
-// Render renders figs on eng and returns, per figure, its text — a
-// measured-width table, or an example's narrative — or the error that
-// failed it, "sweep <id>: ...". A failed cell or matrix fails only the
-// figures that read it. The demographic figures' distinct cells run
-// first, as one planned batch through results.Local; then each distinct
-// timing matrix, in a batch of its own, so no timing cell shares the
-// host with a demographic one or with another matrix's; then each
-// figure renders, in order.
+// Render renders figs on eng and returns, per figure, its text or the
+// error that failed it, "sweep <id>: ...". The demographic figures run
+// first, as one SweepProgress batch through results.Local, so each
+// prints exactly the bytes cgsweep prints for it; then each distinct
+// timing matrix runs, in a batch of its own, so no timing cell shares
+// the host with a demographic one or with another matrix's; then the
+// timing figures and the bodies (the worked examples and Fig 4.13)
+// render, in order.
+//
+// A failed matrix fails only the timing figures that read it. A failed
+// demographic cell follows the sweep's rule: the first demographic
+// figure to read it, and every demographic figure after that one, fail
+// with the sweep's error, which names that first reader. Timing figures
+// and bodies do not read demographic cells and still render.
 func Render(eng *engine.Engine, figs []Figure) ([]string, []error) {
 	return render(results.Local{Eng: eng}, eng, figs)
 }
 
 // render is Render with the demographic cells run on b.
 func render(b results.Backend, eng *engine.Engine, figs []Figure) ([]string, []error) {
+	texts := make([]string, len(figs))
+	errs := make([]error, len(figs))
+
+	// The sweep writes each figure's block, reports it, then writes the
+	// blank line between figures; a figure's text is its block.
 	var demo []SweepFig
-	for _, f := range figs {
+	var at []int // at[d] is demo[d]'s index in figs
+	for i, f := range figs {
 		if f.demo != nil {
 			demo = append(demo, *f.demo)
+			at = append(at, i)
 		}
 	}
-	ms := matrices(figs)
-
-	p := planSweep(demo)
-	cells := make([]Cell, len(p.cells))
-	cellErrs := make([]error, len(p.cells))
-	runErr := b.Run(p.cells, func(i int, o results.Outcome) {
-		cells[i], cellErrs[i] = CellFromOutcome(o)
+	var buf strings.Builder
+	done, start := 0, 0
+	sweepErr := SweepProgress(b, demo, &buf, func(FigStats) {
+		texts[at[done]] = buf.String()[start:]
+		done++
+		start = buf.Len() + 1
 	})
+	for _, i := range at[done:] {
+		errs[i] = sweepErr
+	}
+
+	ms := matrices(figs)
 	got := make([]series, len(ms))
 	for k, m := range ms {
 		got[k] = timeMatrix(eng, workload.All(), m)
 	}
-
-	texts := make([]string, len(figs))
-	errs := make([]error, len(figs))
-	d := 0
 	for i, f := range figs {
 		var err error
 		switch {
 		case f.demo != nil:
-			if err = runErr; err == nil {
-				texts[i], err = demoTable(*f.demo, p.slots[d], cells, cellErrs)
-			}
-			d++
+			continue
 		case f.Timing():
 			reads := make([]series, len(f.reads))
 			for j, m := range f.reads {
@@ -202,25 +216,6 @@ func matrices(figs []Figure) []matrix {
 		}
 	}
 	return ms
-}
-
-// demoTable renders a demographic figure as a measured-width table from
-// the planned cells its jobs map to (slots), failing with the first
-// failed cell it reads.
-func demoTable(f SweepFig, slots []int, cells []Cell, errs []error) (string, error) {
-	t := table.New(f.Title, f.Headers...)
-	row := make([]Cell, 0, f.CellsPerRow)
-	for r := 0; r < f.Rows(); r++ {
-		row = row[:0]
-		for _, slot := range slots[r*f.CellsPerRow : (r+1)*f.CellsPerRow] {
-			if errs[slot] != nil {
-				return "", errs[slot]
-			}
-			row = append(row, cells[slot])
-		}
-		t.Rowf(f.Row(r, row)...)
-	}
-	return t.String(), nil
 }
 
 // resetGCEvery is the forced-collection period for the §4.7 resetting

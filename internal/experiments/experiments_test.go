@@ -78,6 +78,9 @@ func (c *countingLocal) Run(jobs []engine.Job, emit func(int, results.Outcome)) 
 	return results.RunOnce(c, nil, c.Eng.Workers(), jobs, emit)
 }
 
+// RenderOn is render, for the external tests' backends.
+var RenderOn = render
+
 // renderAll renders the named figures on eng, failing t on any error.
 func renderAll(t *testing.T, eng *engine.Engine, ids ...string) []string {
 	t.Helper()

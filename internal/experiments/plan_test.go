@@ -283,3 +283,45 @@ func TestSweepSharedCellFailureFailsFirstUser(t *testing.T) {
 		t.Errorf("failed sweep rendered\n%s\nwant\n%s", out.String(), wantOut)
 	}
 }
+
+// TestRenderSharedCellFailureFollowsTheSweep: Render fails a demographic
+// cell by the sweep's rule — the figures before its first reader render
+// their golden blocks, and that reader and every demographic figure
+// after it report the sweep's error, which names the first reader —
+// while the worked example and a timing figure, which read no
+// demographic cell, still render.
+func TestRenderSharedCellFailureFollowsTheSweep(t *testing.T) {
+	figs, err := experiments.Figures("2.1", "4.11", "4.2", "4.7", "4.3", "A.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	demo, err := experiments.DemographicFigs("4.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := demo[0].Jobs[1] // db/1 under cg: row 1 of 4.2 and A.1, not read by 4.3
+	key, err := results.Key(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(2)
+	texts, errs := experiments.RenderOn(failing{results.Local{Eng: eng}, key}, eng, figs)
+	want := fmt.Sprintf("sweep 4.2: results: %s/%d under %s: boom", shared.Workload, shared.Size, shared.Collector)
+	blocks := goldenBlocks(t)
+	for i, f := range figs {
+		switch f.ID {
+		case "4.2", "4.3", "A.1":
+			if errs[i] == nil || errs[i].Error() != want {
+				t.Errorf("Fig %s: error %v, want %q", f.ID, errs[i], want)
+			}
+		case "4.11":
+			if errs[i] != nil || texts[i] != blocks[f.ID]+"\n" {
+				t.Errorf("Fig 4.11, before the failed cell's first reader: %v\n%s", errs[i], texts[i])
+			}
+		default:
+			if errs[i] != nil || !strings.Contains(texts[i], f.ID) {
+				t.Errorf("Fig %s reads no demographic cell but rendered %v\n%s", f.ID, errs[i], texts[i])
+			}
+		}
+	}
+}

@@ -13,10 +13,8 @@ import (
 // SweepFig describes one cell-based (demographics) figure as data: the
 // jobs of its matrix slice, grouped CellsPerRow cells per table row,
 // and the pure function mapping a row's cells to its rendered values.
-// One description drives both renderings — Render (cgbench: measure-
-// then-render tables) and Sweep (cgsweep: streamed rows over any
-// results.Backend) — and both plan the same batch of distinct cells, so
-// the figure's semantics cannot drift between them. Wall-clock figures
+// SweepProgress is its one renderer, for cgsweep, cgserve and, through
+// Render, cgbench. Wall-clock figures
 // are not SweepFigs: a timing cell is re-run Repeats times beside its
 // rival and reports wall time, which is exactly what a stored cell is
 // not.

@@ -13,19 +13,18 @@ import (
 // it is submitted — a long sweep shows its first rows while later cells
 // are still running, instead of barriering on the whole matrix.
 //
-// Streaming forecloses the batch table's measure-then-render pass, so
-// columns are sized from the headers alone and a wider cell simply
-// widens its own row. What it preserves is determinism: cell text comes
-// from the same table.Format the batch path uses, and rows are printed
-// by index, so sweep output is byte-identical for any worker count,
-// process count or store state.
+// A row prints before later cells exist, so its columns are as wide as
+// the headers and a wider cell widens only its own row; package table
+// owns that layout (table.Layout) and the cell text (table.Format).
+// Rows are printed by index, so sweep output is byte-identical for any
+// worker count, process count or store state.
 //
 // Rows must arrive one at a time in index order, as a Backend emits
 // cells; a row out of order is a sticky error, like a write error, and
 // both surface from Flush.
 type Sink struct {
 	w      io.Writer
-	widths []int
+	widths table.Layout
 	next   int
 	rows   int
 	err    error
@@ -36,22 +35,19 @@ type Sink struct {
 // Flush reports any shortfall.
 func NewSink(w io.Writer, title string, rows int, headers ...string) *Sink {
 	s := &Sink{w: w, rows: rows}
-	s.widths = make([]int, len(headers))
+	s.widths = make(table.Layout, len(headers))
 	for i, h := range headers {
 		s.widths[i] = len(h)
 	}
 	if title != "" {
-		s.printf("%s\n", title)
+		s.write(title + "\n")
 	}
-	s.writeRow(headers)
-	total := 0
-	for i, wd := range s.widths {
-		if i > 0 {
-			total += 2
-		}
-		total += wd
-	}
-	s.printf("%s\n", strings.Repeat("-", total))
+	var b strings.Builder
+	s.widths.Row(&b, headers)
+	s.write(b.String())
+	b.Reset()
+	s.widths.Rule(&b)
+	s.write(b.String())
 	return s
 }
 
@@ -65,7 +61,9 @@ func (s *Sink) Row(i int, cells ...any) {
 		return
 	}
 	s.next++
-	s.writeRow(table.Format(cells...))
+	var b strings.Builder
+	s.widths.Row(&b, table.Format(cells...))
+	s.write(b.String())
 }
 
 // Flush verifies every row arrived and returns the first error.
@@ -79,34 +77,13 @@ func (s *Sink) Flush() error {
 	return nil
 }
 
-// writeRow prints one row under the header-derived widths. Like the
-// batch table, every column — including the last — pads to width, so
-// narrow cells align and wide cells overflow only their own row.
-func (s *Sink) writeRow(cells []string) {
-	var b strings.Builder
-	for i := 0; i < len(s.widths) || i < len(cells); i++ {
-		c := ""
-		if i < len(cells) {
-			c = cells[i]
-		}
-		wd := 0
-		if i < len(s.widths) {
-			wd = s.widths[i]
-		}
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		fmt.Fprintf(&b, "%-*s", wd, c)
-	}
-	b.WriteString("\n")
-	s.printf("%s", b.String())
-}
-
-func (s *Sink) printf(format string, args ...any) {
+// write writes line unless an earlier write or row failed; the first
+// error sticks.
+func (s *Sink) write(line string) {
 	if s.err != nil {
 		return
 	}
-	if _, err := fmt.Fprintf(s.w, format, args...); err != nil {
+	if _, err := io.WriteString(s.w, line); err != nil {
 		s.err = err
 	}
 }

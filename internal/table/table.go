@@ -1,6 +1,9 @@
-// Package table renders the experiment harness's plain-text tables with
-// aligned columns — each experiment prints the same rows the thesis's
-// figures report, so output is diffable against EXPERIMENTS.md.
+// Package table owns the layout of every plain-text table the tools
+// print: a title line, a header row, a rule, then data rows, with two
+// spaces between columns and every column, the last included, padded to
+// its width. Table measures its widths from every cell before it
+// renders; results.Sink, which prints rows as their cells arrive, takes
+// them from the headers alone. Both write through Layout.
 package table
 
 import (
@@ -32,8 +35,7 @@ func (t *Table) Rowf(cells ...any) {
 
 // Format renders Rowf-style values to cell strings: strings pass
 // through, floats get two decimals, everything else default formatting.
-// The streaming results sink shares it so streamed rows and batch tables
-// print identical cell text.
+// results.Sink shares it, so a streamed row prints the same cell text.
 func Format(cells ...any) []string {
 	row := make([]string, len(cells))
 	for i, c := range cells {
@@ -49,20 +51,16 @@ func Format(cells ...any) []string {
 	return row
 }
 
-// String renders the table.
+// String renders the table under widths measured from every cell.
 func (t *Table) String() string {
 	ncols := len(t.headers)
 	for _, r := range t.rows {
-		if len(r) > ncols {
-			ncols = len(r)
-		}
+		ncols = max(ncols, len(r))
 	}
-	widths := make([]int, ncols)
+	widths := make(Layout, ncols)
 	measure := func(r []string) {
 		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	measure(t.headers)
@@ -71,24 +69,25 @@ func (t *Table) String() string {
 	}
 	var b strings.Builder
 	if t.title != "" {
-		fmt.Fprintf(&b, "%s\n", t.title)
+		b.WriteString(t.title + "\n")
 	}
-	writeRow := func(r []string) {
-		for i := 0; i < ncols; i++ {
-			c := ""
-			if i < len(r) {
-				c = r[i]
-			}
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteString("\n")
+	widths.Row(&b, t.headers)
+	widths.Rule(&b)
+	for _, r := range t.rows {
+		widths.Row(&b, r)
 	}
-	writeRow(t.headers)
+	return b.String()
+}
+
+// Layout is a table's column widths, and writes its header row, rule
+// and data rows. The title line is the caller's.
+type Layout []int
+
+// Rule writes the line under the header row: a dash for every column
+// and gutter.
+func (l Layout) Rule(b *strings.Builder) {
 	total := 0
-	for i, w := range widths {
+	for i, w := range l {
 		if i > 0 {
 			total += 2
 		}
@@ -96,8 +95,24 @@ func (t *Table) String() string {
 	}
 	b.WriteString(strings.Repeat("-", total))
 	b.WriteString("\n")
-	for _, r := range t.rows {
-		writeRow(r)
+}
+
+// Row writes one row: a column per width, or per cell if there are
+// more cells, two spaces apart, each padded to its width (a cell past
+// the widths to none), so a wider cell overflows only its own row.
+func (l Layout) Row(b *strings.Builder, cells []string) {
+	for i := 0; i < len(l) || i < len(cells); i++ {
+		c, w := "", 0
+		if i < len(cells) {
+			c = cells[i]
+		}
+		if i < len(l) {
+			w = l[i]
+		}
+		if i > 0 {
+			b.WriteString("  ")
+		}
+		fmt.Fprintf(b, "%-*s", w, c)
 	}
-	return b.String()
+	b.WriteString("\n")
 }

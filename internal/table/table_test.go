@@ -42,3 +42,25 @@ func TestRaggedRows(t *testing.T) {
 		t.Fatalf("extra cells dropped:\n%s", out)
 	}
 }
+
+// TestLayoutBytes pins the layout both renderers share: a two-space
+// gutter, every column padded to its width (the last included), a cell
+// past the widths padded to none, and a rule under the columns alone.
+func TestLayoutBytes(t *testing.T) {
+	tb := New("T", "a", "bb")
+	tb.Row("xyz", "1")
+	want := "T\n" +
+		"a    bb\n" +
+		"-------\n" +
+		"xyz  1 \n"
+	if got := tb.String(); got != want {
+		t.Errorf("measured table:\n%q\nwant\n%q", got, want)
+	}
+	var b strings.Builder
+	l := Layout{1, 2}
+	l.Row(&b, []string{"xyz", "1", "extra"})
+	l.Rule(&b)
+	if want := "xyz  1   extra\n-----\n"; b.String() != want {
+		t.Errorf("header widths:\n%q\nwant\n%q", b.String(), want)
+	}
+}
