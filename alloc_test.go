@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/collectors"
 	"repro/internal/gengc"
+	"repro/internal/heap"
+	"repro/internal/vm"
 )
 
 // The alloc gate runs under collectors.AllSpecs() — the grammar
@@ -30,15 +32,15 @@ func TestSteadyStateEventAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := NewHeap(1 << 20)
-			cls := h.DefineClass(Class{Name: "Node", Refs: 2, Data: 8})
-			rt := NewRuntime(h, col)
+			h := heap.New(1 << 20)
+			cls := h.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
+			rt := vm.New(h, col)
 			th := rt.NewThread(2)
 			f := th.Top()
 			a, b := f.MustNew(cls), f.MustNew(cls)
 			f.SetLocal(0, a)
 			f.SetLocal(1, b)
-			callee := func(inner *Frame) { inner.SetLocal(0, a) }
+			callee := func(inner *vm.Frame) { inner.SetLocal(0, a) }
 			step := func() {
 				f.PutField(a, 0, b)
 				_ = f.GetField(a, 0)
@@ -69,8 +71,8 @@ func TestSteadyStateArenaOpAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := NewHeap(1 << 20)
-			NewRuntime(h, col)
+			h := heap.New(1 << 20)
+			vm.New(h, col)
 			a := h.Arena()
 			sizes := []int{8, 16, 48, 256, 4096, 12288}
 			addrs := make([]int, len(sizes))
@@ -118,9 +120,9 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := NewHeap(1 << 20)
-			cls := h.DefineClass(Class{Name: "Node", Refs: 2, Data: 8})
-			rt := NewRuntime(h, col)
+			h := heap.New(1 << 20)
+			cls := h.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
+			rt := vm.New(h, col)
 			th := rt.NewThread(2)
 			f := th.Top()
 			// A little live graph plus churn so mark and sweep both do
@@ -134,7 +136,7 @@ func TestSteadyStateCycleAllocs(t *testing.T) {
 			f.SetLocal(0, a)
 			f.SetLocal(1, b)
 			f.PutField(a, 0, b)
-			churn := func(inner *Frame) {
+			churn := func(inner *vm.Frame) {
 				n := inner.MustNew(cls)
 				inner.SetLocal(0, n)
 				inner.PutField(b, 1, inner.GetField(a, 1))
@@ -181,11 +183,11 @@ func TestSteadyStateChurnAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := NewHeap(1 << 20)
-			cls := h.DefineClass(Class{Name: "Node", Refs: 2, Data: 8})
-			rt := NewRuntime(h, col)
+			h := heap.New(1 << 20)
+			cls := h.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
+			rt := vm.New(h, col)
 			th := rt.NewThread(0)
-			churn := func(inner *Frame) { inner.SetLocal(0, inner.MustNew(cls)) }
+			churn := func(inner *vm.Frame) { inner.SetLocal(0, inner.MustNew(cls)) }
 			for i := 0; i < 64; i++ { // warm handle table, free lists, recycle lists
 				th.CallVoid(1, churn)
 			}

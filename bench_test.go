@@ -10,7 +10,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/gengc"
+	"repro/internal/heap"
+	"repro/internal/msa"
 	"repro/internal/results"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -65,7 +69,7 @@ func BenchmarkWorkload(b *testing.B) {
 				b.Run(spec.Name+"/"+name+"/size"+strconv.Itoa(size), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						rt := NewRuntime(NewHeap(spec.HeapBytes(size)), mk())
+						rt := vm.New(heap.New(spec.HeapBytes(size)), mk())
 						spec.Run(rt, size)
 					}
 				})
@@ -126,7 +130,7 @@ func ledgerCell(program, collector string) (err error) {
 	if err != nil {
 		return err
 	}
-	rt := NewRuntime(NewHeap(spec.HeapBytes(100)), mk())
+	rt := vm.New(heap.New(spec.HeapBytes(100)), mk())
 	spec.Run(rt, 100)
 	return nil
 }
@@ -147,7 +151,7 @@ func BenchmarkStaticOptAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// A big heap isolates collector bookkeeping from
 				// collection pressure: no-opt keeps far more live.
-				rt := NewRuntime(NewHeap(64<<20), core.New(core.Config{StaticOpt: opt}))
+				rt := vm.New(heap.New(64<<20), core.New(core.Config{StaticOpt: opt}))
 				spec.Run(rt, 1)
 			}
 		})
@@ -172,7 +176,7 @@ func BenchmarkTypedRecycleAblation(b *testing.B) {
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rt := NewRuntime(NewHeap(spec.HeapBytes(1)), core.New(m.cfg))
+				rt := vm.New(heap.New(spec.HeapBytes(1)), core.New(m.cfg))
 				spec.Run(rt, 1)
 			}
 		})
@@ -193,7 +197,7 @@ func BenchmarkResettingAblation(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rt := NewRuntime(NewHeap(64<<20), core.New(core.Config{StaticOpt: true, ResetOnGC: reset}))
+				rt := vm.New(heap.New(64<<20), core.New(core.Config{StaticOpt: true, ResetOnGC: reset}))
 				rt.SetGCEvery(5000)
 				spec.Run(rt, 1)
 			}
@@ -201,26 +205,28 @@ func BenchmarkResettingAblation(b *testing.B) {
 	}
 }
 
-// TestFacadeQuickstart exercises the package-level API end to end (the
-// doc-comment example).
+// TestFacadeQuickstart runs the quick start on the packages themselves:
+// a contaminated collector frees an object when its frame pops, and the
+// two baselines attach cleanly. It keeps the name it had when a root
+// façade package wrapped these constructors.
 func TestFacadeQuickstart(t *testing.T) {
-	h := NewHeap(1 << 20)
-	cls := h.DefineClass(Class{Name: "Node", Refs: 2, Data: 8})
-	cg := NewCG(DefaultConfig())
-	rt := NewRuntime(h, cg)
+	h := heap.New(1 << 20)
+	cls := h.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
+	cg := core.New(core.DefaultConfig())
+	rt := vm.New(h, cg)
 	th := rt.NewThread(0)
-	th.CallVoid(1, func(f *Frame) {
+	th.CallVoid(1, func(f *vm.Frame) {
 		f.SetLocal(0, f.MustNew(cls))
 	})
 	if cg.Stats().Popped != 1 {
 		t.Fatalf("Popped = %d, want 1", cg.Stats().Popped)
 	}
 	// The baselines construct and attach cleanly too.
-	for _, c := range []Collector{NewMarkSweep(), NewGenerational()} {
-		h2 := NewHeap(1 << 16)
-		cls2 := h2.DefineClass(Class{Name: "Node", Refs: 2, Data: 8})
-		rt2 := NewRuntime(h2, c)
+	for _, c := range []vm.Collector{msa.NewSystem(), gengc.New()} {
+		h2 := heap.New(1 << 16)
+		cls2 := h2.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
+		rt2 := vm.New(h2, c)
 		th2 := rt2.NewThread(0)
-		th2.CallVoid(1, func(f *Frame) { f.SetLocal(0, f.MustNew(cls2)) })
+		th2.CallVoid(1, func(f *vm.Frame) { f.SetLocal(0, f.MustNew(cls2)) })
 	}
 }

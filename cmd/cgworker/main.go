@@ -1,9 +1,8 @@
 // Command cgworker is one worker process of a distributed sweep: it
-// speaks internal/dist's NDJSON protocol on stdin/stdout, runs the
-// cells it receives as one session of the cell pipeline over its own
-// engine, and streams serialised outcomes back. cgsweep -procs N spawns
-// N of these; there is no reason to run one by hand except to poke the
-// protocol:
+// speaks internal/dist's NDJSON protocol on stdin/stdout, runs each
+// cell it receives on its own engine, and streams serialised outcomes
+// back. cgsweep -procs N spawns N of these; there is no reason to run
+// one by hand except to poke the protocol:
 //
 //	echo '{"type":"job","id":0,"job":{"Workload":"compress","Size":1,"Collector":"cg"}}' | cgworker
 //

@@ -1,7 +1,8 @@
 // Quickstart: the paper's worked example (Figures 2.1 and 2.2) on the
-// public API. Five stack frames hold objects A-E; five putfield
-// instructions contaminate them; the trace shows each object's dependent
-// frame after every step, ending with the §2.1 punchline that
+// heap, runtime and collector packages (internal/heap, internal/vm,
+// internal/core). Five stack frames hold objects A-E; five putfield
+// instructions contaminate them; the trace shows each object's
+// dependent frame after every step, ending with the §2.1 punchline that
 // contamination cannot be undone.
 //
 // Run with: go run ./examples/quickstart

@@ -65,13 +65,20 @@ type worker struct {
 	id       int
 	conn     *Conn
 	capacity int
-	dead     bool               // guarded by Coordinator.mu
-	calls    map[int]chan reply // in flight by request id; guarded by Coordinator.mu
-	done     chan struct{}      // closed when the reader exits
+	dead     bool          // guarded by Coordinator.mu
+	calls    map[int]call  // in flight by request id; guarded by Coordinator.mu
+	done     chan struct{} // closed when the reader exits
 
 	wmu sync.Mutex // serialises request lines
 	bw  *bufio.Writer
 	enc *json.Encoder
+}
+
+// call is one request in flight: the job it sent and the Exec waiting
+// on its reply.
+type call struct {
+	job engine.Job
+	ch  chan reply
 }
 
 // reply is what an Exec waiting on a request receives: the outcome, or
@@ -102,7 +109,7 @@ func (c *Coordinator) Run(jobs []engine.Job, emit func(i int, o results.Outcome)
 func (c *Coordinator) Exec(_ int, job engine.Job) results.Outcome {
 	var cause error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		w, id, ch, err := c.acquire()
+		w, id, ch, err := c.acquire(job)
 		if err != nil {
 			return results.Outcome{Job: job, Err: err.Error()}
 		}
@@ -121,10 +128,10 @@ func (c *Coordinator) Exec(_ int, job engine.Job) results.Outcome {
 	}
 }
 
-// acquire charges a new request to a live worker with a free slot,
-// spawning the workers on the first call and waiting while every live
-// window is full. It fails once no worker is left.
-func (c *Coordinator) acquire() (*worker, int, chan reply, error) {
+// acquire charges a new request for job to a live worker with a free
+// slot, spawning the workers on the first call and waiting while every
+// live window is full. It fails once no worker is left.
+func (c *Coordinator) acquire(job engine.Job) (*worker, int, chan reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cond == nil {
@@ -153,7 +160,7 @@ func (c *Coordinator) acquire() (*worker, int, chan reply, error) {
 					id := c.nextID
 					c.nextID++
 					ch := make(chan reply, 1)
-					w.calls[id] = ch
+					w.calls[id] = call{job: job, ch: ch}
 					return w, id, ch, nil
 				}
 			}
@@ -204,7 +211,7 @@ func (c *Coordinator) dial(id int) (*worker, error) {
 	bw := bufio.NewWriter(conn.W)
 	w := &worker{
 		id: id, conn: conn, capacity: max(hello.Capacity, 1),
-		calls: make(map[int]chan reply), done: make(chan struct{}),
+		calls: make(map[int]call), done: make(chan struct{}),
 		bw: bw, enc: json.NewEncoder(bw),
 	}
 	go c.read(w, dec)
@@ -222,7 +229,9 @@ func (w *worker) send(req request) error {
 }
 
 // read hands worker w's results to the Execs waiting on them until its
-// stream ends; a read or protocol failure retires the worker.
+// stream ends. A read or protocol failure retires the worker, and so
+// does a result whose job is not the one its id was sent with: a stale
+// cgworker that drops a newer Job field echoes a different job.
 func (c *Coordinator) read(w *worker, dec *json.Decoder) {
 	defer close(w.done)
 	for {
@@ -232,18 +241,18 @@ func (c *Coordinator) read(w *worker, dec *json.Decoder) {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := w.calls[resp.ID]
-		ok = ok && resp.Type == "result" && resp.Outcome != nil
+		cl, ok := w.calls[resp.ID]
+		ok = ok && resp.Type == "result" && resp.Outcome != nil && resp.Outcome.Job == cl.job
 		if ok {
 			delete(w.calls, resp.ID)
 			c.cond.Broadcast()
 		}
 		c.mu.Unlock()
 		if !ok {
-			c.fail(w, fmt.Errorf("dist: worker %d sent unexpected %q for cell %d", w.id, resp.Type, resp.ID))
+			c.fail(w, fmt.Errorf("dist: worker %d sent %q for cell %d, not a result for the job it was sent", w.id, resp.Type, resp.ID))
 			return
 		}
-		ch <- reply{o: *resp.Outcome}
+		cl.ch <- reply{o: *resp.Outcome}
 	}
 }
 
@@ -263,8 +272,8 @@ func (c *Coordinator) fail(w *worker, err error) {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	shut(w.conn)
-	for _, ch := range calls {
-		ch <- reply{err: err}
+	for _, cl := range calls {
+		cl.ch <- reply{err: err}
 	}
 }
 

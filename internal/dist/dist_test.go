@@ -335,7 +335,8 @@ func TestRealWorkerProcesses(t *testing.T) {
 // TestServeIsOneSchedulerSession drives the worker side over in-memory
 // pipes: it says hello with its capacity, answers every job once, by
 // id, with that job's outcome, and returns when the coordinator hangs
-// up.
+// up. Its name predates the worker running each job straight on the
+// engine; it was one session of a scheduler of its own.
 func TestServeIsOneSchedulerSession(t *testing.T) {
 	jobs := smallJobs()
 	jobR, jobW := io.Pipe()

@@ -13,11 +13,11 @@ import (
 
 // Serve runs the worker side of the protocol until r reaches EOF (the
 // coordinator closing our stdin is the shutdown signal), then drains
-// in-flight jobs and returns. The worker is one session of a store-less
-// results.Scheduler over results.Local: each job is a one-cell Run on
-// it, answered the moment its cell completes, on a shard of its own
-// with one executor per engine worker. Serve is what cmd/cgworker
-// wraps; tests drive it directly over in-memory pipes.
+// in-flight jobs and returns. Each job it reads runs on a shard of its
+// own through eng.ExecRelease and is answered, by id, the moment its
+// cell completes. The worker keys, queues and dedups nothing: the
+// coordinator's scheduler has already done all three. Serve is what
+// cmd/cgworker wraps; tests drive it directly over in-memory pipes.
 func Serve(r io.Reader, w io.Writer, eng *engine.Engine) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -35,8 +35,6 @@ func Serve(r io.Reader, w io.Writer, eng *engine.Engine) error {
 		return fmt.Errorf("dist: worker hello: %w", err)
 	}
 
-	sched := results.NewScheduler(results.Local{Eng: eng}, nil, nil, capacity)
-	sess, _ := sched.OpenSession("") // a fresh scheduler is not draining
 	// The coordinator's window keeps at most capacity jobs unanswered; the
 	// semaphore holds the decode loop to the same bound, so a coordinator
 	// that overruns it blocks on its pipe instead of growing our
@@ -63,18 +61,14 @@ func Serve(r io.Reader, w io.Writer, eng *engine.Engine) error {
 		wg.Add(1)
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			// A one-job Run returns once its job was delivered, so its
-			// "never completed" error cannot occur.
-			_ = sess.Run([]engine.Job{req.Job}, func(_ int, o results.Outcome) {
-				if err := send(response{Type: "result", ID: req.ID, Outcome: &o}); err != nil {
-					errOnce.Do(func() { sendErr = err })
-				}
-			})
+			var o results.Outcome
+			eng.ExecRelease(req.Job, func(r engine.Result) { o = results.Extract(r) })
+			if err := send(response{Type: "result", ID: req.ID, Outcome: &o}); err != nil {
+				errOnce.Do(func() { sendErr = err })
+			}
 		}()
 	}
 	wg.Wait()
-	sess.Close()
-	sched.Wait()
 	if readErr != nil {
 		return readErr
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"time"
 )
@@ -8,7 +9,7 @@ import (
 // HistBuckets is the fixed bucket count of every Histogram: bucket 0
 // holds exact zeros, bucket i (i >= 1) holds values in
 // [2^(i-1), 2^i) nanoseconds, and the last bucket absorbs everything
-// from ~2.3 minutes up. Forty buckets cover the full plausible range
+// from 2^38 ns (~4.6 minutes) up. Forty buckets cover the full plausible range
 // of a collection pause, so recording never needs a resize — the
 // zero-allocation guarantee is structural, not amortised.
 const HistBuckets = 40
@@ -67,17 +68,17 @@ func BucketBound(i int) int64 {
 }
 
 // Quantile returns the upper bound of the bucket containing the q-th
-// quantile (0 < q <= 1) of the recorded values — a conservative
-// estimate, as a histogram cannot resolve within a bucket. Zero when
-// the histogram is empty.
+// quantile (0 < q <= 1) of the recorded values, by nearest rank — a
+// conservative estimate, as a histogram cannot resolve within a bucket.
+// Zero when the histogram is empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h.Count == 0 {
 		return 0
 	}
-	target := uint64(q * float64(h.Count))
-	if target < 1 {
-		target = 1
-	}
+	// The rank is ceil(q·Count) in [1, Count]; shaving 1e-12 keeps a
+	// product that rounds just above an integer (0.07·100 is
+	// 7.000000000000001) on that integer.
+	target := uint64(min(max(math.Ceil(q*float64(h.Count)*(1-1e-12)), 1), float64(h.Count)))
 	var cum uint64
 	for i, c := range h.Buckets {
 		cum += c

@@ -84,6 +84,36 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Max() != 131072*time.Nanosecond {
 		t.Fatalf("max = %v", h.Max())
 	}
+
+	// The rank is ceil(q·Count), never truncated: the p95 of ten pauses
+	// is the tenth, and the p50 of three is the second.
+	var tail Histogram
+	for i := 0; i < 9; i++ {
+		tail.Record(100)
+	}
+	tail.Record(100000)
+	if p95 := tail.Quantile(0.95); p95 != 131072*time.Nanosecond {
+		t.Fatalf("p95 of 9×100ns and 1×100µs = %v, want 131.072µs", p95)
+	}
+	var three Histogram
+	for _, v := range []int64{10, 1000, 100000} {
+		three.Record(v)
+	}
+	if p50 := three.Quantile(0.5); p50 != 1024*time.Nanosecond {
+		t.Fatalf("p50 of {10, 1000, 100000} ns = %v, want 1.024µs", p50)
+	}
+	// A product that rounds just above an integer keeps that rank:
+	// 0.07·100 is 7.000000000000001, and rank 7 is the last 100 ns pause.
+	var hundred Histogram
+	for i := 0; i < 7; i++ {
+		hundred.Record(100)
+	}
+	for i := 0; i < 93; i++ {
+		hundred.Record(1000)
+	}
+	if p7 := hundred.Quantile(0.07); p7 != 128*time.Nanosecond {
+		t.Fatalf("p7 of 7×100ns and 93×1µs = %v, want 128ns", p7)
+	}
 }
 
 // fakeClock returns a clock factory whose clocks advance a fixed step

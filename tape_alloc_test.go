@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/collectors"
+	"repro/internal/heap"
 	"repro/internal/tape"
+	"repro/internal/vm"
 )
 
 // The tape replay gate extends the steady-state alloc discipline to the
@@ -28,12 +30,12 @@ func churnTape(t *testing.T, iters int) *tape.Tape {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHeap(1 << 22)
-	rt := NewRuntime(h, mk())
+	h := heap.New(1 << 22)
+	rt := vm.New(h, mk())
 	rec := tape.NewRecorder(rt, tape.Meta{Workload: "churn-gate", Size: iters})
-	cls := h.DefineClass(Class{Name: "Node", Refs: 2, Data: 8})
+	cls := h.DefineClass(heap.Class{Name: "Node", Refs: 2, Data: 8})
 	th := rt.NewThread(2)
-	body := func(f *Frame) {
+	body := func(f *vm.Frame) {
 		o := f.MustNew(cls)
 		f.PutField(o, 0, o)
 		f.SetLocal(0, o)
@@ -63,7 +65,7 @@ func TestReplayInnerLoopAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rrt := NewRuntime(NewHeap(1<<22), mk())
+			rrt := vm.New(heap.New(1<<22), mk())
 			measure := func(tp *tape.Tape) float64 {
 				rp := tape.NewReplayer(tp)
 				replay := func() {
